@@ -2,7 +2,7 @@
 //! write-ahead log.
 //!
 //! Before the WAL, the only way to make a mutation durable was to rewrite
-//! the entire snapshot image (the crash-safe tmp/backup/rename protocol).
+//! the entire store image (encode, write a temp file, fsync, rename).
 //! The durable store instead appends a redo record per mutation and
 //! fsyncs per [`SyncPolicy`] — group commit amortizes the sync across a
 //! window of commits, and a periodic checkpoint folds the log back into
@@ -10,7 +10,8 @@
 //!
 //! Measured here, over a store pre-seeded with `OBJECTS` objects:
 //!
-//!   1. baseline — mutate a plain [`Store`], `snapshot::save` every
+//!   1. baseline — mutate a plain [`Store`], write the whole image
+//!      (`snapshot::to_bytes` → temp file → fsync → rename) every
 //!      `SNAP_EVERY` writes (durability cadence: 100 writes);
 //!   2. WAL, group commit — [`DurableStore`] with
 //!      `SyncPolicy::GroupCommit(64)` (durability cadence: 64 commits);
@@ -19,6 +20,8 @@
 //!   4. crash recovery — reopen after dropping the group-commit store
 //!      without a checkpoint: image load + full redo of the log.
 
+use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 use tml_core::Oid;
 use tml_store::durable::{DurableOptions, DurableStore};
@@ -53,18 +56,28 @@ fn payload(m: usize) -> Object {
     Object::ByteArray(vec![(m % 251) as u8; 16])
 }
 
+/// The pre-WAL durability step: the whole store encoded and written
+/// atomically (temp file, fsync, rename).
+fn save_whole_image(store: &Store, path: &Path) {
+    let tmp = path.with_extension("tmp");
+    let mut f = std::fs::File::create(&tmp).unwrap();
+    f.write_all(&snapshot::to_bytes(store)).unwrap();
+    f.sync_all().unwrap();
+    std::fs::rename(&tmp, path).unwrap();
+}
+
 /// Snapshot-per-N-writes: the pre-WAL durability story.
-fn bench_snapshot_baseline(dir: &std::path::Path) -> f64 {
+fn bench_snapshot_baseline(dir: &Path) -> f64 {
     let (mut store, oids) = seeded();
     let path = dir.join("base.tys");
-    snapshot::save(&store, &path).unwrap();
+    save_whole_image(&store, &path);
     let mut rng = 0xE14u64;
     let t0 = Instant::now();
     for m in 0..MUTATIONS {
         let oid = oids[lcg(&mut rng) as usize % oids.len()];
         store.set(oid, payload(m)).unwrap();
         if (m + 1) % SNAP_EVERY == 0 {
-            snapshot::save(&store, &path).unwrap();
+            save_whole_image(&store, &path);
         }
     }
     t0.elapsed().as_secs_f64()

@@ -2,15 +2,16 @@
 //! saves.
 //!
 //! E14 moved the per-mutation cost onto the write-ahead log, but every
-//! checkpoint still re-serialized the whole world through
-//! `snapshot::save`. With paged storage (DESIGN.md §14) a checkpoint
+//! checkpoint still re-serialized and rewrote the whole world. With paged
+//! storage (DESIGN.md §14) a checkpoint
 //! writes only the *dirty record set* into fresh slotted pages plus one
 //! small catalog, so its cost tracks how much changed, not how much
 //! exists.
 //!
 //! Measured here, over a store of `OBJECTS` objects of `PAYLOAD` bytes
 //! each: the time of one
-//! whole-image `snapshot::save` (the pre-paged checkpoint), against one
+//! whole-image save (the pre-paged checkpoint: `snapshot::to_bytes` →
+//! temp file → fsync → rename), against one
 //! `DurableStore::checkpoint()` after dirtying 0.1% / 1% / 5% / 10% of
 //! the objects through the `StoreAccess` seam. Each ratio runs on a
 //! fresh image so dead-byte accumulation and compaction cannot bleed
@@ -20,6 +21,8 @@
 //! ≤ 10% checkpoints faster than the whole-image save (the CI guard for
 //! the incremental claim).
 
+use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 use tml_core::Oid;
 use tml_store::durable::{DurableOptions, DurableStore};
@@ -54,18 +57,22 @@ fn payload(m: usize) -> Object {
 
 /// Whole-image save of the seeded store: what a checkpoint cost before
 /// paged storage existed.
-fn bench_whole_image(dir: &std::path::Path) -> f64 {
+fn bench_whole_image(dir: &Path) -> f64 {
     let (store, _) = seeded();
     let path = dir.join("whole.tys");
+    let tmp = dir.join("whole.tys.tmp");
     let t0 = Instant::now();
-    snapshot::save(&store, &path).unwrap();
+    let mut f = std::fs::File::create(&tmp).unwrap();
+    f.write_all(&snapshot::to_bytes(&store)).unwrap();
+    f.sync_all().unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     t0.elapsed().as_secs_f64()
 }
 
 /// Incremental checkpoint after dirtying `ratio` of the objects: seed a
 /// fresh paged image, take the baseline full checkpoint, mutate through
 /// the seam, then time the dirty-set checkpoint alone.
-fn bench_incremental(dir: &std::path::Path, ratio: f64) -> (usize, f64) {
+fn bench_incremental(dir: &Path, ratio: f64) -> (usize, f64) {
     let (store, oids) = seeded();
     let path = dir.join(format!("inc_{}.img", (ratio * 1000.0) as u64));
     let mut ds = DurableStore::from_store(store, &path, DurableOptions::default()).unwrap();
@@ -97,7 +104,7 @@ fn main() {
 
     let whole = bench_whole_image(&dir);
     println!(
-        "whole-image snapshot::save:          {:>8.2} ms   (the pre-paged checkpoint)\n",
+        "whole-image save:                    {:>8.2} ms   (the pre-paged checkpoint)\n",
         whole * 1e3
     );
 

@@ -1264,9 +1264,9 @@ pub fn optimize_all<S: StoreAccess>(
     Ok(report)
 }
 
-/// Reconstruct a runnable [`Session`] around a store loaded from a
-/// snapshot image (`.tys`). Snapshots persist objects, roots and R-value
-/// bindings but no executable code — the persistent representation of
+/// Reconstruct a runnable [`Session`] around a store loaded from an
+/// image. Images persist objects, roots and R-value bindings but no
+/// executable code — the persistent representation of
 /// code is PTML (paper §2.2) — so after construction every PTML-carrying
 /// closure must be recompiled in place with [`relink_image_code`].
 /// Callers needing extension primitives (e.g. the query externs) should
@@ -1335,17 +1335,16 @@ pub struct RelinkReport {
 
 /// Recompile every PTML-carrying closure in the session's store against
 /// the session's (fresh) code table, rebuilding each closure environment
-/// from its persisted R-value bindings. OIDs are stable across snapshots,
+/// from its persisted R-value bindings. OIDs are stable across images,
 /// so binding values — including mutual references between closures —
 /// remain valid as-is; only the transient code-table indices need
 /// regeneration.
 ///
-/// A closure whose PTML is unreadable — the blob object was dropped by
-/// snapshot salvage, or its bytes fail to decode — is *skipped*, not
-/// fatal: it keeps its persisted (stale, now-dangling) code index, gets
-/// the `degraded = 1` attribute, and is counted in
-/// [`RelinkReport::skipped`]. Image boot is thereby total on any store
-/// that [`tml_store::snapshot::load_with_recovery`] can produce.
+/// A closure whose PTML is unreadable — the blob object is gone, or its
+/// bytes fail to decode — is *skipped*, not fatal: it keeps its persisted
+/// (stale, now-dangling) code index, gets the `degraded = 1` attribute,
+/// and is counted in [`RelinkReport::skipped`]. Image boot is thereby
+/// total on any store that decodes.
 pub fn relink_image_code<S: StoreAccess>(
     session: &mut Session<S>,
 ) -> Result<RelinkReport, ReflectError> {
@@ -1446,20 +1445,15 @@ pub fn relink_image_code<S: StoreAccess>(
             env.push(val.clone());
             bindings.push((name.to_string(), val));
         }
-        // Untracked, through the raw escape hatch: relinking restores
-        // transient code indices — the persistent content (PTML, binding
-        // values) is unchanged, so cached optimization products observing
-        // this closure stay valid. On a durable backend the exposure is
-        // recorded and the next checkpoint degrades to a full flush, so
-        // even these unlogged writes reach disk.
-        match session.store.base_mut_unlogged().get_mut_untracked(t.oid) {
-            Ok(Object::Closure(c)) => {
-                c.code = compiled.block;
-                c.env = env;
-                c.bindings = bindings;
-            }
-            _ => unreachable!("targets are closures"),
-        }
+        // Relinking restores transient code indices — the persistent
+        // content (PTML, binding values) is unchanged, so cached
+        // optimization products observing this closure stay valid. On a
+        // durable backend the record is only marked dirty: the next
+        // checkpoint writes exactly the relinked closures.
+        session
+            .store
+            .set_transient_code(t.oid, compiled.block, env, bindings)
+            .map_err(|e| ReflectError::Store(e.to_string()))?;
         // Code-table indices are transient, but hotness is not: re-seed
         // the fresh block's invocation counter and tier tag from the
         // persisted `tier.calls` / `tier` attributes (written by

@@ -11,7 +11,7 @@
 use tml_lang::{Session, SessionConfig};
 use tml_reflect::{optimize_named, ReflectOptions};
 use tml_store::durable::{DurableOptions, DurableStore};
-use tml_store::{Object, SVal};
+use tml_store::{Object, SVal, StoreAccess};
 
 const SRC: &str = "
 module complex export new, x, y
@@ -73,7 +73,7 @@ fn optimizer_cache_survives_checkpoints_and_crash_recovery() {
     // by the checkpoint and the redone mutations did not touch them.
     let key = *ds.store().cache().iter().next().unwrap().0;
     assert!(
-        ds.store_mut_unlogged().cache_lookup(key).is_some(),
+        StoreAccess::cache_lookup(&mut ds, key).is_some(),
         "recovered cache entry must still be a hit"
     );
 

@@ -19,13 +19,13 @@
 //! [`StoreError::Io`] — typed errors are preserved exactly, so VM
 //! semantics (bounds → TML exception, …) are identical on both backends.
 //!
-//! ## The escape hatch
+//! ## Transient state
 //!
-//! [`StoreAccess::base_mut_unlogged`] exposes the raw `&mut Store`. On
-//! the durable store this marks the image as *raw-exposed*: the next
-//! checkpoint degrades from a dirty-record flush to a full flush, so even
-//! unlogged mutations (code-table relinking, cache warm-up) land on disk
-//! at the next checkpoint instead of silently diverging.
+//! No method hands out a raw `&mut Store`. The one write that bypasses
+//! the log is [`StoreAccess::set_transient_code`]: relinking restores a
+//! closure's code-table index, which every image open re-derives from
+//! PTML, so a durable backend only marks the record dirty for the next
+//! checkpoint.
 
 use crate::cache::{CacheEntry, CacheKey};
 use crate::gc::{self, GcStats};
@@ -55,12 +55,20 @@ pub trait StoreAccess {
     /// Read view of the underlying in-memory store.
     fn base(&self) -> &Store;
 
-    /// Escape hatch: the raw mutable store, bypassing logging. Changes
-    /// made through this view are volatile until the next checkpoint; a
-    /// durable backend flags itself so that checkpoint is a full flush.
-    /// Only for transient state (relinking, cache warm-up) that can
-    /// always be re-derived.
-    fn base_mut_unlogged(&mut self) -> &mut Store;
+    /// Point a closure at freshly compiled code: set its transient
+    /// `code` index, environment and recorded bindings *without* bumping
+    /// its content version (the PTML and binding values are unchanged, so
+    /// cached optimization products observing it stay valid). Not logged:
+    /// a durable backend marks the record dirty so the next checkpoint
+    /// writes it, and a crash before then is healed by the relink every
+    /// open performs.
+    fn set_transient_code(
+        &mut self,
+        oid: Oid,
+        code: u32,
+        env: Vec<SVal>,
+        bindings: Vec<(String, SVal)>,
+    ) -> Result<(), StoreError>;
 
     // -- Mutations (logged on a durable backend) -------------------------
 
@@ -147,7 +155,7 @@ pub trait StoreAccess {
     // -- Optimization cache ----------------------------------------------
     //
     // Cache traffic is derived data (checkpoints always carry the whole
-    // cache), so these do not count as raw exposure on a durable backend.
+    // cache), so a durable backend neither logs nor dirty-tracks it.
 
     /// Look up a cached optimization product, revalidating versions.
     fn cache_lookup(&mut self, key: CacheKey) -> Option<CacheEntry>;
@@ -228,8 +236,14 @@ impl StoreAccess for Store {
         self
     }
 
-    fn base_mut_unlogged(&mut self) -> &mut Store {
-        self
+    fn set_transient_code(
+        &mut self,
+        oid: Oid,
+        code: u32,
+        env: Vec<SVal>,
+        bindings: Vec<(String, SVal)>,
+    ) -> Result<(), StoreError> {
+        Store::set_transient_code(self, oid, code, env, bindings)
     }
 
     fn alloc(&mut self, obj: Object) -> Result<Oid, StoreError> {

@@ -7,10 +7,10 @@
 //! This module memoizes the result as a derived attribute of the store —
 //! "costs, savings, …" generalized to the whole optimization product —
 //! so that repeating an optimization against unchanged bindings links the
-//! cached code instead of recompiling. The cache is serialized into
-//! snapshots ([`crate::snapshot`]) and therefore survives a store
-//! save/load cycle: a warm restart re-links optimized code without ever
-//! invoking the optimizer.
+//! cached code instead of recompiling. The cache is serialized into every
+//! checkpoint catalog ([`crate::paged`]) and therefore survives a
+//! checkpoint/reopen cycle: a warm restart re-links optimized code without
+//! ever invoking the optimizer.
 //!
 //! ## Key derivation
 //!
@@ -119,7 +119,7 @@ pub struct CacheStats {
 }
 
 /// The reflective-optimization cache. Owned by [`crate::Store`]; persisted
-/// in snapshots.
+/// in checkpoint catalogs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptCache {
     pub(crate) entries: BTreeMap<CacheKey, CacheEntry>,

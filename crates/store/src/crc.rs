@@ -1,14 +1,14 @@
-//! CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) for the snapshot
-//! trailer.
+//! CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) for the catalog,
+//! store-encoding and log-record trailers.
 //!
 //! The persistent image *is* the database — the paper keeps every compiled
 //! function's PTML in the store, so a silently corrupt image is not a cache
 //! miss but data loss. Like the ASF+SDF compiler's persistent term store,
-//! the image must be self-validating: the TYSTO3 snapshot format appends a
-//! CRC-32 of the whole body so torn writes and bit rot are detected before
-//! any object is trusted.
+//! the image must be self-validating: the TYCAT1 catalog (like the TYSTO3
+//! store encoding) appends a CRC-32 of the whole body so torn writes and
+//! bit rot are detected before any object is trusted.
 //!
-//! Table-driven, no dependencies, byte-at-a-time — snapshot IO is
+//! Table-driven, no dependencies, byte-at-a-time — catalog IO is
 //! file-system bound, not CRC bound.
 
 /// The reflected IEEE polynomial.

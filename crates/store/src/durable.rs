@@ -27,25 +27,22 @@
 //! The inherent methods keep their `std::io::Result` shape for direct
 //! callers; the trait impl carries the same logic with typed
 //! [`StoreError`]s, so VM semantics (bounds → TML exception, …) are
-//! identical on both backends. The [`StoreAccess::base_mut_unlogged`]
-//! escape hatch flags the image as *raw-exposed*: the next checkpoint
-//! degrades from a dirty-record flush to a full flush so unlogged
-//! mutations (code-table relinking, cache warm-up) still land on disk.
+//! identical on both backends. The one unlogged write,
+//! [`StoreAccess::set_transient_code`] (relinking a closure's code-table
+//! index), only marks the record dirty: the next checkpoint writes it,
+//! and a crash before that is healed by the relink every open does.
 //!
 //! ## Recovery
 //!
-//! [`DurableStore::open`]: reconstruct the store — from the TYCAT1
-//! catalog + page file when present ([`paged::open_catalog`]'s
-//! primary → backup → tmp cascade), or from a legacy TYSTO whole-image
-//! snapshot ([`snapshot::load_with_recovery`]), which is migrated to the
-//! paged layout on the spot — then scan the log and decide:
+//! [`DurableStore::open`]: reconstruct the store from the TYCAT1 catalog
+//! and its page file ([`paged::open_catalog`]'s primary → backup → tmp
+//! chain), then scan the log and decide:
 //!
-//! * the loaded image's file identity matches the log header → replay the
-//!   committed prefix (marking replayed objects dirty so the next
+//! * the loaded catalog's file identity matches the log header → replay
+//!   the committed prefix (marking replayed objects dirty so the next
 //!   checkpoint persists them), resume appending after it;
-//! * mismatch, unreadable header, damaged (salvaged) image → the log
-//!   cannot be trusted on this base: discard it and take an immediate
-//!   checkpoint to heal the on-disk state.
+//! * mismatch or unreadable header → the log cannot be trusted on this
+//!   base: discard it and write a fresh catalog to heal the on-disk state.
 //!
 //! The identity check is what makes the checkpoint crash windows safe: a
 //! crash *before* the catalog rename leaves the old catalog (matching log
@@ -64,8 +61,7 @@ use crate::buffer::BufferStats;
 use crate::cache::{CacheEntry, CacheKey};
 use crate::gc::{self, GcStats};
 use crate::object::Object;
-use crate::paged::{self, PageStats, PagedHeap};
-use crate::snapshot::{self, ImageIdentity, RecoveryReport};
+use crate::paged::{self, ImageIdentity, PageStats, PagedHeap, RecoverySource};
 use crate::store::{Store, StoreError};
 use crate::sval::SVal;
 use crate::wal::{wal_path, SyncPolicy, Wal, WalRecord};
@@ -96,8 +92,8 @@ impl Default for DurableOptions {
 /// What [`DurableStore::open`] did to reconstruct the store.
 #[derive(Debug)]
 pub struct OpenReport {
-    /// How the checkpoint image itself was recovered.
-    pub snapshot: RecoveryReport,
+    /// Which catalog file the checkpoint image was recovered from.
+    pub source: RecoverySource,
     /// Redo records replayed from the log's committed prefix.
     pub redo_records: u64,
     /// Commit markers replayed.
@@ -110,9 +106,6 @@ pub struct OpenReport {
     /// The whole log was discarded as stale (its header named a different
     /// checkpoint image than the one recovery loaded).
     pub stale_log: bool,
-    /// The image was a legacy whole-image snapshot, converted to the
-    /// paged TYCAT1 layout during this open.
-    pub migrated_legacy: bool,
     /// Loser transactions — in flight at the crash, inside the committed
     /// prefix but without a resolution marker — rolled back during
     /// replay.
@@ -135,10 +128,6 @@ pub struct DurableStore {
     /// Objects mutated (or replayed) since the last successful
     /// checkpoint; exactly these records are flushed by the next one.
     dirty: BTreeSet<Oid>,
-    /// The raw store was exposed via [`StoreAccess::base_mut_unlogged`]
-    /// (or [`DurableStore::store_mut_unlogged`]): the next checkpoint must
-    /// flush every record, not just the dirty set.
-    raw_exposed: bool,
     /// A generation rewrite (compaction) began but its catalog never
     /// landed: the next checkpoint must rewrite everything.
     force_full: bool,
@@ -312,17 +301,6 @@ fn replay_committed(store: &mut Store, scan: &crate::wal::LogScan) -> std::io::R
     Ok(out)
 }
 
-/// `true` when the file at `path` starts with a legacy whole-image magic
-/// (TYSTO2/TYSTO3).
-fn sniff_legacy(path: &Path) -> bool {
-    use std::io::Read;
-    let mut magic = [0u8; 5];
-    match std::fs::File::open(path) {
-        Ok(mut f) => f.read_exact(&mut magic).is_ok() && &magic == b"TYSTO",
-        Err(_) => false,
-    }
-}
-
 impl DurableStore {
     /// Create a fresh durable store at `path`: writes an empty catalog,
     /// an empty page file and an empty log.
@@ -331,7 +309,8 @@ impl DurableStore {
     }
 
     /// Adopt an existing in-memory store, checkpointing it to `path`
-    /// immediately so the on-disk state starts consistent.
+    /// immediately so the on-disk state starts consistent. Any image
+    /// already at `path` is replaced.
     pub fn from_store(
         store: Store,
         path: impl AsRef<Path>,
@@ -343,7 +322,17 @@ impl DurableStore {
         heap.flush()?;
         let identity = heap.save_catalog(&store)?;
         let wal = Wal::create(wal_path(&path), identity)?.with_policy(opts.sync);
-        Ok(DurableStore {
+        Ok(DurableStore::assemble(store, wal, heap, path, opts))
+    }
+
+    fn assemble(
+        store: Store,
+        wal: Wal,
+        heap: PagedHeap,
+        path: PathBuf,
+        opts: DurableOptions,
+    ) -> DurableStore {
+        DurableStore {
             store,
             wal,
             heap,
@@ -352,16 +341,15 @@ impl DurableStore {
             commits_since_checkpoint: 0,
             wedged: false,
             dirty: BTreeSet::new(),
-            raw_exposed: false,
             force_full: false,
             stamp: None,
             txn_pins: 0,
-        })
+        }
     }
 
-    /// Open the durable store at `path`: recover the checkpoint image
-    /// (paged catalog, or legacy snapshot — migrated), replay the log's
-    /// committed prefix, and resume.
+    /// Open the durable store at `path`: recover the catalog and page file,
+    /// replay the log's committed prefix, and resume. Fails with
+    /// `InvalidData` when no catalog sibling decodes.
     pub fn open(
         path: impl AsRef<Path>,
         opts: DurableOptions,
@@ -372,52 +360,30 @@ impl DurableStore {
         } else {
             0
         };
-        // A readable legacy image at the primary path wins over any paged
-        // state its siblings may hold: an out-of-band `snapshot::save`
-        // rotated the live catalog to `.bak`, and the writer's intent was
-        // to replace the image.
-        if !sniff_legacy(&path) {
-            if let Some(opened) = paged::open_catalog(&path)? {
-                return DurableStore::open_paged(opened, path, opts, t0);
-            }
-        }
-        DurableStore::open_legacy(path, opts, t0)
-    }
-
-    /// Open from a decoded TYCAT1 catalog + page file.
-    fn open_paged(
-        opened: paged::OpenedCatalog,
-        path: PathBuf,
-        opts: DurableOptions,
-        t0: u64,
-    ) -> std::io::Result<(DurableStore, OpenReport)> {
         let paged::OpenedCatalog {
-            heap,
+            mut heap,
             mut store,
             identity,
             source,
-        } = opened;
+        } = paged::open_catalog(&path)?.ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "image unrecoverable: no decodable catalog",
+            )
+        })?;
         let wpath = wal_path(&path);
         let scan = Wal::scan(&wpath)?;
-        let log_usable = scan.exists && scan.base == Some(identity);
         let mut report = OpenReport {
-            snapshot: RecoveryReport {
-                source,
-                primary_error: None,
-                dropped_objects: 0,
-                dropped_roots: 0,
-                dropped_sections: false,
-            },
+            source,
             redo_records: 0,
             redo_commits: 0,
             discarded_records: 0,
             torn_tail: scan.torn_tail,
             stale_log: false,
-            migrated_legacy: false,
             losers_undone: 0,
             loser_records: 0,
         };
-        if log_usable {
+        if scan.exists && scan.base == Some(identity) {
             let replay = replay_committed(&mut store, &scan)?;
             report.redo_records = replay.redo_records;
             report.redo_commits = replay.redo_commits;
@@ -437,20 +403,9 @@ impl DurableStore {
                 });
             }
             let wal = Wal::resume(&wpath, &scan)?.with_policy(opts.sync);
-            let mut ds = DurableStore {
-                store,
-                wal,
-                heap,
-                path,
-                opts,
-                commits_since_checkpoint: report.redo_commits,
-                wedged: false,
-                dirty: replay.dirty,
-                raw_exposed: false,
-                force_full: false,
-                stamp: None,
-                txn_pins: 0,
-            };
+            let mut ds = DurableStore::assemble(store, wal, heap, path, opts);
+            ds.commits_since_checkpoint = report.redo_commits;
+            ds.dirty = replay.dirty;
             if report.losers_undone > 0 {
                 // Heal: the loser rollback happened in memory only. A
                 // checkpoint consolidates it and empties the log, so the
@@ -470,84 +425,9 @@ impl DurableStore {
         report.stale_log = scan.exists && scan.base != Some(identity);
         report.discarded_records = scan.records.len() as u64;
         trace_discard(&scan, report.discarded_records, t0);
-        let mut heap = heap;
         let identity = heap.save_catalog(&store)?;
         let wal = Wal::create(&wpath, identity)?.with_policy(opts.sync);
-        Ok((
-            DurableStore {
-                store,
-                wal,
-                heap,
-                path,
-                opts,
-                commits_since_checkpoint: 0,
-                wedged: false,
-                dirty: BTreeSet::new(),
-                raw_exposed: false,
-                force_full: false,
-                stamp: None,
-                txn_pins: 0,
-            },
-            report,
-        ))
-    }
-
-    /// Open from a legacy whole-image snapshot, replay the log against
-    /// it, and migrate the result to the paged layout (a full paged
-    /// checkpoint with a fresh log).
-    fn open_legacy(
-        path: PathBuf,
-        opts: DurableOptions,
-        t0: u64,
-    ) -> std::io::Result<(DurableStore, OpenReport)> {
-        let (mut store, snap_report) = snapshot::load_with_recovery(&path)?;
-        let wpath = wal_path(&path);
-        let scan = Wal::scan(&wpath)?;
-        let loaded_identity = recovered_image_identity(&path, &snap_report);
-        let log_usable = scan.exists && scan.base.is_some() && scan.base == loaded_identity;
-        let mut report = OpenReport {
-            snapshot: snap_report,
-            redo_records: 0,
-            redo_commits: 0,
-            discarded_records: 0,
-            torn_tail: scan.torn_tail,
-            stale_log: false,
-            migrated_legacy: true,
-            losers_undone: 0,
-            loser_records: 0,
-        };
-        if log_usable {
-            // Redo is infallible on the base it was logged against; a
-            // failure here means the identity check let a wrong base
-            // through, which is a bug worth surfacing loudly.
-            let replay = replay_committed(&mut store, &scan)?;
-            report.redo_records = replay.redo_records;
-            report.redo_commits = replay.redo_commits;
-            report.losers_undone = replay.losers.len() as u64;
-            report.loser_records = replay.loser_records;
-            report.discarded_records = (scan.records.len() - scan.committed) as u64;
-            if tml_trace::enabled() {
-                tml_trace::count("store.wal.redo_records", report.redo_records);
-                tml_trace::count("store.wal.redo_discarded", report.discarded_records);
-                let rec = tml_trace::global();
-                tml_trace::record(tml_trace::Event::Wal {
-                    op: "redo",
-                    lsn: replay.last_lsn,
-                    bytes: scan.committed_end,
-                    records: report.redo_records,
-                    micros: rec.clock().now_ns().saturating_sub(t0) / 1_000,
-                });
-            }
-        } else {
-            report.stale_log = scan.exists && scan.base != loaded_identity;
-            report.discarded_records = scan.records.len() as u64;
-            trace_discard(&scan, report.discarded_records, t0);
-        }
-        // Migration: a full paged checkpoint of the replayed store, with a
-        // fresh log bound to the new catalog (the replayed records are
-        // inside it, so nothing is lost by not resuming the old log).
-        let ds = DurableStore::from_store(store, path, opts)?;
-        Ok((ds, report))
+        Ok((DurableStore::assemble(store, wal, heap, path, opts), report))
     }
 
     /// The image path this store persists to.
@@ -558,16 +438,6 @@ impl DurableStore {
     /// Read view of the underlying store.
     pub fn store(&self) -> &Store {
         &self.store
-    }
-
-    /// Escape hatch: mutate the underlying store *without* logging. Any
-    /// change made through this view is volatile until the next
-    /// checkpoint — which degrades to a full flush, because the dirty set
-    /// no longer covers what changed. Used for transient state (cache
-    /// warm-up, code-table relinking) that redo can always re-derive.
-    pub fn store_mut_unlogged(&mut self) -> &mut Store {
-        self.raw_exposed = true;
-        &mut self.store
     }
 
     /// Consume the wrapper, keeping the in-memory store (no checkpoint).
@@ -898,7 +768,6 @@ impl DurableStore {
         let identity = self.flush_pages()?;
         self.wal.reset(identity)?;
         self.dirty.clear();
-        self.raw_exposed = false;
         self.commits_since_checkpoint = 0;
         if tml_trace::enabled() {
             tml_trace::count("store.wal.checkpoints", 1);
@@ -915,8 +784,8 @@ impl DurableStore {
     }
 
     /// Write the pending records to fresh pages and save the catalog.
-    /// Full flush when the raw store was exposed or a compaction is
-    /// pending/triggered; dirty-set flush otherwise.
+    /// Full flush when a compaction is pending/triggered; dirty-set flush
+    /// otherwise.
     fn flush_pages(&mut self) -> std::io::Result<ImageIdentity> {
         if self.heap.should_compact() {
             self.heap.begin_new_generation()?;
@@ -924,7 +793,7 @@ impl DurableStore {
             // incomplete: remember that a retry must also rewrite all.
             self.force_full = true;
         }
-        if self.force_full || self.raw_exposed {
+        if self.force_full {
             write_all_records(&mut self.heap, &self.store)?;
         } else {
             let (heap, store) = (&mut self.heap, &self.store);
@@ -1012,10 +881,6 @@ impl StoreAccess for DurableStore {
         &self.store
     }
 
-    fn base_mut_unlogged(&mut self) -> &mut Store {
-        self.store_mut_unlogged()
-    }
-
     fn alloc(&mut self, obj: Object) -> Result<Oid, StoreError> {
         self.do_alloc(obj)
     }
@@ -1098,9 +963,23 @@ impl StoreAccess for DurableStore {
         self.txn_pins = self.txn_pins.saturating_sub(1);
     }
 
+    fn set_transient_code(
+        &mut self,
+        oid: Oid,
+        code: u32,
+        env: Vec<SVal>,
+        bindings: Vec<(String, SVal)>,
+    ) -> Result<(), StoreError> {
+        // Unlogged: redo never needs it, because every open relinks. The
+        // dirty mark makes the next checkpoint write exactly this record.
+        self.store.set_transient_code(oid, code, env, bindings)?;
+        self.dirty.insert(oid);
+        Ok(())
+    }
+
     fn cache_lookup(&mut self, key: CacheKey) -> Option<CacheEntry> {
         // Cache traffic is derived data, fully captured by every catalog
-        // save — it does not count as raw exposure.
+        // save, so it is neither logged nor dirty-tracked.
         self.store.cache_lookup(key)
     }
 
@@ -1109,27 +988,10 @@ impl StoreAccess for DurableStore {
     }
 }
 
-/// The identity of the file that `load_with_recovery` decoded, if it
-/// decoded one cleanly (salvage sources return `None`: a log must never
-/// replay onto a salvaged — partially lost — base).
-fn recovered_image_identity(
-    path: &Path,
-    report: &RecoveryReport,
-) -> Option<snapshot::ImageIdentity> {
-    use crate::snapshot::RecoverySource as S;
-    let src = match report.source {
-        S::Primary => path.to_path_buf(),
-        S::Backup => snapshot::backup_path(path),
-        S::Tmp => snapshot::tmp_path(path),
-        S::SalvagedPrimary | S::SalvagedBackup | S::SalvagedTmp => return None,
-    };
-    snapshot::identity_of_file(src).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::RecoverySource;
+    use crate::snapshot;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("tml_store_durable_test");
@@ -1166,10 +1028,9 @@ mod tests {
         let expected = snapshot::to_bytes(&ds.store);
         drop(ds); // crash: no close, no checkpoint
         let (back, report) = DurableStore::open(&path, DurableOptions::default()).unwrap();
-        assert_eq!(report.snapshot.source, RecoverySource::Primary);
+        assert_eq!(report.source, RecoverySource::Primary);
         assert_eq!(report.redo_commits, 2);
         assert!(!report.stale_log);
-        assert!(!report.migrated_legacy, "created paged, reopened paged");
         assert_eq!(snapshot::to_bytes(&back.store), expected);
         assert_eq!(back.store().root("main"), Some(a));
         assert_eq!(back.store().attr(b, "cost"), Some(9));
@@ -1244,24 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_whole_image_store_is_migrated_on_open() {
-        let path = tmp("legacy.tys");
-        let mut s = Store::new();
-        let a = s.alloc(obj(5));
-        s.set_root("main", a);
-        snapshot::save(&s, &path).unwrap();
-        let expected = snapshot::to_bytes(&s);
-        let (back, report) = DurableStore::open(&path, DurableOptions::default()).unwrap();
-        assert!(report.migrated_legacy);
-        assert_eq!(snapshot::to_bytes(&back.store), expected);
-        assert!(paged::is_catalog_file(&path), "image converted to TYCAT1");
-        drop(back);
-        let (again, report) = DurableStore::open(&path, DurableOptions::default()).unwrap();
-        assert!(!report.migrated_legacy, "second open is already paged");
-        assert_eq!(snapshot::to_bytes(&again.store), expected);
-    }
-
-    #[test]
     fn auto_checkpoint_fires_every_n_commits() {
         let path = tmp("auto.tys");
         let opts = DurableOptions {
@@ -1289,11 +1132,15 @@ mod tests {
         let a = ds.alloc(obj(1)).unwrap();
         ds.commit().unwrap();
         drop(ds);
-        // Rewrite the image out-of-band (as an older tool might): the log
-        // header now names an image that no longer exists.
+        // Rewrite the catalog out-of-band, leaving the log in place: its
+        // header now names a catalog that no longer exists.
         let mut s = Store::new();
         s.alloc(obj(99));
-        snapshot::save(&s, &path).unwrap();
+        let mut heap = PagedHeap::create(&path).unwrap();
+        write_all_records(&mut heap, &s).unwrap();
+        heap.flush().unwrap();
+        heap.save_catalog(&s).unwrap();
+        drop(heap);
         let (back, report) = DurableStore::open(&path, DurableOptions::default()).unwrap();
         assert!(report.stale_log);
         assert_eq!(report.redo_records, 0);
@@ -1357,7 +1204,8 @@ mod tests {
             ptml_hash: 11,
             binding_sig: 22,
         };
-        ds.store_mut_unlogged().cache_insert(
+        StoreAccess::cache_insert(
+            &mut ds,
             key,
             CacheEntry {
                 observed: vec![(a, 0)],
@@ -1375,30 +1223,82 @@ mod tests {
         ds.checkpoint().unwrap();
         drop(ds);
         let (mut back, _) = DurableStore::open(&path, DurableOptions::default()).unwrap();
-        assert!(back.store_mut_unlogged().cache_lookup(key).is_some());
+        assert!(StoreAccess::cache_lookup(&mut back, key).is_some());
     }
 
     #[test]
-    fn raw_exposure_degrades_the_next_checkpoint_to_a_full_flush() {
-        let mut name_path = tmp("raw.tys");
-        let path = std::mem::take(&mut name_path);
+    fn transient_code_is_unlogged_but_flushed_by_the_next_checkpoint() {
+        use crate::object::ClosureObj;
+        let path = tmp("transient.tys");
         let mut ds = DurableStore::create(&path, DurableOptions::default()).unwrap();
         let a = ds.alloc(obj(1)).unwrap();
+        let clo = ds
+            .alloc(Object::Closure(ClosureObj {
+                code: 0,
+                env: vec![],
+                bindings: vec![],
+                ptml: None,
+            }))
+            .unwrap();
+        for i in 0..20 {
+            ds.alloc(obj(i)).unwrap();
+        }
         ds.commit().unwrap();
         ds.checkpoint().unwrap();
-        // Unlogged mutation through the escape hatch: no WAL record, no
-        // dirty mark — only the raw-exposed flag saves it.
-        *ds.store_mut_unlogged().get_mut(a).unwrap() = obj(42);
-        assert_eq!(ds.dirty_records(), 0);
+        let appends = ds.wal_stats().appends;
+        let version = ds.store().version(clo);
+        let env = vec![SVal::Ref(a)];
+        let bindings = vec![("a".to_string(), SVal::Ref(a))];
+        StoreAccess::set_transient_code(&mut ds, clo, 9, env.clone(), bindings.clone()).unwrap();
+        assert_eq!(ds.wal_stats().appends, appends, "no log record");
+        assert_eq!(ds.store().version(clo), version, "no content version bump");
+        assert_eq!(ds.dirty_records(), 1, "exactly the relinked record");
+        assert!(matches!(
+            StoreAccess::set_transient_code(&mut ds, a, 1, vec![], vec![]),
+            Err(StoreError::WrongKind { .. })
+        ));
         ds.checkpoint().unwrap();
         let expected = snapshot::to_bytes(&ds.store);
         drop(ds);
         let (back, _) = DurableStore::open(&path, DurableOptions::default()).unwrap();
-        assert_eq!(
-            snapshot::to_bytes(&back.store),
-            expected,
-            "raw-exposed checkpoint captured the unlogged mutation"
-        );
-        assert_eq!(back.store().get(a).unwrap(), &obj(42));
+        assert_eq!(snapshot::to_bytes(&back.store), expected);
+        match back.store().get(clo).unwrap() {
+            Object::Closure(c) => {
+                assert_eq!((c.code, &c.env, &c.bindings), (9, &env, &bindings));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn recreating_an_image_leaves_no_stale_catalog_to_fall_back_to() {
+        let path = tmp("recreate.tys");
+        // Image A: root `a` -> [1], closed (so its catalog has a backup).
+        let mut ds = DurableStore::create(&path, DurableOptions::default()).unwrap();
+        let a = ds.alloc(obj(1)).unwrap();
+        ds.set_root("a", a).unwrap();
+        ds.commit().unwrap();
+        ds.close().unwrap();
+        // Store B at the same path, dropped without a second checkpoint.
+        let mut b = Store::new();
+        let oid = b.alloc(obj(2));
+        b.set_root("b", oid);
+        drop(DurableStore::from_store(b, &path, DurableOptions::default()).unwrap());
+        // One flipped byte in B's primary catalog.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        // A's catalogs indexed the destroyed generation: falling back to
+        // one would yield root `a` pointing at B's record — a store that
+        // never existed. The only honest answer is "unrecoverable".
+        match DurableStore::open(&path, DurableOptions::default()) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+            Ok((back, report)) => panic!(
+                "opened a phantom store from {:?}: roots {:?}",
+                report.source,
+                back.store().roots().collect::<Vec<_>>()
+            ),
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! Durability code is exercised by failures that almost never happen in
 //! development: a crash between the temp-file write and the rename, a torn
 //! page, a flipped bit in a PTML blob. This module lets tests and
-//! operators *schedule* those failures at named sites in the snapshot
+//! operators *schedule* those failures at named sites in the catalog
 //! save/load path, the PTML codec and the cache persistence path, driven
 //! by deterministic seeds so every injected failure replays exactly.
 //!
@@ -15,7 +15,7 @@
 //! from the environment: setting
 //!
 //! ```text
-//! TML_FAILPOINTS="snapshot.save.rename=io;ptml.decode=flip2@7"
+//! TML_FAILPOINTS="catalog.save.rename=io;ptml.decode=flip2@7"
 //! ```
 //!
 //! arms an IO error at the rename site and a deterministic 2-bit
@@ -27,14 +27,14 @@
 //!
 //! | site                        | effect of triggering                    |
 //! |-----------------------------|-----------------------------------------|
-//! | `snapshot.save.write`       | temp-file write fails (IO error)         |
-//! | `snapshot.save.fsync`       | fsync of the temp file fails             |
-//! | `snapshot.save.backup`      | rotation of the previous image fails     |
-//! | `snapshot.save.rename`      | crash between write and rename           |
-//! | `snapshot.save.bytes`       | short write / bit flips in the image     |
-//! | `snapshot.load.read`        | image read fails (IO error)              |
-//! | `snapshot.load.bytes`       | short read / bit flips in the image      |
-//! | `snapshot.save.dirsync`     | directory fsync after the rename fails   |
+//! | `catalog.save.write`        | temp-file write fails (IO error)         |
+//! | `catalog.save.fsync`        | fsync of the temp file fails             |
+//! | `catalog.save.backup`       | rotation of the previous catalog fails   |
+//! | `catalog.save.rename`       | crash between write and rename           |
+//! | `catalog.save.bytes`        | short write / bit flips in the catalog   |
+//! | `catalog.load.read`         | catalog read fails (IO error)            |
+//! | `catalog.load.bytes`        | short read / bit flips in the catalog    |
+//! | `catalog.save.dirsync`      | directory fsync after the rename fails   |
 //! | `ptml.encode`               | corrupt bytes leaving the encoder        |
 //! | `ptml.decode`               | corrupt bytes entering the decoder       |
 //! | `cache.persist`             | corrupt bytes in a cached code segment   |
@@ -476,8 +476,8 @@ mod tests {
 
     #[test]
     fn env_grammar_parses() {
-        let (site, spec) = parse_entry("snapshot.save.rename=io:2#9@13").unwrap();
-        assert_eq!(site, "snapshot.save.rename");
+        let (site, spec) = parse_entry("catalog.save.rename=io:2#9@13").unwrap();
+        assert_eq!(site, "catalog.save.rename");
         assert_eq!(spec.action, Action::Io);
         assert_eq!(spec.after, 2);
         assert_eq!(spec.key, Some(9));

@@ -18,12 +18,14 @@
 //!   the persistent system state");
 //! * [`ptml`] — the compact binary encoding of TML trees (experiment E3
 //!   measures its size against the executable code size);
-//! * [`snapshot`] — whole-store persistence to a file and back;
+//! * [`snapshot`] — the canonical whole-store byte encoding and the
+//!   object/value codec every persistent record shares;
 //! * [`gc`] — mark-and-sweep collection with stable OIDs (tombstones);
 //! * [`wal`] / [`page`] / [`buffer`] / [`durable`] — a write-ahead log
 //!   over fixed-size pages with a pinned buffer pool, and the
 //!   [`DurableStore`] wrapper that combines log-first mutation with
-//!   periodic checkpoint snapshots and redo recovery.
+//!   periodic checkpoints onto paged storage ([`paged`], the one on-disk
+//!   image format) and redo recovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,8 +54,8 @@ pub use crc::crc32;
 pub use durable::{DurableOptions, DurableStore, OpenReport};
 pub use object::{ClosureObj, ModuleObj, Object, Relation};
 pub use page::{Page, PageFile, PageId, PAGE_SIZE};
-pub use paged::{PageStats, PagedHeap};
-pub use snapshot::{get_sval, put_sval, ImageIdentity, RecoveryReport, RecoverySource};
+pub use paged::{ImageIdentity, PageStats, PagedHeap, RecoverySource};
+pub use snapshot::{get_sval, put_sval};
 pub use store::{Store, StoreError, StoreStats};
 pub use sval::SVal;
 pub use tml_core::Oid;

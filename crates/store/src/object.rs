@@ -14,7 +14,7 @@ use tml_core::Oid;
 /// optimizer re-establishes as λ-bindings (§4.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClosureObj {
-    /// Index into the abstract machine's code table. Transient: snapshots
+    /// Index into the abstract machine's code table. Transient: images
     /// keep the value but the code table must be relinked (regenerated from
     /// PTML) after loading.
     pub code: u32,

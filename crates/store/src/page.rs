@@ -14,9 +14,8 @@
 //! * a **slotted** record view ([`Page::insert_record`],
 //!   [`Page::record`]) — a classic slotted-page layout (slot directory
 //!   growing from the front, record bodies packed from the back) used for
-//!   page-resident object records. The snapshot image is still the object
-//!   authority today; the slotted view is the substrate the shared buffer
-//!   cache builds on.
+//!   page-resident object records ([`crate::paged`]), behind the shared
+//!   buffer pool.
 //!
 //! ```text
 //! slotted page:

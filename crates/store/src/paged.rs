@@ -1,8 +1,8 @@
 //! Paged object storage for the durable store: object records on slotted
 //! pages behind the buffer pool, addressed by a small catalog file.
 //!
-//! Since this module, a durable image is no longer one monolithic TYSTO3
-//! snapshot. The image path holds a **TYCAT1 catalog** — the OID → page
+//! This is the one on-disk image format. The image path holds a **TYCAT1
+//! catalog** — the OID → page
 //! location directory plus the store's small sections (roots, attributes,
 //! versions, optimization cache) — while object bytes live on 4 KiB
 //! slotted pages in a sibling *generation file* `<image>.p<gen>`. A
@@ -30,10 +30,19 @@
 //! past the catalog's `next_page` watermark). Superseded locations become
 //! dead space instead of being rewritten, so a crash mid-checkpoint can
 //! never damage a page the old catalog — still the authoritative one
-//! until its atomic replacement — points into. The catalog itself is
-//! written with the snapshot module's atomic protocol (tmp + fsync + bak
-//! rotation + rename), carrying the same `snapshot.save.*` failpoint
-//! sites, and its file identity is what the WAL header binds to.
+//! until its atomic replacement — points into.
+//!
+//! ## The catalog writer
+//!
+//! The catalog is the only store file written whole, and
+//! `write_bytes_atomic` writes it crash-safely: write `<image>.tmp`,
+//! fsync, rotate the previous catalog to `<image>.bak`, rename, fsync the
+//! directory. Every step carries a `catalog.save.*` failpoint site keyed
+//! by the image path. A crash at any step leaves a decodable catalog at
+//! the primary path, at `.bak`, or — between the rotation and the rename —
+//! complete at `.tmp`; [`open_catalog`] tries them in that order (the
+//! one recovery chain, [`RecoverySource`]). The catalog's file identity
+//! ([`ImageIdentity`]) is what the WAL header binds to.
 //!
 //! Dead space is reclaimed by **generation compaction**: when it
 //! outweighs the live bytes, the checkpoint rewrites every live record
@@ -42,13 +51,15 @@
 
 use crate::buffer::{BufferPool, BufferStats};
 use crate::cache::OptCache;
+use crate::crc::crc32;
 use crate::failpoint;
 use crate::object::Object;
 use crate::page::{PageFile, PageId, PAGE_SIZE};
-use crate::snapshot::{self, ImageIdentity};
+use crate::snapshot;
 use crate::store::Store;
 use crate::varint::{put_i64, put_str, put_u64, DecodeError, Reader};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use tml_core::Oid;
 
@@ -127,9 +138,7 @@ pub struct PagedHeap {
 }
 
 fn gen_path(path: &Path, gen: u64) -> PathBuf {
-    let mut p = path.as_os_str().to_os_string();
-    p.push(format!(".p{gen}"));
-    p.into()
+    sibling(path, &format!(".p{gen}"))
 }
 
 fn path_key(path: &Path) -> u64 {
@@ -179,6 +188,127 @@ pub fn is_catalog_file(path: impl AsRef<Path>) -> bool {
     }
 }
 
+/// The sibling `<path>.tmp` the atomic catalog write goes through before
+/// the final rename — the recovery chain's last fallback.
+pub fn tmp_path(path: impl AsRef<Path>) -> PathBuf {
+    sibling(path.as_ref(), ".tmp")
+}
+
+/// The rolling backup of the previous catalog.
+pub fn backup_path(path: impl AsRef<Path>) -> PathBuf {
+    sibling(path.as_ref(), ".bak")
+}
+
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut p = path.as_os_str().to_os_string();
+    p.push(suffix);
+    p.into()
+}
+
+/// Identity of a catalog file: byte length plus the CRC-32 of every file
+/// byte (trailer included). The WAL header records the identity of the
+/// catalog it extends, so recovery can tell a log that belongs to the
+/// current catalog from a stale pre-checkpoint one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageIdentity {
+    /// File length in bytes.
+    pub len: u64,
+    /// CRC-32 (IEEE) over all file bytes.
+    pub crc: u32,
+}
+
+/// Identity of a catalog byte buffer (what the saved file will contain).
+pub fn identity_of(bytes: &[u8]) -> ImageIdentity {
+    ImageIdentity {
+        len: bytes.len() as u64,
+        crc: crc32(bytes),
+    }
+}
+
+/// Which file [`open_catalog`] decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoverySource {
+    /// The primary catalog decoded cleanly.
+    Primary,
+    /// The primary was unreadable; the rolling `.bak` decoded cleanly.
+    Backup,
+    /// Neither primary nor backup decoded, but an interrupted save left a
+    /// complete catalog at `<path>.tmp` (crash between the backup
+    /// rotation and the final rename).
+    Tmp,
+}
+
+impl RecoverySource {
+    /// Stable lower-case name for reports and trace events.
+    pub fn name(self) -> &'static str {
+        match self {
+            RecoverySource::Primary => "primary",
+            RecoverySource::Backup => "backup",
+            RecoverySource::Tmp => "tmp",
+        }
+    }
+}
+
+/// The crash-safe atomic write protocol of the catalog: corrupt-injection
+/// on the bytes, write to `<path>.tmp`, fsync, rotate any existing file to
+/// `<path>.bak`, rename, best-effort directory fsync. Every step carries a
+/// `catalog.save.*` failpoint site keyed by the destination path.
+fn write_bytes_atomic(mut bytes: Vec<u8>, path: &Path) -> std::io::Result<ImageIdentity> {
+    let key = path_key(path);
+    if failpoint::armed() {
+        // A torn or bit-rotted write: the catalog lands corrupt on disk
+        // even though every syscall "succeeds".
+        failpoint::corrupt("catalog.save.bytes", key, &mut bytes);
+    }
+    let identity = identity_of(&bytes);
+    let tmp = tmp_path(path);
+    failpoint::fail_io("catalog.save.write", key)?;
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(&bytes)?;
+    failpoint::fail_io("catalog.save.fsync", key)?;
+    f.sync_all()?;
+    drop(f);
+    if path.exists() {
+        failpoint::fail_io("catalog.save.backup", key)?;
+        std::fs::rename(path, backup_path(path))?;
+    }
+    // Between here and the rename the new catalog exists only at
+    // `<path>.tmp` (complete and fsynced — recovery falls back to it)
+    // while the previous good one is intact at `<path>.bak`.
+    failpoint::fail_io("catalog.save.rename", key)?;
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        // Durability of the rename itself; not all platforms/filesystems
+        // support fsync on directories, so failure is tolerated — but not
+        // silently: a failed directory fsync means the rename may not
+        // survive a power cut, which operators need to see.
+        let synced = failpoint::fail_io("catalog.save.dirsync", key)
+            .and_then(|()| std::fs::File::open(dir))
+            .and_then(|d| d.sync_all());
+        if let Err(e) = synced {
+            if tml_trace::enabled() {
+                tml_trace::count("store.catalog.dirsync_failures", 1);
+                tml_trace::record(tml_trace::Event::DurabilityRisk {
+                    site: "catalog.save.dirsync",
+                    detail: e.to_string(),
+                });
+            }
+        }
+    }
+    Ok(identity)
+}
+
+/// Read a catalog file through the `catalog.load.*` failpoint sites.
+fn read_image(path: &Path) -> std::io::Result<Vec<u8>> {
+    let key = path_key(path);
+    failpoint::fail_io("catalog.load.read", key)?;
+    let mut bytes = std::fs::read(path)?;
+    if failpoint::armed() {
+        failpoint::corrupt("catalog.load.bytes", key, &mut bytes);
+    }
+    Ok(bytes)
+}
+
 /// A decoded catalog, before the page file is consulted.
 struct Catalog {
     gen: u64,
@@ -207,7 +337,7 @@ fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DecodeError> {
             .try_into()
             .map_err(|_| DecodeError::Truncated)?,
     );
-    let computed = crate::crc::crc32(&bytes[..body_len]);
+    let computed = crc32(&bytes[..body_len]);
     if stored != computed {
         return Err(DecodeError::BadCrc { stored, computed });
     }
@@ -286,42 +416,50 @@ pub struct OpenedCatalog {
     /// header must match).
     pub identity: ImageIdentity,
     /// Which file yielded the catalog.
-    pub source: snapshot::RecoverySource,
+    pub source: RecoverySource,
 }
 
 /// Open the paged image at `path`: decode the catalog (falling back to
 /// its `.bak` and `.tmp` siblings), then rebuild the store from the page
 /// file. Returns `Ok(None)` when no decodable catalog exists at any of
-/// the three paths — the caller falls back to the legacy whole-image
-/// formats.
+/// the three paths. A fallback past the primary is recorded on the trace
+/// (`Event::Recovery`).
 pub fn open_catalog(path: &Path) -> std::io::Result<Option<OpenedCatalog>> {
+    let t0 = if tml_trace::enabled() {
+        tml_trace::global().clock().now_ns()
+    } else {
+        0
+    };
     let candidates = [
-        (path.to_path_buf(), snapshot::RecoverySource::Primary),
-        (
-            snapshot::backup_path(path),
-            snapshot::RecoverySource::Backup,
-        ),
-        (snapshot::tmp_path(path), snapshot::RecoverySource::Tmp),
+        (path.to_path_buf(), RecoverySource::Primary),
+        (backup_path(path), RecoverySource::Backup),
+        (tmp_path(path), RecoverySource::Tmp),
     ];
     for (file, source) in candidates {
-        let Ok(bytes) = snapshot::read_image(&file) else {
+        let Ok(bytes) = read_image(&file) else {
             continue;
         };
         let Ok(cat) = decode_catalog(&bytes) else {
             continue;
         };
-        match rebuild(path, cat) {
-            Ok((heap, store)) => {
-                return Ok(Some(OpenedCatalog {
-                    heap,
-                    store,
-                    identity: snapshot::identity_of(&bytes),
-                    source,
-                }))
-            }
-            // Damaged pages under this catalog: try the next source.
-            Err(_) => continue,
+        // Damaged pages under this catalog: try the next source.
+        let Ok((heap, store)) = rebuild(path, cat) else {
+            continue;
+        };
+        if source != RecoverySource::Primary && tml_trace::enabled() {
+            tml_trace::count("store.catalog.recoveries", 1);
+            let rec = tml_trace::global();
+            tml_trace::record(tml_trace::Event::Recovery {
+                source: source.name(),
+                micros: rec.clock().now_ns().saturating_sub(t0) / 1_000,
+            });
         }
+        return Ok(Some(OpenedCatalog {
+            heap,
+            store,
+            identity: identity_of(&bytes),
+            source,
+        }));
     }
     Ok(None)
 }
@@ -375,9 +513,17 @@ fn rebuild(path: &Path, cat: Catalog) -> std::io::Result<(PagedHeap, Store)> {
 }
 
 impl PagedHeap {
-    /// A fresh, empty heap for `path`: generation 0, all pre-existing
-    /// generation files removed.
+    /// A fresh, empty heap for `path`: generation 0, every pre-existing
+    /// generation file *and* catalog (primary, `.bak`, `.tmp`) removed. A
+    /// surviving catalog would index the destroyed generation, so a later
+    /// fallback to it would resurrect a store that never existed.
     pub fn create(path: &Path) -> std::io::Result<PagedHeap> {
+        for stale in [path.to_path_buf(), backup_path(path), tmp_path(path)] {
+            match std::fs::remove_file(&stale) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
         remove_stray_gens(path, None);
         let mut file = PageFile::open(gen_path(path, 0))?;
         file.set_len(0)?;
@@ -596,7 +742,7 @@ impl PagedHeap {
     /// the pre-compaction one) are removed.
     pub fn save_catalog(&mut self, store: &Store) -> std::io::Result<ImageIdentity> {
         let bytes = self.catalog_bytes(store);
-        let identity = snapshot::write_bytes_atomic(bytes, &self.path)?;
+        let identity = write_bytes_atomic(bytes, &self.path)?;
         remove_stray_gens(&self.path, Some(self.gen));
         Ok(identity)
     }
@@ -644,7 +790,7 @@ impl PagedHeap {
         }
         snapshot::put_versions(&mut out, store.versions());
         snapshot::put_cache(&mut out, store.cache());
-        let crc = crate::crc::crc32(&out);
+        let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -706,7 +852,7 @@ mod tests {
         checkpoint_all(&mut heap, &store);
         assert!(is_catalog_file(&path));
         let opened = open_catalog(&path).unwrap().expect("catalog decodes");
-        assert_eq!(opened.source, snapshot::RecoverySource::Primary);
+        assert_eq!(opened.source, RecoverySource::Primary);
         assert_eq!(
             snapshot::to_bytes(&opened.store),
             snapshot::to_bytes(&store),
@@ -784,7 +930,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let opened = open_catalog(&path).unwrap().expect("backup catalog");
-        assert_eq!(opened.source, snapshot::RecoverySource::Backup);
+        assert_eq!(opened.source, RecoverySource::Backup);
         assert_eq!(
             snapshot::to_bytes(&opened.store),
             snapshot::to_bytes(&store)
@@ -795,8 +941,117 @@ mod tests {
     fn non_catalog_file_is_reported_as_none() {
         let path = tmp("legacy.tyc");
         let store = store_with(&[Object::Array(vec![SVal::Int(1)])]);
-        snapshot::save(&store, &path).unwrap();
+        std::fs::write(&path, snapshot::to_bytes(&store)).unwrap();
         assert!(!is_catalog_file(&path));
         assert!(open_catalog(&path).unwrap().is_none());
+    }
+
+    #[test]
+    fn save_is_atomic_and_rotates_backup() {
+        let path = tmp("atomic.tyc");
+        let s1 = store_with(&[Object::Array(vec![SVal::Int(1)])]);
+        let mut heap = PagedHeap::create(&path).unwrap();
+        checkpoint_all(&mut heap, &s1);
+        assert!(path.exists());
+        assert!(!backup_path(&path).exists(), "no backup on first save");
+        assert!(!tmp_path(&path).exists(), "tmp renamed away");
+        let mut s2 = s1.clone();
+        s2.set_root("extra", Oid(1));
+        checkpoint_all(&mut heap, &s2);
+        assert!(backup_path(&path).exists(), "second save rotates backup");
+        let opened = open_catalog(&path).unwrap().unwrap();
+        assert_eq!(opened.store.root("extra"), Some(Oid(1)));
+        std::fs::remove_file(&path).unwrap();
+        let bak = open_catalog(&path).unwrap().unwrap();
+        assert_eq!(bak.source, RecoverySource::Backup);
+        assert_eq!(
+            bak.store.root("extra"),
+            None,
+            "backup is the previous catalog"
+        );
+    }
+
+    #[test]
+    fn crash_between_write_and_rename_leaves_previous_catalog_loadable() {
+        use crate::failpoint::{Action, FailSpec, ScopedFailpoints};
+        let path = tmp("crash.tyc");
+        let good = store_with(&[Object::Array(vec![SVal::Int(1)])]);
+        let mut heap = PagedHeap::create(&path).unwrap();
+        checkpoint_all(&mut heap, &good);
+        let mut newer = good.clone();
+        newer.set_root("newer", Oid(1));
+        {
+            // A crash after the temp file is durable but before the final
+            // rename, for this path only.
+            let _fp = ScopedFailpoints::new(&[(
+                "catalog.save.rename",
+                FailSpec::always(Action::Io).for_key(path_key(&path)),
+            )]);
+            let err = heap.save_catalog(&newer).unwrap_err();
+            assert!(err.to_string().contains("failpoint"));
+        }
+        // The new catalog never reached `path`; the rotation already moved
+        // the previous one to the backup, which wins over the newer tmp.
+        assert!(!path.exists());
+        let opened = open_catalog(&path).unwrap().unwrap();
+        assert_eq!(opened.source, RecoverySource::Backup);
+        assert_eq!(snapshot::to_bytes(&opened.store), snapshot::to_bytes(&good));
+    }
+
+    #[test]
+    fn crash_on_first_save_rename_recovers_from_tmp() {
+        use crate::failpoint::{Action, FailSpec, ScopedFailpoints};
+        let path = tmp("first.tyc");
+        let s = store_with(&[Object::Array(vec![SVal::Int(3)])]);
+        let mut heap = PagedHeap::create(&path).unwrap();
+        {
+            // First-ever save: no previous catalog and no backup, so a
+            // crash before the rename leaves the only copy at `.tmp`.
+            let _fp = ScopedFailpoints::new(&[(
+                "catalog.save.rename",
+                FailSpec::always(Action::Io).for_key(path_key(&path)),
+            )]);
+            for (oid, obj) in s.iter() {
+                heap.write_record(oid, &PagedHeap::encode_record(obj))
+                    .unwrap();
+            }
+            heap.flush().unwrap();
+            assert!(heap.save_catalog(&s).is_err());
+        }
+        assert!(!path.exists());
+        let opened = open_catalog(&path).unwrap().unwrap();
+        assert_eq!(opened.source, RecoverySource::Tmp);
+        assert_eq!(snapshot::to_bytes(&opened.store), snapshot::to_bytes(&s));
+    }
+
+    #[test]
+    fn dir_fsync_failure_is_survivable_and_traced() {
+        use crate::failpoint::{Action, FailSpec, ScopedFailpoints};
+        let path = tmp("dirsync.tyc");
+        let s = store_with(&[Object::Array(vec![SVal::Int(4)])]);
+        let mut heap = PagedHeap::create(&path).unwrap();
+        tml_trace::global().set_enabled(true);
+        {
+            let _fp = ScopedFailpoints::new(&[(
+                "catalog.save.dirsync",
+                FailSpec::always(Action::Io).for_key(path_key(&path)),
+            )]);
+            // The data and the rename both succeeded; only the directory
+            // fsync failed. That is a durability risk, not an error.
+            checkpoint_all(&mut heap, &s);
+        }
+        tml_trace::global().set_enabled(false);
+        let opened = open_catalog(&path).unwrap().unwrap();
+        assert_eq!(opened.source, RecoverySource::Primary);
+        let risk = tml_trace::global().events().into_iter().any(|e| {
+            matches!(
+                e.event,
+                tml_trace::Event::DurabilityRisk {
+                    site: "catalog.save.dirsync",
+                    ..
+                }
+            )
+        });
+        assert!(risk, "dir-fsync failure must be visible on the trace");
     }
 }

@@ -198,20 +198,39 @@ impl Store {
         Ok(slot)
     }
 
-    /// Fetch an object mutably *without* bumping its content version.
-    /// Only for restoring transient state whose persistent content is
-    /// unchanged — e.g. relinking a closure's code-table index after an
-    /// image load, where the PTML and binding values stay identical.
-    /// Using this for real content mutation breaks cache-staleness
+    /// Set a closure's transient code index, environment and bindings
+    /// *without* bumping its content version. Only for relinking after an
+    /// image load, where the PTML and binding values stay identical;
+    /// using it for real content mutation would break cache-staleness
     /// detection.
-    pub fn get_mut_untracked(&mut self, oid: Oid) -> Result<&mut Object, StoreError> {
-        if oid.is_null() {
-            return Err(StoreError::Dangling(oid));
+    pub fn set_transient_code(
+        &mut self,
+        oid: Oid,
+        code: u32,
+        env: Vec<SVal>,
+        bindings: Vec<(String, SVal)>,
+    ) -> Result<(), StoreError> {
+        let obj = if oid.is_null() {
+            None
+        } else {
+            self.objects
+                .get_mut(oid.0 as usize - 1)
+                .and_then(Option::as_mut)
+        };
+        match obj {
+            Some(Object::Closure(c)) => {
+                c.code = code;
+                c.env = env;
+                c.bindings = bindings;
+                Ok(())
+            }
+            Some(other) => Err(StoreError::WrongKind {
+                oid,
+                expected: "closure",
+                found: other.kind(),
+            }),
+            None => Err(StoreError::Dangling(oid)),
         }
-        self.objects
-            .get_mut(oid.0 as usize - 1)
-            .and_then(Option::as_mut)
-            .ok_or(StoreError::Dangling(oid))
     }
 
     /// The content version of an object's slot: 0 at allocation, bumped on
@@ -264,7 +283,7 @@ impl Store {
         &self.objects
     }
 
-    /// Replace an object wholesale (used by relinking after snapshot load).
+    /// Replace an object wholesale.
     pub fn set(&mut self, oid: Oid, obj: Object) -> Result<(), StoreError> {
         *self.get_mut(oid)? = obj;
         Ok(())
@@ -307,7 +326,6 @@ impl Store {
     }
 
     /// Unbind a persistent root. Returns the OID it pointed at, if any.
-    /// Used by snapshot salvage to drop roots whose target was lost.
     pub fn remove_root(&mut self, name: &str) -> Option<Oid> {
         self.roots.remove(name)
     }

@@ -1,12 +1,12 @@
 //! The write-ahead log: append-only, CRC-framed, LSN-stamped mutation
 //! records with group commit.
 //!
-//! Since PR 6 the store persists incrementally: mutations append redo
-//! records to `<image>.wal` and the whole-image snapshot becomes a
-//! periodic *checkpoint* that truncates the log ([`crate::durable`]).
-//! Recovery loads the checkpoint image (through the existing
-//! primary → backup → tmp → salvage cascade) and replays the log's
-//! committed prefix.
+//! The store persists incrementally: mutations append redo records to
+//! `<image>.wal`, and a periodic *checkpoint* writes the dirty records to
+//! pages plus a fresh catalog and truncates the log ([`crate::durable`]).
+//! Recovery loads the catalog (through the primary → backup → tmp chain
+//! of [`crate::paged::open_catalog`]) and replays the log's committed
+//! prefix.
 //!
 //! ## File layout
 //!
@@ -20,7 +20,7 @@
 //! ```
 //!
 //! The header names the **base image identity** — byte length and whole-
-//! file CRC of the checkpoint image this log extends. Recovery compares it
+//! file CRC of the checkpoint catalog this log extends. Recovery compares it
 //! against the image it actually loaded; a mismatch means the log is stale
 //! (it belongs to a previous checkpoint, whose image already subsumes it)
 //! and it is discarded, never replayed onto the wrong base.
@@ -62,7 +62,8 @@ use crate::crc::crc32;
 use crate::failpoint::{self, Action};
 use crate::object::Object;
 use crate::page::{Page, PageFile, PageId, PAGE_SIZE};
-use crate::snapshot::{self, ImageIdentity};
+use crate::paged::ImageIdentity;
+use crate::snapshot;
 use crate::store::{Store, StoreError};
 use crate::varint::{put_i64, put_str, put_u64, DecodeError, Reader};
 use std::path::{Path, PathBuf};
@@ -84,7 +85,7 @@ const REC_TXN_COMMIT: u8 = 8;
 const REC_TXN_ABORT: u8 = 9;
 const REC_REMOVE_ATTR: u8 = 10;
 
-/// The sibling `<image>.wal` of a snapshot image path.
+/// The sibling `<image>.wal` of an image path.
 pub fn wal_path(image: impl AsRef<Path>) -> PathBuf {
     let mut p = image.as_ref().as_os_str().to_os_string();
     p.push(".wal");

@@ -1,9 +1,11 @@
-//! Corruption robustness: no byte flip or truncation of a snapshot image
-//! may panic the decoder, and nothing the salvage path produces may be
-//! ill-formed (dangling roots, unreadable records surviving).
+//! Corruption robustness: no byte flip or truncation of the TYSTO3 store
+//! encoding or of a TYCAT1 catalog may panic the decoder, and a damaged
+//! catalog is never trusted — the open falls back to the previous
+//! checkpoint's `.bak` or reports nothing decodable.
 
+use std::path::Path;
 use tml_store::object::{ClosureObj, ModuleObj, Object, Relation};
-use tml_store::{snapshot, SVal, Store};
+use tml_store::{paged, snapshot, DurableOptions, DurableStore, RecoverySource, SVal, Store};
 
 /// A small but representative store: every object kind, roots, attrs,
 /// versions and a cache-bearing tail would be overkill — what matters is
@@ -34,16 +36,6 @@ fn sample_store() -> Store {
     store
 }
 
-/// Every root of a recovered store must resolve — the salvage contract.
-fn assert_well_formed(store: &Store) {
-    for (name, oid) in store.roots() {
-        assert!(
-            store.get(oid).is_ok(),
-            "root {name} dangles at {oid} after recovery"
-        );
-    }
-}
-
 #[test]
 fn every_single_byte_flip_is_rejected_without_panicking() {
     let image = snapshot::to_bytes(&sample_store());
@@ -69,39 +61,57 @@ fn every_truncation_is_rejected_without_panicking() {
     }
 }
 
-#[test]
-fn salvage_of_any_single_byte_flip_is_well_formed() {
-    let image = snapshot::to_bytes(&sample_store());
-    for i in 0..image.len() {
-        let mut corrupt = image.clone();
-        corrupt[i] ^= 0xff;
-        if let Some((store, report)) = snapshot::salvage_bytes(&corrupt) {
-            assert_well_formed(&store);
-            // Whatever was dropped must be accounted for.
-            if report.dropped_roots > 0 {
-                assert!(report.dropped_objects > 0);
+/// Every damaged variant of `primary` written at `path` must open from
+/// the `.bak` as exactly `previous` when `fallback` holds, or not at all
+/// otherwise — and never from the primary.
+fn assert_catalog_damage_is_contained(path: &Path, primary: &[u8], fallback: Option<&[u8]>) {
+    let check = |what: String, damaged: &[u8]| {
+        std::fs::write(path, damaged).unwrap();
+        match paged::open_catalog(path) {
+            Ok(Some(opened)) => {
+                assert_eq!(opened.source, RecoverySource::Backup, "{what}");
+                assert_eq!(
+                    Some(snapshot::to_bytes(&opened.store).as_slice()),
+                    fallback,
+                    "{what}: backup must be the previous checkpoint"
+                );
             }
+            Ok(None) => assert!(fallback.is_none(), "{what}: backup not used"),
+            Err(e) => panic!("{what}: {e}"),
         }
+    };
+    for i in 0..primary.len() {
+        for bit in 0..8 {
+            let mut damaged = primary.to_vec();
+            damaged[i] ^= 1 << bit;
+            check(format!("flip of byte {i} bit {bit}"), &damaged);
+        }
+    }
+    for len in 0..primary.len() {
+        check(format!("truncation to {len} bytes"), &primary[..len]);
     }
 }
 
 #[test]
-fn salvage_of_any_truncation_is_well_formed() {
-    let image = snapshot::to_bytes(&sample_store());
-    for len in 0..image.len() {
-        if let Some((store, _)) = snapshot::salvage_bytes(&image[..len]) {
-            assert_well_formed(&store);
-        }
-    }
-}
+fn every_catalog_flip_and_truncation_falls_back_or_fails_cleanly() {
+    let dir = std::env::temp_dir().join(format!("tml_catalog_sweep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sweep.tys");
+    let previous = sample_store();
+    let previous_bytes = snapshot::to_bytes(&previous);
+    // Checkpoint 1 is `previous`; checkpoint 2 adds one object and root,
+    // rotating checkpoint 1's catalog to `.bak`.
+    let mut ds = DurableStore::from_store(previous, &path, DurableOptions::default()).unwrap();
+    let extra = ds.alloc(Object::ByteArray(vec![9; 40])).unwrap();
+    ds.set_root("extra", extra).unwrap();
+    ds.commit().unwrap();
+    ds.checkpoint().unwrap();
+    drop(ds);
+    let primary = std::fs::read(&path).unwrap();
+    assert!(primary.starts_with(b"TYCAT1"));
 
-#[test]
-fn salvage_of_the_intact_image_loses_nothing() {
-    let original = sample_store();
-    let image = snapshot::to_bytes(&original);
-    let (store, report) = snapshot::salvage_bytes(&image).expect("intact image salvages");
-    assert_eq!(report.dropped_objects, 0);
-    assert_eq!(report.dropped_roots, 0);
-    assert!(!report.dropped_sections);
-    assert_eq!(snapshot::to_bytes(&store), image);
+    assert_catalog_damage_is_contained(&path, &primary, Some(&previous_bytes));
+    std::fs::remove_file(paged::backup_path(&path)).unwrap();
+    assert_catalog_damage_is_contained(&path, &primary, None);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,7 +5,7 @@
 //!
 //! 1. **No committed mutation is lost to a paged checkpoint crash.** A
 //!    crash at any `page.write` / `page.chain` / `page.flush` /
-//!    `wal.checkpoint` / `snapshot.save.*` site — including mid-flush with
+//!    `wal.checkpoint` / `catalog.save.*` site — including mid-flush with
 //!    some dirty pages already on disk, and mid-compaction — leaves either
 //!    the old catalog (whose identity still matches the log, so redo
 //!    replays) or the new one (stale log, safely discarded). Recovery is
@@ -43,7 +43,7 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-/// The key every `page.*`, `wal.checkpoint` and `snapshot.save.*` site
+/// The key every `page.*`, `wal.checkpoint` and `catalog.save.*` site
 /// carries for this image path. Keyed specs keep armed faults away from
 /// other tests' stores running in parallel.
 fn image_key(path: &Path) -> u64 {
@@ -158,10 +158,10 @@ fn paged_checkpoint_crash_windows_lose_no_committed_mutation() {
         ("page.chain", shift),
         ("page.flush", 0),
         ("wal.checkpoint", 0),
-        ("snapshot.save.write", 0),
-        ("snapshot.save.fsync", 0),
-        ("snapshot.save.backup", 0),
-        ("snapshot.save.rename", 0),
+        ("catalog.save.write", 0),
+        ("catalog.save.fsync", 0),
+        ("catalog.save.backup", 0),
+        ("catalog.save.rename", 0),
     ];
     for (site, after) in cases {
         let dir = tmpdir(&format!("ckpt_{}_{after}", site.replace('.', "_")));

@@ -1,7 +1,7 @@
 //! Crash-recovery matrix over the write-ahead-log failpoint sites.
 //!
 //! The durability contract under test: **a crash at any `wal.*` or
-//! `snapshot.save.*` site loses no committed mutation**, and recovery
+//! `catalog.save.*` site loses no committed mutation**, and recovery
 //! reconstructs a *byte-identical* committed prefix — `snapshot::to_bytes`
 //! of the recovered store equals the bytes of the store as it stood at
 //! some commit boundary at or after the last genuinely synced commit.
@@ -15,8 +15,8 @@ use tml_core::Oid;
 use tml_store::durable::{DurableOptions, DurableStore};
 use tml_store::failpoint::{Action, FailSpec, ScopedFailpoints};
 use tml_store::object::Object;
-use tml_store::snapshot;
 use tml_store::wal;
+use tml_store::{paged, snapshot};
 
 /// Scripted mutations per run.
 const OPS: u64 = 10;
@@ -28,7 +28,7 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-/// The key the `snapshot.save.*` and `wal.checkpoint` sites carry for this
+/// The key the `catalog.save.*` and `wal.checkpoint` sites carry for this
 /// image path. Keyed specs keep armed faults away from the other tests'
 /// stores running in parallel.
 fn image_key(path: &Path) -> u64 {
@@ -203,10 +203,10 @@ fn torn_flushes_recover_a_committed_prefix_no_shorter_than_the_last_clean_sync()
 fn checkpoint_crash_windows_lose_no_committed_mutation() {
     for site in [
         "wal.checkpoint",
-        "snapshot.save.write",
-        "snapshot.save.fsync",
-        "snapshot.save.backup",
-        "snapshot.save.rename",
+        "catalog.save.write",
+        "catalog.save.fsync",
+        "catalog.save.backup",
+        "catalog.save.rename",
     ] {
         let dir = tmpdir(&format!("ckpt_{}", site.replace('.', "_")));
         let snaps = reference_snapshots(&dir);
@@ -266,8 +266,8 @@ fn corrupted_or_truncated_log_never_panics_and_yields_a_committed_prefix() {
     let restore = |log: &[u8]| {
         std::fs::write(&wpath, log).unwrap();
         std::fs::write(&path, &img0).unwrap();
-        std::fs::remove_file(snapshot::backup_path(&path)).ok();
-        std::fs::remove_file(snapshot::tmp_path(&path)).ok();
+        std::fs::remove_file(paged::backup_path(&path)).ok();
+        std::fs::remove_file(paged::tmp_path(&path)).ok();
     };
 
     let mut tried = 0;

@@ -87,15 +87,6 @@ pub enum Event {
         /// Bytes freed, where the phase tracks them.
         bytes: u64,
     },
-    /// A snapshot image was encoded or decoded.
-    SnapshotIo {
-        /// `write` or `read`.
-        dir: &'static str,
-        /// Image size in bytes.
-        bytes: u64,
-        /// Live objects in the image.
-        objects: u64,
-    },
     /// The query rewriter applied an algebraic rewrite.
     QueryRewrite {
         /// `merge-select`, `trivial-exists` or `index-select`.
@@ -181,23 +172,14 @@ pub enum Event {
         /// Human-readable detail (the OS error), truncated by the emitter.
         detail: String,
     },
-    /// A snapshot load fell back past the primary image (backup, the
-    /// completed temp file of an interrupted save, or salvage), possibly
-    /// dropping data.
+    /// Opening an image fell back past the primary catalog: to its
+    /// rolling backup, or to the completed temp file of an interrupted
+    /// save.
     Recovery {
-        /// `backup`, `tmp`, `salvaged-primary`, `salvaged-backup` or
-        /// `salvaged-tmp`.
+        /// `backup` or `tmp`.
         source: &'static str,
-        /// Objects dropped during salvage.
-        dropped_objects: u64,
-        /// Roots dropped because their target object was dropped.
-        dropped_roots: u64,
-        /// Whether the version/cache tail sections were lost.
-        dropped_sections: bool,
-        /// Wall-clock duration of the whole recovery cascade in
-        /// microseconds (the operation spans several file reads and
-        /// salvage passes, so the event records how long it took, not
-        /// just that it happened).
+        /// Wall-clock duration of the catalog open, fallbacks included,
+        /// in microseconds.
         micros: u64,
     },
     /// One closed timed span: a bracketed operation measured by a
@@ -231,7 +213,6 @@ impl Event {
             Event::OptStop { .. } => "opt-stop",
             Event::CacheOp { .. } => "cache-op",
             Event::GcPhase { .. } => "gc-phase",
-            Event::SnapshotIo { .. } => "snapshot-io",
             Event::QueryRewrite { .. } => "query-rewrite",
             Event::PlanChosen { .. } => "plan-chosen",
             Event::ReflectConsult { .. } => "reflect-consult",
@@ -327,15 +308,6 @@ impl Event {
                 w.u64_field("count", *count);
                 w.u64_field("bytes", *bytes);
             }
-            Event::SnapshotIo {
-                dir,
-                bytes,
-                objects,
-            } => {
-                w.str_field("dir", dir);
-                w.u64_field("bytes", *bytes);
-                w.u64_field("objects", *objects);
-            }
             Event::QueryRewrite {
                 rule,
                 relation,
@@ -396,17 +368,8 @@ impl Event {
                 w.str_field("site", site);
                 w.str_field("detail", detail);
             }
-            Event::Recovery {
-                source,
-                dropped_objects,
-                dropped_roots,
-                dropped_sections,
-                micros,
-            } => {
+            Event::Recovery { source, micros } => {
                 w.str_field("source", source);
-                w.u64_field("dropped_objects", *dropped_objects);
-                w.u64_field("dropped_roots", *dropped_roots);
-                w.bool_field("dropped_sections", *dropped_sections);
                 w.u64_field("micros", *micros);
             }
             Event::Span {

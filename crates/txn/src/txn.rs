@@ -337,8 +337,14 @@ impl<S: StoreAccess + ?Sized> StoreAccess for TxnView<'_, S> {
         self.store.base()
     }
 
-    fn base_mut_unlogged(&mut self) -> &mut Store {
-        self.store.base_mut_unlogged()
+    fn set_transient_code(
+        &mut self,
+        oid: Oid,
+        code: u32,
+        env: Vec<SVal>,
+        bindings: Vec<(String, SVal)>,
+    ) -> Result<(), StoreError> {
+        self.store.set_transient_code(oid, code, env, bindings)
     }
 
     fn alloc(&mut self, obj: Object) -> Result<Oid, StoreError> {

@@ -5,25 +5,28 @@
 //! tmlc tml <file.tl> [--fn mod.fn] [options]                 print TML terms
 //! tmlc code <file.tl> [options]                              disassemble bytecode
 //! tmlc eval '<tml s-expression>'                             run a raw TML program
-//! tmlc snapshot <file.tl> -o <image.tys>                     persist a compiled image
-//! tmlc info <image.tys> [--json]                             inspect a store image
+//! tmlc snapshot <file.tl> -o <image>                         persist a compiled image
+//! tmlc info <image> [--json]                                 inspect a store image
 //! tmlc profile <input> <mod.fn> [--arg N]... [--json]        run under the tracer
 //! tmlc stats <input> [mod.fn] [--arg N]...                   latency percentiles per subsystem
 //! tmlc explain <input> <mod.fn> [--json] [--verify]          optimizer provenance log
 //! tmlc opt <input> [--jobs N] [options]                      whole-world optimization report
-//! tmlc fsck <image.tys> [--repair -o out.tys]                validate (and repair) an image
+//! tmlc fsck <image> [--repair -o <out>]                      validate (and repair) an image
 //! tmlc serve <image> [--addr host:port] [options]            multi-session transaction server
 //! tmlc prims [--json]                                        list the primitive registry
 //!
-//! `profile` and `explain` accept either a TL source file or a persisted
-//! `.tys` image (whose PTML closures are relinked on load). Paged durable
-//! images (TYCAT1 catalogs written by `--durable` sessions) are recognised
-//! by content and opened through full recovery — catalog, page file and
-//! write-ahead-log redo. Damaged images are loaded through the recovery
-//! cascade (backup, then object salvage); `fsck` checks magic/CRC/framing,
-//! walks every OID reference and decodes every closure's PTML, printing a
-//! JSON report (with a `pages` section for paged images). With `--repair`
-//! it writes whatever the recovery cascade can save to `-o`.
+//! There is one image format: the paged durable image — a TYCAT1 catalog
+//! at the image path, object records in `<image>.p<gen>`, and a
+//! write-ahead log in `<image>.wal` — written by `snapshot`, by
+//! `fsck --repair` and by `--durable` sessions. `profile`, `explain`,
+//! `opt`, `stats` and `run` accept either a TL source file or an image
+//! (recognised by content, opened through full recovery — catalog, page
+//! file and write-ahead-log redo — with every PTML closure relinked). A
+//! damaged primary catalog falls back to its `.bak`, then its `.tmp`.
+//! `fsck` checks the catalog's magic/CRC and every page record, walks
+//! every OID reference and decodes every closure's PTML, printing a JSON
+//! report; with `--repair` it writes the recovered store to `-o` as a
+//! fresh image.
 //!
 //! options:
 //!   --mode library|direct     operator lowering (default library)
@@ -39,7 +42,7 @@
 //!   --json                    emit the trace JSON schema instead of text
 //!   --top N                   rows per profile table (default 10)
 //!   --verify                  explain: replay the provenance log and compare PTML
-//!   --repair                  fsck: write the recovered image to -o <out.tys>
+//!   --repair                  fsck: write the recovered image to -o <out>
 //!   --spans                   profile: print the recorded span tree
 //!   --hist                    profile: print latency histograms (p50/p90/p99/max)
 //!   --chrome <out.json>       profile/stats: write Chrome tracing JSON (chrome://tracing)
@@ -64,7 +67,7 @@ use tycoon::reflect::{
     session_from_store_with, ReflectOptions, TermBuilder,
 };
 use tycoon::store::ptml::{decode_abs, encode_abs};
-use tycoon::store::{gc, paged, snapshot, wal, DurableStore, Object, SVal, StoreAccess};
+use tycoon::store::{gc, paged, wal, DurableStore, Object, RecoverySource, SVal, StoreAccess};
 use tycoon::trace;
 use tycoon::trace::Event;
 use tycoon::vm::RVal;
@@ -249,16 +252,11 @@ fn driver_registry() -> Registry {
 /// Narrate what [`DurableStore::open`] had to do to reconstruct the store
 /// (shared by `--durable` sessions and read-only loads of paged images).
 fn report_open(path: &str, report: &tycoon::store::OpenReport) {
-    if report.snapshot.source != snapshot::RecoverySource::Primary {
+    if report.source != RecoverySource::Primary {
         eprintln!(
-            "tmlc: {path}: image damaged, loaded from {} ({} object(s), {} root(s) dropped)",
-            report.snapshot.source.name(),
-            report.snapshot.dropped_objects,
-            report.snapshot.dropped_roots
+            "tmlc: {path}: image damaged, loaded from {}",
+            report.source.name()
         );
-    }
-    if report.migrated_legacy {
-        eprintln!("tmlc: {path}: migrated legacy snapshot to paged storage");
     }
     if report.redo_records > 0 {
         eprintln!(
@@ -291,10 +289,10 @@ fn image_session(o: &Options, path: &str, store: tycoon::store::Store) -> Result
 /// runnable session. Images carry no executable code (the persistent
 /// representation of code is PTML), so every closure is recompiled and
 /// relinked in place; the session is built over the driver registry so
-/// decoding resolves the query primitives. Paged durable images are
-/// recognised by content and opened through full recovery (catalog +
-/// write-ahead-log redo), then dropped to a plain in-memory session for
-/// these read-only commands — pass `--durable` to keep writing to them.
+/// decoding resolves the query primitives. Images are recognised by
+/// content and opened through full recovery (catalog + write-ahead-log
+/// redo), then dropped to a plain in-memory session for these read-only
+/// commands — pass `--durable` to keep writing to them.
 fn load_input(o: &Options) -> Result<Session, String> {
     let path = o.positional.first().ok_or("missing input file")?;
     if paged::is_catalog_file(path) {
@@ -302,18 +300,6 @@ fn load_input(o: &Options) -> Result<Session, String> {
             DurableStore::open(path, Default::default()).map_err(|e| format!("{path}: {e}"))?;
         report_open(path, &report);
         image_session(o, path, ds.into_store())
-    } else if path.ends_with(".tys") {
-        let (store, recovery) =
-            snapshot::load_with_recovery(path).map_err(|e| format!("{path}: {e}"))?;
-        if recovery.source != snapshot::RecoverySource::Primary {
-            eprintln!(
-                "tmlc: {path}: image damaged, loaded from {} ({} object(s), {} root(s) dropped)",
-                recovery.source.name(),
-                recovery.dropped_objects,
-                recovery.dropped_roots
-            );
-        }
-        image_session(o, path, store)
     } else {
         let src = read_source(o)?;
         build_session(o, &src)
@@ -403,7 +389,7 @@ fn guess_entry<S: StoreAccess>(s: &Session<S>, o: &Options) -> Result<String, St
 }
 
 /// `tmlc opt <input> [--jobs N]`: run whole-world reflective optimization
-/// over a TL source file or a `.tys` image and report what it did. The
+/// over a TL source file or an image and report what it did. The
 /// report is identical for every `--jobs` value; higher values only spread
 /// the decode → optimize → encode work over threads.
 fn cmd_opt(o: &Options) -> Result<(), String> {
@@ -442,8 +428,7 @@ fn cmd_run(o: &Options) -> Result<(), String> {
         run_entry(&mut s, o)?;
         return seal_durable(&mut s);
     }
-    let src = read_source(o)?;
-    let mut s = build_session(o, &src)?;
+    let mut s = load_input(o)?;
     run_entry(&mut s, o)
 }
 
@@ -543,17 +528,28 @@ fn cmd_eval(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// `tmlc snapshot <file.tl> -o <image>`: compile (and optionally
+/// optimize) a program and write its store as a fresh paged image,
+/// replacing any image at that path. The closing checkpoint leaves the
+/// catalog's previous generation as its `.bak`, so one damaged catalog
+/// byte is recoverable.
 fn cmd_snapshot(o: &Options) -> Result<(), String> {
     let src = read_source(o)?;
-    let s = build_session(o, &src)?;
-    let path = o.output.clone().ok_or("missing -o <image.tys>")?;
-    snapshot::save(&s.store, &path).map_err(|e| e.to_string())?;
+    let mut s = build_session(o, &src)?;
+    let path = o.output.clone().ok_or("missing -o <image>")?;
     let st = s.store.stats();
+    write_image(std::mem::take(&mut s.store), &path).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "wrote {path}: {} objects, {} bytes ({} bytes PTML, {} closures)",
         st.objects, st.bytes, st.ptml_bytes, st.closures
     );
     Ok(())
+}
+
+/// Write `store` as a fresh paged image at `path`, closed with a
+/// checkpoint.
+fn write_image(store: tycoon::store::Store, path: &str) -> std::io::Result<()> {
+    DurableStore::from_store(store, path, Default::default())?.close()
 }
 
 /// Print every registry counter under the given prefixes (all when empty),
@@ -585,52 +581,35 @@ fn cmd_info(o: &Options) -> Result<(), String> {
     let path = o.positional.first().ok_or("missing image file")?;
     let rec = trace::global();
     rec.clear();
-    let store;
-    let identity;
-    if paged::is_catalog_file(path) {
-        // A paged durable image: decode the catalog and rebuild the store
-        // from the page file, without touching the write-ahead log (info
-        // is read-only; the log is reported below from its own scan).
-        let opened = paged::open_catalog(std::path::Path::new(path))
-            .map_err(|e| format!("{path}: {e}"))?
-            .ok_or_else(|| {
-                format!("{path}: unreadable paged catalog (run `tmlc fsck {path}` for a report)")
-            })?;
-        if opened.source != snapshot::RecoverySource::Primary {
-            eprintln!(
-                "tmlc: {path}: catalog damaged, loaded from {}",
-                opened.source.name()
-            );
-        }
-        let p = opened.heap.stats();
-        let b = opened.heap.buffer_stats();
-        rec.counter("store.page.gen").set(p.gen);
-        rec.counter("store.page.pages").set(p.pages);
-        rec.counter("store.page.records").set(p.dir_entries);
-        rec.counter("store.page.chains").set(p.chains);
-        rec.counter("store.page.live_bytes").set(p.live_bytes);
-        rec.counter("store.page.dead_bytes").set(p.dead_bytes);
-        rec.counter("store.buffer.resident").set(p.resident);
-        rec.counter("store.buffer.hits").set(b.hits);
-        rec.counter("store.buffer.misses").set(b.misses);
-        rec.counter("store.buffer.evictions").set(b.evictions);
-        rec.counter("store.buffer.writebacks").set(b.writebacks);
-        identity = opened.identity;
-        store = opened.store;
-    } else {
-        let (st, recovery) = snapshot::load_with_recovery(path)
-            .map_err(|e| format!("{e} (run `tmlc fsck {path}` for a full report)"))?;
-        if recovery.source != snapshot::RecoverySource::Primary {
-            eprintln!(
-                "tmlc: {path}: image damaged, loaded from {} ({} object(s), {} root(s) dropped)",
-                recovery.source.name(),
-                recovery.dropped_objects,
-                recovery.dropped_roots
-            );
-        }
-        identity = snapshot::identity_of_file(path).map_err(|e| e.to_string())?;
-        store = st;
+    // Decode the catalog and rebuild the store from the page file,
+    // without touching the write-ahead log (info is read-only; the log is
+    // reported below from its own scan).
+    let opened = paged::open_catalog(std::path::Path::new(path))
+        .map_err(|e| format!("{path}: {e}"))?
+        .ok_or_else(|| {
+            format!("{path}: image unrecoverable (run `tmlc fsck {path}` for a report)")
+        })?;
+    if opened.source != RecoverySource::Primary {
+        eprintln!(
+            "tmlc: {path}: catalog damaged, loaded from {}",
+            opened.source.name()
+        );
     }
+    let p = opened.heap.stats();
+    let b = opened.heap.buffer_stats();
+    rec.counter("store.page.gen").set(p.gen);
+    rec.counter("store.page.pages").set(p.pages);
+    rec.counter("store.page.records").set(p.dir_entries);
+    rec.counter("store.page.chains").set(p.chains);
+    rec.counter("store.page.live_bytes").set(p.live_bytes);
+    rec.counter("store.page.dead_bytes").set(p.dead_bytes);
+    rec.counter("store.buffer.resident").set(p.resident);
+    rec.counter("store.buffer.hits").set(b.hits);
+    rec.counter("store.buffer.misses").set(b.misses);
+    rec.counter("store.buffer.evictions").set(b.evictions);
+    rec.counter("store.buffer.writebacks").set(b.writebacks);
+    let identity = opened.identity;
+    let store = opened.store;
     // All reporting goes through the counter registry: footprint and cache
     // totals as gauges, object population per kind.
     store.publish_counters();
@@ -1119,20 +1098,7 @@ fn explain_line(e: &Event) -> String {
         Event::DurabilityRisk { site, detail } => {
             format!("durability risk at {site}: {detail}")
         }
-        Event::Recovery {
-            source,
-            dropped_objects,
-            dropped_roots,
-            dropped_sections,
-            micros,
-        } => format!(
-            "recovery from {source} in {micros}us: dropped {dropped_objects} object(s), {dropped_roots} root(s){}",
-            if *dropped_sections {
-                ", tail sections lost"
-            } else {
-                ""
-            }
-        ),
+        Event::Recovery { source, micros } => format!("recovery from {source} in {micros}us"),
         Event::Span {
             name,
             id,
@@ -1235,35 +1201,27 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// `tmlc fsck <image.tys> [--repair -o out.tys]`: offline integrity check
-/// of a snapshot image. Validates the envelope (magic, version, CRC-32
-/// trailer, per-object framing) by decoding it, then walks every OID edge
-/// looking for dangling references and dangling roots, and decodes every
-/// closure's PTML attachment. When a write-ahead log sits next to the
-/// image it is walked too: record/commit counts, torn tails and stale
-/// (wrong-base) logs are reported. Prints a JSON report; exits nonzero
-/// when any problem is found. With `--repair`, the recovery cascade
-/// (backup, object salvage) is run and whatever it saves is written to
-/// `-o`.
+/// `tmlc fsck <image> [--repair -o <out>]`: offline integrity check of
+/// an image. Decodes the catalog (magic, CRC-32 trailer) and every page
+/// record it addresses, then walks every OID edge looking for dangling
+/// references and dangling roots, and decodes every closure's PTML
+/// attachment. When a write-ahead log sits next to the image it is walked
+/// too: record/commit counts, torn tails and stale (wrong-base) logs are
+/// reported. Prints a JSON report; exits nonzero when any problem is
+/// found — including a primary catalog that only loads through its
+/// `.bak`/`.tmp` sibling. With `--repair`, full durable recovery (catalog
+/// chain + committed log prefix) runs and the result is written to `-o`
+/// as a fresh image.
 fn cmd_fsck(o: &Options) -> Result<(), String> {
     let path = o.positional.first().ok_or("missing image file")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    // Formats: 2/3 are legacy whole-image snapshots, 4 is the paged
-    // TYCAT1 catalog + page file written by durable checkpoints.
-    let is_paged = bytes.starts_with(b"TYCAT1");
-    let format = if is_paged {
-        4
-    } else if bytes.starts_with(b"TYSTO3") {
-        3
-    } else if bytes.starts_with(b"TYSTO2") {
-        2
-    } else {
-        0
-    };
+    // Format 4 is the paged TYCAT1 catalog; anything else is not an image
+    // (0), though a good sibling may still recover it.
+    let format = if bytes.starts_with(b"TYCAT1") { 4 } else { 0 };
     let mut pages: Option<String> = None;
-    let mut catalog_identity: Option<snapshot::ImageIdentity> = None;
-    let mut paged_degraded = false;
-    let decoded: Result<tycoon::store::Store, String> = if is_paged {
+    let mut catalog_identity: Option<tycoon::store::ImageIdentity> = None;
+    let mut degraded = false;
+    let decoded: Result<tycoon::store::Store, String> =
         match paged::open_catalog(std::path::Path::new(path)) {
             Ok(Some(opened)) => {
                 let p = opened.heap.stats();
@@ -1279,15 +1237,12 @@ fn cmd_fsck(o: &Options) -> Result<(), String> {
                     json_str(opened.source.name())
                 ));
                 catalog_identity = Some(opened.identity);
-                paged_degraded = opened.source != snapshot::RecoverySource::Primary;
+                degraded = opened.source != RecoverySource::Primary;
                 Ok(opened.store)
             }
-            Ok(None) => Err("unreadable paged catalog (no decodable sibling)".to_string()),
+            Ok(None) => Err("unreadable catalog (no decodable sibling)".to_string()),
             Err(e) => Err(e.to_string()),
-        }
-    } else {
-        snapshot::from_bytes(&bytes).map_err(|e| e.to_string())
-    };
+        };
     let mut dangling_refs: Vec<(u64, u64)> = Vec::new();
     let mut dangling_roots: Vec<String> = Vec::new();
     let mut corrupt_ptml: Vec<(u64, String)> = Vec::new();
@@ -1335,33 +1290,24 @@ fn cmd_fsck(o: &Options) -> Result<(), String> {
     // whose header no longer matches the image is stale and would be
     // discarded on open.
     let log = wal::Wal::scan(wal::wal_path(path)).map_err(|e| format!("{path}.wal: {e}"))?;
-    let image_identity = catalog_identity.unwrap_or_else(|| snapshot::identity_of(&bytes));
+    let image_identity = catalog_identity.unwrap_or_else(|| paged::identity_of(&bytes));
     let log_stale = log.exists && log.base != Some(image_identity);
 
-    // A paged catalog that only decoded via its backup/tmp sibling is
-    // damaged even though it loaded: the primary needs repair.
+    // A catalog that only decoded via its backup/tmp sibling is damaged
+    // even though it loaded: the primary needs repair.
     let ok = decoded.is_ok()
-        && !paged_degraded
+        && !degraded
         && dangling_refs.is_empty()
         && dangling_roots.is_empty()
         && corrupt_ptml.is_empty();
 
-    let mut repaired: Option<(snapshot::RecoveryReport, String)> = None;
+    let mut repaired: Option<(RecoverySource, String)> = None;
     if o.repair && !ok {
-        let out = o.output.clone().ok_or("fsck --repair needs -o <out.tys>")?;
-        // Paged images repair through the durable recovery cascade (catalog
-        // siblings + committed WAL prefix); legacy snapshots through the
-        // snapshot cascade (backup, object salvage). Either way the result
-        // is written as a fresh whole-image snapshot.
-        let (store, report) = if is_paged {
-            let (ds, rep) = DurableStore::open(path, Default::default())
-                .map_err(|e| format!("repair failed: {e}"))?;
-            (ds.into_store(), rep.snapshot)
-        } else {
-            snapshot::load_with_recovery(path).map_err(|e| format!("repair failed: {e}"))?
-        };
-        snapshot::save(&store, &out).map_err(|e| format!("repair: {out}: {e}"))?;
-        repaired = Some((report, out));
+        let out = o.output.clone().ok_or("fsck --repair needs -o <out>")?;
+        let (ds, report) = DurableStore::open(path, Default::default())
+            .map_err(|e| format!("repair failed: {e}"))?;
+        write_image(ds.into_store(), &out).map_err(|e| format!("repair: {out}: {e}"))?;
+        repaired = Some((report.source, out));
     }
 
     let mut j = String::new();
@@ -1418,13 +1364,10 @@ fn cmd_fsck(o: &Options) -> Result<(), String> {
         j.push_str("  \"wal\": null,\n");
     }
     match &repaired {
-        Some((report, out)) => {
+        Some((source, out)) => {
             j.push_str(&format!(
-                "  \"repair\": {{\"source\": {}, \"dropped_objects\": {}, \"dropped_roots\": {}, \"dropped_sections\": {}, \"output\": {}}},\n",
-                json_str(report.source.name()),
-                report.dropped_objects,
-                report.dropped_roots,
-                report.dropped_sections,
+                "  \"repair\": {{\"source\": {}, \"output\": {}}},\n",
+                json_str(source.name()),
                 json_str(out)
             ));
         }

@@ -2,25 +2,46 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::OnceLock;
 
 fn tmlc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tmlc"))
 }
 
+/// Write a shared source file once per test process. Tests run in
+/// parallel and spawn `tmlc` children that read these files, so they must
+/// never be rewritten (a truncating rewrite races a concurrent reader).
+fn source_file(cell: &'static OnceLock<PathBuf>, name: &str, src: &str) -> PathBuf {
+    cell.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("tmlc_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, src).unwrap();
+        path
+    })
+    .clone()
+}
+
 fn demo_file() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tmlc_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("demo.tl");
-    std::fs::write(
-        &path,
+    static DEMO: OnceLock<PathBuf> = OnceLock::new();
+    source_file(
+        &DEMO,
+        "demo.tl",
         "module demo export main\n\
          let main(n: Int): Int =\n\
            var s := 0 in\n\
            (for i = 1 upto n do s := s + i * i end; s)\n\
          end\n",
     )
-    .unwrap();
-    path
+}
+
+/// A fresh per-test directory. An image is several files (catalog,
+/// `.p<gen>` pages, `.wal`, `.bak`), so tests remove the whole directory.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tmlc_{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 #[test]
@@ -99,7 +120,8 @@ fn code_dump_disassembles() {
 
 #[test]
 fn snapshot_and_info_roundtrip() {
-    let image = std::env::temp_dir().join(format!("tmlc_img_{}.tys", std::process::id()));
+    let dir = scratch_dir("img");
+    let image = dir.join("image.tys");
     let out = tmlc()
         .args(["snapshot"])
         .arg(demo_file())
@@ -118,15 +140,14 @@ fn snapshot_and_info_roundtrip() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("demo"), "{text}");
     assert!(text.contains("closure"), "{text}");
-    std::fs::remove_file(&image).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn geom_file() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tmlc_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("geom.tl");
-    std::fs::write(
-        &path,
+    static GEOM: OnceLock<PathBuf> = OnceLock::new();
+    source_file(
+        &GEOM,
+        "geom.tl",
         "module complex export new, x, y\n\
          let new(a: Real, b: Real): Tuple = tuple(a, b)\n\
          let x(c: Tuple): Real = c.0\n\
@@ -137,8 +158,6 @@ fn geom_file() -> PathBuf {
            real.sqrt(complex.x(c) * complex.x(c) + complex.y(c) * complex.y(c))\n\
          end\n",
     )
-    .unwrap();
-    path
 }
 
 #[test]
@@ -213,7 +232,8 @@ fn explain_json_carries_rule_events() {
 
 #[test]
 fn profile_runs_from_a_snapshot_image() {
-    let image = std::env::temp_dir().join(format!("tmlc_prof_{}.tys", std::process::id()));
+    let dir = scratch_dir("prof");
+    let image = dir.join("image.tys");
     let out = tmlc()
         .args(["snapshot"])
         .arg(geom_file())
@@ -239,12 +259,13 @@ fn profile_runs_from_a_snapshot_image() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("rule "), "{text}");
-    std::fs::remove_file(&image).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn info_json_exposes_store_gauges() {
-    let image = std::env::temp_dir().join(format!("tmlc_infoj_{}.tys", std::process::id()));
+    let dir = scratch_dir("infoj");
+    let image = dir.join("image.tys");
     let out = tmlc()
         .args(["snapshot"])
         .arg(demo_file())
@@ -262,7 +283,7 @@ fn info_json_exposes_store_gauges() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("\"store.objects\":"), "{text}");
     assert!(text.contains("\"store.closures\":"), "{text}");
-    std::fs::remove_file(&image).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Minimal JSON validator: recursive descent over value syntax, no
@@ -428,7 +449,8 @@ fn stats_reports_percentiles_per_subsystem() {
 
 #[test]
 fn info_json_is_deterministic_with_sorted_keys() {
-    let image = std::env::temp_dir().join(format!("tmlc_det_{}.tys", std::process::id()));
+    let dir = scratch_dir("det");
+    let image = dir.join("image.tys");
     let out = tmlc()
         .args(["snapshot"])
         .arg(demo_file())
@@ -463,7 +485,7 @@ fn info_json_is_deterministic_with_sorted_keys() {
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     assert_eq!(keys, sorted, "counter keys not sorted in {a}");
-    std::fs::remove_file(&image).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// End-to-end `--durable` round trip: a run against a fresh durable image
@@ -578,7 +600,8 @@ fn missing_entry_reports_error() {
 
 #[test]
 fn fsck_passes_a_healthy_image() {
-    let image = std::env::temp_dir().join(format!("tmlc_fsck_ok_{}.tys", std::process::id()));
+    let dir = scratch_dir("fsck_ok");
+    let image = dir.join("image.tys");
     let out = tmlc()
         .args(["snapshot"])
         .arg(geom_file())
@@ -599,9 +622,9 @@ fn fsck_passes_a_healthy_image() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("\"ok\": true"), "{text}");
-    assert!(text.contains("\"format\": 3"), "{text}");
+    assert!(text.contains("\"format\": 4"), "{text}");
     assert!(text.contains("\"dangling_roots\": []"), "{text}");
-    std::fs::remove_file(&image).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -609,7 +632,8 @@ fn fsck_flags_a_corrupt_image_and_repair_restores_it() {
     let dir = std::env::temp_dir().join(format!("tmlc_fsck_bad_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let image = dir.join("world.tys");
-    // Save twice so a good .bak sits next to the primary.
+    // Snapshot twice: the second replaces the first image outright, and
+    // its closing checkpoint leaves a good .bak next to the primary.
     for _ in 0..2 {
         let out = tmlc()
             .args(["snapshot"])
@@ -625,7 +649,7 @@ fn fsck_flags_a_corrupt_image_and_repair_restores_it() {
         );
     }
 
-    // Flip a byte in the middle of the primary: the CRC catches it.
+    // Flip a byte in the middle of the primary catalog: the CRC catches it.
     let mut bytes = std::fs::read(&image).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
@@ -663,6 +687,51 @@ fn fsck_flags_a_corrupt_image_and_repair_restores_it() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("\"ok\": true"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn profile_of_a_damaged_image_traces_the_catalog_recovery() {
+    let dir = scratch_dir("recovery");
+    let image = dir.join("world.tys");
+    let out = tmlc()
+        .args(["snapshot"])
+        .arg(demo_file())
+        .args(["-o"])
+        .arg(&image)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut bytes = std::fs::read(&image).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&image, &bytes).unwrap();
+
+    let out = tmlc()
+        .args(["profile"])
+        .arg(&image)
+        .args(["demo.main", "--arg", "3", "--json"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("loaded from backup"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("\"type\":\"recovery\",\"source\":\"backup\""),
+        "{text}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

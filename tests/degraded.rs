@@ -2,6 +2,10 @@
 //! corrupt target is skipped — recorded on the trace — while the rest of
 //! the world commits byte-identically to a healthy run's ordering, for
 //! every job count. Image relink likewise survives corrupt PTML.
+//!
+//! Several tests arm a process-wide `Panic` failpoint, so every test in
+//! this binary holds the `ScopedFailpoints` lock (armed or not): none can
+//! run inside another's fault window.
 
 use tycoon::lang::{Session, SessionConfig};
 use tycoon::reflect::{
@@ -9,7 +13,7 @@ use tycoon::reflect::{
     ReflectOptions,
 };
 use tycoon::store::failpoint::{Action, FailSpec, ScopedFailpoints};
-use tycoon::store::{snapshot, Object, SVal};
+use tycoon::store::{snapshot, DurableStore, Object, SVal, StoreAccess};
 use tycoon::trace::Event;
 use tycoon::vm::RVal;
 
@@ -147,6 +151,7 @@ fn abort_policy_propagates_injected_failures() {
 
 #[test]
 fn fuel_budget_skips_expensive_targets_but_commits_the_world() {
+    let _fp = ScopedFailpoints::new(&[]);
     let mut s = session();
     let report = optimize_all(
         &mut s,
@@ -162,6 +167,7 @@ fn fuel_budget_skips_expensive_targets_but_commits_the_world() {
 
 #[test]
 fn fuel_exhaustion_surfaces_as_a_typed_error_in_abort_mode() {
+    let _fp = ScopedFailpoints::new(&[]);
     let mut s = session();
     let err = optimize_named(
         &mut s,
@@ -180,6 +186,7 @@ fn fuel_exhaustion_surfaces_as_a_typed_error_in_abort_mode() {
 
 #[test]
 fn fuel_participates_in_the_cache_key() {
+    let _fp = ScopedFailpoints::new(&[]);
     let mut s = session();
     let generous = ReflectOptions {
         fuel: Some(1_000_000),
@@ -195,6 +202,7 @@ fn fuel_participates_in_the_cache_key() {
 
 #[test]
 fn relink_skips_closures_with_corrupt_ptml_and_marks_them_degraded() {
+    let _fp = ScopedFailpoints::new(&[]);
     let s = session();
     let bytes = snapshot::to_bytes(&s.store);
     drop(s);
@@ -236,14 +244,15 @@ fn relink_skips_closures_with_corrupt_ptml_and_marks_them_degraded() {
 }
 
 #[test]
-fn degraded_image_boots_after_salvage_drops_a_ptml_blob() {
-    // End-to-end: salvage tombstones a PTML record, the closure that
-    // pointed at it relinks as degraded, and the rest of the image runs.
+fn degraded_image_boots_after_its_ptml_blob_is_freed() {
+    // End-to-end: a closure's PTML blob is gone from a reopened image, the
+    // closure relinks as degraded, and the rest of the image runs.
+    let _fp = ScopedFailpoints::new(&[]);
     let dir = std::env::temp_dir().join(format!("tml_degraded_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("world.tys");
 
-    let s = session();
+    let mut s = session();
     let Some(SVal::Ref(victim)) = s.globals.get("geom.abs").cloned() else {
         panic!()
     };
@@ -251,26 +260,22 @@ fn degraded_image_boots_after_salvage_drops_a_ptml_blob() {
         Ok(Object::Closure(c)) => c.ptml.unwrap(),
         other => panic!("{other:?}"),
     };
-    snapshot::save(&s.store, &path).unwrap();
+    DurableStore::from_store(std::mem::take(&mut s.store), &path, Default::default())
+        .unwrap()
+        .close()
+        .unwrap();
     drop(s);
 
-    // Corrupt exactly the PTML blob's framed record on disk, then remove
-    // the CRC trailer's protection by... no — recompute nothing: salvage
-    // operates on the raw image, so a flipped byte inside that frame
-    // fails the whole-image CRC and the per-record decode, and only that
-    // record is dropped.
-    let mut image = std::fs::read(&path).unwrap();
-    let offset = find_frame(&image, ptml_oid.0);
-    image[offset] ^= 0xff;
-    std::fs::write(&path, &image).unwrap();
-    std::fs::remove_file(snapshot::backup_path(&path)).ok();
-
-    let (store, report) = snapshot::load_with_recovery(&path).unwrap();
-    assert!(report.dropped_objects >= 1, "{report:?}");
+    let (ds, _) = DurableStore::open(&path, Default::default()).unwrap();
+    let mut store = ds.into_store();
+    // The blob is freed in memory before relinking: the closure's PTML
+    // reference now dangles, which relink must skip, not trip over.
+    store.free_obj(ptml_oid).unwrap();
     let mut s2 = session_from_store(store, SessionConfig::default());
     let relink = relink_image_code(&mut s2).unwrap();
-    assert!(relink.skipped >= 1, "{relink:?}");
+    assert_eq!(relink.skipped, 1, "{relink:?}");
     assert!(relink.relinked > 0, "{relink:?}");
+    assert_eq!(s2.store.attr(victim, "degraded"), Some(1));
     let c = s2
         .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
         .unwrap()
@@ -280,44 +285,4 @@ fn degraded_image_boots_after_salvage_drops_a_ptml_blob() {
         RVal::Real(3.0)
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Byte offset of the first payload byte of object `oid`'s framed record
-/// in a TYSTO3 image — a tiny re-parse of the envelope, kept in sync with
-/// `snapshot.rs` (the format is versioned and CRC-sealed, so drift would
-/// fail loudly).
-fn find_frame(image: &[u8], oid: u64) -> usize {
-    fn varint(image: &[u8], pos: &mut usize) -> u64 {
-        let mut shift = 0u32;
-        let mut out = 0u64;
-        loop {
-            let b = image[*pos];
-            *pos += 1;
-            out |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return out;
-            }
-            shift += 7;
-        }
-    }
-    assert!(image.starts_with(b"TYSTO3"), "format changed?");
-    let mut pos = 6;
-    let slots = varint(image, &mut pos);
-    // OIDs are 1-based (0 is the null OID); slot records are emitted in
-    // OID order, so object `oid` is the (oid - 1)-th record.
-    assert!(
-        oid >= 1 && oid - 1 < slots,
-        "oid {oid} out of range {slots}"
-    );
-    for _ in 0..oid - 1 {
-        let tag = varint(image, &mut pos);
-        if tag == 1 {
-            let len = varint(image, &mut pos);
-            pos += len as usize;
-        }
-    }
-    let tag = varint(image, &mut pos);
-    assert_eq!(tag, 1, "victim slot must hold an object");
-    let _len = varint(image, &mut pos);
-    pos
 }

@@ -1,10 +1,10 @@
 //! Figure-3 architecture round trip: compile → persist (PTML + bindings)
-//! → snapshot to disk → reload → relink from PTML → reflectively optimize
+//! → write a durable image → reopen → relink from PTML → reflectively optimize
 //! → execute — spanning `tml-lang`, `tml-store`, `tml-reflect`, `tml-vm`.
 
 use tycoon::lang::{Session, SessionConfig};
 use tycoon::reflect::{optimize_all, optimize_named, ReflectOptions, TermBuilder};
-use tycoon::store::{snapshot, Object, SVal};
+use tycoon::store::{snapshot, DurableStore, Object, SVal};
 use tycoon::vm::RVal;
 
 const SRC: &str = "
@@ -58,7 +58,9 @@ fn ptml_of_optimized_code_is_itself_reflectable() {
 
 #[test]
 fn snapshot_save_load_preserves_code_and_data() {
-    let path = std::env::temp_dir().join(format!("tycoon_roundtrip_{}.tys", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tycoon_roundtrip_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("world.tys");
 
     // Session 1: load, run, persist.
     let mut s1 = Session::new(SessionConfig::default()).unwrap();
@@ -66,12 +68,18 @@ fn snapshot_save_load_preserves_code_and_data() {
     let r1 = s1.call("math.poly", vec![RVal::Int(5)]).unwrap();
     let data = s1.store.alloc(Object::Array(vec![SVal::Int(123)]));
     s1.store.set_root("data", data);
-    snapshot::save(&s1.store, &path).unwrap();
     let stats1 = s1.store.stats();
+    DurableStore::from_store(std::mem::take(&mut s1.store), &path, Default::default())
+        .unwrap()
+        .close()
+        .unwrap();
     drop(s1);
 
     // Session 2: reload and relink `math.poly` from its PTML.
-    let store = snapshot::load(&path).unwrap();
+    let store = DurableStore::open(&path, Default::default())
+        .unwrap()
+        .0
+        .into_store();
     assert_eq!(store.stats(), stats1, "snapshot must be lossless");
     let mut s2 = Session::new(SessionConfig::default()).unwrap();
     s2.store = store;
@@ -123,7 +131,7 @@ fn snapshot_save_load_preserves_code_and_data() {
     let r2 = s2.call("math.poly", vec![RVal::Int(5)]).unwrap();
     assert_eq!(r1.result, r2.result);
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
