@@ -11,7 +11,8 @@
 use std::time::Instant;
 use tml_bench::ms;
 use tml_core::{Ctx, Lit};
-use tml_query::{self as query, rewrite_queries, select_chain, Pred};
+use tml_opt::{record, OptOptions};
+use tml_query::{self as query, firings, select_chain, Pred};
 use tml_store::Store;
 use tml_vm::{Machine, RVal, Vm};
 
@@ -44,15 +45,14 @@ fn main() {
 
         let naive = select_chain(&mut ctx, rel, &[Pred::ColEq(1, Lit::Int(7))]);
 
-        // Compile-time optimization: no store binding, rewrite cannot fire.
-        let mut compile_time = naive.clone();
-        let s1 = rewrite_queries(&mut ctx, None, &mut compile_time);
-        assert_eq!(s1.index_select, 0);
+        // Compile-time optimization: no index facts, rewrite cannot fire.
+        let opts = OptOptions::default();
+        let (compile_time, _, log) = record(&mut ctx, naive.clone(), &opts, None);
+        assert_eq!(firings(&log, "index-select"), 0);
 
-        // Runtime optimization: store binding available.
-        let mut runtime = naive;
-        let s2 = rewrite_queries(&mut ctx, Some(&store), &mut runtime);
-        assert_eq!(s2.index_select, 1);
+        // Runtime optimization: the store's index facts are an input.
+        let (runtime, _, log) = record(&mut ctx, naive, &opts, Some(&store));
+        assert_eq!(firings(&log, "index-select"), 1);
 
         let (n1, w1, t1) = run(&ctx, &mut vm, &mut store, &compile_time);
         let (n2, w2, t2) = run(&ctx, &mut vm, &mut store, &runtime);

@@ -14,8 +14,8 @@
 use std::time::Instant;
 use tml_bench::ms;
 use tml_core::{Ctx, Lit};
-use tml_opt::OptOptions;
-use tml_query::{self as query, integrated_optimize, rewrite_queries, select_chain, Pred};
+use tml_opt::{record, OptOptions};
+use tml_query::{self as query, firings, select_chain, Pred};
 use tml_store::Store;
 use tml_vm::{Machine, RVal, Vm};
 
@@ -57,13 +57,12 @@ fn main() {
             [unselective.clone(), selective.clone()],
         ] {
             let naive = select_chain(&mut ctx, rel, &order);
-            let mut merged = naive.clone();
-            let stats = rewrite_queries(&mut ctx, None, &mut merged);
-            assert_eq!(stats.merge_select, 1);
-            // "The resulting TML tree will be further reduced and optimized
-            // using any other applicable rewrite rule" — fuse the composite
-            // predicate with the program optimizer.
-            let (merged, _) = integrated_optimize(&mut ctx, None, merged, &OptOptions::default());
+            // Merge-select fires inside the optimizer's loop, and "the
+            // resulting TML tree will be further reduced and optimized using
+            // any other applicable rewrite rule" — the composite predicate
+            // is fused by the same run.
+            let (merged, _, log) = record(&mut ctx, naive.clone(), &OptOptions::default(), None);
+            assert_eq!(firings(&log, "merge-select"), 1);
             let (n1, w_naive, _) = run(&ctx, &mut vm, &mut store, &naive);
             let (n2, w_merged, _) = run(&ctx, &mut vm, &mut store, &merged);
             assert_eq!(n1, n2, "rewrite changed the result");
@@ -104,10 +103,8 @@ fn main() {
         );
         let parsed = tml_core::parse::parse_app(&mut ctx, &src).expect("parses");
         let scan = parsed.app;
-        let mut rewritten = scan.clone();
-        let stats = rewrite_queries(&mut ctx, None, &mut rewritten);
-        assert_eq!(stats.trivial_exists, 1);
-        let (rewritten, _) = integrated_optimize(&mut ctx, None, rewritten, &OptOptions::default());
+        let (rewritten, _, log) = record(&mut ctx, scan.clone(), &OptOptions::default(), None);
+        assert_eq!(firings(&log, "trivial-exists"), 1);
 
         let (b1, w1, t1) = run(&ctx, &mut vm, &mut store, &scan);
         let (b2, w2, t2) = run(&ctx, &mut vm, &mut store, &rewritten);

@@ -5,7 +5,8 @@
 //! only transformation that duplicates binders is the expansion pass when it
 //! inlines an abstraction at more than one call site (or keeps the original
 //! binding alive); [`alpha_copy_abs`] produces a copy whose every binder is
-//! replaced by a fresh identifier.
+//! replaced by a fresh identifier. [`alpha_eq`] is the matching equality:
+//! two values that differ only in the names of their binders.
 
 use crate::ident::{NameTable, VarId};
 use crate::term::{Abs, App, Value};
@@ -18,12 +19,6 @@ use std::collections::HashMap;
 pub fn alpha_copy_abs(abs: &Abs, names: &mut NameTable) -> Abs {
     let mut map = HashMap::new();
     copy_abs(abs, names, &mut map)
-}
-
-/// Clone `app`, renaming every binder to fresh identifiers.
-pub fn alpha_copy_app(app: &App, names: &mut NameTable) -> App {
-    let mut map = HashMap::new();
-    copy_app(app, names, &mut map)
 }
 
 fn copy_abs(abs: &Abs, names: &mut NameTable, map: &mut HashMap<VarId, VarId>) -> Abs {
@@ -53,6 +48,37 @@ fn copy_value(val: &Value, names: &mut NameTable, map: &mut HashMap<VarId, VarId
         Value::Lit(l) => Value::Lit(l.clone()),
         Value::Prim(p) => Value::Prim(*p),
         Value::Abs(a) => Value::from(copy_abs(a, names, map)),
+    }
+}
+
+/// α-equivalence: `a` and `b` are equal up to a consistent renaming of
+/// their binders. Free variables must be identical. Rewrite rules use this
+/// to recognise that two separately bound continuations (say, the exception
+/// handlers of two nested operators) behave the same.
+pub fn alpha_eq(a: &Value, b: &Value) -> bool {
+    eq_value(a, b, &mut Vec::new())
+}
+
+/// `bound` pairs the binders of `a` with those of `b`: a bound variable
+/// only ever equals its counterpart, never a free one.
+fn eq_value(a: &Value, b: &Value, bound: &mut Vec<(VarId, VarId)>) -> bool {
+    match (a, b) {
+        (Value::Var(x), Value::Var(y)) => match bound.iter().find(|(p, q)| p == x || q == y) {
+            Some((p, q)) => p == x && q == y,
+            None => x == y,
+        },
+        (Value::Lit(x), Value::Lit(y)) => x == y,
+        (Value::Prim(x), Value::Prim(y)) => x == y,
+        (Value::Abs(x), Value::Abs(y)) => {
+            bound.extend(x.params.iter().copied().zip(y.params.iter().copied()));
+            let (f, g) = (&x.body, &y.body);
+            x.params.len() == y.params.len()
+                && f.args.len() == g.args.len()
+                && std::iter::once((&f.func, &g.func))
+                    .chain(f.args.iter().zip(&g.args))
+                    .all(|(u, v)| eq_value(u, v, bound))
+        }
+        _ => false,
     }
 }
 
@@ -87,6 +113,29 @@ mod tests {
         let y = names.fresh("y");
         let abs = Abs::new(vec![x], App::new(Value::Var(x), vec![Value::Var(y)]));
         (abs, x, y)
+    }
+
+    #[test]
+    fn alpha_eq_ignores_binder_names_only() {
+        let mut names = NameTable::new();
+        let (abs, _, y) = sample(&mut names);
+        let copy = alpha_copy_abs(&abs, &mut names);
+        assert!(alpha_eq(&Value::from(abs.clone()), &Value::from(copy)));
+        // A different free variable is a different value.
+        let z = names.fresh("z");
+        let other = Abs::new(
+            vec![abs.params[0]],
+            App::new(Value::Var(abs.params[0]), vec![Value::Var(z)]),
+        );
+        assert!(!alpha_eq(&Value::from(abs.clone()), &Value::from(other)));
+        assert!(alpha_eq(&Value::Var(y), &Value::Var(y)));
+        assert!(!alpha_eq(&Value::Var(y), &Value::Var(z)));
+        // λ(x)(x y) is not λ(x)(y x).
+        let swapped = Abs::new(
+            vec![abs.params[0]],
+            App::new(Value::Var(y), vec![Value::Var(abs.params[0])]),
+        );
+        assert!(!alpha_eq(&Value::from(abs), &Value::from(swapped)));
     }
 
     #[test]

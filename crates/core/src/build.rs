@@ -77,12 +77,6 @@ impl<'a> Builder<'a> {
         App::new(self.cont(vec![v], body), vec![val])
     }
 
-    /// Bind several values at once: `(cont(v₁…vₙ) body val₁…valₙ)`.
-    pub fn let_many(&self, bindings: Vec<(VarId, Value)>, body: App) -> App {
-        let (vars, vals): (Vec<_>, Vec<_>) = bindings.into_iter().unzip();
-        App::new(self.cont(vars, body), vals)
-    }
-
     /// `(halt v)` — terminate the program with a result.
     pub fn halt(&self, v: Value) -> App {
         self.primapp("halt", vec![v])

@@ -32,15 +32,6 @@ pub fn free_vars_app(app: &App) -> Vec<VarId> {
     free
 }
 
-/// The free variables of a value, sorted by id and deduplicated.
-pub fn free_vars_value(val: &Value) -> Vec<VarId> {
-    match val {
-        Value::Var(v) => vec![*v],
-        Value::Lit(_) | Value::Prim(_) => Vec::new(),
-        Value::Abs(a) => a.free_vars().to_vec(),
-    }
-}
-
 /// The free variables of an abstraction (its parameters are bound), sorted
 /// by id and deduplicated. A copy of the abstraction's cached summary.
 pub fn free_vars_abs(abs: &Abs) -> Vec<VarId> {

@@ -15,13 +15,18 @@
 //!    instructions ([`PrimDef::cost`]), and
 //! 4. a collection of **optimizer attributes** — side-effect class,
 //!    commutativity, rule-enable flags ([`PrimAttrs`]) — each with a
-//!    worst-case default.
+//!    worst-case default, and
+//! 5. an optional **rewrite rule** ([`PrimDef::rewrite`]) that may allocate
+//!    fresh names and consult the store's index structures ([`IndexFacts`])
+//!    — how `tml-query`'s §4.2 rules reach the optimizer.
 //!
 //! By definition each primitive calls exactly one of its continuation
 //! arguments tail-recursively, passing the result of its computation.
 
 use crate::emit::CodegenFn;
+use crate::lit::Oid;
 use crate::term::App;
+use crate::Ctx;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -141,6 +146,22 @@ pub enum FoldOutcome {
 /// this primitive, attempt constant folding / branch elimination.
 pub type FoldFn = fn(&App) -> FoldOutcome;
 
+/// What the store tells the optimizer about its index structures — the
+/// runtime binding that makes index-aware query rules possible (paper
+/// §4.2). It is an *input* to optimization: absent at compile time, and
+/// read-only.
+pub trait IndexFacts {
+    /// The index object over column `col` of relation `rel`, if any.
+    fn index_on(&self, rel: Oid, col: usize) -> Option<Oid>;
+}
+
+/// Rewrite-rule hook: rewrite an application of this primitive in place
+/// (fresh binders from the context, index facts `None` at compile time)
+/// and return the rule's name, or leave it untouched and return `None`.
+/// Every firing must remove one application of a rule-carrying primitive:
+/// that is the optimizer's termination measure.
+pub type RewriteFn = fn(&mut App, &mut Ctx, Option<&dyn IndexFacts>) -> Option<&'static str>;
+
 /// Custom well-formedness validator for primitives with irregular argument
 /// layouts (`==` case analysis, the `Y` fixpoint combinator).
 pub type ValidateFn = fn(&App) -> Result<(), String>;
@@ -177,6 +198,8 @@ pub struct PrimDef {
     pub attrs: PrimAttrs,
     /// Meta-evaluation (constant folding) hook, if any.
     pub fold: Option<FoldFn>,
+    /// Algebraic rewrite rule, if any.
+    pub rewrite: Option<RewriteFn>,
     /// Custom argument-layout validator, if the plain [`Signature`] check is
     /// insufficient.
     pub validate: Option<ValidateFn>,
@@ -212,6 +235,7 @@ impl fmt::Debug for PrimDef {
             .field("signature", &self.signature)
             .field("attrs", &self.attrs)
             .field("fold", &self.fold.is_some())
+            .field("rewrite", &self.rewrite.is_some())
             .field("cost", &self.cost)
             .field("codegen", &self.codegen.is_some())
             .finish()
@@ -286,6 +310,11 @@ impl PrimTable {
         Ok(id)
     }
 
+    /// `true` if any registered primitive carries a rewrite rule.
+    pub fn has_rewrites(&self) -> bool {
+        self.defs.iter().any(|d| d.rewrite.is_some())
+    }
+
     /// Look up a primitive by name.
     pub fn lookup(&self, name: &str) -> Option<PrimId> {
         self.by_name.get(name).copied()
@@ -348,6 +377,7 @@ mod tests {
             signature: sig,
             attrs: PrimAttrs::default(),
             fold: None,
+            rewrite: None,
             validate: None,
             cost: PrimCost::Const(1),
             codegen: None,

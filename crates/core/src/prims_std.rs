@@ -82,6 +82,7 @@ fn def(
         signature,
         attrs,
         fold,
+        rewrite: None,
         validate: None,
         cost,
         codegen: None,
@@ -476,6 +477,7 @@ pub fn install(table: &mut PrimTable) {
         },
         attrs: PURE,
         fold: Some(fold_case),
+        rewrite: None,
         validate: Some(validate_case),
         cost: PrimCost::Fn(|a| 1 + (a.args.len() / 2) as u32),
         codegen: Some(cg_case),
@@ -499,6 +501,7 @@ pub fn install(table: &mut PrimTable) {
         signature: Signature::exact(1, 0),
         attrs: PURE,
         fold: None,
+        rewrite: None,
         validate: Some(validate_y),
         cost: PrimCost::Const(3),
         codegen: Some(cg_y),

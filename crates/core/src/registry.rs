@@ -89,6 +89,7 @@ mod tests {
             signature: Signature::exact(1, 2),
             attrs: PrimAttrs::default(),
             fold: None,
+            rewrite: None,
             validate: None,
             cost: PrimCost::Const(1),
             codegen: None,

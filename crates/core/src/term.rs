@@ -84,16 +84,6 @@ impl Value {
         }
     }
 
-    /// Mutable abstraction payload, if any. Routes through the COW
-    /// discipline: the node is unshared if necessary and its cached
-    /// summary invalidated.
-    pub fn as_abs_mut(&mut self) -> Option<&mut Abs> {
-        match self {
-            Value::Abs(a) => Some(Abs::make_mut(a)),
-            _ => None,
-        }
-    }
-
     /// The shared abstraction handle, if any (no unsharing).
     pub fn as_abs_arc(&self) -> Option<&Arc<Abs>> {
         match self {
@@ -396,12 +386,6 @@ impl Abs {
     pub fn set_body(&mut self, body: App) {
         self.summary.take();
         self.body = body;
-    }
-
-    /// Drop the cached summary (for callers that mutated through the
-    /// public fields directly).
-    pub fn invalidate_summary(&mut self) {
-        self.summary.take();
     }
 
     fn summary(&self) -> &AbsSummary {

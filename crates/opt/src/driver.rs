@@ -9,27 +9,35 @@
 //! process even in obscure cases, a penalty is accumulated at each round of
 //! the reduction/expansion phases. The optimization process stops when this
 //! penalty reaches a certain limit."
+//!
+//! When primitives carry rewrite rules, each round also runs one rule pass
+//! between reduce-to-fixpoint and expansion; the round and penalty bounds
+//! only stop expansion, never a round that fired a rule (see the crate doc).
 
-use crate::expand::expand_pass_traced;
-use crate::reduce::reduce_to_fixpoint_traced;
+use crate::expand::expand_pass;
+use crate::reduce::reduce_to_fixpoint;
 use crate::stats::{OptOptions, OptStats, RoundStats};
-use tml_core::term::{Abs, App};
+use tml_core::prim::IndexFacts;
+use tml_core::term::{Abs, App, Value};
 use tml_core::Ctx;
 use tml_trace::{Event, Sink};
 
 /// Optimize a TML application. Returns the optimized tree and statistics.
 /// Provenance events go to the global trace recorder when it is enabled.
+/// No index facts are available: this is compile-time optimization.
 pub fn optimize(ctx: &mut Ctx, app: App, opts: &OptOptions) -> (App, OptStats) {
-    optimize_traced(ctx, app, opts, &mut Sink::global())
+    optimize_traced(ctx, app, opts, None, &mut Sink::global())
 }
 
-/// [`optimize`] with an explicit provenance sink. The event stream is
-/// deterministic for a given input term and options, which is what makes
-/// [`crate::provenance::replay`] possible.
+/// [`optimize`] with optional index facts (runtime optimization, where
+/// index-aware rewrite rules may fire) and an explicit provenance sink.
+/// The event stream is deterministic for a given input term, options and
+/// facts, which is what makes [`crate::provenance::replay`] possible.
 pub fn optimize_traced(
     ctx: &mut Ctx,
     mut app: App,
     opts: &OptOptions,
+    facts: Option<&dyn IndexFacts>,
     sink: &mut Sink,
 ) -> (App, OptStats) {
     let _opt_span = tml_trace::span!("opt.optimize");
@@ -37,50 +45,62 @@ pub fn optimize_traced(
         size_before: app.size(),
         ..Default::default()
     };
+    // Sessions without rule-carrying primitives skip the rule pass.
+    let has_rules = ctx.prims.has_rewrites();
     let stop_reason;
     loop {
         let _round_span = tml_trace::span!("opt.round");
         let red_before = stats.total_reductions();
         {
             let _s = tml_trace::span!("opt.reduce_pass");
-            reduce_to_fixpoint_traced(ctx, &mut app, opts.rules, &mut stats, sink);
+            reduce_to_fixpoint(ctx, &mut app, opts.rules, &mut stats, sink);
         }
         stats.rounds += 1;
+        let rewrites = if has_rules {
+            let _s = tml_trace::span!("opt.rule_pass");
+            rule_pass(ctx, &mut app, facts, sink, &mut 0)
+        } else {
+            0
+        };
+        stats.rewrites += rewrites;
         let mut round = RoundStats {
             round: stats.rounds,
-            reductions: stats.total_reductions() - red_before,
+            reductions: stats.total_reductions() - red_before - rewrites,
             inlined: 0,
             growth: 0,
         };
-        if !opts.rules.expand {
-            stop_reason = "expand-disabled";
+        let bound = if !opts.rules.expand {
+            Some("expand-disabled")
+        } else if stats.rounds >= opts.max_rounds {
+            Some("max-rounds")
+        } else if stats.penalty >= opts.penalty_limit {
+            Some("penalty-limit")
+        } else {
+            None
+        };
+        if let Some(reason) = bound {
             finish_round(&mut stats, round, &app, sink);
-            break;
-        }
-        if stats.rounds >= opts.max_rounds {
-            stop_reason = "max-rounds";
-            finish_round(&mut stats, round, &app, sink);
-            break;
-        }
-        if stats.penalty >= opts.penalty_limit {
-            stop_reason = "penalty-limit";
-            finish_round(&mut stats, round, &app, sink);
-            break;
+            if rewrites == 0 {
+                stop_reason = reason;
+                break;
+            }
+            continue;
         }
         let outcome = {
             let _s = tml_trace::span!("opt.expand_pass");
-            expand_pass_traced(ctx, &mut app, opts, sink)
+            expand_pass(ctx, &mut app, opts, sink)
         };
         round.inlined = outcome.inlined;
         round.growth = outcome.growth;
-        if outcome.inlined == 0 {
+        if outcome.inlined > 0 {
+            stats.inlined += outcome.inlined;
+            stats.penalty += outcome.growth;
+        }
+        finish_round(&mut stats, round, &app, sink);
+        if outcome.inlined == 0 && rewrites == 0 {
             stop_reason = "fixpoint";
-            finish_round(&mut stats, round, &app, sink);
             break;
         }
-        stats.inlined += outcome.inlined;
-        stats.penalty += outcome.growth;
-        finish_round(&mut stats, round, &app, sink);
     }
     if sink.active() {
         sink.emit(Event::OptStop {
@@ -92,6 +112,47 @@ pub fn optimize_traced(
     }
     stats.size_after = app.size();
     (app, stats)
+}
+
+/// One top-down pass of the primitive-carried rewrite rules: at each
+/// application headed by a rule-carrying primitive the rule is retried
+/// until it declines, then the walk descends into the result. Each firing
+/// emits one [`Event::RuleFired`] named after the rule and anchored at the
+/// primitive, so rule firings take part in provenance replay. `node`
+/// counts applications in pre-order; returns the number of firings.
+fn rule_pass(
+    ctx: &mut Ctx,
+    app: &mut App,
+    facts: Option<&dyn IndexFacts>,
+    sink: &mut Sink,
+    node: &mut u64,
+) -> u64 {
+    *node += 1;
+    let mut fired = 0;
+    while let Some(prim) = app.func.as_prim() {
+        let Some(rule) = ctx.prims.def(prim).rewrite else {
+            break;
+        };
+        let before = if sink.active() { app.size() as i64 } else { 0 };
+        let Some(name) = rule(app, ctx, facts) else {
+            break;
+        };
+        fired += 1;
+        if sink.active() {
+            sink.emit(Event::RuleFired {
+                rule: name,
+                site: ctx.prims.name(prim).to_string(),
+                node: *node,
+                size_delta: app.size() as i64 - before,
+            });
+        }
+    }
+    for v in std::iter::once(&mut app.func).chain(&mut app.args) {
+        if let Value::Abs(a) = v {
+            fired += rule_pass(ctx, &mut Abs::make_mut(a).body, facts, sink, node);
+        }
+    }
+    fired
 }
 
 fn finish_round(stats: &mut OptStats, round: RoundStats, app: &App, sink: &mut Sink) {
@@ -111,22 +172,20 @@ fn finish_round(stats: &mut OptStats, round: RoundStats, app: &App, sink: &mut S
 /// parameter list. This is the entry point used by the reflective dynamic
 /// optimizer, whose units of work are procedures fetched from the store.
 pub fn optimize_abs(ctx: &mut Ctx, abs: Abs, opts: &OptOptions) -> (Abs, OptStats) {
-    optimize_abs_traced(ctx, abs, opts, &mut Sink::global())
+    optimize_abs_traced(ctx, abs, opts, None, &mut Sink::global())
 }
 
-/// [`optimize_abs`] with an explicit provenance sink.
+/// [`optimize_abs`] with optional index facts and an explicit provenance
+/// sink.
 pub fn optimize_abs_traced(
     ctx: &mut Ctx,
-    mut abs: Abs,
+    abs: Abs,
     opts: &OptOptions,
+    facts: Option<&dyn IndexFacts>,
     sink: &mut Sink,
 ) -> (Abs, OptStats) {
-    let (body, stats) = optimize_traced(ctx, abs.body, opts, sink);
-    // Field re-assignment (not `set_body`) because `abs.body` was moved out
-    // above; the cached summary must be dropped by hand afterwards.
-    abs.body = body;
-    abs.invalidate_summary();
-    (abs, stats)
+    let (body, stats) = optimize_traced(ctx, abs.body, opts, facts, sink);
+    (Abs::new(abs.params, body), stats)
 }
 
 #[cfg(test)]

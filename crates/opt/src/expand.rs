@@ -30,17 +30,11 @@ pub struct ExpandOutcome {
     pub growth: u64,
 }
 
-/// Run one expansion pass over `app`. Inlining decisions are reported to
-/// the global trace recorder when it is enabled.
-pub fn expand_pass(ctx: &mut Ctx, app: &mut App, opts: &OptOptions) -> ExpandOutcome {
-    expand_pass_traced(ctx, app, opts, &mut Sink::global())
-}
-
-/// [`expand_pass`] with an explicit provenance sink. Every multi-use bound
-/// abstraction considered for inlining emits one [`Event::ExpandDecision`]
+/// Run one expansion pass over `app`. Every multi-use bound abstraction
+/// considered for inlining emits one [`Event::ExpandDecision`] to `sink`,
 /// recording the cost/limit comparison of the Appel-style heuristic and
 /// the growth actually charged to the penalty budget.
-pub fn expand_pass_traced(
+pub fn expand_pass(
     ctx: &mut Ctx,
     app: &mut App,
     opts: &OptOptions,
@@ -207,7 +201,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
         let mut app = parsed.app;
-        let out = expand_pass(&mut ctx, &mut app, opts);
+        let out = expand_pass(&mut ctx, &mut app, opts, &mut Sink::global());
         (ctx, app, out)
     }
 
@@ -229,7 +223,13 @@ mod tests {
     fn expansion_enables_reduction_to_constant() {
         let (ctx, mut app, _) = expand_src(TWO_CALLS, &OptOptions::default());
         let mut stats = OptStats::default();
-        crate::reduce::reduce_to_fixpoint(&ctx, &mut app, RuleSet::REDUCE_ONLY, &mut stats);
+        crate::reduce::reduce_to_fixpoint(
+            &ctx,
+            &mut app,
+            RuleSet::REDUCE_ONLY,
+            &mut stats,
+            &mut Sink::global(),
+        );
         assert_eq!(print_app(&ctx, &app), "(halt 3)");
     }
 

@@ -12,8 +12,9 @@
 //! optimized form was produced — the audit story of rewrite-verification
 //! systems, applied to the paper's §3 rule set.
 
-use crate::driver::{optimize_abs_traced, optimize_traced};
+use crate::driver::optimize_traced;
 use crate::stats::{OptOptions, OptStats};
+use tml_core::prim::IndexFacts;
 use tml_core::term::{Abs, App};
 use tml_core::Ctx;
 use tml_trace::{Event, Sink};
@@ -73,39 +74,14 @@ fn site_base(site: &str) -> &str {
 }
 
 fn events_match(want: &Event, got: &Event) -> bool {
-    match (want, got) {
-        (
-            Event::RuleFired {
-                rule: r1,
-                site: s1,
-                node: n1,
-                size_delta: d1,
-            },
-            Event::RuleFired {
-                rule: r2,
-                site: s2,
-                node: n2,
-                size_delta: d2,
-            },
-        ) => r1 == r2 && n1 == n2 && d1 == d2 && site_base(s1) == site_base(s2),
-        (
-            Event::ExpandDecision {
-                site: s1,
-                cost: c1,
-                limit: l1,
-                taken: t1,
-                growth: g1,
-            },
-            Event::ExpandDecision {
-                site: s2,
-                cost: c2,
-                limit: l2,
-                taken: t2,
-                growth: g2,
-            },
-        ) => c1 == c2 && l1 == l2 && t1 == t2 && g1 == g2 && site_base(s1) == site_base(s2),
-        (a, b) => a == b,
-    }
+    let anchored = |e: &Event| {
+        let mut e = e.clone();
+        if let Event::RuleFired { site, .. } | Event::ExpandDecision { site, .. } = &mut e {
+            *site = site_base(site).to_string();
+        }
+        e
+    };
+    anchored(want) == anchored(got)
 }
 
 struct Lockstep<'a> {
@@ -158,17 +134,19 @@ impl Lockstep<'_> {
 
 /// Re-derive the optimization of `app` in lockstep with `log`. Returns the
 /// re-derived optimized term (and stats) only if every provenance event
-/// matches the log exactly and the log is fully consumed.
+/// matches the log exactly and the log is fully consumed. `facts` must be
+/// the index facts the log was recorded against.
 pub fn replay(
     ctx: &mut Ctx,
     app: App,
     opts: &OptOptions,
+    facts: Option<&dyn IndexFacts>,
     log: &[Event],
 ) -> Result<(App, OptStats), ReplayError> {
     let mut lockstep = Lockstep::new(log);
     let result = {
         let mut check = |e: &Event| lockstep.check(e);
-        optimize_traced(ctx, app, opts, &mut Sink::collect(&mut check))
+        optimize_traced(ctx, app, opts, facts, &mut Sink::collect(&mut check))
     };
     lockstep.finish()?;
     Ok(result)
@@ -180,36 +158,38 @@ pub fn replay_abs(
     ctx: &mut Ctx,
     abs: Abs,
     opts: &OptOptions,
+    facts: Option<&dyn IndexFacts>,
     log: &[Event],
 ) -> Result<(Abs, OptStats), ReplayError> {
-    let mut lockstep = Lockstep::new(log);
-    let result = {
-        let mut check = |e: &Event| lockstep.check(e);
-        optimize_abs_traced(ctx, abs, opts, &mut Sink::collect(&mut check))
-    };
-    lockstep.finish()?;
-    Ok(result)
+    let (body, stats) = replay(ctx, abs.body, opts, facts, log)?;
+    Ok((Abs::new(abs.params, body), stats))
 }
 
 /// Record the provenance log of optimizing `app`. Convenience wrapper used
 /// by tests and `tmlc explain --verify`.
-pub fn record(ctx: &mut Ctx, app: App, opts: &OptOptions) -> (App, OptStats, Vec<Event>) {
+pub fn record(
+    ctx: &mut Ctx,
+    app: App,
+    opts: &OptOptions,
+    facts: Option<&dyn IndexFacts>,
+) -> (App, OptStats, Vec<Event>) {
     let mut log = Vec::new();
     let (out, stats) = {
         let mut collect = |e: &Event| log.push(e.clone());
-        optimize_traced(ctx, app, opts, &mut Sink::collect(&mut collect))
+        optimize_traced(ctx, app, opts, facts, &mut Sink::collect(&mut collect))
     };
     (out, stats, log)
 }
 
 /// [`record`] over a procedure body.
-pub fn record_abs(ctx: &mut Ctx, abs: Abs, opts: &OptOptions) -> (Abs, OptStats, Vec<Event>) {
-    let mut log = Vec::new();
-    let (out, stats) = {
-        let mut collect = |e: &Event| log.push(e.clone());
-        optimize_abs_traced(ctx, abs, opts, &mut Sink::collect(&mut collect))
-    };
-    (out, stats, log)
+pub fn record_abs(
+    ctx: &mut Ctx,
+    abs: Abs,
+    opts: &OptOptions,
+    facts: Option<&dyn IndexFacts>,
+) -> (Abs, OptStats, Vec<Event>) {
+    let (body, stats, log) = record(ctx, abs.body, opts, facts);
+    (Abs::new(abs.params, body), stats, log)
 }
 
 #[cfg(test)]
@@ -228,12 +208,12 @@ mod tests {
         let parsed = parse_app(&mut ctx, SRC).unwrap();
         let unopt = parsed.app;
         let opts = OptOptions::default();
-        let (optimized, _, log) = record(&mut ctx, unopt.clone(), &opts);
+        let (optimized, _, log) = record(&mut ctx, unopt.clone(), &opts, None);
         assert!(log.iter().any(|e| matches!(e, Event::RuleFired { .. })));
         assert!(log
             .iter()
             .any(|e| matches!(e, Event::ExpandDecision { .. })));
-        let (replayed, _) = replay(&mut ctx, unopt, &opts, &log).unwrap();
+        let (replayed, _) = replay(&mut ctx, unopt, &opts, None, &log).unwrap();
         // α-renaming is part of the derivation, so fresh names differ; the
         // tree shape must match exactly. (Byte-for-byte PTML equality is
         // checked in the integration test, where terms share a context.)
@@ -246,7 +226,7 @@ mod tests {
         let parsed = parse_app(&mut ctx, SRC).unwrap();
         let unopt = parsed.app;
         let opts = OptOptions::default();
-        let (_, _, mut log) = record(&mut ctx, unopt.clone(), &opts);
+        let (_, _, mut log) = record(&mut ctx, unopt.clone(), &opts, None);
         // Forge the first rule event's rule name.
         let pos = log
             .iter()
@@ -255,7 +235,7 @@ mod tests {
         if let Event::RuleFired { rule, .. } = &mut log[pos] {
             *rule = "eta-reduce";
         }
-        let err = replay(&mut ctx, unopt, &opts, &log).unwrap_err();
+        let err = replay(&mut ctx, unopt, &opts, None, &log).unwrap_err();
         assert!(matches!(err, ReplayError::Mismatch { .. }));
     }
 
@@ -265,8 +245,8 @@ mod tests {
         let parsed = parse_app(&mut ctx, SRC).unwrap();
         let unopt = parsed.app;
         let opts = OptOptions::default();
-        let (_, _, mut log) = record(&mut ctx, unopt.clone(), &opts);
+        let (_, _, mut log) = record(&mut ctx, unopt.clone(), &opts, None);
         log.truncate(log.len() / 2);
-        assert!(replay(&mut ctx, unopt, &opts, &log).is_err());
+        assert!(replay(&mut ctx, unopt, &opts, None, &log).is_err());
     }
 }

@@ -37,17 +37,11 @@ use tml_core::{Census, Ctx, VarId};
 use tml_trace::{Event, Sink};
 
 /// Apply the reduction rules to `app` until no more rules are applicable.
-/// Returns `true` if anything changed. Rule firings are reported to the
-/// global trace recorder when it is enabled.
-pub fn reduce_to_fixpoint(ctx: &Ctx, app: &mut App, rules: RuleSet, stats: &mut OptStats) -> bool {
-    reduce_to_fixpoint_traced(ctx, app, rules, stats, &mut Sink::global())
-}
-
-/// [`reduce_to_fixpoint`] with an explicit provenance sink. Every rule
-/// firing emits one [`Event::RuleFired`] carrying the rule name, its
-/// anchor (bound variable or primitive, where one exists), the pre-order
-/// node index the sweep was visiting, and the term-size delta.
-pub fn reduce_to_fixpoint_traced(
+/// Returns `true` if anything changed. Every rule firing emits one
+/// [`Event::RuleFired`] to `sink` carrying the rule name, its anchor
+/// (bound variable or primitive, where one exists), the pre-order node
+/// index the sweep was visiting, and the term-size delta.
+pub fn reduce_to_fixpoint(
     ctx: &Ctx,
     app: &mut App,
     rules: RuleSet,
@@ -453,12 +447,6 @@ fn eta_target(val: &Value) -> Option<Value> {
     Some(abs.body.func.clone())
 }
 
-/// Convenience: reduce a standalone abstraction's body (used by
-/// [`crate::driver::optimize_abs`]).
-pub fn reduce_abs(ctx: &Ctx, abs: &mut Abs, rules: RuleSet, stats: &mut OptStats) -> bool {
-    reduce_to_fixpoint(ctx, abs.body_mut(), rules, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,7 +459,13 @@ mod tests {
         let parsed = parse_app(&mut ctx, src).unwrap();
         let mut app = parsed.app;
         let mut stats = OptStats::default();
-        reduce_to_fixpoint(&ctx, &mut app, RuleSet::REDUCE_ONLY, &mut stats);
+        reduce_to_fixpoint(
+            &ctx,
+            &mut app,
+            RuleSet::REDUCE_ONLY,
+            &mut stats,
+            &mut Sink::global(),
+        );
         (ctx, app, stats)
     }
 
@@ -523,7 +517,13 @@ mod tests {
         let parsed = parse_app(&mut ctx, src).unwrap();
         let mut app = parsed.app;
         let mut stats = OptStats::default();
-        reduce_to_fixpoint(&ctx, &mut app, RuleSet::REDUCE_ONLY, &mut stats);
+        reduce_to_fixpoint(
+            &ctx,
+            &mut app,
+            RuleSet::REDUCE_ONLY,
+            &mut stats,
+            &mut Sink::global(),
+        );
         let printed = print_app(&ctx, &app);
         assert!(printed.contains("(halt 1)"), "{printed}");
         assert!(printed.contains("(halt 2)"), "{printed}");
@@ -605,7 +605,13 @@ mod tests {
         let parsed = parse_app(&mut ctx, src).unwrap();
         let mut app = parsed.app;
         let mut stats = OptStats::default();
-        reduce_to_fixpoint(&ctx, &mut app, RuleSet::REDUCE_ONLY, &mut stats);
+        reduce_to_fixpoint(
+            &ctx,
+            &mut app,
+            RuleSet::REDUCE_ONLY,
+            &mut stats,
+            &mut Sink::global(),
+        );
         assert_eq!(stats.y_remove, 0);
         assert_eq!(stats.y_reduce, 0);
         check_app(&ctx, &app).unwrap();
@@ -617,7 +623,13 @@ mod tests {
         for seed in 0..40 {
             let (ctx, mut app) = gen_program(seed, GenConfig::default());
             let mut stats = OptStats::default();
-            reduce_to_fixpoint(&ctx, &mut app, RuleSet::REDUCE_ONLY, &mut stats);
+            reduce_to_fixpoint(
+                &ctx,
+                &mut app,
+                RuleSet::REDUCE_ONLY,
+                &mut stats,
+                &mut Sink::global(),
+            );
             check_app(&ctx, &app).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }
@@ -629,7 +641,13 @@ mod tests {
             let (ctx, mut app) = gen_program(seed, GenConfig::default());
             let before = app.size();
             let mut stats = OptStats::default();
-            reduce_to_fixpoint(&ctx, &mut app, RuleSet::REDUCE_ONLY, &mut stats);
+            reduce_to_fixpoint(
+                &ctx,
+                &mut app,
+                RuleSet::REDUCE_ONLY,
+                &mut stats,
+                &mut Sink::global(),
+            );
             assert!(app.size() <= before, "seed {seed} grew the tree");
         }
     }
@@ -640,7 +658,13 @@ mod tests {
         let parsed = parse_app(&mut ctx, "(cont(x) (halt x) 13)").unwrap();
         let mut app = parsed.app;
         let mut stats = OptStats::default();
-        let changed = reduce_to_fixpoint(&ctx, &mut app, RuleSet::NONE, &mut stats);
+        let changed = reduce_to_fixpoint(
+            &ctx,
+            &mut app,
+            RuleSet::NONE,
+            &mut stats,
+            &mut Sink::global(),
+        );
         assert!(!changed);
         assert_eq!(stats.total_reductions(), 0);
     }

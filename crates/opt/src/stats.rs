@@ -130,6 +130,8 @@ pub struct OptStats {
     pub case_subst: u64,
     pub y_remove: u64,
     pub y_reduce: u64,
+    /// Firings of primitive-carried rewrite rules (the §4.2 query rules).
+    pub rewrites: u64,
     /// Number of call sites inlined by the expansion pass.
     pub inlined: u64,
     /// Reduction/expansion rounds executed.
@@ -146,9 +148,11 @@ pub struct OptStats {
 }
 
 impl OptStats {
-    /// Total number of reduction-rule applications.
+    /// Total number of rule applications: the eight reduction rules plus
+    /// primitive-carried rewrites.
     pub fn total_reductions(&self) -> u64 {
-        self.subst
+        self.rewrites
+            + self.subst
             + self.remove
             + self.reduce
             + self.eta_reduce
@@ -182,8 +186,9 @@ mod tests {
         let s = OptStats {
             subst: 2,
             fold: 3,
+            rewrites: 1,
             ..Default::default()
         };
-        assert_eq!(s.total_reductions(), 5);
+        assert_eq!(s.total_reductions(), 6);
     }
 }

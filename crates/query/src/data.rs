@@ -56,15 +56,6 @@ pub fn build_index(store: &mut dyn StoreAccess, rel: Oid, col: usize) -> Result<
     store.alloc(Object::Index(ix))
 }
 
-/// Find an existing index over `(rel, col)`, if any — the runtime binding
-/// knowledge the index-select rewrite exploits.
-pub fn find_index(store: &Store, rel: Oid, col: usize) -> Option<Oid> {
-    store.iter().find_map(|(oid, obj)| match obj {
-        Object::Index(ix) if ix.relation == rel && ix.column == col => Some(oid),
-        _ => None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,13 +75,14 @@ mod tests {
     }
 
     #[test]
-    fn find_index_matches_column() {
+    fn index_facts_match_column() {
+        use tml_core::prim::IndexFacts;
         let mut store = Store::new();
         let rel = sample_relation(&mut store, 10, 4);
         let ix = build_index(&mut store, rel, 1).unwrap();
-        assert_eq!(find_index(&store, rel, 1), Some(ix));
-        assert_eq!(find_index(&store, rel, 0), None);
-        assert_eq!(find_index(&store, Oid(999), 1), None);
+        assert_eq!(store.index_on(rel, 1), Some(ix));
+        assert_eq!(store.index_on(rel, 0), None);
+        assert_eq!(store.index_on(Oid(999), 1), None);
     }
 
     #[test]

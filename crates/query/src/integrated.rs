@@ -1,155 +1,11 @@
 //! Integrated program and query optimization (paper §4.2, figure 4).
 //!
-//! The program optimizer and the query rewriter are alternated on the same
-//! TML tree until neither makes progress: inlining (program side) exposes
-//! nested query operators — e.g. expanding a *view* function materializes
-//! the σp(σq(R)) pattern — and query rewriting exposes β-redexes and folds
-//! for the program side.
+//! The query rules ride the prim table ([`crate::prims`]) into the program
+//! optimizer's one loop: enabling queries on a session is all it takes.
 
-use crate::rewrite::{rewrite_queries, QueryRewriteStats};
-use tml_core::term::App;
-use tml_core::Ctx;
-use tml_opt::{optimize, OptOptions, OptStats};
-use tml_store::Store;
-
-/// Combined statistics of an integrated optimization run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IntegratedStats {
-    /// Alternation rounds executed.
-    pub rounds: u32,
-    /// Accumulated query rewrites.
-    pub query: QueryRewriteStats,
-    /// Reduction-rule applications (accumulated across rounds).
-    pub reductions: u64,
-    /// Inlined call sites (accumulated across rounds).
-    pub inlined: u64,
-    /// Tree size before/after.
-    pub size_before: usize,
-    /// Final tree size.
-    pub size_after: usize,
-}
-
-/// [`tml_reflect::ReflectOptions`] preconfigured with the query rewriter,
-/// so reflective runtime optimization interleaves algebraic query rewriting
-/// with program optimization (the paper's figure 4 realized end-to-end: a
-/// TL function whose body embeds `select … from … where` gets its views
-/// expanded, its nested selections merged, and — because reflection runs
-/// at runtime with the store in hand — its indexed selections turned into
-/// index lookups).
+/// Reflective optimization options for query functions: the defaults,
+/// since query rules follow the query primitives. Kept for callers that
+/// predate that (the benchmark harness among them).
 pub fn reflect_options_with_queries() -> tml_reflect::ReflectOptions {
-    tml_reflect::ReflectOptions {
-        query_rewriter: Some(|ctx, store, app| rewrite_queries(ctx, Some(store), app).total()),
-        ..Default::default()
-    }
-}
-
-/// Alternate the query rewriter and the general TML optimizer to fixpoint.
-/// `store` enables runtime (index-aware) query rules.
-pub fn integrated_optimize(
-    ctx: &mut Ctx,
-    store: Option<&Store>,
-    mut app: App,
-    opts: &OptOptions,
-) -> (App, IntegratedStats) {
-    let mut stats = IntegratedStats {
-        size_before: app.size(),
-        ..Default::default()
-    };
-    for _ in 0..16 {
-        stats.rounds += 1;
-        let q = rewrite_queries(ctx, store, &mut app);
-        stats.query.merge_select += q.merge_select;
-        stats.query.trivial_exists += q.trivial_exists;
-        stats.query.index_select += q.index_select;
-
-        let (optimized, o): (App, OptStats) = optimize(ctx, app, opts);
-        app = optimized;
-        stats.reductions += o.total_reductions();
-        stats.inlined += o.inlined;
-
-        if q.total() == 0 && o.total_reductions() == 0 && o.inlined == 0 {
-            break;
-        }
-    }
-    stats.size_after = app.size();
-    (app, stats)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builder::{count_halt, select_chain, Pred};
-    use tml_core::parse::parse_app;
-    use tml_core::pretty::print_app;
-    use tml_core::wellformed::check_app;
-    use tml_core::{Lit, Oid};
-
-    fn qctx() -> Ctx {
-        let mut ctx = Ctx::new();
-        crate::prims::install_prims(&mut ctx.prims);
-        ctx
-    }
-
-    /// The §4.2 showcase: a *view* (a function wrapping a selection) is
-    /// inlined by the program optimizer, exposing nested selects that the
-    /// query rewriter then merges — optimization across the abstraction
-    /// barrier between view definition and query.
-    #[test]
-    fn view_expansion_enables_merge_select() {
-        let mut ctx = qctx();
-        // view = proc(r ce cc)(select q r ce cc) — "active customers".
-        // query = (view Rel ce cont(r1)(select p r1 ce cont(r2)(count …)))
-        let src = "(cont(view) \
-             (view Rel cont(e1)(halt e1) cont(r1) \
-               (select proc(x cex ccx) ([] x 0 cex cont(t) (= t 1 cont()(ccx true) cont()(ccx false))) \
-                 r1 cont(e2)(halt e2) cont(r2) \
-                 (count r2 cont(e3)(halt e3) cont(n)(halt n)))) \
-             proc(r ce cc) \
-               (select proc(y cey ccy) ([] y 2 cey cont(u) (= u true cont()(ccy true) cont()(ccy false))) \
-                 r ce cc))";
-        let parsed = parse_app(&mut ctx, src).unwrap();
-        let app = parsed.app;
-        check_app(&ctx, &app).unwrap();
-
-        let (out, stats) = integrated_optimize(&mut ctx, None, app, &OptOptions::default());
-        check_app(&ctx, &out).unwrap();
-        assert!(stats.inlined >= 1 || stats.reductions > 0, "{stats:?}");
-        assert_eq!(stats.query.merge_select, 1, "{stats:?}");
-        let printed = print_app(&ctx, &out);
-        assert_eq!(printed.matches("select").count(), 1, "{printed}");
-    }
-
-    #[test]
-    fn runtime_index_rule_composes_with_merging() {
-        let mut ctx = qctx();
-        let mut store = tml_store::Store::new();
-        let rel = crate::data::sample_relation(&mut store, 30, 3);
-        crate::data::build_index(&mut store, rel, 1).unwrap();
-        // A single equality select over the indexed column becomes an
-        // index lookup.
-        let app = select_chain(&mut ctx, rel, &[Pred::ColEq(1, Lit::Int(10))]);
-        let (out, stats) = integrated_optimize(&mut ctx, Some(&store), app, &OptOptions::default());
-        assert_eq!(stats.query.index_select, 1);
-        let printed = print_app(&ctx, &out);
-        assert!(printed.contains("idxselect"), "{printed}");
-    }
-
-    #[test]
-    fn boolean_folds_cooperate_with_rewrites() {
-        let mut ctx = qctx();
-        // (and true b …) folds through the program optimizer's fold rule.
-        let src = "(and true false cont(e)(halt e) cont(b)(halt b))";
-        let parsed = parse_app(&mut ctx, src).unwrap();
-        let (out, _) = integrated_optimize(&mut ctx, None, parsed.app, &OptOptions::default());
-        assert_eq!(print_app(&ctx, &out), "(halt false)");
-    }
-
-    #[test]
-    fn fixpoint_reached_quickly_on_plain_programs() {
-        let mut ctx = qctx();
-        let app = count_halt(&mut ctx, tml_core::term::Value::Lit(Lit::Oid(Oid(1))));
-        let (_, stats) = integrated_optimize(&mut ctx, None, app, &OptOptions::default());
-        assert!(stats.rounds <= 2);
-        assert_eq!(stats.query.total(), 0);
-    }
+    tml_reflect::ReflectOptions::default()
 }

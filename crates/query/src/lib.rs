@@ -13,20 +13,21 @@
 //! extension primitives of the abstract machine ([`exec`]) which re-enter
 //! the machine to evaluate predicate and target closures.
 //!
-//! The algebraic rules of §4.2 are TML tree rewrites ([`rewrite`]):
+//! The algebraic rules of §4.2 are TML tree rewrites, registered as the
+//! rewrite hooks of the `select` and `exists` primitives ([`prims`]):
 //!
-//! * **merge-select** — σp(σq(R)) ≡ σ(p∧q)(R);
-//! * **trivial-exists** — ∃x∈R: p ≡ p ∧ R≠∅ when `|p|ₓ = 0`;
-//! * **index-select** — a runtime rule replacing a column-equality
-//!   selection over an indexed base relation with an index lookup
-//!   (possible precisely because optimization is delayed until runtime,
-//!   when the binding to the store — and hence the knowledge about index
-//!   structures — is established).
+//! * **merge-select** (on `select`) — σp(σq(R)) ≡ σ(p∧q)(R), when both
+//!   selects hand exceptions to the same handler;
+//! * **index-select** (on `select`, tried first) — a runtime rule
+//!   replacing a column-equality selection over an indexed base relation
+//!   with an index lookup (possible precisely because optimization is
+//!   delayed until runtime, when the store's index facts are an input);
+//! * **trivial-exists** (on `exists`) — ∃x∈R: p ≡ p ∧ R≠∅ when `|p|ₓ = 0`.
 //!
-//! [`integrated::integrated_optimize`] alternates the query rewriter with
-//! the general TML optimizer so that, e.g., inlining a view function (the
-//! program optimizer's job) exposes nested selections for merge-select
-//! (the query optimizer's job).
+//! Wherever the query prims are installed, `tml-opt`'s driver runs the
+//! rules in its one loop (see its crate doc for the termination measure),
+//! so inlining a view function exposes nested selections for merge-select,
+//! and each rewrite's output is further reduced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,11 +37,9 @@ pub mod data;
 pub mod exec;
 pub mod integrated;
 pub mod prims;
-pub mod rewrite;
 
 pub use builder::{select_chain, Pred};
-pub use integrated::{integrated_optimize, IntegratedStats};
-pub use rewrite::{rewrite_queries, QueryRewriteStats};
+pub use prims::firings;
 
 use tml_core::Ctx;
 use tml_vm::Vm;
@@ -76,8 +75,7 @@ pub trait QuerySession {
 
 impl QuerySession for tml_lang::Session {
     fn enable_queries(&mut self) -> Result<(), tml_lang::LangError> {
-        prims::install_prims(&mut self.ctx.prims);
-        exec::install_externs(&mut self.vm.externs);
+        install(&mut self.ctx, &mut self.vm);
         if !self.modules.iter().any(|m| m == "rel") {
             self.load_str(REL_SRC)?;
         }

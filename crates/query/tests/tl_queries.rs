@@ -1,16 +1,20 @@
 //! End-to-end embedded queries: TL source with `select … from … where` /
 //! `exists … in …` syntax, executed through the full pipeline and
-//! reflectively optimized with the integrated program+query optimizer
-//! (the paper's §4.2 scenario, realized from the source language down).
+//! reflectively optimized — the query rules ride the query primitives into
+//! the one optimizer loop (the paper's §4.2 scenario, realized from the
+//! source language down).
 
+use tml_core::prim::IndexFacts;
 use tml_lang::{Session, SessionConfig};
 use tml_query::integrated::reflect_options_with_queries;
-use tml_query::QuerySession;
-use tml_reflect::optimize_named;
+use tml_query::{firings, QuerySession};
+use tml_reflect::{optimize_named, ReflectOptions, TermBuilder};
+use tml_store::ptml::encode_abs;
+use tml_store::SVal;
 use tml_vm::RVal;
 
 const DB_SRC: &str = "
-module db export setup, adults, actives, both, ids, anyflag, nonempty
+module db export setup, adults, actives, both, ids, anyflag, nonempty, risky_both, guarded
 -- schema: (id, value, flag)
 let setup(n: Int): Rel =
   let r = rel.make(3) in
@@ -32,6 +36,11 @@ let ids(r: Rel): Rel = select x.0 from x in r where x.1 > 20
 
 let anyflag(r: Rel): Bool = exists x in r where x.2 == true
 let nonempty(r: Rel): Bool = exists x in r where true
+
+-- a view whose predicate raises on the row with id 7, and a view over it
+let risky(r: Rel): Rel = select x from x in r where (if x.0 == 7 then raise 77 else x.1 > 20 end)
+let risky_both(r: Rel): Rel = select y from y in risky(r) where y.2 == true
+let guarded(r: Rel): Int = try rel.count(risky_both(r)) handle e -> 0 - e end
 end";
 
 fn session() -> Session {
@@ -132,20 +141,79 @@ fn reflective_integrated_optimization_merges_views() {
     );
 }
 
-/// Without the query rewriter the reflective optimizer still helps
-/// (inlining, folding) but must not change results either.
+/// The query rules follow the query primitives, not an option: default
+/// reflective options on a query-enabled session merge `db.both`'s views
+/// too, and a single-select view keeps its result.
 #[test]
-fn reflective_optimization_without_query_rules_is_sound() {
+fn default_reflect_options_apply_the_query_rules() {
     let mut s = session();
     let r = setup_rel(&mut s, 30);
     let plain = s.call("db.adults", vec![r.clone()]).unwrap();
-    let optimized =
-        optimize_named(&mut s, "db.adults", &tml_reflect::ReflectOptions::default()).unwrap();
+    let optimized = optimize_named(&mut s, "db.adults", &ReflectOptions::default()).unwrap();
+    let fast = s
+        .call_value(RVal::from_sval(&optimized), vec![r.clone()])
+        .unwrap();
+    assert_eq!(
+        count(&mut s, plain.result.clone()),
+        count(&mut s, fast.result.clone())
+    );
+
+    let plain = s.call("db.both", vec![r.clone()]).unwrap();
+    let optimized = optimize_named(&mut s, "db.both", &ReflectOptions::default()).unwrap();
     let fast = s.call_value(RVal::from_sval(&optimized), vec![r]).unwrap();
     assert_eq!(
         count(&mut s, plain.result.clone()),
         count(&mut s, fast.result.clone())
     );
+    assert!(fast.stats.calls < plain.stats.calls);
+}
+
+/// A view whose predicate can raise: the reflectively optimized query
+/// (views expanded, selections merged) hands the exception to the same
+/// handler with the same value as the unoptimized call.
+#[test]
+fn raising_view_predicate_survives_reflective_optimization() {
+    let mut s = session();
+    let optimized = optimize_named(&mut s, "db.guarded", &ReflectOptions::default()).unwrap();
+    for n in [5, 40] {
+        let r = setup_rel(&mut s, n);
+        let plain = s.call("db.guarded", vec![r.clone()]).unwrap().result;
+        let fast = s
+            .call_value(RVal::from_sval(&optimized), vec![r])
+            .unwrap()
+            .result;
+        assert_eq!(plain, fast, "n = {n}");
+        let want = if n > 7 {
+            -77
+        } else {
+            expected_rows(n)
+                .iter()
+                .filter(|(_, v, f)| *v > 20 && *f)
+                .count() as i64
+        };
+        assert_eq!(plain, RVal::Int(want), "n = {n}");
+    }
+}
+
+/// Query rewrites are part of the provenance log: recording the
+/// optimization of `db.both` logs the merge-select firing, and replaying
+/// the log re-derives the same optimized term byte for byte.
+#[test]
+fn merge_select_is_recorded_and_replays() {
+    let mut s = session();
+    let Some(SVal::Ref(oid)) = s.globals.get("db.both").cloned() else {
+        panic!("db.both is a closure");
+    };
+    let opts = ReflectOptions::default();
+    let abs = TermBuilder::new(&mut s.ctx, &s.store)
+        .build(oid, opts.inline_depth)
+        .unwrap();
+    let facts = Some(&s.store as &dyn IndexFacts);
+    let (recorded, stats, log) = tml_opt::record_abs(&mut s.ctx, abs.clone(), &opts.opt, facts);
+    assert_eq!(firings(&log, "merge-select"), 1, "{log:?}");
+    assert_eq!(stats.rewrites, 1);
+    let (replayed, _) = tml_opt::replay_abs(&mut s.ctx, abs, &opts.opt, facts, &log).unwrap();
+    assert_eq!(encode_abs(&s.ctx, &recorded), encode_abs(&s.ctx, &replayed));
 }
 
 /// E10 + cache: repeated reflective optimization of the same query function

@@ -45,15 +45,6 @@ use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAcce
 use tml_trace::{Event, Sink};
 use tml_vm::{codec, Vm};
 
-/// An additional tree rewriter interleaved with the program optimizer —
-/// the paper's figure-4 interaction: "whenever the program optimizer
-/// encounters an embedded query construct …, it invokes the query
-/// optimizer on the respective TML subtree". Receives the store so
-/// runtime-binding rules (index structures) can fire; returns the number
-/// of rewrites applied. `tml-query` provides one via
-/// `reflect_options_with_queries`.
-pub type ExtraRewriter = fn(&mut Ctx, &Store, &mut App) -> u64;
-
 /// What [`optimize_all`] does when optimizing a *single* target fails —
 /// its PTML fails to decode, the optimizer panics, or the fuel budget runs
 /// out.
@@ -78,11 +69,10 @@ pub struct ReflectOptions {
     /// How deep to resolve closure-valued bindings into inline TML (the
     /// transitive-reachability cutoff).
     pub inline_depth: u32,
-    /// Options for the underlying two-pass optimizer.
+    /// Options for the underlying two-pass optimizer. Rewrite rules that
+    /// primitives carry (the §4.2 query rules) run inside it, against the
+    /// store's index facts.
     pub opt: OptOptions,
-    /// Domain-specific rewriter run in alternation with the program
-    /// optimizer (figure 4).
-    pub query_rewriter: Option<ExtraRewriter>,
     /// Consult (and populate) the store's persistent reflective-optimization
     /// cache: repeated optimizations of the same PTML against unchanged
     /// bindings link the memoized bytecode directly instead of re-running
@@ -97,14 +87,13 @@ pub struct ReflectOptions {
     /// sequential run (see DESIGN.md on determinism).
     pub jobs: u32,
     /// Upper bound on optimizer work per target, measured in rewrite steps
-    /// (rule firings + inlinings + query rewrites). The figure-4
-    /// alternation loop is cut off as soon as the budget is exceeded, and a
-    /// target whose optimization ran past the budget is not committed: in
-    /// degraded mode it is skipped (reason `fuel`), otherwise
-    /// [`ReflectError::Fuel`] is returned. `None` (the default) means
-    /// unlimited. The budget participates in the cache key: a product
-    /// compiled under a large budget is never served to a run whose budget
-    /// could not have produced it.
+    /// (rule firings, query rewrites included, + inlinings), checked when
+    /// the optimizer stops. A target whose optimization ran past the
+    /// budget is not committed: in degraded mode it is skipped (reason
+    /// `fuel`), otherwise [`ReflectError::Fuel`] is returned. `None` (the
+    /// default) means unlimited. The budget participates in the cache key:
+    /// a product compiled under a large budget is never served to a run
+    /// whose budget could not have produced it.
     pub fuel: Option<u64>,
     /// Per-target failure policy for [`optimize_all`]; see [`OnError`].
     pub on_error: OnError,
@@ -121,7 +110,6 @@ impl Default for ReflectOptions {
         ReflectOptions {
             inline_depth: 3,
             opt: OptOptions::default(),
-            query_rewriter: None,
             use_cache: true,
             jobs: 1,
             fuel: None,
@@ -392,9 +380,9 @@ struct Rebuilt {
 }
 
 /// Fold the optimization configuration into the cache signature: the same
-/// PTML/bindings pair optimized under different options is a different
-/// product.
-fn options_fingerprint(options: &ReflectOptions) -> u64 {
+/// PTML/bindings pair optimized under different options — or with and
+/// without rule-carrying primitives — is a different product.
+fn options_fingerprint(options: &ReflectOptions, has_rules: bool) -> u64 {
     let o = &options.opt;
     let r = &o.rules;
     let rule_bits = [
@@ -416,7 +404,7 @@ fn options_fingerprint(options: &ReflectOptions) -> u64 {
         .write_u64(o.penalty_limit)
         .write_u64(u64::from(o.max_rounds))
         .write_u64(rule_bits)
-        .write_u64(u64::from(options.query_rewriter.is_some()))
+        .write_u64(u64::from(has_rules))
         .write_u64(u64::from(options.fuel.is_some()))
         .write_u64(options.fuel.unwrap_or(0))
         .write_u64(u64::from(options.tier));
@@ -478,31 +466,46 @@ fn record_skip(name: Option<&str>, oid: Oid, err: &ReflectError) {
     });
 }
 
-/// When a query rewriter participates, the store's index structures are an
-/// input to optimization (figure 4: runtime-binding index-selection rules).
-/// Fold their identity into the signature — creating or dropping an index
-/// changes the key — and record them as dependencies, so mutating an index
-/// invalidates products compiled against it.
-fn index_fingerprint(store: &Store, deps: &mut BTreeSet<Oid>) -> u64 {
-    let mut h = SigHasher::new();
-    for (oid, obj) in store.iter() {
-        if let Object::Index(ix) = obj {
-            deps.insert(oid);
-            h.write_u64(oid.0)
-                .write_u64(ix.relation.0)
-                .write_u64(ix.column as u64);
+/// What every cache key of one reflective call shares beyond the term and
+/// its bindings, computed once per call: the options fingerprint and, when
+/// primitives carry rewrite rules (index-select reads the store's indexes),
+/// a fingerprint of every index (creating or dropping one changes the key)
+/// whose OIDs become dependencies of every product (mutating one voids it).
+struct KeyInputs {
+    sig: u64,
+    index_deps: BTreeSet<Oid>,
+}
+
+impl KeyInputs {
+    fn of(ctx: &Ctx, store: &Store, options: &ReflectOptions) -> KeyInputs {
+        let has_rules = ctx.prims.has_rewrites();
+        let mut sig = options_fingerprint(options, has_rules);
+        let mut index_deps = BTreeSet::new();
+        if has_rules {
+            if tml_trace::enabled() {
+                tml_trace::count("reflect.index_fingerprint", 1);
+            }
+            let mut h = SigHasher::new();
+            for (oid, obj) in store.iter() {
+                if let Object::Index(ix) = obj {
+                    index_deps.insert(oid);
+                    h.write_u64(oid.0)
+                        .write_u64(ix.relation.0)
+                        .write_u64(ix.column as u64);
+                }
+            }
+            sig ^= h.finish();
         }
+        KeyInputs { sig, index_deps }
     }
-    h.finish()
 }
 
 /// Derive the cache key for one rebuild target. Read-only on the store;
-/// the returned dependency set holds the index OIDs folded into the key
-/// (empty without a query rewriter).
+/// the returned dependency set holds the index OIDs folded into the key.
 ///
 /// Key derivation (DESIGN.md §4): content hash of the source PTML blob,
-/// plus a signature of the R-value bindings and the optimizer
-/// configuration. Validity of a hit is checked separately against the
+/// plus a signature of the R-value bindings and the call's
+/// [`KeyInputs`]. Validity of a hit is checked separately against the
 /// observed store versions recorded in the entry. The hash is taken over
 /// the *stored* blob — which the linker now writes in the share-aware
 /// PTML2 format — so keying never re-encodes (let alone flattens) the
@@ -510,7 +513,7 @@ fn index_fingerprint(store: &Store, deps: &mut BTreeSet<Oid>) -> u64 {
 fn derive_key(
     store: &Store,
     oid: Oid,
-    options: &ReflectOptions,
+    inputs: &KeyInputs,
 ) -> Result<(CacheKey, BTreeSet<Oid>), ReflectError> {
     let clo = match store.get(oid) {
         Ok(Object::Closure(c)) => c,
@@ -523,17 +526,12 @@ fn derive_key(
         Ok(other) => return Err(ReflectError::BadPtml(format!("{} object", other.kind()))),
         Err(e) => return Err(ReflectError::Store(e.to_string())),
     };
-    let mut deps: BTreeSet<Oid> = BTreeSet::new();
-    let mut sig = binding_signature(&clo.bindings) ^ options_fingerprint(options);
-    if options.query_rewriter.is_some() {
-        sig ^= index_fingerprint(store, &mut deps);
-    }
     Ok((
         CacheKey {
             ptml_hash: hash_bytes(bytes),
-            binding_sig: sig,
+            binding_sig: binding_signature(&clo.bindings) ^ inputs.sig,
         },
-        deps,
+        inputs.index_deps.clone(),
     ))
 }
 
@@ -592,9 +590,8 @@ struct Prepared {
     events: Vec<Event>,
 }
 
-/// Alternate the query optimizer and the program optimizer on the same
-/// tree until neither makes progress (figure 4), or run the program
-/// optimizer alone when no rewriter is installed.
+/// Run the optimizer against the store's index facts, then check the fuel
+/// budget.
 fn run_optimizer(
     ctx: &mut Ctx,
     store: &Store,
@@ -603,38 +600,12 @@ fn run_optimizer(
     sink: &mut Sink,
 ) -> Result<(Abs, OptStats), ReflectError> {
     let budget = options.fuel.unwrap_or(u64::MAX);
-    match options.query_rewriter {
-        None => {
-            let (a, s) = optimize_abs_traced(ctx, abs, &options.opt, sink);
-            let spent = s.total_reductions() + s.inlined;
-            if spent > budget {
-                return Err(ReflectError::Fuel { spent, budget });
-            }
-            Ok((a, s))
-        }
-        Some(rewrite) => {
-            let mut abs = abs;
-            let mut last;
-            let mut rounds = 0;
-            let mut spent: u64 = 0;
-            loop {
-                let rewrites = rewrite(ctx, store, &mut abs.body);
-                let (a2, s2) = optimize_abs_traced(ctx, abs, &options.opt, sink);
-                abs = a2;
-                let quiescent = s2.total_reductions() == 0 && s2.inlined == 0;
-                spent += rewrites + s2.total_reductions() + s2.inlined;
-                if spent > budget {
-                    return Err(ReflectError::Fuel { spent, budget });
-                }
-                last = s2;
-                rounds += 1;
-                if rounds >= 8 || (rewrites == 0 && quiescent) {
-                    break;
-                }
-            }
-            Ok((abs, last))
-        }
+    let (a, s) = optimize_abs_traced(ctx, abs, &options.opt, Some(store), sink);
+    let spent = s.total_reductions() + s.inlined;
+    if spent > budget {
+        return Err(ReflectError::Fuel { spent, budget });
     }
+    Ok((a, s))
 }
 
 /// The middle phase: build the bindings-wrapped term, optimize it and
@@ -785,8 +756,9 @@ fn rebuild<S: StoreAccess>(
     oid: Oid,
     name: Option<String>,
     options: &ReflectOptions,
+    inputs: &KeyInputs,
 ) -> Result<Rebuilt, ReflectError> {
-    let (key, key_deps) = derive_key(session.store.base(), oid, options)?;
+    let (key, key_deps) = derive_key(session.store.base(), oid, inputs)?;
     if options.use_cache {
         if let Some(hit) = try_cached(session, oid, &name, key) {
             return Ok(hit);
@@ -826,12 +798,13 @@ fn rebuild_or_skip<S: StoreAccess>(
     oid: Oid,
     name: Option<String>,
     options: &ReflectOptions,
+    inputs: &KeyInputs,
 ) -> Result<Option<Rebuilt>, ReflectError> {
     if options.on_error == OnError::Abort {
-        return rebuild(session, oid, name, options).map(Some);
+        return rebuild(session, oid, name, options, inputs).map(Some);
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        rebuild(session, oid, name.clone(), options)
+        rebuild(session, oid, name.clone(), options, inputs)
     }))
     .unwrap_or_else(|payload| Err(ReflectError::Panicked(panic_detail(payload))));
     match outcome {
@@ -864,6 +837,7 @@ fn rebuild_parallel<S: StoreAccess>(
     targets: &[Oid],
     global_names: &HashMap<Oid, String>,
     options: &ReflectOptions,
+    inputs: &KeyInputs,
 ) -> Result<(Vec<Rebuilt>, usize), ReflectError> {
     struct Unit {
         oid: Oid,
@@ -884,7 +858,7 @@ fn rebuild_parallel<S: StoreAccess>(
     let mut units: Vec<Unit> = Vec::with_capacity(targets.len());
     for &oid in targets {
         let name = global_names.get(&oid).cloned();
-        let (key, key_deps) = derive_key(session.store.base(), oid, options)?;
+        let (key, key_deps) = derive_key(session.store.base(), oid, inputs)?;
         let expect_hit = options.use_cache && (session.store.cache_peek(key) || !seen.insert(key));
         units.push(Unit {
             oid,
@@ -1069,7 +1043,8 @@ pub fn optimize_value<S: StoreAccess>(
     let SVal::Ref(oid) = value else {
         return Err(ReflectError::NotAClosure(value.kind().to_string()));
     };
-    let rebuilt = rebuild(session, *oid, None, options)?;
+    let inputs = KeyInputs::of(&session.ctx, session.store.base(), options);
+    let rebuilt = rebuild(session, *oid, None, options, &inputs)?;
     let globals = std::mem::take(&mut session.globals);
     let out = finish_closure(&mut session.store, &rebuilt, |name, fallback| {
         globals.get(name).cloned().or_else(|| fallback.cloned())
@@ -1128,13 +1103,15 @@ pub fn optimize_all<S: StoreAccess>(
     // determinism contract should not depend on that detail.
     targets.sort_unstable_by_key(|o| o.0);
 
+    let inputs = KeyInputs::of(&session.ctx, session.store.base(), options);
     let (rebuilt, skipped) = if options.jobs >= 2 {
-        rebuild_parallel(session, &targets, &global_names, options)?
+        rebuild_parallel(session, &targets, &global_names, options, &inputs)?
     } else {
         let mut out = Vec::with_capacity(targets.len());
         let mut skipped = 0usize;
         for &oid in &targets {
-            match rebuild_or_skip(session, oid, global_names.get(&oid).cloned(), options)? {
+            let name = global_names.get(&oid).cloned();
+            match rebuild_or_skip(session, oid, name, options, &inputs)? {
                 Some(r) => out.push(r),
                 None => skipped += 1,
             }

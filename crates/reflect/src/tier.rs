@@ -55,7 +55,7 @@ use tml_lang::Session;
 use tml_store::{Object, SVal, Store, StoreAccess, StoreError};
 use tml_vm::{TIER_BASELINE, TIER_HOT};
 
-use crate::{decode_err, rebuild, ReflectError, ReflectOptions};
+use crate::{decode_err, rebuild, KeyInputs, ReflectError, ReflectOptions};
 use tml_store::ptml::decode_abs;
 
 /// Store root holding the cumulative swap/deopt totals tuple.
@@ -208,7 +208,8 @@ pub fn prepare_promotion<S: StoreAccess>(
         }
     });
     let esc = escalated(&opts.base);
-    let rebuilt = rebuild(session, oid, name.clone(), &esc)?;
+    let inputs = KeyInputs::of(&session.ctx, session.store.base(), &esc);
+    let rebuilt = rebuild(session, oid, name.clone(), &esc, &inputs)?;
     let mut env = Vec::with_capacity(rebuilt.captures.len());
     let mut bindings = Vec::with_capacity(rebuilt.captures.len());
     for (cname, fallback) in &rebuilt.captures {

@@ -697,6 +697,7 @@ mod tests {
             signature: tml_core::Signature::exact(0, 1),
             attrs: Default::default(),
             fold: None,
+            rewrite: None,
             validate: None,
             cost: tml_core::prim::PrimCost::Const(1),
             codegen: None,

@@ -641,6 +641,17 @@ impl Store {
     }
 }
 
+/// The store's index structures as optimizer input: runtime query rules
+/// (index-select) consult them through this read-only lookup.
+impl tml_core::prim::IndexFacts for Store {
+    fn index_on(&self, rel: Oid, col: usize) -> Option<Oid> {
+        self.iter().find_map(|(oid, obj)| match obj {
+            Object::Index(ix) if ix.relation == rel && ix.column == col => Some(oid),
+            _ => None,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -621,14 +621,17 @@ mod tests {
 
     #[test]
     fn injected_fault_surfaces_as_injected() {
+        // The failpoint is process-wide and the other tests here do not
+        // take its lock: key it to a lock key no other test uses.
+        const KEY: u64 = 0xFA17;
         let _fp = tml_store::failpoint::ScopedFailpoints::new(&[(
             "lock.acquire",
-            tml_store::failpoint::FailSpec::always(tml_store::failpoint::Action::Io),
+            tml_store::failpoint::FailSpec::always(tml_store::failpoint::Action::Io).for_key(KEY),
         )]);
         let lt = LockTable::new();
-        assert_eq!(lt.try_acquire(1, 4, true), Err(LockError::Injected));
+        assert_eq!(lt.try_acquire(1, KEY, true), Err(LockError::Injected));
         assert_eq!(
-            lt.acquire(1, 4, true, Duration::from_millis(10)),
+            lt.acquire(1, KEY, true, Duration::from_millis(10)),
             Err(LockError::Injected)
         );
     }

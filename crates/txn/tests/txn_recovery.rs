@@ -11,11 +11,16 @@
 //! Crash points come from the seeded failpoint matrix (`txn.commit`,
 //! `txn.abort`, `lock.acquire`; `TML_FAULT_SEED` varies the scripts in
 //! CI) plus plain mid-flight drops. Every scenario is deterministic.
+//!
+//! Several tests arm process-wide failpoints (`txn.abort` among them), so
+//! every test in this binary holds the `ScopedFailpoints` lock for its
+//! whole body (armed or not) and arms its faults under it: none can run
+//! inside another's fault window.
 
 use std::path::{Path, PathBuf};
 
 use tml_core::Oid;
-use tml_store::failpoint::{Action, FailSpec, ScopedFailpoints};
+use tml_store::failpoint::{self, Action, FailSpec, ScopedFailpoints};
 use tml_store::{snapshot, DurableOptions, DurableStore, Object, SVal, StoreAccess, StoreError};
 use tml_txn::txn::oid_key;
 use tml_txn::{TxnManager, TxnOptions, TxnView};
@@ -88,6 +93,7 @@ fn slot_value(path: &Path, i: usize) -> i64 {
 fn interleaved_loser_recovers_byte_identical_to_explicit_abort() {
     // The seed varies how much of the loser's work is in the committed
     // prefix (1..=3 ops), so CI's seed matrix walks distinct scripts.
+    let _fp = ScopedFailpoints::new(&[]);
     let loser_ops = 1 + (fault_seed(0) % 3) as i64;
 
     let run = |explicit_abort: bool| -> (PathBuf, PathBuf) {
@@ -149,6 +155,7 @@ fn interleaved_loser_recovers_byte_identical_to_explicit_abort() {
 /// identically to a run that aborted it outright.
 #[test]
 fn crash_before_commit_marker_loses_the_whole_txn() {
+    let _fp = ScopedFailpoints::new(&[]);
     let run = |inject: bool| -> (PathBuf, PathBuf) {
         let dir = tmpdir(if inject { "cmt_crash" } else { "cmt_ref" });
         let path = dir.join("db.img");
@@ -159,13 +166,10 @@ fn crash_before_commit_marker_loses_the_whole_txn() {
         put(&mgr, &mut d, &mut t1, slots[0], 7).unwrap();
         put(&mgr, &mut d, &mut t1, slots[1], 8).unwrap();
         if inject {
-            let fp = ScopedFailpoints::new(&[(
-                "txn.commit",
-                FailSpec::always(Action::Io).for_key(t1.id()),
-            )]);
+            failpoint::arm("txn.commit", FailSpec::always(Action::Io).for_key(t1.id()));
             let err = mgr.commit(&mut d, t1).expect_err("injected commit failure");
             assert!(matches!(err, StoreError::Io(_)), "typed failure: {err}");
-            drop(fp);
+            failpoint::disarm_all();
         } else {
             mgr.abort(&mut d, t1).unwrap();
         }
@@ -204,6 +208,7 @@ fn crash_before_commit_marker_loses_the_whole_txn() {
 /// recovery time — converging on exactly the fully-aborted state.
 #[test]
 fn crash_mid_rollback_completes_the_abort_on_recovery() {
+    let _fp = ScopedFailpoints::new(&[]);
     // Fail after 0, 1 or 2 CLRs depending on the CI seed.
     let clrs_before_crash = fault_seed(1) % 3;
 
@@ -221,9 +226,9 @@ fn crash_mid_rollback_completes_the_abort_on_recovery() {
         if inject {
             let mut spec = FailSpec::always(Action::Io).for_key(t1.id());
             spec.after = clrs_before_crash;
-            let fp = ScopedFailpoints::new(&[("txn.abort", spec)]);
+            failpoint::arm("txn.abort", spec);
             mgr.abort(&mut d, t1).expect_err("injected abort failure");
-            drop(fp);
+            failpoint::disarm_all();
         } else {
             mgr.abort(&mut d, t1).unwrap();
         }
@@ -282,6 +287,7 @@ let abs(c: Tuple): Real =
   real.sqrt(complex.x(c) * complex.x(c) + complex.y(c) * complex.y(c))
 end";
 
+    let _fp = ScopedFailpoints::new(&[]);
     // The seed picks the crash point: even = the process dies with the
     // swap transaction still in flight, odd = the `txn.commit` failpoint
     // fires before the marker.
@@ -325,15 +331,12 @@ end";
         }
         match mode {
             Mode::Crash if fail_commit => {
-                let fp = ScopedFailpoints::new(&[(
-                    "txn.commit",
-                    FailSpec::always(Action::Io).for_key(t.id()),
-                )]);
+                failpoint::arm("txn.commit", FailSpec::always(Action::Io).for_key(t.id()));
                 let err = mgr
                     .commit(&mut sess.store, t)
                     .expect_err("injected commit failure");
                 assert!(matches!(err, StoreError::Io(_)), "typed failure: {err}");
-                drop(fp);
+                failpoint::disarm_all();
             }
             Mode::Crash => drop(t), // still in flight at the crash
             Mode::ExplicitAbort => mgr.abort(&mut sess.store, t).unwrap(),
@@ -385,6 +388,7 @@ end";
 /// transaction rolls back cleanly and the lock table ends empty.
 #[test]
 fn injected_lock_fault_aborts_cleanly() {
+    let _fp = ScopedFailpoints::new(&[]);
     let dir = tmpdir("lockfault");
     let path = dir.join("db.img");
     let (mut d, slots) = setup(&path);
@@ -392,13 +396,12 @@ fn injected_lock_fault_aborts_cleanly() {
 
     let mut t1 = mgr.begin(&mut d);
     put(&mgr, &mut d, &mut t1, slots[0], 5).unwrap();
-    let err = {
-        let _fp = ScopedFailpoints::new(&[(
-            "lock.acquire",
-            FailSpec::always(Action::Io).for_key(oid_key(slots[1])),
-        )]);
-        put(&mgr, &mut d, &mut t1, slots[1], 6).expect_err("injected lock fault")
-    };
+    failpoint::arm(
+        "lock.acquire",
+        FailSpec::always(Action::Io).for_key(oid_key(slots[1])),
+    );
+    let err = put(&mgr, &mut d, &mut t1, slots[1], 6).expect_err("injected lock fault");
+    failpoint::disarm_all();
     assert!(
         matches!(err, StoreError::Aborted { .. }),
         "typed, retryable abort: {err}"
@@ -423,6 +426,7 @@ fn injected_lock_fault_aborts_cleanly() {
 /// can never be consolidated away mid-flight.
 #[test]
 fn open_transactions_block_checkpoints() {
+    let _fp = ScopedFailpoints::new(&[]);
     let dir = tmpdir("pin");
     let path = dir.join("db.img");
     let (mut d, slots) = setup(&path);

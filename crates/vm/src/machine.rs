@@ -1342,6 +1342,7 @@ mod tests {
             signature: tml_core::Signature::exact(1, 2),
             attrs: Default::default(),
             fold: None,
+            rewrite: None,
             validate: None,
             cost: tml_core::prim::PrimCost::Const(5),
             codegen: None,
@@ -1370,6 +1371,7 @@ mod tests {
             signature: tml_core::Signature::exact(2, 2),
             attrs: Default::default(),
             fold: None,
+            rewrite: None,
             validate: None,
             cost: tml_core::prim::PrimCost::Const(5),
             codegen: None,
@@ -1397,6 +1399,7 @@ mod tests {
             signature: tml_core::Signature::exact(0, 2),
             attrs: Default::default(),
             fold: None,
+            rewrite: None,
             validate: None,
             cost: tml_core::prim::PrimCost::Const(5),
             codegen: None,

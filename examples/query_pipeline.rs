@@ -3,8 +3,9 @@
 //!
 //! The SQL statement `select * from Rel x where x.a = 3 and x.b < 40`
 //! translates 1:1 into nested `select` operators; merge-select fuses them;
-//! with an index on column `a` the runtime rewriter replaces the scan with
-//! an index lookup.
+//! with an index on column `a` — a fact the store hands the optimizer at
+//! runtime — index-select replaces the scan with an index lookup. Both
+//! rules ride the query primitives into the one optimizer loop.
 //!
 //! ```sh
 //! cargo run --example query_pipeline
@@ -12,8 +13,8 @@
 
 use tycoon::core::pretty::print_app;
 use tycoon::core::{Ctx, Lit};
-use tycoon::opt::OptOptions;
-use tycoon::query::{self, integrated_optimize, select_chain, Pred};
+use tycoon::opt::{record, OptOptions};
+use tycoon::query::{self, firings, select_chain, Pred};
 use tycoon::store::Store;
 use tycoon::vm::{Machine, Vm};
 
@@ -53,15 +54,17 @@ fn main() {
     println!("naive:            count={count}  work≈{work}");
 
     // Compile-time algebraic optimization: merge-select fuses the scans.
-    let (merged, stats) =
-        integrated_optimize(&mut ctx, None, naive.clone(), &OptOptions::default());
+    let opts = OptOptions::default();
+    let (merged, _, log) = record(&mut ctx, naive.clone(), &opts, None);
     println!(
         "\n== after merge-select (σp(σq(R)) ≡ σp∧q(R)) ==\n{}\n",
         print_app(&ctx, &merged)
     );
     println!(
         "rewrites: merge-select={} trivial-exists={} index-select={}",
-        stats.query.merge_select, stats.query.trivial_exists, stats.query.index_select
+        firings(&log, "merge-select"),
+        firings(&log, "trivial-exists"),
+        firings(&log, "index-select")
     );
     let (count2, work2) = run(&ctx, &mut vm, &mut store, &merged);
     println!("merged:           count={count2}  work≈{work2}");
@@ -71,13 +74,12 @@ fn main() {
     // selection becomes an index lookup — knowledge only available at
     // runtime, which is why Tycoon delays query optimization (paper §4.2).
     query::data::build_index(&mut store, rel, 1).expect("relation indexes");
-    let (indexed, stats) =
-        integrated_optimize(&mut ctx, Some(&store), naive, &OptOptions::default());
+    let (indexed, _, log) = record(&mut ctx, naive, &opts, Some(&store));
     println!(
         "\n== after runtime index-select ==\n{}\n",
         print_app(&ctx, &indexed)
     );
-    assert_eq!(stats.query.index_select, 1);
+    assert_eq!(firings(&log, "index-select"), 1);
     let (count3, work3) = run(&ctx, &mut vm, &mut store, &indexed);
     println!("index + residual: count={count3}  work≈{work3}");
     assert_eq!(count, count3);

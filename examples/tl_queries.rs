@@ -9,9 +9,8 @@
 //! ```
 
 use tycoon::lang::Session;
-use tycoon::query::integrated::reflect_options_with_queries;
 use tycoon::query::QuerySession;
-use tycoon::reflect::optimize_named;
+use tycoon::reflect::{optimize_named, ReflectOptions};
 use tycoon::vm::RVal;
 
 const SRC: &str = "
@@ -64,13 +63,10 @@ fn main() {
         plain.stats.instrs, plain.stats.calls
     );
 
-    // Reflective optimization with the integrated query rewriter (fig. 4).
-    let optimized = optimize_named(
-        &mut s,
-        "shop.cheap_discounted",
-        &reflect_options_with_queries(),
-    )
-    .expect("reflect.optimize with query rules");
+    // Reflective optimization (fig. 4): the query rules ride the query
+    // primitives enabled above into the one optimizer loop.
+    let optimized = optimize_named(&mut s, "shop.cheap_discounted", &ReflectOptions::default())
+        .expect("reflect.optimize with query rules");
     let fast = s
         .call_value(RVal::from_sval(&optimized), vec![r.clone()])
         .expect("optimized runs");

@@ -1160,8 +1160,10 @@ fn verify_replay(s: &mut Session, fname: &str, opts: &ReflectOptions) -> Result<
         tb.build(oid, opts.inline_depth)
             .map_err(|e| format!("verify: {e}"))?
     };
-    let (recorded, _, log) = tycoon::opt::record_abs(&mut s.ctx, abs.clone(), &opts.opt);
-    let (replayed, _) = tycoon::opt::replay_abs(&mut s.ctx, abs, &opts.opt, &log)
+    // Same index facts as the reflective optimization: the store's.
+    let facts = Some(&s.store as &dyn tycoon::core::prim::IndexFacts);
+    let (recorded, _, log) = tycoon::opt::record_abs(&mut s.ctx, abs.clone(), &opts.opt, facts);
+    let (replayed, _) = tycoon::opt::replay_abs(&mut s.ctx, abs, &opts.opt, facts, &log)
         .map_err(|e| format!("verify: replay diverged: {e}"))?;
     let a = encode_abs(&s.ctx, &recorded);
     let b = encode_abs(&s.ctx, &replayed);
@@ -1413,7 +1415,8 @@ fn cmd_prims(o: &Options) -> Result<(), String> {
             };
             j.push_str(&format!(
                 "  {{\"name\": {}, \"vals\": {}, \"conts\": {}, \"effects\": {}, \
-                 \"commutative\": {}, \"cost\": {}, \"codegen\": {}, \"fold\": {}}}",
+                 \"commutative\": {}, \"cost\": {}, \"codegen\": {}, \"fold\": {}, \
+                 \"rewrite\": {}}}",
                 json_str(&d.name),
                 json_str(&arity(d.signature.vals)),
                 json_str(&arity(d.signature.conts)),
@@ -1422,6 +1425,7 @@ fn cmd_prims(o: &Options) -> Result<(), String> {
                 cost,
                 d.codegen.is_some(),
                 d.fold.is_some(),
+                d.rewrite.is_some(),
             ));
         }
         j.push_str("\n]");
@@ -1446,6 +1450,9 @@ fn cmd_prims(o: &Options) -> Result<(), String> {
         }
         if hooks.is_empty() {
             hooks.push("call-prim");
+        }
+        if d.rewrite.is_some() {
+            hooks.push("rewrite");
         }
         println!(
             "{:<10} {:>4} {:>5}  {:<6} {:>5}  {}",

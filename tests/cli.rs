@@ -215,6 +215,52 @@ fn explain_prints_provenance_and_verifies_replay() {
     assert!(text.contains("reproduces the optimized term"), "{text}");
 }
 
+/// Query rules ride the query primitives every `tmlc` image session
+/// installs: explaining a view query shows the merge-select firing, and
+/// the provenance replay reproduces it.
+#[test]
+fn explain_verifies_a_merge_select_firing() {
+    let dir = scratch_dir("explain_query");
+    let src = dir.join("views.tl");
+    std::fs::write(
+        &src,
+        "module db export both, main\n\
+         let adults(r: Rel): Rel = select x from x in r where x.1 > 20\n\
+         let both(r: Rel): Rel = select y from y in adults(r) where y.2 == true\n\
+         let main(n: Int): Int = n\n\
+         end\n",
+    )
+    .unwrap();
+    let image = dir.join("views.img");
+    let out = tmlc()
+        .args(["run"])
+        .arg(&src)
+        .args(["--entry", "db.main", "--arg", "1", "--durable"])
+        .arg(&image)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = tmlc()
+        .args(["explain"])
+        .arg(&image)
+        .args(["db.both", "--verify"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("rule merge-select @select"), "{text}");
+    assert!(text.contains("verify: replay of"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn explain_json_carries_rule_events() {
     let out = tmlc()

@@ -41,7 +41,7 @@ fn replay_reproduces_optimized_term_byte_for_byte() {
     let abs = geom_abs_term(&mut s);
     let opts = OptOptions::default();
 
-    let (recorded, stats, log) = record_abs(&mut s.ctx, abs.clone(), &opts);
+    let (recorded, stats, log) = record_abs(&mut s.ctx, abs.clone(), &opts, None);
     assert!(stats.inlined > 0, "E2 must inline the accessor calls");
     assert!(
         log.iter().any(|e| matches!(e, Event::RuleFired { .. })),
@@ -53,7 +53,7 @@ fn replay_reproduces_optimized_term_byte_for_byte() {
         "log must contain expand decisions"
     );
 
-    let (replayed, rstats) = replay_abs(&mut s.ctx, abs, &opts, &log).unwrap();
+    let (replayed, rstats) = replay_abs(&mut s.ctx, abs, &opts, None, &log).unwrap();
     assert_eq!(stats.total_reductions(), rstats.total_reductions());
     assert_eq!(
         encode_abs(&s.ctx, &recorded),
@@ -68,7 +68,7 @@ fn tampered_log_is_rejected() {
     s.load_str(COMPLEX_SRC).unwrap();
     let abs = geom_abs_term(&mut s);
     let opts = OptOptions::default();
-    let (_, _, mut log) = record_abs(&mut s.ctx, abs.clone(), &opts);
+    let (_, _, mut log) = record_abs(&mut s.ctx, abs.clone(), &opts, None);
 
     // Flip the rule name of the first firing: the lockstep check must
     // report a mismatch rather than silently diverge.
@@ -79,7 +79,7 @@ fn tampered_log_is_rejected() {
     if let Event::RuleFired { rule, .. } = &mut log[ix] {
         *rule = if *rule == "subst" { "remove" } else { "subst" };
     }
-    assert!(replay_abs(&mut s.ctx, abs, &opts, &log).is_err());
+    assert!(replay_abs(&mut s.ctx, abs, &opts, None, &log).is_err());
 }
 
 #[test]
@@ -88,9 +88,9 @@ fn truncated_log_is_rejected() {
     s.load_str(COMPLEX_SRC).unwrap();
     let abs = geom_abs_term(&mut s);
     let opts = OptOptions::default();
-    let (_, _, mut log) = record_abs(&mut s.ctx, abs.clone(), &opts);
+    let (_, _, mut log) = record_abs(&mut s.ctx, abs.clone(), &opts, None);
     log.truncate(log.len() / 2);
-    assert!(replay_abs(&mut s.ctx, abs, &opts, &log).is_err());
+    assert!(replay_abs(&mut s.ctx, abs, &opts, None, &log).is_err());
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn per_round_stats_track_the_reduce_expand_alternation() {
     let mut s = Session::default_session().unwrap();
     s.load_str(COMPLEX_SRC).unwrap();
     let abs = geom_abs_term(&mut s);
-    let (_, stats, _) = record_abs(&mut s.ctx, abs, &OptOptions::default());
+    let (_, stats, _) = record_abs(&mut s.ctx, abs, &OptOptions::default(), None);
     assert_eq!(
         stats.per_round.len(),
         stats.rounds as usize,

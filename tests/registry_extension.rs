@@ -66,6 +66,7 @@ fn register_ext(r: &mut Registry) {
             ..Default::default()
         },
         fold: Some(fold_dec),
+        rewrite: None,
         validate: None,
         cost: PrimCost::Const(1),
         codegen: Some(cg_dec),
@@ -79,6 +80,7 @@ fn register_ext(r: &mut Registry) {
             ..Default::default()
         },
         fold: None,
+        rewrite: None,
         validate: None,
         cost: PrimCost::Const(8),
         codegen: None,
