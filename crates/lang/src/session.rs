@@ -556,12 +556,11 @@ mod tests {
              end",
         )
         .unwrap();
-        // Loop entries allocate persistent closure groups; after the call
-        // they are garbage.
+        // The `var` cell is a store object; after the call it is garbage.
         let r1 = s.call("m.sum", vec![RVal::Int(50)]).unwrap();
         let before = s.store.live();
         let stats = s.collect_garbage().unwrap();
-        assert!(stats.freed > 0, "loop closures should be collected");
+        assert!(stats.freed > 0, "the var cell should be collected");
         assert!(s.store.live() < before);
         // Everything still runs after collection.
         let r2 = s.call("m.sum", vec![RVal::Int(50)]).unwrap();

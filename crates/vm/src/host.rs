@@ -92,8 +92,8 @@ mod tests {
     fn register_and_lookup() {
         let mut t = ExternTable::new();
         t.register("host.add", |_ctx, args| {
-            let a = args[0].as_int().ok_or(RVal::Str("type".into()))?;
-            let b = args[1].as_int().ok_or(RVal::Str("type".into()))?;
+            let a = args[0].as_int().ok_or_else(|| RVal::Str("type".into()))?;
+            let b = args[1].as_int().ok_or_else(|| RVal::Str("type".into()))?;
             Ok(RVal::Int(a + b))
         });
         assert!(t.lookup("host.add").is_some());

@@ -64,8 +64,10 @@ pub enum Instr {
         captures: Box<[Src]>,
     },
     /// Create a group of mutually recursive closures (the `Y` combinator).
-    /// The machine materializes the group as *persistent* store closures
-    /// and backpatches [`GroupCap::Member`] references.
+    /// The machine materializes the group as one transient
+    /// [`crate::rval::ClosureGroup`]; [`GroupCap::Member`] references stay
+    /// indices into it, and the group is persisted only if a member
+    /// escapes into the store.
     CloseGroup {
         /// Destination slots, one per closure.
         dsts: Box<[u16]>,

@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::or_fun_call)]
 
 pub mod codec;
 pub mod compile;

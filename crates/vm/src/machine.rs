@@ -2,16 +2,17 @@
 //!
 //! Machine state is a single activation (frame + environment), the
 //! exception-handler stack and the store; all control transfer is tail
-//! transfer. Execution statistics (instructions, calls, closure
-//! allocations) are deterministic and serve as the primary benchmark
-//! metric alongside wall-clock time.
+//! transfer, and a transfer allocates nothing: frames and environments
+//! are recycled buffers. Execution statistics (instructions, calls,
+//! closure allocations) are deterministic and serve as the primary
+//! benchmark metric alongside wall-clock time.
 
 use crate::host::{ExternTable, HostCtx};
 use crate::instr::{
     AllocKind, ArithOp, BitOp, CmpOp, CodeTable, ContRef, ConvOp, GroupCap, Instr, Src,
     NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK,
 };
-use crate::rval::{RVal, TransientClosure};
+use crate::rval::{Capture, ClosureGroup, RVal, TransientClosure};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
@@ -19,7 +20,7 @@ use tml_core::prims_std::{
     ERR_BOUNDS, ERR_NO_CCALL, ERR_NO_PRIM, ERR_OVERFLOW, ERR_TYPE, ERR_ZERO_DIVIDE,
 };
 use tml_core::Oid;
-use tml_store::{ClosureObj, Object, SVal, Store, StoreAccess, StoreError};
+use tml_store::{Object, Store, StoreAccess, StoreError};
 
 /// Deterministic execution counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -144,12 +145,22 @@ pub struct Machine<'a, S: StoreAccess = Store> {
     externs: &'a ExternTable,
     store: &'a mut S,
     frame: Vec<RVal>,
+    /// The next transfer's arguments; swapped in as its frame.
+    next: Vec<RVal>,
+    /// The current closure when it is transient: `Src::Env` reads its
+    /// captures in place. `None` means the captures are in `env`.
+    env_clo: Option<Rc<TransientClosure>>,
     env: Vec<RVal>,
+    /// Empty buffers for extern arguments and for the frames and
+    /// environments of native re-entry.
+    spare: Vec<Vec<RVal>>,
+    /// The exception and normal return continuations of native re-entry.
+    native_conts: [RVal; 2],
     handlers: Vec<RVal>,
     block: u32,
     pc: u32,
     fuel: u64,
-    /// Current [`Machine::call_value`] nesting (native re-entry depth).
+    /// Native nesting: `run` and each [`Machine::call_value`] in progress.
     native_depth: usize,
     /// Counters (public so harnesses can read incrementally).
     pub stats: ExecStats,
@@ -167,7 +178,16 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             externs,
             store,
             frame: Vec::new(),
+            next: Vec::new(),
+            env_clo: None,
             env: Vec::new(),
+            spare: Vec::new(),
+            native_conts: [NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK].map(|code| {
+                RVal::Clo(Rc::new(TransientClosure {
+                    code,
+                    env: Vec::new(),
+                }))
+            }),
             handlers: Vec::new(),
             block: 0,
             pc: 0,
@@ -214,20 +234,30 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     /// Run `block` with the given environment and arguments until `halt`.
     pub fn run(&mut self, block: u32, env: Vec<RVal>, args: Vec<RVal>) -> Result<Outcome, VmError> {
         let _s = tml_trace::span!("vm.run");
-        self.enter(block, env, args)?;
+        // A run is one native level: externs re-entering through
+        // `call_value_checked` are frames of this run, not new runs.
+        self.native_depth += 1;
+        self.env = env;
+        self.env_clo = None;
+        self.next = args;
+        let stop = self.enter(block).and_then(|()| self.drive());
+        self.native_depth -= 1;
+        match stop? {
+            Flow::Done(result) => Ok(Outcome {
+                result,
+                stats: self.stats,
+                output: std::mem::take(&mut self.output),
+            }),
+            _ => Err(VmError::Trap("stray native return sentinel".into())),
+        }
+    }
+
+    /// Step until `halt` or a native-return sentinel.
+    fn drive(&mut self) -> Result<Flow, VmError> {
         loop {
             match self.step()? {
                 Flow::Next => {}
-                Flow::Done(result) => {
-                    return Ok(Outcome {
-                        result,
-                        stats: self.stats,
-                        output: std::mem::take(&mut self.output),
-                    })
-                }
-                Flow::Native { .. } => {
-                    return Err(VmError::Trap("stray native return sentinel".into()))
-                }
+                stop => return Ok(stop),
             }
         }
     }
@@ -254,7 +284,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     pub fn call_value_checked(
         &mut self,
         target: RVal,
-        mut args: Vec<RVal>,
+        args: Vec<RVal>,
     ) -> Result<Result<RVal, RVal>, VmError> {
         if self.native_depth >= MAX_NATIVE_DEPTH {
             // Each nesting level is a real Rust stack frame; trap before
@@ -273,40 +303,38 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         self.native_depth += 1;
         let saved_block = self.block;
         let saved_pc = self.pc;
-        let saved_frame = std::mem::take(&mut self.frame);
-        let saved_env = std::mem::take(&mut self.env);
+        let saved_clo = self.env_clo.take();
+        let frame = self.spare.pop().unwrap_or_default();
+        let saved_frame = std::mem::replace(&mut self.frame, frame);
+        let env = self.spare.pop().unwrap_or_default();
+        let saved_env = std::mem::replace(&mut self.env, env);
 
-        args.push(RVal::Clo(Rc::new(TransientClosure {
-            code: NATIVE_ERR_BLOCK,
-            env: Vec::new(),
-        })));
-        args.push(RVal::Clo(Rc::new(TransientClosure {
-            code: NATIVE_OK_BLOCK,
-            env: Vec::new(),
-        })));
-
-        let result = (|| -> Result<Result<RVal, RVal>, VmError> {
-            self.invoke(target, args)?;
-            loop {
-                match self.step()? {
-                    Flow::Next => {}
-                    Flow::Done(_) => {
-                        return Err(VmError::Trap("halt during nested native call".into()))
-                    }
-                    Flow::Native { ok, value } => {
-                        return Ok(if ok { Ok(value) } else { Err(value) })
-                    }
-                }
-            }
-        })();
+        self.next.extend(args);
+        self.next.extend(self.native_conts.iter().cloned());
+        let stop = self.invoke(target).and_then(|()| self.drive());
 
         self.block = saved_block;
         self.pc = saved_pc;
-        self.frame = saved_frame;
-        self.env = saved_env;
+        self.env_clo = saved_clo;
+        self.next.clear();
+        let frame = std::mem::replace(&mut self.frame, saved_frame);
+        self.recycle(frame);
+        let env = std::mem::replace(&mut self.env, saved_env);
+        self.recycle(env);
         self.native_depth -= 1;
 
-        result
+        match stop? {
+            Flow::Native { ok, value } => Ok(if ok { Ok(value) } else { Err(value) }),
+            _ => Err(VmError::Trap("halt during nested native call".into())),
+        }
+    }
+
+    /// Keep an emptied buffer for the next native re-entry.
+    fn recycle(&mut self, mut buf: Vec<RVal>) {
+        buf.clear();
+        if self.spare.len() < 2 * MAX_NATIVE_DEPTH {
+            self.spare.push(buf);
+        }
     }
 
     /// Machine output lines so far.
@@ -314,7 +342,9 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         &self.output
     }
 
-    fn enter(&mut self, block: u32, env: Vec<RVal>, args: Vec<RVal>) -> Result<(), VmError> {
+    /// Start `block` with the arguments in `next`, which becomes the
+    /// frame; the old frame becomes the next transfer's buffer.
+    fn enter(&mut self, block: u32) -> Result<(), VmError> {
         if block as usize >= self.code.len() {
             // A degraded closure keeps its persisted (now dangling) code
             // index after a relink skip; calling it is a trap, not a panic.
@@ -323,20 +353,17 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             )));
         }
         let blk = self.code.block(block);
-        if args.len() != blk.nparams as usize {
+        if self.next.len() != blk.nparams as usize {
             return Err(VmError::Trap(format!(
                 "block {} expects {} argument(s), got {}",
                 blk.name,
                 blk.nparams,
-                args.len()
+                self.next.len()
             )));
         }
-        let mut frame = vec![RVal::Unit; blk.nslots as usize];
-        for (i, a) in args.into_iter().enumerate() {
-            frame[i] = a;
-        }
-        self.frame = frame;
-        self.env = env;
+        std::mem::swap(&mut self.frame, &mut self.next);
+        self.frame.resize(blk.nslots as usize, RVal::Unit);
+        self.next.clear();
         self.block = block;
         self.pc = 0;
         Ok(())
@@ -345,39 +372,54 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     fn resolve(&self, src: Src) -> RVal {
         match src {
             Src::Slot(i) => self.frame[i as usize].clone(),
-            Src::Env(i) => self.env[i as usize].clone(),
+            Src::Env(i) => match &self.env_clo {
+                Some(c) => c.env[i as usize].clone(),
+                None => self.env[i as usize].clone(),
+            },
             Src::Const(i) => RVal::from_sval(&self.code.block(self.block).consts[i as usize]),
         }
     }
 
-    fn invoke(&mut self, target: RVal, args: Vec<RVal>) -> Result<(), VmError> {
+    /// Transfer to `target` with the arguments already in `next`.
+    fn invoke(&mut self, target: RVal) -> Result<(), VmError> {
         self.stats.calls += 1;
-        match target {
+        self.env.clear();
+        let code = match target {
             RVal::Clo(c) => {
-                self.code.note_call(c.code);
-                if let Some(p) = self.profile.as_deref_mut() {
-                    *p.block_calls.entry(c.code).or_insert(0) += 1;
-                }
-                let env = c.env.clone();
-                self.enter(c.code, env, args)
+                let code = c.code;
+                self.env_clo = Some(c);
+                code
+            }
+            RVal::Group(g, j) => {
+                let (code, caps) = &g.members[j as usize];
+                self.env.extend(caps.iter().map(|cap| match cap {
+                    Capture::Val(v) => v.clone(),
+                    Capture::Member(k) => RVal::Group(g.clone(), *k),
+                }));
+                self.env_clo = None;
+                *code
             }
             RVal::Ref(oid) => {
                 let clo = self.store.base().expect(oid, "closure", |o| match o {
-                    Object::Closure(c) => Some(c.clone()),
+                    Object::Closure(c) => Some(c),
                     _ => None,
                 })?;
-                self.code.note_call(clo.code);
-                if let Some(p) = self.profile.as_deref_mut() {
-                    *p.block_calls.entry(clo.code).or_insert(0) += 1;
-                }
-                let env = clo.env.iter().map(RVal::from_sval).collect();
-                self.enter(clo.code, env, args)
+                self.env.extend(clo.env.iter().map(RVal::from_sval));
+                self.env_clo = None;
+                clo.code
             }
-            other => Err(VmError::Trap(format!(
-                "call of non-procedure value of kind {}",
-                other.kind()
-            ))),
+            other => {
+                return Err(VmError::Trap(format!(
+                    "call of non-procedure value of kind {}",
+                    other.kind()
+                )))
+            }
+        };
+        self.code.note_call(code);
+        if let Some(p) = self.profile.as_deref_mut() {
+            *p.block_calls.entry(code).or_insert(0) += 1;
         }
+        self.enter(code)
     }
 
     /// Continue on a value-producing path: write `value` to `dst` and
@@ -392,7 +434,8 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             }
             ContRef::Closure(src) => {
                 let target = self.resolve(*src);
-                self.invoke(target, vec![value])?;
+                self.next.push(value);
+                self.invoke(target)?;
                 Ok(Flow::Next)
             }
         }
@@ -407,7 +450,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             }
             ContRef::Closure(src) => {
                 let target = self.resolve(*src);
-                self.invoke(target, Vec::new())?;
+                self.invoke(target)?;
                 Ok(Flow::Next)
             }
         }
@@ -457,53 +500,19 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 Ok(Flow::Next)
             }
             Instr::CloseGroup { dsts, parts } => {
-                // Phase 1: allocate persistent closures with placeholders.
-                let mut oids: Vec<Oid> = Vec::with_capacity(parts.len());
-                for (cblock, caps) in parts.iter() {
-                    let mut env = Vec::with_capacity(caps.len());
-                    for cap in caps.iter() {
-                        match cap {
-                            GroupCap::Ext(src) => {
-                                let v = self.resolve(*src);
-                                env.push(v.persist(self.store)?);
-                            }
-                            GroupCap::Member(_) => env.push(SVal::Ref(Oid::NULL)),
-                        }
-                    }
-                    self.stats.closures += 1;
-                    oids.push(self.store.alloc(Object::Closure(ClosureObj {
-                        code: *cblock,
-                        env,
-                        bindings: Vec::new(),
-                        ptml: None,
-                    }))?);
-                }
-                // Phase 2: backpatch mutual references — one `mutate` per
-                // closure with member captures, so a durable backend logs
-                // the fully-patched post-image.
-                for (i, (_, caps)) in parts.iter().enumerate() {
-                    let patches: Vec<(usize, Oid)> = caps
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(pos, cap)| match cap {
-                            GroupCap::Member(j) => Some((pos, oids[*j as usize])),
-                            GroupCap::Ext(_) => None,
-                        })
-                        .collect();
-                    if patches.is_empty() {
-                        continue;
-                    }
-                    self.store.mutate(oids[i], &mut |obj| {
-                        if let Object::Closure(c) = obj {
-                            for (pos, target) in &patches {
-                                c.env[*pos] = SVal::Ref(*target);
-                            }
-                        }
-                        Ok(())
-                    })?;
-                }
-                for (dst, oid) in dsts.iter().zip(&oids) {
-                    self.frame[*dst as usize] = RVal::Ref(*oid);
+                // A transient group: members reach each other by index, and
+                // the store sees the group only if a member escapes into it.
+                let members = parts.iter().map(|(cblock, caps)| {
+                    let env = caps.iter().map(|cap| match cap {
+                        GroupCap::Ext(src) => Capture::Val(self.resolve(*src)),
+                        GroupCap::Member(j) => Capture::Member(*j),
+                    });
+                    (*cblock, env.collect())
+                });
+                let group = Rc::new(ClosureGroup::new(members.collect()));
+                self.stats.closures += parts.len() as u64;
+                for (j, dst) in dsts.iter().enumerate() {
+                    self.frame[*dst as usize] = RVal::Group(group.clone(), j as u16);
                 }
                 self.pc += 1;
                 Ok(Flow::Next)
@@ -751,27 +760,8 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 on_err,
                 on_ok,
             } => {
-                let fname = blk.extern_names[*name as usize].clone();
-                if let Some(p) = self.profile.as_deref_mut() {
-                    match p.externs.get_mut(&fname) {
-                        Some(n) => *n += 1,
-                        None => {
-                            p.externs.insert(fname.clone(), 1);
-                        }
-                    }
-                }
-                let vals: Vec<RVal> = args.iter().map(|s| self.resolve(*s)).collect();
-                let Some(f) = self.externs.lookup(&fname) else {
-                    return self.exception(
-                        on_err,
-                        *dst,
-                        RVal::Str(format!("{ERR_NO_CCALL}:{fname}").into()),
-                    );
-                };
-                match f(self, &vals) {
-                    Ok(v) => self.continue_value(on_ok, *dst, v),
-                    Err(e) => self.exception(on_err, *dst, e),
-                }
+                let fname = &blk.extern_names[*name as usize];
+                self.host_call(fname, ERR_NO_CCALL, *dst, args, on_err, on_ok)
             }
             Instr::CallPrim {
                 prim,
@@ -780,27 +770,8 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 on_err,
                 on_ok,
             } => {
-                let pname = blk.prim_names[*prim as usize].clone();
-                if let Some(p) = self.profile.as_deref_mut() {
-                    match p.externs.get_mut(&pname) {
-                        Some(n) => *n += 1,
-                        None => {
-                            p.externs.insert(pname.clone(), 1);
-                        }
-                    }
-                }
-                let vals: Vec<RVal> = args.iter().map(|s| self.resolve(*s)).collect();
-                let Some(f) = self.externs.lookup(&pname) else {
-                    return self.exception(
-                        on_err,
-                        *dst,
-                        RVal::Str(format!("{ERR_NO_PRIM}:{pname}").into()),
-                    );
-                };
-                match f(self, &vals) {
-                    Ok(v) => self.continue_value(on_ok, *dst, v),
-                    Err(e) => self.exception(on_err, *dst, e),
-                }
+                let pname = &blk.prim_names[*prim as usize];
+                self.host_call(pname, ERR_NO_PRIM, *dst, args, on_err, on_ok)
             }
             Instr::PushHandler { handler, on_ok } => {
                 if self.handlers.len() >= MAX_HANDLER_DEPTH {
@@ -823,7 +794,8 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 self.stats.exceptions += 1;
                 match self.handlers.pop() {
                     Some(h) => {
-                        self.invoke(h, vec![v])?;
+                        self.next.push(v);
+                        self.invoke(h)?;
                         Ok(Flow::Next)
                     }
                     None => Err(VmError::Unhandled(v)),
@@ -831,8 +803,11 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             }
             Instr::Call { target, args } => {
                 let t = self.resolve(*target);
-                let a: Vec<RVal> = args.iter().map(|s| self.resolve(*s)).collect();
-                self.invoke(t, a)?;
+                for src in args.iter() {
+                    let v = self.resolve(*src);
+                    self.next.push(v);
+                }
+                self.invoke(t)?;
                 Ok(Flow::Next)
             }
             Instr::Jump { target } => {
@@ -852,13 +827,45 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         }
     }
 
+    /// Call the extension primitive registered under `name` (`missing`
+    /// tags the exception when none is).
+    fn host_call(
+        &mut self,
+        name: &str,
+        missing: &str,
+        dst: u16,
+        args: &[Src],
+        on_err: &ContRef,
+        on_ok: &ContRef,
+    ) -> Result<Flow, VmError> {
+        if let Some(p) = self.profile.as_deref_mut() {
+            match p.externs.get_mut(name) {
+                Some(n) => *n += 1,
+                None => {
+                    p.externs.insert(name.to_string(), 1);
+                }
+            }
+        }
+        let Some(f) = self.externs.lookup(name) else {
+            return self.exception(on_err, dst, RVal::Str(format!("{missing}:{name}").into()));
+        };
+        let mut vals = self.spare.pop().unwrap_or_default();
+        vals.extend(args.iter().map(|s| self.resolve(*s)));
+        let r = f(self, &vals);
+        self.recycle(vals);
+        match r {
+            Ok(v) => self.continue_value(on_ok, dst, v),
+            Err(e) => self.exception(on_err, dst, e),
+        }
+    }
+
     /// Block move. The outer `Result` carries machine-level failures (an
     /// IO error from a durable backend); the inner one carries TML
     /// exceptions (bounds, type) for the exception continuation. Validates
     /// through reads first, then copies through one logged `mutate`.
     fn move_block(&mut self, byte: bool, vals: &[RVal]) -> Result<Result<RVal, RVal>, VmError> {
         let get_ref = |v: &RVal| v.as_ref_oid_or_err();
-        let get_ix = |v: &RVal| v.as_int().ok_or(RVal::Str(ERR_TYPE.into()));
+        let get_ix = |v: &RVal| v.as_int().ok_or_else(|| RVal::Str(ERR_TYPE.into()));
         let parsed = (|| {
             let dst = get_ref(&vals[0])?;
             let dst_off = get_ix(&vals[1])?;
@@ -974,7 +981,8 @@ fn real_operands(x: &RVal, y: &RVal) -> Result<(f64, f64), RVal> {
 }
 
 fn checked(r: Option<i64>) -> Result<RVal, RVal> {
-    r.map(RVal::Int).ok_or(RVal::Str(ERR_OVERFLOW.into()))
+    r.map(RVal::Int)
+        .ok_or_else(|| RVal::Str(ERR_OVERFLOW.into()))
 }
 
 fn nonzero(b: i64) -> Result<i64, RVal> {
@@ -1454,6 +1462,121 @@ mod tests {
             "loop must not allocate or call closures"
         );
         assert_eq!(out.stats.closures, 0);
+    }
+
+    /// `even`/`odd` as an escaping closure group: the program text, with
+    /// `ENTRY` replaced by the entry continuation's body.
+    fn even_odd(entry: &str) -> String {
+        format!(
+            "(cont(apply) (Y proc(^c0 ^even ^odd ^c) (c \
+               cont() {entry} \
+               proc(n ce cc) (= n 0 cont() (cc 1) cont() (- n 1 ce cont(m) (odd m ce cc))) \
+               proc(n ce cc) (= n 0 cont() (cc 0) cont() (- n 1 ce cont(m) (even m ce cc))))) \
+             proc(f x ce cc) (f x ce cc))"
+        )
+    }
+
+    fn run_in(store: &mut Store, src: &str) -> (Vm, Outcome) {
+        let mut ctx = Ctx::new();
+        let parsed = parse_app(&mut ctx, src).unwrap();
+        let mut vm = Vm::new();
+        let block = vm.compile_program(&ctx, &parsed.app).unwrap();
+        let out = vm.run_program(store, block, 1_000_000).unwrap();
+        (vm, out)
+    }
+
+    #[test]
+    fn closure_group_members_call_each_other_off_the_store() {
+        // `even` escapes into `apply`, so the fixpoint is a closure group;
+        // calling through it recurses 9 levels across both members
+        // without a single store object.
+        let mut store = Store::new();
+        let (_, out) = run_in(
+            &mut store,
+            &even_odd("(apply even 9 cont(e)(halt -1) cont(r)(halt r))"),
+        );
+        assert_eq!(out.result, RVal::Int(0));
+        assert!(store.is_empty(), "{} store objects", store.len());
+    }
+
+    #[test]
+    fn returned_member_is_callable_in_a_later_run() {
+        let mut store = Store::new();
+        let (vm, out) = run_in(&mut store, &even_odd("(halt even)"));
+        assert!(matches!(out.result, RVal::Group(..)), "{:?}", out.result);
+        let mut m = Machine::new(&vm.code, &vm.externs, &mut store, 1_000_000);
+        assert_eq!(
+            m.call_value(out.result.clone(), vec![RVal::Int(9)]),
+            Ok(RVal::Int(0))
+        );
+        assert_eq!(
+            m.call_value(out.result, vec![RVal::Int(10)]),
+            Ok(RVal::Int(1))
+        );
+        drop(m);
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn stored_member_persists_its_group_once() {
+        // Store `even` into two array slots, read both back and call one:
+        // the persisted copy still recurses through `odd`. Both slots hold
+        // the same OID, and that OID is `==` to the transient member.
+        let entry = "(array even even cont(a) \
+            ([] a 0 cont(e)(halt -1) cont(g) \
+              ([] a 1 cont(e)(halt -1) cont(h) \
+                (g 7 cont(e)(halt -2) cont(r) \
+                  (= g even \
+                    cont() (= g h cont() (+ r 11 cont(e)(halt -3) cont(t)(halt t)) cont() (halt -4)) \
+                    cont() (halt -5))))))";
+        let mut store = Store::new();
+        let (_, out) = run_in(&mut store, &even_odd(entry));
+        assert_eq!(out.result, RVal::Int(11));
+        let kinds: Vec<&str> = store.iter().map(|(_, o)| o.kind()).collect();
+        assert_eq!(kinds, ["closure", "closure", "array"]);
+    }
+
+    #[test]
+    fn member_identity_survives_persisting() {
+        let mut store = Store::new();
+        let (_, out) = run_in(&mut store, &even_odd("(halt even)"));
+        let RVal::Group(g, j) = &out.result else {
+            panic!("expected a group member, got {:?}", out.result);
+        };
+        let odd = RVal::Group(g.clone(), 1 - j);
+        assert!(!out.result.identical(&odd));
+        assert!(g.oids().is_none());
+        let stored = out.result.persist(&mut store).unwrap();
+        let again = out.result.persist(&mut store).unwrap();
+        assert_eq!(stored, again);
+        assert_eq!(store.len(), 2, "one closure per member, once");
+        let stored = RVal::from_sval(&stored);
+        assert!(out.result.identical(&stored) && stored.identical(&out.result));
+        assert!(!odd.identical(&stored));
+        assert!(RVal::from_sval(&odd.persist(&mut store).unwrap()).identical(&odd));
+        assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn exceptions_inside_members_reach_their_handlers() {
+        // A zero division at the bottom of the recursion takes the `ce`
+        // threaded through every member call.
+        let divide = "(cont(apply) (Y proc(^c0 ^f ^c) (c \
+              cont() (apply f 3 cont(e)(halt e) cont(r)(halt -1)) \
+              proc(n ce cc) (= n 0 cont() (/ 1 n ce cc) \
+                 cont() (- n 1 ce cont(m) (f m ce cont(t) (cc t)))))) \
+            proc(g x ce cc) (g x ce cc))";
+        let out = run(divide).unwrap();
+        assert_eq!(out.result, RVal::Str(ERR_ZERO_DIVIDE.into()));
+        // A raise at the bottom unwinds to the handler pushed before the
+        // group was entered.
+        let raise = "(cont(apply) (Y proc(^c0 ^f ^c) (c \
+              cont() (pushHandler cont(x) (+ x 1 cont(e)(halt -1) cont(t)(halt t)) \
+                cont() (apply f 3 cont(e)(halt -2) cont(r)(halt -3))) \
+              proc(n ce cc) (= n 0 cont() (raise 41) \
+                 cont() (- n 1 ce cont(m) (f m ce cont(t) (cc t)))))) \
+            proc(g x ce cc) (g x ce cc))";
+        assert_eq!(run_int(raise), 42);
     }
 
     #[test]

@@ -2,11 +2,17 @@
 //!
 //! The machine computes with [`RVal`]: the store's immediate values plus
 //! *transient closures* — continuation and procedure closures created
-//! during execution that have not (yet) been persisted. Writing a transient
-//! closure into a store object persists it on the fly, so first-class
-//! procedures can flow into arrays, tuples and module records exactly as
-//! the paper's first-class modules require.
+//! during execution that have not (yet) been persisted. A closure group
+//! (the mutually recursive procedures of one `Y` that did not compile to
+//! loops) is transient too: one shared [`ClosureGroup`] whose members
+//! refer to each other by index, so the group holds no reference cycle.
+//! Writing a transient closure or group member into a store object
+//! persists it on the fly, so first-class procedures can flow into
+//! arrays, tuples and module records exactly as the paper's first-class
+//! modules require. A group is persisted whole, once: every store
+//! reference to one group instance is the same OID.
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::Arc;
 use tml_core::Oid;
@@ -19,6 +25,81 @@ pub struct TransientClosure {
     pub code: u32,
     /// Captured environment.
     pub env: Vec<RVal>,
+}
+
+/// One captured value of a [`ClosureGroup`] member.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Capture {
+    /// An ordinary value from the creating activation.
+    Val(RVal),
+    /// The `j`-th member of the same group.
+    Member(u16),
+}
+
+/// A transient group of mutually recursive closures.
+#[derive(Debug, PartialEq)]
+pub struct ClosureGroup {
+    /// `(code block, captures)` per member, in `CloseGroup` order.
+    pub(crate) members: Box<[(u32, Box<[Capture]>)]>,
+    /// Store OIDs of the members, set when the group is first persisted.
+    persisted: OnceCell<Box<[Oid]>>,
+}
+
+impl ClosureGroup {
+    /// A group not yet persisted.
+    pub(crate) fn new(members: Box<[(u32, Box<[Capture]>)]>) -> ClosureGroup {
+        ClosureGroup {
+            members,
+            persisted: OnceCell::new(),
+        }
+    }
+
+    /// The members' OIDs, if the group has been persisted.
+    pub fn oids(&self) -> Option<&[Oid]> {
+        self.persisted.get().map(|o| &o[..])
+    }
+
+    /// Persist the whole group (once): allocate one store closure per
+    /// member with placeholder member captures, then backpatch them with
+    /// one `mutate` per closure, so a durable backend logs the
+    /// fully-patched post-image.
+    fn persist<S: StoreAccess + ?Sized>(&self, store: &mut S) -> Result<&[Oid], StoreError> {
+        if let Some(oids) = self.oids() {
+            return Ok(oids);
+        }
+        let mut oids = Vec::with_capacity(self.members.len());
+        for (code, caps) in self.members.iter() {
+            let mut env = Vec::with_capacity(caps.len());
+            for cap in caps.iter() {
+                env.push(match cap {
+                    Capture::Val(v) => v.persist(store)?,
+                    Capture::Member(_) => SVal::Ref(Oid::NULL),
+                });
+            }
+            oids.push(store.alloc(Object::Closure(ClosureObj {
+                code: *code,
+                env,
+                bindings: Vec::new(),
+                ptml: None,
+            }))?);
+        }
+        for ((_, caps), oid) in self.members.iter().zip(&oids) {
+            if !caps.iter().any(|c| matches!(c, Capture::Member(_))) {
+                continue;
+            }
+            store.mutate(*oid, &mut |obj| {
+                if let Object::Closure(c) = obj {
+                    for (slot, cap) in c.env.iter_mut().zip(caps.iter()) {
+                        if let Capture::Member(j) = cap {
+                            *slot = SVal::Ref(oids[*j as usize]);
+                        }
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        Ok(self.persisted.get_or_init(|| oids.into()))
+    }
 }
 
 /// A runtime value.
@@ -40,6 +121,8 @@ pub enum RVal {
     Ref(Oid),
     /// A transient closure.
     Clo(Rc<TransientClosure>),
+    /// Member `j` of a transient closure group.
+    Group(Rc<ClosureGroup>, u16),
 }
 
 impl RVal {
@@ -57,9 +140,9 @@ impl RVal {
     }
 
     /// Lower to a store value, persisting transient closures into `store`
-    /// on the way (recursively through their environments). Generic over
-    /// the store-access seam, so persisting through a durable store logs
-    /// each closure allocation.
+    /// on the way (recursively through their environments; a group member
+    /// persists its whole group once). Generic over the store-access seam,
+    /// so persisting through a durable store logs each closure allocation.
     pub fn persist<S: StoreAccess + ?Sized>(&self, store: &mut S) -> Result<SVal, StoreError> {
         Ok(match self {
             RVal::Unit => SVal::Unit,
@@ -82,10 +165,12 @@ impl RVal {
                 }))?;
                 SVal::Ref(oid)
             }
+            RVal::Group(g, j) => SVal::Ref(g.persist(store)?[*j as usize]),
         })
     }
 
-    /// Object identity (`==` primitive semantics).
+    /// Object identity (`==` primitive semantics). A group member is
+    /// identical to its persisted copy.
     pub fn identical(&self, other: &RVal) -> bool {
         match (self, other) {
             (RVal::Unit, RVal::Unit) => true,
@@ -96,6 +181,10 @@ impl RVal {
             (RVal::Str(a), RVal::Str(b)) => a == b,
             (RVal::Ref(a), RVal::Ref(b)) => a == b,
             (RVal::Clo(a), RVal::Clo(b)) => Rc::ptr_eq(a, b),
+            (RVal::Group(a, i), RVal::Group(b, j)) => Rc::ptr_eq(a, b) && i == j,
+            (RVal::Group(g, j), RVal::Ref(o)) | (RVal::Ref(o), RVal::Group(g, j)) => {
+                g.oids().is_some_and(|oids| oids[*j as usize] == *o)
+            }
             _ => false,
         }
     }
@@ -126,7 +215,7 @@ impl RVal {
             RVal::Char(_) => "char",
             RVal::Str(_) => "string",
             RVal::Ref(_) => "ref",
-            RVal::Clo(_) => "closure",
+            RVal::Clo(_) | RVal::Group(..) => "closure",
         }
     }
 }
@@ -142,6 +231,7 @@ impl std::fmt::Debug for RVal {
             RVal::Str(s) => write!(f, "{s:?}"),
             RVal::Ref(o) => write!(f, "{o}"),
             RVal::Clo(c) => write!(f, "<closure #{}>", c.code),
+            RVal::Group(g, j) => write!(f, "<closure #{}>", g.members[*j as usize].0),
         }
     }
 }

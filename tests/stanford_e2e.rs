@@ -152,3 +152,96 @@ fn dynamic_optimization_approaches_direct_prims() {
         );
     }
 }
+
+/// The work of one call of each program at its benchmark size, in the
+/// `base` (library-lowered, unoptimized) and `dyn` (`optimize_all`)
+/// sessions: `(program, session, [instrs, calls, closures, exceptions],
+/// arrays allocated)`. Closure groups are transient, so a call allocates
+/// no store closures; every other allocation is an array.
+const PINNED_WORK: &[(&str, &str, [u64; 4], usize)] = &[
+    ("fib", "base", [96148, 54345, 25081, 0], 0),
+    ("sieve", "base", [91531, 39164, 17659, 0], 305),
+    ("towers", "base", [118770, 69624, 32763, 0], 1),
+    ("bubble", "base", [206763, 112194, 54287, 0], 2),
+    ("quick", "base", [205766, 90327, 46158, 0], 1066),
+    ("queens", "base", [92473, 47968, 24219, 0], 515),
+    ("intmm", "base", [183657, 107043, 50615, 0], 327),
+    ("perm", "base", [60645, 35617, 16985, 0], 2),
+    ("tree", "base", [89534, 47395, 23097, 0], 402),
+    ("mandel", "base", [846005, 368608, 199421, 0], 4801),
+    ("fib", "dyn", [41803, 16722, 8360, 0], 0),
+    ("sieve", "dyn", [61727, 10905, 4756, 0], 305),
+    ("towers", "dyn", [77815, 20479, 12287, 0], 1),
+    ("bubble", "dyn", [94689, 14521, 7260, 0], 2),
+    ("quick", "dyn", [140153, 22907, 16334, 0], 1066),
+    ("queens", "dyn", [39556, 5752, 1615, 0], 515),
+    ("intmm", "dyn", [89265, 2, 0, 0], 327),
+    ("perm", "dyn", [32663, 7827, 5150, 0], 2),
+    ("tree", "dyn", [61235, 16639, 11778, 0], 402),
+    ("mandel", "dyn", [464219, 38592, 25853, 0], 4801),
+];
+
+/// One measured call: a [`PINNED_WORK`] row with the store objects the
+/// call allocated, by kind.
+type Measured = (
+    &'static str,
+    &'static str,
+    [u64; 4],
+    Vec<(&'static str, usize)>,
+);
+
+/// Run every program at its benchmark size in both sessions, in suite
+/// order.
+fn measure_work() -> Vec<Measured> {
+    let load = || {
+        let mut s = Session::new(SessionConfig::default()).unwrap();
+        for p in suite() {
+            s.load_str(p.src).unwrap();
+        }
+        s
+    };
+    let base = load();
+    let mut dynamic = load();
+    optimize_all(&mut dynamic, &ReflectOptions::default()).unwrap();
+    let mut out = Vec::new();
+    for (mode, mut s) in [("base", base), ("dyn", dynamic)] {
+        for p in suite() {
+            // OIDs are never reused, so the call's objects are the new ones.
+            let before = s.store.len() as u64;
+            let r = s.call(p.entry, vec![RVal::Int(p.bench_n)]).unwrap();
+            let mut objects = std::collections::BTreeMap::new();
+            for (_, obj) in s.store.iter().filter(|(oid, _)| oid.0 > before) {
+                *objects.entry(obj.kind()).or_insert(0) += 1;
+            }
+            let st = r.stats;
+            let work = [st.instrs, st.calls, st.closures, st.exceptions];
+            out.push((p.name, mode, work, objects.into_iter().collect()));
+        }
+    }
+    out
+}
+
+#[test]
+fn work_per_call_is_pinned() {
+    // A change to the machine's call path must show as time, never as
+    // different work or different store traffic.
+    let got = measure_work();
+    assert_eq!(got.len(), PINNED_WORK.len());
+    for ((name, mode, work, objects), (p_name, p_mode, p_work, p_arrays)) in
+        got.iter().zip(PINNED_WORK)
+    {
+        assert_eq!((name, mode), (p_name, p_mode));
+        assert_eq!(
+            work, p_work,
+            "{mode}.{name}: [instrs, calls, closures, exceptions]"
+        );
+        let arrays: Vec<(&str, usize)> = (*p_arrays > 0)
+            .then_some(("array", *p_arrays))
+            .into_iter()
+            .collect();
+        assert_eq!(
+            objects, &arrays,
+            "{mode}.{name}: store objects allocated by kind"
+        );
+    }
+}
