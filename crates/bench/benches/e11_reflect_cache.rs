@@ -5,7 +5,8 @@
 //! measures that speedup on the §4.1 `geom.abs` example: a *cold*
 //! `reflect.optimize` runs the full PTML decode → rebuild → optimize →
 //! codegen → link pipeline; a *warm* one finds the memoized product in the
-//! store cache and links its bytecode directly.
+//! store cache and, since the session already linked that product's PTML,
+//! links a fresh copy of its entry block.
 
 use std::time::Instant;
 use tml_bench::ms;

@@ -43,7 +43,7 @@ use tml_store::cache::{binding_signature, hash_bytes, SigHasher};
 use tml_store::ptml::{decode_abs, encode_abs};
 use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess};
 use tml_trace::{Event, Sink};
-use tml_vm::{codec, Vm};
+use tml_vm::{LinkedProduct, Vm};
 
 /// What [`optimize_all`] does when optimizing a *single* target fails —
 /// its PTML fails to decode, the optimizer panics, or the fuel budget runs
@@ -75,8 +75,9 @@ pub struct ReflectOptions {
     pub opt: OptOptions,
     /// Consult (and populate) the store's persistent reflective-optimization
     /// cache: repeated optimizations of the same PTML against unchanged
-    /// bindings link the memoized bytecode directly instead of re-running
-    /// the decode → optimize → codegen pipeline.
+    /// bindings link the memoized optimized PTML instead of re-running the
+    /// rebuild and the optimizer. A session links each product once and
+    /// gives every later hit a fresh copy of that entry block.
     pub use_cache: bool,
     /// Worker threads for [`optimize_all`]'s decode → optimize → encode
     /// middle phase. `0` and `1` both mean fully sequential. With `jobs ≥ 2`
@@ -269,14 +270,10 @@ impl<'a> TermBuilder<'a> {
         let ptml_oid = clo.ptml.ok_or(ReflectError::NoPtml(oid))?;
         self.deps.insert(oid);
         self.deps.insert(ptml_oid);
-        let bytes = match self.store.get(ptml_oid) {
-            Ok(Object::Ptml(b)) => b.clone(),
-            Ok(other) => return Err(ReflectError::BadPtml(format!("{} object", other.kind()))),
-            Err(e) => return Err(ReflectError::Store(e.to_string())),
-        };
-        let bindings: Vec<(String, SVal)> = clo.bindings.clone();
-        let (mut abs, frees) = decode_abs(self.ctx, &bytes).map_err(decode_err)?;
-        let by_name: HashMap<&str, &SVal> = bindings.iter().map(|(n, v)| (n.as_str(), v)).collect();
+        let (mut abs, frees) =
+            decode_abs(self.ctx, ptml_blob(self.store, ptml_oid)?).map_err(decode_err)?;
+        let by_name: HashMap<&str, &SVal> =
+            clo.bindings.iter().map(|(n, v)| (n.as_str(), v)).collect();
 
         self.visiting.insert(oid);
         let mut bind_vars: Vec<VarId> = Vec::new();
@@ -431,6 +428,85 @@ fn decode_err(e: tml_store::varint::DecodeError) -> ReflectError {
     }
 }
 
+/// The PTML blob stored at `oid`.
+fn ptml_blob(store: &Store, oid: Oid) -> Result<&[u8], ReflectError> {
+    match store.get(oid) {
+        Ok(Object::Ptml(b)) => Ok(b),
+        Ok(other) => Err(ReflectError::BadPtml(format!("{} object", other.kind()))),
+        Err(e) => Err(ReflectError::Store(e.to_string())),
+    }
+}
+
+/// Code linked from PTML by [`link_ptml`].
+#[derive(Debug)]
+pub struct Linked<T> {
+    /// The compiled entry block in the session's code table.
+    pub block: u32,
+    /// One resolved capture per environment slot, in slot order, under
+    /// its free-variable name. With `T = SVal` these are the closure's
+    /// R-value bindings, and their values are its environment.
+    pub captures: Vec<(String, T)>,
+}
+
+impl Linked<SVal> {
+    /// The closure environment: the capture values in slot order.
+    pub fn env(&self) -> Vec<SVal> {
+        self.captures.iter().map(|(_, v)| v.clone()).collect()
+    }
+}
+
+/// The one PTML linker: decode `bytes`, compile the procedure into the
+/// session's code table, and resolve each capture by its free-variable
+/// name through `resolve` (which also sees the session's globals). PTML is
+/// the only persistent form of code (paper §2.2), so every persisted
+/// procedure reaches the machine this way: image relink, optimization
+/// products, cache hits, tier deopt and shipped code.
+pub fn link_ptml<S: StoreAccess, T>(
+    session: &mut Session<S>,
+    bytes: &[u8],
+    mut resolve: impl FnMut(&str, &HashMap<String, SVal>) -> Result<T, ReflectError>,
+) -> Result<Linked<T>, ReflectError> {
+    let (abs, frees) = decode_abs(&mut session.ctx, bytes).map_err(decode_err)?;
+    let compiled = session
+        .vm
+        .compile_proc(&session.ctx, &abs)
+        .map_err(|e| ReflectError::Compile(e.to_string()))?;
+    let names: HashMap<VarId, String> = frees.into_iter().map(|(n, v)| (v, n)).collect();
+    let captures = compiled
+        .captures
+        .iter()
+        .map(|v| {
+            let name = names.get(v).ok_or_else(|| {
+                ReflectError::Compile(format!(
+                    "capture {} is not a recorded binding",
+                    session.ctx.names.display(*v)
+                ))
+            })?;
+            Ok((name.clone(), resolve(name, &session.globals)?))
+        })
+        .collect::<Result<_, ReflectError>>()?;
+    Ok(Linked {
+        block: compiled.block,
+        captures,
+    })
+}
+
+/// The capture resolver for persisted closures: a capture keeps its
+/// recorded binding, or else takes the current global of its name.
+pub fn recorded_or_global(
+    recorded: &[(String, SVal)],
+) -> impl FnMut(&str, &HashMap<String, SVal>) -> Result<SVal, ReflectError> + '_ {
+    move |name, globals| {
+        recorded
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v)
+            .or_else(|| globals.get(name))
+            .cloned()
+            .ok_or_else(|| ReflectError::Unresolved(name.to_string()))
+    }
+}
+
 /// Render a caught panic payload for the trace log.
 fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -520,12 +596,7 @@ fn derive_key(
         Ok(other) => return Err(ReflectError::NotAClosure(other.kind().to_string())),
         Err(e) => return Err(ReflectError::Store(e.to_string())),
     };
-    let ptml_oid = clo.ptml.ok_or(ReflectError::NoPtml(oid))?;
-    let bytes = match store.get(ptml_oid) {
-        Ok(Object::Ptml(b)) => b,
-        Ok(other) => return Err(ReflectError::BadPtml(format!("{} object", other.kind()))),
-        Err(e) => return Err(ReflectError::Store(e.to_string())),
-    };
+    let bytes = ptml_blob(store, clo.ptml.ok_or(ReflectError::NoPtml(oid))?)?;
     Ok((
         CacheKey {
             ptml_hash: hash_bytes(bytes),
@@ -535,11 +606,24 @@ fn derive_key(
     ))
 }
 
-/// Try to satisfy a rebuild from the persistent cache. On a hit the
-/// memoized bytecode is linked directly — no PTML decode, no optimizer, no
-/// code generation. An undecodable cached segment (corrupt image) returns
-/// `None` so the caller recomputes; the subsequent insert overwrites the
-/// entry.
+/// Remember a cache product linked into the session's code table, so
+/// that later hits copy its entry block instead of linking again.
+fn memoize<T>(vm: &mut Vm, key: CacheKey, ptml: &[u8], linked: &Linked<T>) {
+    let product = LinkedProduct {
+        ptml_hash: hash_bytes(ptml),
+        block: linked.block,
+        captures: linked.captures.iter().map(|(n, _)| n.clone()).collect(),
+    };
+    vm.linked.insert(key, product);
+}
+
+/// Try to satisfy a rebuild from the persistent cache: no term rebuild,
+/// no optimizer. A product this session already linked serves the hit
+/// with a fresh copy of its entry block (own call counter and tier tag);
+/// otherwise — the first hit after a reopen, or an entry replaced since —
+/// its PTML goes through [`link_ptml`]. An entry that does not link
+/// (corrupt image) returns `None` so the caller recomputes; the
+/// subsequent insert overwrites the entry.
 fn try_cached<S: StoreAccess>(
     session: &mut Session<S>,
     oid: Oid,
@@ -547,9 +631,29 @@ fn try_cached<S: StoreAccess>(
     key: CacheKey,
 ) -> Option<Rebuilt> {
     let entry = session.store.cache_lookup(key)?;
-    let block = codec::decode_segment(&mut session.vm.code, &entry.code).ok()?;
+    let fallback = |n: &str, _: &HashMap<String, SVal>| {
+        let found = entry.captures.iter().find(|(c, _)| c == n);
+        found
+            .map(|(_, v)| v.clone())
+            .ok_or_else(|| ReflectError::Unresolved(n.to_string()))
+    };
+    let linked = match session.vm.linked.get(&key) {
+        Some(p) if p.ptml_hash == hash_bytes(&entry.ptml) => {
+            let captures = p
+                .captures
+                .iter()
+                .map(|n| Ok((n.clone(), fallback(n, &session.globals)?)));
+            let captures = captures.collect::<Result<_, ReflectError>>().ok()?;
+            let block = session.vm.code.duplicate(p.block);
+            Linked { block, captures }
+        }
+        _ => {
+            let linked = link_ptml(session, &entry.ptml, fallback).ok()?;
+            memoize(&mut session.vm, key, &entry.ptml, &linked);
+            linked
+        }
+    };
     trace_consult(name.as_deref(), oid, "hit");
-    let observed = entry.observed.clone();
     let ptml = session.store.alloc(Object::Ptml(entry.ptml)).ok()?;
     let stats = OptStats {
         size_before: entry.size_before as usize,
@@ -560,11 +664,11 @@ fn try_cached<S: StoreAccess>(
     Some(Rebuilt {
         name: name.clone(),
         old_oid: oid,
-        block,
-        captures: entry.captures,
+        block: linked.block,
+        captures: linked.captures,
         ptml,
         stats,
-        observed,
+        observed: entry.observed,
     })
 }
 
@@ -572,13 +676,8 @@ fn try_cached<S: StoreAccess>(
 /// target. This phase never touches the VM or mutates the store, which is
 /// what makes it safe to run on worker threads against `&Store`.
 struct Prepared {
-    /// The worker's private name/prim context when prepared off-thread
-    /// (`None` when the session context was used directly). The optimized
-    /// term's `VarId`s index into *this* context, so code generation must
-    /// use it too.
-    ctx: Option<Ctx>,
-    optimized: Abs,
-    /// Share-aware PTML for `optimized`.
+    /// Share-aware PTML of the optimized term: the product, linked like
+    /// any other PTML.
     bytes: Vec<u8>,
     residuals: Vec<(String, VarId)>,
     residual_values: HashMap<String, SVal>,
@@ -646,8 +745,6 @@ fn prepare(
     };
     let bytes = encode_abs(ctx, &optimized);
     Ok(Prepared {
-        ctx: None,
-        optimized,
         bytes,
         residuals,
         residual_values,
@@ -666,13 +763,11 @@ struct Target {
     key_deps: BTreeSet<Oid>,
 }
 
-/// The final phase: replay buffered provenance, generate code, and
-/// memoize the product. Sequential — it owns the VM code area and the
+/// The final phase: replay buffered provenance, link the product's PTML,
+/// and memoize the product. Sequential — it owns the VM code area and the
 /// store.
 fn finish<S: StoreAccess>(
-    store: &mut S,
-    vm: &mut Vm,
-    session_ctx: &Ctx,
+    session: &mut Session<S>,
     target: Target,
     use_cache: bool,
     p: Prepared,
@@ -684,8 +779,6 @@ fn finish<S: StoreAccess>(
         key_deps,
     } = target;
     let Prepared {
-        ctx,
-        optimized,
         bytes,
         residuals,
         residual_values,
@@ -693,58 +786,44 @@ fn finish<S: StoreAccess>(
         stats,
         events,
     } = p;
-    let ctx = ctx.as_ref().unwrap_or(session_ctx);
     if tml_trace::enabled() {
         for e in events {
             tml_trace::record(e);
         }
     }
     deps.extend(key_deps);
-    let ptml = store
+    let ptml = session
+        .store
         .alloc(Object::Ptml(bytes.clone()))
         .map_err(|e| ReflectError::Store(e.to_string()))?;
-    let compiled = vm
-        .compile_proc(ctx, &optimized)
-        .map_err(|e| ReflectError::Compile(e.to_string()))?;
-    let by_var: HashMap<VarId, &str> = residuals.iter().map(|(n, v)| (*v, n.as_str())).collect();
-    let captures = compiled
-        .captures
-        .iter()
-        .map(|v| {
-            by_var
-                .get(v)
-                .map(|n| (n.to_string(), residual_values.get(*n).cloned()))
-                .ok_or_else(|| {
-                    ReflectError::Compile(format!(
-                        "capture {} is not a residual binding",
-                        ctx.names.display(*v)
-                    ))
-                })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let linked = link_ptml(session, &bytes, |n, _| {
+        if !residuals.iter().any(|(r, _)| r == n) {
+            return Err(ReflectError::Compile(format!(
+                "capture {n} is not a residual binding"
+            )));
+        }
+        Ok(residual_values.get(n).cloned())
+    })?;
     // The observed versions are read *after* the build so any concurrent
     // mutation would already be reflected.
-    let observed: Vec<(Oid, u64)> = deps.iter().map(|&d| (d, store.version(d))).collect();
+    let observed: Vec<(Oid, u64)> = deps
+        .iter()
+        .map(|&d| (d, session.store.version(d)))
+        .collect();
     if use_cache {
-        // Memoize the product.
-        let entry = CacheEntry::new(
-            observed.clone(),
-            bytes,
-            codec::encode_segment(&vm.code, compiled.block),
-            captures.clone(),
-        )
-        .with_attrs(
+        memoize(&mut session.vm, key, &bytes, &linked);
+        let entry = CacheEntry::new(observed.clone(), bytes, linked.captures.clone()).with_attrs(
             stats.size_before as u64,
             stats.size_after as u64,
             stats.inlined,
         );
-        store.cache_insert(key, entry);
+        session.store.cache_insert(key, entry);
     }
     Ok(Rebuilt {
         name,
         old_oid: oid,
-        block: compiled.block,
-        captures,
+        block: linked.block,
+        captures: linked.captures,
         ptml,
         stats,
         observed,
@@ -774,9 +853,7 @@ fn rebuild<S: StoreAccess>(
     let _s = tml_trace::span!("reflect.cache.miss_fill");
     let prepared = prepare(&mut session.ctx, session.store.base(), oid, options, false)?;
     finish(
-        &mut session.store,
-        &mut session.vm,
-        &session.ctx,
+        session,
         Target {
             oid,
             name,
@@ -910,11 +987,7 @@ fn rebuild_parallel<S: StoreAccess>(
                         })
                     } else {
                         prepare(&mut ctx, store, oid, options, true)
-                    }
-                    .map(|mut p| {
-                        p.ctx = Some(ctx);
-                        p
-                    });
+                    };
                     *slots[slot].lock().expect("prepare slot poisoned") = Some(r);
                 });
             }
@@ -927,7 +1000,7 @@ fn rebuild_parallel<S: StoreAccess>(
     // Merge in target order. Each iteration is exactly the sequential
     // `rebuild` — real (stats-counted) cache consult, then finish — except
     // that predicted-miss units use the result prepared off-thread. A
-    // predicted hit that misses after all (entry undecodable, or the
+    // predicted hit that misses after all (entry does not link, or the
     // earlier same-key unit failed to insert) is recomputed inline. In
     // degraded mode a failed unit becomes a recorded skip at exactly the
     // point a sequential run would record it, so VM/store mutation order —
@@ -964,9 +1037,7 @@ fn rebuild_parallel<S: StoreAccess>(
                 }
             };
             finish(
-                &mut session.store,
-                &mut session.vm,
-                &session.ctx,
+                session,
                 Target {
                     oid,
                     name: name.clone(),
@@ -1269,7 +1340,8 @@ pub fn session_from_store_with(
 /// seam — pass a [`tml_store::DurableStore`] to reconstruct a durable
 /// session from an opened (and possibly crash-recovered) image. Only the
 /// read surface is touched here; the follow-up [`relink_image_code`]
-/// regenerates transient code indices through the raw escape hatch.
+/// writes the regenerated transient code indices with
+/// [`StoreAccess::set_transient_code`].
 pub fn session_from_access_with<S: StoreAccess>(
     store: S,
     config: SessionConfig,
@@ -1326,12 +1398,7 @@ pub fn relink_image_code<S: StoreAccess>(
     session: &mut Session<S>,
 ) -> Result<RelinkReport, ReflectError> {
     let _s = tml_trace::span!("reflect.relink");
-    struct Target {
-        oid: Oid,
-        bytes: Result<Vec<u8>, ReflectError>,
-        old: HashMap<String, SVal>,
-    }
-    let targets: Vec<Target> = session
+    let targets: Vec<_> = session
         .store
         .base()
         .iter()
@@ -1339,22 +1406,7 @@ pub fn relink_image_code<S: StoreAccess>(
             Object::Closure(c) => c.ptml.map(|p| (oid, p, c.bindings.clone())),
             _ => None,
         })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|(oid, ptml_oid, bindings)| {
-            let bytes = match session.store.get(ptml_oid) {
-                Ok(Object::Ptml(b)) => Ok(b.clone()),
-                Ok(other) => Err(ReflectError::BadPtml(format!("{} object", other.kind()))),
-                Err(e) => Err(ReflectError::Store(e.to_string())),
-            };
-            Target {
-                oid,
-                bytes,
-                old: bindings.into_iter().collect(),
-            }
-        })
         .collect();
-
     let mut names: HashMap<Oid, String> = HashMap::new();
     for (name, val) in &session.globals {
         if let SVal::Ref(o) = val {
@@ -1362,66 +1414,21 @@ pub fn relink_image_code<S: StoreAccess>(
         }
     }
     let mut report = RelinkReport::default();
-    'targets: for t in &targets {
-        let skip = |session: &mut Session<S>, err: ReflectError| {
-            if matches!(err, ReflectError::UnknownPrim(_)) {
-                tml_trace::count("reflect.relink.unknown_prim", 1);
-            }
-            record_skip(names.get(&t.oid).map(String::as_str), t.oid, &err);
-            let _ = session.store.set_attr(t.oid, "degraded", 1);
-        };
-        let bytes = match &t.bytes {
-            Ok(b) => b,
-            Err(e) => {
-                let e = e.clone();
-                skip(session, e);
+    for (oid, ptml_oid, recorded) in targets {
+        let bytes = ptml_blob(session.store.base(), ptml_oid).map(<[u8]>::to_vec);
+        let linked = bytes.and_then(|b| link_ptml(session, &b, recorded_or_global(&recorded)));
+        let linked = match linked {
+            Ok(l) => l,
+            Err(err) => {
+                if matches!(err, ReflectError::UnknownPrim(_)) {
+                    tml_trace::count("reflect.relink.unknown_prim", 1);
+                }
+                record_skip(names.get(&oid).map(String::as_str), oid, &err);
+                let _ = session.store.set_attr(oid, "degraded", 1);
                 report.skipped += 1;
                 continue;
             }
         };
-        let decoded = decode_abs(&mut session.ctx, bytes).map_err(decode_err);
-        let (abs, frees) = match decoded {
-            Ok(d) => d,
-            Err(e) => {
-                skip(session, e);
-                report.skipped += 1;
-                continue;
-            }
-        };
-        let compiled = match session.vm.compile_proc(&session.ctx, &abs) {
-            Ok(c) => c,
-            Err(e) => {
-                skip(session, ReflectError::Compile(e.to_string()));
-                report.skipped += 1;
-                continue;
-            }
-        };
-        let by_var: HashMap<VarId, &str> = frees.iter().map(|(n, v)| (*v, n.as_str())).collect();
-        let mut env = Vec::with_capacity(compiled.captures.len());
-        let mut bindings = Vec::with_capacity(compiled.captures.len());
-        for v in &compiled.captures {
-            let Some(name) = by_var.get(v).copied() else {
-                let msg = format!(
-                    "capture {} is not a recorded binding",
-                    session.ctx.names.display(*v)
-                );
-                skip(session, ReflectError::Compile(msg));
-                report.skipped += 1;
-                continue 'targets;
-            };
-            let val = t
-                .old
-                .get(name)
-                .or_else(|| session.globals.get(name))
-                .cloned();
-            let Some(val) = val else {
-                skip(session, ReflectError::Unresolved(name.to_string()));
-                report.skipped += 1;
-                continue 'targets;
-            };
-            env.push(val.clone());
-            bindings.push((name.to_string(), val));
-        }
         // Relinking restores transient code indices — the persistent
         // content (PTML, binding values) is unchanged, so cached
         // optimization products observing this closure stay valid. On a
@@ -1429,7 +1436,7 @@ pub fn relink_image_code<S: StoreAccess>(
         // checkpoint writes exactly the relinked closures.
         session
             .store
-            .set_transient_code(t.oid, compiled.block, env, bindings)
+            .set_transient_code(oid, linked.block, linked.env(), linked.captures)
             .map_err(|e| ReflectError::Store(e.to_string()))?;
         // Code-table indices are transient, but hotness is not: re-seed
         // the fresh block's invocation counter and tier tag from the
@@ -1437,13 +1444,13 @@ pub fn relink_image_code<S: StoreAccess>(
         // `tier::persist_counters` and the hot-swap path), so a restart
         // neither forgets which closures are hot nor resets the climb
         // toward the promotion threshold.
-        if let Some(calls) = session.store.attr(t.oid, "tier.calls") {
+        if let Some(calls) = session.store.attr(oid, "tier.calls") {
             if calls > 0 {
-                session.vm.code.seed_calls(compiled.block, calls as u64);
+                session.vm.code.seed_calls(linked.block, calls as u64);
             }
         }
-        if session.store.attr(t.oid, "tier") == Some(i64::from(tml_vm::TIER_HOT)) {
-            session.vm.code.set_tier(compiled.block, tml_vm::TIER_HOT);
+        if session.store.attr(oid, "tier") == Some(i64::from(tml_vm::TIER_HOT)) {
+            session.vm.code.set_tier(linked.block, tml_vm::TIER_HOT);
         }
         report.relinked += 1;
     }
@@ -1696,6 +1703,97 @@ end";
             .result;
         let r = s.call_value(RVal::from_sval(&again), vec![c]).unwrap();
         assert_eq!(r.result, RVal::Real(5.0));
+    }
+
+    fn closure_code(s: &Session, v: &SVal) -> u32 {
+        let SVal::Ref(o) = v else { panic!("not a ref") };
+        let Ok(Object::Closure(c)) = s.store.get(*o) else {
+            panic!("not a closure")
+        };
+        c.code
+    }
+
+    fn abs_of_3_4(s: &mut Session, f: &SVal) -> RVal {
+        let c = s
+            .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
+            .unwrap()
+            .result;
+        s.call_value(RVal::from_sval(f), vec![c]).unwrap().result
+    }
+
+    #[test]
+    fn a_hit_after_an_in_place_mutation_links_the_new_product() {
+        let mut s = session();
+        s.load_str(COMPLEX_SRC).unwrap();
+        let opts = ReflectOptions::default();
+        let _ = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+        let old = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+        assert_eq!(abs_of_3_4(&mut s, &old), RVal::Real(5.0));
+        // Mutate an inlined callee in place: `complex.x` becomes `y`.
+        let oid = |s: &Session, n: &str| match s.globals.get(n) {
+            Some(SVal::Ref(o)) => *o,
+            other => panic!("{n}: {other:?}"),
+        };
+        let (x, y) = (oid(&s, "complex.x"), oid(&s, "complex.y"));
+        *s.store.get_mut(x).unwrap() = s.store.get(y).unwrap().clone();
+        let new = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+        let m = s.store.cache_stats();
+        assert_eq!((m.invalidations, m.inserts), (1, 2), "{m:?}");
+        assert_ne!(closure_ptml(&s, &old), closure_ptml(&s, &new));
+        let hit = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+        assert_eq!(s.store.cache_stats().hits, m.hits + 1);
+        assert_eq!(closure_ptml(&s, &hit), closure_ptml(&s, &new));
+        let expected = RVal::Real(32f64.sqrt());
+        assert_eq!(abs_of_3_4(&mut s, &new), expected);
+        assert_eq!(abs_of_3_4(&mut s, &hit), expected, "no stale block");
+    }
+
+    #[test]
+    fn closures_linked_from_one_product_count_calls_separately() {
+        let mut s = session();
+        s.load_str(COMPLEX_SRC).unwrap();
+        let opts = ReflectOptions::default();
+        let products: Vec<SVal> = (0..3)
+            .map(|_| optimize_named(&mut s, "geom.abs", &opts).unwrap())
+            .collect();
+        assert_eq!(s.store.cache_stats().hits, 2);
+        let blocks: Vec<u32> = products.iter().map(|p| closure_code(&s, p)).collect();
+        assert!(
+            blocks[0] != blocks[1] && blocks[1] != blocks[2] && blocks[0] != blocks[2],
+            "{blocks:?}"
+        );
+        for _ in 0..3 {
+            abs_of_3_4(&mut s, &products[1]);
+        }
+        abs_of_3_4(&mut s, &products[2]);
+        let calls: Vec<u64> = blocks.iter().map(|&b| s.vm.code.calls(b)).collect();
+        assert_eq!(calls, vec![0, 3, 1]);
+    }
+
+    #[test]
+    fn an_entry_that_does_not_link_is_recomputed_and_overwritten() {
+        let mut s = session();
+        s.load_str(COMPLEX_SRC).unwrap();
+        let opts = ReflectOptions::default();
+        let good = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+        let (key, entry) = s
+            .store
+            .cache()
+            .iter()
+            .map(|(k, e)| (*k, e.clone()))
+            .next()
+            .unwrap();
+        let bad = CacheEntry::new(entry.observed.clone(), vec![0xff; 8], entry.captures);
+        s.store.cache_insert(key, bad);
+        let before = s.store.cache_stats();
+        let again = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+        let after = s.store.cache_stats();
+        assert_eq!(after.inserts, before.inserts + 1, "recomputed: {after:?}");
+        assert_eq!(abs_of_3_4(&mut s, &again), RVal::Real(5.0));
+        assert_eq!(closure_ptml(&s, &again), closure_ptml(&s, &good));
+        assert_eq!(s.store.cache().iter().next().unwrap().1.ptml, entry.ptml);
+        let _ = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+        assert_eq!(s.store.cache_stats().hits, after.hits + 1, "hits again");
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //!
 //! Hotness survives restarts: [`persist_counters`] writes each
 //! closure's lifetime call count to the `tier.calls` attribute (saved
-//! in the TYCAT1 catalog's attr section at checkpoint), and
+//! in the TYCAT2 catalog's attr section at checkpoint), and
 //! [`crate::relink_image_code`] seeds the fresh code table from those
 //! attributes on image load.
 
@@ -55,8 +55,8 @@ use tml_lang::Session;
 use tml_store::{Object, SVal, Store, StoreAccess, StoreError};
 use tml_vm::{TIER_BASELINE, TIER_HOT};
 
-use crate::{decode_err, rebuild, KeyInputs, ReflectError, ReflectOptions};
-use tml_store::ptml::decode_abs;
+use crate::{link_ptml, ptml_blob, rebuild, recorded_or_global, KeyInputs};
+use crate::{ReflectError, ReflectOptions};
 
 /// Store root holding the cumulative swap/deopt totals tuple.
 pub const STATS_ROOT: &str = "tier.stats";
@@ -368,52 +368,21 @@ pub fn prepare_deopt<S: StoreAccess>(
     let _s = tml_trace::span!("tier.deopt");
     let prov = load_provenance(session.store.base(), oid)
         .ok_or_else(|| ReflectError::Store(format!("no tier provenance recorded for {oid}")))?;
-    let bytes = match session.store.base().get(prov.prev_ptml) {
-        Ok(Object::Ptml(b)) => b.clone(),
-        Ok(other) => return Err(ReflectError::BadPtml(format!("{} object", other.kind()))),
-        Err(e) => return Err(ReflectError::Store(e.to_string())),
-    };
-    let (abs, frees) = decode_abs(&mut session.ctx, &bytes).map_err(decode_err)?;
-    let compiled = session
-        .vm
-        .compile_proc(&session.ctx, &abs)
-        .map_err(|e| ReflectError::Compile(e.to_string()))?;
+    let bytes = ptml_blob(session.store.base(), prov.prev_ptml)?.to_vec();
+    let linked = link_ptml(session, &bytes, recorded_or_global(&prov.prev_bindings))?;
     // Lifetime counters survive the demotion just like the promotion —
     // the closure is still hot, it only lost its assumptions.
     if let Ok(Object::Closure(c)) = session.store.base().get(oid) {
         session
             .vm
             .code
-            .seed_calls(compiled.block, session.vm.code.calls(c.code));
-    }
-    let by_var: HashMap<_, &str> = frees.iter().map(|(n, v)| (*v, n.as_str())).collect();
-    let old: HashMap<&str, &SVal> = prov
-        .prev_bindings
-        .iter()
-        .map(|(n, v)| (n.as_str(), v))
-        .collect();
-    let mut env = Vec::with_capacity(compiled.captures.len());
-    let mut bindings = Vec::with_capacity(compiled.captures.len());
-    for v in &compiled.captures {
-        let name = by_var.get(v).copied().ok_or_else(|| {
-            ReflectError::Compile(format!(
-                "capture {} is not a recorded binding",
-                session.ctx.names.display(*v)
-            ))
-        })?;
-        let val = old
-            .get(name)
-            .map(|v| (*v).clone())
-            .or_else(|| session.globals.get(name).cloned())
-            .ok_or_else(|| ReflectError::Unresolved(name.to_string()))?;
-        env.push(val.clone());
-        bindings.push((name.to_string(), val));
+            .seed_calls(linked.block, session.vm.code.calls(c.code));
     }
     Ok(Deopt {
         oid,
-        block: compiled.block,
-        env,
-        bindings,
+        block: linked.block,
+        env: linked.env(),
+        bindings: linked.captures,
         prev_ptml: prov.prev_ptml,
     })
 }
@@ -583,7 +552,7 @@ pub fn tick<S: StoreAccess>(
 }
 
 /// Persist the lifetime call counters as `tier.calls` attributes so
-/// hotness survives checkpoint/reopen (the TYCAT1 catalog saves the
+/// hotness survives checkpoint/reopen (the TYCAT2 catalog saves the
 /// attr section wholesale). Returns the number of counters written.
 pub fn persist_counters<S: StoreAccess>(session: &mut Session<S>) -> Result<usize, StoreError> {
     let code = &session.vm.code;

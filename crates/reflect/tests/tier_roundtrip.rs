@@ -6,7 +6,7 @@
 //!    from the provenance record — promotion never touches the old
 //!    blob, it only re-anchors it under a `tier.prev.<oid>` root.
 //! 2. Hotness survives checkpoint/reopen: `persist_counters` writes
-//!    lifetime call counts into the TYCAT1 attr section and
+//!    lifetime call counts into the TYCAT2 attr section and
 //!    `relink_image_code` seeds the fresh code table from them.
 //! 3. A session mid-call keeps executing the code object it pinned at
 //!    entry (the machine clones the closure record on invocation),
@@ -260,7 +260,7 @@ fn counters_and_tier_survive_checkpoint_and_reopen() {
     assert!(persisted >= 7, "lifetime count persisted, got {persisted}");
     drop(dsess);
 
-    // Reopen: the attr section rides the TYCAT1 catalog, and relink seeds
+    // Reopen: the attr section rides the TYCAT2 catalog, and relink seeds
     // the fresh code table from it.
     let (ds2, report) = DurableStore::open(&path, DurableOptions::default()).unwrap();
     assert!(!report.stale_log);

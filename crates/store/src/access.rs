@@ -26,6 +26,17 @@
 //! closure's code-table index, which every image open re-derives from
 //! PTML, so a durable backend only marks the record dirty for the next
 //! checkpoint.
+//!
+//! ## Why the plain store keeps its own impl
+//!
+//! The in-memory backend is not a `DurableStore` over an in-memory page
+//! file, because ephemeral sessions — every `stanford_run` program run
+//! and every `query_scan` query — mutate arrays constantly, and a
+//! `DurableStore` logs a full post-image of the array for each
+//! `array_set` (`log_post_image`). An ephemeral session would pay a
+//! record encode per element store for durability it never uses. The
+//! `Store` impl below is that cost's absence: each method forwards to
+//! the heap, and both backends share every default method.
 
 use crate::cache::{CacheEntry, CacheKey};
 use crate::gc::{self, GcStats};

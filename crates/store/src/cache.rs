@@ -6,11 +6,14 @@
 //! entirely persistent: the PTML blob and the closure's binding record.
 //! This module memoizes the result as a derived attribute of the store —
 //! "costs, savings, …" generalized to the whole optimization product —
-//! so that repeating an optimization against unchanged bindings links the
-//! cached code instead of recompiling. The cache is serialized into every
-//! checkpoint catalog ([`crate::paged`]) and therefore survives a
-//! checkpoint/reopen cycle: a warm restart re-links optimized code without
-//! ever invoking the optimizer.
+//! so that repeating an optimization against unchanged bindings skips the
+//! rebuild and the optimizer. A product is its optimized PTML, its
+//! captures and its size attributes; like every other piece of persistent
+//! code it holds no bytecode, and `tml-reflect` links its PTML into the
+//! session's code table (once per session, then by copying the linked
+//! entry block). The cache is serialized into every checkpoint catalog
+//! ([`crate::paged`]) and therefore survives a checkpoint/reopen cycle: a
+//! warm restart links optimized code without ever invoking the optimizer.
 //!
 //! ## Key derivation
 //!
@@ -57,9 +60,6 @@ pub struct CacheEntry {
     pub observed: Vec<(Oid, u64)>,
     /// The optimized PTML encoding.
     pub ptml: Vec<u8>,
-    /// The compiled bytecode segment (opaque to the store; produced and
-    /// consumed by the VM's code codec).
-    pub code: Vec<u8>,
     /// Residual captures of the optimized procedure: name plus the binding
     /// value observed in the source closure.
     pub captures: Vec<(String, Option<SVal>)>,
@@ -78,13 +78,11 @@ impl CacheEntry {
     pub fn new(
         observed: Vec<(Oid, u64)>,
         ptml: Vec<u8>,
-        code: Vec<u8>,
         captures: Vec<(String, Option<SVal>)>,
     ) -> CacheEntry {
         CacheEntry {
             observed,
             ptml,
-            code,
             captures,
             size_before: 0,
             size_after: 0,
@@ -181,12 +179,9 @@ impl OptCache {
         self.entries.iter()
     }
 
-    /// Approximate bytes held by cached PTML and code payloads.
+    /// Approximate bytes held by cached PTML payloads.
     pub fn byte_size(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| e.ptml.len() + e.code.len())
-            .sum()
+        self.entries.values().map(|e| e.ptml.len()).sum()
     }
 
     pub(crate) fn evict_lru(&mut self) {
@@ -297,7 +292,6 @@ mod tests {
         CacheEntry {
             observed: deps,
             ptml: vec![1, 2, 3],
-            code: vec![4, 5],
             captures: vec![("sqrt".into(), Some(SVal::Ref(Oid(9))))],
             size_before: 10,
             size_after: 4,

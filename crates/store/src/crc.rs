@@ -4,7 +4,7 @@
 //! The persistent image *is* the database — the paper keeps every compiled
 //! function's PTML in the store, so a silently corrupt image is not a cache
 //! miss but data loss. Like the ASF+SDF compiler's persistent term store,
-//! the image must be self-validating: the TYCAT1 catalog (like the TYSTO3
+//! the image must be self-validating: the TYCAT2 catalog (like the TYSTO3
 //! store encoding) appends a CRC-32 of the whole body so torn writes and
 //! bit rot are detected before any object is trusted.
 //!

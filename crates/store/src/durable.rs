@@ -2,7 +2,7 @@
 //! with periodic checkpoints onto paged object storage.
 //!
 //! This is the persistence architecture ROADMAP item 1 called for, now in
-//! its paged form: the on-disk image is a small **TYCAT1 catalog**
+//! its paged form: the on-disk image is a small **TYCAT2 catalog**
 //! ([`crate::paged`]) addressing object records on slotted pages, so a
 //! checkpoint flushes only the records dirtied since the previous one
 //! plus one atomic catalog write — not the whole image. Individual
@@ -34,7 +34,7 @@
 //!
 //! ## Recovery
 //!
-//! [`DurableStore::open`]: reconstruct the store from the TYCAT1 catalog
+//! [`DurableStore::open`]: reconstruct the store from the TYCAT2 catalog
 //! and its page file ([`paged::open_catalog`]'s primary → backup → tmp
 //! chain), then scan the log and decide:
 //!
@@ -1210,7 +1210,6 @@ mod tests {
             CacheEntry {
                 observed: vec![(a, 0)],
                 ptml: vec![1, 2],
-                code: vec![3, 4],
                 captures: vec![],
                 size_before: 10,
                 size_after: 4,

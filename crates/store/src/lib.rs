@@ -55,7 +55,6 @@ pub use durable::{DurableOptions, DurableStore, OpenReport};
 pub use object::{ClosureObj, ModuleObj, Object, Relation};
 pub use page::{Page, PageFile, PageId, PAGE_SIZE};
 pub use paged::{ImageIdentity, PageStats, PagedHeap, RecoverySource};
-pub use snapshot::{get_sval, put_sval};
 pub use store::{Store, StoreError, StoreStats};
 pub use sval::SVal;
 pub use tml_core::Oid;

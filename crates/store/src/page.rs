@@ -171,22 +171,6 @@ impl PageFile {
         Ok(PageFile { file })
     }
 
-    /// File length in bytes (not necessarily page-aligned: a torn tail
-    /// write can leave a partial last page).
-    pub fn len(&self) -> std::io::Result<u64> {
-        Ok(self.file.metadata()?.len())
-    }
-
-    /// `true` when the file holds no bytes at all.
-    pub fn is_empty(&self) -> std::io::Result<bool> {
-        Ok(self.len()? == 0)
-    }
-
-    /// Number of pages, counting a trailing partial page as one.
-    pub fn npages(&self) -> std::io::Result<u64> {
-        Ok(self.len()?.div_ceil(PAGE_SIZE as u64))
-    }
-
     /// Read one page. Bytes past EOF read as zero, so the tail page of a
     /// file whose last write was torn still loads.
     pub fn read_page(&mut self, id: PageId, page: &mut Page) -> std::io::Result<()> {
@@ -288,7 +272,8 @@ mod tests {
         pf.write_page(PageId(0), &p0).unwrap();
         // A torn write: only 10 bytes of page 1 reach the disk.
         pf.write_page_prefix(PageId(1), &[0xcc; 10]).unwrap();
-        assert_eq!(pf.npages().unwrap(), 2);
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(len, PAGE_SIZE as u64 + 10, "a partial last page");
         let mut back = Page::new();
         pf.read_page(PageId(0), &mut back).unwrap();
         assert_eq!(back.bytes()[0], 0xaa);

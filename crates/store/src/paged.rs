@@ -1,7 +1,7 @@
 //! Paged object storage for the durable store: object records on slotted
 //! pages behind the buffer pool, addressed by a small catalog file.
 //!
-//! This is the one on-disk image format. The image path holds a **TYCAT1
+//! This is the one on-disk image format. The image path holds a **TYCAT2
 //! catalog** — the OID → page
 //! location directory plus the store's small sections (roots, attributes,
 //! versions, optimization cache) — while object bytes live on 4 KiB
@@ -9,6 +9,10 @@
 //! checkpoint therefore writes only the records that changed since the
 //! last one (the dirty set) plus one small catalog, instead of
 //! re-serializing the whole world.
+//!
+//! A TYCAT1 catalog (the format before cache entries stopped carrying
+//! compiled code) still opens, with an empty optimization cache: the
+//! cache is derived data, and the next optimization refills it.
 //!
 //! ## Record layout
 //!
@@ -63,7 +67,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use tml_core::Oid;
 
-const MAGIC: &[u8; 6] = b"TYCAT1";
+const MAGIC: &[u8; 6] = b"TYCAT2";
 
 /// Largest record stored inline in a slotted page (one fresh page minus
 /// the page header and one slot entry); larger records chain.
@@ -178,12 +182,22 @@ fn remove_stray_gens(path: &Path, keep: Option<u64>) {
     }
 }
 
-/// `true` when the file at `path` starts with the TYCAT1 catalog magic.
+/// The catalog format version `bytes` start with: 2 for the current
+/// TYCAT2, 1 for a TYCAT1 catalog, `None` when they are no catalog.
+pub fn catalog_version(bytes: &[u8]) -> Option<u8> {
+    match bytes.get(..MAGIC.len())? {
+        b"TYCAT2" => Some(2),
+        b"TYCAT1" => Some(1),
+        _ => None,
+    }
+}
+
+/// `true` when the file at `path` starts with a catalog magic.
 pub fn is_catalog_file(path: impl AsRef<Path>) -> bool {
     use std::io::Read;
     let mut magic = [0u8; 6];
     match std::fs::File::open(path.as_ref()) {
-        Ok(mut f) => f.read_exact(&mut magic).is_ok() && &magic == MAGIC,
+        Ok(mut f) => f.read_exact(&mut magic).is_ok() && catalog_version(&magic).is_some(),
         Err(_) => false,
     }
 }
@@ -325,9 +339,7 @@ struct Catalog {
 
 fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DecodeError> {
     let magic = bytes.get(..MAGIC.len()).ok_or(DecodeError::Truncated)?;
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
+    let version = catalog_version(magic).ok_or(DecodeError::BadMagic)?;
     let body_len = bytes.len().checked_sub(4).ok_or(DecodeError::Truncated)?;
     if body_len < MAGIC.len() {
         return Err(DecodeError::Truncated);
@@ -387,8 +399,14 @@ fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DecodeError> {
         attrs.insert(oid, kv);
     }
     let versions = snapshot::get_versions(&mut r)?;
-    let cache = snapshot::get_cache(&mut r)?;
-    if !r.is_at_end() {
+    // TYCAT1's cache section, the last one, also holds compiled code:
+    // open with an empty cache instead.
+    let cache = if version == 1 {
+        OptCache::default()
+    } else {
+        snapshot::get_cache(&mut r)?
+    };
+    if version > 1 && !r.is_at_end() {
         return Err(DecodeError::Truncated);
     }
     Ok(Catalog {
@@ -862,6 +880,79 @@ mod tests {
         assert_eq!(stats.dir_entries, 3);
         assert_eq!(stats.chains, 1);
         assert!(stats.pages >= 4, "inline page + 3-page chain");
+    }
+
+    #[test]
+    fn tycat1_catalog_opens_intact_with_an_empty_cache() {
+        use crate::cache::{CacheEntry, CacheKey};
+        let path = tmp("tycat1.tyc");
+        let mut store = store_with(&[
+            Object::Array(vec![SVal::Int(1)]),
+            Object::Ptml(vec![3, 1, 4]),
+            Object::ByteArray(vec![0x5a; 2 * PAGE_SIZE]),
+        ]);
+        store.set_root("main", Oid(1));
+        store.set_attr(Oid(2), "tier.calls", 41);
+        store.get_mut(Oid(1)).unwrap(); // bump a version
+        let key = CacheKey {
+            ptml_hash: 9,
+            binding_sig: 8,
+        };
+        let entry = CacheEntry::new(
+            vec![(Oid(1), 1)],
+            vec![7, 7],
+            vec![("k".into(), Some(SVal::Ref(Oid(3))))],
+        );
+        store.cache_insert(key, entry.clone());
+        let mut heap = PagedHeap::create(&path).unwrap();
+        checkpoint_all(&mut heap, &store);
+
+        // Rewrite the catalog as TYCAT1: the same sections, except that
+        // each cache entry also carries a compiled-code string after its
+        // PTML.
+        let v2 = std::fs::read(&path).unwrap();
+        let mut cache_v2 = Vec::new();
+        snapshot::put_cache(&mut cache_v2, store.cache());
+        let body = &v2[..v2.len() - 4];
+        assert!(body.ends_with(&cache_v2), "the cache is the last section");
+        let mut v1 = body[..body.len() - cache_v2.len()].to_vec();
+        v1[..MAGIC.len()].copy_from_slice(b"TYCAT1");
+        let stats = store.cache_stats();
+        for n in [64, stats.hits, stats.misses, 0, 0, stats.inserts, 1] {
+            put_u64(&mut v1, n);
+        }
+        put_u64(&mut v1, key.ptml_hash);
+        put_u64(&mut v1, key.binding_sig);
+        put_u64(&mut v1, 1);
+        put_u64(&mut v1, 1);
+        put_u64(&mut v1, 1);
+        crate::varint::put_bytes(&mut v1, &entry.ptml);
+        crate::varint::put_bytes(&mut v1, b"compiled code");
+        put_u64(&mut v1, 1);
+        put_str(&mut v1, "k");
+        v1.push(1);
+        snapshot::put_sval(&mut v1, &SVal::Ref(Oid(3)));
+        for n in [0, 0, 0] {
+            put_u64(&mut v1, n);
+        }
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &v1).unwrap();
+
+        assert!(is_catalog_file(&path));
+        assert_eq!(catalog_version(&v1), Some(1));
+        assert_eq!(catalog_version(&v2), Some(2));
+        let opened = open_catalog(&path).unwrap().expect("TYCAT1 decodes");
+        assert_eq!(opened.source, RecoverySource::Primary);
+        assert!(opened.store.cache().is_empty());
+        assert_eq!(opened.store.version(Oid(1)), 1);
+        let mut expected = store.clone();
+        *expected.cache_mut() = OptCache::default();
+        assert_eq!(
+            snapshot::to_bytes(&opened.store),
+            snapshot::to_bytes(&expected),
+            "objects, roots, attributes and versions intact"
+        );
     }
 
     #[test]

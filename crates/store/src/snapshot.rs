@@ -1,7 +1,7 @@
 //! The canonical in-memory encoding of a whole [`Store`] (TYSTO3), and
 //! the object/value/cache codec every persistent record shares.
 //!
-//! Nothing here touches a file: the on-disk image is the paged TYCAT1
+//! Nothing here touches a file: the on-disk image is the paged TYCAT2
 //! catalog ([`crate::paged`]), whose page records and WAL records carry
 //! objects in `put_object`'s encoding. [`to_bytes`] / [`from_bytes`]
 //! serialize the whole store — objects, roots, attributes, versions and
@@ -213,7 +213,6 @@ pub(crate) fn put_cache(out: &mut Vec<u8>, cache: &OptCache) {
             put_u64(out, *ver);
         }
         put_bytes(out, &e.ptml);
-        put_bytes(out, &e.code);
         put_u64(out, e.captures.len() as u64);
         for (name, fallback) in &e.captures {
             put_str(out, name);
@@ -258,7 +257,6 @@ pub(crate) fn get_cache(r: &mut Reader<'_>) -> Result<OptCache, DecodeError> {
             observed.push((oid, ver));
         }
         let ptml = r.byte_string()?.to_vec();
-        let code = r.byte_string()?.to_vec();
         let ncaps = r.len()?;
         let mut captures = Vec::with_capacity(ncaps.min(1024));
         for _ in 0..ncaps {
@@ -278,7 +276,6 @@ pub(crate) fn get_cache(r: &mut Reader<'_>) -> Result<OptCache, DecodeError> {
             CacheEntry {
                 observed,
                 ptml,
-                code,
                 captures,
                 size_before,
                 size_after,
@@ -294,9 +291,8 @@ pub(crate) fn get_cache(r: &mut Reader<'_>) -> Result<OptCache, DecodeError> {
     Ok(cache)
 }
 
-/// Encode one [`SVal`] in the snapshot's value format. Public because the
-/// VM's code codec reuses it for constant pools.
-pub fn put_sval(out: &mut Vec<u8>, v: &SVal) {
+/// Encode one [`SVal`] in the snapshot's value format.
+pub(crate) fn put_sval(out: &mut Vec<u8>, v: &SVal) {
     match v {
         SVal::Unit => out.push(VAL_UNIT),
         SVal::Bool(b) => {
@@ -327,7 +323,7 @@ pub fn put_sval(out: &mut Vec<u8>, v: &SVal) {
 }
 
 /// Decode one [`SVal`] written by [`put_sval`].
-pub fn get_sval(r: &mut Reader<'_>) -> Result<SVal, DecodeError> {
+pub(crate) fn get_sval(r: &mut Reader<'_>) -> Result<SVal, DecodeError> {
     Ok(match r.byte()? {
         VAL_UNIT => SVal::Unit,
         VAL_BOOL => SVal::Bool(r.byte()? != 0),
@@ -674,7 +670,6 @@ mod tests {
             CacheEntry {
                 observed: vec![(Oid(1), 2), (Oid(4), 0)],
                 ptml: vec![7, 7],
-                code: vec![1, 2, 3, 4],
                 captures: vec![
                     ("real.sqrt".into(), Some(SVal::Ref(Oid(5)))),
                     ("k".into(), None),
@@ -695,7 +690,6 @@ mod tests {
         let (k, e) = loaded.cache().iter().next().unwrap();
         assert_eq!(*k, key);
         assert_eq!(e.ptml, vec![7, 7]);
-        assert_eq!(e.code, vec![1, 2, 3, 4]);
         assert_eq!(e.captures.len(), 2);
         assert_eq!(e.observed, vec![(Oid(1), 2), (Oid(4), 0)]);
         // A hit against the reloaded store still validates.
@@ -714,7 +708,6 @@ mod tests {
             CacheEntry {
                 observed: vec![(Oid(1), 0)],
                 ptml: vec![1],
-                code: vec![2],
                 captures: vec![],
                 size_before: 1,
                 size_after: 1,

@@ -51,13 +51,12 @@
 //!
 //! ## Scanning
 //!
-//! [`Wal::scan`] walks the stream (through a [`BufferPool`] over the page
-//! file), validating each frame's CRC and LSN monotonicity. The committed
+//! [`Wal::scan`] reads the file and walks the stream in memory,
+//! validating each frame's CRC and LSN monotonicity. The committed
 //! prefix ends at the last valid `Commit` record; anything between there
 //! and the first invalid frame is an uncommitted (or torn) suffix, which
 //! recovery discards and appends later overwrite.
 
-use crate::buffer::BufferPool;
 use crate::crc::crc32;
 use crate::failpoint::{self, Action};
 use crate::object::Object;
@@ -453,7 +452,7 @@ fn parse_header(page: &Page) -> Option<ImageIdentity> {
 
 /// The result of walking a log file: every decodable record, where the
 /// committed prefix ends, and what state the tail was in.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct LogScan {
     /// Whether a log file existed at all.
     pub exists: bool,
@@ -493,6 +492,28 @@ impl LogScan {
             file_bytes: 0,
         }
     }
+}
+
+/// Walk a whole log file held in memory: the header page, then the
+/// record stream. Never panics, whatever the bytes.
+fn scan_bytes(bytes: &[u8]) -> LogScan {
+    let mut out = LogScan::empty();
+    out.exists = true;
+    out.file_bytes = bytes.len() as u64;
+    if bytes.is_empty() {
+        return out;
+    }
+    out.base = parse_header(&Page::from_bytes(bytes));
+    if out.base.is_none() {
+        // No trustworthy header: nothing in the stream can be used.
+        out.torn_tail = true;
+        return out;
+    }
+    // Pages past EOF read as zeros: pad the stream to a page multiple.
+    let mut stream = bytes[PAGE_SIZE.min(bytes.len())..].to_vec();
+    stream.resize(stream.len().next_multiple_of(PAGE_SIZE), 0);
+    scan_stream(&stream, &mut out);
+    out
 }
 
 /// Walk the record stream. `stream` is the file contents from page 1 on,
@@ -655,39 +676,10 @@ impl Wal {
     /// *contents* never error and never panic — they end the scan.
     pub fn scan(path: impl AsRef<Path>) -> std::io::Result<LogScan> {
         let path = path.as_ref();
-        let mut out = LogScan::empty();
         if !path.exists() {
-            return Ok(out);
+            return Ok(LogScan::empty());
         }
-        out.exists = true;
-        let mut file = PageFile::open(path)?;
-        out.file_bytes = file.len()?;
-        let npages = file.npages()?;
-        // Read through a small buffer pool: the scan is the log's bulk
-        // read path, and the pool's pin/eviction discipline is exactly
-        // what the multi-session server will lean on.
-        let mut pool = BufferPool::new(8);
-        let mut read_page = |file: &mut PageFile, ix: u64| -> std::io::Result<Vec<u8>> {
-            let f = pool.pin(file, PageId(ix))?;
-            let bytes = pool.page(f).bytes().to_vec();
-            pool.unpin(f);
-            Ok(bytes)
-        };
-        if npages == 0 {
-            return Ok(out);
-        }
-        let hdr = Page::from_bytes(&read_page(&mut file, 0)?);
-        out.base = parse_header(&hdr);
-        if out.base.is_none() {
-            // No trustworthy header: nothing in the stream can be used.
-            out.torn_tail = out.file_bytes > 0;
-            return Ok(out);
-        }
-        let mut stream = Vec::with_capacity(((npages.max(1) - 1) as usize) * PAGE_SIZE);
-        for ix in 1..npages {
-            stream.extend_from_slice(&read_page(&mut file, ix)?);
-        }
-        scan_stream(&stream, &mut out);
+        let out = scan_bytes(&std::fs::read(path)?);
         if tml_trace::enabled() {
             tml_trace::count("store.wal.scans", 1);
             tml_trace::count("store.wal.scan_bytes", out.file_bytes);
@@ -1232,20 +1224,26 @@ mod tests {
         drop(wal);
         let pristine = std::fs::read(&path).unwrap();
         let full = Wal::scan(&path).unwrap();
+        assert_eq!(full, scan_bytes(&pristine));
+        assert_eq!(full.commits, 3);
+        // The sweep runs in memory; one damaged file checks that the file
+        // path scans exactly the same bytes.
         let sweep = tmp("sweep_victim.wal");
+        let mut damaged = pristine.clone();
+        damaged[PAGE_SIZE + 10] ^= 0xff;
+        std::fs::write(&sweep, &damaged).unwrap();
+        assert_eq!(Wal::scan(&sweep).unwrap(), scan_bytes(&damaged));
         for pos in 0..pristine.len() {
             let mut bytes = pristine.clone();
             bytes[pos] ^= 0xff;
-            std::fs::write(&sweep, &bytes).unwrap();
-            let scan = Wal::scan(&sweep).unwrap();
+            let scan = scan_bytes(&bytes);
             assert!(
                 scan.committed <= full.committed,
                 "flip at {pos} grew the committed prefix"
             );
         }
         for cut in 0..pristine.len() {
-            std::fs::write(&sweep, &pristine[..cut]).unwrap();
-            let scan = Wal::scan(&sweep).unwrap();
+            let scan = scan_bytes(&pristine[..cut]);
             assert!(scan.committed <= full.committed);
         }
     }

@@ -1,5 +1,5 @@
 //! Corruption robustness: no byte flip or truncation of the TYSTO3 store
-//! encoding or of a TYCAT1 catalog may panic the decoder, and a damaged
+//! encoding or of a TYCAT2 catalog may panic the decoder, and a damaged
 //! catalog is never trusted — the open falls back to the previous
 //! checkpoint's `.bak` or reports nothing decodable.
 
@@ -108,7 +108,7 @@ fn every_catalog_flip_and_truncation_falls_back_or_fails_cleanly() {
     ds.checkpoint().unwrap();
     drop(ds);
     let primary = std::fs::read(&path).unwrap();
-    assert!(primary.starts_with(b"TYCAT1"));
+    assert!(primary.starts_with(b"TYCAT2"));
 
     assert_catalog_damage_is_contained(&path, &primary, Some(&previous_bytes));
     std::fs::remove_file(paged::backup_path(&path)).unwrap();

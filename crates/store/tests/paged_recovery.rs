@@ -354,7 +354,7 @@ fn no_seam_method_bypasses_logging() {
                     ptml_hash: 42,
                     binding_sig: 7,
                 },
-                CacheEntry::new(vec![(a, 1)], vec![1, 2, 3], vec![], vec![]),
+                CacheEntry::new(vec![(a, 1)], vec![1, 2, 3], vec![]),
             );
             s.commit().unwrap();
             s.checkpoint().unwrap();

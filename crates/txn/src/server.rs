@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use tml_lang::Session;
 use tml_reflect::tier::{self, TierEngine, TierOptions};
-use tml_reflect::{optimize_value, ReflectOptions};
+use tml_reflect::{link_ptml, optimize_value, recorded_or_global, ReflectError, ReflectOptions};
 use tml_store::{ClosureObj, DurableStore, Object, SVal, StoreAccess, StoreError};
 use tml_vm::{Machine, RVal, VmError};
 
@@ -797,9 +797,9 @@ fn call(
     }
 }
 
-/// Install shipped PTML: decode, recompile, rebind free identifiers
-/// against the server's globals, and persist PTML + closure + root
-/// through the transaction view (all logged, all undoable).
+/// Install shipped PTML: link it (decode, recompile, rebind free
+/// identifiers against the server's globals), and persist PTML + closure
+/// + root through the transaction view (all logged, all undoable).
 fn ship(
     sess: &mut Session<DurableStore>,
     mgr: &TxnManager,
@@ -807,40 +807,23 @@ fn ship(
     name: &str,
     ptml: &[u8],
 ) -> Result<Response, Fail> {
-    let (abs, free) =
-        tml_store::ptml::decode_abs(&mut sess.ctx, ptml).map_err(|e| Fail::Report {
-            code: ErrCode::Proto,
-            msg: format!("undecodable PTML: {e}"),
-        })?;
-    let compiled = sess
-        .vm
-        .compile_proc(&sess.ctx, &abs)
-        .map_err(|e| Fail::Report {
-            code: ErrCode::Server,
-            msg: format!("recompile failed: {e}"),
-        })?;
-    let by_var: HashMap<_, _> = free.iter().map(|(n, v)| (*v, n.clone())).collect();
-    let mut env = Vec::new();
-    let mut bindings = Vec::new();
-    for v in &compiled.captures {
-        let free_name = &by_var[v];
-        let Some(val) = sess.globals.get(free_name).cloned() else {
-            return Err(Fail::Report {
-                code: ErrCode::Unresolved,
-                msg: format!("server cannot resolve {free_name}"),
-            });
+    let linked = link_ptml(sess, ptml, recorded_or_global(&[])).map_err(|e| {
+        let code = match e {
+            ReflectError::BadPtml(_) | ReflectError::UnknownPrim(_) => ErrCode::Proto,
+            ReflectError::Unresolved(_) => ErrCode::Unresolved,
+            _ => ErrCode::Server,
         };
-        env.push(val.clone());
-        bindings.push((free_name.clone(), val));
-    }
+        let msg = format!("cannot install {name}: {e}");
+        Fail::Report { code, msg }
+    })?;
     let txn = state.txn.as_mut().expect("with_txn ensured");
     let mut view = TxnView::new(&mut sess.store, txn, mgr.locks());
     let install = (|| -> Result<tml_core::Oid, StoreError> {
         let ptml_oid = view.alloc(Object::Ptml(ptml.to_vec()))?;
         let clo = view.alloc(Object::Closure(ClosureObj {
-            code: compiled.block,
-            env,
-            bindings,
+            code: linked.block,
+            env: linked.env(),
+            bindings: linked.captures,
             ptml: Some(ptml_oid),
         }))?;
         view.set_root(name, clo)?;

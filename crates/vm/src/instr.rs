@@ -544,6 +544,15 @@ impl CodeTable {
         self.blocks.len() as u32 - 1
     }
 
+    /// Append a copy of block `ix` and return its index. The copy starts
+    /// cold (zero calls, baseline tier); the blocks it closes over stay
+    /// shared. Closures linked from one cached optimization product each
+    /// get their own entry block this way.
+    pub fn duplicate(&mut self, ix: u32) -> u32 {
+        let block = self.blocks[ix as usize].clone();
+        self.push(block)
+    }
+
     /// Record one invocation of block `ix`; returns the new count.
     /// Saturating so a pathological loop cannot wrap back to cold. A
     /// dangling index (a degraded closure whose code never compiled) is

@@ -25,12 +25,17 @@
 //! Extension primitives (e.g. the query primitives of `tml-query`) execute
 //! through the [`host::ExternFn`] interface, which can re-enter the machine
 //! to evaluate TML closures (query predicates, target expressions).
+//!
+//! Bytecode is transient: a [`CodeTable`] lives and dies with its session
+//! and is never serialized. The persistent form of code is PTML (paper
+//! §2.2); `tml-reflect` links it into a session's table on image open,
+//! on optimization-cache hits and on deopt, and keeps the cache products
+//! it already linked in [`Vm::linked`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::or_fun_call)]
 
-pub mod codec;
 pub mod compile;
 pub mod disasm;
 pub mod host;
@@ -44,9 +49,10 @@ pub use instr::{CodeBlock, CodeTable, Instr, TIER_BASELINE, TIER_HOT};
 pub use machine::{ExecStats, Machine, Outcome, VmError, VmProfile};
 pub use rval::RVal;
 
+use std::collections::HashMap;
 use tml_core::term::{Abs, App};
 use tml_core::Ctx;
-use tml_store::StoreAccess;
+use tml_store::{CacheKey, StoreAccess};
 
 /// A convenience façade bundling a code table and extern registry.
 #[derive(Default)]
@@ -55,6 +61,22 @@ pub struct Vm {
     pub code: CodeTable,
     /// Extension primitives.
     pub externs: ExternTable,
+    /// Optimization-cache products already linked into [`Vm::code`], by
+    /// cache key. Transient like the table itself: never persisted.
+    pub linked: HashMap<CacheKey, LinkedProduct>,
+}
+
+/// One optimization-cache product linked into a session's code table.
+#[derive(Debug, Clone)]
+pub struct LinkedProduct {
+    /// Hash of the optimized PTML the block was compiled from; a cache
+    /// entry with other PTML is not served by this block.
+    pub ptml_hash: u64,
+    /// The entry block. Each further hit links a fresh copy of it
+    /// ([`CodeTable::duplicate`]).
+    pub block: u32,
+    /// The capture names, in environment order.
+    pub captures: Vec<String>,
 }
 
 impl Vm {

@@ -15,7 +15,7 @@
 //! tmlc serve <image> [--addr host:port] [options]            multi-session transaction server
 //! tmlc prims [--json]                                        list the primitive registry
 //!
-//! There is one image format: the paged durable image — a TYCAT1 catalog
+//! There is one image format: the paged durable image — a TYCAT2 catalog
 //! at the image path, object records in `<image>.p<gen>`, and a
 //! write-ahead log in `<image>.wal` — written by `snapshot`, by
 //! `fsck --repair` and by `--durable` sessions. `profile`, `explain`,
@@ -1217,9 +1217,9 @@ fn json_str(s: &str) -> String {
 fn cmd_fsck(o: &Options) -> Result<(), String> {
     let path = o.positional.first().ok_or("missing image file")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    // Format 4 is the paged TYCAT1 catalog; anything else is not an image
-    // (0), though a good sibling may still recover it.
-    let format = if bytes.starts_with(b"TYCAT1") { 4 } else { 0 };
+    // Formats 4 and 5 are the paged TYCAT1 and TYCAT2 catalogs; anything
+    // else is not an image (0), though a good sibling may still recover it.
+    let format = paged::catalog_version(&bytes).map_or(0, |v| 3 + v);
     let mut pages: Option<String> = None;
     let mut catalog_identity: Option<tycoon::store::ImageIdentity> = None;
     let mut degraded = false;

@@ -612,7 +612,7 @@ fn durable_run_persists_and_info_reports_page_gauges() {
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     assert_eq!(keys, sorted, "counter keys not sorted in {a}");
-    // fsck: healthy, format 4 (paged), with a pages section.
+    // fsck: healthy, format 5 (TYCAT2), with a pages section.
     let out = tmlc().args(["fsck"]).arg(&image).output().unwrap();
     assert!(
         out.status.success(),
@@ -620,7 +620,7 @@ fn durable_run_persists_and_info_reports_page_gauges() {
         String::from_utf8_lossy(&out.stderr)
     );
     let report = String::from_utf8_lossy(&out.stdout);
-    assert!(report.contains("\"format\": 4"), "{report}");
+    assert!(report.contains("\"format\": 5"), "{report}");
     assert!(report.contains("\"pages\": {"), "{report}");
     assert!(report.contains("\"ok\": true"), "{report}");
     std::fs::remove_dir_all(&dir).ok();
@@ -668,7 +668,7 @@ fn fsck_passes_a_healthy_image() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("\"ok\": true"), "{text}");
-    assert!(text.contains("\"format\": 4"), "{text}");
+    assert!(text.contains("\"format\": 5"), "{text}");
     assert!(text.contains("\"dangling_roots\": []"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
