@@ -81,6 +81,19 @@ pub enum AllocKind {
     BNew,
 }
 
+/// The three operations on a one-slot mutable cell — the lowering of a
+/// source-language `var` — that a host compiler may keep in a frame
+/// register instead of a store array (see [`EmitCtx::cell`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellOp {
+    /// `(new 1 v cont(c) …)`: bind `c` to a fresh cell holding `v`.
+    New,
+    /// `([] c 0 ce cc)`: read the cell.
+    Get,
+    /// `([:=] c 0 v ce cc)`: write the cell; `cc` receives unit.
+    Set,
+}
+
 /// A frame register of the idealized abstract machine. Registers are
 /// allocated by the host compiler via [`EmitCtx::fresh_reg`] and hold one
 /// value each.
@@ -317,6 +330,13 @@ pub enum MachOp {
 /// order — operand resolution may itself emit code, e.g. closure
 /// creation), then [`emit`](EmitCtx::emit) the operation(s) consuming
 /// them. Each [`ContId`] may be consumed by at most one emitted op.
+///
+/// `tml-vm` also runs every hook once more, in a pre-pass, against an
+/// `EmitCtx` that emits nothing and only follows the arguments the hook
+/// resolves as operands and as continuations; that decides which
+/// continuations and `var` cells can stay in the enclosing block. A hook
+/// must therefore treat an application's arguments the same way every
+/// time it sees it.
 pub trait EmitCtx {
     /// Allocate a fresh frame register.
     fn fresh_reg(&mut self) -> Reg;
@@ -340,6 +360,12 @@ pub trait EmitCtx {
     /// with a closure-group fallback). `Y` is a binding construct, not an
     /// opcode; only its hook should call this.
     fn fixpoint(&mut self, app: &App) -> Result<(), EmitError>;
+
+    /// Offer a cell operation (`app` has the [`CellOp`] shape) to the
+    /// host. `Ok(true)`: the host compiled the whole application itself,
+    /// because it keeps this cell in a frame register. `Ok(false)`: the
+    /// hook lowers it as the store-array operation it also is.
+    fn cell(&mut self, op: CellOp, app: &App) -> Result<bool, EmitError>;
 }
 
 /// A primitive's code-generation hook: lower one application (whose

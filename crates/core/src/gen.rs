@@ -5,7 +5,8 @@
 //! continuations, comparisons, `==` case analysis, direct applications and
 //! first-class procedure calls). Used by the property tests of `tml-opt`
 //! and `tml-vm` to check that optimization preserves evaluation results,
-//! preserves well-formedness, and terminates.
+//! preserves well-formedness, and terminates. [`gen_state_program`] adds
+//! `var` cells, join points and counting loops.
 
 use crate::ident::VarId;
 use crate::lit::Lit;
@@ -44,8 +45,36 @@ pub fn gen_program(seed: u64, config: GenConfig) -> (Ctx, App) {
         ctx: &mut ctx,
         rng: &mut rng,
         config,
+        twin: false,
     };
     let app = g.gen_app(config.steps, &mut Vec::new());
+    debug_assert!(
+        crate::wellformed::check_app(&ctx, &app).is_ok(),
+        "generator produced ill-formed program"
+    );
+    (ctx, app)
+}
+
+/// Generate a closed program that also keeps state in `var` cells and
+/// joins control flow through continuation parameters: the shapes a
+/// back end can keep in frame slots and labels. Cells are created, read
+/// and written, also inside counting loops; join points have the shape
+/// `(proc(^k) … (k a) … (k b)) cont(t) …`.
+///
+/// With `twin`, the same seed gives the same program except that every
+/// cell is also stored into a tuple and every invocation of a join
+/// continuation goes through a first-class identity procedure instead:
+/// the cell and the continuation escape. Both compute the same result.
+pub fn gen_state_program(seed: u64, config: GenConfig, twin: bool) -> (Ctx, App) {
+    let mut ctx = Ctx::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = Gen {
+        ctx: &mut ctx,
+        rng: &mut rng,
+        config,
+        twin,
+    };
+    let app = g.state_app(config.steps, &mut Scope::default());
     debug_assert!(
         crate::wellformed::check_app(&ctx, &app).is_ok(),
         "generator produced ill-formed program"
@@ -57,6 +86,20 @@ struct Gen<'a> {
     ctx: &'a mut Ctx,
     rng: &'a mut StdRng,
     config: GenConfig,
+    /// [`gen_state_program`]'s escaping variant; consumes no randomness.
+    twin: bool,
+}
+
+/// What is in scope for [`Gen::state_app`].
+#[derive(Default)]
+struct Scope {
+    /// Integer-valued variables.
+    env: Vec<VarId>,
+    cells: Vec<VarId>,
+    /// The join continuation leaves return to; `None` halts.
+    ret: Option<VarId>,
+    /// Enclosing loop bodies.
+    loops: usize,
 }
 
 impl Gen<'_> {
@@ -185,6 +228,201 @@ impl Gen<'_> {
     }
 }
 
+impl Gen<'_> {
+    fn state_app(&mut self, budget: usize, s: &mut Scope) -> App {
+        if budget == 0 {
+            let v = self.value(&s.env);
+            return self.leave(s.ret, v);
+        }
+        let pick = self.rng.gen_range(0..100);
+        let cell = |g: &mut Self, s: &Scope| s.cells[g.rng.gen_range(0..s.cells.len())];
+        match pick {
+            // (new 1 v cont(c) …)
+            0..=14 => {
+                let v = self.value(&s.env);
+                let c = self.ctx.names.fresh("cell");
+                s.cells.push(c);
+                let mut body = self.state_app(budget - 1, s);
+                s.cells.pop();
+                if self.twin {
+                    let tup = self.ctx.names.fresh("tup");
+                    body = App::new(
+                        self.prim("array"),
+                        vec![Value::Var(c), Value::from(Abs::new(vec![tup], body))],
+                    );
+                }
+                App::new(
+                    self.prim("new"),
+                    vec![Value::int(1), v, Value::from(Abs::new(vec![c], body))],
+                )
+            }
+            // ([] c 0 ce cont(t) …)
+            15..=34 if !s.cells.is_empty() => {
+                let c = cell(self, s);
+                let t = self.ctx.names.fresh("t");
+                s.env.push(t);
+                let rest = self.state_app(budget - 1, s);
+                s.env.pop();
+                let ce = self.halting_ce();
+                App::new(
+                    self.prim("[]"),
+                    vec![
+                        Value::Var(c),
+                        Value::int(0),
+                        ce,
+                        Value::from(Abs::new(vec![t], rest)),
+                    ],
+                )
+            }
+            // ([:=] c 0 v ce cont(u) …)
+            35..=49 if !s.cells.is_empty() => {
+                let c = cell(self, s);
+                let v = self.value(&s.env);
+                let u = self.ctx.names.fresh("u");
+                let rest = self.state_app(budget - 1, s);
+                let ce = self.halting_ce();
+                App::new(
+                    self.prim("[:=]"),
+                    vec![
+                        Value::Var(c),
+                        Value::int(0),
+                        v,
+                        ce,
+                        Value::from(Abs::new(vec![u], rest)),
+                    ],
+                )
+            }
+            // A join point: (proc(^k) … (k v) …) cont(t) …
+            50..=64 => {
+                let k = self.ctx.names.fresh_cont("k");
+                let t = self.ctx.names.fresh("t");
+                let half = budget / 2;
+                let outer = s.ret.replace(k);
+                let body = self.state_app(half, s);
+                s.ret = outer;
+                s.env.push(t);
+                let rest = self.state_app(budget - 1 - half, s);
+                s.env.pop();
+                App::new(
+                    Value::from(Abs::new(vec![k], body)),
+                    vec![Value::from(Abs::new(vec![t], rest))],
+                )
+            }
+            // for i = 0 upto n - 1: the body joins the increment.
+            65..=74 if s.loops < 2 => self.state_loop(budget, s),
+            // Arithmetic, as in gen_app; its result goes straight to the
+            // join continuation when that is all that is left.
+            75..=89 => {
+                let op = ["+", "-", "*", "/", "%"][self.rng.gen_range(0..5usize)];
+                let a = self.value(&s.env);
+                let b = self.value(&s.env);
+                let cc = match s.ret {
+                    Some(k) if budget == 1 => Value::Var(k),
+                    _ => {
+                        let t = self.ctx.names.fresh("t");
+                        s.env.push(t);
+                        let rest = self.state_app(budget - 1, s);
+                        s.env.pop();
+                        Value::from(Abs::new(vec![t], rest))
+                    }
+                };
+                let ce = self.halting_ce();
+                App::new(self.prim(op), vec![a, b, ce, cc])
+            }
+            // A two-way branch; both arms leave the same way.
+            _ => {
+                let a = self.value(&s.env);
+                let b = self.value(&s.env);
+                let half = budget / 2;
+                let then_app = self.state_app(half, s);
+                let else_app = self.state_app(budget - 1 - half, s);
+                App::new(
+                    self.prim("<"),
+                    vec![
+                        a,
+                        b,
+                        Value::from(Abs::new(vec![], then_app)),
+                        Value::from(Abs::new(vec![], else_app)),
+                    ],
+                )
+            }
+        }
+    }
+
+    /// `(Y proc(^c0 ^loop ^c) (c cont() (loop 0) cont(i)
+    ///    (< i n cont() ((proc(^step) body) cont(_) (+ i 1 ce loop))
+    ///             cont() exit)))`
+    fn state_loop(&mut self, budget: usize, s: &mut Scope) -> App {
+        let n = self.rng.gen_range(1..=4);
+        let c0 = self.ctx.names.fresh_cont("c0");
+        let lp = self.ctx.names.fresh_cont("loop");
+        let ret = self.ctx.names.fresh_cont("c");
+        let i = self.ctx.names.fresh("i");
+        let step = self.ctx.names.fresh_cont("step");
+        let done = self.ctx.names.fresh("t");
+        let half = budget / 2;
+        let outer = s.ret.replace(step);
+        s.env.push(i);
+        s.loops += 1;
+        let body = self.state_app(half, s);
+        s.loops -= 1;
+        s.env.pop();
+        s.ret = outer;
+        let exit = self.state_app(budget - 1 - half, s);
+        let ce = self.halting_ce();
+        let next = App::new(
+            self.prim("+"),
+            vec![Value::Var(i), Value::int(1), ce, Value::Var(lp)],
+        );
+        let iter = App::new(
+            Value::from(Abs::new(vec![step], body)),
+            vec![Value::from(Abs::new(vec![done], next))],
+        );
+        let head = App::new(
+            self.prim("<"),
+            vec![
+                Value::Var(i),
+                Value::int(n),
+                Value::from(Abs::new(vec![], iter)),
+                Value::from(Abs::new(vec![], exit)),
+            ],
+        );
+        let entry = Abs::new(vec![], App::new(Value::Var(lp), vec![Value::int(0)]));
+        let y = Abs::new(
+            vec![c0, lp, ret],
+            App::new(
+                Value::Var(ret),
+                vec![Value::from(entry), Value::from(Abs::new(vec![i], head))],
+            ),
+        );
+        App::new(self.prim("Y"), vec![Value::from(y)])
+    }
+
+    /// Leave with `v`: halt, or invoke the join continuation — in the twin
+    /// through `(cont(id) (id v ce k)) proc(x ^ce ^cc) (cc x)`.
+    fn leave(&mut self, ret: Option<VarId>, v: Value) -> App {
+        let Some(k) = ret else {
+            return App::new(self.prim("halt"), vec![v]);
+        };
+        if !self.twin {
+            return App::new(Value::Var(k), vec![v]);
+        }
+        let id = self.ctx.names.fresh("id");
+        let x = self.ctx.names.fresh("x");
+        let ce = self.ctx.names.fresh_cont("ce");
+        let cc = self.ctx.names.fresh_cont("cc");
+        let idp = Abs::new(
+            vec![x, ce, cc],
+            App::new(Value::Var(cc), vec![Value::Var(x)]),
+        );
+        let call = App::new(Value::Var(id), vec![v, self.halting_ce(), Value::Var(k)]);
+        App::new(
+            Value::from(Abs::new(vec![id], call)),
+            vec![Value::from(idp)],
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +444,17 @@ mod tests {
                 crate::free::is_closed_app(&app),
                 "seed {seed} produced open program"
             );
+        }
+    }
+
+    #[test]
+    fn state_programs_and_twins_are_well_formed_and_closed() {
+        for seed in 0..100 {
+            for twin in [false, true] {
+                let (ctx, app) = gen_state_program(seed, GenConfig::default(), twin);
+                check_app(&ctx, &app).unwrap_or_else(|e| panic!("seed {seed}/{twin}: {e}"));
+                assert!(crate::free::is_closed_app(&app), "seed {seed}/{twin}");
+            }
         }
     }
 

@@ -27,7 +27,9 @@
 //! constants so that folding a call at compile time and executing it at
 //! runtime are observationally identical.
 
-use crate::emit::{AllocKind, ArithOp, BitOp, CmpOp, ConvOp, EmitCtx, EmitError, MachOp, Operand};
+use crate::emit::{
+    AllocKind, ArithOp, BitOp, CellOp, CmpOp, ConvOp, EmitCtx, EmitError, MachOp, Operand,
+};
 use crate::lit::Lit;
 use crate::prim::{
     Arity, EffectClass, FoldOutcome, PrimAttrs, PrimCost, PrimDef, PrimTable, Signature,
@@ -718,6 +720,9 @@ fn cg_alloc_list(e: &mut dyn EmitCtx, app: &App, kind: AllocKind) -> Result<(), 
 }
 
 fn cg_alloc_fill(e: &mut dyn EmitCtx, app: &App, kind: AllocKind) -> Result<(), EmitError> {
+    if kind == AllocKind::New && e.cell(CellOp::New, app)? {
+        return Ok(());
+    }
     let [count, init, c] = app.args.as_slice() else {
         return Err(shape("expected (count init c)"));
     };
@@ -734,6 +739,9 @@ fn cg_alloc_fill(e: &mut dyn EmitCtx, app: &App, kind: AllocKind) -> Result<(), 
 }
 
 fn cg_idx(e: &mut dyn EmitCtx, app: &App, byte: bool) -> Result<(), EmitError> {
+    if !byte && e.cell(CellOp::Get, app)? {
+        return Ok(());
+    }
     let [arr, index, ce, cc] = app.args.as_slice() else {
         return Err(shape("expected (arr i ce cc)"));
     };
@@ -753,6 +761,9 @@ fn cg_idx(e: &mut dyn EmitCtx, app: &App, byte: bool) -> Result<(), EmitError> {
 }
 
 fn cg_idx_set(e: &mut dyn EmitCtx, app: &App, byte: bool) -> Result<(), EmitError> {
+    if !byte && e.cell(CellOp::Set, app)? {
+        return Ok(());
+    }
     let [arr, index, value, ce, cc] = app.args.as_slice() else {
         return Err(shape("expected (arr i v ce cc)"));
     };

@@ -2,17 +2,37 @@
 //!
 //! Every abstraction used as a *value* compiles to its own
 //! [`CodeBlock`] whose environment layout is the abstraction's free
-//! variables in first-occurrence order. Abstractions appearing *inline* —
-//! the functional position of a direct application, or a continuation
-//! argument of a primitive — compile to straight-line code and labels
-//! within the enclosing block, with no closure and no transfer. The
-//! per-call cost difference between the two is exactly what the paper's
-//! dynamic optimization removes.
+//! variables in first-occurrence order. Abstractions appearing *inline*
+//! compile to straight-line code and labels within the enclosing block,
+//! with no closure and no transfer:
+//!
+//! * the functional position of a direct application;
+//! * a continuation argument a primitive's hook compiles through
+//!   `value_cont`/`branch_cont`;
+//! * a **join point**, the abstraction bound to a continuation parameter
+//!   of a direct application, `(proc(^k) … (k a) … (k b)) cont(t) …`:
+//!   placed under a label after the body, so `(k v)` becomes moves plus a
+//!   jump;
+//! * the members of a `Y` fixpoint: loops.
+//!
+//! A `var` cell `(new 1 v cont(c) …)` whose every use is `([] c 0 …)` or
+//! `([:=] c 0 v …)` is **promoted** to a frame slot: a read is one move
+//! out, a write one move in. All of this holds only while the binder
+//! never leaves the block, which one pre-pass per procedure ([`plan`])
+//! decides before any code is emitted: a binder falls back to a closure
+//! (a store array for a cell) when it is used as a value, invoked with
+//! another arity, or used inside an abstraction compiled as a closure —
+//! including one kept inline by a binder that fell back, so fallback
+//! propagates to a fixpoint. The per-call cost difference between inline
+//! and closure code is exactly what the paper's dynamic optimization
+//! removes. Malformed or oversized input (decoded persistent code
+//! included) fails with a typed [`CompileError`], never a panic.
 
 use crate::instr::{CodeBlock, CodeTable, ContRef, GroupCap, Instr, Src};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-use tml_core::emit::{ContId, EmitCtx, EmitError, MachOp, Operand, Reg};
+use tml_core::emit::{CellOp, ContId, EmitCtx, EmitError, MachOp, Operand, Reg};
 use tml_core::free::free_vars_abs;
 use tml_core::prim::Arity;
 use tml_core::term::{Abs, App, Value};
@@ -39,9 +59,9 @@ pub enum CompileError {
         /// Call site: enclosing block and instruction offset.
         site: String,
     },
-    /// Internal: a `Y`-bound continuation escaped during an attempted
-    /// loop compilation; the compiler falls back to closure groups.
-    LoopEscape,
+    /// A block needs more than the 65,535 frame slots, parameters or
+    /// pool entries a 16-bit operand can address.
+    TooLarge(String),
     /// Internal compiler invariant breached (a bug, or compilation of a
     /// decoded term the validators did not reject). Reported as an error
     /// rather than a panic so corrupted persistent code cannot take the
@@ -59,7 +79,7 @@ impl std::fmt::Display for CompileError {
             CompileError::UnknownPrim { name, site } => {
                 write!(f, "unknown primitive {name} at {site}")
             }
-            CompileError::LoopEscape => write!(f, "loop continuation escapes (internal)"),
+            CompileError::TooLarge(b) => write!(f, "block {b} exceeds 65,535 slots"),
             CompileError::Internal(m) => write!(f, "internal compiler error: {m}"),
         }
     }
@@ -77,20 +97,28 @@ pub struct CompiledProc {
     pub captures: Vec<VarId>,
 }
 
-/// A deferred continuation attached to a primitive instruction: compiled
-/// after the instruction is emitted, with the label patched in.
-enum Pending<'t> {
-    /// Continuation is a value (closure); nothing to compile.
-    None,
-    /// Inline abstraction: compile its body at the label.
-    Inline(&'t Abs),
-    /// Loop-label continuation: emit `mov` (param ← dst) and a jump.
-    Stub {
-        /// Loop label id.
-        label: usize,
-        /// `(param slot, result slot)` move, when the label takes a value.
-        mov: Option<(u16, u16)>,
-    },
+/// Maps keyed by [`VarId`]: one multiplication per hash, which suffices
+/// for the dense ids a name table hands out.
+type IdMap<V> = HashMap<VarId, V, BuildHasherDefault<IdHasher>>;
+type IdSet = HashSet<VarId, BuildHasherDefault<IdHasher>>;
+
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes
+            .iter()
+            .for_each(|&b| self.write_u32(u32::from(b) ^ self.0 as u32));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// Variable location within a block.
@@ -98,10 +126,13 @@ enum Pending<'t> {
 enum Loc {
     Slot(u16),
     Env(u16),
-    /// A `Y`-bound recursive continuation compiled as an intra-block loop
-    /// label (see [`Compiler::compile_y`]): calls become argument moves
-    /// plus a jump; any other use aborts loop compilation.
+    /// A constant-pool entry (the unit a promoted cell write passes on).
+    Const(u16),
+    /// A join point or `Y` member compiled as a label: invoking it moves
+    /// the arguments into its parameter slots and jumps.
     Label(usize),
+    /// A promoted cell: the frame slot holding its contents.
+    Cell(u16),
 }
 
 /// The TML-to-bytecode compiler.
@@ -115,6 +146,8 @@ pub struct Compiler<'a> {
     /// (nested hooks — a closure continuation containing primitives —
     /// simply find it empty and allocate their own).
     pend_pool: Vec<Pend>,
+    /// The binders [`plan`] keeps in their block.
+    inline: IdSet,
 }
 
 impl<'a> Compiler<'a> {
@@ -124,11 +157,13 @@ impl<'a> Compiler<'a> {
             ctx,
             code,
             pend_pool: Vec::new(),
+            inline: IdSet::default(),
         }
     }
 
     /// Compile a procedure. Its free variables become the closure captures.
     pub fn compile_proc(&mut self, abs: &Abs) -> Result<CompiledProc, CompileError> {
+        self.inline = plan(self.ctx, &abs.body);
         let captures = free_vars_abs(abs);
         let block = self.compile_block(abs, &captures, "proc")?;
         Ok(CompiledProc { block, captures })
@@ -140,110 +175,130 @@ impl<'a> Compiler<'a> {
         captures: &[VarId],
         name: &str,
     ) -> Result<u32, CompileError> {
+        let name = format!("{name}/{}", self.code.len());
+        let nparams =
+            u16::try_from(abs.params.len()).map_err(|_| CompileError::TooLarge(name.clone()))?;
         let mut b = Block {
             out: CodeBlock {
-                name: format!("{name}/{}", self.code.len()),
-                nparams: abs.params.len() as u16,
+                name,
+                nparams,
                 ..Default::default()
             },
             next_slot: 0,
-            locs: HashMap::new(),
+            overflow: false,
+            locs: IdMap::default(),
             labels: Vec::new(),
             label_params: Vec::new(),
             jumps: Vec::new(),
         };
         for (i, &v) in captures.iter().enumerate() {
-            b.locs.insert(v, Loc::Env(i as u16));
+            let e = b.index(i);
+            b.locs.insert(v, Loc::Env(e));
         }
         for &p in &abs.params {
             let s = b.fresh_slot();
             b.locs.insert(p, Loc::Slot(s));
         }
         self.compile_app(&mut b, &abs.body)?;
-        b.patch_jumps();
-        b.out.nslots = b.next_slot;
-        Ok(self.code.push(b.out))
+        Ok(self.code.push(b.finish()?))
     }
 
     fn compile_app(&mut self, b: &mut Block, app: &App) -> Result<(), CompileError> {
         match &app.func {
-            Value::Abs(abs) => {
-                // Direct application: bind arguments to fresh slots and fall
-                // through into the body — no call, no closure.
-                if abs.params.len() != app.args.len() {
-                    return Err(CompileError::BadShape(format!(
-                        "direct application of arity {} to {} arguments",
-                        abs.params.len(),
-                        app.args.len()
-                    )));
-                }
-                let srcs: Vec<Src> = app
+            Value::Abs(abs) => self.compile_direct(b, abs, &app.args),
+            Value::Var(_) => {
+                let args = app
                     .args
                     .iter()
                     .map(|a| self.resolve(b, a))
                     .collect::<Result<_, _>>()?;
-                for (&p, src) in abs.params.iter().zip(srcs) {
-                    let s = b.fresh_slot();
-                    b.emit(Instr::Mov { dst: s, src });
-                    b.locs.insert(p, Loc::Slot(s));
-                }
-                self.compile_app(b, &abs.body)
-            }
-            Value::Var(x) => {
-                if let Some(Loc::Label(id)) = b.locs.get(x).copied() {
-                    // A call to a loop label: move the arguments into the
-                    // label's parameter slots and jump.
-                    let params = b.label_params[id].clone();
-                    if params.len() != app.args.len() {
-                        // Arity mismatch: let the closure fallback handle it.
-                        return Err(CompileError::LoopEscape);
-                    }
-                    let srcs: Vec<Src> = app
-                        .args
-                        .iter()
-                        .map(|a| self.resolve(b, a))
-                        .collect::<Result<_, _>>()?;
-                    // A source reading one of the target parameter slots
-                    // would be clobbered by an earlier move; stage those
-                    // through temporaries.
-                    let staged: Vec<Src> = srcs
-                        .iter()
-                        .map(|s| {
-                            let hazard = matches!(s, Src::Slot(i) if params.contains(i));
-                            if hazard {
-                                let t = b.fresh_slot();
-                                b.emit(Instr::Mov { dst: t, src: *s });
-                                Src::Slot(t)
-                            } else {
-                                *s
-                            }
-                        })
-                        .collect();
-                    for (dst, src) in params.iter().zip(staged) {
-                        b.emit(Instr::Mov { dst: *dst, src });
-                    }
-                    let at = b.out.instrs.len();
-                    b.emit(Instr::Jump { target: u32::MAX });
-                    b.jumps.push((at, id));
-                    return Ok(());
-                }
-                let target = self.resolve(b, &app.func)?;
-                let args: Vec<Src> = app
-                    .args
-                    .iter()
-                    .map(|a| self.resolve(b, a))
-                    .collect::<Result<_, _>>()?;
-                b.emit(Instr::Call {
-                    target,
-                    args: args.into_boxed_slice(),
-                });
-                Ok(())
+                self.transfer(b, &app.func, args)
             }
             Value::Prim(p) => self.compile_prim(b, *p, app),
             Value::Lit(l) => Err(CompileError::BadShape(format!(
                 "literal {l:?} in functional position"
             ))),
         }
+    }
+
+    /// Direct application: bind arguments to fresh slots and fall through
+    /// into the body — no call, no closure. A join point's abstraction is
+    /// placed under its label after the body.
+    fn compile_direct(
+        &mut self,
+        b: &mut Block,
+        abs: &Abs,
+        args: &[Value],
+    ) -> Result<(), CompileError> {
+        if abs.params.len() != args.len() {
+            return Err(CompileError::BadShape(format!(
+                "direct application of arity {} to {} arguments",
+                abs.params.len(),
+                args.len()
+            )));
+        }
+        let mut joins = Vec::new();
+        for (&p, a) in abs.params.iter().zip(args) {
+            let loc = match a {
+                Value::Abs(k) if self.inline.contains(&p) => {
+                    let id = b.new_label(k.params.len());
+                    joins.push((id, k.as_ref()));
+                    Loc::Label(id)
+                }
+                _ => {
+                    if matches!(a, Value::Abs(_)) && self.ctx.names.is_cont(p) {
+                        tml_trace::count("vm.compile.join_closures", 1);
+                    }
+                    let src = self.resolve(b, a)?;
+                    let s = b.fresh_slot();
+                    b.emit(Instr::Mov { dst: s, src });
+                    Loc::Slot(s)
+                }
+            };
+            b.locs.insert(p, loc);
+        }
+        self.compile_app(b, &abs.body)?;
+        for (id, k) in joins {
+            tml_trace::count("vm.compile.join_points", 1);
+            self.place(b, id, k)?;
+        }
+        Ok(())
+    }
+
+    /// Place label `id` here and compile `abs`'s body under it, its
+    /// parameters bound to the label's slots.
+    fn place(&mut self, b: &mut Block, id: usize, abs: &Abs) -> Result<(), CompileError> {
+        // A jump here from the instruction just before falls through.
+        if b.jumps.last() == Some(&(b.out.instrs.len().wrapping_sub(1), None, id)) {
+            b.jumps.pop();
+            b.out.instrs.pop();
+        }
+        b.labels[id] = Some(b.out.instrs.len() as u32);
+        for (&p, &s) in abs.params.iter().zip(&b.label_params[id]) {
+            b.locs.insert(p, Loc::Slot(s));
+        }
+        self.compile_app(b, &abs.body)
+    }
+
+    /// Transfer control to `target` with `args`: moves plus a jump for a
+    /// label, a closure call otherwise.
+    fn transfer(
+        &mut self,
+        b: &mut Block,
+        target: &Value,
+        args: Vec<Src>,
+    ) -> Result<(), CompileError> {
+        if let Value::Var(x) = target {
+            if let Some(Loc::Label(id)) = b.locs.get(x).copied() {
+                return b.jump(id, args);
+            }
+        }
+        let target = self.resolve(b, target)?;
+        b.emit(Instr::Call {
+            target,
+            args: args.into_boxed_slice(),
+        });
+        Ok(())
     }
 
     /// Resolve a value to an operand, emitting closure creation as needed.
@@ -253,9 +308,14 @@ impl<'a> Compiler<'a> {
             Value::Var(x) => match b.locs.get(x) {
                 Some(Loc::Slot(s)) => Ok(Src::Slot(*s)),
                 Some(Loc::Env(e)) => Ok(Src::Env(*e)),
-                // A loop label used as a value (escaping) aborts the loop
-                // compilation attempt; compile_y falls back to closures.
-                Some(Loc::Label(_)) => Err(CompileError::LoopEscape),
+                Some(Loc::Const(c)) => Ok(Src::Const(*c)),
+                // The pre-pass keeps a binder in the block only when it is
+                // never a value; a hook that resolves an argument
+                // differently in the pre-pass lands here.
+                Some(Loc::Label(_) | Loc::Cell(_)) => Err(CompileError::Internal(format!(
+                    "{} is compiled into its block but used as a value",
+                    self.ctx.names.display(*x)
+                ))),
                 None => Err(CompileError::Unbound(self.ctx.names.display(*x))),
             },
             Value::Prim(p) => Err(CompileError::PrimAsValue(
@@ -281,85 +341,101 @@ impl<'a> Compiler<'a> {
 
     // -- Continuation plumbing ----------------------------------------------
 
-    /// Compile the continuation argument of a value-producing primitive.
-    /// The result (or exception value) is written to `dst` before the
-    /// transfer. Besides inline abstractions, a continuation may be a
-    /// loop label (a `Y`-bound variable after η-reduction): it compiles to
-    /// a jump stub moving `dst` into the label's parameter slot.
-    fn value_cont<'t>(
+    /// Compile a continuation argument of a primitive. `dst` is the
+    /// register the primitive writes its result (or exception value) to,
+    /// `None` for a nullary branch continuation. Besides inline
+    /// abstractions, a continuation may be a label: it compiles to a jump
+    /// stub moving `dst` into the label's parameter slot.
+    fn cont(
         &mut self,
         b: &mut Block,
-        cont: &'t Value,
-        dst: u16,
-    ) -> Result<(ContRef, Pending<'t>), CompileError> {
+        cont: &Value,
+        dst: Option<u16>,
+    ) -> Result<Pend, CompileError> {
         match cont {
-            Value::Abs(abs) => {
-                if abs.params.len() > 1 {
-                    return Err(CompileError::BadShape(format!(
-                        "primitive continuation with {} parameters",
-                        abs.params.len()
-                    )));
+            Value::Abs(abs) if dst.is_some() || abs.params.is_empty() => {
+                match (abs.params.as_slice(), dst) {
+                    ([], _) => {}
+                    ([p], Some(d)) => {
+                        b.locs.insert(*p, Loc::Slot(d));
+                    }
+                    (ps, _) => {
+                        return Err(CompileError::BadShape(format!(
+                            "primitive continuation with {} parameters",
+                            ps.len()
+                        )))
+                    }
                 }
-                if let Some(&p) = abs.params.first() {
-                    b.locs.insert(p, Loc::Slot(dst));
+                Ok(Pend::Inline(Arc::clone(abs)))
+            }
+            Value::Var(x) => match b.locs.get(x) {
+                Some(&Loc::Label(label)) if b.label_params[label].len() == dst.iter().len() => {
+                    Ok(Pend::Stub { label, arg: dst })
                 }
-                Ok((ContRef::Label(u32::MAX), Pending::Inline(abs)))
-            }
-            Value::Var(x) if matches!(b.locs.get(x), Some(Loc::Label(_))) => {
-                let Some(Loc::Label(id)) = b.locs.get(x).copied() else {
-                    unreachable!("matched above");
-                };
-                match b.label_params[id].as_slice() {
-                    [p] => Ok((
-                        ContRef::Label(u32::MAX),
-                        Pending::Stub {
-                            label: id,
-                            mov: Some((*p, dst)),
-                        },
-                    )),
-                    // Arity mismatch: abandon loop compilation.
-                    _ => Err(CompileError::LoopEscape),
-                }
-            }
-            _ => {
-                let src = self.resolve(b, cont)?;
-                Ok((ContRef::Closure(src), Pending::None))
-            }
+                Some(Loc::Label(_)) => Err(CompileError::Internal(format!(
+                    "label {} has the wrong arity for this continuation",
+                    self.ctx.names.display(*x)
+                ))),
+                _ => Ok(Pend::Closure(self.resolve(b, cont)?)),
+            },
+            _ => Ok(Pend::Closure(self.resolve(b, cont)?)),
         }
     }
 
-    /// Emit `instr`, then compile the pending inline continuations and jump
-    /// stubs in order, patching their labels into the instruction.
+    /// Emit `instr`, whose continuation fields hold indices into `pend`,
+    /// then compile the inline continuations and jump stubs in the
+    /// instruction's edge order.
     fn finish(
         &mut self,
         b: &mut Block,
-        instr: Instr,
-        pending: Vec<(usize, Pending<'_>)>,
+        mut instr: Instr,
+        pend: &[Pend],
     ) -> Result<(), CompileError> {
+        let mut edges = Vec::new();
+        while let Some(r) = instr.edge_mut(edges.len()) {
+            let p = match *r {
+                ContRef::Label(i) => pend.get(i as usize).cloned(),
+                ContRef::Closure(_) => None,
+            };
+            let p =
+                p.ok_or_else(|| CompileError::BadShape("invalid continuation handle".into()))?;
+            if let Pend::Closure(src) = p {
+                *r = ContRef::Closure(src);
+            }
+            edges.push(p);
+        }
+        // A label taking the result, when no other edge reads the result
+        // register (closures receive the value, not the register): write
+        // the result straight into the label's parameter and jump from the
+        // instruction itself, with no stub.
+        let mut labels = edges.iter_mut().filter(|p| !matches!(p, Pend::Closure(_)));
+        if let (Some(Pend::Stub { label, arg }), None) = (labels.next(), labels.next()) {
+            if let (Some(d), [param], Some(dst)) =
+                (*arg, b.label_params[*label].as_slice(), instr.dst_mut())
+            {
+                if *dst == d {
+                    *dst = *param;
+                    *arg = None;
+                }
+            }
+        }
         let at = b.out.instrs.len();
         b.emit(instr);
-        for (field, p) in pending {
+        for (e, p) in edges.into_iter().enumerate() {
+            let here = ContRef::Label(b.out.instrs.len() as u32);
             match p {
-                Pending::None => {}
-                Pending::Inline(abs) => {
-                    let label = b.out.instrs.len() as u32;
-                    patch(&mut b.out.instrs[at], field, label)?;
+                Pend::Closure(_) => {}
+                Pend::Inline(abs) => {
+                    b.set_edge(at, e, here);
                     self.compile_app(b, &abs.body)?;
                 }
-                Pending::Stub { label, mov } => {
-                    let stub = b.out.instrs.len() as u32;
-                    patch(&mut b.out.instrs[at], field, stub)?;
-                    if let Some((param, src)) = mov {
-                        if param != src {
-                            b.emit(Instr::Mov {
-                                dst: param,
-                                src: Src::Slot(src),
-                            });
-                        }
-                    }
-                    let ix = b.out.instrs.len();
-                    b.emit(Instr::Jump { target: u32::MAX });
-                    b.jumps.push((ix, label));
+                Pend::Stub { label, arg: None } => b.jumps.push((at, Some(e), label)),
+                Pend::Stub {
+                    label,
+                    arg: Some(d),
+                } => {
+                    b.set_edge(at, e, here);
+                    b.jump(label, vec![Src::Slot(d)])?;
                 }
             }
         }
@@ -445,98 +521,66 @@ impl<'a> Compiler<'a> {
             .collect::<Result<_, _>>()?;
         let prim_ix = b.prim_ix(name);
         let dst = b.fresh_slot();
-        let (on_err, err_abs) = self.value_cont(b, ce, dst)?;
-        let (on_ok, ok_abs) = self.value_cont(b, cc, dst)?;
-        self.finish(
-            b,
-            Instr::CallPrim {
-                prim: prim_ix,
-                dst,
-                args: args.into_boxed_slice(),
-                on_err,
-                on_ok,
-            },
-            vec![(FIELD_OK, ok_abs), (FIELD_ERR, err_abs)],
-        )
+        let pend = [self.cont(b, ce, Some(dst))?, self.cont(b, cc, Some(dst))?];
+        let instr = Instr::CallPrim {
+            prim: prim_ix,
+            dst,
+            args: args.into_boxed_slice(),
+            on_err: ContRef::Label(0),
+            on_ok: ContRef::Label(1),
+        };
+        self.finish(b, instr, &pend)
     }
 
-    /// Compile `(Y λ(c₀ v₁…vₙ c)(c entry abs₁…absₙ))`.
+    /// Compile `(Y λ(c₀ v₁…vₙ c)(c entry abs₁…absₙ))`: as intra-block loops
+    /// when the pre-pass kept the group, else as a closure group.
     fn compile_y(&mut self, b: &mut Block, app: &App) -> Result<(), CompileError> {
-        let err = |m: &str| CompileError::BadShape(format!("Y: {m}"));
-        let [Value::Abs(yabs)] = app.args.as_slice() else {
-            return Err(err("expected a single abstraction argument"));
-        };
-        let nparams = yabs.params.len();
-        if nparams < 2 || yabs.body.args.len() != nparams - 1 {
-            return Err(err("malformed fixpoint shape"));
-        }
-        let c0 = yabs.params[0];
-        let rec_vars = &yabs.params[1..nparams - 1];
-        let ret = yabs.params[nparams - 1];
-        if yabs.body.func.as_var() != Some(ret) {
-            return Err(err("body must return through the last parameter"));
-        }
-        let entry = &yabs.body.args[0];
-        let Value::Abs(entry_abs) = entry else {
-            return Err(err("entry must be an abstraction"));
-        };
-        if !entry_abs.params.is_empty() {
-            return Err(err("entry continuation must take no parameters"));
-        }
-        let rec_abs: Vec<&Abs> = yabs.body.args[1..]
-            .iter()
-            .map(|v| match v {
-                Value::Abs(a) => Ok(a.as_ref()),
-                _ => Err(err("recursive bindings must be abstractions")),
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Does anything reference c₀ (loop restart through the entry)?
-        let c0_used = std::iter::once(entry)
-            .chain(yabs.body.args[1..].iter())
-            .any(|v| tml_core::census::occurrences_in_value(v, c0) > 0);
-
-        // Bind destination slots first so mutual references resolve.
-        let mut members: Vec<(VarId, &Abs)> = rec_vars
-            .iter()
-            .copied()
-            .zip(rec_abs.iter().copied())
-            .collect();
+        let mut y = Fixpoint::parse(app)?;
+        // Anything restarting the loop through c₀ makes the entry a member.
+        let c0_used = y
+            .bodies()
+            .any(|a| tml_core::census::occurrences_in_app(&a.body, y.c0) > 0);
         if c0_used {
-            members.push((c0, entry_abs.as_ref()));
+            y.members.push((y.c0, y.entry));
         }
-
-        // First attempt: compile the fixpoint as intra-block loops (labels
-        // and jumps) — valid whenever no recursive continuation escapes
-        // into a value position or a nested closure. This is how a real
-        // backend compiles loops; the closure group below is the general
-        // fallback (e.g. for recursive first-class procedures).
-        let snapshot = b.clone();
-        let code_len = self.code.len();
-        match self.compile_y_loops(b, &members, c0_used, entry_abs) {
-            Ok(()) => return Ok(()),
-            Err(CompileError::LoopEscape) => {
-                *b = snapshot;
-                self.code.truncate(code_len);
+        if self.inline.contains(&y.c0) {
+            // A label and parameter slots per member, bound before any
+            // body is compiled so mutual and forward references resolve.
+            let ids: Vec<usize> = y
+                .members
+                .iter()
+                .map(|&(v, abs)| {
+                    let id = b.new_label(abs.params.len());
+                    b.locs.insert(v, Loc::Label(id));
+                    id
+                })
+                .collect();
+            match (c0_used, ids.last()) {
+                // The entry is itself a member; start by jumping to it.
+                (true, Some(&entry)) => b.jump(entry, Vec::new())?,
+                _ => self.compile_app(b, &y.entry.body)?,
             }
-            Err(other) => return Err(other),
+            for (id, &(_, abs)) in ids.into_iter().zip(&y.members) {
+                self.place(b, id, abs)?;
+            }
+            return Ok(());
         }
-        let mut dsts = Vec::with_capacity(members.len());
-        for &(v, _) in &members {
+        let mut dsts = Vec::with_capacity(y.members.len());
+        for &(v, _) in &y.members {
             let s = b.fresh_slot();
             b.locs.insert(v, Loc::Slot(s));
             dsts.push(s);
         }
         // Compile each member block; classify captures as group members or
         // external operands.
-        let member_vars: Vec<VarId> = members.iter().map(|&(v, _)| v).collect();
-        let mut parts = Vec::with_capacity(members.len());
-        for &(_, abs) in &members {
+        let member_vars: Vec<VarId> = y.members.iter().map(|&(v, _)| v).collect();
+        let mut parts = Vec::with_capacity(y.members.len());
+        for &(_, abs) in &y.members {
             let captures = free_vars_abs(abs);
             let mut caps = Vec::with_capacity(captures.len());
             for &cvar in &captures {
                 if let Some(j) = member_vars.iter().position(|&m| m == cvar) {
-                    caps.push(GroupCap::Member(j as u16));
+                    caps.push(GroupCap::Member(b.index(j)));
                 } else {
                     caps.push(GroupCap::Ext(self.resolve(b, &Value::Var(cvar))?));
                 }
@@ -550,7 +594,7 @@ impl<'a> Compiler<'a> {
         });
         if c0_used {
             // Invoke the entry through its closure.
-            let c0_src = self.resolve(b, &Value::Var(c0))?;
+            let c0_src = self.resolve(b, &Value::Var(y.c0))?;
             b.emit(Instr::Call {
                 target: c0_src,
                 args: Box::new([]),
@@ -558,66 +602,353 @@ impl<'a> Compiler<'a> {
             Ok(())
         } else {
             // Fall through into the entry body.
-            self.compile_app(b, &entry_abs.body)
+            self.compile_app(b, &y.entry.body)
+        }
+    }
+
+    /// Compile a cell operation on a promoted cell. `Ok(false)` leaves the
+    /// application to the hook's store-array lowering.
+    fn compile_cell(&mut self, b: &mut Block, op: CellOp, app: &App) -> Result<bool, CompileError> {
+        let Some((cell, value, cont)) = cell_site(op, app) else {
+            return Ok(false);
+        };
+        let slot = match (op, b.locs.get(&cell)) {
+            (CellOp::New, _) => {
+                if !self.inline.contains(&cell) {
+                    tml_trace::count("vm.compile.cells_boxed", 1);
+                    return Ok(false);
+                }
+                tml_trace::count("vm.compile.cells_promoted", 1);
+                b.fresh_slot()
+            }
+            (_, Some(Loc::Cell(s))) => *s,
+            _ => return Ok(false),
+        };
+        if let Some(v) = value {
+            let src = self.resolve(b, v)?;
+            b.emit(Instr::Mov { dst: slot, src });
+        }
+        // A read passes a copy of the slot, since the next write changes
+        // it; a write passes unit, a constant bound without a move.
+        let arg = match op {
+            CellOp::New => None,
+            CellOp::Get => Some(Src::Slot(slot)),
+            CellOp::Set => Some(b.const_src(SVal::Unit)),
+        };
+        match (cont, arg) {
+            (Value::Abs(k), None) => {
+                b.locs.insert(cell, Loc::Cell(slot));
+                self.compile_app(b, &k.body)?;
+            }
+            (Value::Abs(k), Some(src)) => {
+                if let [p] = k.params[..] {
+                    let loc = match src {
+                        Src::Const(c) => Loc::Const(c),
+                        _ => {
+                            let t = b.fresh_slot();
+                            b.emit(Instr::Mov { dst: t, src });
+                            Loc::Slot(t)
+                        }
+                    };
+                    b.locs.insert(p, loc);
+                }
+                self.compile_app(b, &k.body)?;
+            }
+            (_, arg) => self.transfer(b, cont, arg.into_iter().collect())?,
+        }
+        Ok(true)
+    }
+}
+
+/// The parts of a [`CellOp`]-shaped application: the cell variable (the
+/// binder of `(new 1 v cont(c) …)`, or the `c` of `([] c 0 ce cc)` and
+/// `([:=] c 0 v ce cc)`), the value stored (`v`), and the continuation
+/// (`new`'s binding abstraction, `cc`). `None` for any other shape.
+fn cell_site(op: CellOp, app: &App) -> Option<(VarId, Option<&Value>, &Value)> {
+    match (op, app.args.as_slice()) {
+        (CellOp::New, [Value::Lit(Lit::Int(1)), v, k @ Value::Abs(a)]) => match a.params[..] {
+            [c] => Some((c, Some(v), k)),
+            _ => None,
+        },
+        (CellOp::Get, [Value::Var(c), Value::Lit(Lit::Int(0)), _, cc]) => Some((*c, None, cc)),
+        (CellOp::Set, [Value::Var(c), Value::Lit(Lit::Int(0)), v, _, cc]) => {
+            Some((*c, Some(v), cc))
+        }
+        _ => None,
+    }
+}
+
+/// `(Y λ(c₀ v₁…vₙ c)(c entry abs₁…absₙ))`, taken apart.
+struct Fixpoint<'t> {
+    c0: VarId,
+    entry: &'t Abs,
+    /// The recursive bindings.
+    members: Vec<(VarId, &'t Abs)>,
+}
+
+impl<'t> Fixpoint<'t> {
+    fn parse(app: &'t App) -> Result<Fixpoint<'t>, CompileError> {
+        let err = |m: &str| CompileError::BadShape(format!("Y: {m}"));
+        let [Value::Abs(yabs)] = app.args.as_slice() else {
+            return Err(err("expected a single abstraction argument"));
+        };
+        let nparams = yabs.params.len();
+        if nparams < 2 || yabs.body.args.len() != nparams - 1 {
+            return Err(err("malformed fixpoint shape"));
+        }
+        let c0 = yabs.params[0];
+        if yabs.body.func.as_var() != Some(yabs.params[nparams - 1]) {
+            return Err(err("body must return through the last parameter"));
+        }
+        let Value::Abs(entry) = &yabs.body.args[0] else {
+            return Err(err("entry must be an abstraction"));
+        };
+        if !entry.params.is_empty() {
+            return Err(err("entry continuation must take no parameters"));
+        }
+        let members = yabs.params[1..nparams - 1]
+            .iter()
+            .zip(&yabs.body.args[1..])
+            .map(|(&v, a)| match a {
+                Value::Abs(a) => Ok((v, a.as_ref())),
+                _ => Err(err("recursive bindings must be abstractions")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Fixpoint { c0, entry, members })
+    }
+
+    /// The entry and the recursive bindings.
+    fn bodies(&self) -> impl Iterator<Item = &'t Abs> + '_ {
+        std::iter::once(self.entry).chain(self.members.iter().map(|m| m.1))
+    }
+}
+
+// -- The pre-pass -----------------------------------------------------------
+
+/// Decide, in one walk over a procedure body, which candidate binders
+/// stay in their block: join points (continuation parameters of a direct
+/// application bound to an abstraction), `Y` groups (keyed by c₀) and
+/// `var` cells. Closure bodies are walked too; their binders are decided
+/// against their own block. A primitive application is walked by running
+/// its codegen hook with the walker as the [`EmitCtx`], so each argument
+/// is classified exactly as code generation compiles it.
+fn plan(ctx: &Ctx, body: &App) -> IdSet {
+    let mut s = Scan {
+        ctx,
+        regions: Vec::new(),
+        cands: IdMap::default(),
+        deps: IdMap::default(),
+        escapes: Vec::new(),
+    };
+    s.app(body);
+    // A binder that falls back turns the abstractions it kept inline into
+    // closures; every candidate used there from outside falls back too.
+    let mut keep: IdSet = s.cands.values().map(|c| c.key).collect();
+    while let Some(k) = s.escapes.pop() {
+        if keep.remove(&k) {
+            s.escapes.extend(s.deps.remove(&k).unwrap_or_default());
+        }
+    }
+    keep
+}
+
+/// A candidate binder: the binder whose fate it shares (itself, or a `Y`
+/// member's c₀), the regions open where it is bound, and its label arity
+/// (`None` for a cell).
+#[derive(Clone, Copy)]
+struct Cand {
+    key: VarId,
+    depth: usize,
+    arity: Option<usize>,
+}
+
+/// How an occurrence of a variable is compiled.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Use {
+    Value,
+    Call(usize),
+    ValueCont,
+    BranchCont,
+    Cell,
+}
+
+struct Scan<'c> {
+    ctx: &'c Ctx,
+    /// Abstractions between the root and the walk's position that compile
+    /// to blocks of their own: always (`None`), or when the binder keyed
+    /// `Some(k)` falls back.
+    regions: Vec<Option<VarId>>,
+    cands: IdMap<Cand>,
+    /// Key → keys that fall back when it does.
+    deps: IdMap<Vec<VarId>>,
+    /// Keys found to fall back, not yet propagated.
+    escapes: Vec<VarId>,
+}
+
+impl Scan<'_> {
+    fn bind(&mut self, v: VarId, key: VarId, arity: Option<usize>) {
+        let depth = self.regions.len();
+        self.cands.insert(v, Cand { key, depth, arity });
+    }
+
+    fn use_var(&mut self, v: VarId, how: Use) {
+        let Some(c) = self.cands.get(&v).copied() else {
+            return;
+        };
+        let fits = match (c.arity, how) {
+            (Some(n), Use::Call(m)) => n == m,
+            (Some(n), Use::ValueCont) => n == 1,
+            (Some(n), Use::BranchCont) => n == 0,
+            (None, Use::Cell) => true,
+            _ => false,
+        };
+        if !fits {
+            self.escapes.push(c.key);
+            return;
+        }
+        for r in &self.regions[c.depth..] {
+            match *r {
+                None => {
+                    self.escapes.push(c.key);
+                    return;
+                }
+                Some(k) if k != c.key => self.deps.entry(k).or_default().push(c.key),
+                Some(_) => {}
+            }
+        }
+    }
+
+    fn inside(&mut self, region: Option<VarId>, body: &App) {
+        self.regions.push(region);
+        self.app(body);
+        self.regions.pop();
+    }
+
+    fn value(&mut self, v: &Value) {
+        match v {
+            Value::Var(x) => self.use_var(*x, Use::Value),
+            Value::Abs(a) => self.inside(None, &a.body),
+            Value::Lit(_) | Value::Prim(_) => {}
+        }
+    }
+
+    fn cont(&mut self, v: &Value, how: Use) {
+        match v {
+            Value::Var(x) => self.use_var(*x, how),
+            // A branch continuation with parameters compiles as a closure.
+            Value::Abs(a) if how == Use::ValueCont || a.params.is_empty() => self.app(&a.body),
+            _ => self.value(v),
+        }
+    }
+
+    fn app(&mut self, app: &App) {
+        match &app.func {
+            Value::Abs(f) => {
+                for (&p, a) in f.params.iter().zip(&app.args) {
+                    match a {
+                        Value::Abs(k) if self.ctx.names.is_cont(p) => {
+                            self.bind(p, p, Some(k.params.len()));
+                            self.inside(Some(p), &k.body);
+                        }
+                        _ => self.value(a),
+                    }
+                }
+                self.app(&f.body);
+            }
+            Value::Var(x) => {
+                self.use_var(*x, Use::Call(app.args.len()));
+                app.args.iter().for_each(|a| self.value(a));
+            }
+            Value::Prim(p) => {
+                let def = self.ctx.prims.def(*p);
+                let n = app.args.len();
+                match def.codegen {
+                    // A hook failing on this shape fails again at codegen.
+                    Some(hook) => drop(hook(self, app)),
+                    // The generic `(vals… ce cc)` convention.
+                    None if def.signature.conts == Arity::Exact(2) && n >= 2 => {
+                        app.args[..n - 2].iter().for_each(|a| self.value(a));
+                        let conts = &app.args[n - 2..];
+                        conts.iter().for_each(|k| self.cont(k, Use::ValueCont));
+                    }
+                    None => {}
+                }
+            }
+            Value::Lit(_) => {}
         }
     }
 }
 
-impl Compiler<'_> {
-    /// Attempt to compile the `Y` members as intra-block loops. Fails with
-    /// [`CompileError::LoopEscape`] when a member is used as a value.
-    fn compile_y_loops(
-        &mut self,
-        b: &mut Block,
-        members: &[(VarId, &Abs)],
-        c0_used: bool,
-        entry_abs: &Abs,
-    ) -> Result<(), CompileError> {
-        // Reserve a label and parameter slots per member, binding the
-        // member variables before any body is compiled so mutual and
-        // forward references resolve.
-        let mut plan = Vec::with_capacity(members.len());
-        for &(v, abs) in members {
-            let params: Vec<u16> = abs.params.iter().map(|_| b.fresh_slot()).collect();
-            let id = b.new_label(params.clone());
-            b.locs.insert(v, Loc::Label(id));
-            plan.push((id, abs, params));
-        }
-        if c0_used {
-            // The entry is itself a member; start by jumping to it.
-            let entry_id = plan.last().expect("c0 member pushed last").0;
-            let at = b.out.instrs.len();
-            b.emit(Instr::Jump { target: u32::MAX });
-            b.jumps.push((at, entry_id));
-        } else {
-            self.compile_app(b, &entry_abs.body)?;
-        }
-        for (id, abs, params) in plan {
-            b.labels[id] = Some(b.out.instrs.len() as u32);
-            for (&p, &slot) in abs.params.iter().zip(&params) {
-                b.locs.insert(p, Loc::Slot(slot));
+impl EmitCtx for Scan<'_> {
+    fn fresh_reg(&mut self) -> Reg {
+        0
+    }
+
+    fn operand(&mut self, v: &Value) -> Result<Operand, EmitError> {
+        self.value(v);
+        Ok(Operand::Reg(0))
+    }
+
+    fn value_cont(&mut self, cont: &Value, _: Reg) -> Result<ContId, EmitError> {
+        self.cont(cont, Use::ValueCont);
+        Ok(ContId(0))
+    }
+
+    fn branch_cont(&mut self, cont: &Value) -> Result<ContId, EmitError> {
+        self.cont(cont, Use::BranchCont);
+        Ok(ContId(0))
+    }
+
+    fn emit(&mut self, _: MachOp) -> Result<(), EmitError> {
+        Ok(())
+    }
+
+    fn fixpoint(&mut self, app: &App) -> Result<(), EmitError> {
+        // A malformed fixpoint fails at code generation.
+        // The entry is walked as a member, which it is when c₀ restarts it.
+        if let Ok(y) = Fixpoint::parse(app) {
+            self.bind(y.c0, y.c0, Some(0));
+            for &(v, abs) in &y.members {
+                self.bind(v, y.c0, Some(abs.params.len()));
             }
-            self.compile_app(b, &abs.body)?;
+            for abs in y.bodies() {
+                self.inside(Some(y.c0), &abs.body);
+            }
         }
         Ok(())
+    }
+
+    fn cell(&mut self, op: CellOp, app: &App) -> Result<bool, EmitError> {
+        let Some((c, value, _)) = cell_site(op, app) else {
+            return Ok(false);
+        };
+        if op == CellOp::New {
+            // The hook goes on to walk its operands and continuation.
+            self.bind(c, c, None);
+            return Ok(false);
+        }
+        self.use_var(c, Use::Cell);
+        value.into_iter().for_each(|v| self.value(v));
+        let conts = &app.args[app.args.len() - 2..];
+        conts.iter().for_each(|k| self.cont(k, Use::ValueCont));
+        Ok(true)
     }
 }
 
 // -- The EmitCtx bridge -----------------------------------------------------
 
-/// A continuation resolved by a hook's `value_cont`/`branch_cont` call,
-/// held until the hook's `emit` consumes its [`ContId`] handle.
+/// A compiled continuation argument of a primitive: for a hook, held
+/// until its `emit` consumes the [`ContId`] handle.
+#[derive(Clone)]
 enum Pend {
     /// Continuation is a runtime value.
     Closure(Src),
     /// Inline abstraction: compile its body at the patched label.
     Inline(Arc<Abs>),
-    /// Loop-label continuation: jump stub (plus a result move when the
-    /// label takes a value).
-    Stub {
-        label: usize,
-        mov: Option<(u16, u16)>,
-    },
+    /// Label continuation: a stub moving `arg` (the result register, when
+    /// the label reads its value) into the label's parameter and jumping;
+    /// without `arg`, the label itself.
+    Stub { label: usize, arg: Option<u16> },
 }
 
 /// The compiler's implementation of the narrow [`EmitCtx`] interface
@@ -625,11 +956,10 @@ enum Pend {
 /// allocation, operand resolution, continuation compilation and opcode
 /// emission, while keeping the block/label machinery private.
 ///
-/// Errors from the underlying compiler (unbound variables, loop escapes,
-/// …) are stashed in `host_err` and surfaced to the hook as the opaque
-/// [`EmitError::Host`]; `compile_prim` unpacks the real error afterwards,
-/// so e.g. [`CompileError::LoopEscape`] crosses the hook boundary
-/// losslessly and `compile_y`'s rollback still works.
+/// Errors from the underlying compiler (unbound variables, oversized
+/// blocks, …) are stashed in `host_err` and surfaced to the hook as the
+/// opaque [`EmitError::Host`]; `compile_prim` unpacks the real error
+/// afterwards, so it crosses the hook boundary losslessly.
 struct Emitter<'e, 'a> {
     comp: &'e mut Compiler<'a>,
     b: &'e mut Block,
@@ -643,29 +973,14 @@ impl Emitter<'_, '_> {
         Err(EmitError::Host)
     }
 
-    fn push(&mut self, p: Pend) -> ContId {
-        self.pend.push(p);
-        ContId((self.pend.len() - 1) as u32)
-    }
-}
-
-/// Turn a resolved continuation into the instruction's [`ContRef`] plus
-/// the [`Pending`] work `Compiler::finish` compiles after emission.
-fn resolved<'p>(pend: &'p [Pend], id: ContId) -> Result<(ContRef, Pending<'p>), EmitError> {
-    match pend.get(id.0 as usize) {
-        Some(Pend::Closure(src)) => Ok((ContRef::Closure(*src), Pending::None)),
-        Some(Pend::Inline(abs)) => Ok((ContRef::Label(u32::MAX), Pending::Inline(abs))),
-        Some(Pend::Stub { label, mov }) => Ok((
-            ContRef::Label(u32::MAX),
-            Pending::Stub {
-                label: *label,
-                mov: *mov,
-            },
-        )),
-        None => Err(EmitError::BadShape(format!(
-            "invalid continuation handle #{}",
-            id.0
-        ))),
+    fn push(&mut self, p: Result<Pend, CompileError>) -> Result<ContId, EmitError> {
+        match p {
+            Ok(p) => {
+                self.pend.push(p);
+                Ok(ContId((self.pend.len() - 1) as u32))
+            }
+            Err(e) => self.fail(e),
+        }
     }
 }
 
@@ -692,211 +1007,94 @@ impl EmitCtx for Emitter<'_, '_> {
     }
 
     fn value_cont(&mut self, cont: &Value, dst: Reg) -> Result<ContId, EmitError> {
-        match cont {
-            Value::Abs(abs) => {
-                if abs.params.len() > 1 {
-                    return self.fail(CompileError::BadShape(format!(
-                        "primitive continuation with {} parameters",
-                        abs.params.len()
-                    )));
-                }
-                if let Some(&p) = abs.params.first() {
-                    self.b.locs.insert(p, Loc::Slot(dst));
-                }
-                Ok(self.push(Pend::Inline(Arc::clone(abs))))
-            }
-            Value::Var(x) if matches!(self.b.locs.get(x), Some(Loc::Label(_))) => {
-                let Some(Loc::Label(id)) = self.b.locs.get(x).copied() else {
-                    unreachable!("matched above");
-                };
-                match self.b.label_params[id].as_slice() {
-                    [p] => {
-                        let mov = Some((*p, dst));
-                        Ok(self.push(Pend::Stub { label: id, mov }))
-                    }
-                    // Arity mismatch: abandon loop compilation.
-                    _ => self.fail(CompileError::LoopEscape),
-                }
-            }
-            _ => match self.comp.resolve(&mut *self.b, cont) {
-                Ok(s) => Ok(self.push(Pend::Closure(s))),
-                Err(e) => self.fail(e),
-            },
-        }
+        let p = self.comp.cont(&mut *self.b, cont, Some(dst));
+        self.push(p)
     }
 
     fn branch_cont(&mut self, cont: &Value) -> Result<ContId, EmitError> {
-        match cont {
-            Value::Abs(abs) if abs.params.is_empty() => {
-                Ok(self.push(Pend::Inline(Arc::clone(abs))))
-            }
-            Value::Var(x) if matches!(self.b.locs.get(x), Some(Loc::Label(_))) => {
-                let Some(Loc::Label(id)) = self.b.locs.get(x).copied() else {
-                    unreachable!("matched above");
-                };
-                if self.b.label_params[id].is_empty() {
-                    Ok(self.push(Pend::Stub {
-                        label: id,
-                        mov: None,
-                    }))
-                } else {
-                    self.fail(CompileError::LoopEscape)
-                }
-            }
-            _ => match self.comp.resolve(&mut *self.b, cont) {
-                Ok(s) => Ok(self.push(Pend::Closure(s))),
-                Err(e) => self.fail(e),
-            },
-        }
+        let p = self.comp.cont(&mut *self.b, cont, None);
+        self.push(p)
     }
 
     fn emit(&mut self, op: MachOp) -> Result<(), EmitError> {
-        // Each arm lowers the portable MachOp to the concrete instruction
-        // and lists its pending continuations in the canonical compile
-        // order (ok before err, then before else, switch branches before
-        // default) so inline continuation bodies land in the same layout
-        // the old hard-wired dispatch produced.
-        let r = match op {
+        // Lower the portable MachOp to the concrete instruction; its
+        // continuation fields carry the hook's handles into `finish`.
+        let k = |id: ContId| ContRef::Label(id.0);
+        let instr = match op {
             MachOp::Arith {
                 op,
                 dst,
                 a,
-                b: rhs,
+                b,
                 on_err,
                 on_ok,
-            } => {
-                let (err_ref, err_p) = resolved(&self.pend, on_err)?;
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Arith {
-                        op,
-                        dst,
-                        a: src(a),
-                        b: src(rhs),
-                        on_err: err_ref,
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p), (FIELD_ERR, err_p)],
-                )
-            }
+            } => Instr::Arith {
+                op,
+                dst,
+                a: src(a),
+                b: src(b),
+                on_err: k(on_err),
+                on_ok: k(on_ok),
+            },
             MachOp::Branch {
                 op,
                 a,
-                b: rhs,
+                b,
                 then_,
                 else_,
-            } => {
-                let (then_ref, then_p) = resolved(&self.pend, then_)?;
-                let (else_ref, else_p) = resolved(&self.pend, else_)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Branch {
-                        op,
-                        a: src(a),
-                        b: src(rhs),
-                        then_: then_ref,
-                        else_: else_ref,
-                    },
-                    vec![(FIELD_THEN, then_p), (FIELD_ELSE, else_p)],
-                )
-            }
+            } => Instr::Branch {
+                op,
+                a: src(a),
+                b: src(b),
+                then_: k(then_),
+                else_: k(else_),
+            },
             MachOp::Bit {
                 op,
                 dst,
                 a,
-                b: rhs,
+                b,
                 on_ok,
-            } => {
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Bit {
-                        op,
-                        dst,
-                        a: src(a),
-                        b: src(rhs),
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p)],
-                )
-            }
-            MachOp::Conv { op, dst, a, on_ok } => {
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Conv {
-                        op,
-                        dst,
-                        a: src(a),
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p)],
-                )
-            }
-            MachOp::BTest { a, then_, else_ } => {
-                let (then_ref, then_p) = resolved(&self.pend, then_)?;
-                let (else_ref, else_p) = resolved(&self.pend, else_)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::BTest {
-                        a: src(a),
-                        then_: then_ref,
-                        else_: else_ref,
-                    },
-                    vec![(FIELD_THEN, then_p), (FIELD_ELSE, else_p)],
-                )
-            }
+            } => Instr::Bit {
+                op,
+                dst,
+                a: src(a),
+                b: src(b),
+                on_ok: k(on_ok),
+            },
+            MachOp::Conv { op, dst, a, on_ok } => Instr::Conv {
+                op,
+                dst,
+                a: src(a),
+                on_ok: k(on_ok),
+            },
+            MachOp::BTest { a, then_, else_ } => Instr::BTest {
+                a: src(a),
+                then_: k(then_),
+                else_: k(else_),
+            },
             MachOp::Switch {
                 scrut,
                 tags,
                 targets,
                 default,
-            } => {
-                let mut refs = Vec::with_capacity(targets.len());
-                let mut pendings = Vec::new();
-                for (j, id) in targets.iter().enumerate() {
-                    let (r, p) = resolved(&self.pend, *id)?;
-                    refs.push(r);
-                    pendings.push((FIELD_SWITCH_BASE + j, p));
-                }
-                let default_ref = match default {
-                    Some(id) => {
-                        let (r, p) = resolved(&self.pend, id)?;
-                        pendings.push((FIELD_SWITCH_DEFAULT, p));
-                        Some(r)
-                    }
-                    None => None,
-                };
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Switch {
-                        scrut: src(scrut),
-                        tags: tags.into_iter().map(src).collect(),
-                        targets: refs.into_boxed_slice(),
-                        default: default_ref,
-                    },
-                    pendings,
-                )
-            }
+            } => Instr::Switch {
+                scrut: src(scrut),
+                tags: tags.into_iter().map(src).collect(),
+                targets: targets.into_iter().map(k).collect(),
+                default: default.map(k),
+            },
             MachOp::Alloc {
                 kind,
                 dst,
                 args,
                 on_ok,
-            } => {
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Alloc {
-                        kind,
-                        dst,
-                        args: args.into_iter().map(src).collect(),
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p)],
-                )
-            }
+            } => Instr::Alloc {
+                kind,
+                dst,
+                args: args.into_iter().map(src).collect(),
+                on_ok: k(on_ok),
+            },
             MachOp::Idx {
                 byte,
                 dst,
@@ -904,22 +1102,14 @@ impl EmitCtx for Emitter<'_, '_> {
                 index,
                 on_err,
                 on_ok,
-            } => {
-                let (err_ref, err_p) = resolved(&self.pend, on_err)?;
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Idx {
-                        byte,
-                        dst,
-                        arr: src(arr),
-                        index: src(index),
-                        on_err: err_ref,
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p), (FIELD_ERR, err_p)],
-                )
-            }
+            } => Instr::Idx {
+                byte,
+                dst,
+                arr: src(arr),
+                index: src(index),
+                on_err: k(on_err),
+                on_ok: k(on_ok),
+            },
             MachOp::IdxSet {
                 byte,
                 dst,
@@ -928,119 +1118,60 @@ impl EmitCtx for Emitter<'_, '_> {
                 value,
                 on_err,
                 on_ok,
-            } => {
-                let (err_ref, err_p) = resolved(&self.pend, on_err)?;
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::IdxSet {
-                        byte,
-                        dst,
-                        arr: src(arr),
-                        index: src(index),
-                        value: src(value),
-                        on_err: err_ref,
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p), (FIELD_ERR, err_p)],
-                )
-            }
-            MachOp::Size { dst, arr, on_ok } => {
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Size {
-                        dst,
-                        arr: src(arr),
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p)],
-                )
-            }
+            } => Instr::IdxSet {
+                byte,
+                dst,
+                arr: src(arr),
+                index: src(index),
+                value: src(value),
+                on_err: k(on_err),
+                on_ok: k(on_ok),
+            },
+            MachOp::Size { dst, arr, on_ok } => Instr::Size {
+                dst,
+                arr: src(arr),
+                on_ok: k(on_ok),
+            },
             MachOp::MoveBlk {
                 byte,
                 dst,
                 args,
                 on_err,
                 on_ok,
-            } => {
-                let (err_ref, err_p) = resolved(&self.pend, on_err)?;
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::MoveBlk {
-                        byte,
-                        dst,
-                        args: Box::new(args.map(src)),
-                        on_err: err_ref,
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p), (FIELD_ERR, err_p)],
-                )
-            }
+            } => Instr::MoveBlk {
+                byte,
+                dst,
+                args: Box::new(args.map(src)),
+                on_err: k(on_err),
+                on_ok: k(on_ok),
+            },
             MachOp::Host {
                 name,
                 dst,
                 args,
                 on_err,
                 on_ok,
-            } => {
-                let name_ix = self.b.extern_ix(&name);
-                let (err_ref, err_p) = resolved(&self.pend, on_err)?;
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Extern {
-                        name: name_ix,
-                        dst,
-                        args: args.into_iter().map(src).collect(),
-                        on_err: err_ref,
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p), (FIELD_ERR, err_p)],
-                )
-            }
-            MachOp::PushHandler { handler, on_ok } => {
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::PushHandler {
-                        handler: src(handler),
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p)],
-                )
-            }
-            MachOp::PopHandler { on_ok } => {
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::PopHandler { on_ok: ok_ref },
-                    vec![(FIELD_OK, ok_p)],
-                )
-            }
-            MachOp::Raise { value } => {
-                self.b.emit(Instr::Raise { src: src(value) });
-                Ok(())
-            }
-            MachOp::Halt { value } => {
-                self.b.emit(Instr::Halt { src: src(value) });
-                Ok(())
-            }
-            MachOp::Print { dst, value, on_ok } => {
-                let (ok_ref, ok_p) = resolved(&self.pend, on_ok)?;
-                self.comp.finish(
-                    &mut *self.b,
-                    Instr::Print {
-                        dst,
-                        src: src(value),
-                        on_ok: ok_ref,
-                    },
-                    vec![(FIELD_OK, ok_p)],
-                )
-            }
+            } => Instr::Extern {
+                name: self.b.extern_ix(&name),
+                dst,
+                args: args.into_iter().map(src).collect(),
+                on_err: k(on_err),
+                on_ok: k(on_ok),
+            },
+            MachOp::PushHandler { handler, on_ok } => Instr::PushHandler {
+                handler: src(handler),
+                on_ok: k(on_ok),
+            },
+            MachOp::PopHandler { on_ok } => Instr::PopHandler { on_ok: k(on_ok) },
+            MachOp::Raise { value } => Instr::Raise { src: src(value) },
+            MachOp::Halt { value } => Instr::Halt { src: src(value) },
+            MachOp::Print { dst, value, on_ok } => Instr::Print {
+                dst,
+                src: src(value),
+                on_ok: k(on_ok),
+            },
         };
-        match r {
+        match self.comp.finish(self.b, instr, &self.pend) {
             Ok(()) => Ok(()),
             Err(e) => self.fail(e),
         }
@@ -1052,103 +1183,122 @@ impl EmitCtx for Emitter<'_, '_> {
             Err(e) => self.fail(e),
         }
     }
-}
 
-// Field selectors for `patch`.
-const FIELD_OK: usize = 0;
-const FIELD_ERR: usize = 1;
-const FIELD_THEN: usize = 2;
-const FIELD_ELSE: usize = 3;
-const FIELD_SWITCH_DEFAULT: usize = 4;
-const FIELD_SWITCH_BASE: usize = 16;
-
-fn patch(instr: &mut Instr, field: usize, label: u32) -> Result<(), CompileError> {
-    let slot: &mut ContRef = match (instr, field) {
-        (Instr::Arith { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::Arith { on_err, .. }, FIELD_ERR) => on_err,
-        (Instr::Bit { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::Conv { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::Branch { then_, .. }, FIELD_THEN) => then_,
-        (Instr::Branch { else_, .. }, FIELD_ELSE) => else_,
-        (Instr::BTest { then_, .. }, FIELD_THEN) => then_,
-        (Instr::BTest { else_, .. }, FIELD_ELSE) => else_,
-        (Instr::Alloc { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::Idx { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::Idx { on_err, .. }, FIELD_ERR) => on_err,
-        (Instr::IdxSet { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::IdxSet { on_err, .. }, FIELD_ERR) => on_err,
-        (Instr::Size { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::MoveBlk { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::MoveBlk { on_err, .. }, FIELD_ERR) => on_err,
-        (Instr::Extern { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::Extern { on_err, .. }, FIELD_ERR) => on_err,
-        (Instr::CallPrim { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::CallPrim { on_err, .. }, FIELD_ERR) => on_err,
-        (Instr::PushHandler { on_ok, .. }, FIELD_OK) => on_ok,
-        (Instr::PopHandler { on_ok }, FIELD_OK) => on_ok,
-        (Instr::Print { on_ok, .. }, FIELD_OK) => on_ok,
-        (
-            Instr::Switch {
-                default: Some(d), ..
-            },
-            FIELD_SWITCH_DEFAULT,
-        ) => d,
-        (Instr::Switch { targets, .. }, f) if f >= FIELD_SWITCH_BASE => {
-            &mut targets[f - FIELD_SWITCH_BASE]
+    fn cell(&mut self, op: CellOp, app: &App) -> Result<bool, EmitError> {
+        match self.comp.compile_cell(&mut *self.b, op, app) {
+            Ok(done) => Ok(done),
+            Err(e) => self.fail(e),
         }
-        (i, f) => {
-            return Err(CompileError::Internal(format!(
-                "continuation field {f} does not exist on {i:?}"
-            )))
-        }
-    };
-    *slot = ContRef::Label(label);
-    Ok(())
+    }
 }
 
 fn lit_to_sval(l: &Lit) -> SVal {
     SVal::from_lit(l)
 }
 
-#[derive(Clone)]
 struct Block {
     out: CodeBlock,
     next_slot: u16,
-    locs: HashMap<VarId, Loc>,
-    /// Loop-label table: id → instruction index (filled as member bodies
-    /// are compiled) and each label's parameter slots.
+    /// Set when the block outgrows 16-bit slot or pool indices; reported
+    /// by [`Block::finish`].
+    overflow: bool,
+    locs: IdMap<Loc>,
+    /// Label table: id → instruction index (filled as bodies are placed)
+    /// and each label's parameter slots.
     labels: Vec<Option<u32>>,
     label_params: Vec<Vec<u16>>,
-    /// Pending `Jump` instructions awaiting a label: `(instr, label id)`.
-    jumps: Vec<(usize, usize)>,
+    /// Control transfers awaiting a label: `(instr, edge, label id)`, the
+    /// edge `None` for a `Jump`.
+    jumps: Vec<(usize, Option<usize>, usize)>,
 }
 
 impl Block {
     fn fresh_slot(&mut self) -> u16 {
         let s = self.next_slot;
-        self.next_slot = self
-            .next_slot
-            .checked_add(1)
-            .expect("frame slot space exhausted");
+        match s.checked_add(1) {
+            Some(n) => self.next_slot = n,
+            None => self.overflow = true,
+        }
         s
+    }
+
+    /// A 16-bit operand index for `i`.
+    fn index(&mut self, i: usize) -> u16 {
+        u16::try_from(i).unwrap_or_else(|_| {
+            self.overflow = true;
+            u16::MAX
+        })
     }
 
     fn emit(&mut self, i: Instr) {
         self.out.instrs.push(i);
     }
 
-    fn new_label(&mut self, params: Vec<u16>) -> usize {
+    /// A new, not yet placed label taking `n` parameters.
+    fn new_label(&mut self, n: usize) -> usize {
+        let params = (0..n).map(|_| self.fresh_slot()).collect();
         self.labels.push(None);
         self.label_params.push(params);
         self.labels.len() - 1
     }
 
-    /// Resolve all pending loop jumps; called when the block is finished.
-    fn patch_jumps(&mut self) {
-        for (ix, label) in self.jumps.drain(..) {
-            let target = self.labels[label].expect("loop label left unresolved");
-            self.out.instrs[ix] = Instr::Jump { target };
+    /// Invoke label `id`: move `srcs` into its parameter slots and jump.
+    fn jump(&mut self, id: usize, srcs: Vec<Src>) -> Result<(), CompileError> {
+        let params = self.label_params[id].clone();
+        if params.len() != srcs.len() {
+            return Err(CompileError::Internal(format!(
+                "label of arity {} invoked with {} arguments",
+                params.len(),
+                srcs.len()
+            )));
         }
+        // A source reading one of the target parameter slots would be
+        // clobbered by an earlier move; stage those through temporaries.
+        let staged: Vec<Src> = srcs
+            .into_iter()
+            .map(|s| match s {
+                Src::Slot(i) if params.contains(&i) => {
+                    let t = self.fresh_slot();
+                    self.emit(Instr::Mov { dst: t, src: s });
+                    Src::Slot(t)
+                }
+                s => s,
+            })
+            .collect();
+        for (&dst, src) in params.iter().zip(staged) {
+            self.emit(Instr::Mov { dst, src });
+        }
+        self.jumps.push((self.out.instrs.len(), None, id));
+        self.emit(Instr::Jump { target: u32::MAX });
+        Ok(())
+    }
+
+    /// Point edge `e` of instruction `at` at `to`.
+    fn set_edge(&mut self, at: usize, e: usize, to: ContRef) {
+        if let Some(r) = self.out.instrs[at].edge_mut(e) {
+            *r = to;
+        }
+    }
+
+    /// Resolve all pending jumps and hand out the finished block.
+    fn finish(mut self) -> Result<CodeBlock, CompileError> {
+        if self.overflow {
+            return Err(CompileError::TooLarge(self.out.name));
+        }
+        for (ix, edge, label) in std::mem::take(&mut self.jumps) {
+            let Some(target) = self.labels.get(label).copied().flatten() else {
+                return Err(CompileError::Internal(format!(
+                    "{}: label {label} left unresolved",
+                    self.out.name
+                )));
+            };
+            match edge {
+                None => self.out.instrs[ix] = Instr::Jump { target },
+                Some(e) => self.set_edge(ix, e, ContRef::Label(target)),
+            }
+        }
+        self.out.nslots = self.next_slot;
+        Ok(self.out)
     }
 
     fn const_src(&mut self, v: SVal) -> Src {
@@ -1156,7 +1306,7 @@ impl Block {
         if let Some(ix) = self.out.consts.iter().position(|c| c == &v) {
             return Src::Const(ix as u16);
         }
-        let ix = self.out.consts.len() as u16;
+        let ix = self.index(self.out.consts.len());
         self.out.consts.push(v);
         Src::Const(ix)
     }
@@ -1165,7 +1315,7 @@ impl Block {
         if let Some(ix) = self.out.extern_names.iter().position(|n| n == name) {
             return ix as u16;
         }
-        let ix = self.out.extern_names.len() as u16;
+        let ix = self.index(self.out.extern_names.len());
         self.out.extern_names.push(name.to_string());
         ix
     }
@@ -1174,7 +1324,7 @@ impl Block {
         if let Some(ix) = self.out.prim_names.iter().position(|n| n == name) {
             return ix as u16;
         }
-        let ix = self.out.prim_names.len() as u16;
+        let ix = self.index(self.out.prim_names.len());
         self.out.prim_names.push(name.to_string());
         ix
     }
@@ -1192,6 +1342,115 @@ mod tests {
         let abs = Abs::new(vec![], parsed.app);
         let block = Compiler::new(&ctx, &mut code).compile_proc(&abs)?.block;
         Ok((code, block))
+    }
+
+    /// Compile and run a closed program.
+    fn run(src: &str) -> (crate::RVal, crate::ExecStats) {
+        let mut ctx = Ctx::new();
+        let parsed = parse_app(&mut ctx, src).unwrap();
+        let mut vm = crate::Vm::new();
+        let block = vm.compile_program(&ctx, &parsed.app).unwrap();
+        let mut store = tml_store::Store::new();
+        let out = vm.run_program(&mut store, block, 100_000).unwrap();
+        assert_eq!(store.len(), 0, "the program allocated store objects");
+        (out.result, out.stats)
+    }
+
+    fn count(code: &CodeTable, block: u32, f: fn(&Instr) -> bool) -> usize {
+        code.block(block).instrs.iter().filter(|i| f(i)).count()
+    }
+
+    /// Regression: a block with more parameters than 16-bit slots can
+    /// address — here a direct application decoded from persistent code —
+    /// is a typed error, not a panic.
+    #[test]
+    fn oversized_decoded_blocks_are_typed_errors() {
+        use tml_store::ptml::{decode_app, encode_app};
+        let mut ctx = Ctx::new();
+        let params: Vec<VarId> = (0..70_000).map(|_| ctx.names.fresh("x")).collect();
+        let halt = Value::Prim(ctx.prims.lookup("halt").unwrap());
+        let body = App::new(halt, vec![Value::Var(params[0])]);
+        let app = App::new(
+            Value::from(Abs::new(params, body)),
+            vec![Value::int(1); 70_000],
+        );
+        let bytes = encode_app(&ctx, &app);
+        let mut ctx2 = Ctx::new();
+        let (decoded, _) = decode_app(&mut ctx2, &bytes).unwrap();
+        let err = crate::Vm::new()
+            .compile_program(&ctx2, &decoded)
+            .unwrap_err();
+        assert!(matches!(err, CompileError::TooLarge(_)), "{err:?}");
+    }
+
+    #[test]
+    fn join_points_compile_to_labels() {
+        // The shape every inlined comparison leaves behind.
+        let src = "(proc(^cc) (< 1 2 cont() (cc true) cont() (cc false)) \
+                   cont(t) (btest t cont() (halt 10) cont() (halt 20)))";
+        let (code, block) = compile(src).unwrap();
+        assert_eq!(count(&code, block, |i| matches!(i, Instr::Close { .. })), 0);
+        assert_eq!(count(&code, block, |i| matches!(i, Instr::Call { .. })), 0);
+        let (result, stats) = run(src);
+        assert!(result.identical(&crate::RVal::Int(10)));
+        assert_eq!((stats.calls, stats.closures), (0, 0));
+    }
+
+    #[test]
+    fn a_join_point_passed_as_a_value_stays_a_closure() {
+        // k escapes into a first-class call; so does the cell its
+        // abstraction reads, which that abstraction's closure captures.
+        let src = "(new 1 5 cont(c) \
+                     (proc(^k) (cont(id) (id 7 cont(e) (halt e) k) \
+                                 proc(x ^ce ^cc) (cc x)) \
+                      cont(t) ([] c 0 cont(e) (halt e) cont(v) (+ t v cont(e) (halt e) \
+                                                               cont(r) (halt r)))))";
+        // Closures: the identity procedure, its `ce` and k.
+        let (code, block) = compile(src).unwrap();
+        assert_eq!(count(&code, block, |i| matches!(i, Instr::Close { .. })), 3);
+        assert_eq!(count(&code, block, |i| matches!(i, Instr::Alloc { .. })), 1);
+        let mut ctx = Ctx::new();
+        let parsed = parse_app(&mut ctx, src).unwrap();
+        let mut vm = crate::Vm::new();
+        let block = vm.compile_program(&ctx, &parsed.app).unwrap();
+        let out = vm
+            .run_program(&mut tml_store::Store::new(), block, 1000)
+            .unwrap();
+        assert!(out.result.identical(&crate::RVal::Int(12)));
+    }
+
+    #[test]
+    fn var_cells_live_in_frame_slots() {
+        let src = "(new 1 5 cont(c) \
+                     ([:=] c 0 7 cont(e) (halt e) cont(u) \
+                       ([] c 0 cont(e) (halt e) cont(v) \
+                         ([:=] c 0 9 cont(e) (halt e) cont(u2) (halt v)))))";
+        let (code, block) = compile(src).unwrap();
+        let b = code.block(block);
+        assert!(
+            b.instrs
+                .iter()
+                .all(|i| matches!(i, Instr::Mov { .. } | Instr::Halt { .. })),
+            "{:?}",
+            b.instrs
+        );
+        // The read copies the slot: the later write does not reach v.
+        let (result, stats) = run(src);
+        assert!(result.identical(&crate::RVal::Int(7)));
+        assert_eq!(stats.instrs, 5);
+    }
+
+    #[test]
+    fn loop_back_edges_keep_a_parameter_the_exception_path_reads() {
+        // The division's result goes straight into f's parameter slot only
+        // when no other edge lands in the block: here the exception path
+        // reads i, the value that slot holds.
+        let src = "(Y proc(^c0 ^f ^c) (c \
+                     cont() (f 7) \
+                     cont(i) (- i 3 cont(e) (halt e) cont(d) \
+                               (/ 12 d cont(e) (halt i) f))))";
+        let (result, _) = run(src);
+        assert!(result.identical(&crate::RVal::Int(3)), "{result:?}");
     }
 
     /// Regression: a corrupted PTML blob (bit flips, truncations) must

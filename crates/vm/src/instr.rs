@@ -298,6 +298,51 @@ pub enum Instr {
 }
 
 impl Instr {
+    /// Continuation edge `e`, in the order the compiler lays out inline
+    /// targets: ok before err, then before else, cases before the default.
+    pub(crate) fn edge_mut(&mut self, e: usize) -> Option<&mut ContRef> {
+        match self {
+            Instr::Arith { on_ok, on_err, .. }
+            | Instr::Idx { on_ok, on_err, .. }
+            | Instr::IdxSet { on_ok, on_err, .. }
+            | Instr::MoveBlk { on_ok, on_err, .. }
+            | Instr::Extern { on_ok, on_err, .. }
+            | Instr::CallPrim { on_ok, on_err, .. } => [on_ok, on_err].into_iter().nth(e),
+            Instr::Branch { then_, else_, .. } | Instr::BTest { then_, else_, .. } => {
+                [then_, else_].into_iter().nth(e)
+            }
+            Instr::Bit { on_ok, .. }
+            | Instr::Conv { on_ok, .. }
+            | Instr::Alloc { on_ok, .. }
+            | Instr::Size { on_ok, .. }
+            | Instr::PushHandler { on_ok, .. }
+            | Instr::PopHandler { on_ok }
+            | Instr::Print { on_ok, .. } => (e == 0).then_some(on_ok),
+            Instr::Switch {
+                targets, default, ..
+            } => targets.iter_mut().chain(default).nth(e),
+            _ => None,
+        }
+    }
+
+    /// The register the instruction writes its result to, if any.
+    pub(crate) fn dst_mut(&mut self) -> Option<&mut u16> {
+        match self {
+            Instr::Arith { dst, .. }
+            | Instr::Bit { dst, .. }
+            | Instr::Conv { dst, .. }
+            | Instr::Alloc { dst, .. }
+            | Instr::Idx { dst, .. }
+            | Instr::IdxSet { dst, .. }
+            | Instr::Size { dst, .. }
+            | Instr::MoveBlk { dst, .. }
+            | Instr::Extern { dst, .. }
+            | Instr::CallPrim { dst, .. }
+            | Instr::Print { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
     /// Stable opcode label for the trace profile (`vm.op.<key>` counters).
     /// Arithmetic, comparison, bit and conversion instructions include the
     /// sub-operator so per-primitive cost shows up in `tmlc profile`.
@@ -525,14 +570,6 @@ impl CodeTable {
             ..Default::default()
         });
         t
-    }
-
-    /// Drop blocks past `len` (rollback of an abandoned compilation
-    /// attempt; only blocks no instruction references may be dropped).
-    pub(crate) fn truncate(&mut self, len: usize) {
-        self.blocks.truncate(len);
-        self.calls.truncate(len);
-        self.tiers.truncate(len);
     }
 
     /// Add a block; returns its index. New blocks start cold: zero calls,

@@ -12,7 +12,9 @@
 //!   direct applications are compiled *into the enclosing block* (no
 //!   closure, no call) — so when the optimizer inlines a library procedure
 //!   and the reduction rules fuse its body into the caller, whole
-//!   call/closure chains disappear from the generated code;
+//!   call/closure chains disappear from the generated code; so are join
+//!   points, loops and `var` cells that never leave their block (labels,
+//!   jumps and frame slots; see [`compile`]);
 //! * abstractions used as values become heap closures; calls through
 //!   variables become closure transfers ([`instr::Instr::Call`]);
 //! * since TML is CPS, there is no call stack: the machine state is a

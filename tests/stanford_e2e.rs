@@ -170,15 +170,15 @@ const PINNED_WORK: &[(&str, &str, [u64; 4], usize)] = &[
     ("tree", "base", [89534, 47395, 23097, 0], 402),
     ("mandel", "base", [846005, 368608, 199421, 0], 4801),
     ("fib", "dyn", [41803, 16722, 8360, 0], 0),
-    ("sieve", "dyn", [61727, 10905, 4756, 0], 305),
-    ("towers", "dyn", [77815, 20479, 12287, 0], 1),
-    ("bubble", "dyn", [94689, 14521, 7260, 0], 2),
-    ("quick", "dyn", [140153, 22907, 16334, 0], 1066),
-    ("queens", "dyn", [39556, 5752, 1615, 0], 515),
-    ("intmm", "dyn", [89265, 2, 0, 0], 327),
-    ("perm", "dyn", [32663, 7827, 5150, 0], 2),
-    ("tree", "dyn", [61235, 16639, 11778, 0], 402),
-    ("mandel", "dyn", [464219, 38592, 25853, 0], 4801),
+    ("sieve", "dyn", [56365, 2, 0, 0], 1),
+    ("towers", "dyn", [65529, 12288, 4096, 0], 1),
+    ("bubble", "dyn", [83548, 2, 0, 0], 1),
+    ("quick", "dyn", [114851, 1599, 533, 0], 533),
+    ("queens", "dyn", [38492, 5200, 1063, 0], 515),
+    ("intmm", "dyn", [75925, 2, 0, 0], 3),
+    ("perm", "dyn", [29456, 5870, 3193, 0], 2),
+    ("tree", "dyn", [55641, 12980, 8119, 0], 402),
+    ("mandel", "dyn", [435166, 2, 0, 0], 0),
 ];
 
 /// One measured call: a [`PINNED_WORK`] row with the store objects the
