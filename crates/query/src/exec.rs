@@ -4,11 +4,18 @@
 //! re-enter the machine to evaluate predicate/target closures — the
 //! integrated execution model where "programming language variables,
 //! function and method calls … appear in the select and where clauses".
+//!
+//! Operators read their source relations in place: a [`Scan`] fetches one
+//! row per iteration from the store, and a predicate receives it as a
+//! transient row ([`RVal::Row`]) that reaches the store only if it
+//! escapes. Only result relations are allocated, holding copies of the
+//! rows they return.
 
+use std::rc::Rc;
 use tml_store::object::IndexKey;
-use tml_store::{Object, Relation, SVal};
+use tml_store::{Object, Oid, Relation, SVal, MAX_OBJECT_LEN};
 use tml_vm::host::{ExternTable, HostCtx};
-use tml_vm::RVal;
+use tml_vm::{RVal, TransientRow};
 
 const ERR_TYPE: &str = "type";
 
@@ -22,22 +29,53 @@ fn store_exc(e: tml_store::StoreError) -> RVal {
     RVal::Str(format!("store: {e}").into())
 }
 
-fn rel_of(ctx: &mut dyn HostCtx, v: &RVal) -> Result<Relation, RVal> {
-    let RVal::Ref(oid) = v else {
-        return Err(type_err());
-    };
-    match ctx.store().get(*oid) {
-        Ok(Object::Relation(r)) => Ok(r.clone()),
-        _ => Err(type_err()),
-    }
+/// A relation read in place. Rows are only ever appended (`rinsert`), so
+/// the first `len` rows, counted when the operator was entered, are the
+/// snapshot it scans even if a predicate inserts into the relation.
+struct Scan {
+    oid: Oid,
+    len: usize,
+    /// The current row, refilled in place while it does not escape.
+    row: Rc<TransientRow>,
 }
 
-fn row_tuple(ctx: &mut dyn HostCtx, row: &[SVal]) -> Result<RVal, RVal> {
-    let oid = ctx
-        .store()
-        .alloc(Object::Tuple(row.to_vec()))
-        .map_err(store_exc)?;
-    Ok(RVal::Ref(oid))
+impl Scan {
+    fn open(ctx: &mut dyn HostCtx, v: &RVal) -> Result<Scan, RVal> {
+        let RVal::Ref(oid) = *v else {
+            return Err(type_err());
+        };
+        match ctx.store().get(oid) {
+            Ok(Object::Relation(r)) => Ok(Scan {
+                oid,
+                len: r.len(),
+                row: Rc::new(TransientRow::new(Vec::new())),
+            }),
+            _ => Err(type_err()),
+        }
+    }
+
+    fn schema(&self, ctx: &mut dyn HostCtx) -> Result<Vec<String>, RVal> {
+        match ctx.store().get(self.oid) {
+            Ok(Object::Relation(r)) => Ok(r.schema.clone()),
+            _ => Err(type_err()),
+        }
+    }
+
+    /// Make row `i` the current row and return it as a predicate argument.
+    fn load(&mut self, ctx: &mut dyn HostCtx, i: usize) -> Result<RVal, RVal> {
+        match ctx.store().get(self.oid) {
+            Ok(Object::Relation(r)) if i < r.len() => {
+                TransientRow::refill(&mut self.row, &r.rows[i])
+            }
+            _ => return Err(type_err()),
+        }
+        Ok(RVal::Row(self.row.clone()))
+    }
+
+    /// The current row as scanned: a write to it went to its tuple.
+    fn fields(&self) -> &[SVal] {
+        self.row.slots()
+    }
 }
 
 fn as_bool(v: RVal) -> Result<bool, RVal> {
@@ -70,27 +108,25 @@ fn trace_plan(plan: &'static str, target: Option<u64>) {
 /// Register all query extern implementations.
 pub fn install_externs(t: &mut ExternTable) {
     t.register("select", |ctx, args| {
-        let pred = args[0].clone();
-        let src = rel_of(ctx, &args[1])?;
-        if let RVal::Ref(oid) = &args[1] {
-            trace_plan("scan", Some(oid.0));
-        }
-        let mut out = Relation::new(src.schema.clone());
-        for row in &src.rows {
-            let tup = row_tuple(ctx, row)?;
+        let pred = &args[0];
+        let mut src = Scan::open(ctx, &args[1])?;
+        trace_plan("scan", Some(src.oid.0));
+        let mut out = Relation::new(src.schema(ctx)?);
+        for i in 0..src.len {
+            let tup = src.load(ctx, i)?;
             if as_bool(ctx.call(pred.clone(), vec![tup])?)? {
-                out.insert(row.clone());
+                out.insert(src.fields().to_vec());
             }
         }
         alloc_rel(ctx, out)
     });
 
     t.register("project", |ctx, args| {
-        let target = args[0].clone();
-        let src = rel_of(ctx, &args[1])?;
+        let target = &args[0];
+        let mut src = Scan::open(ctx, &args[1])?;
         let mut out = Relation::new(vec!["value".to_string()]);
-        for row in &src.rows {
-            let tup = row_tuple(ctx, row)?;
+        for i in 0..src.len {
+            let tup = src.load(ctx, i)?;
             let v = ctx.call(target.clone(), vec![tup])?;
             let sval = v.persist(ctx.store()).map_err(|_| type_err())?;
             out.insert(vec![sval]);
@@ -99,20 +135,21 @@ pub fn install_externs(t: &mut ExternTable) {
     });
 
     t.register("join", |ctx, args| {
-        let pred = args[0].clone();
-        let left = rel_of(ctx, &args[1])?;
-        let right = rel_of(ctx, &args[2])?;
-        let mut schema = left.schema.clone();
-        schema.extend(right.schema.iter().map(|c| format!("r.{c}")));
+        let pred = &args[0];
+        let mut left = Scan::open(ctx, &args[1])?;
+        let mut right = Scan::open(ctx, &args[2])?;
+        let mut schema = left.schema(ctx)?;
+        schema.extend(right.schema(ctx)?.iter().map(|c| format!("r.{c}")));
         let mut out = Relation::new(schema);
-        for lrow in &left.rows {
-            for rrow in &right.rows {
-                let lt = row_tuple(ctx, lrow)?;
-                let rt = row_tuple(ctx, rrow)?;
-                if as_bool(ctx.call(pred.clone(), vec![lt, rt])?)? {
-                    let mut row = lrow.clone();
-                    row.extend(rrow.iter().cloned());
-                    out.insert(row);
+        for i in 0..left.len {
+            // One row per left row, shared by all of its pairs.
+            let lt = left.load(ctx, i)?;
+            for j in 0..right.len {
+                let rt = right.load(ctx, j)?;
+                if as_bool(ctx.call(pred.clone(), vec![lt.clone(), rt])?)? {
+                    let mut joined = left.fields().to_vec();
+                    joined.extend_from_slice(right.fields());
+                    out.insert(joined);
                 }
             }
         }
@@ -120,10 +157,10 @@ pub fn install_externs(t: &mut ExternTable) {
     });
 
     t.register("exists", |ctx, args| {
-        let pred = args[0].clone();
-        let src = rel_of(ctx, &args[1])?;
-        for row in &src.rows {
-            let tup = row_tuple(ctx, row)?;
+        let pred = &args[0];
+        let mut src = Scan::open(ctx, &args[1])?;
+        for i in 0..src.len {
+            let tup = src.load(ctx, i)?;
             if as_bool(ctx.call(pred.clone(), vec![tup])?)? {
                 return Ok(RVal::Bool(true));
             }
@@ -132,13 +169,13 @@ pub fn install_externs(t: &mut ExternTable) {
     });
 
     t.register("empty", |ctx, args| {
-        let src = rel_of(ctx, &args[0])?;
-        Ok(RVal::Bool(src.is_empty()))
+        let src = Scan::open(ctx, &args[0])?;
+        Ok(RVal::Bool(src.len == 0))
     });
 
     t.register("count", |ctx, args| {
-        let src = rel_of(ctx, &args[0])?;
-        Ok(RVal::Int(src.len() as i64))
+        let src = Scan::open(ctx, &args[0])?;
+        Ok(RVal::Int(src.len as i64))
     });
 
     t.register("and", |_ctx, args| {
@@ -159,14 +196,21 @@ pub fn install_externs(t: &mut ExternTable) {
         let RVal::Ref(rel_oid) = args[0] else {
             return Err(type_err());
         };
-        let RVal::Ref(tup_oid) = args[1] else {
-            return Err(type_err());
-        };
-        let row = match ctx.store().get(tup_oid) {
-            Ok(Object::Tuple(slots)) | Ok(Object::Array(slots)) | Ok(Object::Vector(slots)) => {
-                slots.clone()
+        let row = match &args[1] {
+            RVal::Row(r) if r.oid().is_none() => r.slots().to_vec(),
+            v => {
+                let tup_oid = match v {
+                    RVal::Ref(o) => *o,
+                    RVal::Row(r) => r.persist(ctx.store()).map_err(store_exc)?,
+                    _ => return Err(type_err()),
+                };
+                match ctx.store().get(tup_oid) {
+                    Ok(Object::Tuple(slots))
+                    | Ok(Object::Array(slots))
+                    | Ok(Object::Vector(slots)) => slots.clone(),
+                    _ => return Err(type_err()),
+                }
             }
-            _ => return Err(type_err()),
         };
         match ctx.store().get(rel_oid) {
             Ok(Object::Relation(r)) if row.len() == r.schema.len() => {}
@@ -188,6 +232,9 @@ pub fn install_externs(t: &mut ExternTable) {
             return Err(type_err());
         };
         let n = usize::try_from(n).map_err(|_| type_err())?;
+        if n > MAX_OBJECT_LEN {
+            return Err(type_err());
+        }
         let schema = (0..n).map(|i| format!("c{i}")).collect();
         alloc_rel(ctx, Relation::new(schema))
     });
@@ -215,19 +262,16 @@ pub fn install_externs(t: &mut ExternTable) {
             .as_ref()
             .and_then(IndexKey::from_sval)
             .ok_or_else(type_err)?;
-        let (rel_oid, rows): (_, Vec<usize>) = match ctx.store().get(ix_oid) {
-            Ok(Object::Index(ix)) => (
-                ix.relation,
-                ix.entries.get(&key).cloned().unwrap_or_default(),
-            ),
-            _ => return Err(type_err()),
+        // Copy only the matched rows out of the indexed relation.
+        let store = &*ctx.store();
+        let Ok(Object::Index(ix)) = store.get(ix_oid) else {
+            return Err(type_err());
         };
-        let src = match ctx.store().get(rel_oid) {
-            Ok(Object::Relation(r)) => r.clone(),
-            _ => return Err(type_err()),
+        let Ok(Object::Relation(src)) = store.get(ix.relation) else {
+            return Err(type_err());
         };
         let mut out = Relation::new(src.schema.clone());
-        for i in rows {
+        for &i in ix.entries.get(&key).into_iter().flatten() {
             if let Some(row) = src.rows.get(i) {
                 out.insert(row.clone());
             }
@@ -339,6 +383,19 @@ mod tests {
                          (count r cont(e3)(halt e3) cont(n)(halt n)))))";
         let (r, _) = run_query(src, 1);
         assert_eq!(r, RVal::Int(1));
+    }
+
+    #[test]
+    fn mkrel_above_the_object_limit_is_a_type_error() {
+        // Checked before the schema is built.
+        let src = format!(
+            "(mkrel {} cont(e)(halt e) cont(r)(halt 0))",
+            MAX_OBJECT_LEN + 1
+        );
+        let (r, _) = run_query(&src, 1);
+        assert_eq!(r, RVal::Str("type".into()));
+        let (r, _) = run_query("(mkrel 4 cont(e)(halt e) cont(r)(halt 0))", 1);
+        assert_eq!(r, RVal::Int(0));
     }
 
     #[test]

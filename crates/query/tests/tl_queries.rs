@@ -5,12 +5,13 @@
 //! source language down).
 
 use tml_core::prim::IndexFacts;
+use tml_lang::ast::Type;
 use tml_lang::{Session, SessionConfig};
 use tml_query::integrated::reflect_options_with_queries;
 use tml_query::{firings, QuerySession};
 use tml_reflect::{optimize_named, ReflectOptions, TermBuilder};
 use tml_store::ptml::encode_abs;
-use tml_store::SVal;
+use tml_store::{Object, Relation, SVal};
 use tml_vm::RVal;
 
 const DB_SRC: &str = "
@@ -292,4 +293,79 @@ fn queries_without_enable_queries_fail_cleanly() {
                let f(r: Rel): Rel = select x from x in r where true\n\
                end";
     assert!(s.load_str(src).is_err());
+}
+
+/// The five `query_scan` query shapes over `db.big(id, a, b)` and
+/// `db.small(id, k)`, plus a predicate whose row escapes into an array.
+const SCAN_SRC: &str = "
+module q export merge_select, view_project, exists_probe, semi_join, index_select, escape
+let hi(r: Rel): Rel = select x from x in r where x.1 > 3
+let merge_select(u: Int): Rel = select y from y in hi(db.big) where y.2 < 7
+let view_project(u: Int): Rel = select y.0 from y in hi(db.big)
+let exists_probe(u: Int): Bool = exists x in db.big where x.1 * 1000 + x.2 == 0 - 1
+let semi_join(u: Int): Rel =
+  select x from x in db.big where (exists y in db.small where y.1 == x.2)
+let index_select(u: Int): Rel = select x from x in db.big where x.1 == 2
+let escape(u: Int): Int =
+  let a = array.make(1, 0) in
+  rel.count(select x from x in db.big where (array.set(a, 0, x); true))
+end";
+
+/// `query.rows.persisted` explains each row that reached the store: the
+/// `query_scan` queries, reflectively optimized as the benchmark runs
+/// them, persist none; a predicate that stores its row persists each one.
+#[test]
+fn only_escaping_rows_are_persisted() {
+    let mut s = Session::new(SessionConfig::default()).unwrap();
+    s.enable_queries().unwrap();
+    let rel = |schema: &[&str], rows: Vec<Vec<i64>>| {
+        let mut r = Relation::new(schema.iter().map(|c| c.to_string()).collect());
+        for row in rows {
+            r.insert(row.into_iter().map(SVal::Int).collect());
+        }
+        Object::Relation(r)
+    };
+    let big_rows: Vec<Vec<i64>> = (0..40).map(|i| vec![i, i % 6, i % 10]).collect();
+    let big = s.store.alloc(rel(&["id", "a", "b"], big_rows));
+    let small = s
+        .store
+        .alloc(rel(&["id", "k"], (0..5).map(|i| vec![i, 2 * i]).collect()));
+    tml_query::data::build_index(&mut s.store, big, 1).unwrap();
+    for (name, oid) in [("db.big", big), ("db.small", small)] {
+        s.globals.insert(name.into(), SVal::Ref(oid));
+        s.types.insert(name, Type::Rel);
+    }
+    s.load_str(SCAN_SRC).unwrap();
+    let queries: Vec<RVal> = [
+        "merge_select",
+        "view_project",
+        "exists_probe",
+        "semi_join",
+        "index_select",
+    ]
+    .iter()
+    .map(|f| {
+        let opt = optimize_named(&mut s, &format!("q.{f}"), &reflect_options_with_queries());
+        RVal::from_sval(&opt.unwrap())
+    })
+    .collect();
+
+    let rec = tml_trace::global();
+    let persisted = || rec.counter("query.rows.persisted").get();
+    rec.set_enabled(true);
+    let before = persisted();
+    let plans = rec.counter("query.plan.index").get();
+    for q in &queries {
+        s.call_value(q.clone(), vec![RVal::Int(0)]).unwrap();
+    }
+    let scans = persisted() - before;
+    let indexed = rec.counter("query.plan.index").get() - plans;
+    let escaped = s.call("q.escape", vec![RVal::Int(0)]).unwrap().result;
+    let after_escape = persisted() - before;
+    rec.set_enabled(false);
+
+    assert_eq!(indexed, 1, "index_select runs on the index");
+    assert_eq!(scans, 0, "the query_scan queries persist no row");
+    assert_eq!(escaped, RVal::Int(40));
+    assert_eq!(after_escape, 40, "each stored row is persisted once");
 }

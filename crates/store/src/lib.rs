@@ -52,7 +52,7 @@ pub use buffer::{BufferPool, BufferStats};
 pub use cache::{CacheEntry, CacheKey, CacheStats, OptCache};
 pub use crc::crc32;
 pub use durable::{DurableOptions, DurableStore, OpenReport};
-pub use object::{ClosureObj, ModuleObj, Object, Relation};
+pub use object::{ClosureObj, ModuleObj, Object, Relation, MAX_OBJECT_LEN};
 pub use page::{Page, PageFile, PageId, PAGE_SIZE};
 pub use paged::{ImageIdentity, PageStats, PagedHeap, RecoverySource};
 pub use store::{Store, StoreError, StoreStats};

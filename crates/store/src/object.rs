@@ -4,6 +4,15 @@ use crate::sval::SVal;
 use std::collections::BTreeMap;
 use tml_core::Oid;
 
+/// The most slots, or bytes for a byte array, that one object a program
+/// allocates may hold; relation schemas count their columns against it
+/// too. `new`, `bnew` and `mkrel` each build an object of a requested
+/// size in a single instruction, so fuel does not bound them: they check
+/// this cap before they allocate and fail typed above it (a machine trap
+/// for `new`/`bnew`, a `type` exception for `mkrel`). At 4 Mi slots an
+/// array stays below 100 MiB.
+pub const MAX_OBJECT_LEN: usize = 1 << 22;
+
 /// A compiled procedure in the store.
 ///
 /// "For each exported source code function f in a compilation unit, the

@@ -49,7 +49,7 @@ pub use compile::{CompileError, CompiledProc, Compiler};
 pub use host::{ExternFn, ExternTable};
 pub use instr::{CodeBlock, CodeTable, Instr, TIER_BASELINE, TIER_HOT};
 pub use machine::{ExecStats, Machine, Outcome, VmError, VmProfile};
-pub use rval::RVal;
+pub use rval::{RVal, TransientRow};
 
 use std::collections::HashMap;
 use tml_core::term::{Abs, App};

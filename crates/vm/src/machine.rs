@@ -20,7 +20,7 @@ use tml_core::prims_std::{
     ERR_BOUNDS, ERR_NO_CCALL, ERR_NO_PRIM, ERR_OVERFLOW, ERR_TYPE, ERR_ZERO_DIVIDE,
 };
 use tml_core::Oid;
-use tml_store::{Object, Store, StoreAccess, StoreError};
+use tml_store::{Object, Store, StoreAccess, StoreError, MAX_OBJECT_LEN};
 
 /// Deterministic execution counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -384,7 +384,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     fn invoke(&mut self, target: RVal) -> Result<(), VmError> {
         self.stats.calls += 1;
         self.env.clear();
-        let code = match target {
+        let code = match self.stored(target)? {
             RVal::Clo(c) => {
                 let code = c.code;
                 self.env_clo = Some(c);
@@ -420,6 +420,15 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             *p.block_calls.entry(code).or_insert(0) += 1;
         }
         self.enter(code)
+    }
+
+    /// `v` with a transient row replaced by its store tuple (persisted on
+    /// the spot), for paths that only handle store references.
+    fn stored(&mut self, v: RVal) -> Result<RVal, VmError> {
+        Ok(match v {
+            RVal::Row(r) => RVal::Ref(r.persist(self.store)?),
+            v => v,
+        })
     }
 
     /// Continue on a value-producing path: write `value` to `dst` and
@@ -631,6 +640,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                             .ok_or_else(|| VmError::Trap("new: non-integer size".into()))?;
                         let count = usize::try_from(count)
                             .map_err(|_| VmError::Trap("new: negative size".into()))?;
+                        check_len("new", count)?;
                         let init = self.resolve(args[1]).persist(self.store)?;
                         Object::Array(vec![init; count])
                     }
@@ -641,6 +651,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                             .ok_or_else(|| VmError::Trap("bnew: non-integer size".into()))?;
                         let count = usize::try_from(count)
                             .map_err(|_| VmError::Trap("bnew: negative size".into()))?;
+                        check_len("bnew", count)?;
                         let init = match self.resolve(args[1]) {
                             RVal::Char(c) => c,
                             RVal::Int(n) => n as u8,
@@ -667,6 +678,15 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             } => {
                 let (oid, i) = match (self.resolve(*arr), self.resolve(*index)) {
                     (RVal::Ref(o), RVal::Int(i)) => (o, i),
+                    // A row not yet persisted is read in place; once it
+                    // has an OID the store tuple is the row.
+                    (RVal::Row(r), RVal::Int(i)) if !*byte && r.oid().is_none() => {
+                        return match usize::try_from(i).ok().and_then(|i| r.slots().get(i)) {
+                            Some(v) => self.continue_value(on_ok, *dst, RVal::from_sval(v)),
+                            None => self.exception(on_err, *dst, RVal::Str(ERR_BOUNDS.into())),
+                        };
+                    }
+                    (RVal::Row(r), RVal::Int(i)) => (r.persist(self.store)?, i),
                     (a, b) => {
                         return Err(VmError::Trap(format!(
                             "index load on {} with {}",
@@ -699,6 +719,9 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             } => {
                 let (oid, i) = match (self.resolve(*arr), self.resolve(*index)) {
                     (RVal::Ref(o), RVal::Int(i)) => (o, i),
+                    // A write to a row persists it: every alias then reads
+                    // the store tuple.
+                    (RVal::Row(r), RVal::Int(i)) => (r.persist(self.store)?, i),
                     (a, b) => {
                         return Err(VmError::Trap(format!(
                             "index store on {} with {}",
@@ -733,11 +756,12 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 }
             }
             Instr::Size { dst, arr, on_ok } => {
-                let oid = match self.resolve(*arr) {
-                    RVal::Ref(o) => o,
+                let n = match self.resolve(*arr) {
+                    RVal::Ref(o) => self.store.size_of(o)?,
+                    // A tuple's width never changes: the row's own suffices.
+                    RVal::Row(r) => r.slots().len(),
                     other => return Err(VmError::Trap(format!("size of {}", other.kind()))),
                 };
-                let n = self.store.size_of(oid)?;
                 self.continue_value(on_ok, *dst, RVal::Int(n as i64))
             }
             Instr::MoveBlk {
@@ -747,7 +771,11 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 on_err,
                 on_ok,
             } => {
-                let vals: Vec<RVal> = args.iter().map(|s| self.resolve(*s)).collect();
+                let mut vals = Vec::with_capacity(args.len());
+                for src in args.iter() {
+                    let v = self.resolve(*src);
+                    vals.push(self.stored(v)?);
+                }
                 match self.move_block(*byte, &vals)? {
                     Ok(_) => self.continue_value(on_ok, *dst, RVal::Unit),
                     Err(e) => self.exception(on_err, *dst, e),
@@ -817,6 +845,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             Instr::Halt { src } => Ok(Flow::Done(self.resolve(*src))),
             Instr::Print { dst, src, on_ok } => {
                 let v = self.resolve(*src);
+                let v = self.stored(v)?;
                 self.output.push(format!("{v:?}"));
                 self.continue_value(on_ok, *dst, RVal::Unit)
             }
@@ -966,6 +995,16 @@ impl<S: StoreAccess> HostCtx for Machine<'_, S> {
     }
 }
 
+/// Refuse an allocation above [`MAX_OBJECT_LEN`] before making it.
+fn check_len(prim: &str, count: usize) -> Result<(), VmError> {
+    if count > MAX_OBJECT_LEN {
+        return Err(VmError::Trap(format!(
+            "{prim}: size {count} exceeds the object limit of {MAX_OBJECT_LEN}"
+        )));
+    }
+    Ok(())
+}
+
 fn int_operands(x: &RVal, y: &RVal) -> Result<(i64, i64), RVal> {
     match (x.as_int(), y.as_int()) {
         (Some(a), Some(b)) => Ok((a, b)),
@@ -1049,9 +1088,11 @@ fn compare(op: CmpOp, x: &RVal, y: &RVal) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rval::TransientRow;
     use crate::Vm;
     use tml_core::parse::parse_app;
     use tml_core::Ctx;
+    use tml_store::SVal;
 
     fn run(src: &str) -> Result<Outcome, VmError> {
         let mut ctx = Ctx::new();
@@ -1368,6 +1409,95 @@ mod tests {
         let mut store = Store::new();
         let out = vm.run_program(&mut store, block, 100_000).unwrap();
         assert_eq!(out.result, RVal::Int(42));
+    }
+
+    /// Run `src` with the extern `host.row` producing the row `(1, 2, 3)`:
+    /// a transient row, or with `tuple` the same values as a store tuple.
+    fn run_with_row(src: &str, tuple: bool) -> (Result<Outcome, VmError>, Store) {
+        let mut ctx = Ctx::new();
+        ctx.prims.register(tml_core::PrimDef {
+            name: "host.row".into(),
+            signature: tml_core::Signature::exact(0, 2),
+            attrs: Default::default(),
+            fold: None,
+            rewrite: None,
+            validate: None,
+            cost: tml_core::prim::PrimCost::Const(5),
+            codegen: None,
+        });
+        let parsed = parse_app(&mut ctx, src).unwrap();
+        let mut vm = Vm::new();
+        vm.externs.register("host.row", move |ctx, _| {
+            let slots = vec![SVal::Int(1), SVal::Int(2), SVal::Int(3)];
+            if tuple {
+                let oid = ctx.store().alloc(Object::Tuple(slots)).unwrap();
+                Ok(RVal::Ref(oid))
+            } else {
+                Ok(RVal::Row(Rc::new(TransientRow::new(slots))))
+            }
+        });
+        let block = vm.compile_program(&ctx, &parsed.app).unwrap();
+        let mut store = Store::new();
+        let out = vm.run_program(&mut store, block, 100_000);
+        (out, store)
+    }
+
+    #[test]
+    fn rows_are_read_in_place() {
+        let src = "(host.row cont(e)(halt -1) cont(r) \
+                     ([] r 1 cont(e)(halt e) cont(a) (size r cont(n) \
+                       (* a 10 cont(e)(halt e) cont(b) (+ b n cont(e)(halt e) cont(c)(halt c))))))";
+        let (out, store) = run_with_row(src, false);
+        assert_eq!(out.unwrap().result, RVal::Int(23));
+        assert!(store.is_empty(), "reads allocate nothing");
+    }
+
+    #[test]
+    fn rows_behave_as_store_tuples() {
+        let probes = [
+            // A write persists the row once; the stored alias sees it.
+            "(host.row cont(e)(halt -1) cont(r) (array r cont(a) \
+               ([:=] r 0 9 cont(e)(halt e) cont(u) ([] a 0 cont(e)(halt e) cont(t) \
+                 ([] t 0 cont(e)(halt e) cont(v) ([] r 0 cont(e)(halt e) cont(w) \
+                   (= t r cont() (+ v w cont(e)(halt e) cont(x)(halt x)) cont() (halt -2))))))))",
+            "(host.row cont(e)(halt -1) cont(r) ([] r 3 cont(e)(halt e) cont(v)(halt v)))",
+            "(host.row cont(e)(halt -1) cont(r) ([:=] r -1 0 cont(e)(halt e) cont(v)(halt v)))",
+            "(host.row cont(e)(halt -1) cont(r) (new 3 0 cont(a) \
+               (move a 0 r 0 3 cont(e)(halt e) cont(u)(halt 0))))",
+            "(host.row cont(e)(halt -1) cont(r) (b[] r 0 cont(e)(halt e) cont(v)(halt v)))",
+            "(host.row cont(e)(halt -1) cont(r) (r 1 cont(e)(halt e) cont(v)(halt v)))",
+            "(host.row cont(e)(halt -1) cont(r) (print r cont(u) (halt 0)))",
+            "(host.row cont(e)(halt -1) cont(r) (== r r cont() (halt 1) cont() (halt 0)))",
+        ];
+        for src in probes {
+            // A persisted row takes the OID the tuple was given, so even
+            // messages naming the object agree.
+            let show = |tuple| match run_with_row(src, tuple).0 {
+                Ok(o) => format!("{:?} {:?}", o.result, o.output),
+                Err(e) => e.to_string(),
+            };
+            assert_eq!(show(false), show(true), "{src}");
+        }
+        let (out, store) = run_with_row(probes[0], false);
+        assert_eq!(out.unwrap().result, RVal::Int(18));
+        assert_eq!(store.len(), 2, "the array and the row's one tuple");
+    }
+
+    #[test]
+    fn allocations_above_the_object_limit_trap() {
+        // Checked before allocating: nothing is built at any of these sizes.
+        let over = MAX_OBJECT_LEN + 1;
+        for src in [
+            format!("(new {over} 0 cont(a) (halt 0))"),
+            format!("(bnew {over} 0 cont(a) (halt 0))"),
+            format!("(new {} 0 cont(a) (halt 0))", i64::MAX),
+        ] {
+            match run(&src) {
+                Err(VmError::Trap(m)) => assert!(m.contains("exceeds the object limit"), "{m}"),
+                other => panic!("{src}: expected a trap, got {other:?}"),
+            }
+        }
+        assert_eq!(run_int("(new 3 7 cont(a) (size a cont(n) (halt n)))"), 3);
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //! arrays, tuples and module records exactly as the paper's first-class
 //! modules require. A group is persisted whole, once: every store
 //! reference to one group instance is the same OID.
+//!
+//! A *transient row* ([`TransientRow`]) is the row a query operator hands
+//! to a predicate or projection target: the row's values, copied out of
+//! the relation without touching the store. `[]` and `size` read it in
+//! place. It becomes a store tuple only when it escapes — written into a
+//! store object, returned through `project`, mutated with `[:=]` — and,
+//! like a group, it is persisted once: every escape of one row yields the
+//! same OID, and from then on the store tuple is the row, so all aliases
+//! observe a write to it.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -102,6 +111,59 @@ impl ClosureGroup {
     }
 }
 
+/// A transient relation row (see the module doc).
+#[derive(Debug, PartialEq)]
+pub struct TransientRow {
+    slots: Vec<SVal>,
+    /// The store tuple's OID, set when the row is first persisted.
+    persisted: OnceCell<Oid>,
+}
+
+impl TransientRow {
+    /// A row holding `slots`, not yet persisted.
+    pub fn new(slots: Vec<SVal>) -> TransientRow {
+        TransientRow {
+            slots,
+            persisted: OnceCell::new(),
+        }
+    }
+
+    /// Make `row` a fresh unpersisted row holding `values`, reusing its
+    /// buffer when nothing else refers to it (the previous row did not
+    /// escape the predicate it was passed to).
+    pub fn refill(row: &mut Rc<TransientRow>, values: &[SVal]) {
+        match Rc::get_mut(row) {
+            Some(r) => {
+                r.slots.clear();
+                r.slots.extend_from_slice(values);
+                r.persisted = OnceCell::new();
+            }
+            None => *row = Rc::new(TransientRow::new(values.to_vec())),
+        }
+    }
+
+    /// The values the row was created with. Once the row is persisted the
+    /// store tuple ([`TransientRow::oid`]) is the row: read it there.
+    pub fn slots(&self) -> &[SVal] {
+        &self.slots
+    }
+
+    /// The store tuple's OID, if the row has been persisted.
+    pub fn oid(&self) -> Option<Oid> {
+        self.persisted.get().copied()
+    }
+
+    /// Persist the row (once) as a store tuple.
+    pub fn persist<S: StoreAccess + ?Sized>(&self, store: &mut S) -> Result<Oid, StoreError> {
+        if let Some(oid) = self.oid() {
+            return Ok(oid);
+        }
+        let oid = store.alloc(Object::Tuple(self.slots.clone()))?;
+        tml_trace::count("query.rows.persisted", 1);
+        Ok(*self.persisted.get_or_init(|| oid))
+    }
+}
+
 /// A runtime value.
 #[derive(Clone, PartialEq)]
 pub enum RVal {
@@ -123,6 +185,8 @@ pub enum RVal {
     Clo(Rc<TransientClosure>),
     /// Member `j` of a transient closure group.
     Group(Rc<ClosureGroup>, u16),
+    /// A transient relation row.
+    Row(Rc<TransientRow>),
 }
 
 impl RVal {
@@ -166,11 +230,12 @@ impl RVal {
                 SVal::Ref(oid)
             }
             RVal::Group(g, j) => SVal::Ref(g.persist(store)?[*j as usize]),
+            RVal::Row(r) => SVal::Ref(r.persist(store)?),
         })
     }
 
-    /// Object identity (`==` primitive semantics). A group member is
-    /// identical to its persisted copy.
+    /// Object identity (`==` primitive semantics). A group member or a
+    /// row is identical to its persisted copy.
     pub fn identical(&self, other: &RVal) -> bool {
         match (self, other) {
             (RVal::Unit, RVal::Unit) => true,
@@ -185,6 +250,8 @@ impl RVal {
             (RVal::Group(g, j), RVal::Ref(o)) | (RVal::Ref(o), RVal::Group(g, j)) => {
                 g.oids().is_some_and(|oids| oids[*j as usize] == *o)
             }
+            (RVal::Row(a), RVal::Row(b)) => Rc::ptr_eq(a, b),
+            (RVal::Row(r), RVal::Ref(o)) | (RVal::Ref(o), RVal::Row(r)) => r.oid() == Some(*o),
             _ => false,
         }
     }
@@ -214,7 +281,7 @@ impl RVal {
             RVal::Real(_) => "real",
             RVal::Char(_) => "char",
             RVal::Str(_) => "string",
-            RVal::Ref(_) => "ref",
+            RVal::Ref(_) | RVal::Row(_) => "ref",
             RVal::Clo(_) | RVal::Group(..) => "closure",
         }
     }
@@ -232,6 +299,10 @@ impl std::fmt::Debug for RVal {
             RVal::Ref(o) => write!(f, "{o}"),
             RVal::Clo(c) => write!(f, "<closure #{}>", c.code),
             RVal::Group(g, j) => write!(f, "<closure #{}>", g.members[*j as usize].0),
+            RVal::Row(r) => match r.oid() {
+                Some(o) => write!(f, "{o}"),
+                None => write!(f, "<row {:?}>", r.slots),
+            },
         }
     }
 }
@@ -302,6 +373,45 @@ mod tests {
         }));
         assert!(v1.identical(&v2));
         assert!(!v1.identical(&v3));
+    }
+
+    #[test]
+    fn a_row_persists_once_and_is_identical_to_its_tuple() {
+        let mut store = Store::new();
+        let row = Rc::new(TransientRow::new(vec![SVal::Int(1), SVal::Bool(true)]));
+        let v = RVal::Row(row.clone());
+        assert_eq!(format!("{v:?}"), "<row [1, true]>");
+        assert!(v.identical(&RVal::Row(row.clone())));
+        assert!(!v.identical(&RVal::Row(Rc::new(TransientRow::new(vec![])))));
+        let first = v.persist(&mut store).unwrap();
+        assert_eq!(v.persist(&mut store).unwrap(), first);
+        assert_eq!(store.len(), 1);
+        let SVal::Ref(oid) = first else {
+            panic!("expected a ref, got {first:?}")
+        };
+        assert_eq!(
+            store.get(oid).unwrap(),
+            &Object::Tuple(vec![SVal::Int(1), SVal::Bool(true)])
+        );
+        assert!(v.identical(&RVal::Ref(oid)) && RVal::Ref(oid).identical(&v));
+        assert_eq!(format!("{v:?}"), format!("{oid}"));
+        assert_eq!(v.kind(), "ref");
+    }
+
+    #[test]
+    fn refill_reuses_a_row_nothing_else_holds() {
+        let mut store = Store::new();
+        let mut row = Rc::new(TransientRow::new(vec![SVal::Int(1)]));
+        RVal::Row(row.clone()).persist(&mut store).unwrap();
+        let before = Rc::as_ptr(&row);
+        TransientRow::refill(&mut row, &[SVal::Int(2)]);
+        assert_eq!(Rc::as_ptr(&row), before);
+        assert_eq!((row.slots(), row.oid()), (&[SVal::Int(2)][..], None));
+        // An escaped row keeps its values; the next one is new.
+        let escaped = row.clone();
+        TransientRow::refill(&mut row, &[SVal::Int(3)]);
+        assert!(!Rc::ptr_eq(&row, &escaped));
+        assert_eq!(escaped.slots(), &[SVal::Int(2)]);
     }
 
     #[test]
