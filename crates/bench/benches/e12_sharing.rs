@@ -1,74 +1,28 @@
-//! Experiment E12: shared-subtree terms and parallel whole-world
-//! optimization.
+//! Experiment E12: shared-subtree terms.
 //!
-//! The Arc/COW term representation pays off twice. First, physically
-//! shared subtrees let the optimizer skip quiescent regions by pointer
-//! identity and let the PTML encoder emit back-references instead of
-//! re-serializing a subtree per occurrence. Second, the immutable shared
-//! name/prim tables make `optimize_all` embarrassingly parallel: workers
-//! optimize disjoint functions against per-worker scratch contexts and the
-//! merge reassembles the sequential order, so the store ends up
-//! byte-identical to a `jobs = 1` run. This harness measures both wins on
-//! the Stanford suite.
+//! The Arc/COW term representation lets the optimizer skip quiescent
+//! regions by pointer identity and lets the PTML encoder emit
+//! back-references instead of re-serializing a subtree per occurrence.
+//! This harness optimizes the Stanford suite as one traced world, reports
+//! the COW, skip and back-reference counters, and checks that every
+//! optimized blob decodes to a well-formed term.
 
-use std::time::Instant;
-use tml_bench::ms;
+use tml_core::wellformed::check_abs;
 use tml_lang::stanford::suite;
 use tml_lang::{Session, SessionConfig};
-use tml_reflect::{optimize_all, OptimizeAllReport, ReflectOptions};
-use tml_store::ptml::{decode_abs, encode_abs, encode_abs_flat};
+use tml_reflect::{optimize_all, ReflectOptions};
+use tml_store::ptml::decode_abs;
 use tml_store::Object;
 
-fn fresh_world() -> Session {
+fn main() {
     let mut s = Session::new(SessionConfig::default()).expect("session");
     for p in suite() {
         s.load_str(p.src).expect("loads");
     }
-    s
-}
-
-/// Optimize a fresh world with `jobs` workers; return the best-of-N wall
-/// time, the final report and every PTML blob in OID order.
-fn run(jobs: u32, rounds: usize) -> (f64, OptimizeAllReport, Vec<(u64, Vec<u8>)>) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for round in 0..=rounds {
-        let mut s = fresh_world();
-        let opts = ReflectOptions {
-            jobs,
-            ..Default::default()
-        };
-        let t = Instant::now();
-        let report = optimize_all(&mut s, &opts).expect("optimize_all");
-        let dt = t.elapsed().as_secs_f64();
-        if round > 0 {
-            best = best.min(dt);
-        }
-        let blobs = s
-            .store
-            .iter()
-            .filter_map(|(oid, obj)| match obj {
-                Object::Ptml(b) => Some((oid.0, b.clone())),
-                _ => None,
-            })
-            .collect();
-        last = Some((report, blobs));
-    }
-    let (report, blobs) = last.unwrap();
-    (best, report, blobs)
-}
-
-fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = cores.clamp(2, 8) as u32;
-    let rounds = 5;
-
-    // Trace counters for the COW / skip / back-reference machinery are
-    // collected over one sequential warm-up world.
     let rec = tml_trace::global();
     rec.clear();
     rec.set_enabled(true);
-    let (_, _, _) = run(1, 0);
+    let report = optimize_all(&mut s, &ReflectOptions::default()).expect("optimize_all");
     rec.set_enabled(false);
     let counters = rec.registry().snapshot();
     let counter = |name: &str| {
@@ -78,39 +32,28 @@ fn main() {
             .map_or(0, |(_, v)| *v)
     };
 
-    let (seq, seq_report, seq_blobs) = run(1, rounds);
-    let (par, par_report, par_blobs) = run(jobs, rounds);
-
-    // Determinism gate: the parallel world is byte-identical.
-    assert_eq!(seq_blobs, par_blobs, "jobs={jobs} diverged from sequential");
-    assert_eq!(seq_report.reductions, par_report.reductions);
-    assert_eq!(seq_report.inlined, par_report.inlined);
-
-    // PTML size: re-encode every optimized blob flat vs share-aware.
-    let mut s = fresh_world();
-    let (mut flat_total, mut shared_total) = (0usize, 0usize);
-    for (_, b) in &seq_blobs {
+    let blobs: Vec<Vec<u8>> = s
+        .store
+        .iter()
+        .filter_map(|(_, obj)| match obj {
+            Object::Ptml(b) => Some(b.clone()),
+            _ => None,
+        })
+        .collect();
+    let bytes: usize = blobs.iter().map(Vec::len).sum();
+    for b in &blobs {
         let (abs, _) = decode_abs(&mut s.ctx, b).expect("decodes");
-        flat_total += encode_abs_flat(&s.ctx, &abs).len();
-        shared_total += encode_abs(&s.ctx, &abs).len();
+        check_abs(&s.ctx, &abs).expect("well-formed");
     }
-    assert!(shared_total <= flat_total);
 
-    println!("E12 — shared subtrees + parallel whole-world optimization\n");
+    println!("E12 — shared subtrees\n");
     println!(
         "world: {} function(s), size {} -> {} nodes, {} inlined, {} reduction(s)",
-        seq_report.functions,
-        seq_report.size_before,
-        seq_report.size_after,
-        seq_report.inlined,
-        seq_report.reductions
+        report.functions, report.size_before, report.size_after, report.inlined, report.reductions
     );
-    println!("optimize_all jobs=1   : {:>10}", ms(seq));
-    println!("optimize_all jobs={jobs}   : {:>10}", ms(par));
-    println!("parallel speedup      : {:.2}x", seq / par);
     println!(
-        "PTML flat vs shared   : {flat_total} -> {shared_total} bytes ({:.1}% saved)",
-        100.0 * (flat_total - shared_total) as f64 / flat_total as f64
+        "PTML blobs            : {} ({bytes} bytes, all decode well-formed)",
+        blobs.len()
     );
     println!(
         "COW                   : {} in-place, {} copies",
@@ -122,16 +65,10 @@ fn main() {
         counter("opt.reduce.subtree_skipped"),
         counter("opt.expand.noop_pass_skipped")
     );
+    let backrefs = counter("store.ptml.share.backrefs");
     println!(
-        "PTML back-references  : {} ({} bytes saved at encode time)",
-        counter("store.ptml.share.backrefs"),
+        "PTML back-references  : {backrefs} ({} bytes saved at encode time)",
         counter("store.ptml.share.saved_bytes")
     );
-
-    if cores >= 2 {
-        assert!(
-            par < seq,
-            "expected jobs={jobs} to beat sequential: {seq:.4}s vs {par:.4}s"
-        );
-    }
+    assert!(backrefs > 0, "the optimized world shares no subtree");
 }

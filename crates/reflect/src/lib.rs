@@ -31,8 +31,6 @@ pub mod tier;
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use tml_core::subst::subst_many;
 use tml_core::term::{Abs, App, Value};
 use tml_core::{Ctx, Oid, VarId};
@@ -42,7 +40,7 @@ use tml_opt::{optimize_abs_traced, OptOptions, OptStats};
 use tml_store::cache::{binding_signature, hash_bytes, SigHasher};
 use tml_store::ptml::{decode_abs, encode_abs};
 use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess};
-use tml_trace::{Event, Sink};
+use tml_trace::Sink;
 use tml_vm::{LinkedProduct, Vm};
 
 /// What [`optimize_all`] does when optimizing a *single* target fails —
@@ -79,14 +77,6 @@ pub struct ReflectOptions {
     /// rebuild and the optimizer. A session links each product once and
     /// gives every later hit a fresh copy of that entry block.
     pub use_cache: bool,
-    /// Worker threads for [`optimize_all`]'s decode → optimize → encode
-    /// middle phase. `0` and `1` both mean fully sequential. With `jobs ≥ 2`
-    /// the rebuild targets are drained from a shared work queue by
-    /// `std::thread` workers, each holding its own clone of the name/prim
-    /// context; results are merged back in target (OID) order, so the
-    /// produced PTML bytes and rule statistics are identical to a
-    /// sequential run (see DESIGN.md on determinism).
-    pub jobs: u32,
     /// Upper bound on optimizer work per target, measured in rewrite steps
     /// (rule firings, query rewrites included, + inlinings), checked when
     /// the optimizer stops. A target whose optimization ran past the
@@ -112,7 +102,6 @@ impl Default for ReflectOptions {
             inline_depth: 3,
             opt: OptOptions::default(),
             use_cache: true,
-            jobs: 1,
             fuel: None,
             on_error: OnError::default(),
             tier: 0,
@@ -148,7 +137,7 @@ pub enum ReflectError {
         /// The configured [`ReflectOptions::fuel`] budget.
         budget: u64,
     },
-    /// Optimization of the target panicked (caught on a worker thread; the
+    /// Optimization of the target panicked (caught in degraded mode; the
     /// payload's display form is preserved).
     Panicked(String),
 }
@@ -672,57 +661,32 @@ fn try_cached<S: StoreAccess>(
     })
 }
 
-/// Everything the decode → optimize → encode middle phase produces for one
-/// target. This phase never touches the VM or mutates the store, which is
-/// what makes it safe to run on worker threads against `&Store`.
-struct Prepared {
-    /// Share-aware PTML of the optimized term: the product, linked like
-    /// any other PTML.
-    bytes: Vec<u8>,
-    residuals: Vec<(String, VarId)>,
-    residual_values: HashMap<String, SVal>,
-    /// Store objects consulted while building the term.
-    deps: BTreeSet<Oid>,
-    stats: OptStats,
-    /// Optimizer provenance buffered for in-order replay (parallel runs
-    /// only; empty when events were emitted live).
-    events: Vec<Event>,
-}
-
-/// Run the optimizer against the store's index facts, then check the fuel
-/// budget.
-fn run_optimizer(
-    ctx: &mut Ctx,
-    store: &Store,
-    abs: Abs,
-    options: &ReflectOptions,
-    sink: &mut Sink,
-) -> Result<(Abs, OptStats), ReflectError> {
-    let budget = options.fuel.unwrap_or(u64::MAX);
-    let (a, s) = optimize_abs_traced(ctx, abs, &options.opt, Some(store), sink);
-    let spent = s.total_reductions() + s.inlined;
-    if spent > budget {
-        return Err(ReflectError::Fuel { spent, budget });
-    }
-    Ok((a, s))
-}
-
-/// The middle phase: build the bindings-wrapped term, optimize it and
-/// encode the product. `&Store` only — parallel-safe. With
-/// `buffer_events`, optimizer provenance is collected into the result for
-/// deterministic in-order replay instead of going to the global recorder
-/// as it happens.
-fn prepare(
-    ctx: &mut Ctx,
-    store: &Store,
+/// Rebuild one target: serve it from the cache, or build its
+/// bindings-wrapped term, optimize it, encode the product and link it.
+fn rebuild<S: StoreAccess>(
+    session: &mut Session<S>,
     oid: Oid,
+    name: Option<String>,
     options: &ReflectOptions,
-    buffer_events: bool,
-) -> Result<Prepared, ReflectError> {
+    inputs: &KeyInputs,
+) -> Result<Rebuilt, ReflectError> {
+    let (key, mut deps) = derive_key(session.store.base(), oid, inputs)?;
+    if options.use_cache {
+        if let Some(hit) = try_cached(session, oid, &name, key) {
+            return Ok(hit);
+        }
+    }
+    trace_consult(
+        name.as_deref(),
+        oid,
+        if options.use_cache { "miss" } else { "bypass" },
+    );
+    // Everything below is the cache-miss cost: re-derive, re-optimize and
+    // re-link the procedure. Its histogram is the price of invalidation.
+    let _s = tml_trace::span!("reflect.cache.miss_fill");
     // Deterministic fault injection for the degraded-mode tests: arming
     // `reflect.prepare` keyed by a target's OID makes exactly that target
-    // fail (or panic, under `Action::Panic`) in both sequential and
-    // parallel runs.
+    // fail (or panic, under `Action::Panic`).
     if tml_store::failpoint::armed()
         && tml_store::failpoint::check("reflect.prepare", oid.0).is_some()
     {
@@ -730,68 +694,27 @@ fn prepare(
             "failpoint reflect.prepare: injected failure for {oid}"
         )));
     }
-    let (abs, residuals, residual_values, deps) = {
-        let mut tb = TermBuilder::new(ctx, store);
+    let (abs, residuals, residual_values) = {
+        let mut tb = TermBuilder::new(&mut session.ctx, session.store.base());
         let abs = tb.build(oid, options.inline_depth)?;
-        (abs, tb.residuals, tb.residual_values, tb.deps)
+        deps.extend(tb.deps);
+        (abs, tb.residuals, tb.residual_values)
     };
-    let mut events: Vec<Event> = Vec::new();
-    let (optimized, stats) = if buffer_events && tml_trace::enabled() {
-        let mut push = |e: &Event| events.push(e.clone());
-        let mut sink = Sink::collect(&mut push);
-        run_optimizer(ctx, store, abs, options, &mut sink)?
-    } else {
-        run_optimizer(ctx, store, abs, options, &mut Sink::global())?
-    };
-    let bytes = encode_abs(ctx, &optimized);
-    Ok(Prepared {
-        bytes,
-        residuals,
-        residual_values,
-        deps,
-        stats,
-        events,
-    })
-}
-
-/// Identity and cache key of one rebuild target, as threaded from the
-/// key-derivation phase into [`finish`].
-struct Target {
-    oid: Oid,
-    name: Option<String>,
-    key: CacheKey,
-    key_deps: BTreeSet<Oid>,
-}
-
-/// The final phase: replay buffered provenance, link the product's PTML,
-/// and memoize the product. Sequential — it owns the VM code area and the
-/// store.
-fn finish<S: StoreAccess>(
-    session: &mut Session<S>,
-    target: Target,
-    use_cache: bool,
-    p: Prepared,
-) -> Result<Rebuilt, ReflectError> {
-    let Target {
-        oid,
-        name,
-        key,
-        key_deps,
-    } = target;
-    let Prepared {
-        bytes,
-        residuals,
-        residual_values,
-        mut deps,
-        stats,
-        events,
-    } = p;
-    if tml_trace::enabled() {
-        for e in events {
-            tml_trace::record(e);
-        }
+    // The optimizer runs against the store's index facts; the fuel budget
+    // is checked once it stops.
+    let (optimized, stats) = optimize_abs_traced(
+        &mut session.ctx,
+        abs,
+        &options.opt,
+        Some(session.store.base()),
+        &mut Sink::global(),
+    );
+    let budget = options.fuel.unwrap_or(u64::MAX);
+    let spent = stats.total_reductions() + stats.inlined;
+    if spent > budget {
+        return Err(ReflectError::Fuel { spent, budget });
     }
-    deps.extend(key_deps);
+    let bytes = encode_abs(&session.ctx, &optimized);
     let ptml = session
         .store
         .alloc(Object::Ptml(bytes.clone()))
@@ -810,7 +733,7 @@ fn finish<S: StoreAccess>(
         .iter()
         .map(|&d| (d, session.store.version(d)))
         .collect();
-    if use_cache {
+    if options.use_cache {
         memoize(&mut session.vm, key, &bytes, &linked);
         let entry = CacheEntry::new(observed.clone(), bytes, linked.captures.clone()).with_attrs(
             stats.size_before as u64,
@@ -828,41 +751,6 @@ fn finish<S: StoreAccess>(
         stats,
         observed,
     })
-}
-
-fn rebuild<S: StoreAccess>(
-    session: &mut Session<S>,
-    oid: Oid,
-    name: Option<String>,
-    options: &ReflectOptions,
-    inputs: &KeyInputs,
-) -> Result<Rebuilt, ReflectError> {
-    let (key, key_deps) = derive_key(session.store.base(), oid, inputs)?;
-    if options.use_cache {
-        if let Some(hit) = try_cached(session, oid, &name, key) {
-            return Ok(hit);
-        }
-    }
-    trace_consult(
-        name.as_deref(),
-        oid,
-        if options.use_cache { "miss" } else { "bypass" },
-    );
-    // Everything below is the cache-miss cost: re-derive, re-optimize and
-    // re-link the procedure. Its histogram is the price of invalidation.
-    let _s = tml_trace::span!("reflect.cache.miss_fill");
-    let prepared = prepare(&mut session.ctx, session.store.base(), oid, options, false)?;
-    finish(
-        session,
-        Target {
-            oid,
-            name,
-            key,
-            key_deps,
-        },
-        options.use_cache,
-        prepared,
-    )
 }
 
 /// One [`optimize_all`] target under the failure policy: `Ok(Some)` on
@@ -891,179 +779,6 @@ fn rebuild_or_skip<S: StoreAccess>(
             Ok(None)
         }
     }
-}
-
-/// The work-queue fan-out behind [`optimize_all`] with `jobs ≥ 2`.
-///
-/// Three phases:
-///
-/// 1. *sequential* — derive each target's cache key and consult the
-///    persistent cache (linking memoized code mutates the VM, so hits are
-///    resolved up front, in target order);
-/// 2. *parallel* — the remaining targets are drained from a shared atomic
-///    cursor by `std::thread` workers. Each worker rebuilds against
-///    `&Store` with a private clone of the session's name/prim context, so
-///    thread scheduling cannot influence any output: the produced PTML is
-///    independent of `VarId` numbering (the var table stores base names)
-///    and the optimizer is deterministic in the input term;
-/// 3. *sequential* — results are merged back in target (OID) order: code
-///    generation, cache population and buffered provenance replay happen
-///    exactly where a sequential run would have done them.
-fn rebuild_parallel<S: StoreAccess>(
-    session: &mut Session<S>,
-    targets: &[Oid],
-    global_names: &HashMap<Oid, String>,
-    options: &ReflectOptions,
-    inputs: &KeyInputs,
-) -> Result<(Vec<Rebuilt>, usize), ReflectError> {
-    struct Unit {
-        oid: Oid,
-        name: Option<String>,
-        key: CacheKey,
-        key_deps: BTreeSet<Oid>,
-        /// Skip the parallel prepare for this unit and consult the cache at
-        /// merge time instead: either a valid entry already exists, or an
-        /// earlier unit in this run has the same key (a sequential run
-        /// would find that unit's freshly inserted entry when it got here).
-        /// Merge-time consultation — rather than materializing the hit up
-        /// front — keeps VM/store mutations in exactly the order a
-        /// sequential run performs them.
-        expect_hit: bool,
-    }
-
-    let mut seen: HashSet<CacheKey> = HashSet::new();
-    let mut units: Vec<Unit> = Vec::with_capacity(targets.len());
-    for &oid in targets {
-        let name = global_names.get(&oid).cloned();
-        let (key, key_deps) = derive_key(session.store.base(), oid, inputs)?;
-        let expect_hit = options.use_cache && (session.store.cache_peek(key) || !seen.insert(key));
-        units.push(Unit {
-            oid,
-            name,
-            key,
-            key_deps,
-            expect_hit,
-        });
-    }
-
-    let degraded = options.on_error == OnError::Skip;
-    let todo: Vec<(usize, Oid)> = units
-        .iter()
-        .enumerate()
-        .filter_map(|(i, u)| (!u.expect_hit).then_some((i, u.oid)))
-        .collect();
-    let mut prepared: Vec<Option<Result<Prepared, ReflectError>>> =
-        (0..units.len()).map(|_| None).collect();
-    if !todo.is_empty() {
-        let jobs = (options.jobs as usize).min(todo.len());
-        let base_ctx = &session.ctx;
-        // Workers only read: share the underlying `&Store` across threads
-        // regardless of the session's backend.
-        let store = session.store.base();
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Prepared, ReflectError>>>> =
-            (0..units.len()).map(|_| Mutex::new(None)).collect();
-        // Worker spans cannot inherit a parent through TLS; capture the
-        // enclosing span here so their work attaches under it in the tree.
-        let parent_span = tml_trace::span::current();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(slot, oid)) = todo.get(k) else {
-                        break;
-                    };
-                    let _sp = tml_trace::span!("reflect.prepare", parent = parent_span);
-                    let mut ctx = base_ctx.clone();
-                    // In degraded mode a panicking target must not take the
-                    // worker (and with it the whole pass) down: catch it
-                    // here and let the in-order merge record the skip.
-                    let r = if degraded {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            prepare(&mut ctx, store, oid, options, true)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(ReflectError::Panicked(panic_detail(payload)))
-                        })
-                    } else {
-                        prepare(&mut ctx, store, oid, options, true)
-                    };
-                    *slots[slot].lock().expect("prepare slot poisoned") = Some(r);
-                });
-            }
-        });
-        for (i, slot) in slots.into_iter().enumerate() {
-            prepared[i] = slot.into_inner().expect("prepare slot poisoned");
-        }
-    }
-
-    // Merge in target order. Each iteration is exactly the sequential
-    // `rebuild` — real (stats-counted) cache consult, then finish — except
-    // that predicted-miss units use the result prepared off-thread. A
-    // predicted hit that misses after all (entry does not link, or the
-    // earlier same-key unit failed to insert) is recomputed inline. In
-    // degraded mode a failed unit becomes a recorded skip at exactly the
-    // point a sequential run would record it, so VM/store mutation order —
-    // and therefore the committed image — is identical for any job count.
-    let mut out = Vec::with_capacity(units.len());
-    let mut skipped = 0usize;
-    for (i, unit) in units.into_iter().enumerate() {
-        let Unit {
-            oid,
-            name,
-            key,
-            key_deps,
-            expect_hit,
-        } = unit;
-        if options.use_cache {
-            if let Some(hit) = try_cached(session, oid, &name, key) {
-                out.push(hit);
-                continue;
-            }
-        }
-        trace_consult(
-            name.as_deref(),
-            oid,
-            if options.use_cache { "miss" } else { "bypass" },
-        );
-        let slot = prepared[i].take();
-        let merge = |session: &mut Session<S>| -> Result<Rebuilt, ReflectError> {
-            let p = match slot {
-                Some(r) => r?,
-                None => {
-                    debug_assert!(expect_hit, "only predicted hits lack a prepared result");
-                    let (ctx, store) = (&mut session.ctx, session.store.base());
-                    prepare(ctx, store, oid, options, false)?
-                }
-            };
-            finish(
-                session,
-                Target {
-                    oid,
-                    name: name.clone(),
-                    key,
-                    key_deps,
-                },
-                options.use_cache,
-                p,
-            )
-        };
-        let outcome = if degraded {
-            catch_unwind(AssertUnwindSafe(|| merge(session)))
-                .unwrap_or_else(|payload| Err(ReflectError::Panicked(panic_detail(payload))))
-        } else {
-            merge(session)
-        };
-        match outcome {
-            Ok(r) => out.push(r),
-            Err(e) if degraded => {
-                record_skip(name.as_deref(), oid, &e);
-                skipped += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((out, skipped))
 }
 
 fn finish_closure<S: StoreAccess>(
@@ -1170,25 +885,20 @@ pub fn optimize_all<S: StoreAccess>(
             _ => None,
         })
         .collect();
-    // Store iteration order is already ascending, but the merge-in-OID-order
-    // determinism contract should not depend on that detail.
+    // Store iteration order is already ascending, but the committed image
+    // (OID allocation, cache order) should not depend on that detail.
     targets.sort_unstable_by_key(|o| o.0);
 
     let inputs = KeyInputs::of(&session.ctx, session.store.base(), options);
-    let (rebuilt, skipped) = if options.jobs >= 2 {
-        rebuild_parallel(session, &targets, &global_names, options, &inputs)?
-    } else {
-        let mut out = Vec::with_capacity(targets.len());
-        let mut skipped = 0usize;
-        for &oid in &targets {
-            let name = global_names.get(&oid).cloned();
-            match rebuild_or_skip(session, oid, name, options, &inputs)? {
-                Some(r) => out.push(r),
-                None => skipped += 1,
-            }
+    let mut rebuilt = Vec::with_capacity(targets.len());
+    let mut skipped = 0usize;
+    for &oid in &targets {
+        let name = global_names.get(&oid).cloned();
+        match rebuild_or_skip(session, oid, name, options, &inputs)? {
+            Some(r) => rebuilt.push(r),
+            None => skipped += 1,
         }
-        (out, skipped)
-    };
+    }
     let mut report = OptimizeAllReport {
         skipped,
         ..OptimizeAllReport::default()

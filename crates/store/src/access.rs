@@ -171,11 +171,6 @@ pub trait StoreAccess {
     /// Look up a cached optimization product, revalidating versions.
     fn cache_lookup(&mut self, key: CacheKey) -> Option<CacheEntry>;
 
-    /// Read-only hit prediction (no stats, no LRU touch).
-    fn cache_peek(&self, key: CacheKey) -> bool {
-        self.base().cache_peek(key)
-    }
-
     /// Insert (or replace) a cached optimization product.
     fn cache_insert(&mut self, key: CacheKey, entry: CacheEntry);
 

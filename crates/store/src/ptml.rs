@@ -16,7 +16,7 @@
 //! ## Format
 //!
 //! ```text
-//! magic "PTML1" (flat) or "PTML2" (share-aware)
+//! magic "PTML2"
 //! prim table   : count, names (UTF-8)          -- stable identity is the name
 //! var table    : count, (base name, cont flag)
 //! free list    : count, var-table indices      -- R-value binding order
@@ -26,22 +26,20 @@
 //! value        : tag … (unit/bool/int/real/char/str/oid/var/prim/abs/backref)
 //! ```
 //!
-//! ## Shared subtrees (PTML2)
+//! ## Shared subtrees
 //!
-//! In the share-aware format every `abs` node carries an implicit sequence
-//! number (pre-order emission order, starting at 0). A subtree that is
-//! physically shared (`Arc` pointer identity) or structurally identical
-//! (same structural hash, verified by deep comparison — identical variable
-//! ids included) to an already-emitted abstraction is encoded as a
-//! `backref` tag plus the earlier abstraction's sequence number instead of
-//! being re-emitted. The decoder keeps one slot per decoded abstraction and
-//! materializes back-references as `Arc` clones, so sharing survives the
-//! round trip. A back-reference may only point at a *completed* earlier
-//! abstraction (an ancestor still being decoded is strictly larger than any
-//! of its subtrees, so neither pointer nor content dedup can ever produce
-//! one); the decoder rejects forward or unfinished references as corrupt.
-//! [`decode_abs`] accepts both formats; [`encode_abs`] emits PTML2 and
-//! [`encode_abs_flat`] the legacy PTML1.
+//! Every `abs` node carries an implicit sequence number (pre-order
+//! emission order, starting at 0). A subtree that is physically shared
+//! (`Arc` pointer identity) or structurally identical (same structural
+//! hash, verified by deep comparison — identical variable ids included) to
+//! an already-emitted abstraction is encoded as a `backref` tag plus the
+//! earlier abstraction's sequence number instead of being re-emitted. The
+//! decoder keeps one slot per decoded abstraction and materializes
+//! back-references as `Arc` clones, so sharing survives the round trip. A
+//! back-reference may only point at a *completed* earlier abstraction (an
+//! ancestor still being decoded is strictly larger than any of its
+//! subtrees, so neither pointer nor content dedup can ever produce one);
+//! the decoder rejects forward or unfinished references as corrupt.
 
 use crate::varint::{put_i64, put_str, put_u64, DecodeError, Reader};
 use std::collections::HashMap;
@@ -49,10 +47,7 @@ use std::sync::Arc;
 use tml_core::term::{Abs, App, Value};
 use tml_core::{Ctx, Lit, Oid, PrimId, VarId};
 
-const MAGIC_V1: &[u8; 5] = b"PTML1";
-const MAGIC_V2: &[u8; 5] = b"PTML2";
-#[cfg(test)]
-const MAGIC: &[u8; 5] = MAGIC_V2;
+const MAGIC: &[u8; 5] = b"PTML2";
 
 const TAG_UNIT: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -78,22 +73,7 @@ const MAX_DEPTH: usize = 128;
 /// Encode a procedure (abstraction) into share-aware PTML2 bytes: each
 /// distinct shared subtree is emitted once and back-referenced thereafter.
 pub fn encode_abs(ctx: &Ctx, abs: &Abs) -> Vec<u8> {
-    let mut bytes = encode_abs_inner(ctx, abs, true);
-    if crate::failpoint::armed() {
-        crate::failpoint::corrupt("ptml.encode", 0, &mut bytes);
-    }
-    bytes
-}
-
-/// Encode a procedure into the legacy flat PTML1 format (no back
-/// references; every subtree emitted in full). Kept for compatibility
-/// tests and for producing blobs older readers understand.
-pub fn encode_abs_flat(ctx: &Ctx, abs: &Abs) -> Vec<u8> {
-    encode_abs_inner(ctx, abs, false)
-}
-
-fn encode_abs_inner(ctx: &Ctx, abs: &Abs, share: bool) -> Vec<u8> {
-    let mut enc = Encoder::new(ctx, share);
+    let mut enc = Encoder::new(ctx);
     // Register free variables first so their order is the stable R-value
     // binding order, then the binders in traversal order. The cached
     // summary already holds the sorted free set — no tree walk needed.
@@ -107,14 +87,14 @@ fn encode_abs_inner(ctx: &Ctx, abs: &Abs, share: bool) -> Vec<u8> {
     let mut body = Vec::new();
     enc.put_abs_raw(&mut body, abs);
 
-    if tml_trace::enabled() && share {
+    if tml_trace::enabled() {
         tml_trace::count("store.ptml.share.backrefs", enc.backrefs);
         tml_trace::count("store.ptml.share.saved_bytes", enc.saved_bytes);
     }
 
     // Assemble: header, prim table, var table, free list, body.
     let mut out = Vec::with_capacity(body.len() + 64);
-    out.extend_from_slice(if share { MAGIC_V2 } else { MAGIC_V1 });
+    out.extend_from_slice(MAGIC);
     put_u64(&mut out, enc.prims.len() as u64);
     for name in &enc.prims {
         put_str(&mut out, name);
@@ -130,6 +110,9 @@ fn encode_abs_inner(ctx: &Ctx, abs: &Abs, share: bool) -> Vec<u8> {
         put_u64(&mut out, i as u64); // free vars were registered first
     }
     out.extend_from_slice(&body);
+    if crate::failpoint::armed() {
+        crate::failpoint::corrupt("ptml.encode", 0, &mut out);
+    }
     out
 }
 
@@ -158,8 +141,7 @@ fn decode_abs_inner(
     bytes: &[u8],
 ) -> Result<(Abs, Vec<(String, VarId)>), DecodeError> {
     let mut r = Reader::new(bytes);
-    let magic = r.bytes(MAGIC_V1.len())?;
-    if magic != MAGIC_V1 && magic != MAGIC_V2 {
+    if r.bytes(MAGIC.len())? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
     // Prim table.
@@ -223,8 +205,7 @@ pub fn decode_app(ctx: &mut Ctx, bytes: &[u8]) -> Result<(App, Vec<(String, VarI
 /// their targets alive.
 pub fn scan_oids(bytes: &[u8]) -> Result<Vec<Oid>, DecodeError> {
     let mut r = Reader::new(bytes);
-    let magic = r.bytes(MAGIC_V1.len())?;
-    if magic != MAGIC_V1 && magic != MAGIC_V2 {
+    if r.bytes(MAGIC.len())? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
     let mut oids = Vec::new();
@@ -302,8 +283,6 @@ struct Encoder<'a> {
     prim_ix: HashMap<PrimId, u64>,
     vars: Vec<VarId>,
     var_ix: HashMap<VarId, u64>,
-    /// Share-aware (PTML2) mode.
-    share: bool,
     /// Abs sequence counter (pre-order emission order).
     next_seq: u64,
     /// Emitted byte length per sequence number (filled at completion),
@@ -321,14 +300,13 @@ struct Encoder<'a> {
 }
 
 impl<'a> Encoder<'a> {
-    fn new(ctx: &'a Ctx, share: bool) -> Self {
+    fn new(ctx: &'a Ctx) -> Self {
         Encoder {
             ctx,
             prims: Vec::new(),
             prim_ix: HashMap::new(),
             vars: Vec::new(),
             var_ix: HashMap::new(),
-            share,
             next_seq: 0,
             seq_len: Vec::new(),
             ptr_seq: HashMap::new(),
@@ -432,10 +410,6 @@ impl<'a> Encoder<'a> {
     /// reference when the node (by pointer, then by content) was already
     /// emitted, the full subtree otherwise.
     fn put_abs_value(&mut self, out: &mut Vec<u8>, a: &Arc<Abs>) {
-        if !self.share {
-            self.put_abs_raw(out, a);
-            return;
-        }
         let key = Arc::as_ptr(a) as usize;
         if let Some(&seq) = self.ptr_seq.get(&key) {
             self.put_backref(out, seq);
@@ -668,10 +642,15 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let mut ctx = Ctx::new();
-        assert_eq!(
-            decode_app(&mut ctx, b"NOPE!xxxx"),
-            Err(DecodeError::BadMagic)
-        );
+        // A well-formed body under the retired flat format's magic is
+        // rejected like any foreign blob; under the current magic it decodes.
+        let body = b"\x00\x00\x00\x09\x00\x00\x00";
+        let legacy = [&b"PTML1"[..], body].concat();
+        for bytes in [&b"NOPE!xxxx"[..], &legacy] {
+            assert_eq!(decode_app(&mut ctx, bytes), Err(DecodeError::BadMagic));
+            assert_eq!(scan_oids(bytes), Err(DecodeError::BadMagic));
+        }
+        assert!(decode_app(&mut ctx, &[&MAGIC[..], body].concat()).is_ok());
     }
 
     #[test]

@@ -439,23 +439,6 @@ impl Store {
         Some(entry.clone())
     }
 
-    /// Read-only hit prediction: `true` if an entry for `key` exists and
-    /// every store version it observed still holds. Unlike
-    /// [`Store::cache_lookup`] this records no statistics, does not touch
-    /// the LRU clock and evicts nothing, so probing leaves the cache's
-    /// observable behavior untouched — the parallel whole-world optimizer
-    /// uses it to partition targets before the real (stats-counted)
-    /// consultations happen in merge order.
-    pub fn cache_peek(&self, key: CacheKey) -> bool {
-        match self.cache.entries.get(&key) {
-            None => false,
-            Some(e) => e
-                .observed
-                .iter()
-                .all(|(oid, ver)| self.live_version(*oid) == Some(*ver)),
-        }
-    }
-
     /// Insert (or replace) a cached optimization product, evicting the
     /// least-recently-used entry when at capacity.
     pub fn cache_insert(&mut self, key: CacheKey, mut entry: CacheEntry) {

@@ -4,10 +4,7 @@
 //! run, a WAL commit flush. Spans nest: each thread keeps a stack of
 //! open spans, and a new span's parent is whatever is on top, so the
 //! recorded stream reconstructs into a tree without the instrumented
-//! code threading any context around. Cross-thread work (the parallel
-//! whole-world optimizer) parents explicitly: the spawning side captures
-//! [`current`] and the worker opens its span with
-//! [`enter_with_parent`].
+//! code threading any context around.
 //!
 //! The fast path is the crate-wide rule: one relaxed atomic load when
 //! tracing is disabled ([`enter`] returns an inert guard that does
@@ -55,16 +52,14 @@ pub fn thread_label() -> u64 {
 }
 
 /// Id of the innermost open span on this thread, or 0 when none (or when
-/// tracing is disabled — disabled guards never push). Capture this before
-/// spawning a worker and pass it to [`enter_with_parent`] so the worker's
-/// spans attach under the spawning operation in the tree.
+/// tracing is disabled — disabled guards never push).
 pub fn current() -> u64 {
     STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
 }
 
-/// RAII guard for one span. Created by [`enter`] / [`enter_with_parent`]
-/// (usually via the [`span!`](crate::span!) macro); records the span on
-/// drop. Inert when tracing was disabled at entry.
+/// RAII guard for one span. Created by [`enter`] (usually via the
+/// [`span!`](crate::span!) macro); records the span on drop. Inert when
+/// tracing was disabled at entry.
 #[must_use = "a span guard measures until it is dropped; binding it to _ closes it immediately"]
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -87,17 +82,6 @@ pub fn enter(name: &'static str) -> SpanGuard {
         return SpanGuard { live: None };
     }
     open(name, current())
-}
-
-/// Open a span with an explicit parent id (0 for a root), for work that
-/// crosses threads. The span still joins this thread's stack so further
-/// nested spans parent under it.
-#[inline]
-pub fn enter_with_parent(name: &'static str, parent: u64) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard { live: None };
-    }
-    open(name, parent)
 }
 
 fn open(name: &'static str, parent: u64) -> SpanGuard {
@@ -150,11 +134,6 @@ impl Drop for SpanGuard {
 }
 
 impl SpanGuard {
-    /// The span's id, for explicit cross-thread parenting (0 when inert).
-    pub fn id(&self) -> u64 {
-        self.live.as_ref().map_or(0, |l| l.id)
-    }
-
     /// Whether this guard will record on drop.
     pub fn is_recording(&self) -> bool {
         self.live.is_some()
@@ -167,9 +146,6 @@ impl SpanGuard {
 macro_rules! span {
     ($name:expr) => {
         $crate::span::enter($name)
-    };
-    ($name:expr, parent = $parent:expr) => {
-        $crate::span::enter_with_parent($name, $parent)
     };
 }
 
@@ -213,7 +189,6 @@ mod tests {
         {
             let g = enter("outer");
             assert!(!g.is_recording());
-            assert_eq!(g.id(), 0);
             assert_eq!(current(), 0, "disabled spans never join the stack");
             let _inner = enter("inner");
         }
@@ -228,16 +203,19 @@ mod tests {
         rec.clear();
         rec.clock().mock(1_000);
         rec.set_enabled(true);
+        let inner_id;
         {
-            let outer = enter("outer");
+            let _outer = enter("outer");
+            let outer_id = current();
             rec.clock().advance(10);
             {
                 let _inner = enter("inner");
-                assert_eq!(current(), _inner.id());
+                inner_id = current();
+                assert_ne!(inner_id, outer_id);
                 rec.clock().advance(5);
             }
             rec.clock().advance(2);
-            assert_eq!(current(), outer.id());
+            assert_eq!(current(), outer_id);
         }
         rec.set_enabled(false);
         rec.clock().unmock();
@@ -246,6 +224,7 @@ mod tests {
         let (inner, outer) = (got[0], got[1]);
         assert_eq!(inner.0, "inner");
         assert_eq!(outer.0, "outer");
+        assert_eq!(inner.1, inner_id, "the recorded id is the one on the stack");
         assert_eq!(inner.2, outer.1, "inner's parent is outer");
         assert_eq!(outer.2, 0, "outer is a root");
         assert_eq!(inner.3, 5);
@@ -256,40 +235,6 @@ mod tests {
         assert_eq!(names, vec!["inner", "outer"]);
         assert_eq!(hists[0].1.max, 5);
         assert_eq!(hists[1].1.max, 17);
-        rec.clear();
-    }
-
-    #[test]
-    fn cross_thread_parenting_is_explicit() {
-        let _g = lock();
-        let rec = crate::global();
-        rec.clear();
-        rec.clock().mock(0);
-        rec.set_enabled(true);
-        {
-            let fanout = enter("fanout");
-            let parent = fanout.id();
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    std::thread::spawn(move || {
-                        let _w = enter_with_parent("worker", parent);
-                        crate::global().clock().advance(3);
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        }
-        rec.set_enabled(false);
-        rec.clock().unmock();
-        let got = spans(&rec.events());
-        let fanout_id = got.iter().find(|s| s.0 == "fanout").unwrap().1;
-        let workers: Vec<_> = got.iter().filter(|s| s.0 == "worker").collect();
-        assert_eq!(workers.len(), 2);
-        for w in workers {
-            assert_eq!(w.2, fanout_id, "worker parented under fanout");
-        }
         rec.clear();
     }
 

@@ -10,7 +10,7 @@
 //! tmlc profile <input> <mod.fn> [--arg N]... [--json]        run under the tracer
 //! tmlc stats <input> [mod.fn] [--arg N]...                   latency percentiles per subsystem
 //! tmlc explain <input> <mod.fn> [--json] [--verify]          optimizer provenance log
-//! tmlc opt <input> [--jobs N] [options]                      whole-world optimization report
+//! tmlc opt <input> [options]                                 whole-world optimization report
 //! tmlc fsck <image> [--repair -o <out>]                      validate (and repair) an image
 //! tmlc serve <image> [--addr host:port] [options]            multi-session transaction server
 //! tmlc prims [--json]                                        list the primitive registry
@@ -36,8 +36,6 @@
 //!                             write-ahead-logged paged store at <path> (created
 //!                             on first use); every mutation is logged, and the
 //!                             command ends with a commit + checkpoint
-//!   --jobs N                  worker threads for whole-world optimization (default 1;
-//!                             results are identical for every N)
 //!   --stats                   print machine counters
 //!   --json                    emit the trace JSON schema instead of text
 //!   --top N                   rows per profile table (default 10)
@@ -81,7 +79,6 @@ struct Options {
     json: bool,
     verify: bool,
     repair: bool,
-    jobs: u32,
     top: usize,
     spans: bool,
     hist: bool,
@@ -114,7 +111,6 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, Options), String> {
         json: false,
         verify: false,
         repair: false,
-        jobs: 1,
         top: 10,
         spans: false,
         hist: false,
@@ -169,10 +165,6 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, Options), String> {
                 let v = it.next().ok_or("--top needs a value")?;
                 o.top = v.parse().map_err(|e| format!("bad --top: {e}"))?;
             }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                o.jobs = v.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-            }
             "--entry" => o.entry = Some(it.next().ok_or("--entry needs a value")?),
             "--addr" => o.addr = Some(it.next().ok_or("--addr needs host:port")?),
             "--max-conns" => {
@@ -216,13 +208,6 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, Options), String> {
     Ok((command, o))
 }
 
-fn reflect_options(o: &Options) -> ReflectOptions {
-    ReflectOptions {
-        jobs: o.jobs,
-        ..Default::default()
-    }
-}
-
 fn build_session(o: &Options, src: &str) -> Result<Session, String> {
     let mut s = Session::new(SessionConfig {
         lower: o.mode,
@@ -232,7 +217,7 @@ fn build_session(o: &Options, src: &str) -> Result<Session, String> {
     .map_err(|e| e.to_string())?;
     s.load_str(src).map_err(|e| e.to_string())?;
     if o.dynamic {
-        optimize_all(&mut s, &reflect_options(o)).map_err(|e| e.to_string())?;
+        optimize_all(&mut s, &ReflectOptions::default()).map_err(|e| e.to_string())?;
     }
     Ok(s)
 }
@@ -280,7 +265,7 @@ fn image_session(o: &Options, path: &str, store: tycoon::store::Store) -> Result
         );
     }
     if o.dynamic {
-        optimize_all(&mut s, &reflect_options(o)).map_err(|e| e.to_string())?;
+        optimize_all(&mut s, &ReflectOptions::default()).map_err(|e| e.to_string())?;
     }
     Ok(s)
 }
@@ -358,7 +343,7 @@ fn durable_session(o: &Options, path: &str) -> Result<Session<DurableStore>, Str
         }
     }
     if o.dynamic {
-        optimize_all(&mut s, &reflect_options(o)).map_err(|e| e.to_string())?;
+        optimize_all(&mut s, &ReflectOptions::default()).map_err(|e| e.to_string())?;
     }
     Ok(s)
 }
@@ -388,30 +373,23 @@ fn guess_entry<S: StoreAccess>(s: &Session<S>, o: &Options) -> Result<String, St
     Ok(format!("{last}.main"))
 }
 
-/// `tmlc opt <input> [--jobs N]`: run whole-world reflective optimization
-/// over a TL source file or an image and report what it did. The
-/// report is identical for every `--jobs` value; higher values only spread
-/// the decode → optimize → encode work over threads.
+/// `tmlc opt <input>`: run whole-world reflective optimization over a TL
+/// source file or an image and report what it did.
 fn cmd_opt(o: &Options) -> Result<(), String> {
     if let Some(path) = o.durable.clone() {
         let mut s = durable_session(o, &path)?;
-        opt_report(&mut s, o)?;
+        opt_report(&mut s)?;
         return seal_durable(&mut s);
     }
     let mut s = load_input(o)?;
-    opt_report(&mut s, o)
+    opt_report(&mut s)
 }
 
-fn opt_report<S: StoreAccess>(s: &mut Session<S>, o: &Options) -> Result<(), String> {
-    let report = optimize_all(s, &reflect_options(o)).map_err(|e| e.to_string())?;
+fn opt_report<S: StoreAccess>(s: &mut Session<S>) -> Result<(), String> {
+    let report = optimize_all(s, &ReflectOptions::default()).map_err(|e| e.to_string())?;
     println!(
-        "optimized {} function(s) with {} job(s): size {} -> {} nodes, {} call site(s) inlined, {} reduction(s)",
-        report.functions,
-        o.jobs.max(1),
-        report.size_before,
-        report.size_after,
-        report.inlined,
-        report.reductions
+        "optimized {} function(s): size {} -> {} nodes, {} call site(s) inlined, {} reduction(s)",
+        report.functions, report.size_before, report.size_after, report.inlined, report.reductions
     );
     if report.skipped > 0 {
         println!(
@@ -904,7 +882,7 @@ fn stats_exercise<S: StoreAccess>(
     };
     let ropts = ReflectOptions {
         use_cache: false,
-        ..reflect_options(o)
+        ..Default::default()
     };
     optimize_all(s, &ropts).map_err(|e| e.to_string())?;
     let args: Vec<RVal> = o.args.iter().map(|n| RVal::Int(*n)).collect();

@@ -782,24 +782,22 @@ fn profile_of_a_damaged_image_traces_the_catalog_recovery() {
 }
 
 #[test]
-fn opt_reports_identical_work_for_any_jobs() {
-    let run = |jobs: &str| -> String {
-        let out = tmlc()
-            .args(["opt"])
-            .arg(demo_file())
-            .args(["--jobs", jobs])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).trim().to_string()
-    };
-    let seq = run("1");
-    assert!(seq.contains("optimized"), "{seq}");
-    // Everything after the job count must agree between widths.
-    let tail = |s: &str| s.split("job(s):").nth(1).unwrap().to_string();
-    assert_eq!(tail(&seq), tail(&run("4")), "parallel report diverged");
+fn opt_reports_its_work_and_rejects_a_removed_option() {
+    let out = tmlc().args(["opt"]).arg(demo_file()).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("optimized"), "{text}");
+    let out = tmlc()
+        .args(["opt"])
+        .arg(demo_file())
+        .args(["--jobs", "4"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option --jobs"), "{err}");
 }

@@ -1,83 +1,38 @@
-//! The PTML back-reference codec (PTML2): legacy-format acceptance and the
-//! size guarantee. The share-aware encoder emits each distinct shared
-//! subtree once and back-references it thereafter; the decoder accepts
-//! both the legacy flat format and the new one, and both decode to the
-//! same term.
+//! The PTML back-reference codec: the share-aware encoder emits each
+//! distinct shared subtree once and back-references it thereafter, and the
+//! decoder turns the blob back into the same term.
 
+use tycoon::core::alpha::alpha_eq;
 use tycoon::core::gen::{gen_program, GenConfig};
-use tycoon::core::term::Abs;
+use tycoon::core::term::{Abs, App, Value};
 use tycoon::core::wellformed::check_abs;
-use tycoon::lang::stanford::suite;
-use tycoon::lang::{Session, SessionConfig};
-use tycoon::reflect::{optimize_all, ReflectOptions};
-use tycoon::store::ptml::{decode_abs, encode_abs, encode_abs_flat};
-use tycoon::store::Object;
+use tycoon::core::VarId;
+use tycoon::store::ptml::{decode_abs, encode_abs};
 
-/// Canonical form for structural comparison: the flat encoding is a pure
-/// function of the term's structure and base names, independent of `VarId`
-/// numbering.
-fn canon(ctx: &tycoon::core::Ctx, abs: &Abs) -> Vec<u8> {
-    encode_abs_flat(ctx, abs)
+/// `abs` closed over `free` (in binding order), so that α-equivalence can
+/// match the free variables of two terms positionally.
+fn closed(abs: &Abs, free: Vec<VarId>) -> Value {
+    Value::from(Abs::new(free, App::new(abs.clone(), vec![])))
 }
 
 #[test]
-fn legacy_flat_blobs_roundtrip_through_the_new_decoder() {
+fn shared_blobs_roundtrip_to_alpha_equal_terms() {
     for seed in 0..60u64 {
         let (mut ctx, app) = gen_program(seed, GenConfig::default());
         let abs = Abs::new(vec![], app);
-        let flat = encode_abs_flat(&ctx, &abs);
         let shared = encode_abs(&ctx, &abs);
-        assert!(flat.starts_with(b"PTML1"), "seed {seed}");
         assert!(shared.starts_with(b"PTML2"), "seed {seed}");
-        let (from_flat, free_flat) = decode_abs(&mut ctx, &flat).expect("flat decodes");
-        let (from_shared, free_shared) = decode_abs(&mut ctx, &shared).expect("shared decodes");
-        check_abs(&ctx, &from_flat).unwrap();
-        check_abs(&ctx, &from_shared).unwrap();
-        // Both decoded terms are structurally the original.
-        assert_eq!(canon(&ctx, &from_flat), canon(&ctx, &abs), "seed {seed}");
-        assert_eq!(canon(&ctx, &from_shared), canon(&ctx, &abs), "seed {seed}");
-        let names = |fs: &[(String, tycoon::core::VarId)]| {
-            fs.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>()
-        };
-        assert_eq!(names(&free_flat), names(&free_shared), "seed {seed}");
+        let (decoded, free) = decode_abs(&mut ctx, &shared).expect("shared decodes");
+        check_abs(&ctx, &decoded).unwrap();
+        let original = closed(&abs, abs.free_vars().to_vec());
+        let roundtrip = closed(&decoded, free.iter().map(|&(_, v)| v).collect());
+        assert!(alpha_eq(&original, &roundtrip), "seed {seed}");
+        let names: Vec<String> = abs
+            .free_vars()
+            .iter()
+            .map(|&v| ctx.names.info(v).base.clone())
+            .collect();
+        let decoded_names: Vec<String> = free.into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, decoded_names, "seed {seed}");
     }
-}
-
-#[test]
-fn share_encoding_is_never_larger_than_flat_on_the_stanford_suite() {
-    let mut s = Session::new(SessionConfig::default()).unwrap();
-    for p in suite() {
-        s.load_str(p.src).unwrap();
-    }
-    // Optimization substitutes shared handles into multiple call sites, so
-    // the optimized world is where physical sharing actually appears.
-    optimize_all(&mut s, &ReflectOptions::default()).unwrap();
-    let blobs: Vec<Vec<u8>> = s
-        .store
-        .iter()
-        .filter_map(|(_, obj)| match obj {
-            Object::Ptml(b) => Some(b.clone()),
-            _ => None,
-        })
-        .collect();
-    assert!(!blobs.is_empty());
-    let (mut flat_total, mut shared_total) = (0usize, 0usize);
-    for b in &blobs {
-        let (abs, _) = decode_abs(&mut s.ctx, b).unwrap();
-        let flat = encode_abs_flat(&s.ctx, &abs);
-        let shared = encode_abs(&s.ctx, &abs);
-        assert!(
-            shared.len() <= flat.len(),
-            "share-encoded blob larger than flat ({} > {})",
-            shared.len(),
-            flat.len()
-        );
-        flat_total += flat.len();
-        shared_total += shared.len();
-        // Equal terms either way.
-        let (a1, _) = decode_abs(&mut s.ctx, &flat).unwrap();
-        let (a2, _) = decode_abs(&mut s.ctx, &shared).unwrap();
-        assert_eq!(canon(&s.ctx, &a1), canon(&s.ctx, &a2));
-    }
-    assert!(shared_total <= flat_total);
 }

@@ -55,6 +55,38 @@ fn all_configurations_compute_identical_checksums() {
 }
 
 #[test]
+fn one_optimized_world_holding_every_program_returns_each_checksum() {
+    // All ten programs optimized together in one session, so bindings and
+    // cache entries of one program are in scope while the others rebuild.
+    let mut s = Session::new(SessionConfig::default()).unwrap();
+    for p in suite() {
+        s.load_str(p.src).unwrap();
+    }
+    let report = optimize_all(&mut s, &ReflectOptions::default()).unwrap();
+    assert!(report.functions > 1, "{report:?}");
+    assert_eq!(report.skipped, 0, "{report:?}");
+    for p in suite() {
+        // Programs with a -1 sentinel are checked against their own
+        // unoptimized direct-lowered session.
+        let expected = if p.test_expected >= 0 {
+            p.test_expected
+        } else {
+            let (golden, _) = run(
+                p.src,
+                p.entry,
+                p.test_n,
+                LowerMode::Direct,
+                OptMode::None,
+                false,
+            );
+            golden
+        };
+        let out = s.call(p.entry, vec![RVal::Int(p.test_n)]).unwrap();
+        assert_eq!(out.result, RVal::Int(expected), "{}", p.name);
+    }
+}
+
+#[test]
 fn e1_local_optimization_is_insignificant() {
     // Library mode; local optimization must change instruction counts by
     // less than 25% on every program (the paper: "no significant speedup").
