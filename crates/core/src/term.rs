@@ -21,11 +21,10 @@
 //! invalidating accessors [`Abs::body_mut`] / [`Abs::params_mut`]), which
 //! clones the node only when it is actually shared and drops the node's
 //! cached summary. Each [`Abs`] lazily caches a summary of its subtree —
-//! node count, sorted free variables and a structural hash — that is
-//! trusted as long as the node has not been mutated through the COW
-//! discipline. Pointer identity (`Arc::ptr_eq`) is therefore a sound
-//! witness that a subtree is physically unchanged, which the optimizer and
-//! the share-aware PTML encoder exploit.
+//! node count, sorted free variables and binder range — that is trusted
+//! as long as the node has not been mutated through the COW discipline.
+//! Pointer identity (`Arc::ptr_eq`) is therefore a sound witness that a
+//! subtree is physically unchanged, which the optimizer exploits.
 
 use crate::ident::{NameTable, VarId};
 use crate::lit::Lit;
@@ -33,11 +32,7 @@ use crate::prim::PrimId;
 use std::sync::{Arc, OnceLock};
 
 /// A TML *value*: the only things that may appear as actual parameters.
-// The manual `PartialEq` below is the derived structural relation plus a
-// pointer-identity short-circuit, so the derived `Hash` stays consistent
-// with it (equal values hash equally).
-#[allow(clippy::derived_hash_with_manual_eq)]
-#[derive(Clone, Eq, Hash)]
+#[derive(Clone, Eq)]
 pub enum Value {
     /// A literal constant.
     Lit(Lit),
@@ -203,11 +198,6 @@ struct AbsSummary {
     /// Free variables of the subtree (parameters bound), sorted by id and
     /// deduplicated — a deterministic set representation.
     free: Vec<VarId>,
-    /// A structural hash of the subtree (parameters and body, ids
-    /// included), suitable for hash-consing in the share-aware PTML
-    /// encoder. Composed from children's cached hashes, so a full-tree
-    /// summary costs O(n) once.
-    hash: u64,
     /// Smallest and largest binder id in the subtree (own parameters plus
     /// every nested binder); `(u32::MAX, 0)` when the subtree binds
     /// nothing. An O(1) conservative answer to "could `v`'s binder be in
@@ -248,97 +238,11 @@ impl Clone for Abs {
 
 impl PartialEq for Abs {
     fn eq(&self, other: &Self) -> bool {
-        // Cheap negative: structural hashes differ (only when both are
-        // already cached — computing them here would not pay off).
-        if let (Some(a), Some(b)) = (self.summary.get(), other.summary.get()) {
-            if a.hash != b.hash {
-                return false;
-            }
-        }
         self.params == other.params && self.body == other.body
     }
 }
 
 impl Eq for Abs {}
-
-impl std::hash::Hash for Abs {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Equal content ⇒ equal structural hash, so hashing the memoized
-        // summary hash is consistent with `Eq` and O(1) when cached.
-        state.write_u64(self.struct_hash());
-    }
-}
-
-/// FNV-1a step, the deterministic mixer for structural hashes (independent
-/// of `std`'s randomized hasher state, so hashes are stable across runs).
-#[inline]
-fn fnv(h: u64, byte: u64) -> u64 {
-    (h ^ byte).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn hash_value(v: &Value) -> u64 {
-    match v {
-        Value::Lit(l) => {
-            let mut h = fnv(FNV_SEED, 1);
-            let mut bytes = [0u8; 16];
-            lit_bytes(l, &mut bytes);
-            for b in bytes {
-                h = fnv(h, u64::from(b));
-            }
-            if let Lit::Str(s) = l {
-                for b in s.as_bytes() {
-                    h = fnv(h, u64::from(*b));
-                }
-            }
-            h
-        }
-        Value::Var(x) => fnv(fnv(FNV_SEED, 2), u64::from(x.0)),
-        Value::Prim(p) => fnv(fnv(FNV_SEED, 3), u64::from(p.0)),
-        Value::Abs(a) => fnv(fnv(FNV_SEED, 4), a.struct_hash()),
-    }
-}
-
-fn lit_bytes(l: &Lit, out: &mut [u8; 16]) {
-    match l {
-        Lit::Unit => out[0] = 1,
-        Lit::Bool(b) => {
-            out[0] = 2;
-            out[1] = u8::from(*b);
-        }
-        Lit::Int(n) => {
-            out[0] = 3;
-            out[1..9].copy_from_slice(&n.to_le_bytes());
-        }
-        Lit::Real(r) => {
-            out[0] = 4;
-            out[1..9].copy_from_slice(&r.get().to_le_bytes());
-        }
-        Lit::Char(c) => {
-            out[0] = 5;
-            out[1] = *c;
-        }
-        Lit::Str(s) => {
-            out[0] = 6;
-            out[1..9].copy_from_slice(&(s.len() as u64).to_le_bytes());
-        }
-        Lit::Oid(o) => {
-            out[0] = 7;
-            out[1..9].copy_from_slice(&o.0.to_le_bytes());
-        }
-    }
-}
-
-fn hash_app(app: &App) -> u64 {
-    let mut h = fnv(FNV_SEED, 5);
-    h = fnv(h, hash_value(&app.func));
-    h = fnv(h, app.args.len() as u64);
-    for a in &app.args {
-        h = fnv(h, hash_value(a));
-    }
-    h
-}
 
 impl Abs {
     /// Create an abstraction.
@@ -403,16 +307,9 @@ impl Abs {
                 range.0 = range.0.min(p.0);
                 range.1 = range.1.max(p.0);
             }
-            let mut hash = fnv(FNV_SEED, 6);
-            hash = fnv(hash, self.params.len() as u64);
-            for p in &self.params {
-                hash = fnv(hash, u64::from(p.0));
-            }
-            hash = fnv(hash, hash_app(&self.body));
             AbsSummary {
                 size,
                 free,
-                hash,
                 bmin: range.0,
                 bmax: range.1,
             }
@@ -446,12 +343,6 @@ impl Abs {
     pub fn may_occur(&self, v: VarId) -> bool {
         let s = self.summary();
         (s.bmin <= v.0 && v.0 <= s.bmax) || s.free.binary_search(&v).is_ok()
-    }
-
-    /// A deterministic structural hash of this subtree (parameters, body,
-    /// variable ids and literals included), from the cached summary.
-    pub fn struct_hash(&self) -> u64 {
-        self.summary().hash
     }
 
     /// Derive the proc/cont classification from the parameter list
@@ -506,7 +397,7 @@ impl std::fmt::Debug for Abs {
 /// `val₀` must, at runtime, evaluate to an abstraction (or be a primitive)
 /// expecting exactly the given arguments — constraint 1 of §2.2, enforced
 /// statically by front ends and checked by [`crate::wellformed`].
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct App {
     /// The functional position `val₀`.
     pub func: Value,
@@ -706,13 +597,15 @@ mod tests {
     }
 
     #[test]
-    fn struct_hash_distinguishes_and_matches() {
+    fn equality_is_structural_with_or_without_cached_summaries() {
         let a = Abs::new(vec![VarId(1)], dummy_app());
         let b = Abs::new(vec![VarId(1)], dummy_app());
         let c = Abs::new(vec![VarId(2)], dummy_app());
-        assert_eq!(a.struct_hash(), b.struct_hash());
         assert_eq!(a, b);
-        assert_ne!(a.struct_hash(), c.struct_hash());
+        assert_ne!(a, c);
+        // Caching a summary on one side changes nothing.
+        assert_eq!((a.size(), c.size()), (4, 4));
+        assert_eq!(a, b);
         assert_ne!(a, c);
     }
 }

@@ -41,7 +41,7 @@ use tml_store::cache::{binding_signature, hash_bytes, SigHasher};
 use tml_store::ptml::{decode_abs, encode_abs};
 use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess};
 use tml_trace::Sink;
-use tml_vm::{LinkedProduct, Vm};
+use tml_vm::{LinkedProduct, Vm, UNLINKED_BLOCK};
 
 /// What [`optimize_all`] does when optimizing a *single* target fails —
 /// its PTML fails to decode, the optimizer panics, or the fuel budget runs
@@ -572,9 +572,7 @@ impl KeyInputs {
 /// plus a signature of the R-value bindings and the call's
 /// [`KeyInputs`]. Validity of a hit is checked separately against the
 /// observed store versions recorded in the entry. The hash is taken over
-/// the *stored* blob — which the linker now writes in the share-aware
-/// PTML2 format — so keying never re-encodes (let alone flattens) the
-/// term.
+/// the *stored* blob, so keying never re-encodes the term.
 fn derive_key(
     store: &Store,
     oid: Oid,
@@ -1100,10 +1098,13 @@ pub struct RelinkReport {
 /// regeneration.
 ///
 /// A closure whose PTML is unreadable — the blob object is gone, or its
-/// bytes fail to decode — is *skipped*, not fatal: it keeps its persisted
-/// (stale, now-dangling) code index, gets the `degraded = 1` attribute,
-/// and is counted in [`RelinkReport::skipped`]. Image boot is thereby
-/// total on any store that decodes.
+/// bytes fail to decode — is *skipped*, not fatal: its code index becomes
+/// [`UNLINKED_BLOCK`], it gets the `degraded = 1` attribute, and it is
+/// counted in [`RelinkReport::skipped`]. Image boot is thereby total on
+/// any store that decodes. A closure persisted without PTML (a run-time
+/// closure stored by `RVal::persist`) gets [`UNLINKED_BLOCK`] too, and is
+/// counted by the `reflect.relink.no_ptml` trace counter. Calling either
+/// is a typed trap.
 pub fn relink_image_code<S: StoreAccess>(
     session: &mut Session<S>,
 ) -> Result<RelinkReport, ReflectError> {
@@ -1113,7 +1114,7 @@ pub fn relink_image_code<S: StoreAccess>(
         .base()
         .iter()
         .filter_map(|(oid, obj)| match obj {
-            Object::Closure(c) => c.ptml.map(|p| (oid, p, c.bindings.clone())),
+            Object::Closure(c) => Some((oid, c.ptml, c.bindings.clone())),
             _ => None,
         })
         .collect();
@@ -1125,6 +1126,12 @@ pub fn relink_image_code<S: StoreAccess>(
     }
     let mut report = RelinkReport::default();
     for (oid, ptml_oid, recorded) in targets {
+        let Some(ptml_oid) = ptml_oid else {
+            // Persisted from a run-time closure: no PTML to relink from.
+            tml_trace::count("reflect.relink.no_ptml", 1);
+            unlink(session, oid)?;
+            continue;
+        };
         let bytes = ptml_blob(session.store.base(), ptml_oid).map(<[u8]>::to_vec);
         let linked = bytes.and_then(|b| link_ptml(session, &b, recorded_or_global(&recorded)));
         let linked = match linked {
@@ -1135,6 +1142,7 @@ pub fn relink_image_code<S: StoreAccess>(
                 }
                 record_skip(names.get(&oid).map(String::as_str), oid, &err);
                 let _ = session.store.set_attr(oid, "degraded", 1);
+                unlink(session, oid)?;
                 report.skipped += 1;
                 continue;
             }
@@ -1172,6 +1180,23 @@ pub fn relink_image_code<S: StoreAccess>(
         });
     }
     Ok(report)
+}
+
+/// Point a closure that relinking cannot link at [`UNLINKED_BLOCK`],
+/// keeping its env and bindings: its persisted code index named a block
+/// of an earlier session, which may be some other block of this one.
+fn unlink<S: StoreAccess>(session: &mut Session<S>, oid: Oid) -> Result<(), ReflectError> {
+    let Ok(Object::Closure(c)) = session.store.base().get(oid) else {
+        return Ok(());
+    };
+    if c.code == UNLINKED_BLOCK {
+        return Ok(());
+    }
+    let (env, bindings) = (c.env.clone(), c.bindings.clone());
+    session
+        .store
+        .set_transient_code(oid, UNLINKED_BLOCK, env, bindings)
+        .map_err(|e| ReflectError::Store(e.to_string()))
 }
 
 #[cfg(test)]

@@ -23,23 +23,23 @@
 //! param list   : count, var-table indices      -- the procedure's formals
 //! body         : app
 //! app          : value, argc, value*
-//! value        : tag … (unit/bool/int/real/char/str/oid/var/prim/abs/backref)
+//! value        : tag … (unit/bool/int/real/char/str/oid/var/prim/abs;
+//!                 backref is read, never written)
 //! ```
 //!
-//! ## Shared subtrees
+//! ## Plain trees
 //!
-//! Every `abs` node carries an implicit sequence number (pre-order
-//! emission order, starting at 0). A subtree that is physically shared
-//! (`Arc` pointer identity) or structurally identical (same structural
-//! hash, verified by deep comparison — identical variable ids included) to
-//! an already-emitted abstraction is encoded as a `backref` tag plus the
-//! earlier abstraction's sequence number instead of being re-emitted. The
-//! decoder keeps one slot per decoded abstraction and materializes
-//! back-references as `Arc` clones, so sharing survives the round trip. A
-//! back-reference may only point at a *completed* earlier abstraction (an
-//! ancestor still being decoded is strictly larger than any of its
-//! subtrees, so neither pointer nor content dedup can ever produce one);
-//! the decoder rejects forward or unfinished references as corrupt.
+//! The encoder writes every abstraction in full, in one pre-order walk;
+//! the var and prim tables list identifiers in the order that walk first
+//! meets them (free variables first). A subtree used twice — physically
+//! shared through its `Arc`, or equal in content — is written twice.
+//!
+//! Images written before the encoder dropped sharing may hold a `backref`
+//! tag plus the pre-order sequence number of an earlier, completed
+//! abstraction in the same blob. The decoder and [`scan_oids`] still read
+//! it, so those images relink and the GC still sees the OID literals in
+//! their code; the decoder materializes a back-reference as an `Arc`
+//! clone and rejects a forward or unfinished one as corrupt.
 
 use crate::varint::{put_i64, put_str, put_u64, DecodeError, Reader};
 use std::collections::HashMap;
@@ -59,6 +59,7 @@ const TAG_OID: u8 = 6;
 const TAG_VAR: u8 = 7;
 const TAG_PRIM: u8 = 8;
 const TAG_ABS: u8 = 9;
+/// Written only by older share-aware encoders; still read (module docs).
 const TAG_BACKREF: u8 = 10;
 
 /// Maximum abstraction-nesting depth the decoder and scanner accept.
@@ -70,27 +71,21 @@ const TAG_BACKREF: u8 = 10;
 /// this system compiles stays well below this.
 const MAX_DEPTH: usize = 128;
 
-/// Encode a procedure (abstraction) into share-aware PTML2 bytes: each
-/// distinct shared subtree is emitted once and back-referenced thereafter.
+/// Encode a procedure (abstraction) into PTML2 bytes, as a plain tree in
+/// one pre-order walk.
 pub fn encode_abs(ctx: &Ctx, abs: &Abs) -> Vec<u8> {
     let mut enc = Encoder::new(ctx);
     // Register free variables first so their order is the stable R-value
-    // binding order, then the binders in traversal order. The cached
-    // summary already holds the sorted free set — no tree walk needed.
+    // binding order; binders and primitives are registered as the walk
+    // reaches them. The cached summary already holds the sorted free set.
     let free = abs.free_vars();
     for &v in free {
         enc.var_index(v);
     }
     let free_count = free.len();
-    enc.collect_binders(abs);
 
     let mut body = Vec::new();
-    enc.put_abs_raw(&mut body, abs);
-
-    if tml_trace::enabled() {
-        tml_trace::count("store.ptml.share.backrefs", enc.backrefs);
-        tml_trace::count("store.ptml.share.saved_bytes", enc.saved_bytes);
-    }
+    enc.put_abs(&mut body, abs);
 
     // Assemble: header, prim table, var table, free list, body.
     let mut out = Vec::with_capacity(body.len() + 64);
@@ -283,20 +278,6 @@ struct Encoder<'a> {
     prim_ix: HashMap<PrimId, u64>,
     vars: Vec<VarId>,
     var_ix: HashMap<VarId, u64>,
-    /// Abs sequence counter (pre-order emission order).
-    next_seq: u64,
-    /// Emitted byte length per sequence number (filled at completion),
-    /// for the saved-bytes accounting.
-    seq_len: Vec<usize>,
-    /// Already-emitted abstractions by pointer. The `Arc` clones in
-    /// `content` keep every registered allocation alive, so a raw address
-    /// can never be reused by a different node while encoding.
-    ptr_seq: HashMap<usize, u64>,
-    /// Already-emitted abstractions by structural hash, for content dedup
-    /// (deep equality verified on candidate hit).
-    content: HashMap<u64, Vec<(u64, Arc<Abs>)>>,
-    backrefs: u64,
-    saved_bytes: u64,
 }
 
 impl<'a> Encoder<'a> {
@@ -307,12 +288,6 @@ impl<'a> Encoder<'a> {
             prim_ix: HashMap::new(),
             vars: Vec::new(),
             var_ix: HashMap::new(),
-            next_seq: 0,
-            seq_len: Vec::new(),
-            ptr_seq: HashMap::new(),
-            content: HashMap::new(),
-            backrefs: 0,
-            saved_bytes: 0,
         }
     }
 
@@ -336,36 +311,7 @@ impl<'a> Encoder<'a> {
         i
     }
 
-    /// Pre-register every binder so the var table is complete before the
-    /// body is emitted (indices must be stable).
-    fn collect_binders(&mut self, abs: &Abs) {
-        for &p in &abs.params {
-            self.var_index(p);
-        }
-        self.collect_app(&abs.body);
-    }
-
-    fn collect_app(&mut self, app: &App) {
-        self.collect_value(&app.func);
-        for a in &app.args {
-            self.collect_value(a);
-        }
-    }
-
-    fn collect_value(&mut self, v: &Value) {
-        match v {
-            Value::Abs(a) => self.collect_binders(a),
-            Value::Prim(p) => {
-                self.prim_index(*p);
-            }
-            Value::Var(x) => {
-                self.var_index(*x);
-            }
-            Value::Lit(_) => {}
-        }
-    }
-
-    fn put_value_payload(&mut self, out: &mut Vec<u8>, v: &Value) {
+    fn put_value(&mut self, out: &mut Vec<u8>, v: &Value) {
         match v {
             Value::Lit(Lit::Unit) => out.push(TAG_UNIT),
             Value::Lit(Lit::Bool(b)) => {
@@ -402,66 +348,21 @@ impl<'a> Encoder<'a> {
                 let i = self.prim_index(*p);
                 put_u64(out, i);
             }
-            Value::Abs(a) => self.put_abs_value(out, a),
+            Value::Abs(a) => self.put_abs(out, a),
         }
     }
 
-    /// Emit an abstraction reached through its shared handle: a back
-    /// reference when the node (by pointer, then by content) was already
-    /// emitted, the full subtree otherwise.
-    fn put_abs_value(&mut self, out: &mut Vec<u8>, a: &Arc<Abs>) {
-        let key = Arc::as_ptr(a) as usize;
-        if let Some(&seq) = self.ptr_seq.get(&key) {
-            self.put_backref(out, seq);
-            return;
-        }
-        let h = a.struct_hash();
-        if let Some(cands) = self.content.get(&h) {
-            if let Some(&(seq, _)) = cands.iter().find(|(_, c)| **c == **a) {
-                self.ptr_seq.insert(key, seq);
-                self.put_backref(out, seq);
-                return;
-            }
-        }
-        // First emission: register before descending so the sequence
-        // numbering is pre-order (matching the decoder's slot order).
-        let seq = self.put_abs_raw(out, a);
-        self.ptr_seq.insert(key, seq);
-        self.content.entry(h).or_default().push((seq, a.clone()));
-    }
-
-    /// Emit an abstraction subtree in full, assigning it the next sequence
-    /// number. Returns the assigned sequence number.
-    fn put_abs_raw(&mut self, out: &mut Vec<u8>, a: &Abs) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.seq_len.push(0);
-        let start = out.len();
+    fn put_abs(&mut self, out: &mut Vec<u8>, a: &Abs) {
         out.push(TAG_ABS);
         put_u64(out, a.params.len() as u64);
         for &p in &a.params {
             let i = self.var_index(p);
             put_u64(out, i);
         }
-        self.put_app(out, &a.body);
-        self.seq_len[seq as usize] = out.len() - start;
-        seq
-    }
-
-    fn put_backref(&mut self, out: &mut Vec<u8>, seq: u64) {
-        let start = out.len();
-        out.push(TAG_BACKREF);
-        put_u64(out, seq);
-        self.backrefs += 1;
-        let full = self.seq_len[seq as usize];
-        self.saved_bytes += full.saturating_sub(out.len() - start) as u64;
-    }
-
-    fn put_app(&mut self, out: &mut Vec<u8>, app: &App) {
-        self.put_value_payload(out, &app.func);
-        put_u64(out, app.args.len() as u64);
-        for a in &app.args {
-            self.put_value_payload(out, a);
+        self.put_value(out, &a.body.func);
+        put_u64(out, a.body.args.len() as u64);
+        for v in &a.body.args {
+            self.put_value(out, v);
         }
     }
 }
@@ -469,10 +370,11 @@ impl<'a> Encoder<'a> {
 struct Decoder {
     prims: Vec<PrimId>,
     vars: Vec<(String, VarId)>,
-    /// One slot per decoded abstraction, in pre-order (matching the
-    /// encoder's sequence numbering). A slot is reserved (`None`) when its
-    /// `TAG_ABS` is first read and filled once the subtree completes, so a
-    /// back-reference to a still-open ancestor is detectable as corrupt.
+    /// One slot per decoded abstraction, in pre-order (the sequence
+    /// numbering of a legacy `backref`). A slot is reserved (`None`) when
+    /// its `TAG_ABS` is first read and filled once the subtree completes,
+    /// so a back-reference to a still-open ancestor is detectable as
+    /// corrupt.
     slots: Vec<Option<Arc<Abs>>>,
     /// Current abstraction-nesting depth, bounded by [`MAX_DEPTH`] so
     /// hostile bytes cannot overflow the decoder's stack.
@@ -651,6 +553,68 @@ mod tests {
             assert_eq!(scan_oids(bytes), Err(DecodeError::BadMagic));
         }
         assert!(decode_app(&mut ctx, &[&MAGIC[..], body].concat()).is_ok());
+    }
+
+    /// `(f cont() (halt <oid 0x2a>) cont() (halt <oid 0x2a>))` as the
+    /// share-aware encoder wrote it: the second continuation is a `backref`
+    /// (tag 10) to the first, which holds the OID literal. Captured from
+    /// that encoder; nothing writes this form any more, but images on disk
+    /// still hold it.
+    #[rustfmt::skip]
+    const LEGACY_BACKREF_BLOB: &[u8] = &[
+        b'P', b'T', b'M', b'L', b'2', // magic
+        1, 4, b'h', b'a', b'l', b't', // prims: halt
+        1, 1, b'f', 0, // vars: f (not a continuation)
+        1, 0, // free list: f
+        TAG_ABS, 0, TAG_VAR, 0, 2, // λ() (f …2 args…)
+        TAG_ABS, 0, TAG_PRIM, 0, 1, TAG_OID, 42, // cont() (halt <oid 0x2a>)
+        TAG_BACKREF, 1, // the same continuation again
+    ];
+
+    #[test]
+    fn legacy_backref_blob_decodes_scans_and_keeps_its_oid_alive() {
+        use crate::{gc, Object, Store};
+        use tml_core::alpha::alpha_eq;
+
+        let mut ctx = Ctx::new();
+        let src = parse_app(
+            &mut ctx,
+            "(f cont() (halt <oid 0x2a>) cont() (halt <oid 0x2a>))",
+        )
+        .unwrap();
+        let f = src.app.func.as_var().unwrap();
+        let (decoded, free) = decode_app(&mut ctx, LEGACY_BACKREF_BLOB).unwrap();
+        tml_core::wellformed::check_app(&ctx, &decoded).unwrap();
+        assert!(
+            decoded.args[0].ptr_eq(&decoded.args[1]),
+            "backref is shared"
+        );
+        assert_eq!(free.len(), 1);
+        let closed = |v: VarId, app: &App| Value::from(Abs::new(vec![v], app.clone()));
+        assert!(alpha_eq(&closed(f, &src.app), &closed(free[0].1, &decoded)));
+        // Re-encoding writes the shared continuation out in full.
+        let (shared, backref) = LEGACY_BACKREF_BLOB.split_at(LEGACY_BACKREF_BLOB.len() - 2);
+        assert_eq!(backref, [TAG_BACKREF, 1]);
+        let cont = [TAG_ABS, 0, TAG_PRIM, 0, 1, TAG_OID, 42];
+        assert_eq!(encode_app(&ctx, &decoded), [shared, &cont].concat());
+
+        assert_eq!(scan_oids(LEGACY_BACKREF_BLOB), Ok(vec![Oid(42)]));
+
+        // The blob is the only reference to object 42: the GC keeps it and
+        // collects the unreferenced objects around it.
+        let mut store = Store::new();
+        for _ in 1..42 {
+            store.alloc(Object::Tuple(vec![]));
+        }
+        assert_eq!(store.alloc(Object::Tuple(vec![])), Oid(42));
+        let blob = store.alloc(Object::Ptml(LEGACY_BACKREF_BLOB.to_vec()));
+        store.set_root("code", blob);
+        let stats = gc::collect(&mut store, &[]);
+        assert_eq!(stats.freed, 41);
+        assert!(
+            store.get(Oid(42)).is_ok(),
+            "object named only by the blob was collected"
+        );
     }
 
     #[test]

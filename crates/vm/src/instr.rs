@@ -536,6 +536,12 @@ pub const TIER_BASELINE: u8 = 0;
 /// Tier tag of code re-optimized by the background tier promoter.
 pub const TIER_HOT: u8 = 1;
 
+/// The code index relinking gives a stored closure it cannot link: one
+/// persisted without PTML, or one whose PTML did not relink. Its
+/// persisted index named a block of an earlier session; the machine
+/// rejects a call of this index with a typed trap instead.
+pub const UNLINKED_BLOCK: u32 = u32::MAX;
+
 /// The sentinel block terminating a native call's normal path.
 pub const NATIVE_OK_BLOCK: u32 = 0;
 /// The sentinel block terminating a native call's exceptional path.

@@ -10,7 +10,7 @@
 use crate::host::{ExternTable, HostCtx};
 use crate::instr::{
     AllocKind, ArithOp, BitOp, CmpOp, CodeTable, ContRef, ConvOp, GroupCap, Instr, Src,
-    NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK,
+    NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK, UNLINKED_BLOCK,
 };
 use crate::rval::{Capture, ClosureGroup, RVal, TransientClosure};
 use std::collections::BTreeMap;
@@ -346,11 +346,13 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     /// frame; the old frame becomes the next transfer's buffer.
     fn enter(&mut self, block: u32) -> Result<(), VmError> {
         if block as usize >= self.code.len() {
-            // A degraded closure keeps its persisted (now dangling) code
-            // index after a relink skip; calling it is a trap, not a panic.
-            return Err(VmError::Trap(format!(
-                "call of closure with dangling code index {block}"
-            )));
+            return Err(VmError::Trap(if block == UNLINKED_BLOCK {
+                "call of a closure with no code in this session: it was persisted \
+                 without PTML, or its PTML did not relink"
+                    .into()
+            } else {
+                format!("call of closure with dangling code index {block}")
+            }));
         }
         let blk = self.code.block(block);
         if self.next.len() != blk.nparams as usize {

@@ -269,8 +269,12 @@ fn degraded_image_boots_after_its_ptml_blob_is_freed() {
         .unwrap()
         .result;
     assert_eq!(
-        s2.call("complex.x", vec![c]).unwrap().result,
+        s2.call("complex.x", vec![c.clone()]).unwrap().result,
         RVal::Real(3.0)
     );
+    // The degraded closure's code index is from the earlier session:
+    // calling it traps instead of running whatever block has that index.
+    let err = s2.call("geom.abs", vec![c]).unwrap_err().to_string();
+    assert!(err.contains("its PTML did not relink"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
