@@ -217,17 +217,15 @@ impl<S: StoreAccess> Session<S> {
         let mut oids = Vec::with_capacity(pending.len());
         for p in &pending {
             let oid = self.store.alloc(Object::Closure(ClosureObj {
-                code: p.block,
-                env: Vec::new(),
                 bindings: Vec::new(),
                 ptml: p.ptml,
             }))?;
             local.insert(p.full_name.clone(), SVal::Ref(oid));
             oids.push(oid);
         }
-        // Phase 2: resolve R-value bindings and patch environments.
+        // Phase 2: resolve R-value bindings, record them and link each
+        // closure to its block with the environment they give.
         for (p, &oid) in pending.iter().zip(&oids) {
-            let mut env = Vec::with_capacity(p.captures.len());
             let mut bindings = Vec::with_capacity(p.captures.len());
             for name in &p.captures {
                 let val = local
@@ -235,19 +233,18 @@ impl<S: StoreAccess> Session<S> {
                     .or_else(|| self.globals.get(name))
                     .cloned()
                     .ok_or_else(|| LangError::Unresolved(name.clone()))?;
-                env.push(val.clone());
                 bindings.push((name.clone(), val));
             }
             self.store.mutate(oid, &mut |obj| {
                 match obj {
-                    Object::Closure(c) => {
-                        c.env = env.clone();
-                        c.bindings = bindings.clone();
-                    }
+                    Object::Closure(c) => c.bindings = bindings.clone(),
                     _ => unreachable!("just allocated"),
                 }
                 Ok(())
             })?;
+            self.vm
+                .code
+                .link(oid, p.block, bindings.iter().map(|(_, v)| v));
         }
 
         // Module record and global registration (exports only).

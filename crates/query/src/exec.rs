@@ -128,7 +128,7 @@ pub fn install_externs(t: &mut ExternTable) {
         for i in 0..src.len {
             let tup = src.load(ctx, i)?;
             let v = ctx.call(target.clone(), vec![tup])?;
-            let sval = v.persist(ctx.store()).map_err(|_| type_err())?;
+            let sval = ctx.persist(&v).map_err(|_| type_err())?;
             out.insert(vec![sval]);
         }
         alloc_rel(ctx, out)
@@ -256,8 +256,8 @@ pub fn install_externs(t: &mut ExternTable) {
             return Err(type_err());
         };
         trace_plan("index", Some(ix_oid.0));
-        let key = args[1]
-            .persist(ctx.store())
+        let key = ctx
+            .persist(&args[1])
             .ok()
             .as_ref()
             .and_then(IndexKey::from_sval)

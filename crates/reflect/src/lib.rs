@@ -41,7 +41,7 @@ use tml_store::cache::{binding_signature, hash_bytes, SigHasher};
 use tml_store::ptml::{decode_abs, encode_abs};
 use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess};
 use tml_trace::Sink;
-use tml_vm::{LinkedProduct, Vm, UNLINKED_BLOCK};
+use tml_vm::{CodeTable, LinkedProduct, Vm};
 
 /// What [`optimize_all`] does when optimizing a *single* target fails —
 /// its PTML fails to decode, the optimizer panics, or the fuel budget runs
@@ -439,8 +439,8 @@ pub struct Linked<T> {
 
 impl Linked<SVal> {
     /// The closure environment: the capture values in slot order.
-    pub fn env(&self) -> Vec<SVal> {
-        self.captures.iter().map(|(_, v)| v.clone()).collect()
+    pub fn env(&self) -> impl Iterator<Item = &SVal> {
+        self.captures.iter().map(|(_, v)| v)
     }
 }
 
@@ -779,25 +779,24 @@ fn rebuild_or_skip<S: StoreAccess>(
     }
 }
 
+/// Store a rebuilt procedure as a new closure, resolving its residual
+/// captures through `resolve`, and link it into `code`.
 fn finish_closure<S: StoreAccess>(
     store: &mut S,
+    code: &CodeTable,
     rebuilt: &Rebuilt,
     resolve: impl Fn(&str, Option<&SVal>) -> Option<SVal>,
 ) -> Result<Oid, ReflectError> {
     let store_err = |e: tml_store::StoreError| ReflectError::Store(e.to_string());
-    let mut env = Vec::with_capacity(rebuilt.captures.len());
     let mut bindings = Vec::with_capacity(rebuilt.captures.len());
     for (name, fallback) in &rebuilt.captures {
         let val = resolve(name, fallback.as_ref())
             .ok_or_else(|| ReflectError::Unresolved(name.clone()))?;
-        env.push(val.clone());
         bindings.push((name.clone(), val));
     }
     let oid = store
         .alloc(Object::Closure(ClosureObj {
-            code: rebuilt.block,
-            env,
-            bindings,
+            bindings: bindings.clone(),
             ptml: Some(rebuilt.ptml),
         }))
         .map_err(store_err)?;
@@ -813,6 +812,7 @@ fn finish_closure<S: StoreAccess>(
     store
         .set_attr(oid, "inlined", rebuilt.stats.inlined as i64)
         .map_err(store_err)?;
+    code.link(oid, rebuilt.block, bindings.iter().map(|(_, v)| v));
     Ok(oid)
 }
 
@@ -830,9 +830,12 @@ pub fn optimize_value<S: StoreAccess>(
     let inputs = KeyInputs::of(&session.ctx, session.store.base(), options);
     let rebuilt = rebuild(session, *oid, None, options, &inputs)?;
     let globals = std::mem::take(&mut session.globals);
-    let out = finish_closure(&mut session.store, &rebuilt, |name, fallback| {
-        globals.get(name).cloned().or_else(|| fallback.cloned())
-    });
+    let out = finish_closure(
+        &mut session.store,
+        &session.vm.code,
+        &rebuilt,
+        |name, fallback| globals.get(name).cloned().or_else(|| fallback.cloned()),
+    );
     session.globals = globals;
     Ok(SVal::Ref(out?))
 }
@@ -909,7 +912,7 @@ pub fn optimize_all<S: StoreAccess>(
         report.reductions += r.stats.total_reductions();
     }
 
-    // Phase 1: allocate the optimized closures with empty environments so
+    // Phase 1: allocate the optimized closures with empty bindings so
     // mutual references can point at the *optimized* versions.
     let store_err = |e: tml_store::StoreError| ReflectError::Store(e.to_string());
     let mut optimized_by_oid: HashMap<Oid, Oid> = HashMap::new();
@@ -918,8 +921,6 @@ pub fn optimize_all<S: StoreAccess>(
         let oid = session
             .store
             .alloc(Object::Closure(ClosureObj {
-                code: r.block,
-                env: Vec::new(),
                 bindings: Vec::new(),
                 ptml: Some(r.ptml),
             }))
@@ -929,7 +930,8 @@ pub fn optimize_all<S: StoreAccess>(
     }
     // Phase 2: resolve residual bindings: a binding pointing at a closure
     // we also optimized is relinked to the optimized version; otherwise the
-    // originally observed value is kept.
+    // originally observed value is kept. Each closure is linked to its
+    // block once its bindings are recorded.
     let relink = |val: &SVal| -> SVal {
         match val {
             SVal::Ref(o) => match optimized_by_oid.get(o) {
@@ -940,7 +942,6 @@ pub fn optimize_all<S: StoreAccess>(
         }
     };
     for (r, &oid) in rebuilt.iter().zip(&oids) {
-        let mut env = Vec::with_capacity(r.captures.len());
         let mut bindings = Vec::with_capacity(r.captures.len());
         for (name, fallback) in &r.captures {
             let val = match fallback {
@@ -951,22 +952,22 @@ pub fn optimize_all<S: StoreAccess>(
                     .map(relink)
                     .ok_or_else(|| ReflectError::Unresolved(name.clone()))?,
             };
-            env.push(val.clone());
             bindings.push((name.clone(), val));
         }
         session
             .store
             .mutate(oid, &mut |obj| {
                 match obj {
-                    Object::Closure(c) => {
-                        c.env = env.clone();
-                        c.bindings = bindings.clone();
-                    }
+                    Object::Closure(c) => c.bindings = bindings.clone(),
                     _ => unreachable!("just allocated"),
                 }
                 Ok(())
             })
             .map_err(store_err)?;
+        session
+            .vm
+            .code
+            .link(oid, r.block, bindings.iter().map(|(_, v)| v));
         session
             .store
             .set_attr(oid, "optimized", 1)
@@ -1024,7 +1025,7 @@ pub fn optimize_all<S: StoreAccess>(
 /// image. Images persist objects, roots and R-value bindings but no
 /// executable code — the persistent representation of
 /// code is PTML (paper §2.2) — so after construction every PTML-carrying
-/// closure must be recompiled in place with [`relink_image_code`].
+/// closure must be recompiled and linked with [`relink_image_code`].
 /// Callers needing extension primitives (e.g. the query externs) should
 /// install them into the returned session *before* relinking, so decoding
 /// resolves them.
@@ -1047,9 +1048,9 @@ pub fn session_from_store_with(
 /// [`session_from_store_with`] over any store backend behind the access
 /// seam — pass a [`tml_store::DurableStore`] to reconstruct a durable
 /// session from an opened (and possibly crash-recovered) image. Only the
-/// read surface is touched here; the follow-up [`relink_image_code`]
-/// writes the regenerated transient code indices with
-/// [`StoreAccess::set_transient_code`].
+/// read surface is touched here, and by the follow-up
+/// [`relink_image_code`], which links the regenerated code into the
+/// session's code table.
 pub fn session_from_access_with<S: StoreAccess>(
     store: S,
     config: SessionConfig,
@@ -1091,20 +1092,20 @@ pub struct RelinkReport {
 }
 
 /// Recompile every PTML-carrying closure in the session's store against
-/// the session's (fresh) code table, rebuilding each closure environment
-/// from its persisted R-value bindings. OIDs are stable across images,
-/// so binding values — including mutual references between closures —
-/// remain valid as-is; only the transient code-table indices need
-/// regeneration.
+/// the session's (fresh) code table and link it there, with the
+/// environment derived from its persisted R-value bindings. OIDs are
+/// stable across images, so binding values — including mutual
+/// references between closures — remain valid as-is; only the links are
+/// regenerated, and the store is not written.
 ///
 /// A closure whose PTML is unreadable — the blob object is gone, or its
-/// bytes fail to decode — is *skipped*, not fatal: its code index becomes
-/// [`UNLINKED_BLOCK`], it gets the `degraded = 1` attribute, and it is
-/// counted in [`RelinkReport::skipped`]. Image boot is thereby total on
-/// any store that decodes. A closure persisted without PTML (a run-time
-/// closure stored by `RVal::persist`) gets [`UNLINKED_BLOCK`] too, and is
-/// counted by the `reflect.relink.no_ptml` trace counter. Calling either
-/// is a typed trap.
+/// bytes fail to decode — is *skipped*, not fatal: it stays unlinked,
+/// gets the `degraded = 1` attribute, and is counted in
+/// [`RelinkReport::skipped`]. Image boot is thereby total on any store
+/// that decodes. A closure persisted without PTML (a run-time closure
+/// stored by `RVal::persist`) stays unlinked too, and is counted by the
+/// `reflect.relink.no_ptml` trace counter. Calling either is a typed
+/// trap.
 pub fn relink_image_code<S: StoreAccess>(
     session: &mut Session<S>,
 ) -> Result<RelinkReport, ReflectError> {
@@ -1129,7 +1130,6 @@ pub fn relink_image_code<S: StoreAccess>(
         let Some(ptml_oid) = ptml_oid else {
             // Persisted from a run-time closure: no PTML to relink from.
             tml_trace::count("reflect.relink.no_ptml", 1);
-            unlink(session, oid)?;
             continue;
         };
         let bytes = ptml_blob(session.store.base(), ptml_oid).map(<[u8]>::to_vec);
@@ -1142,22 +1142,13 @@ pub fn relink_image_code<S: StoreAccess>(
                 }
                 record_skip(names.get(&oid).map(String::as_str), oid, &err);
                 let _ = session.store.set_attr(oid, "degraded", 1);
-                unlink(session, oid)?;
                 report.skipped += 1;
                 continue;
             }
         };
-        // Relinking restores transient code indices — the persistent
-        // content (PTML, binding values) is unchanged, so cached
-        // optimization products observing this closure stay valid. On a
-        // durable backend the record is only marked dirty: the next
-        // checkpoint writes exactly the relinked closures.
-        session
-            .store
-            .set_transient_code(oid, linked.block, linked.env(), linked.captures)
-            .map_err(|e| ReflectError::Store(e.to_string()))?;
-        // Code-table indices are transient, but hotness is not: re-seed
-        // the fresh block's invocation counter and tier tag from the
+        session.vm.code.link(oid, linked.block, linked.env());
+        // Code links are transient, but hotness is not: re-seed the
+        // fresh block's invocation counter and tier tag from the
         // persisted `tier.calls` / `tier` attributes (written by
         // `tier::persist_counters` and the hot-swap path), so a restart
         // neither forgets which closures are hot nor resets the climb
@@ -1180,23 +1171,6 @@ pub fn relink_image_code<S: StoreAccess>(
         });
     }
     Ok(report)
-}
-
-/// Point a closure that relinking cannot link at [`UNLINKED_BLOCK`],
-/// keeping its env and bindings: its persisted code index named a block
-/// of an earlier session, which may be some other block of this one.
-fn unlink<S: StoreAccess>(session: &mut Session<S>, oid: Oid) -> Result<(), ReflectError> {
-    let Ok(Object::Closure(c)) = session.store.base().get(oid) else {
-        return Ok(());
-    };
-    if c.code == UNLINKED_BLOCK {
-        return Ok(());
-    }
-    let (env, bindings) = (c.env.clone(), c.bindings.clone());
-    session
-        .store
-        .set_transient_code(oid, UNLINKED_BLOCK, env, bindings)
-        .map_err(|e| ReflectError::Store(e.to_string()))
 }
 
 #[cfg(test)]
@@ -1442,10 +1416,7 @@ end";
 
     fn closure_code(s: &Session, v: &SVal) -> u32 {
         let SVal::Ref(o) = v else { panic!("not a ref") };
-        let Ok(Object::Closure(c)) = s.store.get(*o) else {
-            panic!("not a closure")
-        };
-        c.code
+        s.vm.code.linked_block(*o).expect("linked closure")
     }
 
     fn abs_of_3_4(s: &mut Session, f: &SVal) -> RVal {

@@ -11,9 +11,8 @@
 //! ([`escalated`]), and hot-swaps the result into the store *in place* —
 //! the closure keeps its OID, so every reference (globals, module
 //! exports, mutual captures) picks up the new tier on its next call,
-//! while a session mid-call finishes on the code object it pinned when
-//! it entered ([`tml_vm::machine::Machine`] clones the closure record on
-//! invocation).
+//! while a machine mid-call finishes on the block and environment it
+//! read from the code table's link when it entered.
 //!
 //! ## Swap protocol
 //!
@@ -25,10 +24,15 @@
 //!    new PTML blob (garbage until published; a crash here loses
 //!    nothing).
 //! 2. [`apply_promotion`] — store mutations only, over any
-//!    `StoreAccess`. The server wraps this in a transaction over a
-//!    `TxnView`, so the swap takes the closure's exclusive lock (no
-//!    torn reads against in-flight calls), is WAL-logged, and a crash
-//!    mid-swap rolls back to the pre-swap closure on recovery.
+//!    `StoreAccess`: the closure's new bindings and PTML. The server
+//!    wraps this in a transaction over a `TxnView`, so the swap takes
+//!    the closure's exclusive lock (no torn reads against in-flight
+//!    calls), is WAL-logged, and a crash mid-swap rolls back to the
+//!    pre-swap closure on recovery.
+//! 3. [`Promotion::link`] — point the closure's code-table link at the
+//!    hot block. Only after the swap committed (the server) or
+//!    `apply_promotion` returned `Ok` (the library [`tick`]): a failed
+//!    swap leaves the closure on its baseline block and PTML.
 //!
 //! ## Deopt
 //!
@@ -53,7 +57,7 @@ use std::collections::HashMap;
 use tml_core::Oid;
 use tml_lang::Session;
 use tml_store::{Object, SVal, Store, StoreAccess, StoreError};
-use tml_vm::{TIER_BASELINE, TIER_HOT};
+use tml_vm::{CodeTable, TIER_BASELINE, TIER_HOT};
 
 use crate::{link_ptml, ptml_blob, rebuild, recorded_or_global, KeyInputs};
 use crate::{ReflectError, ReflectOptions};
@@ -169,7 +173,6 @@ pub struct Promotion {
     /// Compiled hot-tier code block (already tagged [`TIER_HOT`] in the
     /// session's code table).
     pub block: u32,
-    env: Vec<SVal>,
     bindings: Vec<(String, SVal)>,
     /// The freshly allocated hot-tier PTML blob.
     pub ptml: Oid,
@@ -191,12 +194,8 @@ pub fn prepare_promotion<S: StoreAccess>(
     opts: &TierOptions,
 ) -> Result<Promotion, ReflectError> {
     let _s = tml_trace::span!("tier.promote");
-    let (prev_code, prev_ptml, prev_bindings) = match session.store.base().get(oid) {
-        Ok(Object::Closure(c)) => (
-            c.code,
-            c.ptml.ok_or(ReflectError::NoPtml(oid))?,
-            c.bindings.clone(),
-        ),
+    let (prev_ptml, prev_bindings) = match session.store.base().get(oid) {
+        Ok(Object::Closure(c)) => (c.ptml.ok_or(ReflectError::NoPtml(oid))?, c.bindings.clone()),
         Ok(other) => return Err(ReflectError::NotAClosure(other.kind().to_string())),
         Err(e) => return Err(ReflectError::Store(e.to_string())),
     };
@@ -210,7 +209,6 @@ pub fn prepare_promotion<S: StoreAccess>(
     let esc = escalated(&opts.base);
     let inputs = KeyInputs::of(&session.ctx, session.store.base(), &esc);
     let rebuilt = rebuild(session, oid, name.clone(), &esc, &inputs)?;
-    let mut env = Vec::with_capacity(rebuilt.captures.len());
     let mut bindings = Vec::with_capacity(rebuilt.captures.len());
     for (cname, fallback) in &rebuilt.captures {
         let val = session
@@ -219,7 +217,6 @@ pub fn prepare_promotion<S: StoreAccess>(
             .cloned()
             .or_else(|| fallback.clone())
             .ok_or_else(|| ReflectError::Unresolved(cname.clone()))?;
-        env.push(val.clone());
         bindings.push((cname.clone(), val));
     }
     // The target's own version bumps when the swap mutates it — keep it
@@ -234,16 +231,12 @@ pub fn prepare_promotion<S: StoreAccess>(
     session.vm.code.set_tier(rebuilt.block, TIER_HOT);
     // The counters are *lifetime* counts: carry the old block's tally to
     // the hot block so a swap never resets hotness (persist_counters
-    // reads the current block).
-    session
-        .vm
-        .code
-        .seed_calls(rebuilt.block, session.vm.code.calls(prev_code));
+    // reads the linked block).
+    carry_calls(&session.vm.code, oid, rebuilt.block);
     Ok(Promotion {
         oid,
         name,
         block: rebuilt.block,
-        env,
         bindings,
         ptml: rebuilt.ptml,
         prev_ptml,
@@ -253,18 +246,34 @@ pub fn prepare_promotion<S: StoreAccess>(
     })
 }
 
+impl Promotion {
+    /// Link the promoted closure to its hot block in `code`. Call it only
+    /// once [`apply_promotion`] has taken effect (returned `Ok`, and its
+    /// transaction committed if it ran in one).
+    pub fn link(&self, code: &CodeTable) {
+        code.link(self.oid, self.block, self.bindings.iter().map(|(_, v)| v));
+    }
+}
+
+/// Carry the lifetime call count of the block `oid` is linked to over to
+/// `block`, the one it is about to be linked to.
+fn carry_calls(code: &CodeTable, oid: Oid, block: u32) {
+    if let Some(prev) = code.linked_block(oid) {
+        code.seed_calls(block, code.calls(prev));
+    }
+}
+
 /// Hot-swap a prepared promotion into the store: in-place closure
-/// mutation, provenance root, tier attribute, totals bump. Pure store
-/// mutations — run it over a `TxnView` to get locking + WAL logging +
-/// crash-recoverable atomicity.
+/// mutation (bindings and PTML), provenance root, tier attribute, totals
+/// bump. Pure store mutations — run it over a `TxnView` to get locking +
+/// WAL logging + crash-recoverable atomicity. The closure still runs its
+/// baseline block until [`Promotion::link`].
 pub fn apply_promotion<S: StoreAccess + ?Sized>(
     store: &mut S,
     p: &Promotion,
 ) -> Result<(), StoreError> {
     store.mutate(p.oid, &mut |obj| {
         if let Object::Closure(c) = obj {
-            c.code = p.block;
-            c.env = p.env.clone();
             c.bindings = p.bindings.clone();
             c.ptml = Some(p.ptml);
         }
@@ -305,7 +314,6 @@ pub struct Deopt {
     pub oid: Oid,
     /// Baseline code block recompiled from the provenance PTML.
     pub block: u32,
-    env: Vec<SVal>,
     bindings: Vec<(String, SVal)>,
     /// The pre-optimization PTML blob the closure is restored to.
     pub prev_ptml: Oid,
@@ -372,29 +380,31 @@ pub fn prepare_deopt<S: StoreAccess>(
     let linked = link_ptml(session, &bytes, recorded_or_global(&prov.prev_bindings))?;
     // Lifetime counters survive the demotion just like the promotion —
     // the closure is still hot, it only lost its assumptions.
-    if let Ok(Object::Closure(c)) = session.store.base().get(oid) {
-        session
-            .vm
-            .code
-            .seed_calls(linked.block, session.vm.code.calls(c.code));
-    }
+    carry_calls(&session.vm.code, oid, linked.block);
     Ok(Deopt {
         oid,
         block: linked.block,
-        env: linked.env(),
         bindings: linked.captures,
         prev_ptml: prov.prev_ptml,
     })
 }
 
+impl Deopt {
+    /// Link the demoted closure to its baseline block in `code`, once
+    /// [`apply_deopt`] has taken effect.
+    pub fn link(&self, code: &CodeTable) {
+        code.link(self.oid, self.block, self.bindings.iter().map(|(_, v)| v));
+    }
+}
+
 /// Restore a prepared deopt through the seam: the closure drops back to
-/// the baseline tier, the provenance root is released (the old PTML is
-/// referenced by the closure again), totals are bumped.
+/// the baseline tier (bindings and PTML), the provenance root is
+/// released (the old PTML is referenced by the closure again), totals
+/// are bumped. The closure still runs its hot block until
+/// [`Deopt::link`].
 pub fn apply_deopt<S: StoreAccess + ?Sized>(store: &mut S, d: &Deopt) -> Result<(), StoreError> {
     store.mutate(d.oid, &mut |obj| {
         if let Object::Closure(c) = obj {
-            c.code = d.block;
-            c.env = d.env.clone();
             c.bindings = d.bindings.clone();
             c.ptml = Some(d.prev_ptml);
         }
@@ -437,12 +447,11 @@ impl TierEngine {
             .filter_map(|(oid, obj)| match obj {
                 Object::Closure(c)
                     if c.ptml.is_some()
-                        && (c.code as usize) < code.len()
                         && session.store.attr(oid, "tier") != Some(i64::from(TIER_HOT))
                         && session.store.attr(oid, "tier.skip") != Some(1)
                         && session.store.attr(oid, "degraded") != Some(1) =>
                 {
-                    let n = code.calls(c.code);
+                    let n = code.calls(code.linked_block(oid)?);
                     (n >= self.opts.threshold).then_some((oid, n))
                 }
                 _ => None,
@@ -527,6 +536,7 @@ pub fn tick<S: StoreAccess>(
     for oid in engine.violations(session) {
         let d = prepare_deopt(session, oid)?;
         apply_deopt(&mut session.store, &d).map_err(store_err)?;
+        d.link(&session.vm.code);
         engine.note_deopted(oid);
         report.deopted += 1;
     }
@@ -534,6 +544,7 @@ pub fn tick<S: StoreAccess>(
         match prepare_promotion(session, oid, &engine.opts) {
             Ok(p) => {
                 apply_promotion(&mut session.store, &p).map_err(store_err)?;
+                p.link(&session.vm.code);
                 engine.note_promoted(&p);
                 report.promoted += 1;
             }
@@ -561,8 +572,8 @@ pub fn persist_counters<S: StoreAccess>(session: &mut Session<S>) -> Result<usiz
         .base()
         .iter()
         .filter_map(|(oid, obj)| match obj {
-            Object::Closure(c) if c.ptml.is_some() && (c.code as usize) < code.len() => {
-                Some((oid, code.calls(c.code)))
+            Object::Closure(c) if c.ptml.is_some() => {
+                Some((oid, code.calls(code.linked_block(oid)?)))
             }
             _ => None,
         })

@@ -9,22 +9,21 @@
 //!    lifetime call counts into the TYCAT2 attr section and
 //!    `relink_image_code` seeds the fresh code table from them.
 //! 3. A session mid-call keeps executing the code object it pinned at
-//!    entry (the machine clones the closure record on invocation),
-//!    while the next call through the OID picks up the new tier.
+//!    entry (the machine takes the closure's code-table link on
+//!    invocation), while the next call through the OID picks up the new
+//!    tier.
 //!
 //! The tests pin `tier.skip` on the helper closures so exactly one
 //! closure (`geom.abs`) is ever a promotion candidate — the sampler's
 //! multi-candidate behavior is the server soak's concern, not this
 //! lifecycle test's.
 
-use std::rc::Rc;
-
 use tml_core::{Oid, Registry};
 use tml_lang::{Session, SessionConfig};
 use tml_reflect::tier::{self, TickReport, TierEngine, TierOptions, TierTotals};
 use tml_store::durable::{DurableOptions, DurableStore};
-use tml_store::{ClosureObj, Object, SVal, StoreAccess};
-use tml_vm::rval::TransientClosure;
+use tml_store::gc::GcStats;
+use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess, StoreError};
 use tml_vm::{RVal, TIER_BASELINE, TIER_HOT};
 
 /// The paper's §4.1 complex/abs example — enough cross-module calls for
@@ -42,20 +41,25 @@ end";
 
 fn session() -> Session {
     let mut s = Session::new(SessionConfig::default()).unwrap();
+    only_abs_is_a_candidate(&mut s);
+    s
+}
+
+/// Load [`SRC`] and keep everything but `geom.abs` out of the candidate
+/// pool (the accessors and the stdlib closures get called at least as
+/// often), so every tick report is deterministic.
+fn only_abs_is_a_candidate<S: StoreAccess>(s: &mut Session<S>) {
     s.load_str(SRC).unwrap();
-    // Keep everything but `geom.abs` out of the candidate pool (the
-    // accessors and the stdlib closures get called at least as often),
-    // so every tick report below is deterministic.
-    let abs = closure_oid(&s, "geom.abs");
+    let abs = closure_oid(s, "geom.abs");
     let others: Vec<Oid> = s
         .store
+        .base()
         .iter()
         .filter_map(|(oid, obj)| (matches!(obj, Object::Closure(_)) && oid != abs).then_some(oid))
         .collect();
     for oid in others {
-        s.store.set_attr(oid, "tier.skip", 1);
+        s.store.set_attr(oid, "tier.skip", 1).unwrap();
     }
-    s
 }
 
 fn closure_oid<S: StoreAccess>(s: &Session<S>, name: &str) -> Oid {
@@ -66,7 +70,7 @@ fn closure_oid<S: StoreAccess>(s: &Session<S>, name: &str) -> Oid {
 }
 
 fn closure<S: StoreAccess>(s: &Session<S>, oid: Oid) -> ClosureObj {
-    let Object::Closure(c) = s.store.get(oid).expect("closure object") else {
+    let Object::Closure(c) = s.store.base().get(oid).expect("closure object") else {
         panic!("expected closure at {oid}");
     };
     c.clone()
@@ -180,13 +184,9 @@ fn promotion_then_deopt_restores_ptml_byte_identically() {
 fn pinned_midcall_code_survives_a_hot_swap() {
     let mut s = session();
     let oid = closure_oid(&s, "geom.abs");
-    let before = closure(&s, oid);
     // A session mid-call holds exactly this: the code block + environment
-    // cloned off the closure record at invocation time.
-    let pinned = RVal::Clo(Rc::new(TransientClosure {
-        code: before.code,
-        env: before.env.iter().map(RVal::from_sval).collect(),
-    }));
+    // the closure was linked to at invocation time.
+    let pinned = RVal::Clo(s.vm.code.linked(oid).expect("linked"));
 
     let c = s
         .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
@@ -267,9 +267,9 @@ fn counters_and_tier_survive_checkpoint_and_reopen() {
     let mut reopened =
         tml_reflect::session_from_access_with(ds2, SessionConfig::default(), Registry::standard());
     tml_reflect::relink_image_code(&mut reopened).unwrap();
-    let clo = closure(&reopened, oid);
+    let block = reopened.vm.code.linked_block(oid).expect("relinked");
     assert_eq!(
-        reopened.vm.code.calls(clo.code) as i64,
+        reopened.vm.code.calls(block) as i64,
         persisted,
         "reopened code table seeded from tier.calls"
     );
@@ -279,7 +279,7 @@ fn counters_and_tier_survive_checkpoint_and_reopen() {
         "tier attribute survives reopen"
     );
     assert_eq!(
-        reopened.vm.code.tier(clo.code),
+        reopened.vm.code.tier(block),
         TIER_HOT,
         "relinked block tagged hot"
     );
@@ -291,4 +291,110 @@ fn counters_and_tier_survive_checkpoint_and_reopen() {
     let r = reopened.call("geom.abs", vec![c3]).unwrap();
     assert_eq!(r.result, RVal::Real(5.0));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A plain store that refuses to mutate one object, standing in for a
+/// swap whose write fails.
+struct Refusing {
+    store: Store,
+    refuse: Option<Oid>,
+}
+
+impl StoreAccess for Refusing {
+    fn base(&self) -> &Store {
+        &self.store
+    }
+    fn alloc(&mut self, obj: Object) -> Result<Oid, StoreError> {
+        StoreAccess::alloc(&mut self.store, obj)
+    }
+    fn set(&mut self, oid: Oid, obj: Object) -> Result<(), StoreError> {
+        StoreAccess::set(&mut self.store, oid, obj)
+    }
+    fn free_obj(&mut self, oid: Oid) -> Result<(), StoreError> {
+        StoreAccess::free_obj(&mut self.store, oid)
+    }
+    fn mutate(
+        &mut self,
+        oid: Oid,
+        f: &mut dyn FnMut(&mut Object) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        if self.refuse == Some(oid) {
+            return Err(StoreError::Io("refused".into()));
+        }
+        StoreAccess::mutate(&mut self.store, oid, f)
+    }
+    fn set_root(&mut self, name: &str, oid: Oid) -> Result<(), StoreError> {
+        StoreAccess::set_root(&mut self.store, name, oid)
+    }
+    fn remove_root(&mut self, name: &str) -> Result<Option<Oid>, StoreError> {
+        StoreAccess::remove_root(&mut self.store, name)
+    }
+    fn set_attr(&mut self, oid: Oid, key: &str, value: i64) -> Result<(), StoreError> {
+        StoreAccess::set_attr(&mut self.store, oid, key, value)
+    }
+    fn remove_attr(&mut self, oid: Oid, key: &str) -> Result<Option<i64>, StoreError> {
+        StoreAccess::remove_attr(&mut self.store, oid, key)
+    }
+    fn array_set(&mut self, oid: Oid, index: i64, value: SVal) -> Result<(), StoreError> {
+        StoreAccess::array_set(&mut self.store, oid, index, value)
+    }
+    fn bytes_set(&mut self, oid: Oid, index: i64, value: u8) -> Result<(), StoreError> {
+        StoreAccess::bytes_set(&mut self.store, oid, index, value)
+    }
+    fn collect(&mut self, extra_roots: &[Oid]) -> Result<GcStats, StoreError> {
+        StoreAccess::collect(&mut self.store, extra_roots)
+    }
+    fn commit(&mut self) -> Result<bool, StoreError> {
+        StoreAccess::commit(&mut self.store)
+    }
+    fn checkpoint(&mut self) -> Result<(), StoreError> {
+        StoreAccess::checkpoint(&mut self.store)
+    }
+    fn cache_lookup(&mut self, key: CacheKey) -> Option<CacheEntry> {
+        StoreAccess::cache_lookup(&mut self.store, key)
+    }
+    fn cache_insert(&mut self, key: CacheKey, entry: CacheEntry) {
+        StoreAccess::cache_insert(&mut self.store, key, entry)
+    }
+}
+
+#[test]
+fn a_failed_swap_leaves_the_closure_on_its_baseline_block_and_ptml() {
+    let store = Refusing {
+        store: Store::new(),
+        refuse: None,
+    };
+    let mut s = Session::on_store(store, SessionConfig::default(), Registry::standard()).unwrap();
+    only_abs_is_a_candidate(&mut s);
+    let oid = closure_oid(&s, "geom.abs");
+    let block = s.vm.code.linked_block(oid).expect("linked");
+    let ptml = closure(&s, oid).ptml;
+    let c = s
+        .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
+        .unwrap()
+        .result;
+    let baseline = s.call("geom.abs", vec![c.clone()]).unwrap();
+
+    // The swap's closure write fails: the tick reports it, and the
+    // closure keeps its block, its PTML and its answer.
+    s.store.refuse = Some(oid);
+    let mut engine = TierEngine::new(opts(1));
+    assert!(tier::tick(&mut engine, &mut s).is_err());
+    assert_eq!(s.vm.code.linked_block(oid), Some(block));
+    assert_eq!(closure(&s, oid).ptml, ptml);
+    assert_eq!(s.store.attr(oid, "tier"), None);
+    let again = s.call("geom.abs", vec![c.clone()]).unwrap();
+    assert_eq!(again.result, baseline.result);
+    assert_eq!(
+        again.stats.instrs, baseline.stats.instrs,
+        "baseline code ran"
+    );
+
+    // Once the write goes through, the next tick promotes and links.
+    s.store.refuse = None;
+    assert_eq!(tier::tick(&mut engine, &mut s).unwrap().promoted, 1);
+    assert_ne!(s.vm.code.linked_block(oid), Some(block));
+    let hot = s.call("geom.abs", vec![c]).unwrap();
+    assert_eq!(hot.result, baseline.result);
+    assert!(hot.stats.instrs < baseline.stats.instrs);
 }

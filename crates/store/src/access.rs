@@ -19,14 +19,6 @@
 //! [`StoreError::Io`] — typed errors are preserved exactly, so VM
 //! semantics (bounds → TML exception, …) are identical on both backends.
 //!
-//! ## Transient state
-//!
-//! No method hands out a raw `&mut Store`. The one write that bypasses
-//! the log is [`StoreAccess::set_transient_code`]: relinking restores a
-//! closure's code-table index, which every image open re-derives from
-//! PTML, so a durable backend only marks the record dirty for the next
-//! checkpoint.
-//!
 //! ## Why the plain store keeps its own impl
 //!
 //! The in-memory backend is not a `DurableStore` over an in-memory page
@@ -65,21 +57,6 @@ pub trait StoreAccess {
 
     /// Read view of the underlying in-memory store.
     fn base(&self) -> &Store;
-
-    /// Point a closure at freshly compiled code: set its transient
-    /// `code` index, environment and recorded bindings *without* bumping
-    /// its content version (the PTML and binding values are unchanged, so
-    /// cached optimization products observing it stay valid). Not logged:
-    /// a durable backend marks the record dirty so the next checkpoint
-    /// writes it, and a crash before then is healed by the relink every
-    /// open performs.
-    fn set_transient_code(
-        &mut self,
-        oid: Oid,
-        code: u32,
-        env: Vec<SVal>,
-        bindings: Vec<(String, SVal)>,
-    ) -> Result<(), StoreError>;
 
     // -- Mutations (logged on a durable backend) -------------------------
 
@@ -240,16 +217,6 @@ pub trait StoreAccess {
 impl StoreAccess for Store {
     fn base(&self) -> &Store {
         self
-    }
-
-    fn set_transient_code(
-        &mut self,
-        oid: Oid,
-        code: u32,
-        env: Vec<SVal>,
-        bindings: Vec<(String, SVal)>,
-    ) -> Result<(), StoreError> {
-        Store::set_transient_code(self, oid, code, env, bindings)
     }
 
     fn alloc(&mut self, obj: Object) -> Result<Oid, StoreError> {

@@ -27,10 +27,7 @@
 //! The inherent methods keep their `std::io::Result` shape for direct
 //! callers; the trait impl carries the same logic with typed
 //! [`StoreError`]s, so VM semantics (bounds → TML exception, …) are
-//! identical on both backends. The one unlogged write,
-//! [`StoreAccess::set_transient_code`] (relinking a closure's code-table
-//! index), only marks the record dirty: the next checkpoint writes it,
-//! and a crash before that is healed by the relink every open does.
+//! identical on both backends. Every write through the seam is logged.
 //!
 //! ## Recovery
 //!
@@ -963,20 +960,6 @@ impl StoreAccess for DurableStore {
         self.txn_pins = self.txn_pins.saturating_sub(1);
     }
 
-    fn set_transient_code(
-        &mut self,
-        oid: Oid,
-        code: u32,
-        env: Vec<SVal>,
-        bindings: Vec<(String, SVal)>,
-    ) -> Result<(), StoreError> {
-        // Unlogged: redo never needs it, because every open relinks. The
-        // dirty mark makes the next checkpoint write exactly this record.
-        self.store.set_transient_code(oid, code, env, bindings)?;
-        self.dirty.insert(oid);
-        Ok(())
-    }
-
     fn cache_lookup(&mut self, key: CacheKey) -> Option<CacheEntry> {
         // Cache traffic is derived data, fully captured by every catalog
         // save, so it is neither logged nor dirty-tracked.
@@ -1223,50 +1206,6 @@ mod tests {
         drop(ds);
         let (mut back, _) = DurableStore::open(&path, DurableOptions::default()).unwrap();
         assert!(StoreAccess::cache_lookup(&mut back, key).is_some());
-    }
-
-    #[test]
-    fn transient_code_is_unlogged_but_flushed_by_the_next_checkpoint() {
-        use crate::object::ClosureObj;
-        let path = tmp("transient.tys");
-        let mut ds = DurableStore::create(&path, DurableOptions::default()).unwrap();
-        let a = ds.alloc(obj(1)).unwrap();
-        let clo = ds
-            .alloc(Object::Closure(ClosureObj {
-                code: 0,
-                env: vec![],
-                bindings: vec![],
-                ptml: None,
-            }))
-            .unwrap();
-        for i in 0..20 {
-            ds.alloc(obj(i)).unwrap();
-        }
-        ds.commit().unwrap();
-        ds.checkpoint().unwrap();
-        let appends = ds.wal_stats().appends;
-        let version = ds.store().version(clo);
-        let env = vec![SVal::Ref(a)];
-        let bindings = vec![("a".to_string(), SVal::Ref(a))];
-        StoreAccess::set_transient_code(&mut ds, clo, 9, env.clone(), bindings.clone()).unwrap();
-        assert_eq!(ds.wal_stats().appends, appends, "no log record");
-        assert_eq!(ds.store().version(clo), version, "no content version bump");
-        assert_eq!(ds.dirty_records(), 1, "exactly the relinked record");
-        assert!(matches!(
-            StoreAccess::set_transient_code(&mut ds, a, 1, vec![], vec![]),
-            Err(StoreError::WrongKind { .. })
-        ));
-        ds.checkpoint().unwrap();
-        let expected = snapshot::to_bytes(&ds.store);
-        drop(ds);
-        let (back, _) = DurableStore::open(&path, DurableOptions::default()).unwrap();
-        assert_eq!(snapshot::to_bytes(&back.store), expected);
-        match back.store().get(clo).unwrap() {
-            Object::Closure(c) => {
-                assert_eq!((c.code, &c.env, &c.bindings), (9, &env, &bindings));
-            }
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

@@ -48,9 +48,6 @@ fn mark_object(obj: &Object, pending: &mut Vec<Oid>) {
         }
         Object::ByteArray(_) => {}
         Object::Closure(c) => {
-            for v in &c.env {
-                mark_sval(v, pending);
-            }
             for (_, v) in &c.bindings {
                 mark_sval(v, pending);
             }
@@ -225,12 +222,15 @@ mod tests {
             &tml_core::term::App::new(tml_core::term::Value::Lit(tml_core::Lit::Int(1)), vec![]),
         )));
         let clo = s.alloc(Object::Closure(ClosureObj {
-            code: 0,
-            env: vec![SVal::Ref(env_obj)],
             bindings: vec![("g".into(), SVal::Ref(bind_obj))],
             ptml: Some(ptml),
         }));
         s.set_root("f", clo);
+        // A run-time closure: its environment is its positional bindings.
+        let run_time = s.alloc(Object::Closure(ClosureObj::positional(&[SVal::Ref(
+            env_obj,
+        )])));
+        s.set_root("g", run_time);
         let stats = collect(&mut s, &[]);
         assert_eq!(stats.freed, 0);
     }

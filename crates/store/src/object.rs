@@ -21,20 +21,31 @@ pub const MAX_OBJECT_LEN: usize = 1 << 22;
 /// PTML) for f." The closure also records the R-value bindings of its free
 /// (global) variables — the `[identifier, OID]` pairs the reflective
 /// optimizer re-establishes as λ-bindings (§4.1).
+///
+/// That is all a closure record persists. Its machine code is
+/// regenerated per session: the VM's code table links the closure's OID
+/// to a compiled block and to the environment derived from `bindings`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClosureObj {
-    /// Index into the abstract machine's code table. Transient: images
-    /// keep the value but the code table must be relinked (regenerated from
-    /// PTML) after loading.
-    pub code: u32,
-    /// Captured environment slots (lexical closure record).
-    pub env: Vec<SVal>,
-    /// The R-value bindings of the procedure's free variables, in the order
-    /// the PTML encoding lists them: `(identifier, value)` pairs.
+    /// The R-value bindings of the procedure's free variables:
+    /// `(identifier, value)` pairs, one per captured environment slot, in
+    /// slot order. A closure without PTML (a run-time closure the VM
+    /// persisted) has unnamed, positional bindings: its environment.
     pub bindings: Vec<(String, SVal)>,
     /// PTML attachment: an OID of an [`Object::Ptml`] byte object, if the
     /// compiler kept the intermediate representation.
     pub ptml: Option<Oid>,
+}
+
+impl ClosureObj {
+    /// A record without PTML whose bindings are the environment `env`,
+    /// by position.
+    pub fn positional(env: &[SVal]) -> ClosureObj {
+        ClosureObj {
+            bindings: env.iter().map(|v| (String::new(), v.clone())).collect(),
+            ptml: None,
+        }
+    }
 }
 
 /// A module record: the runtime value of a first-class Tycoon module.
@@ -180,8 +191,7 @@ impl Object {
             Object::Array(v) | Object::Vector(v) | Object::Tuple(v) => v.len() * SLOT + SLOT,
             Object::ByteArray(b) => b.len() + SLOT,
             Object::Closure(c) => {
-                SLOT * 3
-                    + c.env.len() * SLOT
+                SLOT * 2
                     + c.bindings
                         .iter()
                         .map(|(n, _)| n.len() + SLOT)

@@ -8,11 +8,13 @@
 //! the optimization cache — as one byte string, which is how recovery is
 //! checked to be byte-identical and how tests compare stores.
 //!
-//! Closure objects keep their PTML references and R-value bindings; their
-//! transient code-table indices are encoded verbatim and must be relinked
-//! (recompiled from PTML) by `tml-reflect` after loading — exactly the
-//! paper's architecture, where the persistent encoding of the code is the
-//! TML tree, not the machine code.
+//! A closure record holds its R-value bindings and its PTML reference and
+//! nothing else: no code-table index, no environment. `tml-reflect`
+//! recompiles its code from PTML after loading and links it into the
+//! session's code table — exactly the paper's architecture, where the
+//! persistent encoding of the code is the TML tree, not the machine code.
+//! Records an older writer wrote under tag 4 (with an index and
+//! an environment) still decode, to the same shape.
 //!
 //! ```text
 //! magic "TYSTO3"                                  6 bytes
@@ -41,11 +43,14 @@ const OBJ_ARRAY: u8 = 0;
 const OBJ_VECTOR: u8 = 1;
 const OBJ_BYTEARRAY: u8 = 2;
 const OBJ_TUPLE: u8 = 3;
-const OBJ_CLOSURE: u8 = 4;
+/// Decode-only: a closure record that also carried a code-table index
+/// and a copy of its environment.
+const OBJ_CLOSURE_V1: u8 = 4;
 const OBJ_PTML: u8 = 5;
 const OBJ_MODULE: u8 = 6;
 const OBJ_RELATION: u8 = 7;
 const OBJ_INDEX: u8 = 8;
+const OBJ_CLOSURE: u8 = 9;
 
 const VAL_UNIT: u8 = 0;
 const VAL_BOOL: u8 = 1;
@@ -378,8 +383,6 @@ pub(crate) fn put_object(out: &mut Vec<u8>, obj: &Object) {
         }
         Object::Closure(c) => {
             out.push(OBJ_CLOSURE);
-            put_u64(out, u64::from(c.code));
-            put_svals(out, &c.env);
             put_u64(out, c.bindings.len() as u64);
             for (name, val) in &c.bindings {
                 put_str(out, name);
@@ -436,6 +439,23 @@ pub(crate) fn put_object(out: &mut Vec<u8>, obj: &Object) {
     }
 }
 
+/// The body of a closure record: bindings, then the PTML reference.
+fn get_closure(r: &mut Reader<'_>) -> Result<ClosureObj, DecodeError> {
+    let nbind = r.len()?;
+    let mut bindings = Vec::with_capacity(nbind.min(1024));
+    for _ in 0..nbind {
+        let name = r.str()?.to_string();
+        let val = get_sval(r)?;
+        bindings.push((name, val));
+    }
+    let ptml = if r.byte()? != 0 {
+        Some(Oid(r.u64()?))
+    } else {
+        None
+    };
+    Ok(ClosureObj { bindings, ptml })
+}
+
 fn put_key(out: &mut Vec<u8>, key: &IndexKey) {
     match key {
         IndexKey::Bool(b) => {
@@ -477,27 +497,17 @@ pub(crate) fn get_object(r: &mut Reader<'_>) -> Result<Object, DecodeError> {
             Object::ByteArray(r.bytes(n)?.to_vec())
         }
         OBJ_TUPLE => Object::Tuple(get_svals(r)?),
-        OBJ_CLOSURE => {
-            let code = u32::try_from(r.u64()?).map_err(|_| DecodeError::Overlong)?;
+        OBJ_CLOSURE => Object::Closure(get_closure(r)?),
+        OBJ_CLOSURE_V1 => {
+            r.u64()?; // the writing session's code-table index
             let env = get_svals(r)?;
-            let nbind = r.len()?;
-            let mut bindings = Vec::with_capacity(nbind.min(1024));
-            for _ in 0..nbind {
-                let name = r.str()?.to_string();
-                let val = get_sval(r)?;
-                bindings.push((name, val));
+            let mut c = get_closure(r)?;
+            // Without PTML the environment is the only copy of what the
+            // closure references: keep it, by position, for the collector.
+            if c.ptml.is_none() && c.bindings.is_empty() {
+                c = ClosureObj::positional(&env);
             }
-            let ptml = if r.byte()? != 0 {
-                Some(Oid(r.u64()?))
-            } else {
-                None
-            };
-            Object::Closure(ClosureObj {
-                code,
-                env,
-                bindings,
-                ptml,
-            })
+            Object::Closure(c)
         }
         OBJ_PTML => {
             let n = r.len()?;
@@ -566,8 +576,6 @@ mod tests {
         s.alloc(Object::ByteArray(vec![1, 2, 3]));
         let ptml = s.alloc(Object::Ptml(vec![9, 9, 9]));
         s.alloc(Object::Closure(ClosureObj {
-            code: 7,
-            env: vec![SVal::Ref(arr)],
             bindings: vec![
                 ("complex".into(), SVal::Ref(arr)),
                 ("sqrt".into(), SVal::Int(0)),
@@ -598,6 +606,75 @@ mod tests {
         s.set_attr(ptml, "cost", 42);
         s.set_attr(ptml, "savings", -3);
         s
+    }
+
+    /// A closure record as the previous writer framed it (tag 4): code
+    /// index 7, environment `[<oid 1>]`, binding `x = <oid 1>` and PTML
+    /// object 2. Nothing writes this form any more; images on disk hold it.
+    #[rustfmt::skip]
+    const LEGACY_CLOSURE_RECORD: &[u8] = &[
+        OBJ_CLOSURE_V1,
+        7,                          // code index
+        1, VAL_REF, 1,              // env: [<oid 1>]
+        1, 1, b'x', VAL_REF, 1,     // bindings: x = <oid 1>
+        1, 2,                       // ptml: <oid 2>
+    ];
+
+    /// A run-time closure in the tag-4 form: code index 300, environment
+    /// `[<oid 1>, 5]`, no bindings, no PTML.
+    #[rustfmt::skip]
+    const LEGACY_RUN_TIME_RECORD: &[u8] = &[
+        OBJ_CLOSURE_V1,
+        0xac, 0x02,                 // code index 300
+        2, VAL_REF, 1, VAL_INT, 10, // env: [<oid 1>, 5]
+        0,                          // no bindings
+        0,                          // no ptml
+    ];
+
+    fn decode_record(bytes: &[u8]) -> Object {
+        let mut r = Reader::new(bytes);
+        let obj = get_object(&mut r).unwrap();
+        assert!(r.is_empty(), "record not consumed");
+        obj
+    }
+
+    #[test]
+    fn legacy_closure_records_decode_to_bindings_and_ptml() {
+        let with_ptml = ClosureObj {
+            bindings: vec![("x".into(), SVal::Ref(Oid(1)))],
+            ptml: Some(Oid(2)),
+        };
+        assert_eq!(
+            decode_record(LEGACY_CLOSURE_RECORD),
+            Object::Closure(with_ptml.clone())
+        );
+        // Re-encoding writes the current tag, without index or env.
+        let mut out = Vec::new();
+        put_object(&mut out, &Object::Closure(with_ptml.clone()));
+        assert_eq!(
+            out,
+            [&[OBJ_CLOSURE][..], &LEGACY_CLOSURE_RECORD[5..]].concat()
+        );
+        assert_eq!(decode_record(&out), Object::Closure(with_ptml));
+
+        // Without PTML the environment is kept, by position.
+        assert_eq!(
+            decode_record(LEGACY_RUN_TIME_RECORD),
+            Object::Closure(ClosureObj::positional(&[SVal::Ref(Oid(1)), SVal::Int(5)]))
+        );
+    }
+
+    #[test]
+    fn a_legacy_run_time_closure_keeps_its_environment_alive() {
+        let mut s = Store::new();
+        assert_eq!(s.alloc(Object::Tuple(vec![])), Oid(1));
+        let unreferenced = s.alloc(Object::Tuple(vec![]));
+        let clo = s.alloc(decode_record(LEGACY_RUN_TIME_RECORD));
+        s.set_root("f", clo);
+        let stats = crate::gc::collect(&mut s, &[]);
+        assert_eq!(stats.freed, 1);
+        assert!(s.get(Oid(1)).is_ok(), "the env's object was collected");
+        assert!(s.get(unreferenced).is_err());
     }
 
     #[test]

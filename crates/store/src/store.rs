@@ -198,41 +198,6 @@ impl Store {
         Ok(slot)
     }
 
-    /// Set a closure's transient code index, environment and bindings
-    /// *without* bumping its content version. Only for relinking after an
-    /// image load, where the PTML and binding values stay identical;
-    /// using it for real content mutation would break cache-staleness
-    /// detection.
-    pub fn set_transient_code(
-        &mut self,
-        oid: Oid,
-        code: u32,
-        env: Vec<SVal>,
-        bindings: Vec<(String, SVal)>,
-    ) -> Result<(), StoreError> {
-        let obj = if oid.is_null() {
-            None
-        } else {
-            self.objects
-                .get_mut(oid.0 as usize - 1)
-                .and_then(Option::as_mut)
-        };
-        match obj {
-            Some(Object::Closure(c)) => {
-                c.code = code;
-                c.env = env;
-                c.bindings = bindings;
-                Ok(())
-            }
-            Some(other) => Err(StoreError::WrongKind {
-                oid,
-                expected: "closure",
-                found: other.kind(),
-            }),
-            None => Err(StoreError::Dangling(oid)),
-        }
-    }
-
     /// The content version of an object's slot: 0 at allocation, bumped on
     /// every mutable access and on collection. Returns 0 for OIDs the
     /// store never allocated.
@@ -728,8 +693,6 @@ mod tests {
         let mut s = Store::new();
         s.alloc(Object::Ptml(vec![0; 50]));
         s.alloc(Object::Closure(crate::ClosureObj {
-            code: 0,
-            env: vec![],
             bindings: vec![],
             ptml: None,
         }));

@@ -16,8 +16,6 @@ fn sample_store() -> Store {
     let bytes = store.alloc(Object::ByteArray(vec![1, 2, 3, 4, 5]));
     let ptml = store.alloc(Object::Ptml(vec![0xde, 0xad, 0xbe, 0xef]));
     let clo = store.alloc(Object::Closure(ClosureObj {
-        code: 7,
-        env: vec![SVal::Ref(t)],
         bindings: vec![("x".into(), SVal::Ref(t)), ("k".into(), SVal::Int(9))],
         ptml: Some(ptml),
     }));

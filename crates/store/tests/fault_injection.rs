@@ -25,8 +25,6 @@ fn sample_store(tag: i64) -> Store {
     let t = store.alloc(Object::Tuple(vec![SVal::Int(tag), SVal::Str("x".into())]));
     let p = store.alloc(Object::Ptml(vec![1, 2, 3]));
     let c = store.alloc(Object::Closure(ClosureObj {
-        code: 0,
-        env: vec![SVal::Ref(t)],
         bindings: vec![("t".into(), SVal::Ref(t))],
         ptml: Some(p),
     }));

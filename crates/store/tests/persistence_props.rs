@@ -31,16 +31,13 @@ fn object_strategy() -> impl Strategy<Value = Object> {
         proptest::collection::vec(any::<u8>(), 0..32).prop_map(Object::ByteArray),
         proptest::collection::vec(any::<u8>(), 0..32).prop_map(Object::Ptml),
         (
-            any::<u32>(),
-            svals(),
-            proptest::collection::vec(("[a-z.]{1,10}", sval_strategy()), 0..4)
+            proptest::collection::vec(("[a-z.]{0,10}", sval_strategy()), 0..4),
+            0u64..64,
         )
-            .prop_map(|(code, env, bindings)| {
+            .prop_map(|(bindings, ptml)| {
                 Object::Closure(ClosureObj {
-                    code,
-                    env,
-                    bindings: bindings.into_iter().collect(),
-                    ptml: None,
+                    bindings,
+                    ptml: (ptml > 0).then_some(Oid(ptml)),
                 })
             }),
         (

@@ -292,13 +292,14 @@ fn tier_tick(sess: &mut Session<DurableStore>, mgr: &TxnManager, engine: &mut Ti
             continue;
         };
         if swap_txn(sess, mgr, |view| tier::apply_deopt(view, &d)).is_ok() {
+            d.link(&sess.vm.code);
             engine.note_deopted(oid);
         }
     }
     for (oid, _calls) in engine.sample(sess) {
         match tier::prepare_promotion(sess, oid, &engine.opts) {
             Ok(p) => {
-                if swap_txn(sess, mgr, |view| tier::apply_promotion(view, &p)).is_ok() {
+                if promote(sess, mgr, &p).is_ok() {
                     engine.note_promoted(&p);
                 }
             }
@@ -309,6 +310,19 @@ fn tier_tick(sess: &mut Session<DurableStore>, mgr: &TxnManager, engine: &mut Ti
             }
         }
     }
+}
+
+/// Hot-swap a prepared promotion as the re-optimizer does: in its own
+/// transaction, linking the hot block only once that transaction has
+/// committed. On failure the closure keeps its baseline block and PTML.
+pub fn promote(
+    sess: &mut Session<DurableStore>,
+    mgr: &TxnManager,
+    p: &tier::Promotion,
+) -> Result<(), StoreError> {
+    swap_txn(sess, mgr, |view| tier::apply_promotion(view, p))?;
+    p.link(&sess.vm.code);
+    Ok(())
 }
 
 /// Run one tier swap in its own transaction: commit on success, abort
@@ -821,15 +835,16 @@ fn ship(
     let install = (|| -> Result<tml_core::Oid, StoreError> {
         let ptml_oid = view.alloc(Object::Ptml(ptml.to_vec()))?;
         let clo = view.alloc(Object::Closure(ClosureObj {
-            code: linked.block,
-            env: linked.env(),
-            bindings: linked.captures,
+            bindings: linked.captures.clone(),
             ptml: Some(ptml_oid),
         }))?;
         view.set_root(name, clo)?;
         Ok(clo)
     })();
     let clo = install.map_err(Fail::from_store)?;
+    // Linked at once, so the rest of the transaction can call it; an
+    // abort frees the closure, and a call of a freed closure traps.
+    sess.vm.code.link(clo, linked.block, linked.env());
     let prev = sess.globals.insert(name.to_string(), SVal::Ref(clo));
     state.pending_globals.push((name.to_string(), prev));
     Ok(Response::Ok)

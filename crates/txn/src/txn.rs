@@ -337,16 +337,6 @@ impl<S: StoreAccess + ?Sized> StoreAccess for TxnView<'_, S> {
         self.store.base()
     }
 
-    fn set_transient_code(
-        &mut self,
-        oid: Oid,
-        code: u32,
-        env: Vec<SVal>,
-        bindings: Vec<(String, SVal)>,
-    ) -> Result<(), StoreError> {
-        self.store.set_transient_code(oid, code, env, bindings)
-    }
-
     fn alloc(&mut self, obj: Object) -> Result<Oid, StoreError> {
         let oid = self.logged(None, |s| s.alloc(obj))?;
         self.txn.undo.push(undo_for_alloc(oid));

@@ -21,6 +21,9 @@ use tml_store::varint::{self, Reader};
 /// Hard ceiling on one frame's payload.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
+/// The most [`read_frame`] allocates before the payload's bytes arrive.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// A wire value: the immediate subset of the VM's runtime values that
 /// crosses the protocol (references and closures ship as PTML instead).
 #[derive(Debug, Clone, PartialEq)]
@@ -329,8 +332,13 @@ pub fn read_frame(r: &mut impl Read, conn: u64) -> Result<Vec<u8>, WireError> {
     if len > MAX_FRAME {
         return Err(WireError::Malformed(format!("frame of {len} bytes")));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
+    // The buffer grows with the bytes that arrive, not with the length
+    // the header claims: a short stream costs at most one chunk.
+    let mut buf = Vec::with_capacity((len as usize).min(READ_CHUNK));
+    r.take(u64::from(len)).read_to_end(&mut buf)?;
+    if buf.len() != len as usize {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     Ok(buf)
 }
 
@@ -348,9 +356,8 @@ pub fn write_frame(w: &mut impl Write, conn: u64, payload: &[u8]) -> Result<(), 
 mod tests {
     use super::*;
 
-    #[test]
-    fn requests_roundtrip() {
-        let cases = vec![
+    fn requests() -> Vec<Request> {
+        vec![
             Request::Ping,
             Request::Begin,
             Request::Commit,
@@ -373,16 +380,11 @@ mod tests {
             },
             Request::Bye,
             Request::Shutdown,
-        ];
-        for req in cases {
-            let bytes = encode_request(&req);
-            assert_eq!(decode_request(&bytes).unwrap(), req, "{req:?}");
-        }
+        ]
     }
 
-    #[test]
-    fn responses_roundtrip() {
-        let cases = vec![
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Ok,
             Response::Val(Value::Int(7)),
             Response::Err {
@@ -390,11 +392,105 @@ mod tests {
                 msg: "deadlock victim".into(),
             },
             Response::Bye,
-        ];
-        for rsp in cases {
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip() {
+        for req in requests() {
+            let bytes = encode_request(&req);
+            assert_eq!(decode_request(&bytes).unwrap(), req, "{req:?}");
+        }
+    }
+
+    #[test]
+    fn responses_roundtrip() {
+        for rsp in responses() {
             let bytes = encode_response(&rsp);
             assert_eq!(decode_response(&bytes).unwrap(), rsp, "{rsp:?}");
         }
+    }
+
+    /// Every single-bit flip and every truncation of `bytes`.
+    fn damaged(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let flips = (0..bytes.len() * 8).map(|bit| {
+            let mut b = bytes.to_vec();
+            b[bit / 8] ^= 1 << (bit % 8);
+            b
+        });
+        flips.chain((0..bytes.len()).map(|cut| bytes[..cut].to_vec()))
+    }
+
+    /// A reader over `bytes` that records the largest buffer it was
+    /// asked to fill: what the caller allocated before data arrived.
+    struct Probe<'a> {
+        bytes: &'a [u8],
+        widest: usize,
+    }
+
+    impl Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    /// Read `framed` with [`read_frame`]: a typed error or a payload,
+    /// and no buffer wider than [`READ_CHUNK`] offered to the stream.
+    fn read_damaged(framed: &[u8]) -> Option<Vec<u8>> {
+        let mut probe = Probe {
+            bytes: framed,
+            widest: 0,
+        };
+        let got = read_frame(&mut probe, 0);
+        assert!(probe.widest <= READ_CHUNK, "{} byte buffer", probe.widest);
+        got.ok()
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, 0, payload).unwrap();
+        out
+    }
+
+    #[test]
+    fn damaged_requests_decode_or_fail_typed() {
+        let decode = |b: &[u8]| match decode_request(b) {
+            Ok(_) | Err(WireError::Malformed(_) | WireError::Io(_)) => {}
+        };
+        for req in requests() {
+            let bytes = encode_request(&req);
+            damaged(&bytes).for_each(|b| decode(&b));
+            for f in damaged(&framed(&bytes)) {
+                if let Some(payload) = read_damaged(&f) {
+                    decode(&payload);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_responses_decode_or_fail_typed() {
+        let decode = |b: &[u8]| match decode_response(b) {
+            Ok(_) | Err(WireError::Malformed(_) | WireError::Io(_)) => {}
+        };
+        for rsp in responses() {
+            let bytes = encode_response(&rsp);
+            damaged(&bytes).for_each(|b| decode(&b));
+            for f in damaged(&framed(&bytes)) {
+                if let Some(payload) = read_damaged(&f) {
+                    decode(&payload);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_header_claiming_more_than_arrives_allocates_one_chunk() {
+        // The length's top byte flipped: 16 MiB claimed, 3 bytes sent.
+        let mut f = framed(&[9, 9, 9]);
+        f[2] ^= 0xff;
+        assert_eq!(read_damaged(&f), None);
     }
 
     #[test]

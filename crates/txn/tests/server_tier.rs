@@ -10,9 +10,13 @@ mod common;
 use std::time::Duration;
 
 use common::{author_bump_ptml, read_slots, start_server, TempDir};
-use tml_reflect::tier;
-use tml_store::{DurableOptions, DurableStore, Object, StoreAccess};
-use tml_txn::{Client, ServerOptions, TierSettings, Value};
+use tml_core::Registry;
+use tml_lang::{Session, SessionConfig};
+use tml_reflect::tier::{self, TierOptions};
+use tml_store::{DurableOptions, DurableStore, Object, SVal, StoreAccess, StoreError};
+use tml_txn::server::promote;
+use tml_txn::{Client, ServerOptions, TierSettings, TxnManager, TxnOptions, TxnView, Value};
+use tml_vm::RVal;
 
 fn opts() -> ServerOptions {
     ServerOptions {
@@ -120,4 +124,69 @@ fn tier_off_leaves_no_tier_state() {
     // Counters still persist — hotness must survive even if the engine
     // is only enabled on a later start.
     assert!(ds.attr(clo, "tier.calls").unwrap_or(0) >= 20);
+}
+
+/// The server's swap step links the hot block only after the swap's
+/// transaction commits. A swap that cannot take the closure's lock (a
+/// client transaction holds it) aborts, and the closure keeps its
+/// baseline block and PTML: the next call runs the same code.
+#[test]
+fn a_swap_blocked_by_a_client_lock_leaves_the_baseline_code() {
+    let dir = TempDir::new("tierlock");
+    let ds = DurableStore::create(dir.image(), DurableOptions::default()).expect("create");
+    let mut sess = Session::on_store(ds, SessionConfig::default(), Registry::standard()).unwrap();
+    sess.load_str(
+        "module complex export new, x, y\n\
+         let new(a: Real, b: Real): Tuple = tuple(a, b)\n\
+         let x(c: Tuple): Real = c.0\n\
+         let y(c: Tuple): Real = c.1\n\
+         end\n\
+         module geom export abs\n\
+         let abs(c: Tuple): Real =\n\
+           real.sqrt(complex.x(c) * complex.x(c) + complex.y(c) * complex.y(c))\n\
+         end",
+    )
+    .unwrap();
+    sess.store.commit().unwrap();
+    let SVal::Ref(oid) = *sess.global("geom.abs").unwrap() else {
+        panic!("geom.abs is not a closure");
+    };
+    let ptml_of = |sess: &Session<DurableStore>| match sess.store.get(oid) {
+        Ok(Object::Closure(c)) => c.ptml,
+        other => panic!("{other:?}"),
+    };
+    let (block, ptml) = (sess.vm.code.linked_block(oid), ptml_of(&sess));
+    let c = sess
+        .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
+        .unwrap()
+        .result;
+    let baseline = sess.call("geom.abs", vec![c.clone()]).unwrap();
+
+    let mgr = TxnManager::new(TxnOptions::default());
+    let p = tier::prepare_promotion(&mut sess, oid, &TierOptions::default()).unwrap();
+    let mut client = mgr.begin(&mut sess.store);
+    TxnView::new(&mut sess.store, &mut client, mgr.locks())
+        .get(oid)
+        .expect("client reads the closure");
+    let err = promote(&mut sess, &mgr, &p).expect_err("the client holds the lock");
+    assert!(matches!(err, StoreError::Busy { .. }), "{err}");
+    mgr.abort(&mut sess.store, client).unwrap();
+
+    assert_eq!(sess.vm.code.linked_block(oid), block, "link moved");
+    assert_eq!(ptml_of(&sess), ptml, "swap not rolled back");
+    assert_eq!(sess.store.attr(oid, "tier"), None);
+    let again = sess.call("geom.abs", vec![c.clone()]).unwrap();
+    assert_eq!(again.result, baseline.result);
+    assert_eq!(
+        again.stats.instrs, baseline.stats.instrs,
+        "baseline code ran"
+    );
+
+    // With the lock free, the same promotion commits and links.
+    promote(&mut sess, &mgr, &p).unwrap();
+    assert_eq!(sess.vm.code.linked_block(oid), Some(p.block));
+    assert_eq!(ptml_of(&sess), Some(p.ptml));
+    let hot = sess.call("geom.abs", vec![c]).unwrap();
+    assert_eq!(hot.result, baseline.result);
+    assert!(hot.stats.instrs < baseline.stats.instrs);
 }

@@ -18,7 +18,7 @@
 use crate::rval::RVal;
 use std::collections::HashMap;
 use std::rc::Rc;
-use tml_store::StoreAccess;
+use tml_store::{SVal, StoreAccess, StoreError};
 
 /// Callbacks available to extension primitives.
 pub trait HostCtx {
@@ -26,6 +26,9 @@ pub trait HostCtx {
     /// durable backend every mutation made here is WAL-logged. Read-only
     /// callers can drop to the raw store via [`StoreAccess::base`].
     fn store(&mut self) -> &mut dyn StoreAccess;
+    /// Lower a value to a store value, persisting (and linking into the
+    /// session's code table) the transient closures it holds.
+    fn persist(&mut self, v: &RVal) -> Result<SVal, StoreError>;
     /// Call a TML procedure value (closure) with the given arguments,
     /// running the machine until the procedure invokes its normal
     /// continuation (`Ok`) or its exception continuation (`Err`).

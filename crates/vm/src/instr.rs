@@ -5,9 +5,14 @@
 //! is tail transfer: `Call`, `Halt`, `Raise` and the branch instructions
 //! never return.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::rc::Rc;
 
+use tml_core::Oid;
 use tml_store::SVal;
+
+use crate::rval::{RVal, TransientClosure};
 
 /// An operand source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -513,12 +518,19 @@ impl CodeBlock {
     }
 }
 
-/// The code table: all compiled blocks of a program/session.
+/// The code table: all compiled blocks of a program/session, and the
+/// links of the session's stored closures to them.
 ///
 /// Indices [`NATIVE_OK_BLOCK`] and [`NATIVE_ERR_BLOCK`] are reserved for
 /// the sentinel continuations used by native re-entry
 /// ([`crate::machine::Machine::call_value`]); they are installed by
 /// [`CodeTable::new`].
+///
+/// A stored closure record holds only PTML and R-value bindings; its
+/// code in this session is its entry in the link table: the block it was
+/// compiled to and the environment derived from its bindings. Every site
+/// that compiles a stored closure links its OID ([`CodeTable::link`]);
+/// a call of an unlinked OID is a typed trap.
 #[derive(Debug, Clone)]
 pub struct CodeTable {
     blocks: Vec<CodeBlock>,
@@ -529,18 +541,16 @@ pub struct CodeTable {
     calls: Vec<Cell<u64>>,
     /// Per-block tier tags (`TIER_BASELINE` / `TIER_HOT`).
     tiers: Vec<u8>,
+    /// Stored closures' code, by OID. A `RefCell` for the same reason
+    /// `calls` holds `Cell`s: the machine links the closures it persists
+    /// through its shared `&CodeTable`.
+    links: RefCell<HashMap<Oid, Rc<TransientClosure>>>,
 }
 
 /// Tier tag of freshly compiled (cold) code.
 pub const TIER_BASELINE: u8 = 0;
 /// Tier tag of code re-optimized by the background tier promoter.
 pub const TIER_HOT: u8 = 1;
-
-/// The code index relinking gives a stored closure it cannot link: one
-/// persisted without PTML, or one whose PTML did not relink. Its
-/// persisted index named a block of an earlier session; the machine
-/// rejects a call of this index with a typed trap instead.
-pub const UNLINKED_BLOCK: u32 = u32::MAX;
 
 /// The sentinel block terminating a native call's normal path.
 pub const NATIVE_OK_BLOCK: u32 = 0;
@@ -560,6 +570,7 @@ impl CodeTable {
             blocks: Vec::new(),
             calls: Vec::new(),
             tiers: Vec::new(),
+            links: RefCell::default(),
         };
         t.push(CodeBlock {
             name: "<native-ok>".into(),
@@ -598,9 +609,8 @@ impl CodeTable {
 
     /// Record one invocation of block `ix`; returns the new count.
     /// Saturating so a pathological loop cannot wrap back to cold. A
-    /// dangling index (a degraded closure whose code never compiled) is
-    /// a no-op — `enter`'s bounds guard turns the call itself into a
-    /// typed trap right after.
+    /// dangling index is a no-op — `enter`'s bounds guard turns the call
+    /// itself into a typed trap right after.
     #[inline]
     pub fn note_call(&self, ix: u32) -> u64 {
         let Some(c) = self.calls.get(ix as usize) else {
@@ -641,6 +651,26 @@ impl CodeTable {
         if let Some(t) = self.tiers.get_mut(ix as usize) {
             *t = tier;
         }
+    }
+
+    /// Link the stored closure `oid` to `block`, with its environment:
+    /// the values of its bindings in slot order. Replaces an earlier link
+    /// of the same OID; a machine already running the old code finishes
+    /// on it.
+    pub fn link<'v>(&self, oid: Oid, block: u32, env: impl IntoIterator<Item = &'v SVal>) {
+        let env = env.into_iter().map(RVal::from_sval).collect();
+        let clo = Rc::new(TransientClosure { code: block, env });
+        self.links.borrow_mut().insert(oid, clo);
+    }
+
+    /// The code and environment `oid` is linked to in this session.
+    pub fn linked(&self, oid: Oid) -> Option<Rc<TransientClosure>> {
+        self.links.borrow().get(&oid).cloned()
+    }
+
+    /// The block `oid` is linked to in this session.
+    pub fn linked_block(&self, oid: Oid) -> Option<u32> {
+        self.links.borrow().get(&oid).map(|c| c.code)
     }
 
     /// Fetch a block.

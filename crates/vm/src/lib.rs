@@ -47,7 +47,7 @@ pub mod rval;
 
 pub use compile::{CompileError, CompiledProc, Compiler};
 pub use host::{ExternFn, ExternTable};
-pub use instr::{CodeBlock, CodeTable, Instr, TIER_BASELINE, TIER_HOT, UNLINKED_BLOCK};
+pub use instr::{CodeBlock, CodeTable, Instr, TIER_BASELINE, TIER_HOT};
 pub use machine::{ExecStats, Machine, Outcome, VmError, VmProfile};
 pub use rval::{RVal, TransientRow};
 

@@ -10,7 +10,7 @@
 use crate::host::{ExternTable, HostCtx};
 use crate::instr::{
     AllocKind, ArithOp, BitOp, CmpOp, CodeTable, ContRef, ConvOp, GroupCap, Instr, Src,
-    NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK, UNLINKED_BLOCK,
+    NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK,
 };
 use crate::rval::{Capture, ClosureGroup, RVal, TransientClosure};
 use std::collections::BTreeMap;
@@ -20,7 +20,7 @@ use tml_core::prims_std::{
     ERR_BOUNDS, ERR_NO_CCALL, ERR_NO_PRIM, ERR_OVERFLOW, ERR_TYPE, ERR_ZERO_DIVIDE,
 };
 use tml_core::Oid;
-use tml_store::{Object, Store, StoreAccess, StoreError, MAX_OBJECT_LEN};
+use tml_store::{Object, SVal, Store, StoreAccess, StoreError, MAX_OBJECT_LEN};
 
 /// Deterministic execution counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -346,13 +346,9 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     /// frame; the old frame becomes the next transfer's buffer.
     fn enter(&mut self, block: u32) -> Result<(), VmError> {
         if block as usize >= self.code.len() {
-            return Err(VmError::Trap(if block == UNLINKED_BLOCK {
-                "call of a closure with no code in this session: it was persisted \
-                 without PTML, or its PTML did not relink"
-                    .into()
-            } else {
-                format!("call of closure with dangling code index {block}")
-            }));
+            return Err(VmError::Trap(format!(
+                "call of closure with dangling code index {block}"
+            )));
         }
         let blk = self.code.block(block);
         if self.next.len() != blk.nparams as usize {
@@ -402,13 +398,19 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 *code
             }
             RVal::Ref(oid) => {
-                let clo = self.store.base().expect(oid, "closure", |o| match o {
-                    Object::Closure(c) => Some(c),
+                self.store.base().expect(oid, "closure", |o| match o {
+                    Object::Closure(_) => Some(()),
                     _ => None,
                 })?;
-                self.env.extend(clo.env.iter().map(RVal::from_sval));
-                self.env_clo = None;
-                clo.code
+                let c = self.code.linked(oid).ok_or_else(|| {
+                    VmError::Trap(format!(
+                        "call of closure {oid} with no code in this session: it was \
+                         persisted without PTML, or its PTML did not relink"
+                    ))
+                })?;
+                let code = c.code;
+                self.env_clo = Some(c);
+                code
             }
             other => {
                 return Err(VmError::Trap(format!(
@@ -627,7 +629,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                         let mut slots = Vec::with_capacity(args.len());
                         for a in args.iter() {
                             let v = self.resolve(*a);
-                            slots.push(v.persist(self.store)?);
+                            slots.push(v.persist(self.store, self.code)?);
                         }
                         if matches!(kind, AllocKind::Array) {
                             Object::Array(slots)
@@ -643,7 +645,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                         let count = usize::try_from(count)
                             .map_err(|_| VmError::Trap("new: negative size".into()))?;
                         check_len("new", count)?;
-                        let init = self.resolve(args[1]).persist(self.store)?;
+                        let init = self.resolve(args[1]).persist(self.store, self.code)?;
                         Object::Array(vec![init; count])
                     }
                     AllocKind::BNew => {
@@ -743,7 +745,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                     };
                     self.store.bytes_set(oid, i, byte_val)
                 } else {
-                    let sval = v.persist(self.store)?;
+                    let sval = v.persist(self.store, self.code)?;
                     self.store.array_set(oid, i, sval)
                 };
                 match stored {
@@ -986,6 +988,10 @@ impl RVal {
 impl<S: StoreAccess> HostCtx for Machine<'_, S> {
     fn store(&mut self) -> &mut dyn StoreAccess {
         self.store
+    }
+
+    fn persist(&mut self, v: &RVal) -> Result<SVal, StoreError> {
+        v.persist(self.store, self.code)
     }
 
     fn call(&mut self, target: RVal, args: Vec<RVal>) -> Result<RVal, RVal> {
@@ -1671,22 +1677,53 @@ mod tests {
     #[test]
     fn member_identity_survives_persisting() {
         let mut store = Store::new();
-        let (_, out) = run_in(&mut store, &even_odd("(halt even)"));
+        let (vm, out) = run_in(&mut store, &even_odd("(halt even)"));
         let RVal::Group(g, j) = &out.result else {
             panic!("expected a group member, got {:?}", out.result);
         };
         let odd = RVal::Group(g.clone(), 1 - j);
         assert!(!out.result.identical(&odd));
         assert!(g.oids().is_none());
-        let stored = out.result.persist(&mut store).unwrap();
-        let again = out.result.persist(&mut store).unwrap();
+        let stored = out.result.persist(&mut store, &vm.code).unwrap();
+        let again = out.result.persist(&mut store, &vm.code).unwrap();
         assert_eq!(stored, again);
         assert_eq!(store.len(), 2, "one closure per member, once");
         let stored = RVal::from_sval(&stored);
         assert!(out.result.identical(&stored) && stored.identical(&out.result));
         assert!(!odd.identical(&stored));
-        assert!(RVal::from_sval(&odd.persist(&mut store).unwrap()).identical(&odd));
+        assert!(RVal::from_sval(&odd.persist(&mut store, &vm.code).unwrap()).identical(&odd));
         assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn a_stored_closure_runs_only_while_linked_and_live() {
+        let mut store = Store::new();
+        let (vm, out) = run_in(&mut store, "(halt proc(x ce cc) (+ x 1 ce cc))");
+        let SVal::Ref(oid) = out.result.persist(&mut store, &vm.code).unwrap() else {
+            panic!("a closure persists as a reference")
+        };
+        let call = |store: &mut Store, code: &CodeTable, oid| {
+            Machine::new(code, &vm.externs, store, 1_000)
+                .call_value_checked(RVal::Ref(oid), vec![RVal::Int(41)])
+        };
+        assert_eq!(call(&mut store, &vm.code, oid).unwrap(), Ok(RVal::Int(42)));
+        // Another session's code table holds no link for it.
+        assert!(matches!(
+            call(&mut store, &CodeTable::new(), oid),
+            Err(VmError::Trap(m)) if m.contains("no code in this session")
+        ));
+        // A non-closure object, or the closure once freed, traps typed
+        // whatever the link table holds.
+        let arr = store.alloc(Object::Array(vec![]));
+        assert!(matches!(
+            call(&mut store, &vm.code, arr),
+            Err(VmError::Store(StoreError::WrongKind { .. }))
+        ));
+        StoreAccess::free_obj(&mut store, oid).unwrap();
+        assert!(matches!(
+            call(&mut store, &vm.code, oid),
+            Err(VmError::Store(StoreError::Dangling(_)))
+        ));
     }
 
     #[test]

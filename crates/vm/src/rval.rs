@@ -21,6 +21,7 @@
 //! same OID, and from then on the store tuple is the row, so all aliases
 //! observe a write to it.
 
+use crate::instr::CodeTable;
 use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -70,42 +71,39 @@ impl ClosureGroup {
 
     /// Persist the whole group (once): allocate one store closure per
     /// member with placeholder member captures, then backpatch them with
-    /// one `mutate` per closure, so a durable backend logs the
-    /// fully-patched post-image.
-    fn persist<S: StoreAccess + ?Sized>(&self, store: &mut S) -> Result<&[Oid], StoreError> {
+    /// one `set` per closure, so a durable backend logs the fully-patched
+    /// post-image. Each member is linked into `code` after its backpatch.
+    fn persist<S: StoreAccess + ?Sized>(
+        &self,
+        store: &mut S,
+        code: &CodeTable,
+    ) -> Result<&[Oid], StoreError> {
         if let Some(oids) = self.oids() {
             return Ok(oids);
         }
+        let mut envs = Vec::with_capacity(self.members.len());
         let mut oids = Vec::with_capacity(self.members.len());
-        for (code, caps) in self.members.iter() {
+        for (_, caps) in self.members.iter() {
             let mut env = Vec::with_capacity(caps.len());
             for cap in caps.iter() {
                 env.push(match cap {
-                    Capture::Val(v) => v.persist(store)?,
+                    Capture::Val(v) => v.persist(store, code)?,
                     Capture::Member(_) => SVal::Ref(Oid::NULL),
                 });
             }
-            oids.push(store.alloc(Object::Closure(ClosureObj {
-                code: *code,
-                env,
-                bindings: Vec::new(),
-                ptml: None,
-            }))?);
+            oids.push(store.alloc(Object::Closure(ClosureObj::positional(&env)))?);
+            envs.push(env);
         }
-        for ((_, caps), oid) in self.members.iter().zip(&oids) {
-            if !caps.iter().any(|c| matches!(c, Capture::Member(_))) {
-                continue;
-            }
-            store.mutate(*oid, &mut |obj| {
-                if let Object::Closure(c) = obj {
-                    for (slot, cap) in c.env.iter_mut().zip(caps.iter()) {
-                        if let Capture::Member(j) = cap {
-                            *slot = SVal::Ref(oids[*j as usize]);
-                        }
+        for (((block, caps), oid), env) in self.members.iter().zip(&oids).zip(&mut envs) {
+            if caps.iter().any(|c| matches!(c, Capture::Member(_))) {
+                for (slot, cap) in env.iter_mut().zip(caps.iter()) {
+                    if let Capture::Member(j) = cap {
+                        *slot = SVal::Ref(oids[*j as usize]);
                     }
                 }
-                Ok(())
-            })?;
+                store.set(*oid, Object::Closure(ClosureObj::positional(env)))?;
+            }
+            code.link(*oid, *block, &*env);
         }
         Ok(self.persisted.get_or_init(|| oids.into()))
     }
@@ -205,9 +203,18 @@ impl RVal {
 
     /// Lower to a store value, persisting transient closures into `store`
     /// on the way (recursively through their environments; a group member
-    /// persists its whole group once). Generic over the store-access seam,
-    /// so persisting through a durable store logs each closure allocation.
-    pub fn persist<S: StoreAccess + ?Sized>(&self, store: &mut S) -> Result<SVal, StoreError> {
+    /// persists its whole group once) and linking each into `code`, the
+    /// session's code table. Generic over the store-access seam, so
+    /// persisting through a durable store logs each closure allocation.
+    ///
+    /// A run-time closure has no PTML: its record keeps its environment
+    /// as positional bindings (so the collector reaches them), and it is
+    /// callable only in the session that linked it.
+    pub fn persist<S: StoreAccess + ?Sized>(
+        &self,
+        store: &mut S,
+        code: &CodeTable,
+    ) -> Result<SVal, StoreError> {
         Ok(match self {
             RVal::Unit => SVal::Unit,
             RVal::Bool(b) => SVal::Bool(*b),
@@ -219,17 +226,13 @@ impl RVal {
             RVal::Clo(c) => {
                 let mut env = Vec::with_capacity(c.env.len());
                 for v in &c.env {
-                    env.push(v.persist(store)?);
+                    env.push(v.persist(store, code)?);
                 }
-                let oid = store.alloc(Object::Closure(ClosureObj {
-                    code: c.code,
-                    env,
-                    bindings: Vec::new(),
-                    ptml: None,
-                }))?;
+                let oid = store.alloc(Object::Closure(ClosureObj::positional(&env)))?;
+                code.link(oid, c.code, &env);
                 SVal::Ref(oid)
             }
-            RVal::Group(g, j) => SVal::Ref(g.persist(store)?[*j as usize]),
+            RVal::Group(g, j) => SVal::Ref(g.persist(store, code)?[*j as usize]),
             RVal::Row(r) => SVal::Ref(r.persist(store)?),
         })
     }
@@ -324,7 +327,7 @@ mod tests {
             RVal::Str("s".into()),
             RVal::Ref(Oid(4)),
         ] {
-            let s = v.persist(&mut store).unwrap();
+            let s = v.persist(&mut store, &CodeTable::new()).unwrap();
             assert!(RVal::from_sval(&s).identical(&v));
         }
         assert!(store.is_empty(), "immediates must not allocate");
@@ -343,7 +346,8 @@ mod tests {
                 })),
             ],
         }));
-        let s = clo.persist(&mut store).unwrap();
+        let code = CodeTable::new();
+        let s = clo.persist(&mut store, &code).unwrap();
         assert_eq!(store.len(), 2); // inner + outer
         let oid = match s {
             SVal::Ref(o) => o,
@@ -352,11 +356,14 @@ mod tests {
         let obj = store.get(oid).unwrap();
         match obj {
             Object::Closure(c) => {
-                assert_eq!(c.code, 3);
-                assert_eq!(c.env.len(), 2);
+                assert_eq!(c.ptml, None);
+                assert_eq!(c.bindings.len(), 2, "the environment, by position");
+                assert_eq!(c.bindings[0], (String::new(), SVal::Int(1)));
             }
             other => panic!("expected closure, got {other:?}"),
         }
+        let linked = code.linked(oid).expect("linked on persist");
+        assert_eq!((linked.code, linked.env.len()), (3, 2));
     }
 
     #[test]
@@ -383,8 +390,8 @@ mod tests {
         assert_eq!(format!("{v:?}"), "<row [1, true]>");
         assert!(v.identical(&RVal::Row(row.clone())));
         assert!(!v.identical(&RVal::Row(Rc::new(TransientRow::new(vec![])))));
-        let first = v.persist(&mut store).unwrap();
-        assert_eq!(v.persist(&mut store).unwrap(), first);
+        let first = v.persist(&mut store, &CodeTable::new()).unwrap();
+        assert_eq!(v.persist(&mut store, &CodeTable::new()).unwrap(), first);
         assert_eq!(store.len(), 1);
         let SVal::Ref(oid) = first else {
             panic!("expected a ref, got {first:?}")
@@ -402,7 +409,9 @@ mod tests {
     fn refill_reuses_a_row_nothing_else_holds() {
         let mut store = Store::new();
         let mut row = Rc::new(TransientRow::new(vec![SVal::Int(1)]));
-        RVal::Row(row.clone()).persist(&mut store).unwrap();
+        RVal::Row(row.clone())
+            .persist(&mut store, &CodeTable::new())
+            .unwrap();
         let before = Rc::as_ptr(&row);
         TransientRow::refill(&mut row, &[SVal::Int(2)]);
         assert_eq!(Rc::as_ptr(&row), before);

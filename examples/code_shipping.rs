@@ -104,12 +104,11 @@ fn main() {
     let shipped = server
         .store
         .alloc(Object::Closure(tycoon::store::ClosureObj {
-            code: compiled.block,
-            env,
             bindings,
             ptml: Some(shipped_ptml),
         }))
         .expect("alloc");
+    server.vm.code.link(shipped, compiled.block, &env);
     server
         .store
         .set_root("shipped.rate", shipped)

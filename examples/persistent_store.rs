@@ -76,8 +76,8 @@ end",
         report.redo_records, report.redo_commits
     );
     let mut s2 = session_from_access_with(store, SessionConfig::default(), Registry::standard());
-    // The image's code-table indices are stale; rebuild every function
-    // from its persistent TML representation, in place.
+    // The image holds no code; rebuild every function from its
+    // persistent TML representation and link it into this session.
     let relink = relink_image_code(&mut s2).expect("relink");
     println!(
         "session 2: relinked {} closure(s) from PTML ({} skipped)",

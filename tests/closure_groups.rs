@@ -96,7 +96,7 @@ fn call_stored<S: StoreAccess>(
 #[test]
 fn closures_persisted_without_ptml_trap_after_reopen() {
     // A raw-TML lambda and a loop-group member are run-time closures:
-    // persisting them stores a code index of this session and no PTML.
+    // persisting them links them in this session only and stores no PTML.
     let img = image("unlinked");
     let ds = DurableStore::create(&img, DurableOptions::default()).unwrap();
     let mut s = Session::on_store(ds, SessionConfig::default(), Registry::standard()).unwrap();
@@ -105,7 +105,7 @@ fn closures_persisted_without_ptml_trap_after_reopen() {
     let even = s.call_value(make, vec![]).unwrap().result;
     let mut stored = Vec::new();
     for (name, v) in [("lam", lam), ("even", even)] {
-        let SVal::Ref(oid) = v.persist(&mut s.store).unwrap() else {
+        let SVal::Ref(oid) = v.persist(&mut s.store, &s.vm.code).unwrap() else {
             panic!("{name} did not persist as a reference")
         };
         s.store.set_root(name, oid).unwrap();
@@ -113,7 +113,7 @@ fn closures_persisted_without_ptml_trap_after_reopen() {
             panic!("{name} is not a stored closure")
         };
         assert!(c.ptml.is_none(), "{name} carries PTML");
-        stored.push((oid, c.code));
+        stored.push((oid, s.vm.code.linked_block(oid).expect("linked")));
     }
     let (lam, even) = (stored[0].0, stored[1].0);
     assert_eq!(
@@ -140,8 +140,9 @@ fn closures_persisted_without_ptml_trap_after_reopen() {
         }
     };
     unlinked(&mut s);
-    // Load modules until every old code index names a block of this
-    // session: the calls must still trap, not run that block.
+    // Load modules until every block the closures were linked to in the
+    // first session is a block of this one: the calls must still trap,
+    // not run that block.
     let in_range = |s: &Session<DurableStore>| {
         stored
             .iter()

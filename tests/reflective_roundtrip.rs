@@ -121,10 +121,7 @@ fn snapshot_save_load_preserves_code_and_data() {
                     .expect("recorded binding")
             })
             .collect();
-        if let Object::Closure(c) = s2.store.get_mut(old).unwrap() {
-            c.code = compiled.block;
-            c.env = env;
-        }
+        s2.vm.code.link(old, compiled.block, &env);
         s2.globals.insert(format!("math.{name}"), SVal::Ref(old));
     }
 

@@ -150,11 +150,10 @@ fn install_fn(s: &mut Session, name: &str, abs: &Abs) -> tycoon::core::Oid {
     let compiled = s.vm.compile_proc(&s.ctx, abs).unwrap();
     assert!(compiled.captures.is_empty(), "test function must be closed");
     let oid = s.store.alloc(Object::Closure(ClosureObj {
-        code: compiled.block,
-        env: Vec::new(),
         bindings: Vec::new(),
         ptml: Some(ptml),
     }));
+    s.vm.code.link(oid, compiled.block, &[]);
     s.globals.insert(name.to_string(), SVal::Ref(oid));
     s.store.set_root(name.to_string(), oid);
     oid

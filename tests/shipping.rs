@@ -44,11 +44,10 @@ fn import_function(s: &mut Session, name: &str, bytes: Vec<u8>) {
     }
     let ptml_oid = s.store.alloc(Object::Ptml(bytes));
     let oid = s.store.alloc(Object::Closure(ClosureObj {
-        code: compiled.block,
-        env,
         bindings,
         ptml: Some(ptml_oid),
     }));
+    s.vm.code.link(oid, compiled.block, &env);
     s.globals.insert(name.to_string(), SVal::Ref(oid));
 }
 
