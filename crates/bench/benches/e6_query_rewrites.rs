@@ -10,13 +10,17 @@
 //!
 //! **Trivial-exists** — ∃x∈R: p ≡ p ∧ R≠∅ when `|p|ₓ = 0`: an O(|R|)
 //! scan becomes an O(1) emptiness test.
+//!
+//! **Semi-join** — σ(∃y∈S: y.j = x.i)(R) when `|S|ₓ = 0`: the nested loop
+//! of |R|·|S| predicate calls becomes one hash set of `S.j` probed once
+//! per row of `R`, with no predicate call at all.
 
 use std::time::Instant;
 use tml_bench::ms;
 use tml_core::{Ctx, Lit};
 use tml_opt::{record, OptOptions};
 use tml_query::{self as query, firings, select_chain, Pred};
-use tml_store::Store;
+use tml_store::{Object, SVal, Store};
 use tml_vm::{Machine, RVal, Vm};
 
 fn run(ctx: &Ctx, vm: &mut Vm, store: &mut Store, app: &tml_core::App) -> (i64, u64, f64) {
@@ -119,8 +123,76 @@ fn main() {
             ms(t2)
         );
     }
+    println!("\nE6c — semi-join: σ(∃y∈S: y.2 = x.2)(R), |S| = 60\n");
+    println!(
+        "{:<9} {:>8} {:>12} {:>12} {:>10} {:>10}",
+        "rows", "matches", "loop calls", "hash calls", "loop ms", "hash ms"
+    );
+    println!("{}", "-".repeat(66));
+    for rows in [500usize, 2_000, 10_000] {
+        let mut ctx = Ctx::new();
+        let mut vm = Vm::new();
+        query::install(&mut ctx, &mut vm);
+        let mut store = Store::new();
+        let r = query::data::random_relation(&mut store, rows, 40, 300, 7);
+        let s = query::data::random_relation(&mut store, 60, 40, 300, 11);
+        let src = format!(
+            "(select proc(x cex ccx) \
+               (exists proc(y cey ccy) ([] y 2 cey cont(t1) ([] x 2 cey cont(t2) \
+                  (= t1 t2 cont()(ccy true) cont()(ccy false)))) \
+                 <oid {:#x}> cex ccx) \
+               <oid {:#x}> cont(e)(halt e) cont(r)(halt r))",
+            s.0, r.0
+        );
+        let nested = tml_core::parse::parse_app(&mut ctx, &src)
+            .expect("parses")
+            .app;
+        let (hashed, _, log) = record(&mut ctx, nested.clone(), &OptOptions::default(), None);
+        assert_eq!(firings(&log, "semi-join"), 1);
+
+        let (loop_rows, loop_calls, t1) = run_rows(&ctx, &mut vm, &mut store, &nested);
+        let (hash_rows, hash_calls, t2) = run_rows(&ctx, &mut vm, &mut store, &hashed);
+        assert_eq!(loop_rows, hash_rows, "rewrite changed the result");
+        assert!(
+            hash_calls * 10 <= loop_calls,
+            "{hash_calls} predicate calls against {loop_calls}"
+        );
+        println!(
+            "{:<9} {:>8} {:>12} {:>12} {:>10} {:>10}",
+            rows,
+            loop_rows.len(),
+            loop_calls,
+            hash_calls,
+            ms(t1),
+            ms(t2)
+        );
+    }
     println!(
         "\nMerge-select makes the plan order-independent and at least as good as\n\
-         the best hand ordering; trivial-exists wins by O(|R|). Results identical."
+         the best hand ordering; trivial-exists wins by O(|R|); semi-join by\n\
+         O(|S|) predicate calls per row. Results identical."
     );
+}
+
+/// Run a query whose normal continuation halts with a relation; returns
+/// its rows, the predicate calls (machine re-entries) and the wall time.
+fn run_rows(
+    ctx: &Ctx,
+    vm: &mut Vm,
+    store: &mut Store,
+    app: &tml_core::App,
+) -> (Vec<Vec<SVal>>, u64, f64) {
+    let block = vm.compile_program(ctx, app).expect("closed program");
+    let t = Instant::now();
+    let mut machine = Machine::new(&vm.code, &vm.externs, store, u64::MAX);
+    let out = machine.run(block, Vec::new(), Vec::new()).expect("runs");
+    let dt = t.elapsed().as_secs_f64();
+    drop(machine);
+    let RVal::Ref(oid) = out.result else {
+        panic!("unexpected result {:?}", out.result);
+    };
+    match store.get(oid) {
+        Ok(Object::Relation(rel)) => (rel.rows.clone(), out.stats.calls, dt),
+        other => panic!("expected a relation, got {other:?}"),
+    }
 }

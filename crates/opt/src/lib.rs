@@ -14,7 +14,7 @@
 //!   heuristic cost model similar to Appel's.
 //! * The **rule pass** applies the rewrite rules that primitives carry in
 //!   the prim table ([`tml_core::prim::RewriteFn`]) — the §4.2 query rules
-//!   merge-select, trivial-exists and index-select registered by
+//!   merge-select, trivial-exists, index-select and semi-join registered by
 //!   `tml-query`. Index-aware rules read the store's index structures, an
 //!   *input* to optimization ([`optimize_traced`]) absent at compile time.
 //! * The **driver** ([`driver`]) is the one optimizer loop. Each round
@@ -27,8 +27,9 @@
 //!
 //! **Termination.** Every rule firing removes one application of a
 //! rule-carrying primitive (`select`/`exists`: merge-select turns two
-//! selects into one, index-select a select into `idxselect`,
-//! trivial-exists drops the `exists`), no reduction rule adds one, and
+//! selects into one, index-select a select into `idxselect`, semi-join a
+//! select into `semijoin`, trivial-exists drops the `exists`), no
+//! reduction rule adds one, and
 //! expansion — the only step that can copy one — is bounded by the
 //! penalty and the round limit. Past that bound, every further round must
 //! fire a rule, so the pair (query-operator count, tree size) decreases

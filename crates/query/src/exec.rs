@@ -10,10 +10,16 @@
 //! transient row ([`RVal::Row`]) that reaches the store only if it
 //! escapes. Only result relations are allocated, holding copies of the
 //! rows they return.
+//!
+//! `semijoin`, the product of the semi-join rule, calls no predicate when
+//! it can help it: it probes a hash set of the inner relation's column
+//! with each outer row, and runs the nested loop it carries only where
+//! that loop could raise.
 
+use std::collections::HashSet;
 use std::rc::Rc;
 use tml_store::object::IndexKey;
-use tml_store::{Object, Oid, Relation, SVal, MAX_OBJECT_LEN};
+use tml_store::{Object, Oid, Relation, SVal, StoreAccess, MAX_OBJECT_LEN};
 use tml_vm::host::{ExternTable, HostCtx};
 use tml_vm::{RVal, TransientRow};
 
@@ -93,6 +99,118 @@ fn alloc_rel(ctx: &mut dyn HostCtx, rel: Relation) -> Result<RVal, RVal> {
     Ok(RVal::Ref(oid))
 }
 
+/// The nested-loop plan of `select`: one predicate call per row of `src`.
+fn filter(ctx: &mut dyn HostCtx, pred: &RVal, src: &mut Scan) -> Result<RVal, RVal> {
+    let mut out = Relation::new(src.schema(ctx)?);
+    for i in 0..src.len {
+        let tup = src.load(ctx, i)?;
+        if as_bool(ctx.call(pred.clone(), vec![tup])?)? {
+            out.insert(src.fields().to_vec());
+        }
+    }
+    alloc_rel(ctx, out)
+}
+
+/// A column value as the machine's `=` compares it: integers by value,
+/// everything else by identity (`RVal::identical`) — reals by bit
+/// pattern, strings by contents, references by OID — and values of
+/// different kinds never equal (an `Int` is no `Real`).
+#[derive(PartialEq, Eq, Hash)]
+enum EqKey<'a> {
+    Unit,
+    Bool(bool),
+    Int(i64),
+    Real(u64),
+    Char(u8),
+    Str(&'a str),
+    Ref(Oid),
+}
+
+impl<'a> EqKey<'a> {
+    fn of(v: &'a SVal) -> EqKey<'a> {
+        match v {
+            SVal::Unit => EqKey::Unit,
+            SVal::Bool(b) => EqKey::Bool(*b),
+            SVal::Int(n) => EqKey::Int(*n),
+            SVal::Real(x) => EqKey::Real(x.to_bits()),
+            SVal::Char(c) => EqKey::Char(*c),
+            SVal::Str(s) => EqKey::Str(s),
+            SVal::Ref(o) => EqKey::Ref(*o),
+        }
+    }
+}
+
+/// The hash plan of `(semijoin pred R S i j …)`: the rows of `r` whose
+/// column `i` equals column `j` of some row of `s`, each once, in `r`'s
+/// order. An empty `r` is answered without reading `s`. `None` where the
+/// nested loop may raise — `s` is not a relation, or a row of either side
+/// lacks its column — so the caller runs `pred` instead and the same
+/// exception reaches the same handler.
+fn hash_semi_join(
+    store: &dyn StoreAccess,
+    r: Oid,
+    s: &RVal,
+    i: &RVal,
+    j: &RVal,
+) -> Option<Relation> {
+    let Ok(Object::Relation(outer)) = store.get(r) else {
+        return None;
+    };
+    let mut out = Relation::new(outer.schema.clone());
+    if outer.rows.is_empty() {
+        return Some(out);
+    }
+    let (RVal::Ref(s), RVal::Int(i), RVal::Int(j)) = (s, i, j) else {
+        return None;
+    };
+    let (i, j) = (usize::try_from(*i).ok()?, usize::try_from(*j).ok()?);
+    let Ok(Object::Relation(inner)) = store.get(*s) else {
+        return None;
+    };
+    let keys = inner
+        .rows
+        .iter()
+        .map(|row| row.get(j).map(EqKey::of))
+        .collect::<Option<HashSet<_>>>()?;
+    if keys.is_empty() {
+        return Some(out);
+    }
+    for row in &outer.rows {
+        if keys.contains(&EqKey::of(row.get(i)?)) {
+            out.insert(row.clone());
+        }
+    }
+    Some(out)
+}
+
+/// `(join pred L R …)`: every pair of rows the predicate accepts. The
+/// result may hold at most `cap` rows; one more is the `"type"`
+/// exception, as `mkrel` refuses a schema wider than the object limit.
+fn join(ctx: &mut dyn HostCtx, args: &[RVal], cap: usize) -> Result<RVal, RVal> {
+    let pred = &args[0];
+    let mut left = Scan::open(ctx, &args[1])?;
+    let mut right = Scan::open(ctx, &args[2])?;
+    let mut schema = left.schema(ctx)?;
+    schema.extend(right.schema(ctx)?.iter().map(|c| format!("r.{c}")));
+    let mut out = Relation::new(schema);
+    for i in 0..left.len {
+        // One row per left row, shared by all of its pairs.
+        let lt = left.load(ctx, i)?;
+        for j in 0..right.len {
+            let rt = right.load(ctx, j)?;
+            if as_bool(ctx.call(pred.clone(), vec![lt.clone(), rt])?)? {
+                if out.len() >= cap {
+                    return Err(type_err());
+                }
+                let mut joined = left.fields().to_vec();
+                joined.extend_from_slice(right.fields());
+                out.insert(joined);
+            }
+        }
+    }
+    alloc_rel(ctx, out)
+}
+
 /// Record the access path an executing query actually took: one
 /// `query.plan.<plan>` counter bump plus a
 /// [`tml_trace::Event::PlanChosen`] ring event. No-op while tracing is
@@ -108,17 +226,21 @@ fn trace_plan(plan: &'static str, target: Option<u64>) {
 /// Register all query extern implementations.
 pub fn install_externs(t: &mut ExternTable) {
     t.register("select", |ctx, args| {
-        let pred = &args[0];
         let mut src = Scan::open(ctx, &args[1])?;
         trace_plan("scan", Some(src.oid.0));
-        let mut out = Relation::new(src.schema(ctx)?);
-        for i in 0..src.len {
-            let tup = src.load(ctx, i)?;
-            if as_bool(ctx.call(pred.clone(), vec![tup])?)? {
-                out.insert(src.fields().to_vec());
-            }
+        filter(ctx, &args[0], &mut src)
+    });
+
+    t.register("semijoin", |ctx, args| {
+        let [pred, r, s, i, j] = args else {
+            return Err(type_err());
+        };
+        let mut src = Scan::open(ctx, r)?;
+        trace_plan("scan", Some(src.oid.0));
+        match hash_semi_join(ctx.store(), src.oid, s, i, j) {
+            Some(out) => alloc_rel(ctx, out),
+            None => filter(ctx, pred, &mut src),
         }
-        alloc_rel(ctx, out)
     });
 
     t.register("project", |ctx, args| {
@@ -134,27 +256,7 @@ pub fn install_externs(t: &mut ExternTable) {
         alloc_rel(ctx, out)
     });
 
-    t.register("join", |ctx, args| {
-        let pred = &args[0];
-        let mut left = Scan::open(ctx, &args[1])?;
-        let mut right = Scan::open(ctx, &args[2])?;
-        let mut schema = left.schema(ctx)?;
-        schema.extend(right.schema(ctx)?.iter().map(|c| format!("r.{c}")));
-        let mut out = Relation::new(schema);
-        for i in 0..left.len {
-            // One row per left row, shared by all of its pairs.
-            let lt = left.load(ctx, i)?;
-            for j in 0..right.len {
-                let rt = right.load(ctx, j)?;
-                if as_bool(ctx.call(pred.clone(), vec![lt.clone(), rt])?)? {
-                    let mut joined = left.fields().to_vec();
-                    joined.extend_from_slice(right.fields());
-                    out.insert(joined);
-                }
-            }
-        }
-        alloc_rel(ctx, out)
-    });
+    t.register("join", |ctx, args| join(ctx, args, MAX_OBJECT_LEN));
 
     t.register("exists", |ctx, args| {
         let pred = &args[0];
@@ -292,9 +394,19 @@ mod tests {
     /// Run a TML query program (text) against a session with queries
     /// enabled and a sample relation bound to the name `Rel`.
     fn run_query(src: &str, nrows: i64) -> (RVal, Session) {
+        run_query_with(src, nrows, |_| {})
+    }
+
+    /// [`run_query`] with the session's externs adjusted first.
+    fn run_query_with(
+        src: &str,
+        nrows: i64,
+        adjust: impl FnOnce(&mut ExternTable),
+    ) -> (RVal, Session) {
         use crate::QuerySession;
         let mut s = Session::default_session().unwrap();
         s.enable_queries().unwrap();
+        adjust(&mut s.vm.externs);
         let rel = sample_relation(&mut s.store, nrows as usize, 7);
         let rel_var = s.ctx.names.fresh("Rel");
         let parsed = Parser::new(&mut s.ctx, src)
@@ -362,6 +474,44 @@ mod tests {
                     (count r cont(e2)(halt e2) cont(n)(halt n)))";
         let (r, _) = run_query(src, 8);
         assert_eq!(r, RVal::Int(8));
+    }
+
+    #[test]
+    fn join_refuses_to_grow_past_its_cap() {
+        // The self-join on the id column has 8 pairs. The registered join
+        // caps at `MAX_OBJECT_LEN`; a stub with a cap of 7 crosses its cap
+        // without allocating millions of rows.
+        let src = "(join proc(a b ce cc) \
+                      ([] a 0 ce cont(va) ([] b 0 ce cont(vb) \
+                        (= va vb cont()(cc true) cont()(cc false)))) \
+                    Rel Rel cont(e)(halt e) cont(r) \
+                    (count r cont(e2)(halt e2) cont(n)(halt n)))";
+        let capped =
+            |cap| move |t: &mut ExternTable| t.register("join", move |c, a| join(c, a, cap));
+        let (r, _) = run_query_with(src, 8, capped(7));
+        assert_eq!(r, RVal::Str("type".into()));
+        let (r, _) = run_query_with(src, 8, capped(8));
+        assert_eq!(r, RVal::Int(8));
+    }
+
+    /// `semijoin` answers from its hash set without calling the carried
+    /// predicate (which here would raise); with a column outside the
+    /// schema it runs the predicate, whose exception reaches the handler.
+    #[test]
+    fn semijoin_calls_its_predicate_only_where_the_loop_raises() {
+        let q = |col: usize| {
+            format!(
+                "(semijoin proc(x ce cc) (ce \"boom\") Rel Rel {col} 0 \
+                   cont(e)(halt e) cont(r) (count r cont(e2)(halt e2) cont(n)(halt n)))"
+            )
+        };
+        let (r, _) = run_query(&q(0), 6);
+        assert_eq!(r, RVal::Int(6));
+        let (r, _) = run_query(&q(3), 6);
+        assert_eq!(r, RVal::Str("boom".into()));
+        // An empty outer relation is answered before the columns matter.
+        let (r, _) = run_query(&q(3), 0);
+        assert_eq!(r, RVal::Int(0));
     }
 
     #[test]

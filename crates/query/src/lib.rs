@@ -9,7 +9,7 @@
 //! Queries are ordinary TML terms over *query primitives* registered into
 //! the same extensible primitive table as the figure-2 set ([`prims`]):
 //! `select`, `project`, `join`, `exists`, `empty`, `and`, `or`, `not`,
-//! `count`, `rinsert`, `idxselect`. Their execution semantics are
+//! `count`, `rinsert`, `idxselect`, `semijoin`. Their execution semantics are
 //! extension primitives of the abstract machine ([`exec`]) which re-enter
 //! the machine to evaluate predicate and target closures.
 //!
@@ -22,6 +22,11 @@
 //!   replacing a column-equality selection over an indexed base relation
 //!   with an index lookup (possible precisely because optimization is
 //!   delayed until runtime, when the store's index facts are an input);
+//! * **semi-join** (on `select`, tried second) — σ(∃y∈S: y.j = x.i)(R) ≡
+//!   `semijoin(R, S, i, j)` when `|S|ₓ = 0` and the `exists` compares
+//!   nothing else: the nested loop becomes one hash set of `S.j` probed
+//!   per row of `R`, keeping the predicate for the cases where the loop
+//!   would raise;
 //! * **trivial-exists** (on `exists`) — ∃x∈R: p ≡ p ∧ R≠∅ when `|p|ₓ = 0`.
 //!
 //! Wherever the query prims are installed, `tml-opt`'s driver runs the

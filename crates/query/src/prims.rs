@@ -6,8 +6,8 @@
 //! [`PrimTable`] as the figure-2 primitives (paper §2.3 adaptability).
 //! `select` and `exists` also carry the §4.2 algebraic rewrites, "expressed
 //! quite naturally in CPS" with the `|E|_v` occurrence conditions of §3 as
-//! scoping preconditions: [`select_rule`] (index-select, merge-select) and
-//! [`exists_rule`] (trivial-exists).
+//! scoping preconditions: [`select_rule`] (index-select, semi-join,
+//! merge-select) and [`exists_rule`] (trivial-exists).
 //! [`register_prims`] is the package's [`Registry`] entry point; the
 //! table-level [`install_prims`] remains for enabling the package on an
 //! already-built context mid-session.
@@ -19,7 +19,7 @@ use tml_core::prim::{
     Signature,
 };
 use tml_core::term::{Abs, App, Value};
-use tml_core::{Ctx, Lit, Oid, Registry};
+use tml_core::{Ctx, Lit, Oid, Registry, VarId};
 
 const PURE: PrimAttrs = PrimAttrs {
     effects: EffectClass::Pure,
@@ -68,7 +68,7 @@ fn with_rule(def: PrimDef, rule: RewriteFn) -> PrimDef {
     }
 }
 
-fn defs() -> [PrimDef; 13] {
+fn defs() -> [PrimDef; 14] {
     [
         // (select pred rel ce cc) → filtered relation
         with_rule(def("select", 2, READS, None, 50), select_rule),
@@ -94,6 +94,9 @@ fn defs() -> [PrimDef; 13] {
         def("idxselect", 2, READS, None, 8),
         // (mkindex rel col ce cc) → index
         def("mkindex", 2, READS, None, 100),
+        // (semijoin pred R S i j ce cc) → the rows of R whose column i
+        // equals column j of some row of S; `pred` is the nested loop.
+        def("semijoin", 5, READS, None, 60),
     ]
 }
 
@@ -195,17 +198,18 @@ fn trace_rewrite(rule: &'static str, relation: Option<Oid>, index: Option<Oid>) 
 }
 
 /// Firings of query rule `rule` (`merge-select`, `index-select`,
-/// `trivial-exists`) in an optimizer provenance log, as recorded by
-/// `tml_opt::record`.
+/// `semi-join`, `trivial-exists`) in an optimizer provenance log, as
+/// recorded by `tml_opt::record`.
 pub fn firings(log: &[tml_trace::Event], rule: &str) -> usize {
     log.iter()
         .filter(|e| matches!(e, tml_trace::Event::RuleFired { rule: r, .. } if *r == rule))
         .count()
 }
 
-/// The rewrite hook of `select`: index-select, else merge-select.
-/// Index-select goes first: merging an equality conjunct into a composite
-/// predicate would hide it from the index matcher.
+/// The rewrite hook of `select`: index-select, else semi-join, else
+/// merge-select. Index-select goes first: merging an equality conjunct
+/// into a composite predicate would hide it from the index matcher, and
+/// a merged predicate would likewise hide a correlated `exists`.
 pub fn select_rule(
     app: &mut App,
     ctx: &mut Ctx,
@@ -216,6 +220,13 @@ pub fn select_rule(
     }
     if let Some((rel, ix)) = facts.and_then(|f| index_select(app, ctx, f)) {
         return Some(trace_rewrite("index-select", Some(rel), Some(ix)));
+    }
+    if semi_join(app, ctx) {
+        let rel = match app.args[1] {
+            Value::Lit(Lit::Oid(r)) => Some(r),
+            _ => None,
+        };
+        return Some(trace_rewrite("semi-join", rel, None));
     }
     merge_select(app, ctx).then(|| trace_rewrite("merge-select", None, None))
 }
@@ -389,6 +400,116 @@ fn trivial_exists(app: &mut App, ctx: &mut Ctx) -> bool {
     true
 }
 
+/// Decorrelate an `exists` that equates a column of its range variable
+/// with a column of the outer row — the `semi-join` rule:
+///
+/// ```text
+/// (select λ(x cex ccx)
+///           (exists λ(y cey ccy)([] y J cey cont(t1)([] x I cey cont(t2)
+///                                  (= t1 t2 cont()(ccy true) cont()(ccy false))))
+///                   S cex ccx)
+///         R ce cc)
+/// → (semijoin λ(x cex ccx)(exists …) R S I J ce cc)
+/// ```
+///
+/// The two `[]` may come in either order and the `=` operands either way
+/// round. Preconditions, checked by matching every position of the
+/// predicate exactly: `x`, `y`, `cey` and `ccy` occur only where shown,
+/// the `exists` hands off to the predicate's own `cex`/`ccx`, and `S` is
+/// a literal OID or a variable bound outside the predicate (`|S|ₓ = 0`,
+/// so one set built from `S` serves every row of `R`). Anything else —
+/// effects, other conjuncts, `<>`, a raise — leaves the term alone. The
+/// executor probes a hash set of `S.J` with `R.I` and keeps each row of
+/// `R` at most once, in order, however many rows of `S` match it: the
+/// bag semantics of the nested loop. It runs the carried predicate
+/// wherever the loop could raise, so exceptions are unchanged.
+fn semi_join(app: &mut App, ctx: &Ctx) -> bool {
+    let Some((s, i, j)) = match_semi_join(&app.args[0], ctx) else {
+        return false;
+    };
+    let Some(semijoin) = ctx.prims.lookup("semijoin") else {
+        return false;
+    };
+    let mut args = std::mem::take(&mut app.args);
+    let cc = args.pop().expect("four arguments");
+    let ce = args.pop().expect("four arguments");
+    args.extend([s, Value::Lit(Lit::Int(i)), Value::Lit(Lit::Int(j)), ce, cc]);
+    *app = App::new(Value::Prim(semijoin), args);
+    true
+}
+
+/// Match the predicate of [`semi_join`]. Returns `(S, I, J)`.
+fn match_semi_join(pred: &Value, ctx: &Ctx) -> Option<(Value, i64, i64)> {
+    let Value::Abs(pred) = pred else {
+        return None;
+    };
+    let [x, cex, ccx] = pred.params.as_slice() else {
+        return None;
+    };
+    let body = &pred.body;
+    if body.func.as_prim() != ctx.prims.lookup("exists") {
+        return None;
+    }
+    let [Value::Abs(inner), s, ce, cc] = body.args.as_slice() else {
+        return None;
+    };
+    if ce.as_var() != Some(*cex) || cc.as_var() != Some(*ccx) {
+        return None;
+    }
+    match s {
+        Value::Lit(Lit::Oid(_)) => {}
+        Value::Var(v) if ![*x, *cex, *ccx].contains(v) => {}
+        _ => return None,
+    }
+    let [y, cey, ccy] = inner.params.as_slice() else {
+        return None;
+    };
+    let (a, col_a, t_a, rest) = match_load(&inner.body, *cey, ctx)?;
+    let (b, col_b, t_b, eq) = match_load(rest, *cey, ctx)?;
+    let (i, j) = if (a, b) == (*y, *x) {
+        (col_b, col_a)
+    } else if (a, b) == (*x, *y) {
+        (col_a, col_b)
+    } else {
+        return None;
+    };
+    if eq.func.as_prim() != ctx.prims.lookup("=") || t_a == t_b {
+        return None;
+    }
+    let [l, r, yes, no] = eq.args.as_slice() else {
+        return None;
+    };
+    let operands = (l.as_var(), r.as_var());
+    if operands != (Some(t_a), Some(t_b)) && operands != (Some(t_b), Some(t_a)) {
+        return None;
+    }
+    (delivers(yes, *ccy, true) && delivers(no, *ccy, false)).then(|| (s.clone(), i, j))
+}
+
+/// Match `([] v COL ce cont(t) next)`: a column load of variable `v` that
+/// hands a bounds exception to `ce`. Returns `(v, COL, t, next)`.
+fn match_load<'a>(app: &'a App, ce: VarId, ctx: &Ctx) -> Option<(VarId, i64, VarId, &'a App)> {
+    if app.func.as_prim() != ctx.prims.lookup("[]") {
+        return None;
+    }
+    let [Value::Var(v), Value::Lit(Lit::Int(col)), h, Value::Abs(k)] = app.args.as_slice() else {
+        return None;
+    };
+    let [t] = k.params.as_slice() else {
+        return None;
+    };
+    (h.as_var() == Some(ce)).then_some((*v, *col, *t, &k.body))
+}
+
+/// `true` when `v` is `cont()(k b)`: a branch delivering the boolean `b`
+/// to the continuation `k`.
+fn delivers(v: &Value, k: VarId, b: bool) -> bool {
+    let Value::Abs(a) = v else { return false };
+    a.params.is_empty()
+        && a.body.func.as_var() == Some(k)
+        && a.body.args == [Value::Lit(Lit::Bool(b))]
+}
+
 /// Replace a column-equality selection over an indexed base relation
 /// with an index lookup. Runtime-only: needs the store's index facts.
 /// Returns the relation and index on success.
@@ -450,13 +571,7 @@ fn match_eq_pred(pred: &Value, ctx: &Ctx) -> Option<(usize, Lit)> {
         _ => return None,
     };
     // Branches must deliver the boolean to ccx.
-    let is_branch = |v: &Value, expect: bool| -> bool {
-        let Value::Abs(a) = v else { return false };
-        a.params.is_empty()
-            && a.body.func.as_var() == Some(*ccx)
-            && a.body.args == vec![Value::Lit(Lit::Bool(expect))]
-    };
-    if !is_branch(&eq.args[2], true) || !is_branch(&eq.args[3], false) {
+    if !delivers(&eq.args[2], *ccx, true) || !delivers(&eq.args[3], *ccx, false) {
         return None;
     }
     Some((col, key))
@@ -489,6 +604,7 @@ mod tests {
             "mkrel",
             "idxselect",
             "mkindex",
+            "semijoin",
         ] {
             assert!(c.prims.lookup(name).is_some(), "missing {name}");
         }
@@ -808,6 +924,152 @@ mod rule_tests {
         assert_eq!(firings(&log, "merge-select"), 1);
         assert_eq!(stats.rounds, 2, "{stats:?}");
         assert!(stats.per_round[1].reductions > 0, "{stats:?}");
+    }
+
+    /// The first application headed by primitive `name`, in pre-order.
+    fn find<'a>(ctx: &Ctx, app: &'a App, name: &str) -> Option<&'a App> {
+        if app.func.as_prim() == ctx.prims.lookup(name) {
+            return Some(app);
+        }
+        std::iter::once(&app.func)
+            .chain(&app.args)
+            .find_map(|v| match v {
+                Value::Abs(a) => find(ctx, &a.body, name),
+                _ => None,
+            })
+    }
+
+    /// The semi-join query as the TL front end and the optimizer leave
+    /// it: `select x from x in R where exists y in S where y.1 == x.2`,
+    /// with the inner body (the two loads and the comparison) supplied.
+    fn semi_join_src(inner: &str, s: &str, handoff: &str) -> String {
+        format!(
+            "(cont(^S2) (select proc(x cex ccx) \
+               (exists proc(y cey ccy) {inner} {s} {handoff}) \
+               Rel cont(e)(halt e) cont(r)(halt r)) \
+             cont(e9)(halt e9))"
+        )
+    }
+
+    const Y_THEN_X: &str = "([] y 1 cey cont(t1) ([] x 2 cey cont(t2) \
+        (= t1 t2 cont()(ccy true) cont()(ccy false))))";
+
+    #[test]
+    fn semi_join_fires_on_the_optimized_shape_and_its_variants() {
+        let x_then_y = "([] x 2 cey cont(t2) ([] y 1 cey cont(t1) \
+            (= t1 t2 cont()(ccy true) cont()(ccy false))))";
+        let swapped = "([] y 1 cey cont(t1) ([] x 2 cey cont(t2) \
+            (= t2 t1 cont()(ccy true) cont()(ccy false))))";
+        let both = "([] x 2 cey cont(t2) ([] y 1 cey cont(t1) \
+            (= t2 t1 cont()(ccy true) cont()(ccy false))))";
+        for inner in [Y_THEN_X, x_then_y, swapped, both] {
+            for s in ["Small", "<oid 0x59>"] {
+                let mut ctx = qctx();
+                let app = parsed(&mut ctx, &semi_join_src(inner, s, "cex ccx"));
+                let (out, stats, log) = opt(&mut ctx, app, None);
+                assert_eq!(firings(&log, "semi-join"), 1, "{inner} over {s}");
+                assert_eq!(stats.rewrites, 1);
+                let printed = print_app(&ctx, &out);
+                assert!(!printed.contains("(select"), "{printed}");
+                // The predicate, R, S, then the outer and inner column.
+                let sj = find(&ctx, &out, "semijoin").expect("a semijoin");
+                let shown = |v: &Value| tml_core::pretty::print_value(&ctx, v);
+                assert!(shown(&sj.args[1]).starts_with("Rel"), "{printed}");
+                let s_shown = if s == "Small" {
+                    "Small"
+                } else {
+                    "<oid 0x00000059>"
+                };
+                assert!(shown(&sj.args[2]).starts_with(s_shown), "{printed}");
+                assert_eq!(
+                    sj.args[3..5],
+                    [Value::Lit(Lit::Int(2)), Value::Lit(Lit::Int(1))]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn semi_join_declines_every_near_miss() {
+        let eq_tail = "(= t1 t2 cont()(ccy true) cont()(ccy false))";
+        let loads = |tail: &str| format!("([] y 1 cey cont(t1) ([] x 2 cey cont(t2) {tail}))");
+        let cases = [
+            // `<>`: an anti-join, not a semi-join.
+            (
+                loads("(<> t1 t2 cont()(ccy true) cont()(ccy false))"),
+                "Small",
+                "cex ccx",
+            ),
+            // The branches swapped: also `<>`.
+            (
+                loads("(= t1 t2 cont()(ccy false) cont()(ccy true))"),
+                "Small",
+                "cex ccx",
+            ),
+            // A raise on a mismatch.
+            (
+                loads("(= t1 t2 cont()(ccy true) cont()(cey 7))"),
+                "Small",
+                "cex ccx",
+            ),
+            // An effect before the comparison.
+            (
+                format!("([:=] G 0 1 cey cont(u) {})", loads(eq_tail)),
+                "Small",
+                "cex ccx",
+            ),
+            // A second conjunct on `x`.
+            (
+                loads(&format!(
+                    "([] x 0 cey cont(t3) (= t3 5 cont() {eq_tail} cont()(ccy false)))"
+                )),
+                "Small",
+                "cex ccx",
+            ),
+            // `x` as the range of the `exists`.
+            (loads(eq_tail), "x", "cex ccx"),
+            // Both loads from `y`.
+            (
+                format!("([] y 1 cey cont(t1) ([] y 2 cey cont(t2) {eq_tail}))"),
+                "Small",
+                "cex ccx",
+            ),
+            // A load that raises to the outer handler.
+            (
+                format!("([] y 1 cex cont(t1) ([] x 2 cey cont(t2) {eq_tail}))"),
+                "Small",
+                "cex ccx",
+            ),
+            // The `exists` hands its exceptions elsewhere.
+            (loads(eq_tail), "Small", "S2 ccx"),
+            // A non-literal column.
+            (
+                format!("([] y K cey cont(t1) ([] x 2 cey cont(t2) {eq_tail}))"),
+                "Small",
+                "cex ccx",
+            ),
+        ];
+        for (inner, s, handoff) in &cases {
+            let mut ctx = qctx();
+            let app = parsed(&mut ctx, &semi_join_src(inner, s, handoff));
+            let (out, _, log) = opt(&mut ctx, app, None);
+            assert_eq!(
+                firings(&log, "semi-join"),
+                0,
+                "{inner} over {s} to {handoff}"
+            );
+            assert!(!print_app(&ctx, &out).contains("semijoin"));
+        }
+    }
+
+    /// Index-select still wins on an equality over an indexed relation;
+    /// semi-join never looks at a predicate without an `exists`.
+    #[test]
+    fn semi_join_leaves_plain_selections_alone() {
+        let mut ctx = qctx();
+        let app = select_chain(&mut ctx, Oid(7), &[Pred::ColEq(1, Lit::Int(30))]);
+        let (_, _, log) = opt(&mut ctx, app, None);
+        assert_eq!(firings(&log, "semi-join"), 0);
     }
 
     #[test]

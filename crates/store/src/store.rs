@@ -128,7 +128,11 @@ pub struct StoreStats {
 /// the store (session globals, decoded TML terms) stay valid.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    objects: Vec<Option<Object>>,
+    /// Slots indexed by OID − 1; `None` is a tombstone. OIDs are never
+    /// reused, so a session that frees objects at a steady rate (a query
+    /// result per request) keeps every slot it ever allocated: boxing
+    /// makes a tombstone cost a pointer instead of an object's width.
+    objects: Vec<Option<Box<Object>>>,
     roots: BTreeMap<String, Oid>,
     attrs: BTreeMap<Oid, BTreeMap<String, i64>>,
     /// Per-slot content version, parallel to `objects`. Bumped on every
@@ -149,7 +153,7 @@ impl Store {
     /// Allocate an object; returns its OID. OIDs start at 1 (0 is the
     /// reserved null OID).
     pub fn alloc(&mut self, obj: Object) -> Oid {
-        self.objects.push(Some(obj));
+        self.objects.push(Some(Box::new(obj)));
         self.versions.push(0);
         Oid(self.objects.len() as u64)
     }
@@ -176,7 +180,7 @@ impl Store {
         }
         self.objects
             .get(oid.0 as usize - 1)
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .ok_or(StoreError::Dangling(oid))
     }
 
@@ -192,7 +196,7 @@ impl Store {
         let slot = self
             .objects
             .get_mut(ix)
-            .and_then(Option::as_mut)
+            .and_then(Option::as_deref_mut)
             .ok_or(StoreError::Dangling(oid))?;
         self.versions[ix] += 1;
         Ok(slot)
@@ -239,13 +243,13 @@ impl Store {
 
     /// Internal: restore a possibly-dead slot (snapshot decoding).
     pub(crate) fn push_slot(&mut self, obj: Option<Object>) {
-        self.objects.push(obj);
+        self.objects.push(obj.map(Box::new));
         self.versions.push(0);
     }
 
     /// Internal: raw slot access including tombstones (snapshot encoding).
-    pub(crate) fn slots(&self) -> &[Option<Object>] {
-        &self.objects
+    pub(crate) fn slots(&self) -> impl Iterator<Item = Option<&Object>> {
+        self.objects.iter().map(Option::as_deref)
     }
 
     /// Replace an object wholesale.
@@ -275,7 +279,7 @@ impl Store {
         self.objects
             .iter()
             .enumerate()
-            .filter_map(|(i, o)| o.as_ref().map(|o| (Oid(i as u64 + 1), o)))
+            .filter_map(|(i, o)| o.as_deref().map(|o| (Oid(i as u64 + 1), o)))
     }
 
     // -- Named roots --------------------------------------------------------
@@ -477,7 +481,7 @@ impl Store {
             objects: self.live(),
             ..Default::default()
         };
-        for obj in self.objects.iter().flatten() {
+        for (_, obj) in self.iter() {
             s.bytes += obj.byte_size();
             match obj {
                 Object::Ptml(b) => s.ptml_bytes += b.len(),

@@ -89,7 +89,7 @@ pub enum Event {
     },
     /// The query rewriter applied an algebraic rewrite.
     QueryRewrite {
-        /// `merge-select`, `trivial-exists` or `index-select`.
+        /// `merge-select`, `trivial-exists`, `index-select` or `semi-join`.
         rule: &'static str,
         /// Relation OID, when the rewrite is anchored to a stored relation.
         relation: Option<u64>,

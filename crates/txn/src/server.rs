@@ -582,13 +582,11 @@ fn execute(
             Reply::Done(Response::Ok)
         }
         Request::Commit => {
-            let Some(txn) = state.txn.take() else {
+            if state.txn.is_none() {
                 return err(ErrCode::Proto, "no open transaction");
-            };
-            state.explicit = false;
-            state.pending_globals.clear();
-            match mgr.commit(&mut sess.store, txn) {
-                Ok(_) => Reply::Done(Response::Ok),
+            }
+            match commit_conn(sess, mgr, state) {
+                Ok(()) => Reply::Done(Response::Ok),
                 Err(e) => err(ErrCode::Server, format!("commit failed: {e}")),
             }
         }
@@ -654,13 +652,39 @@ fn abort_conn(
         return Ok(());
     };
     state.explicit = false;
+    restore_globals(sess, state);
+    mgr.abort(&mut sess.store, txn)
+}
+
+/// Commit `state`'s open transaction. A failed commit has rolled the
+/// transaction back, so its shipped globals are restored as on abort.
+fn commit_conn(
+    sess: &mut Session<DurableStore>,
+    mgr: &TxnManager,
+    state: &mut ConnState,
+) -> Result<(), StoreError> {
+    let txn = state.txn.take().expect("open transaction");
+    state.explicit = false;
+    match mgr.commit(&mut sess.store, txn) {
+        Ok(_) => {
+            state.pending_globals.clear();
+            Ok(())
+        }
+        Err(e) => {
+            restore_globals(sess, state);
+            Err(e)
+        }
+    }
+}
+
+/// Undo the session-global bindings of `state`'s shipped closures.
+fn restore_globals(sess: &mut Session<DurableStore>, state: &mut ConnState) {
     for (name, prev) in state.pending_globals.drain(..).rev() {
         match prev {
             Some(v) => sess.globals.insert(name, v),
             None => sess.globals.remove(&name),
         };
     }
-    mgr.abort(&mut sess.store, txn)
 }
 
 /// The per-request transaction envelope: reuse the open transaction or
@@ -681,9 +705,7 @@ fn with_txn(
     match body(sess, mgr, state) {
         Ok(rsp) => {
             if auto {
-                let txn = state.txn.take().expect("open");
-                state.pending_globals.clear();
-                if let Err(e) = mgr.commit(&mut sess.store, txn) {
+                if let Err(e) = commit_conn(sess, mgr, state) {
                     return err(ErrCode::Server, format!("commit failed: {e}"));
                 }
             }

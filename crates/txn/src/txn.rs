@@ -148,15 +148,30 @@ impl TxnManager {
     /// group-commit path, release locks. The `txn.commit` failpoint
     /// (keyed by txn id) fires *before* the marker — a crash there loses
     /// the whole transaction, never half of it.
+    ///
+    /// A commit that fails there, with no marker appended, rolls the
+    /// undo list back first, as [`TxnManager::abort`] does, and returns
+    /// its own error: the locks must not release work that never
+    /// committed, or other transactions would read it and a later
+    /// checkpoint would make it durable. No abort marker is written
+    /// either, so the log reads as a crash at that point would leave it;
+    /// recovery finds the compensation already logged. (Once
+    /// `txn_marker` itself fails the marker may be durable, or the
+    /// backend refuses all further writes until it is reopened; either
+    /// way nothing is undone in memory.)
     pub fn commit<S: StoreAccess + ?Sized>(
         &self,
         store: &mut S,
-        txn: Txn,
+        mut txn: Txn,
     ) -> Result<bool, StoreError> {
         store.txn_stamp(None);
-        let marked = failpoint::fail_io("txn.commit", txn.id)
-            .map_err(|e| StoreError::Io(e.to_string()))
-            .and_then(|()| store.txn_marker(txn.id, true));
+        let marked = match failpoint::fail_io("txn.commit", txn.id) {
+            Ok(()) => store.txn_marker(txn.id, true),
+            Err(e) => {
+                let _ = self.rollback_to(store, &mut txn, 0);
+                Err(StoreError::Io(e.to_string()))
+            }
+        };
         store.txn_unpin();
         self.locks.release_all(txn.id);
         let synced = marked?;

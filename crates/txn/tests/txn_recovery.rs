@@ -23,9 +23,23 @@ use tml_core::Oid;
 use tml_store::failpoint::{self, Action, FailSpec, ScopedFailpoints};
 use tml_store::{snapshot, DurableOptions, DurableStore, Object, SVal, StoreAccess, StoreError};
 use tml_txn::txn::oid_key;
-use tml_txn::{TxnManager, TxnOptions, TxnView};
+use tml_txn::{Client, ErrCode, ServerOptions, TxnManager, TxnOptions, TxnView, Value};
+
+mod common;
 
 const SLOTS: usize = 6;
+
+/// A function worth promoting: `geom.abs` calls three small helpers.
+const GEOM_SRC: &str = "
+module complex export new, x, y
+let new(a: Real, b: Real): Tuple = tuple(a, b)
+let x(c: Tuple): Real = c.0
+let y(c: Tuple): Real = c.1
+end
+module geom export abs
+let abs(c: Tuple): Real =
+  real.sqrt(complex.x(c) * complex.x(c) + complex.y(c) * complex.y(c))
+end";
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tml_txnrec_{}_{}", name, std::process::id()));
@@ -150,9 +164,11 @@ fn interleaved_loser_recovers_byte_identical_to_explicit_abort() {
 }
 
 /// The `txn.commit` failpoint fires before the marker: the transaction's
-/// work is never acknowledged, and a later committed transaction pushes
-/// the loser's trail into the committed prefix. Recovery rolls it back —
-/// identically to a run that aborted it outright.
+/// work is never acknowledged. The failed commit rolls it back in memory
+/// before releasing its locks, logging the compensation but no marker,
+/// and a later committed transaction pushes that whole trail into the
+/// committed prefix. Recovery finds a loser with nothing left to undo
+/// and ends exactly where a run that aborted it outright does.
 #[test]
 fn crash_before_commit_marker_loses_the_whole_txn() {
     let _fp = ScopedFailpoints::new(&[]);
@@ -170,6 +186,13 @@ fn crash_before_commit_marker_loses_the_whole_txn() {
             let err = mgr.commit(&mut d, t1).expect_err("injected commit failure");
             assert!(matches!(err, StoreError::Io(_)), "typed failure: {err}");
             failpoint::disarm_all();
+            for &oid in &slots[..2] {
+                let Object::Tuple(items) = d.get(oid).unwrap() else {
+                    panic!("expected tuple");
+                };
+                assert_eq!(items[0], SVal::Int(0), "failed commit rolled back");
+            }
+            assert_eq!(mgr.locks().stats().holders, 0, "locks released");
         } else {
             mgr.abort(&mut d, t1).unwrap();
         }
@@ -189,7 +212,10 @@ fn crash_before_commit_marker_loses_the_whole_txn() {
     let (crash_bytes, crash_report) = recovered(&crash_path);
     let (ref_bytes, _) = recovered(&ref_path);
     assert_eq!(crash_report.losers_undone, 1);
-    assert_eq!(crash_report.loser_records, 2);
+    assert_eq!(
+        crash_report.loser_records, 0,
+        "compensated when the commit failed"
+    );
     assert_eq!(
         crash_bytes, ref_bytes,
         "unacknowledged commit must recover like an abort"
@@ -276,17 +302,6 @@ fn crash_during_tier_swap_recovers_the_pre_swap_closure() {
     use tml_lang::{Session, SessionConfig};
     use tml_reflect::tier::{self, TierOptions};
 
-    const SRC: &str = "
-module complex export new, x, y
-let new(a: Real, b: Real): Tuple = tuple(a, b)
-let x(c: Tuple): Real = c.0
-let y(c: Tuple): Real = c.1
-end
-module geom export abs
-let abs(c: Tuple): Real =
-  real.sqrt(complex.x(c) * complex.x(c) + complex.y(c) * complex.y(c))
-end";
-
     let _fp = ScopedFailpoints::new(&[]);
     // The seed picks the crash point: even = the process dies with the
     // swap transaction still in flight, odd = the `txn.commit` failpoint
@@ -309,7 +324,7 @@ end";
         let ds = DurableStore::create(&path, DurableOptions::default()).unwrap();
         let mut sess = Session::on_store(ds, SessionConfig::default(), Registry::standard())
             .expect("durable session");
-        sess.load_str(SRC).unwrap();
+        sess.load_str(GEOM_SRC).unwrap();
         sess.store.commit().unwrap();
         sess.store.checkpoint().unwrap();
 
@@ -442,4 +457,106 @@ fn open_transactions_block_checkpoints() {
     d.checkpoint().expect("checkpoint fine after resolution");
     drop(d);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A tier swap whose commit fails before its marker (the `txn.commit`
+/// failpoint) is rolled back at once: the closure keeps its baseline
+/// link, PTML and attributes in memory, and closing the image — which
+/// checkpoints — cannot make the swap durable.
+#[test]
+fn a_promotion_whose_commit_fails_is_rolled_back() {
+    use tml_core::Registry;
+    use tml_lang::{Session, SessionConfig};
+    use tml_reflect::tier::{self, TierOptions};
+
+    let _fp = ScopedFailpoints::new(&[]);
+    let dir = tmpdir("promote_fail");
+    let path = dir.join("db.img");
+    let ds = DurableStore::create(&path, DurableOptions::default()).unwrap();
+    let mut sess = Session::on_store(ds, SessionConfig::default(), Registry::standard()).unwrap();
+    sess.load_str(GEOM_SRC).unwrap();
+    sess.store.commit().unwrap();
+    let SVal::Ref(oid) = *sess.global("geom.abs").unwrap() else {
+        panic!("expected closure global");
+    };
+    let ptml_of = |store: &DurableStore| match store.get(oid) {
+        Ok(Object::Closure(c)) => c.ptml,
+        other => panic!("{other:?}"),
+    };
+    let (block, ptml) = (sess.vm.code.linked_block(oid), ptml_of(&sess.store));
+
+    let p = tier::prepare_promotion(&mut sess, oid, &TierOptions::default()).unwrap();
+    let mgr = TxnManager::new(TxnOptions::default());
+    failpoint::arm("txn.commit", FailSpec::always(Action::Io));
+    let err = tml_txn::server::promote(&mut sess, &mgr, &p).expect_err("injected commit failure");
+    failpoint::disarm_all();
+    assert!(matches!(err, StoreError::Io(_)), "typed failure: {err}");
+
+    assert_eq!(sess.vm.code.linked_block(oid), block, "baseline link");
+    assert_eq!(ptml_of(&sess.store), ptml, "baseline PTML in memory");
+    assert_eq!(sess.store.attr(oid, "tier"), None);
+    assert_eq!(StoreAccess::root(&sess.store, &tier::prev_root(oid)), None);
+    assert_eq!(tier::totals(&sess.store).swaps, 0);
+    assert_eq!(mgr.locks().stats().holders, 0, "locks released");
+    sess.store.checkpoint().unwrap(); // close
+    drop(sess);
+
+    let (d, _) = DurableStore::open(&path, DurableOptions::default()).unwrap();
+    assert_eq!(ptml_of(&d), ptml, "baseline PTML after reopen");
+    assert_eq!(d.attr(oid, "tier"), None, "no tier attribute");
+    assert_eq!(StoreAccess::root(&d, &tier::prev_root(oid)), None);
+    assert_eq!(tier::totals(&d).swaps, 0, "no swap recorded");
+    drop(d);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client transaction whose commit fails before its marker leaves
+/// nothing behind: the next transaction reads the old value, a closure
+/// it shipped is no longer bound, and after shutdown (which checkpoints)
+/// the reopened image holds none of its writes.
+#[test]
+fn a_client_commit_that_fails_leaves_no_write() {
+    let _fp = ScopedFailpoints::new(&[]);
+    let dir = common::TempDir::new("cmt_client");
+    let server = common::start_server(
+        &dir.image(),
+        ServerOptions {
+            addr: "127.0.0.1:0".into(),
+            ..ServerOptions::default()
+        },
+    );
+    let ptml = common::author_bump_ptml();
+    let mut c = Client::connect(server.addr).expect("connect");
+    c.ship("work.bump", &ptml).expect("ship");
+
+    failpoint::arm("txn.commit", FailSpec::always(Action::Io));
+    let failed = c.transact(0, |c| {
+        c.ship("work.extra", &ptml)?;
+        c.call("work.bump", &[Value::Int(0), Value::Int(5)])
+    });
+    failpoint::disarm_all();
+    let err = failed.expect_err("injected commit failure");
+    assert!(err.to_string().contains("commit failed"), "{err}");
+
+    let unbound = c.call("work.extra", &[Value::Int(1), Value::Int(1)]);
+    assert!(
+        matches!(
+            unbound,
+            Err(tml_txn::client::ClientError::Server {
+                code: ErrCode::Unresolved,
+                ..
+            })
+        ),
+        "the shipped closure went with its transaction: {unbound:?}"
+    );
+    let v = c
+        .call("work.bump", &[Value::Int(0), Value::Int(1)])
+        .expect("bump");
+    assert_eq!(v, Value::Int(1), "the failed write is gone");
+    c.shutdown().expect("shutdown");
+    server.join().expect("server ran clean");
+
+    assert_eq!(common::read_slots(&dir.image())[0], 1);
+    let (ds, _) = DurableStore::open(dir.image(), DurableOptions::default()).expect("reopen");
+    assert_eq!(StoreAccess::root(&ds, "work.extra"), None);
 }

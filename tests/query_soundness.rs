@@ -8,7 +8,7 @@ use tycoon::core::wellformed::check_app;
 use tycoon::core::{App, Ctx, Lit};
 use tycoon::opt::{record, OptOptions};
 use tycoon::query::{self, firings, select_chain, Pred};
-use tycoon::store::Store;
+use tycoon::store::{Object, Relation, SVal, Store};
 use tycoon::vm::{Machine, RVal, Vm};
 
 fn run_count(ctx: &Ctx, vm: &mut Vm, store: &mut Store, app: &App) -> i64 {
@@ -261,4 +261,245 @@ fn merge_select_keeps_the_inner_exception_handler() {
     check_app(&ctx, &optimized).unwrap();
     assert_eq!(run_count(&ctx, &mut vm, &mut store, &naive), 222);
     assert_eq!(run_count(&ctx, &mut vm, &mut store, &optimized), 222);
+}
+
+/// A cell of a generated relation. Keys mix kinds on purpose: `=` never
+/// equates an `Int` with a `Real`, compares reals by bit pattern (so
+/// `0.0` and `-0.0` differ and a NaN equals itself) and references by
+/// OID.
+#[derive(Debug, Clone)]
+enum Cell {
+    Int(i64),
+    Real(f64),
+    Str(&'static str),
+    /// One of two tuples allocated up front.
+    Ref(usize),
+}
+
+/// The reals generated: both zeros and both NaN signs.
+const REALS: [f64; 5] = [1.0, 0.0, -0.0, f64::NAN, -f64::NAN];
+
+fn cell_strategy() -> impl Strategy<Value = Cell> {
+    (0usize..13).prop_map(|k| match k {
+        0..=3 => Cell::Int(k as i64),
+        4..=8 => Cell::Real(REALS[k - 4]),
+        9 | 10 => Cell::Str(["a", "b"][k - 9]),
+        _ => Cell::Ref(k - 11),
+    })
+}
+
+/// A relation: its width and up to nine rows (each cut to the width).
+fn rows_strategy() -> impl Strategy<Value = (usize, Vec<Vec<Cell>>)> {
+    (
+        1usize..4,
+        proptest::collection::vec(proptest::collection::vec(cell_strategy(), 3..4), 0..10),
+    )
+        .prop_map(|(width, mut rows)| {
+            for row in &mut rows {
+                row.truncate(width);
+            }
+            (width, rows)
+        })
+}
+
+/// What surrounds the semi-join's comparison: the shape the rule
+/// rewrites, or one it must leave alone.
+#[derive(Debug, Clone, Copy)]
+enum Inner {
+    /// The rewritable shape.
+    Eq,
+    /// An effect (a write to a scratch array) before the comparison.
+    Effect,
+    /// A raise where the comparison fails.
+    Raise,
+    /// `<>` in place of `=`.
+    Ne,
+    /// A second use of `x`: another conjunct on its first column.
+    XTwice,
+}
+
+fn inner_strategy() -> impl Strategy<Value = Inner> {
+    (0u8..10).prop_map(|k| match k {
+        6 => Inner::Effect,
+        7 => Inner::Raise,
+        8 => Inner::Ne,
+        9 => Inner::XTwice,
+        _ => Inner::Eq,
+    })
+}
+
+/// `select x from x in R where exists y in S where y.J == x.I`, as the
+/// front end and optimizer leave it, with the loads in either order and
+/// the `=` operands either way round.
+#[derive(Debug)]
+struct SemiJoin {
+    r: String,
+    s: String,
+    i: i64,
+    j: i64,
+    inner: Inner,
+    y_first: bool,
+    swap: bool,
+    /// An array the `Effect` variant writes to.
+    scratch: String,
+}
+
+impl SemiJoin {
+    /// The query; the normal continuation halts with the result relation,
+    /// the handler with the exception value.
+    fn render(&self) -> String {
+        let SemiJoin { i, j, scratch, .. } = self;
+        let (a, b) = if self.swap {
+            ("t2", "t1")
+        } else {
+            ("t1", "t2")
+        };
+        let test = match self.inner {
+            Inner::Ne => format!("(<> {a} {b} cont()(ccy true) cont()(ccy false))"),
+            Inner::Raise => format!("(= {a} {b} cont()(ccy true) cont()(cey 7))"),
+            _ => format!("(= {a} {b} cont()(ccy true) cont()(ccy false))"),
+        };
+        let test = match self.inner {
+            Inner::Effect => format!("([:=] {scratch} 0 t1 cey cont(u) {test})"),
+            Inner::XTwice => {
+                format!("([] x 0 cey cont(t3) (= t3 1 cont() {test} cont()(ccy false)))")
+            }
+            _ => test,
+        };
+        let y_load = |k: &str| format!("([] y {j} cey cont(t1) {k})");
+        let x_load = |k: &str| format!("([] x {i} cey cont(t2) {k})");
+        let body = if self.y_first {
+            y_load(&x_load(&test))
+        } else {
+            x_load(&y_load(&test))
+        };
+        format!(
+            "(select proc(x cex ccx) (exists proc(y cey ccy) {body} {} cex ccx) \
+               {} cont(e)(halt e) cont(res)(halt res))",
+            self.s, self.r
+        )
+    }
+}
+
+fn oid_lit(oid: tycoon::core::Oid) -> String {
+    format!("<oid {:#x}>", oid.0)
+}
+
+/// The outcome of a query run: a result relation's schema and rows (in
+/// order, reals by bit pattern), or the value that reached the handler.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Rows(Vec<String>, Vec<Vec<String>>),
+    Raised(RVal),
+}
+
+fn shown(v: &SVal) -> String {
+    match v {
+        SVal::Real(x) => format!("real {:#x}", x.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+fn run_outcome(ctx: &Ctx, vm: &mut Vm, store: &mut Store, app: &App) -> (Outcome, u64) {
+    let block = vm.compile_program(ctx, app).expect("closed program");
+    let mut machine = Machine::new(&vm.code, &vm.externs, store, 100_000_000);
+    let out = machine.run(block, Vec::new(), Vec::new()).expect("runs");
+    drop(machine);
+    let outcome = match out.result {
+        RVal::Ref(oid) => match store.get(oid) {
+            Ok(Object::Relation(r)) => Outcome::Rows(
+                r.schema.clone(),
+                r.rows
+                    .iter()
+                    .map(|row| row.iter().map(shown).collect())
+                    .collect(),
+            ),
+            other => panic!("expected a relation, got {other:?}"),
+        },
+        v => Outcome::Raised(v),
+    };
+    (outcome, out.stats.calls)
+}
+
+fn relation_of(
+    store: &mut Store,
+    width: usize,
+    rows: &[Vec<Cell>],
+    refs: &[tycoon::core::Oid],
+) -> tycoon::core::Oid {
+    let mut rel = Relation::new((0..width).map(|c| format!("c{c}")).collect());
+    for row in rows {
+        rel.insert(
+            row.iter()
+                .map(|c| match c {
+                    Cell::Int(n) => SVal::Int(*n),
+                    Cell::Real(x) => SVal::Real(*x),
+                    Cell::Str(s) => SVal::Str((*s).into()),
+                    Cell::Ref(k) => SVal::Ref(refs[*k]),
+                })
+                .collect(),
+        );
+    }
+    store.alloc(Object::Relation(rel))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The semi-join plan against the nested loop it replaces: the same
+    /// rows in the same order, or the same exception value at the same
+    /// handler — over duplicate and mixed-kind keys, empty sides, `S = R`,
+    /// columns outside a schema and an `S` that is no relation. The rule
+    /// fires exactly on the rewritable shape, and every rewritten term is
+    /// well-formed.
+    #[test]
+    fn semi_join_plans_equal_nested_loops(
+        (r_width, r_rows) in rows_strategy(),
+        (s_width, s_rows) in rows_strategy(),
+        i in 0i64..4,
+        j in 0i64..4,
+        s_kind in (0u8..8).prop_map(|k| k.saturating_sub(5)),
+        inner in inner_strategy(),
+        y_first in any::<bool>(),
+        swap in any::<bool>(),
+    ) {
+        let (mut ctx, mut vm) = query_ctx();
+        let mut store = Store::new();
+        let refs = [
+            store.alloc(Object::Tuple(vec![SVal::Int(1)])),
+            store.alloc(Object::Tuple(vec![SVal::Int(1)])),
+        ];
+        let scratch = store.alloc(Object::Array(vec![SVal::Unit]));
+        let r = relation_of(&mut store, r_width, &r_rows, &refs);
+        // S: its own relation, R itself, or a tuple (no relation).
+        let s = match s_kind {
+            0 => relation_of(&mut store, s_width, &s_rows, &refs),
+            1 => r,
+            _ => refs[0],
+        };
+        let query = SemiJoin {
+            r: oid_lit(r),
+            s: oid_lit(s),
+            i,
+            j,
+            inner,
+            y_first,
+            swap,
+            scratch: oid_lit(scratch),
+        };
+        let nested = parse(&mut ctx, &query.render());
+        let (rewritten, _, log) = record(&mut ctx, nested.clone(), &OptOptions::default(), None);
+        check_app(&ctx, &rewritten).expect("optimized term is well-formed");
+        let fires = matches!(inner, Inner::Eq);
+        prop_assert_eq!(firings(&log, "semi-join"), usize::from(fires));
+
+        let (a, _) = run_outcome(&ctx, &mut vm, &mut store, &nested);
+        let (b, calls) = run_outcome(&ctx, &mut vm, &mut store, &rewritten);
+        prop_assert_eq!(&a, &b);
+        // The hash plan calls no predicate; the carried nested loop runs
+        // exactly where it raises.
+        if fires {
+            prop_assert_eq!(calls == 0, matches!(a, Outcome::Rows(..)));
+        }
+    }
 }
