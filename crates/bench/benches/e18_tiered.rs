@@ -16,7 +16,10 @@
 //!
 //! With `--check` the bench exits non-zero unless
 //!  - tiered wall time beats the baseline-only run,
-//!  - both runs produce bit-identical result streams, and
+//!  - both runs produce bit-identical result streams,
+//!  - every closure's lifetime call count, read from its code-table
+//!    link, equals the calls the schedule made to it (promotion keeps
+//!    the count), and
 //!  - a deopt round-trip restores a promoted closure's pre-optimization
 //!    PTML byte-identically from its provenance record.
 
@@ -26,9 +29,9 @@ use std::time::Instant;
 use tml_bench::ms;
 use tml_core::Oid;
 use tml_lang::Session;
-use tml_reflect::tier::{self, TierEngine, TierOptions};
+use tml_reflect::tier::{self, TierEngine, TierOptions, TIER_HOT};
 use tml_store::{Object, SVal};
-use tml_vm::{RVal, TIER_HOT};
+use tml_vm::RVal;
 
 /// Total distinct workload closures; `HOT` of them (5%) take 95% of
 /// the calls.
@@ -188,6 +191,17 @@ fn main() {
         .filter(|&oid| tier_s.store.attr(oid, "tier") == Some(i64::from(TIER_HOT)))
         .count();
 
+    let mut scheduled = vec![0u64; FUNCS];
+    for k in schedule() {
+        scheduled[k] += 1;
+    }
+    let miscounted: Vec<usize> = (0..FUNCS)
+        .filter(|&k| {
+            let oid = closure_oid(&tier_s, &format!("work.f{k}"));
+            tier_s.vm.code.link_calls(oid) != scheduled[k]
+        })
+        .collect();
+
     // Deopt round-trip: demote a promoted hot closure and require the
     // byte-identical pre-optimization PTML back.
     let f0 = closure_oid(&tier_s, "work.f0");
@@ -227,10 +241,12 @@ fn main() {
         base_results.len()
     );
     println!("deopt PTML roundtrip  : byte-identical = {deopt_ok}");
+    println!("lifetime call counts  : miscounted closures {miscounted:?}");
 
     if check {
         let ok = identical
             && deopt_ok
+            && miscounted.is_empty()
             && tier_t < base_t
             && hot_promoted == HOT
             && cold_promoted == 0

@@ -594,7 +594,7 @@ fn derive_key(
 }
 
 /// Remember a cache product linked into the session's code table, so
-/// that later hits copy its entry block instead of linking again.
+/// that later hits reuse its entry block instead of linking again.
 fn memoize<T>(vm: &mut Vm, key: CacheKey, ptml: &[u8], linked: &Linked<T>) {
     let product = LinkedProduct {
         ptml_hash: hash_bytes(ptml),
@@ -606,9 +606,9 @@ fn memoize<T>(vm: &mut Vm, key: CacheKey, ptml: &[u8], linked: &Linked<T>) {
 
 /// Try to satisfy a rebuild from the persistent cache: no term rebuild,
 /// no optimizer. A product this session already linked serves the hit
-/// with a fresh copy of its entry block (own call counter and tier tag);
-/// otherwise — the first hit after a reopen, or an entry replaced since —
-/// its PTML goes through [`link_ptml`]. An entry that does not link
+/// with its entry block (call counts live in each closure's link, not on
+/// blocks); otherwise — the first hit after a reopen, or an entry
+/// replaced since — its PTML goes through [`link_ptml`]. An entry that does not link
 /// (corrupt image) returns `None` so the caller recomputes; the
 /// subsequent insert overwrites the entry.
 fn try_cached<S: StoreAccess>(
@@ -631,8 +631,10 @@ fn try_cached<S: StoreAccess>(
                 .iter()
                 .map(|n| Ok((n.clone(), fallback(n, &session.globals)?)));
             let captures = captures.collect::<Result<_, ReflectError>>().ok()?;
-            let block = session.vm.code.duplicate(p.block);
-            Linked { block, captures }
+            Linked {
+                block: p.block,
+                captures,
+            }
         }
         _ => {
             let linked = link_ptml(session, &entry.ptml, fallback).ok()?;
@@ -1096,11 +1098,15 @@ pub struct RelinkReport {
 /// environment derived from its persisted R-value bindings. OIDs are
 /// stable across images, so binding values — including mutual
 /// references between closures — remain valid as-is; only the links are
-/// regenerated, and the store is not written.
+/// regenerated. Each link's lifetime call count starts at the closure's
+/// persisted `tier.calls` attribute, so a restart does not reset the
+/// climb toward the promotion threshold. Relink writes to the store only
+/// for a degraded skip (below).
 ///
 /// A closure whose PTML is unreadable — the blob object is gone, or its
 /// bytes fail to decode — is *skipped*, not fatal: it stays unlinked,
-/// gets the `degraded = 1` attribute, and is counted in
+/// gets the `degraded = 1` attribute (set through the store-access seam,
+/// so a logged record on a durable store), and is counted in
 /// [`RelinkReport::skipped`]. Image boot is thereby total on any store
 /// that decodes. A closure persisted without PTML (a run-time closure
 /// stored by `RVal::persist`) stays unlinked too, and is counted by the
@@ -1146,21 +1152,11 @@ pub fn relink_image_code<S: StoreAccess>(
                 continue;
             }
         };
-        session.vm.code.link(oid, linked.block, linked.env());
-        // Code links are transient, but hotness is not: re-seed the
-        // fresh block's invocation counter and tier tag from the
-        // persisted `tier.calls` / `tier` attributes (written by
-        // `tier::persist_counters` and the hot-swap path), so a restart
-        // neither forgets which closures are hot nor resets the climb
-        // toward the promotion threshold.
-        if let Some(calls) = session.store.attr(oid, "tier.calls") {
-            if calls > 0 {
-                session.vm.code.seed_calls(linked.block, calls as u64);
-            }
-        }
-        if session.store.attr(oid, "tier") == Some(i64::from(tml_vm::TIER_HOT)) {
-            session.vm.code.set_tier(linked.block, tml_vm::TIER_HOT);
-        }
+        let calls = session.store.attr(oid, "tier.calls").unwrap_or(0).max(0);
+        session
+            .vm
+            .code
+            .link_counted(oid, linked.block, linked.env(), calls as u64);
         report.relinked += 1;
     }
     if tml_trace::enabled() {
@@ -1464,15 +1460,16 @@ end";
             .collect();
         assert_eq!(s.store.cache_stats().hits, 2);
         let blocks: Vec<u32> = products.iter().map(|p| closure_code(&s, p)).collect();
-        assert!(
-            blocks[0] != blocks[1] && blocks[1] != blocks[2] && blocks[0] != blocks[2],
-            "{blocks:?}"
-        );
+        assert_eq!(blocks, vec![blocks[0]; 3], "one shared entry block");
         for _ in 0..3 {
             abs_of_3_4(&mut s, &products[1]);
         }
         abs_of_3_4(&mut s, &products[2]);
-        let calls: Vec<u64> = blocks.iter().map(|&b| s.vm.code.calls(b)).collect();
+        let oids = products.iter().map(|p| match p {
+            SVal::Ref(o) => *o,
+            other => panic!("{other:?}"),
+        });
+        let calls: Vec<u64> = oids.map(|o| s.vm.code.link_calls(o)).collect();
         assert_eq!(calls, vec![0, 3, 1]);
     }
 

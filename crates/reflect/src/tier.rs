@@ -4,8 +4,9 @@
 //! This module closes the loop the paper's `reflect.optimize` leaves
 //! open: instead of a one-shot, user-invoked reflective operation,
 //! optimization becomes continuous and workload-driven. The VM counts
-//! invocations per code block ([`tml_vm::CodeTable::note_call`]); a
-//! [`TierEngine`] samples those counters, picks closures that crossed a
+//! each stored closure's calls in its code-table link
+//! ([`tml_vm::CodeTable::link_calls`]); a
+//! [`TierEngine`] samples those counts, picks closures that crossed a
 //! configurable hotness threshold, re-optimizes them with **escalated**
 //! inline/penalty budgets plus observed-binding specialization
 //! ([`escalated`]), and hot-swaps the result into the store *in place* —
@@ -46,21 +47,27 @@
 //! byte-identically from that record and drop the closure back to the
 //! baseline tier.
 //!
-//! Hotness survives restarts: [`persist_counters`] writes each
-//! closure's lifetime call count to the `tier.calls` attribute (saved
-//! in the TYCAT2 catalog's attr section at checkpoint), and
-//! [`crate::relink_image_code`] seeds the fresh code table from those
-//! attributes on image load.
+//! The count belongs to the closure, not to its code: re-linking an OID
+//! (promotion, deopt) keeps it. Hotness survives restarts:
+//! [`persist_counters`] writes each closure's lifetime call count to the
+//! `tier.calls` attribute (saved in the TYCAT2 catalog's attr section at
+//! checkpoint), and [`crate::relink_image_code`] seeds each fresh link
+//! from that attribute on image load.
 
 use std::collections::HashMap;
 
 use tml_core::Oid;
 use tml_lang::Session;
 use tml_store::{Object, SVal, Store, StoreAccess, StoreError};
-use tml_vm::{CodeTable, TIER_BASELINE, TIER_HOT};
+use tml_vm::CodeTable;
 
 use crate::{link_ptml, ptml_blob, rebuild, recorded_or_global, KeyInputs};
 use crate::{ReflectError, ReflectOptions};
+
+/// Value of the `tier` attribute of a closure on the baseline tier.
+pub const TIER_BASELINE: u8 = 0;
+/// Value of the `tier` attribute of a closure the promoter re-optimized.
+pub const TIER_HOT: u8 = 1;
 
 /// Store root holding the cumulative swap/deopt totals tuple.
 pub const STATS_ROOT: &str = "tier.stats";
@@ -170,8 +177,7 @@ pub struct Promotion {
     pub oid: Oid,
     /// Global name, when one is bound to the OID.
     pub name: Option<String>,
-    /// Compiled hot-tier code block (already tagged [`TIER_HOT`] in the
-    /// session's code table).
+    /// Compiled hot-tier code block, linked by [`Promotion::link`].
     pub block: u32,
     bindings: Vec<(String, SVal)>,
     /// The freshly allocated hot-tier PTML blob.
@@ -228,11 +234,6 @@ pub fn prepare_promotion<S: StoreAccess>(
         .filter(|(d, _)| *d != oid)
         .copied()
         .collect();
-    session.vm.code.set_tier(rebuilt.block, TIER_HOT);
-    // The counters are *lifetime* counts: carry the old block's tally to
-    // the hot block so a swap never resets hotness (persist_counters
-    // reads the linked block).
-    carry_calls(&session.vm.code, oid, rebuilt.block);
     Ok(Promotion {
         oid,
         name,
@@ -252,14 +253,6 @@ impl Promotion {
     /// transaction committed if it ran in one).
     pub fn link(&self, code: &CodeTable) {
         code.link(self.oid, self.block, self.bindings.iter().map(|(_, v)| v));
-    }
-}
-
-/// Carry the lifetime call count of the block `oid` is linked to over to
-/// `block`, the one it is about to be linked to.
-fn carry_calls(code: &CodeTable, oid: Oid, block: u32) {
-    if let Some(prev) = code.linked_block(oid) {
-        code.seed_calls(block, code.calls(prev));
     }
 }
 
@@ -378,9 +371,6 @@ pub fn prepare_deopt<S: StoreAccess>(
         .ok_or_else(|| ReflectError::Store(format!("no tier provenance recorded for {oid}")))?;
     let bytes = ptml_blob(session.store.base(), prov.prev_ptml)?.to_vec();
     let linked = link_ptml(session, &bytes, recorded_or_global(&prov.prev_bindings))?;
-    // Lifetime counters survive the demotion just like the promotion —
-    // the closure is still hot, it only lost its assumptions.
-    carry_calls(&session.vm.code, oid, linked.block);
     Ok(Deopt {
         oid,
         block: linked.block,
@@ -439,22 +429,18 @@ impl TierEngine {
     /// Baseline closures whose lifetime call count crossed the
     /// threshold, hottest first, capped at `max_per_tick`.
     pub fn sample<S: StoreAccess>(&self, session: &Session<S>) -> Vec<(Oid, u64)> {
-        let code = &session.vm.code;
+        let store = &session.store;
         let mut v: Vec<(Oid, u64)> = session
-            .store
-            .base()
-            .iter()
-            .filter_map(|(oid, obj)| match obj {
-                Object::Closure(c)
-                    if c.ptml.is_some()
-                        && session.store.attr(oid, "tier") != Some(i64::from(TIER_HOT))
-                        && session.store.attr(oid, "tier.skip") != Some(1)
-                        && session.store.attr(oid, "degraded") != Some(1) =>
-                {
-                    let n = code.calls(code.linked_block(oid)?);
-                    (n >= self.opts.threshold).then_some((oid, n))
-                }
-                _ => None,
+            .vm
+            .code
+            .link_counts()
+            .into_iter()
+            .filter(|&(oid, n)| {
+                n >= self.opts.threshold
+                    && has_ptml(store.base(), oid)
+                    && store.attr(oid, "tier") != Some(i64::from(TIER_HOT))
+                    && store.attr(oid, "tier.skip") != Some(1)
+                    && store.attr(oid, "degraded") != Some(1)
             })
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
@@ -566,27 +552,24 @@ pub fn tick<S: StoreAccess>(
 /// hotness survives checkpoint/reopen (the TYCAT2 catalog saves the
 /// attr section wholesale). Returns the number of counters written.
 pub fn persist_counters<S: StoreAccess>(session: &mut Session<S>) -> Result<usize, StoreError> {
-    let code = &session.vm.code;
-    let targets: Vec<(Oid, u64)> = session
-        .store
-        .base()
-        .iter()
-        .filter_map(|(oid, obj)| match obj {
-            Object::Closure(c) if c.ptml.is_some() => {
-                Some((oid, code.calls(code.linked_block(oid)?)))
-            }
-            _ => None,
-        })
-        .collect();
     let mut written = 0;
-    for (oid, calls) in targets {
+    for (oid, calls) in session.vm.code.link_counts() {
         let v = calls.min(i64::MAX as u64) as i64;
-        if v > 0 && session.store.attr(oid, "tier.calls") != Some(v) {
+        if v > 0
+            && has_ptml(session.store.base(), oid)
+            && session.store.attr(oid, "tier.calls") != Some(v)
+        {
             session.store.set_attr(oid, "tier.calls", v)?;
             written += 1;
         }
     }
     Ok(written)
+}
+
+/// `true` when `oid` is a closure that carries PTML, the only kind the
+/// tier engine can re-optimize.
+fn has_ptml(store: &Store, oid: Oid) -> bool {
+    matches!(store.get(oid), Ok(Object::Closure(c)) if c.ptml.is_some())
 }
 
 /// Publish the `reflect.tier.*` gauge block: schema tag, per-tier

@@ -7,7 +7,7 @@
 //!    blob, it only re-anchors it under a `tier.prev.<oid>` root.
 //! 2. Hotness survives checkpoint/reopen: `persist_counters` writes
 //!    lifetime call counts into the TYCAT2 attr section and
-//!    `relink_image_code` seeds the fresh code table from them.
+//!    `relink_image_code` starts each fresh link's count from them.
 //! 3. A session mid-call keeps executing the code object it pinned at
 //!    entry (the machine takes the closure's code-table link on
 //!    invocation), while the next call through the OID picks up the new
@@ -20,11 +20,13 @@
 
 use tml_core::{Oid, Registry};
 use tml_lang::{Session, SessionConfig};
-use tml_reflect::tier::{self, TickReport, TierEngine, TierOptions, TierTotals};
+use tml_reflect::tier::{
+    self, TickReport, TierEngine, TierOptions, TierTotals, TIER_BASELINE, TIER_HOT,
+};
 use tml_store::durable::{DurableOptions, DurableStore};
 use tml_store::gc::GcStats;
 use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess, StoreError};
-use tml_vm::{RVal, TIER_BASELINE, TIER_HOT};
+use tml_vm::RVal;
 
 /// The paper's §4.1 complex/abs example — enough cross-module calls for
 /// the escalated tier to show a measurable win.
@@ -267,21 +269,15 @@ fn counters_and_tier_survive_checkpoint_and_reopen() {
     let mut reopened =
         tml_reflect::session_from_access_with(ds2, SessionConfig::default(), Registry::standard());
     tml_reflect::relink_image_code(&mut reopened).unwrap();
-    let block = reopened.vm.code.linked_block(oid).expect("relinked");
     assert_eq!(
-        reopened.vm.code.calls(block) as i64,
+        reopened.vm.code.link_calls(oid) as i64,
         persisted,
-        "reopened code table seeded from tier.calls"
+        "reopened link seeded from tier.calls"
     );
     assert_eq!(
         reopened.store.attr(oid, "tier"),
         Some(i64::from(TIER_HOT)),
         "tier attribute survives reopen"
-    );
-    assert_eq!(
-        reopened.vm.code.tier(block),
-        TIER_HOT,
-        "relinked block tagged hot"
     );
     // The promoted closure still answers correctly after reopen.
     let c3 = reopened
@@ -291,6 +287,35 @@ fn counters_and_tier_survive_checkpoint_and_reopen() {
     let r = reopened.call("geom.abs", vec![c3]).unwrap();
     assert_eq!(r.result, RVal::Real(5.0));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn calls_between_prepare_and_link_stay_in_the_lifetime_count() {
+    let mut s = session();
+    let oid = closure_oid(&s, "geom.abs");
+    let c = s
+        .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
+        .unwrap()
+        .result;
+    let calls = |s: &mut Session, n: u64| {
+        for _ in 0..n {
+            s.call("geom.abs", vec![c.clone()]).unwrap();
+        }
+    };
+    calls(&mut s, 2);
+    let p = tier::prepare_promotion(&mut s, oid, &opts(1)).unwrap();
+    calls(&mut s, 3);
+    tier::apply_promotion(&mut s.store, &p).unwrap();
+    p.link(&s.vm.code);
+    assert_eq!(s.vm.code.link_calls(oid), 5, "promotion keeps every call");
+    calls(&mut s, 1);
+
+    let d = tier::prepare_deopt(&mut s, oid).unwrap();
+    calls(&mut s, 4);
+    tier::apply_deopt(&mut s.store, &d).unwrap();
+    d.link(&s.vm.code);
+    assert_eq!(s.vm.code.link_calls(oid), 10, "deopt keeps every call");
+    assert_eq!(s.vm.code.linked_block(oid), Some(d.block));
 }
 
 /// A plain store that refuses to mutate one object, standing in for a

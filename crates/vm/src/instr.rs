@@ -5,7 +5,7 @@
 //! is tail transfer: `Call`, `Halt`, `Raise` and the branch instructions
 //! never return.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -534,23 +534,12 @@ impl CodeBlock {
 #[derive(Debug, Clone)]
 pub struct CodeTable {
     blocks: Vec<CodeBlock>,
-    /// Per-block invocation counters for tiered execution. `Cell` keeps
-    /// the bump a plain load/store on the dispatch hot path: the machine
-    /// holds `&CodeTable`, and sessions are single-threaded (`!Send`), so
-    /// no atomics are needed.
-    calls: Vec<Cell<u64>>,
-    /// Per-block tier tags (`TIER_BASELINE` / `TIER_HOT`).
-    tiers: Vec<u8>,
-    /// Stored closures' code, by OID. A `RefCell` for the same reason
-    /// `calls` holds `Cell`s: the machine links the closures it persists
-    /// through its shared `&CodeTable`.
-    links: RefCell<HashMap<Oid, Rc<TransientClosure>>>,
+    /// Stored closures' code, by OID, with each closure's lifetime call
+    /// count (the tier engine's hotness). A `RefCell` because the machine
+    /// counts calls and links the closures it persists through its shared
+    /// `&CodeTable`; sessions are single-threaded (`!Send`).
+    links: RefCell<HashMap<Oid, (Rc<TransientClosure>, u64)>>,
 }
-
-/// Tier tag of freshly compiled (cold) code.
-pub const TIER_BASELINE: u8 = 0;
-/// Tier tag of code re-optimized by the background tier promoter.
-pub const TIER_HOT: u8 = 1;
 
 /// The sentinel block terminating a native call's normal path.
 pub const NATIVE_OK_BLOCK: u32 = 0;
@@ -568,8 +557,6 @@ impl CodeTable {
     pub fn new() -> CodeTable {
         let mut t = CodeTable {
             blocks: Vec::new(),
-            calls: Vec::new(),
-            tiers: Vec::new(),
             links: RefCell::default(),
         };
         t.push(CodeBlock {
@@ -589,88 +576,66 @@ impl CodeTable {
         t
     }
 
-    /// Add a block; returns its index. New blocks start cold: zero calls,
-    /// baseline tier.
+    /// Add a block; returns its index.
     pub fn push(&mut self, block: CodeBlock) -> u32 {
         self.blocks.push(block);
-        self.calls.push(Cell::new(0));
-        self.tiers.push(TIER_BASELINE);
         self.blocks.len() as u32 - 1
-    }
-
-    /// Append a copy of block `ix` and return its index. The copy starts
-    /// cold (zero calls, baseline tier); the blocks it closes over stay
-    /// shared. Closures linked from one cached optimization product each
-    /// get their own entry block this way.
-    pub fn duplicate(&mut self, ix: u32) -> u32 {
-        let block = self.blocks[ix as usize].clone();
-        self.push(block)
-    }
-
-    /// Record one invocation of block `ix`; returns the new count.
-    /// Saturating so a pathological loop cannot wrap back to cold. A
-    /// dangling index is a no-op — `enter`'s bounds guard turns the call
-    /// itself into a typed trap right after.
-    #[inline]
-    pub fn note_call(&self, ix: u32) -> u64 {
-        let Some(c) = self.calls.get(ix as usize) else {
-            return 0;
-        };
-        let n = c.get().saturating_add(1);
-        c.set(n);
-        n
-    }
-
-    /// Invocation count of block `ix` since compilation (or since the
-    /// count was seeded from a persisted image). Zero for dangling
-    /// indices.
-    pub fn calls(&self, ix: u32) -> u64 {
-        self.calls.get(ix as usize).map_or(0, Cell::get)
-    }
-
-    /// Seed the invocation counter of block `ix` — used when reopening a
-    /// durable image so hotness survives checkpoint/restart. A dangling
-    /// index is a no-op.
-    pub fn seed_calls(&self, ix: u32, n: u64) {
-        if let Some(c) = self.calls.get(ix as usize) {
-            c.set(n);
-        }
-    }
-
-    /// Tier tag of block `ix` (baseline for dangling indices).
-    pub fn tier(&self, ix: u32) -> u8 {
-        self.tiers
-            .get(ix as usize)
-            .copied()
-            .unwrap_or(TIER_BASELINE)
-    }
-
-    /// Set the tier tag of block `ix` (promotion / deopt). A dangling
-    /// index is a no-op.
-    pub fn set_tier(&mut self, ix: u32, tier: u8) {
-        if let Some(t) = self.tiers.get_mut(ix as usize) {
-            *t = tier;
-        }
     }
 
     /// Link the stored closure `oid` to `block`, with its environment:
     /// the values of its bindings in slot order. Replaces an earlier link
-    /// of the same OID; a machine already running the old code finishes
-    /// on it.
+    /// of the same OID but keeps its call count; a machine already
+    /// running the old code finishes on it.
     pub fn link<'v>(&self, oid: Oid, block: u32, env: impl IntoIterator<Item = &'v SVal>) {
+        self.link_counted(oid, block, env, 0);
+    }
+
+    /// [`CodeTable::link`], starting the call count of an OID not linked
+    /// yet at `calls` (a count an earlier session persisted).
+    pub fn link_counted<'v>(
+        &self,
+        oid: Oid,
+        block: u32,
+        env: impl IntoIterator<Item = &'v SVal>,
+        calls: u64,
+    ) {
         let env = env.into_iter().map(RVal::from_sval).collect();
         let clo = Rc::new(TransientClosure { code: block, env });
-        self.links.borrow_mut().insert(oid, clo);
+        let mut links = self.links.borrow_mut();
+        let link = links.entry(oid).or_insert_with(|| (Rc::clone(&clo), calls));
+        link.0 = clo;
+    }
+
+    /// The code `oid` is linked to, counting one call of it. Saturating
+    /// so a pathological loop cannot wrap back to cold.
+    pub(crate) fn linked_call(&self, oid: Oid) -> Option<Rc<TransientClosure>> {
+        let mut links = self.links.borrow_mut();
+        let (clo, calls) = links.get_mut(&oid)?;
+        *calls = calls.saturating_add(1);
+        Some(Rc::clone(clo))
+    }
+
+    /// Lifetime call count of the stored closure `oid` (zero when it is
+    /// not linked).
+    pub fn link_calls(&self, oid: Oid) -> u64 {
+        self.links.borrow().get(&oid).map_or(0, |l| l.1)
+    }
+
+    /// Every linked OID with its lifetime call count, in OID order.
+    pub fn link_counts(&self) -> Vec<(Oid, u64)> {
+        let mut v: Vec<(Oid, u64)> = self.links.borrow().iter().map(|(o, l)| (*o, l.1)).collect();
+        v.sort_unstable_by_key(|(o, _)| o.0);
+        v
     }
 
     /// The code and environment `oid` is linked to in this session.
     pub fn linked(&self, oid: Oid) -> Option<Rc<TransientClosure>> {
-        self.links.borrow().get(&oid).cloned()
+        self.links.borrow().get(&oid).map(|l| Rc::clone(&l.0))
     }
 
     /// The block `oid` is linked to in this session.
     pub fn linked_block(&self, oid: Oid) -> Option<u32> {
-        self.links.borrow().get(&oid).map(|c| c.code)
+        self.links.borrow().get(&oid).map(|l| l.0.code)
     }
 
     /// Fetch a block.

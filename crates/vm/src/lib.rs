@@ -47,7 +47,7 @@ pub mod rval;
 
 pub use compile::{CompileError, CompiledProc, Compiler};
 pub use host::{ExternFn, ExternTable};
-pub use instr::{CodeBlock, CodeTable, Instr, TIER_BASELINE, TIER_HOT};
+pub use instr::{CodeBlock, CodeTable, Instr};
 pub use machine::{ExecStats, Machine, Outcome, VmError, VmProfile};
 pub use rval::{RVal, TransientRow};
 
@@ -74,8 +74,7 @@ pub struct LinkedProduct {
     /// Hash of the optimized PTML the block was compiled from; a cache
     /// entry with other PTML is not served by this block.
     pub ptml_hash: u64,
-    /// The entry block. Each further hit links a fresh copy of it
-    /// ([`CodeTable::duplicate`]).
+    /// The entry block, which every further hit links as is.
     pub block: u32,
     /// The capture names, in environment order.
     pub captures: Vec<String>,

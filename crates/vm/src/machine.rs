@@ -223,11 +223,6 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         for (block, n) in &p.block_calls {
             let name = &self.code.block(*block).name;
             g.counter(&format!("vm.block.{name}#{block}")).add(*n);
-            // Cumulative per-closure invocation gauge for the tier
-            // sampler: unlike `vm.block.*` (this run only), this mirrors
-            // the code table's lifetime counter.
-            g.counter(&format!("vm.closure.calls.{name}#{block}"))
-                .set(self.code.calls(*block));
         }
     }
 
@@ -402,7 +397,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                     Object::Closure(_) => Some(()),
                     _ => None,
                 })?;
-                let c = self.code.linked(oid).ok_or_else(|| {
+                let c = self.code.linked_call(oid).ok_or_else(|| {
                     VmError::Trap(format!(
                         "call of closure {oid} with no code in this session: it was \
                          persisted without PTML, or its PTML did not relink"
@@ -419,7 +414,6 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 )))
             }
         };
-        self.code.note_call(code);
         if let Some(p) = self.profile.as_deref_mut() {
             *p.block_calls.entry(code).or_insert(0) += 1;
         }
