@@ -7,10 +7,17 @@
 //!   the paper reports *more than doubles the execution speed*).
 //!
 //! Reported per program: instruction counts (deterministic) and wall time
-//! (best of 5), plus geometric means across the suite.
+//! (best of 5), plus geometric means across the suite. Also reported, and
+//! checked: the heap closures and control-stack frames one call of every
+//! program makes, per session.
 
 use tml_bench::{geomean, measure, ms, Config};
 use tml_lang::stanford::suite;
+
+/// Heap closures one call of every program made, per session, while
+/// return continuations were heap closures (before the control stack).
+/// A session may now make at most a tenth of that.
+const HEAP_CLOSURES_BEFORE: [(&str, u64); 2] = [("base", 490_285), ("dyn", 25_364)];
 
 fn main() {
     println!("E1/E2 — Stanford suite under the three §6 configurations\n");
@@ -32,6 +39,8 @@ fn main() {
     let mut e2_instr = Vec::new();
     let mut e1_time = Vec::new();
     let mut e2_time = Vec::new();
+    // (heap closures, frames) per session: base, dyn.
+    let mut work = [(0, 0); 2];
 
     for p in suite() {
         let n = p.bench_n;
@@ -59,6 +68,10 @@ fn main() {
         e2_instr.push(e2x);
         e1_time.push(base.seconds / local.seconds);
         e2_time.push(base.seconds / dynamic.seconds);
+        for (w, m) in work.iter_mut().zip([base, dynamic]) {
+            w.0 += m.closures;
+            w.1 += m.frames;
+        }
     }
 
     println!("{}", "-".repeat(110));
@@ -72,6 +85,16 @@ fn main() {
         geomean(&e1_time),
         geomean(&e2_time)
     );
+    for ((session, before), (closures, frames)) in HEAP_CLOSURES_BEFORE.into_iter().zip(work) {
+        println!(
+            "{session:<4} one call of each program: {closures} heap closures \
+             ({before} before the control stack), {frames} frames"
+        );
+        assert!(
+            closures * 10 <= before,
+            "{session}: {closures} heap closures per suite call, more than a tenth of {before}"
+        );
+    }
     println!(
         "\npaper §6: local optimization — \"no significant speedup\"; dynamic optimization —\n\
          \"more than doubles the execution speed of the standard benchmarks\"."

@@ -20,6 +20,10 @@ pub struct Measurement {
     pub instrs: u64,
     /// Closure transfers.
     pub calls: u64,
+    /// Heap closures allocated.
+    pub closures: u64,
+    /// Return frames pushed on the machine's control stack.
+    pub frames: u64,
     /// Best-of-N wall-clock seconds.
     pub seconds: f64,
 }
@@ -78,6 +82,8 @@ pub fn measure(config: Config, src: &str, entry: &str, n: i64, reps: u32) -> Mea
         checksum,
         instrs: out.stats.instrs,
         calls: out.stats.calls,
+        closures: out.stats.closures,
+        frames: out.stats.frames,
         seconds: best,
     }
 }

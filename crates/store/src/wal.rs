@@ -589,7 +589,7 @@ fn scan_stream(stream: &[u8], out: &mut LogScan) {
 }
 
 /// Running totals the log reports to `tmlc info` via trace gauges.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended (commit markers included).
     pub appends: u64,

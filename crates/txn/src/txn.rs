@@ -67,6 +67,9 @@ pub struct TxnOptions {
 pub struct Txn {
     id: u64,
     undo: Vec<WalRecord>,
+    /// Whether any record stamped with this transaction reached the
+    /// backend (a forward op, or a compensation of one).
+    logged: bool,
     started: Instant,
 }
 
@@ -140,12 +143,15 @@ impl TxnManager {
         Txn {
             id,
             undo: Vec::new(),
+            logged: false,
             started: Instant::now(),
         }
     }
 
     /// Commit: append the `TxnCommit` marker, run the backend's normal
-    /// group-commit path, release locks. The `txn.commit` failpoint
+    /// group-commit path, release locks. A transaction that logged
+    /// nothing (it only read) appends no marker and makes nothing
+    /// durable: it only releases its locks. The `txn.commit` failpoint
     /// (keyed by txn id) fires *before* the marker — a crash there loses
     /// the whole transaction, never half of it.
     ///
@@ -166,6 +172,7 @@ impl TxnManager {
     ) -> Result<bool, StoreError> {
         store.txn_stamp(None);
         let marked = match failpoint::fail_io("txn.commit", txn.id) {
+            Ok(()) if txn.undo.is_empty() && !txn.logged => Ok(false),
             Ok(()) => store.txn_marker(txn.id, true),
             Err(e) => {
                 let _ = self.rollback_to(store, &mut txn, 0);
@@ -228,6 +235,7 @@ impl TxnManager {
         while txn.undo.len() > sp {
             failpoint::fail_io("txn.abort", txn.id).map_err(|e| StoreError::Io(e.to_string()))?;
             let rec = txn.undo.last().cloned().expect("len > sp >= 0");
+            txn.logged = true;
             store.txn_stamp(Some(TxnStamp {
                 txn: txn.id,
                 clr: true,
@@ -333,6 +341,7 @@ impl<'a, S: StoreAccess + ?Sized> TxnView<'a, S> {
         undo: Option<WalRecord>,
         f: impl FnOnce(&mut S) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
+        self.txn.logged = true;
         self.store.txn_stamp(Some(TxnStamp {
             txn: self.txn.id,
             clr: false,

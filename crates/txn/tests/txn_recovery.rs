@@ -459,6 +459,42 @@ fn open_transactions_block_checkpoints() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A transaction that only reads appends nothing to the log: no commit
+/// marker, no commit record, no tail-page write. One that wrote commits
+/// as before.
+#[test]
+fn read_only_transactions_write_nothing() {
+    let _fp = ScopedFailpoints::new(&[]);
+    let dir = tmpdir("readonly");
+    let path = dir.join("db.img");
+    let (mut d, slots) = setup(&path);
+    let mgr = TxnManager::new(TxnOptions::default());
+    let log = tml_store::wal::wal_path(&path);
+    let log_len = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap();
+    let (before, len) = (d.wal_stats(), log_len(&log));
+
+    let mut t = mgr.begin(&mut d);
+    {
+        let locks = std::sync::Arc::clone(mgr.locks());
+        let view = TxnView::new(&mut d, &mut t, &locks);
+        assert_eq!(view.array_get(slots[0], 0).unwrap(), SVal::Int(0));
+        assert!(view.get(slots[1]).is_ok());
+    }
+    assert_eq!(t.ops(), 0);
+    assert!(!mgr.commit(&mut d, t).unwrap(), "nothing to make durable");
+    assert_eq!(d.wal_stats(), before, "a read-only commit appends nothing");
+    assert_eq!(log_len(&log), len);
+
+    let mut t = mgr.begin(&mut d);
+    put(&mgr, &mut d, &mut t, slots[0], 5).unwrap();
+    mgr.commit(&mut d, t).unwrap();
+    let after = d.wal_stats();
+    assert!(after.appends > before.appends && after.commits > before.commits);
+    drop(d);
+    assert_eq!(slot_value(&path, 0), 5);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A tier swap whose commit fails before its marker (the `txn.commit`
 /// failpoint) is rolled back at once: the closure keeps its baseline
 /// link, PTML and attributes in memory, and closing the image — which

@@ -27,15 +27,26 @@
 //! and closure code is exactly what the paper's dynamic optimization
 //! removes. Malformed or oversized input (decoded persistent code
 //! included) fails with a typed [`CompileError`], never a panic.
+//!
+//! A continuation that leaves its block without escaping (rule 3) is a
+//! **return frame** on the machine's control stack, not a heap closure
+//! ([`Instr::Push`]):
+//!
+//! * the continuation abstraction passed as a call's `c꜀`, with a fresh
+//!   `cₑ` as its exception landing pad in the same frame;
+//! * a join point that falls back, pushed where it is bound, unless its
+//!   scope can be left through a label or loop bound outside it (the
+//!   frame would never be popped): the pre-pass reports those as *leaky*.
+//!
+//! A continuation used any other way (a handler, a loop that falls back,
+//! a leaky join point) is a heap closure as before.
 
-use crate::instr::{CodeBlock, CodeTable, ContRef, GroupCap, Instr, Src};
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::instr::{self, CodeBlock, CodeTable, ContRef, GroupCap, Instr, Src};
 use std::sync::Arc;
 use tml_core::emit::{CellOp, ContId, EmitCtx, EmitError, MachOp, Operand, Reg};
 use tml_core::free::free_vars_abs;
 use tml_core::prim::Arity;
-use tml_core::term::{Abs, App, Value};
+use tml_core::term::{Abs, AbsKind, App, Value};
 use tml_core::{Ctx, Lit, VarId};
 use tml_store::SVal;
 
@@ -97,29 +108,8 @@ pub struct CompiledProc {
     pub captures: Vec<VarId>,
 }
 
-/// Maps keyed by [`VarId`]: one multiplication per hash, which suffices
-/// for the dense ids a name table hands out.
-type IdMap<V> = HashMap<VarId, V, BuildHasherDefault<IdHasher>>;
-type IdSet = HashSet<VarId, BuildHasherDefault<IdHasher>>;
-
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        bytes
-            .iter()
-            .for_each(|&b| self.write_u32(u32::from(b) ^ self.0 as u32));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
+type IdMap<V> = instr::IdMap<VarId, V>;
+type IdSet = instr::IdSet<VarId>;
 
 /// Variable location within a block.
 #[derive(Debug, Clone, Copy)]
@@ -148,6 +138,9 @@ pub struct Compiler<'a> {
     pend_pool: Vec<Pend>,
     /// The binders [`plan`] keeps in their block.
     inline: IdSet,
+    /// Join points whose scope [`plan`] found may be left without
+    /// invoking them: these fall back to closures, not frames.
+    leaky: IdSet,
 }
 
 impl<'a> Compiler<'a> {
@@ -158,12 +151,13 @@ impl<'a> Compiler<'a> {
             code,
             pend_pool: Vec::new(),
             inline: IdSet::default(),
+            leaky: IdSet::default(),
         }
     }
 
     /// Compile a procedure. Its free variables become the closure captures.
     pub fn compile_proc(&mut self, abs: &Abs) -> Result<CompiledProc, CompileError> {
-        self.inline = plan(self.ctx, &abs.body);
+        (self.inline, self.leaky) = plan(self.ctx, &abs.body);
         let captures = free_vars_abs(abs);
         let block = self.compile_block(abs, &captures, "proc")?;
         Ok(CompiledProc { block, captures })
@@ -207,11 +201,7 @@ impl<'a> Compiler<'a> {
         match &app.func {
             Value::Abs(abs) => self.compile_direct(b, abs, &app.args),
             Value::Var(_) => {
-                let args = app
-                    .args
-                    .iter()
-                    .map(|a| self.resolve(b, a))
-                    .collect::<Result<_, _>>()?;
+                let args = self.call_args(b, &app.args)?;
                 self.transfer(b, &app.func, args)
             }
             Value::Prim(p) => self.compile_prim(b, *p, app),
@@ -246,10 +236,25 @@ impl<'a> Compiler<'a> {
                     Loc::Label(id)
                 }
                 _ => {
-                    if matches!(a, Value::Abs(_)) && self.ctx.names.is_cont(p) {
-                        tml_trace::count("vm.compile.join_closures", 1);
-                    }
-                    let src = self.resolve(b, a)?;
+                    let src = match a {
+                        // A join point used outside its block, whose scope
+                        // is left only through it (or by unwinding below
+                        // it): a frame under the code of its scope.
+                        Value::Abs(k)
+                            if self.ctx.names.is_cont(p)
+                                && k.kind(&self.ctx.names) == AbsKind::Cont
+                                && !self.leaky.contains(&p) =>
+                        {
+                            tml_trace::count("vm.compile.join_frames", 1);
+                            self.push_frame(b, &[Arc::clone(k)])?[0]
+                        }
+                        _ => {
+                            if matches!(a, Value::Abs(_)) && self.ctx.names.is_cont(p) {
+                                tml_trace::count("vm.compile.join_closures", 1);
+                            }
+                            self.resolve(b, a)?
+                        }
+                    };
                     let s = b.fresh_slot();
                     b.emit(Instr::Mov { dst: s, src });
                     Loc::Slot(s)
@@ -278,6 +283,66 @@ impl<'a> Compiler<'a> {
             b.locs.insert(p, Loc::Slot(s));
         }
         self.compile_app(b, &abs.body)
+    }
+
+    /// Operands for a call's arguments. A continuation abstraction as the
+    /// last argument (`c꜀`) becomes an exit of a return frame pushed just
+    /// before the call, not a heap closure; one as `cₑ` rides in the same
+    /// frame as its landing pad. Both exit blocks take the union of their
+    /// free variables as captures.
+    fn call_args(&mut self, b: &mut Block, args: &[Value]) -> Result<Vec<Src>, CompileError> {
+        let ctx = self.ctx;
+        let names = &ctx.names;
+        let exit = move |v: Option<&Value>| match v {
+            Some(Value::Abs(k)) if k.kind(names) == AbsKind::Cont => Some(Arc::clone(k)),
+            _ => None,
+        };
+        let n = args.len();
+        let Some(cc) = exit(args.last()) else {
+            return args.iter().map(|a| self.resolve(b, a)).collect();
+        };
+        let ce = n.checked_sub(2).and_then(|i| exit(args.get(i)));
+        let values = n - 1 - usize::from(ce.is_some());
+        let mut srcs = args[..values]
+            .iter()
+            .map(|a| self.resolve(b, a))
+            .collect::<Result<Vec<_>, _>>()?;
+        let exits: Vec<Arc<Abs>> = ce.into_iter().chain([cc]).collect();
+        srcs.extend(self.push_frame(b, &exits)?);
+        Ok(srcs)
+    }
+
+    /// Push one return frame whose exits are `exits` (in argument order;
+    /// the frame lists the last, the normal return, first), compiled with
+    /// the union of their free variables as captures. Returns the slots
+    /// holding the exits' stack continuations, in argument order.
+    fn push_frame(&mut self, b: &mut Block, exits: &[Arc<Abs>]) -> Result<Vec<Src>, CompileError> {
+        let mut captures = exits[0].free_vars().to_vec();
+        for k in &exits[1..] {
+            for &v in k.free_vars() {
+                if !captures.contains(&v) {
+                    captures.push(v);
+                }
+            }
+        }
+        let cap_srcs = captures
+            .iter()
+            .map(|&c| self.resolve(b, &Value::Var(c)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut frame = Vec::with_capacity(exits.len());
+        let mut srcs = Vec::with_capacity(exits.len());
+        for k in exits {
+            let block = self.compile_block(k, &captures, "ret")?;
+            let dst = b.fresh_slot();
+            srcs.push(Src::Slot(dst));
+            frame.push((block, dst));
+        }
+        frame.reverse();
+        b.emit(Instr::Push {
+            exits: frame.into_boxed_slice(),
+            captures: cap_srcs.into_boxed_slice(),
+        });
+        Ok(srcs)
     }
 
     /// Transfer control to `target` with `args`: moves plus a jump for a
@@ -333,6 +398,7 @@ impl<'a> Compiler<'a> {
                     dst,
                     code: block,
                     captures: cap_srcs.into_boxed_slice(),
+                    cont: abs.kind(&self.ctx.names) == AbsKind::Cont,
                 });
                 Ok(Src::Slot(dst))
             }
@@ -588,9 +654,11 @@ impl<'a> Compiler<'a> {
             let block = self.compile_block(abs, &captures, "rec")?;
             parts.push((block, caps.into_boxed_slice()));
         }
+        let names = &self.ctx.names;
         b.emit(Instr::CloseGroup {
             dsts: dsts.into_boxed_slice(),
             parts: parts.into_boxed_slice(),
+            cont: y.members.iter().all(|m| m.1.kind(names) == AbsKind::Cont),
         });
         if c0_used {
             // Invoke the entry through its closure.
@@ -732,13 +800,15 @@ impl<'t> Fixpoint<'t> {
 /// against their own block. A primitive application is walked by running
 /// its codegen hook with the walker as the [`EmitCtx`], so each argument
 /// is classified exactly as code generation compiles it.
-fn plan(ctx: &Ctx, body: &App) -> IdSet {
+fn plan(ctx: &Ctx, body: &App) -> (IdSet, IdSet) {
     let mut s = Scan {
         ctx,
         regions: Vec::new(),
         cands: IdMap::default(),
         deps: IdMap::default(),
         escapes: Vec::new(),
+        scopes: Vec::new(),
+        leaky: IdSet::default(),
     };
     s.app(body);
     // A binder that falls back turns the abstractions it kept inline into
@@ -749,17 +819,18 @@ fn plan(ctx: &Ctx, body: &App) -> IdSet {
             s.escapes.extend(s.deps.remove(&k).unwrap_or_default());
         }
     }
-    keep
+    (keep, s.leaky)
 }
 
 /// A candidate binder: the binder whose fate it shares (itself, or a `Y`
-/// member's c₀), the regions open where it is bound, and its label arity
-/// (`None` for a cell).
+/// member's c₀), the regions open where it is bound, its label arity
+/// (`None` for a cell) and the number of candidates bound before it.
 #[derive(Clone, Copy)]
 struct Cand {
     key: VarId,
     depth: usize,
     arity: Option<usize>,
+    seq: usize,
 }
 
 /// How an occurrence of a variable is compiled.
@@ -783,18 +854,37 @@ struct Scan<'c> {
     deps: IdMap<Vec<VarId>>,
     /// Keys found to fall back, not yet propagated.
     escapes: Vec<VarId>,
+    /// The join points whose scope the walk is in, innermost last: each
+    /// with its `seq` and the least `seq` of a label candidate used in
+    /// its scope so far (passed to the enclosing scope when it closes).
+    scopes: Vec<(VarId, usize, usize)>,
+    /// Join points whose scope transfers to a label or loop bound outside
+    /// it, and so may be left without invoking them.
+    leaky: IdSet,
 }
 
 impl Scan<'_> {
     fn bind(&mut self, v: VarId, key: VarId, arity: Option<usize>) {
         let depth = self.regions.len();
-        self.cands.insert(v, Cand { key, depth, arity });
+        let seq = self.cands.len();
+        self.cands.insert(
+            v,
+            Cand {
+                key,
+                depth,
+                arity,
+                seq,
+            },
+        );
     }
 
     fn use_var(&mut self, v: VarId, how: Use) {
         let Some(c) = self.cands.get(&v).copied() else {
             return;
         };
+        if let (Some(_), Some(scope)) = (c.arity, self.scopes.last_mut()) {
+            scope.2 = scope.2.min(c.seq);
+        }
         let fits = match (c.arity, how) {
             (Some(n), Use::Call(m)) => n == m,
             (Some(n), Use::ValueCont) => n == 1,
@@ -844,16 +934,30 @@ impl Scan<'_> {
     fn app(&mut self, app: &App) {
         match &app.func {
             Value::Abs(f) => {
+                let open = self.scopes.len();
                 for (&p, a) in f.params.iter().zip(&app.args) {
                     match a {
                         Value::Abs(k) if self.ctx.names.is_cont(p) => {
+                            let seq = self.cands.len();
                             self.bind(p, p, Some(k.params.len()));
                             self.inside(Some(p), &k.body);
+                            self.scopes.push((p, seq, usize::MAX));
                         }
                         _ => self.value(a),
                     }
                 }
                 self.app(&f.body);
+                while self.scopes.len() > open {
+                    let Some((k, seq, used)) = self.scopes.pop() else {
+                        break;
+                    };
+                    if used < seq {
+                        self.leaky.insert(k);
+                    }
+                    if let Some(outer) = self.scopes.last_mut() {
+                        outer.2 = outer.2.min(used);
+                    }
+                }
             }
             Value::Var(x) => {
                 self.use_var(*x, Use::Call(app.args.len()));
@@ -1397,17 +1501,18 @@ mod tests {
     }
 
     #[test]
-    fn a_join_point_passed_as_a_value_stays_a_closure() {
+    fn a_join_point_passed_as_a_value_leaves_its_block() {
         // k escapes into a first-class call; so does the cell its
-        // abstraction reads, which that abstraction's closure captures.
+        // abstraction reads, which that abstraction's frame captures.
         let src = "(new 1 5 cont(c) \
                      (proc(^k) (cont(id) (id 7 cont(e) (halt e) k) \
                                  proc(x ^ce ^cc) (cc x)) \
                       cont(t) ([] c 0 cont(e) (halt e) cont(v) (+ t v cont(e) (halt e) \
                                                                cont(r) (halt r)))))";
-        // Closures: the identity procedure, its `ce` and k.
+        // Closures: the identity procedure and its `ce`; k is a frame.
         let (code, block) = compile(src).unwrap();
-        assert_eq!(count(&code, block, |i| matches!(i, Instr::Close { .. })), 3);
+        assert_eq!(count(&code, block, |i| matches!(i, Instr::Close { .. })), 2);
+        assert_eq!(count(&code, block, |i| matches!(i, Instr::Push { .. })), 1);
         assert_eq!(count(&code, block, |i| matches!(i, Instr::Alloc { .. })), 1);
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();

@@ -31,10 +31,15 @@ pub fn instr(i: &Instr) -> String {
             dst,
             code,
             captures,
+            ..
         } => {
             format!("close    s{dst}, #{code} [{}]", srcs(captures))
         }
-        Instr::CloseGroup { dsts, parts } => {
+        Instr::Push { exits, captures } => {
+            let exits: Vec<String> = exits.iter().map(|(c, d)| format!("s{d}=#{c}")).collect();
+            format!("push     {} [{}]", exits.join(" "), srcs(captures))
+        }
+        Instr::CloseGroup { dsts, parts, .. } => {
             let mut out = String::from("closegrp ");
             for (j, (dst, (code, caps))) in dsts.iter().zip(parts.iter()).enumerate() {
                 if j > 0 {
@@ -296,6 +301,7 @@ mod tests {
         let text = table(&code);
         for needle in [
             "close",
+            "push",
             "call",
             "alloc.array",
             "st ",

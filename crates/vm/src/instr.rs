@@ -6,7 +6,8 @@
 //! never return.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use tml_core::Oid;
@@ -67,6 +68,21 @@ pub enum Instr {
         code: u32,
         /// Captured operands, in the block's environment order.
         captures: Box<[Src]>,
+        /// `true` for a continuation: it may hold stack continuations,
+        /// and invoking it returns to the stack depth it was made at. A
+        /// procedure holds heap copies of the continuations it captures.
+        cont: bool,
+    },
+    /// Push a return frame on the machine's control stack: the blocks of
+    /// continuation abstractions (its exits: a call's `c꜀` and fresh
+    /// `cₑ`, or a join point) and their shared captures. Each exit's
+    /// stack continuation goes to its slot.
+    Push {
+        /// `(block, destination slot)` per exit: the normal return, then
+        /// the exception landing pad when the call's `cₑ` is fresh too.
+        exits: Box<[(u32, u16)]>,
+        /// Captured operands, in the exit blocks' environment order.
+        captures: Box<[Src]>,
     },
     /// Create a group of mutually recursive closures (the `Y` combinator).
     /// The machine materializes the group as one transient
@@ -78,6 +94,10 @@ pub enum Instr {
         dsts: Box<[u16]>,
         /// `(code block, captures)` per closure.
         parts: Box<[(u32, Box<[GroupCap]>)]>,
+        /// `true` when every member is a continuation (a loop): the group
+        /// may hold stack continuations and returns to the stack depth
+        /// it was made at, as [`Instr::Close`] of a continuation does.
+        cont: bool,
     },
     /// Arithmetic: `frame[dst] = a ⊕ b`, or divert to `on_err` with an
     /// exception value on overflow / division by zero.
@@ -355,6 +375,7 @@ impl Instr {
         match self {
             Instr::Mov { .. } => "mov",
             Instr::Close { .. } => "close",
+            Instr::Push { .. } => "push",
             Instr::CloseGroup { .. } => "close-group",
             Instr::Arith { op, .. } => match op {
                 ArithOp::Add => "arith.add",
@@ -424,7 +445,8 @@ impl Instr {
         1 + match self {
             Instr::Mov { .. } => 5,
             Instr::Close { captures, .. } => 6 + 3 * captures.len(),
-            Instr::CloseGroup { dsts, parts } => {
+            Instr::Push { exits, captures } => 6 * exits.len() + 3 * captures.len(),
+            Instr::CloseGroup { dsts, parts, .. } => {
                 2 * dsts.len()
                     + parts
                         .iter()
@@ -538,7 +560,38 @@ pub struct CodeTable {
     /// count (the tier engine's hotness). A `RefCell` because the machine
     /// counts calls and links the closures it persists through its shared
     /// `&CodeTable`; sessions are single-threaded (`!Send`).
-    links: RefCell<HashMap<Oid, (Rc<TransientClosure>, u64)>>,
+    links: RefCell<IdMap<Oid, (Rc<TransientClosure>, u64)>>,
+}
+
+/// Maps keyed by dense ids ([`Oid`]s, `VarId`s): one multiplication per
+/// hash. The ids come from the store's and the name table's counters, not
+/// from input, so nothing can aim collisions at them.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// The set form of [`IdMap`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// The hasher of [`IdMap`]: Fibonacci hashing of the id.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes
+            .iter()
+            .for_each(|&b| self.write_u64(u64::from(b) ^ self.0));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// The sentinel block terminating a native call's normal path.
@@ -600,7 +653,11 @@ impl CodeTable {
         calls: u64,
     ) {
         let env = env.into_iter().map(RVal::from_sval).collect();
-        let clo = Rc::new(TransientClosure { code: block, env });
+        let clo = Rc::new(TransientClosure {
+            code: block,
+            env,
+            frame: None,
+        });
         let mut links = self.links.borrow_mut();
         let link = links.entry(oid).or_insert_with(|| (Rc::clone(&clo), calls));
         link.0 = clo;

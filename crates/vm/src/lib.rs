@@ -17,11 +17,14 @@
 //!   jumps and frame slots; see [`compile`]);
 //! * abstractions used as values become heap closures; calls through
 //!   variables become closure transfers ([`instr::Instr::Call`]);
-//! * since TML is CPS, there is no call stack: the machine state is a
-//!   single frame, an environment, and the exception-handler stack.
+//! * since TML is CPS, every transfer is a tail transfer, and the
+//!   machine state is a single frame, an environment, and the
+//!   exception-handler stack — plus a control stack: a non-tail call's
+//!   return continuation, which TML never lets escape, is a frame pushed
+//!   by [`instr::Instr::Push`] rather than a heap closure.
 //!
-//! The machine counts instructions, calls and closure allocations
-//! deterministically ([`machine::ExecStats`]) — the metric the benchmark
+//! The machine counts instructions, calls, closure allocations and
+//! frames deterministically ([`machine::ExecStats`]) — the metric the benchmark
 //! harness reports alongside wall-clock time.
 //!
 //! Extension primitives (e.g. the query primitives of `tml-query`) execute
@@ -44,6 +47,7 @@ pub mod host;
 pub mod instr;
 pub mod machine;
 pub mod rval;
+mod stack;
 
 pub use compile::{CompileError, CompiledProc, Compiler};
 pub use host::{ExternFn, ExternTable};

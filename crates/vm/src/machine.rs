@@ -1,18 +1,24 @@
 //! The CPS abstract machine.
 //!
-//! Machine state is a single activation (frame + environment), the
-//! exception-handler stack and the store; all control transfer is tail
-//! transfer, and a transfer allocates nothing: frames and environments
-//! are recycled buffers. Execution statistics (instructions, calls,
-//! closure allocations) are deterministic and serve as the primary
-//! benchmark metric alongside wall-clock time.
+//! Machine state is the current activation (registers + environment), a
+//! control stack of return frames (`stack.rs`), the exception-handler
+//! stack and the store. All control transfer is tail transfer, and a
+//! transfer allocates nothing: registers and environments are recycled
+//! buffers, and a non-tail call's return continuation is a frame, not a
+//! heap closure. Where a stack continuation must outlive the stack (a
+//! procedure or closure group captures it, the store or an extern receives
+//! it, a run returns it), `Machine::capture` copies it to the heap.
+//! Execution statistics (instructions, calls, heap closures, frames,
+//! exceptions) are deterministic and serve as the primary benchmark
+//! metric alongside wall-clock time.
 
 use crate::host::{ExternTable, HostCtx};
 use crate::instr::{
-    AllocKind, ArithOp, BitOp, CmpOp, CodeTable, ContRef, ConvOp, GroupCap, Instr, Src,
+    AllocKind, ArithOp, BitOp, CmpOp, CodeBlock, CodeTable, ContRef, ConvOp, GroupCap, Instr, Src,
     NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK,
 };
-use crate::rval::{Capture, ClosureGroup, RVal, TransientClosure};
+use crate::rval::{Capture, ClosureGroup, RVal, StackCont, TransientClosure};
+use crate::stack::{Stack, NO_EXIT};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
@@ -29,8 +35,10 @@ pub struct ExecStats {
     pub instrs: u64,
     /// Closure transfers (`Call` and continuation invocations).
     pub calls: u64,
-    /// Closures allocated (transient and persistent).
+    /// Heap closures allocated (transient and persistent).
     pub closures: u64,
+    /// Return frames pushed on the control stack.
+    pub frames: u64,
     /// Exceptions raised (explicitly or by failing primitives).
     pub exceptions: u64,
 }
@@ -156,8 +164,10 @@ pub struct Machine<'a, S: StoreAccess = Store> {
     spare: Vec<Vec<RVal>>,
     /// The exception and normal return continuations of native re-entry.
     native_conts: [RVal; 2],
+    stack: Stack,
     handlers: Vec<RVal>,
-    block: u32,
+    /// The current block.
+    blk: &'a CodeBlock,
     pc: u32,
     fuel: u64,
     /// Native nesting: `run` and each [`Machine::call_value`] in progress.
@@ -186,10 +196,12 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 RVal::Clo(Rc::new(TransientClosure {
                     code,
                     env: Vec::new(),
+                    frame: None,
                 }))
             }),
+            stack: Stack::default(),
             handlers: Vec::new(),
-            block: 0,
+            blk: code.block(NATIVE_OK_BLOCK),
             pc: 0,
             fuel,
             native_depth: 0,
@@ -211,6 +223,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         g.counter("vm.instrs").add(self.stats.instrs);
         g.counter("vm.calls").add(self.stats.calls);
         g.counter("vm.closures").add(self.stats.closures);
+        g.counter("vm.frames").add(self.stats.frames);
         g.counter("vm.exceptions").add(self.stats.exceptions);
         let micros = p.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         g.counter("vm.wall_micros").add(micros);
@@ -296,19 +309,21 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             None
         };
         self.native_depth += 1;
-        let saved_block = self.block;
+        let saved_blk = self.blk;
         let saved_pc = self.pc;
         let saved_clo = self.env_clo.take();
         let frame = self.spare.pop().unwrap_or_default();
         let saved_frame = std::mem::replace(&mut self.frame, frame);
         let env = self.spare.pop().unwrap_or_default();
         let saved_env = std::mem::replace(&mut self.env, env);
+        let depth = self.stack.depth();
+        let saved_base = std::mem::replace(&mut self.stack.base, depth);
 
         self.next.extend(args);
         self.next.extend(self.native_conts.iter().cloned());
         let stop = self.invoke(target).and_then(|()| self.drive());
 
-        self.block = saved_block;
+        self.blk = saved_blk;
         self.pc = saved_pc;
         self.env_clo = saved_clo;
         self.next.clear();
@@ -316,6 +331,8 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         self.recycle(frame);
         let env = std::mem::replace(&mut self.env, saved_env);
         self.recycle(env);
+        self.stack.unwind(self.stack.base);
+        self.stack.base = saved_base;
         self.native_depth -= 1;
 
         match stop? {
@@ -339,6 +356,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
 
     /// Start `block` with the arguments in `next`, which becomes the
     /// frame; the old frame becomes the next transfer's buffer.
+    #[inline]
     fn enter(&mut self, block: u32) -> Result<(), VmError> {
         if block as usize >= self.code.len() {
             return Err(VmError::Trap(format!(
@@ -355,13 +373,18 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             )));
         }
         std::mem::swap(&mut self.frame, &mut self.next);
-        self.frame.resize(blk.nslots as usize, RVal::Unit);
+        // Not `resize`: writing the constant directly keeps a transfer
+        // free of a per-slot `RVal::clone`.
+        let n = self.frame.len();
+        self.frame
+            .extend((n..blk.nslots as usize).map(|_| RVal::Unit));
         self.next.clear();
-        self.block = block;
+        self.blk = blk;
         self.pc = 0;
         Ok(())
     }
 
+    #[inline]
     fn resolve(&self, src: Src) -> RVal {
         match src {
             Src::Slot(i) => self.frame[i as usize].clone(),
@@ -369,21 +392,36 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 Some(c) => c.env[i as usize].clone(),
                 None => self.env[i as usize].clone(),
             },
-            Src::Const(i) => RVal::from_sval(&self.code.block(self.block).consts[i as usize]),
+            Src::Const(i) => RVal::from_sval(&self.blk.consts[i as usize]),
         }
     }
 
     /// Transfer to `target` with the arguments already in `next`.
+    #[inline]
     fn invoke(&mut self, target: RVal) -> Result<(), VmError> {
         self.stats.calls += 1;
         self.env.clear();
-        let code = match self.stored(target)? {
+        let target = match target {
+            RVal::Row(_) => self.stored(target)?,
+            target => target,
+        };
+        let code = match target {
+            RVal::Cont(k) => {
+                self.env_clo = None;
+                self.stack.pop(k, &mut self.env)?
+            }
             RVal::Clo(c) => {
+                if let Some(d) = c.frame {
+                    self.stack.unwind(d as usize);
+                }
                 let code = c.code;
                 self.env_clo = Some(c);
                 code
             }
             RVal::Group(g, j) => {
+                if let Some(d) = g.frame {
+                    self.stack.unwind(d as usize);
+                }
                 let (code, caps) = &g.members[j as usize];
                 self.env.extend(caps.iter().map(|cap| match cap {
                     Capture::Val(v) => v.clone(),
@@ -420,6 +458,18 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         self.enter(code)
     }
 
+    /// `v` fit to outlive the control stack: a stack continuation becomes
+    /// a heap copy of its frame's exit; anything else is `v` itself.
+    #[inline]
+    fn capture(&mut self, v: RVal) -> Result<RVal, VmError> {
+        let RVal::Cont(k) = v else {
+            return Ok(v);
+        };
+        let (clo, made) = self.stack.copy(k)?;
+        self.stats.closures += made;
+        Ok(clo)
+    }
+
     /// `v` with a transient row replaced by its store tuple (persisted on
     /// the spot), for paths that only handle store references.
     fn stored(&mut self, v: RVal) -> Result<RVal, VmError> {
@@ -432,6 +482,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     /// Continue on a value-producing path: write `value` to `dst` and
     /// transfer to `cont` (labels expect the value in `dst`; closures
     /// receive it as their argument).
+    #[inline]
     fn continue_value(&mut self, cont: &ContRef, dst: u16, value: RVal) -> Result<Flow, VmError> {
         match cont {
             ContRef::Label(l) => {
@@ -449,6 +500,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     }
 
     /// Continue on a branch path (no value).
+    #[inline]
     fn continue_branch(&mut self, cont: &ContRef) -> Result<Flow, VmError> {
         match cont {
             ContRef::Label(l) => {
@@ -468,6 +520,68 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         self.continue_value(on_err, dst, value)
     }
 
+    /// A heap closure over `code`. A procedure holds heap copies of the
+    /// stack continuations it captures; a continuation holds them as they
+    /// are and remembers the stack depth it returns to.
+    #[inline(never)]
+    fn close(&mut self, code: u32, captures: &[Src], cont: bool) -> Result<RVal, VmError> {
+        let mut env = Vec::with_capacity(captures.len());
+        for s in captures {
+            let v = self.resolve(*s);
+            env.push(if cont { v } else { self.capture(v)? });
+        }
+        self.stats.closures += 1;
+        let frame = cont.then_some(self.stack.depth() as u32);
+        Ok(RVal::Clo(Rc::new(TransientClosure { code, env, frame })))
+    }
+
+    /// A transient closure group: members reach each other by index, and
+    /// the store sees the group only if a member escapes into it.
+    #[inline(never)]
+    fn close_group(
+        &mut self,
+        parts: &[(u32, Box<[GroupCap]>)],
+        cont: bool,
+    ) -> Result<Rc<ClosureGroup>, VmError> {
+        let mut members = Vec::with_capacity(parts.len());
+        for (code, caps) in parts {
+            let mut env = Vec::with_capacity(caps.len());
+            for cap in caps.iter() {
+                env.push(match cap {
+                    GroupCap::Ext(src) if cont => Capture::Val(self.resolve(*src)),
+                    GroupCap::Ext(src) => Capture::Val(self.capture(self.resolve(*src))?),
+                    GroupCap::Member(j) => Capture::Member(*j),
+                });
+            }
+            members.push((*code, env.into_boxed_slice()));
+        }
+        self.stats.closures += parts.len() as u64;
+        let frame = cont.then_some(self.stack.depth() as u32);
+        Ok(Rc::new(ClosureGroup::new(
+            members.into_boxed_slice(),
+            frame,
+        )))
+    }
+
+    /// Push a return frame with `exits` and `captures`; each exit's stack
+    /// continuation goes to its slot.
+    #[inline]
+    fn push(&mut self, exits: &[(u32, u16)], captures: &[Src]) {
+        let mut caps = self.stack.buffer();
+        caps.extend(captures.iter().map(|s| self.resolve(*s)));
+        let mut blocks = [NO_EXIT; 2];
+        blocks.iter_mut().zip(exits).for_each(|(b, e)| *b = e.0);
+        let k = self.stack.push(blocks, caps);
+        for (exit, &(_, dst)) in exits.iter().enumerate().take(2) {
+            self.frame[dst as usize] = RVal::Cont(StackCont {
+                exit: exit as u8,
+                ..k
+            });
+        }
+        self.stats.frames += 1;
+    }
+
+    #[inline(always)]
     fn step(&mut self) -> Result<Flow, VmError> {
         if self.fuel == 0 {
             return Err(VmError::OutOfFuel);
@@ -475,8 +589,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         self.fuel -= 1;
         self.stats.instrs += 1;
 
-        let code = self.code;
-        let blk = code.block(self.block);
+        let blk = self.blk;
         let Some(instr) = blk.instrs.get(self.pc as usize) else {
             return Err(VmError::Trap(format!(
                 "pc {} past end of block {}",
@@ -496,28 +609,22 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             }
             Instr::Close {
                 dst,
-                code: cblock,
+                code,
                 captures,
+                cont,
             } => {
-                let env = captures.iter().map(|s| self.resolve(*s)).collect();
-                self.stats.closures += 1;
-                self.frame[*dst as usize] =
-                    RVal::Clo(Rc::new(TransientClosure { code: *cblock, env }));
+                let clo = self.close(*code, captures, *cont)?;
+                self.frame[*dst as usize] = clo;
                 self.pc += 1;
                 Ok(Flow::Next)
             }
-            Instr::CloseGroup { dsts, parts } => {
-                // A transient group: members reach each other by index, and
-                // the store sees the group only if a member escapes into it.
-                let members = parts.iter().map(|(cblock, caps)| {
-                    let env = caps.iter().map(|cap| match cap {
-                        GroupCap::Ext(src) => Capture::Val(self.resolve(*src)),
-                        GroupCap::Member(j) => Capture::Member(*j),
-                    });
-                    (*cblock, env.collect())
-                });
-                let group = Rc::new(ClosureGroup::new(members.collect()));
-                self.stats.closures += parts.len() as u64;
+            Instr::Push { exits, captures } => {
+                self.push(exits, captures);
+                self.pc += 1;
+                Ok(Flow::Next)
+            }
+            Instr::CloseGroup { dsts, parts, cont } => {
+                let group = self.close_group(parts, *cont)?;
                 for (j, dst) in dsts.iter().enumerate() {
                     self.frame[*dst as usize] = RVal::Group(group.clone(), j as u16);
                 }
@@ -622,7 +729,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                     AllocKind::Array | AllocKind::Vector => {
                         let mut slots = Vec::with_capacity(args.len());
                         for a in args.iter() {
-                            let v = self.resolve(*a);
+                            let v = self.capture(self.resolve(*a))?;
                             slots.push(v.persist(self.store, self.code)?);
                         }
                         if matches!(kind, AllocKind::Array) {
@@ -639,7 +746,8 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                         let count = usize::try_from(count)
                             .map_err(|_| VmError::Trap("new: negative size".into()))?;
                         check_len("new", count)?;
-                        let init = self.resolve(args[1]).persist(self.store, self.code)?;
+                        let init = self.capture(self.resolve(args[1]))?;
+                        let init = init.persist(self.store, self.code)?;
                         Object::Array(vec![init; count])
                     }
                     AllocKind::BNew => {
@@ -739,7 +847,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                     };
                     self.store.bytes_set(oid, i, byte_val)
                 } else {
-                    let sval = v.persist(self.store, self.code)?;
+                    let sval = self.capture(v)?.persist(self.store, self.code)?;
                     self.store.array_set(oid, i, sval)
                 };
                 match stored {
@@ -840,7 +948,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 self.pc = *target;
                 Ok(Flow::Next)
             }
-            Instr::Halt { src } => Ok(Flow::Done(self.resolve(*src))),
+            Instr::Halt { src } => Ok(Flow::Done(self.capture(self.resolve(*src))?)),
             Instr::Print { dst, src, on_ok } => {
                 let v = self.resolve(*src);
                 let v = self.stored(v)?;
@@ -849,7 +957,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             }
             Instr::NativeRet { ok } => Ok(Flow::Native {
                 ok: *ok,
-                value: self.frame.first().cloned().unwrap_or(RVal::Unit),
+                value: self.capture(self.frame.first().cloned().unwrap_or(RVal::Unit))?,
             }),
         }
     }
@@ -877,7 +985,15 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             return self.exception(on_err, dst, RVal::Str(format!("{missing}:{name}").into()));
         };
         let mut vals = self.spare.pop().unwrap_or_default();
-        vals.extend(args.iter().map(|s| self.resolve(*s)));
+        for s in args {
+            match self.capture(self.resolve(*s)) {
+                Ok(v) => vals.push(v),
+                Err(e) => {
+                    self.recycle(vals);
+                    return Err(e);
+                }
+            }
+        }
         let r = f(self, &vals);
         self.recycle(vals);
         match r {
@@ -985,6 +1101,8 @@ impl<S: StoreAccess> HostCtx for Machine<'_, S> {
     }
 
     fn persist(&mut self, v: &RVal) -> Result<SVal, StoreError> {
+        // A stale stack continuation stays one, which `persist` refuses.
+        let v = self.capture(v.clone()).unwrap_or_else(|_| v.clone());
         v.persist(self.store, self.code)
     }
 
@@ -1339,7 +1457,8 @@ mod tests {
                     proc(x ce cc) (+ x 1 ce cc))";
         let out = run(src).unwrap();
         assert!(out.stats.calls >= 2); // proc call + cc invocation
-        assert!(out.stats.closures >= 2); // proc + return cont
+                                       // The proc is a heap closure, the return continuation a frame.
+        assert_eq!((out.stats.closures, out.stats.frames), (1, 1));
         assert!(out.stats.instrs > 0);
     }
 

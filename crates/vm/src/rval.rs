@@ -35,6 +35,41 @@ pub struct TransientClosure {
     pub code: u32,
     /// Captured environment.
     pub env: Vec<RVal>,
+    /// For a continuation: the control-stack depth it returns to.
+    /// Invoking it first drops every frame at or above that depth, as
+    /// returning through a stack frame does. `None` for procedures.
+    pub frame: Option<u32>,
+}
+
+impl Drop for TransientClosure {
+    /// Unlink the closures only this one holds one at a time, so that a
+    /// long chain (each continuation capturing the one below it) is
+    /// dropped in a loop, not in one host stack frame per link.
+    fn drop(&mut self) {
+        let mut work = std::mem::take(&mut self.env);
+        while let Some(v) = work.pop() {
+            if let RVal::Clo(c) = v {
+                if let Some(mut c) = Rc::into_inner(c) {
+                    work.append(&mut c.env);
+                }
+            }
+        }
+    }
+}
+
+/// A continuation whose frame is on the machine's control stack: the
+/// frame's depth, the generation it was pushed with, and which of its
+/// exits (`0` normal, `1` exception) it names. Only the machine that
+/// pushed the frame can use it, and only while the frame is live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StackCont {
+    /// Index of the frame on the control stack.
+    pub depth: u32,
+    /// The frame's push number; a later frame at the same depth has
+    /// another.
+    pub gen: u64,
+    /// The exit taken: `0` the normal return, `1` the exception path.
+    pub exit: u8,
 }
 
 /// One captured value of a [`ClosureGroup`] member.
@@ -53,14 +88,18 @@ pub struct ClosureGroup {
     pub(crate) members: Box<[(u32, Box<[Capture]>)]>,
     /// Store OIDs of the members, set when the group is first persisted.
     persisted: OnceCell<Box<[Oid]>>,
+    /// For a group of continuations (a loop): the control-stack depth it
+    /// returns to, as [`TransientClosure::frame`].
+    pub(crate) frame: Option<u32>,
 }
 
 impl ClosureGroup {
     /// A group not yet persisted.
-    pub(crate) fn new(members: Box<[(u32, Box<[Capture]>)]>) -> ClosureGroup {
+    pub(crate) fn new(members: Box<[(u32, Box<[Capture]>)]>, frame: Option<u32>) -> ClosureGroup {
         ClosureGroup {
             members,
             persisted: OnceCell::new(),
+            frame,
         }
     }
 
@@ -185,6 +224,8 @@ pub enum RVal {
     Group(Rc<ClosureGroup>, u16),
     /// A transient relation row.
     Row(Rc<TransientRow>),
+    /// A return continuation living on the machine's control stack.
+    Cont(StackCont),
 }
 
 impl RVal {
@@ -234,6 +275,15 @@ impl RVal {
             }
             RVal::Group(g, j) => SVal::Ref(g.persist(store, code)?[*j as usize]),
             RVal::Row(r) => SVal::Ref(r.persist(store)?),
+            // The machine copies a stack continuation to the heap before
+            // anything can persist it; one reaching here escaped that.
+            RVal::Cont(_) => {
+                return Err(StoreError::WrongKind {
+                    oid: Oid::NULL,
+                    expected: "persistable value",
+                    found: "stack continuation",
+                })
+            }
         })
     }
 
@@ -254,6 +304,7 @@ impl RVal {
                 g.oids().is_some_and(|oids| oids[*j as usize] == *o)
             }
             (RVal::Row(a), RVal::Row(b)) => Rc::ptr_eq(a, b),
+            (RVal::Cont(a), RVal::Cont(b)) => a == b,
             (RVal::Row(r), RVal::Ref(o)) | (RVal::Ref(o), RVal::Row(r)) => r.oid() == Some(*o),
             _ => false,
         }
@@ -285,7 +336,7 @@ impl RVal {
             RVal::Char(_) => "char",
             RVal::Str(_) => "string",
             RVal::Ref(_) | RVal::Row(_) => "ref",
-            RVal::Clo(_) | RVal::Group(..) => "closure",
+            RVal::Clo(_) | RVal::Group(..) | RVal::Cont(_) => "closure",
         }
     }
 }
@@ -302,6 +353,7 @@ impl std::fmt::Debug for RVal {
             RVal::Ref(o) => write!(f, "{o}"),
             RVal::Clo(c) => write!(f, "<closure #{}>", c.code),
             RVal::Group(g, j) => write!(f, "<closure #{}>", g.members[*j as usize].0),
+            RVal::Cont(k) => write!(f, "<continuation @{}>", k.depth),
             RVal::Row(r) => match r.oid() {
                 Some(o) => write!(f, "{o}"),
                 None => write!(f, "<row {:?}>", r.slots),
@@ -343,8 +395,10 @@ mod tests {
                 RVal::Clo(Rc::new(TransientClosure {
                     code: 4,
                     env: vec![],
+                    frame: None,
                 })),
             ],
+            frame: None,
         }));
         let code = CodeTable::new();
         let s = clo.persist(&mut store, &code).unwrap();
@@ -371,12 +425,14 @@ mod tests {
         let a = Rc::new(TransientClosure {
             code: 1,
             env: vec![],
+            frame: None,
         });
         let v1 = RVal::Clo(a.clone());
         let v2 = RVal::Clo(a);
         let v3 = RVal::Clo(Rc::new(TransientClosure {
             code: 1,
             env: vec![],
+            frame: None,
         }));
         assert!(v1.identical(&v2));
         assert!(!v1.identical(&v3));
@@ -429,7 +485,8 @@ mod tests {
         assert_eq!(
             RVal::Clo(Rc::new(TransientClosure {
                 code: 0,
-                env: vec![]
+                env: vec![],
+                frame: None,
             }))
             .kind(),
             "closure"

@@ -420,8 +420,12 @@ fn run_entry<S: StoreAccess>(s: &mut Session<S>, o: &Options) -> Result<(), Stri
     println!("{:?}", out.result);
     if o.stats {
         eprintln!(
-            "instructions={} calls={} closures={} exceptions={}",
-            out.stats.instrs, out.stats.calls, out.stats.closures, out.stats.exceptions
+            "instructions={} calls={} closures={} frames={} exceptions={}",
+            out.stats.instrs,
+            out.stats.calls,
+            out.stats.closures,
+            out.stats.frames,
+            out.stats.exceptions
         );
     }
     Ok(())
@@ -499,8 +503,8 @@ fn cmd_eval(o: &Options) -> Result<(), String> {
     println!("{:?}", out.result);
     if o.stats {
         eprintln!(
-            "instructions={} calls={} closures={}",
-            out.stats.instrs, out.stats.calls, out.stats.closures
+            "instructions={} calls={} closures={} frames={}",
+            out.stats.instrs, out.stats.calls, out.stats.closures, out.stats.frames
         );
     }
     Ok(())

@@ -1,6 +1,6 @@
 //! The bytecode compiler explains its decisions: how many join points
-//! became labels or stayed closures, and how many `var` cells moved into
-//! frame slots or stayed store arrays. Pinned for two Stanford programs
+//! became labels, control-stack frames or closures, and how many `var`
+//! cells moved into frame slots or stayed store arrays. Pinned for two Stanford programs
 //! compiled after `optimize_all`. (One test per binary: the trace
 //! recorder is process-global.)
 
@@ -8,15 +8,17 @@ use tycoon::lang::stanford::suite;
 use tycoon::lang::{Session, SessionConfig};
 use tycoon::reflect::{optimize_all, ReflectOptions};
 
-const COUNTERS: [&str; 4] = [
+const COUNTERS: [&str; 5] = [
     "vm.compile.join_points",
+    "vm.compile.join_frames",
     "vm.compile.join_closures",
     "vm.compile.cells_promoted",
     "vm.compile.cells_boxed",
 ];
 
-/// `(program, [join points, join closures, cells promoted, cells boxed])`.
-const PINNED: [(&str, [u64; 4]); 2] = [("mandel", [2, 0, 4, 0]), ("quick", [10, 1, 3, 2])];
+/// `(program, [join points, join frames, join closures, cells promoted,
+/// cells boxed])`.
+const PINNED: [(&str, [u64; 5]); 2] = [("mandel", [2, 0, 0, 4, 0]), ("quick", [10, 1, 0, 3, 2])];
 
 #[test]
 fn compile_decisions_are_pinned() {

@@ -187,30 +187,33 @@ fn dynamic_optimization_approaches_direct_prims() {
 
 /// The work of one call of each program at its benchmark size, in the
 /// `base` (library-lowered, unoptimized) and `dyn` (`optimize_all`)
-/// sessions: `(program, session, [instrs, calls, closures, exceptions],
-/// arrays allocated)`. Closure groups are transient, so a call allocates
-/// no store closures; every other allocation is an array.
-const PINNED_WORK: &[(&str, &str, [u64; 4], usize)] = &[
-    ("fib", "base", [96148, 54345, 25081, 0], 0),
-    ("sieve", "base", [91531, 39164, 17659, 0], 305),
-    ("towers", "base", [118770, 69624, 32763, 0], 1),
-    ("bubble", "base", [206763, 112194, 54287, 0], 2),
-    ("quick", "base", [205766, 90327, 46158, 0], 1066),
-    ("queens", "base", [92473, 47968, 24219, 0], 515),
-    ("intmm", "base", [183657, 107043, 50615, 0], 327),
-    ("perm", "base", [60645, 35617, 16985, 0], 2),
-    ("tree", "base", [89534, 47395, 23097, 0], 402),
-    ("mandel", "base", [846005, 368608, 199421, 0], 4801),
-    ("fib", "dyn", [41803, 16722, 8360, 0], 0),
-    ("sieve", "dyn", [56365, 2, 0, 0], 1),
-    ("towers", "dyn", [65529, 12288, 4096, 0], 1),
-    ("bubble", "dyn", [83548, 2, 0, 0], 1),
-    ("quick", "dyn", [114851, 1599, 533, 0], 533),
-    ("queens", "dyn", [38492, 5200, 1063, 0], 515),
-    ("intmm", "dyn", [75925, 2, 0, 0], 3),
-    ("perm", "dyn", [29456, 5870, 3193, 0], 2),
-    ("tree", "dyn", [55641, 12980, 8119, 0], 402),
-    ("mandel", "dyn", [435166, 2, 0, 0], 0),
+/// sessions: `(program, session, [instrs, calls, closures, frames,
+/// exceptions], arrays allocated)`. `closures` counts heap closures,
+/// `frames` return frames pushed on the control stack; their sum is the
+/// closures a call made before return continuations moved to the stack.
+/// Closure groups are transient, so a call allocates no store closures;
+/// every other allocation is an array.
+const PINNED_WORK: &[(&str, &str, [u64; 5], usize)] = &[
+    ("fib", "base", [96148, 54345, 0, 25081, 0], 0),
+    ("sieve", "base", [91531, 39164, 304, 17355, 0], 305),
+    ("towers", "base", [118770, 69624, 0, 32763, 0], 1),
+    ("bubble", "base", [206763, 112194, 121, 54166, 0], 2),
+    ("quick", "base", [205766, 90327, 3799, 42359, 0], 1066),
+    ("queens", "base", [92473, 47968, 512, 23707, 0], 515),
+    ("intmm", "base", [183657, 107043, 344, 50271, 0], 327),
+    ("perm", "base", [60645, 35617, 1238, 15747, 0], 2),
+    ("tree", "base", [89534, 47395, 1, 23096, 0], 402),
+    ("mandel", "base", [846005, 368608, 27035, 172386, 0], 4801),
+    ("fib", "dyn", [41803, 16722, 0, 8360, 0], 0),
+    ("sieve", "dyn", [56365, 2, 0, 0, 0], 1),
+    ("towers", "dyn", [65529, 12288, 0, 4096, 0], 1),
+    ("bubble", "dyn", [83548, 2, 0, 0, 0], 1),
+    ("quick", "dyn", [114851, 1599, 0, 533, 0], 533),
+    ("queens", "dyn", [38492, 5200, 512, 551, 0], 515),
+    ("intmm", "dyn", [75925, 2, 0, 0, 0], 3),
+    ("perm", "dyn", [29456, 5870, 1237, 1956, 0], 2),
+    ("tree", "dyn", [55641, 12980, 1, 8118, 0], 402),
+    ("mandel", "dyn", [435166, 2, 0, 0, 0], 0),
 ];
 
 /// One measured call: a [`PINNED_WORK`] row with the store objects the
@@ -218,7 +221,7 @@ const PINNED_WORK: &[(&str, &str, [u64; 4], usize)] = &[
 type Measured = (
     &'static str,
     &'static str,
-    [u64; 4],
+    [u64; 5],
     Vec<(&'static str, usize)>,
 );
 
@@ -246,7 +249,7 @@ fn measure_work() -> Vec<Measured> {
                 *objects.entry(obj.kind()).or_insert(0) += 1;
             }
             let st = r.stats;
-            let work = [st.instrs, st.calls, st.closures, st.exceptions];
+            let work = [st.instrs, st.calls, st.closures, st.frames, st.exceptions];
             out.push((p.name, mode, work, objects.into_iter().collect()));
         }
     }
@@ -265,7 +268,7 @@ fn work_per_call_is_pinned() {
         assert_eq!((name, mode), (p_name, p_mode));
         assert_eq!(
             work, p_work,
-            "{mode}.{name}: [instrs, calls, closures, exceptions]"
+            "{mode}.{name}: [instrs, calls, closures, frames, exceptions]"
         );
         let arrays: Vec<(&str, usize)> = (*p_arrays > 0)
             .then_some(("array", *p_arrays))
