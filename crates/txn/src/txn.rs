@@ -172,7 +172,7 @@ impl TxnManager {
     ) -> Result<bool, StoreError> {
         store.txn_stamp(None);
         let marked = match failpoint::fail_io("txn.commit", txn.id) {
-            Ok(()) if txn.undo.is_empty() && !txn.logged => Ok(false),
+            Ok(()) if !txn.logged => Ok(false),
             Ok(()) => store.txn_marker(txn.id, true),
             Err(e) => {
                 let _ = self.rollback_to(store, &mut txn, 0);

@@ -652,11 +652,36 @@ impl CodeTable {
         env: impl IntoIterator<Item = &'v SVal>,
         calls: u64,
     ) {
+        self.link_at(oid, block, env, calls, None);
+    }
+
+    /// [`CodeTable::link`] of a closure persisted in this session, which
+    /// keeps the stack depth a continuation returns to
+    /// ([`TransientClosure::frame`]).
+    pub(crate) fn link_frame<'v>(
+        &self,
+        oid: Oid,
+        block: u32,
+        env: impl IntoIterator<Item = &'v SVal>,
+        frame: Option<u32>,
+    ) {
+        self.link_at(oid, block, env, 0, frame);
+    }
+
+    fn link_at<'v>(
+        &self,
+        oid: Oid,
+        block: u32,
+        env: impl IntoIterator<Item = &'v SVal>,
+        calls: u64,
+        frame: Option<u32>,
+    ) {
         let env = env.into_iter().map(RVal::from_sval).collect();
         let clo = Rc::new(TransientClosure {
             code: block,
             env,
-            frame: None,
+            frame,
+            holds_frames: false,
         });
         let mut links = self.links.borrow_mut();
         let link = links.entry(oid).or_insert_with(|| (Rc::clone(&clo), calls));

@@ -5,9 +5,10 @@
 //! stack and the store. All control transfer is tail transfer, and a
 //! transfer allocates nothing: registers and environments are recycled
 //! buffers, and a non-tail call's return continuation is a frame, not a
-//! heap closure. Where a stack continuation must outlive the stack (a
-//! procedure or closure group captures it, the store or an extern receives
-//! it, a run returns it), `Machine::capture` copies it to the heap.
+//! heap closure. Where a stack continuation, or a continuation closure
+//! holding one, must outlive the stack (a procedure or closure group
+//! captures it, the store or an extern receives it, a run returns it),
+//! `Machine::capture` copies it to the heap.
 //! Execution statistics (instructions, calls, heap closures, frames,
 //! exceptions) are deterministic and serve as the primary benchmark
 //! metric alongside wall-clock time.
@@ -197,6 +198,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                     code,
                     env: Vec::new(),
                     frame: None,
+                    holds_frames: false,
                 }))
             }),
             stack: Stack::default(),
@@ -441,6 +443,9 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                          persisted without PTML, or its PTML did not relink"
                     ))
                 })?;
+                if let Some(d) = c.frame {
+                    self.stack.unwind(d as usize);
+                }
                 let code = c.code;
                 self.env_clo = Some(c);
                 code
@@ -458,16 +463,17 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         self.enter(code)
     }
 
-    /// `v` fit to outlive the control stack: a stack continuation becomes
-    /// a heap copy of its frame's exit; anything else is `v` itself.
+    /// `v` fit to outlive the control stack: a stack continuation, or a
+    /// continuation closure or group holding one, becomes a heap copy
+    /// ([`Stack::lift`]); anything else is `v` itself.
     #[inline]
     fn capture(&mut self, v: RVal) -> Result<RVal, VmError> {
-        let RVal::Cont(k) = v else {
+        if !v.holds_frames() {
             return Ok(v);
-        };
-        let (clo, made) = self.stack.copy(k)?;
+        }
+        let (v, made) = self.stack.lift(v)?;
         self.stats.closures += made;
-        Ok(clo)
+        Ok(v)
     }
 
     /// `v` with a transient row replaced by its store tuple (persisted on
@@ -532,7 +538,13 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
         }
         self.stats.closures += 1;
         let frame = cont.then_some(self.stack.depth() as u32);
-        Ok(RVal::Clo(Rc::new(TransientClosure { code, env, frame })))
+        let holds_frames = cont && env.iter().any(RVal::holds_frames);
+        Ok(RVal::Clo(Rc::new(TransientClosure {
+            code,
+            env,
+            frame,
+            holds_frames,
+        })))
     }
 
     /// A transient closure group: members reach each other by index, and
@@ -1221,6 +1233,32 @@ mod tests {
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let mut store = Store::new();
         vm.run_program(&mut store, block, 1_000_000)
+    }
+
+    #[test]
+    fn a_stored_continuation_drops_the_frames_it_abandons() {
+        // `p` lands in the store with the loop it closes over and `g`'s
+        // return continuation. Called through the store after `g`
+        // returned, the loop returns through that continuation, which
+        // drops the frame of `p`'s own call.
+        let src = "(new 1 0 cont(a) \
+           (cont(g) (g 5 cont(e) (halt -1) cont(r) \
+              ([] a 0 cont(e) (halt -2) cont(p) \
+                (= r 6 cont() (p 7 cont(e) (halt -3) cont(z) (halt -4)) \
+                       cont() (halt r)))) \
+            proc(x ^ce ^cc) (Y proc(^c0 ^loop ^c) (c cont() (loop x) \
+              cont(i) (= i 5 \
+                cont() ([:=] a 0 proc(y ^ce2 ^cc2) (loop y) ce cont(u) (cc 6)) \
+                cont() (cc i))))))";
+        let mut ctx = Ctx::new();
+        let parsed = parse_app(&mut ctx, src).unwrap();
+        let mut vm = Vm::new();
+        let block = vm.compile_program(&ctx, &parsed.app).unwrap();
+        let mut store = Store::new();
+        let mut m = Machine::new(&vm.code, &vm.externs, &mut store, 100_000);
+        let out = m.run(block, Vec::new(), Vec::new()).unwrap();
+        assert_eq!(out.result.as_int(), Some(7));
+        assert_eq!(m.stack.depth(), 0);
     }
 
     fn run_int(src: &str) -> i64 {

@@ -39,6 +39,11 @@ pub struct TransientClosure {
     /// Invoking it first drops every frame at or above that depth, as
     /// returning through a stack frame does. `None` for procedures.
     pub frame: Option<u32>,
+    /// `true` when the environment holds a stack continuation, itself or
+    /// through a continuation closure or group: only a continuation made
+    /// on the stack can. Such a closure is lifted to the heap
+    /// (`Stack::lift`) before a procedure, the store or an extern gets it.
+    pub holds_frames: bool,
 }
 
 impl Drop for TransientClosure {
@@ -91,15 +96,22 @@ pub struct ClosureGroup {
     /// For a group of continuations (a loop): the control-stack depth it
     /// returns to, as [`TransientClosure::frame`].
     pub(crate) frame: Option<u32>,
+    /// As [`TransientClosure::holds_frames`], for any member.
+    pub(crate) holds_frames: bool,
 }
 
 impl ClosureGroup {
     /// A group not yet persisted.
     pub(crate) fn new(members: Box<[(u32, Box<[Capture]>)]>, frame: Option<u32>) -> ClosureGroup {
+        let holds_frames = members
+            .iter()
+            .flat_map(|m| m.1.iter())
+            .any(|c| matches!(c, Capture::Val(v) if v.holds_frames()));
         ClosureGroup {
             members,
             persisted: OnceCell::new(),
             frame,
+            holds_frames,
         }
     }
 
@@ -142,7 +154,7 @@ impl ClosureGroup {
                 }
                 store.set(*oid, Object::Closure(ClosureObj::positional(env)))?;
             }
-            code.link(*oid, *block, &*env);
+            code.link_frame(*oid, *block, &*env, self.frame);
         }
         Ok(self.persisted.get_or_init(|| oids.into()))
     }
@@ -229,6 +241,19 @@ pub enum RVal {
 }
 
 impl RVal {
+    /// `true` for a stack continuation and for a continuation closure or
+    /// group holding one: a value that must be lifted to the heap before
+    /// it can outlive the control stack.
+    #[inline]
+    pub(crate) fn holds_frames(&self) -> bool {
+        match self {
+            RVal::Cont(_) => true,
+            RVal::Clo(c) => c.holds_frames,
+            RVal::Group(g, _) => g.holds_frames,
+            _ => false,
+        }
+    }
+
     /// Lift a store value.
     pub fn from_sval(v: &SVal) -> RVal {
         match v {
@@ -270,7 +295,7 @@ impl RVal {
                     env.push(v.persist(store, code)?);
                 }
                 let oid = store.alloc(Object::Closure(ClosureObj::positional(&env)))?;
-                code.link(oid, c.code, &env);
+                code.link_frame(oid, c.code, &env, c.frame);
                 SVal::Ref(oid)
             }
             RVal::Group(g, j) => SVal::Ref(g.persist(store, code)?[*j as usize]),
@@ -396,9 +421,11 @@ mod tests {
                     code: 4,
                     env: vec![],
                     frame: None,
+                    holds_frames: false,
                 })),
             ],
             frame: None,
+            holds_frames: false,
         }));
         let code = CodeTable::new();
         let s = clo.persist(&mut store, &code).unwrap();
@@ -426,6 +453,7 @@ mod tests {
             code: 1,
             env: vec![],
             frame: None,
+            holds_frames: false,
         });
         let v1 = RVal::Clo(a.clone());
         let v2 = RVal::Clo(a);
@@ -433,6 +461,7 @@ mod tests {
             code: 1,
             env: vec![],
             frame: None,
+            holds_frames: false,
         }));
         assert!(v1.identical(&v2));
         assert!(!v1.identical(&v3));
@@ -487,6 +516,7 @@ mod tests {
                 code: 0,
                 env: vec![],
                 frame: None,
+                holds_frames: false,
             }))
             .kind(),
             "closure"

@@ -16,14 +16,18 @@
 //! `base`). A stale or foreign one is a typed trap, never an index into a
 //! frame it does not name.
 //!
-//! Where a continuation must outlive the stack, [`Stack::copy`] copies its
-//! frame into an ordinary [`TransientClosure`] that remembers the depth it
-//! returns to, and leaves the frame in place. Frames are copied once each,
-//! bottom up (a frame's captures can only name frames below it), so even
-//! a deep first copy is a loop. Dropping frames truncates a vector.
+//! Where a continuation must outlive the stack, [`Stack::lift`] copies
+//! its frame into an ordinary [`TransientClosure`] that remembers the
+//! depth it returns to, and leaves the frame in place. Frames are copied
+//! once each, bottom up (a frame's captures can only name frames below
+//! it), so even a deep first copy is a loop. A continuation closure or
+//! loop group that holds stack continuations is lifted too: a copy whose
+//! environment holds the frames' heap copies instead. Dropping frames
+//! truncates a vector.
 
 use crate::machine::VmError;
-use crate::rval::{RVal, StackCont, TransientClosure};
+use crate::rval::{Capture, ClosureGroup, RVal, StackCont, TransientClosure};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A return frame: its exits' blocks ([`NO_EXIT`] when absent), the
@@ -126,42 +130,144 @@ impl Stack {
         }
     }
 
-    /// The heap copy of `k`'s exit, copying every frame up to its own
-    /// that has none yet; the second value counts the closures made.
-    pub(crate) fn copy(&mut self, k: StackCont) -> Result<(RVal, u64), VmError> {
-        let (d, _) = self.live(&k)?;
+    /// `v` fit to outlive the stack: each stack continuation it holds,
+    /// itself or through continuation closures and groups, replaced by
+    /// the heap copy of its frame's exit. A value that holds none is `v`
+    /// itself. The second value counts the heap closures made.
+    pub(crate) fn lift(&mut self, v: RVal) -> Result<(RVal, u64), VmError> {
         let mut made = 0;
-        while self.copies.len() <= d {
-            let j = self.copies.len();
-            let f = &self.frames[j];
-            let mut env = Vec::with_capacity(f.caps.len());
-            for v in &f.caps {
-                env.push(match v {
-                    // Only frames below `j`, copied already, can be named.
-                    RVal::Cont(c) => match self.copied(c) {
-                        Some(clo) => RVal::Clo(clo),
-                        None => return Err(stale(c)),
-                    },
-                    v => v.clone(),
-                });
-            }
-            let copy = |code| {
-                (code != NO_EXIT).then(|| {
-                    Rc::new(TransientClosure {
-                        code,
-                        env: env.clone(),
-                        frame: Some(j as u32),
-                    })
-                })
+        let v = self.lift_in(v, true, &mut made)?;
+        Ok((v, made))
+    }
+
+    /// [`Stack::lift`]; `grow` allows copying frames not copied yet (a
+    /// frame's captures may only name frames copied already).
+    fn lift_in(&mut self, v: RVal, grow: bool, made: &mut u64) -> Result<RVal, VmError> {
+        if !v.holds_frames() {
+            return Ok(v);
+        }
+        // The closures and groups reached, each lifted once, after the
+        // ones it holds (post-order, without host recursion: the nesting
+        // is as deep as the program makes it). Keyed by address.
+        let mut done: HashMap<*const (), RVal> = HashMap::new();
+        let mut work = vec![(v.clone(), false)];
+        while let Some((n, ready)) = work.pop() {
+            let Some(key) = node(&n) else {
+                continue;
             };
-            let copies = f.exits.map(copy);
-            made += copies.iter().flatten().count() as u64;
-            self.copies.push(copies);
+            if done.contains_key(&key) {
+                continue;
+            }
+            if !ready {
+                work.push((n.clone(), true));
+                let held: Vec<RVal> = match &n {
+                    RVal::Clo(c) => c
+                        .env
+                        .iter()
+                        .filter(|x| node(x).is_some())
+                        .cloned()
+                        .collect(),
+                    RVal::Group(g, _) => g
+                        .members
+                        .iter()
+                        .flat_map(|m| m.1.iter())
+                        .filter_map(|c| match c {
+                            Capture::Val(x) if node(x).is_some() => Some(x.clone()),
+                            _ => None,
+                        })
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                work.extend(held.into_iter().map(|x| (x, false)));
+                continue;
+            }
+            let lifted = match &n {
+                RVal::Clo(c) => {
+                    let mut env = Vec::with_capacity(c.env.len());
+                    for x in &c.env {
+                        env.push(self.lifted(x, &done, grow, made)?);
+                    }
+                    *made += 1;
+                    RVal::Clo(Rc::new(TransientClosure {
+                        code: c.code,
+                        env,
+                        frame: c.frame,
+                        holds_frames: false,
+                    }))
+                }
+                RVal::Group(g, j) => {
+                    let mut members = Vec::with_capacity(g.members.len());
+                    for (code, caps) in g.members.iter() {
+                        let mut env = Vec::with_capacity(caps.len());
+                        for c in caps.iter() {
+                            env.push(match c {
+                                Capture::Val(x) => Capture::Val(self.lifted(x, &done, grow, made)?),
+                                Capture::Member(m) => Capture::Member(*m),
+                            });
+                        }
+                        members.push((*code, env.into_boxed_slice()));
+                    }
+                    *made += members.len() as u64;
+                    let group = ClosureGroup::new(members.into_boxed_slice(), g.frame);
+                    RVal::Group(Rc::new(group), *j)
+                }
+                _ => continue,
+            };
+            done.insert(key, lifted);
         }
-        match self.copied(&k) {
-            Some(clo) => Ok((RVal::Clo(clo), made)),
-            None => Err(stale(&k)),
+        self.lifted(&v, &done, grow, made)
+    }
+
+    /// The lifted form of `x`: a stack continuation's heap copy, or the
+    /// entry of `done` for a closure or group that holds frames.
+    fn lifted(
+        &mut self,
+        x: &RVal,
+        done: &HashMap<*const (), RVal>,
+        grow: bool,
+        made: &mut u64,
+    ) -> Result<RVal, VmError> {
+        match (x, node(x).and_then(|key| done.get(&key))) {
+            (RVal::Cont(k), _) if grow => {
+                let (d, _) = self.live(k)?;
+                while self.copies.len() <= d {
+                    self.copy_next(made)?;
+                }
+                self.copied(k).map(RVal::Clo).ok_or_else(|| stale(k))
+            }
+            (RVal::Cont(k), _) => self.copied(k).map(RVal::Clo).ok_or_else(|| stale(k)),
+            (RVal::Group(_, j), Some(RVal::Group(g, _))) => Ok(RVal::Group(Rc::clone(g), *j)),
+            (_, Some(v)) => Ok(v.clone()),
+            _ => Ok(x.clone()),
         }
+    }
+
+    /// Copy the lowest frame not copied yet to the heap: one closure per
+    /// exit, over the frame's lifted captures.
+    fn copy_next(&mut self, made: &mut u64) -> Result<(), VmError> {
+        let j = self.copies.len();
+        let (exits, caps) = match self.frames.get(j) {
+            Some(f) => (f.exits, f.caps.clone()),
+            None => return Err(VmError::Trap(format!("no frame @{j} to copy"))),
+        };
+        let mut env = Vec::with_capacity(caps.len());
+        for v in caps {
+            env.push(self.lift_in(v, false, made)?);
+        }
+        let copy = |code| {
+            (code != NO_EXIT).then(|| {
+                Rc::new(TransientClosure {
+                    code,
+                    env: env.clone(),
+                    frame: Some(j as u32),
+                    holds_frames: false,
+                })
+            })
+        };
+        let copies = exits.map(copy);
+        *made += copies.iter().flatten().count() as u64;
+        self.copies.push(copies);
+        Ok(())
     }
 
     /// The heap copy of `k`'s exit, if its frame is live and copied.
@@ -171,6 +277,16 @@ impl Stack {
             return None;
         }
         self.copies.get(d)?.get(usize::from(k.exit))?.clone()
+    }
+}
+
+/// The address of a closure or group that holds frames: a value
+/// [`Stack::lift`] rebuilds.
+fn node(v: &RVal) -> Option<*const ()> {
+    match v {
+        RVal::Clo(c) if c.holds_frames => Some(Rc::as_ptr(c).cast()),
+        RVal::Group(g, _) if g.holds_frames => Some(Rc::as_ptr(g).cast()),
+        _ => None,
     }
 }
 

@@ -7,12 +7,20 @@
 //!   on a thread with a 2 MiB stack (a server executor's default).
 //! * A procedure that captures its continuation at every level takes the
 //!   heap path; the chain of copies is dropped in a loop as well.
+//! * A procedure that closes over a continuation closure or loop group
+//!   holding stack continuations gets heap copies too, so it can be
+//!   stored and called after the frames it names have returned.
 //! * The stack relies on TML's rule 3 (continuations never escape): the
 //!   front end's and the optimizer's output obey it, and a program that
-//!   breaks it gets a typed trap, never a panic.
+//!   breaks it gets a typed trap, never a panic. Rule 3 is a syntactic
+//!   check, necessary but not sufficient: a well-formed handler installed
+//!   with `pushHandler` can outlive the frame its continuation names. The
+//!   front end lowers `try` to a fresh `cₑ` and emits no `pushHandler`,
+//!   and the optimizer introduces none, which the test checks as well.
 
 use tycoon::core::gen::{gen_state_program, GenConfig};
 use tycoon::core::parse::parse_app;
+use tycoon::core::term::{App, Value};
 use tycoon::core::wellformed::{check_abs, check_app};
 use tycoon::core::Ctx;
 use tycoon::lang::stanford::suite;
@@ -96,6 +104,17 @@ fn continuations_captured_at_every_level_keep_the_heap_path() {
     assert_eq!(result, Some(200_000));
 }
 
+/// Assert that `app` is well-formed and installs no handler of its own.
+fn second_class(ctx: &Ctx, app: &App) {
+    check_app(ctx, app).unwrap();
+    app.walk(&mut |a| {
+        if let Value::Prim(p) = a.func {
+            let name = ctx.prims.name(p);
+            assert!(!name.ends_with("Handler"), "{name} in generated code");
+        }
+    });
+}
+
 #[test]
 fn front_end_and_optimizer_output_keeps_continuations_second_class() {
     let mut s = Session::new(SessionConfig::default()).unwrap();
@@ -115,6 +134,7 @@ fn front_end_and_optimizer_output_keeps_continuations_second_class() {
         for b in &blobs {
             let (abs, _) = decode_abs(&mut s.ctx, b).unwrap();
             check_abs(&s.ctx, &abs).unwrap();
+            second_class(&s.ctx, &abs.body);
         }
     };
     // The standard library and the Stanford suite as the front end
@@ -125,10 +145,54 @@ fn front_end_and_optimizer_output_keeps_continuations_second_class() {
     for seed in 0..40 {
         for twin in [false, true] {
             let (mut ctx, app) = gen_state_program(seed, GenConfig::default(), twin);
-            check_app(&ctx, &app).unwrap();
+            second_class(&ctx, &app);
             let (opt, _) = optimize(&mut ctx, app, &OptOptions::default());
             check_app(&ctx, &opt).unwrap_or_else(|e| panic!("seed {seed}/{twin}: {e}"));
+            second_class(&ctx, &opt);
         }
+    }
+}
+
+/// A program in which `g` leaves a procedure in `a[0]` that closes over a
+/// continuation closure or loop group built by `body`, then returns 6.
+/// The caller then calls that procedure with 7, after `g`'s frame has
+/// returned; it returns once more through `g`'s continuation, with 7.
+fn stored_after_return(body: &str) -> String {
+    format!(
+        "(new 1 0 cont(a) \
+           (cont(g) (g 5 cont(e) (halt -1) cont(r) \
+              ([] a 0 cont(e) (halt -2) cont(p) \
+                (= r 6 cont() (p 7 cont(e) (halt -3) cont(z) (halt -4)) \
+                       cont() (halt r)))) \
+            proc(x ^ce ^cc) {body}))"
+    )
+}
+
+#[test]
+fn procedures_closing_over_continuation_closures_get_heap_copies() {
+    // A loop that falls back to a closure group: the procedure closes
+    // over its member, which holds `g`'s return continuation.
+    let group = stored_after_return(
+        "(Y proc(^c0 ^loop ^c) (c cont() (loop x) \
+           cont(i) (= i 5 \
+             cont() ([:=] a 0 proc(y ^ce2 ^cc2) (loop y) ce cont(u) (cc 6)) \
+             cont() (cc i))))",
+    );
+    // A join point whose scope jumps to the enclosing loop, so it is a
+    // continuation closure, not a frame: the procedure closes over it.
+    let join = stored_after_return(
+        "(Y proc(^c0 ^loop ^c) (c cont() (loop x) \
+           cont(i) (proc(^h) \
+             (= i 5 \
+               cont() ([:=] a 0 proc(y ^ce2 ^cc2) (h y) ce cont(u) (loop 6)) \
+               cont() (h i)) \
+             cont(v) (cc v))))",
+    );
+    for src in [group, join] {
+        let mut ctx = Ctx::new();
+        let parsed = parse_app(&mut ctx, &src).unwrap();
+        check_app(&ctx, &parsed.app).unwrap();
+        assert_eq!(run(&src).unwrap().as_int(), Some(7), "{src}");
     }
 }
 
