@@ -46,14 +46,14 @@ fn bench_compile_proc(steps: usize, iters: usize) -> (usize, f64) {
     let size = app.size();
     let abs = Abs::new(Vec::new(), app);
     // Warm-up + sanity.
-    let mut code = CodeTable::new();
-    Compiler::new(&ctx, &mut code)
+    let code = CodeTable::new();
+    Compiler::new(&ctx, &code)
         .compile_proc(&abs)
         .expect("generated term compiles");
     let t0 = Instant::now();
     for _ in 0..iters {
-        let mut code = CodeTable::new();
-        Compiler::new(&ctx, &mut code)
+        let code = CodeTable::new();
+        Compiler::new(&ctx, &code)
             .compile_proc(&abs)
             .expect("generated term compiles");
     }

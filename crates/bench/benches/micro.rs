@@ -98,7 +98,7 @@ fn bench_machine(c: &mut Criterion) {
           (+ i 1 cont(e)(halt -1) cont(t) (f t)))))";
     let mut ctx = Ctx::new();
     let parsed = tml_core::parse::parse_app(&mut ctx, src).expect("parses");
-    let mut vm = Vm::new();
+    let vm = Vm::new();
     let block = vm.compile_program(&ctx, &parsed.app).expect("compiles");
     let mut group = c.benchmark_group("machine");
     group.throughput(Throughput::Elements(20_000));

@@ -131,8 +131,8 @@ impl<S: StoreAccess> Session<S> {
     /// standard library is loaded through the seam, so on a durable
     /// backend it is logged like any other module). Reopening an
     /// existing image goes through `tml-reflect`'s session rebuild
-    /// instead, which relinks persistent closures rather than reloading
-    /// sources.
+    /// instead, which reloads no sources: each persistent closure is
+    /// linked from its PTML on its first call.
     pub fn on_store(
         store: S,
         config: SessionConfig,
@@ -285,14 +285,17 @@ impl<S: StoreAccess> Session<S> {
         self.call_value(RVal::from_sval(&target), args)
     }
 
-    /// Call an arbitrary procedure value.
+    /// Call an arbitrary procedure value. A stored closure the call
+    /// reaches with no code in this session yet (one of a reopened image)
+    /// is linked from its PTML then.
     pub fn call_value(&mut self, target: RVal, args: Vec<RVal>) -> Result<CallResult, LangError> {
         let mut machine = Machine::new(
             &self.vm.code,
             &self.vm.externs,
             &mut self.store,
             self.config.fuel,
-        );
+        )
+        .linking(&mut self.ctx, &self.globals);
         match machine.call_value_checked(target, args) {
             Ok(Ok(result)) => Ok(CallResult {
                 result,

@@ -38,10 +38,10 @@ use tml_lang::types::TypeEnv;
 use tml_lang::{Session, SessionConfig};
 use tml_opt::{optimize_abs_traced, OptOptions, OptStats};
 use tml_store::cache::{binding_signature, hash_bytes, SigHasher};
-use tml_store::ptml::{decode_abs, encode_abs};
+use tml_store::ptml::{check_header, decode_abs, encode_abs};
 use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess};
 use tml_trace::Sink;
-use tml_vm::{CodeTable, LinkedProduct, Vm};
+use tml_vm::{link_ptml, CodeTable, LinkError, Linked, LinkedProduct, Vm};
 
 /// What [`optimize_all`] does when optimizing a *single* target fails —
 /// its PTML fails to decode, the optimizer panics, or the fuel budget runs
@@ -166,6 +166,16 @@ impl std::fmt::Display for ReflectError {
 }
 
 impl std::error::Error for ReflectError {}
+
+impl From<LinkError> for ReflectError {
+    fn from(e: LinkError) -> Self {
+        match e {
+            LinkError::Decode(e) => decode_err(e),
+            LinkError::Compile(e) => ReflectError::Compile(e.to_string()),
+            LinkError::Unresolved(n) => ReflectError::Unresolved(n),
+        }
+    }
+}
 
 /// Report from [`optimize_all`].
 #[derive(Debug, Clone, Default)]
@@ -426,76 +436,6 @@ fn ptml_blob(store: &Store, oid: Oid) -> Result<&[u8], ReflectError> {
     }
 }
 
-/// Code linked from PTML by [`link_ptml`].
-#[derive(Debug)]
-pub struct Linked<T> {
-    /// The compiled entry block in the session's code table.
-    pub block: u32,
-    /// One resolved capture per environment slot, in slot order, under
-    /// its free-variable name. With `T = SVal` these are the closure's
-    /// R-value bindings, and their values are its environment.
-    pub captures: Vec<(String, T)>,
-}
-
-impl Linked<SVal> {
-    /// The closure environment: the capture values in slot order.
-    pub fn env(&self) -> impl Iterator<Item = &SVal> {
-        self.captures.iter().map(|(_, v)| v)
-    }
-}
-
-/// The one PTML linker: decode `bytes`, compile the procedure into the
-/// session's code table, and resolve each capture by its free-variable
-/// name through `resolve` (which also sees the session's globals). PTML is
-/// the only persistent form of code (paper §2.2), so every persisted
-/// procedure reaches the machine this way: image relink, optimization
-/// products, cache hits, tier deopt and shipped code.
-pub fn link_ptml<S: StoreAccess, T>(
-    session: &mut Session<S>,
-    bytes: &[u8],
-    mut resolve: impl FnMut(&str, &HashMap<String, SVal>) -> Result<T, ReflectError>,
-) -> Result<Linked<T>, ReflectError> {
-    let (abs, frees) = decode_abs(&mut session.ctx, bytes).map_err(decode_err)?;
-    let compiled = session
-        .vm
-        .compile_proc(&session.ctx, &abs)
-        .map_err(|e| ReflectError::Compile(e.to_string()))?;
-    let names: HashMap<VarId, String> = frees.into_iter().map(|(n, v)| (v, n)).collect();
-    let captures = compiled
-        .captures
-        .iter()
-        .map(|v| {
-            let name = names.get(v).ok_or_else(|| {
-                ReflectError::Compile(format!(
-                    "capture {} is not a recorded binding",
-                    session.ctx.names.display(*v)
-                ))
-            })?;
-            Ok((name.clone(), resolve(name, &session.globals)?))
-        })
-        .collect::<Result<_, ReflectError>>()?;
-    Ok(Linked {
-        block: compiled.block,
-        captures,
-    })
-}
-
-/// The capture resolver for persisted closures: a capture keeps its
-/// recorded binding, or else takes the current global of its name.
-pub fn recorded_or_global(
-    recorded: &[(String, SVal)],
-) -> impl FnMut(&str, &HashMap<String, SVal>) -> Result<SVal, ReflectError> + '_ {
-    move |name, globals| {
-        recorded
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .or_else(|| globals.get(name))
-            .cloned()
-            .ok_or_else(|| ReflectError::Unresolved(name.to_string()))
-    }
-}
-
 /// Render a caught panic payload for the trace log.
 fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -618,26 +558,24 @@ fn try_cached<S: StoreAccess>(
     key: CacheKey,
 ) -> Option<Rebuilt> {
     let entry = session.store.cache_lookup(key)?;
-    let fallback = |n: &str, _: &HashMap<String, SVal>| {
+    let fallback = |n: &str| {
         let found = entry.captures.iter().find(|(c, _)| c == n);
         found
             .map(|(_, v)| v.clone())
-            .ok_or_else(|| ReflectError::Unresolved(n.to_string()))
+            .ok_or_else(|| LinkError::Unresolved(n.to_string()))
     };
     let linked = match session.vm.linked.get(&key) {
         Some(p) if p.ptml_hash == hash_bytes(&entry.ptml) => {
-            let captures = p
-                .captures
-                .iter()
-                .map(|n| Ok((n.clone(), fallback(n, &session.globals)?)));
-            let captures = captures.collect::<Result<_, ReflectError>>().ok()?;
+            let captures = p.captures.iter().map(|n| Ok((n.clone(), fallback(n)?)));
+            let captures = captures.collect::<Result<_, LinkError>>().ok()?;
             Linked {
                 block: p.block,
                 captures,
             }
         }
         _ => {
-            let linked = link_ptml(session, &entry.ptml, fallback).ok()?;
+            let linked =
+                link_ptml(&mut session.ctx, &session.vm.code, &entry.ptml, fallback).ok()?;
             memoize(&mut session.vm, key, &entry.ptml, &linked);
             linked
         }
@@ -719,11 +657,9 @@ fn rebuild<S: StoreAccess>(
         .store
         .alloc(Object::Ptml(bytes.clone()))
         .map_err(|e| ReflectError::Store(e.to_string()))?;
-    let linked = link_ptml(session, &bytes, |n, _| {
+    let linked = link_ptml(&mut session.ctx, &session.vm.code, &bytes, |n| {
         if !residuals.iter().any(|(r, _)| r == n) {
-            return Err(ReflectError::Compile(format!(
-                "capture {n} is not a residual binding"
-            )));
+            return Err(LinkError::Unresolved(n.to_string()));
         }
         Ok(residual_values.get(n).cloned())
     })?;
@@ -1025,12 +961,12 @@ pub fn optimize_all<S: StoreAccess>(
 
 /// Reconstruct a runnable [`Session`] around a store loaded from an
 /// image. Images persist objects, roots and R-value bindings but no
-/// executable code — the persistent representation of
-/// code is PTML (paper §2.2) — so after construction every PTML-carrying
-/// closure must be recompiled and linked with [`relink_image_code`].
+/// executable code — the persistent representation of code is PTML
+/// (paper §2.2) — so the session starts with an empty code table, and
+/// each closure is linked from its PTML on its first call. Follow with
+/// [`relink_image_code`] to check every closure's PTML up front.
 /// Callers needing extension primitives (e.g. the query externs) should
-/// install them into the returned session *before* relinking, so decoding
-/// resolves them.
+/// install them into the returned session before calling into it.
 pub fn session_from_store(store: Store, config: SessionConfig) -> Session {
     session_from_store_with(store, config, tml_core::Registry::standard())
 }
@@ -1038,7 +974,7 @@ pub fn session_from_store(store: Store, config: SessionConfig) -> Session {
 /// [`session_from_store`] over an explicit primitive [`tml_core::Registry`]
 /// — the image loads against exactly the primitives the registry provides.
 /// PTML terms referencing a primitive outside it degrade to typed skips
-/// during [`relink_image_code`] instead of failing the load.
+/// in [`relink_image_code`] instead of failing the load.
 pub fn session_from_store_with(
     store: Store,
     config: SessionConfig,
@@ -1049,10 +985,10 @@ pub fn session_from_store_with(
 
 /// [`session_from_store_with`] over any store backend behind the access
 /// seam — pass a [`tml_store::DurableStore`] to reconstruct a durable
-/// session from an opened (and possibly crash-recovered) image. Only the
-/// read surface is touched here, and by the follow-up
-/// [`relink_image_code`], which links the regenerated code into the
-/// session's code table.
+/// session from an opened (and possibly crash-recovered) image. It reads
+/// the roots into the globals and compiles nothing: a stored closure is
+/// decoded, compiled and linked when [`Session::call_value`] first
+/// reaches it.
 pub fn session_from_access_with<S: StoreAccess>(
     store: S,
     config: SessionConfig,
@@ -1083,81 +1019,72 @@ pub fn session_from_access_with<S: StoreAccess>(
 /// Report from [`relink_image_code`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RelinkReport {
-    /// Closures whose code was regenerated from PTML.
+    /// Closures whose PTML passed the check: each links on its first
+    /// call.
     pub relinked: usize,
-    /// Closures left without executable code because their PTML blob was
-    /// missing or corrupt (or a persisted binding could not be resolved).
-    /// Each is marked with the persistent attribute `degraded = 1` and
-    /// reported via [`tml_trace::Event::DegradedSkip`]; calling such a
-    /// closure traps, but the rest of the image loads and runs.
+    /// Closures whose PTML blob is missing, lacks the PTML magic, or
+    /// names a primitive the session's registry does not provide. Each is
+    /// marked with the persistent attribute `degraded = 1` and reported
+    /// via [`tml_trace::Event::DegradedSkip`]; calling such a closure
+    /// traps, but the rest of the image loads and runs.
     pub skipped: usize,
 }
 
-/// Recompile every PTML-carrying closure in the session's store against
-/// the session's (fresh) code table and link it there, with the
-/// environment derived from its persisted R-value bindings. OIDs are
-/// stable across images, so binding values — including mutual
-/// references between closures — remain valid as-is; only the links are
-/// regenerated. Each link's lifetime call count starts at the closure's
+/// Check, without decoding, compiling or linking anything, that every
+/// PTML-carrying closure of a reopened image can be linked on its first
+/// call: its PTML blob exists, starts with the PTML magic, and names only
+/// primitives the session's registry knows. Closure records hold no code
+/// index, so nothing else needs restoring: the session links a closure
+/// when a call first reaches it, and its call count then starts at its
 /// persisted `tier.calls` attribute, so a restart does not reset the
-/// climb toward the promotion threshold. Relink writes to the store only
-/// for a degraded skip (below).
+/// climb toward the promotion threshold.
 ///
-/// A closure whose PTML is unreadable — the blob object is gone, or its
-/// bytes fail to decode — is *skipped*, not fatal: it stays unlinked,
-/// gets the `degraded = 1` attribute (set through the store-access seam,
-/// so a logged record on a durable store), and is counted in
-/// [`RelinkReport::skipped`]. Image boot is thereby total on any store
-/// that decodes. A closure persisted without PTML (a run-time closure
-/// stored by `RVal::persist`) stays unlinked too, and is counted by the
-/// `reflect.relink.no_ptml` trace counter. Calling either is a typed
-/// trap.
+/// A closure that fails the check is *skipped*, not fatal: it gets the
+/// `degraded = 1` attribute (set through the store-access seam, so a
+/// logged record on a durable store) and is counted in
+/// [`RelinkReport::skipped`]; this is the only write. Image boot is
+/// thereby total on any store that decodes. A body that is damaged
+/// behind a sound header passes the check, and the call that links it
+/// traps; `tmlc fsck` decodes every blob. A closure persisted without
+/// PTML (a run-time closure stored by `RVal::persist`) is counted by the
+/// `reflect.relink.no_ptml` trace counter. Calling it traps.
 pub fn relink_image_code<S: StoreAccess>(
     session: &mut Session<S>,
 ) -> Result<RelinkReport, ReflectError> {
     let _s = tml_trace::span!("reflect.relink");
-    let targets: Vec<_> = session
-        .store
-        .base()
-        .iter()
-        .filter_map(|(oid, obj)| match obj {
-            Object::Closure(c) => Some((oid, c.ptml, c.bindings.clone())),
-            _ => None,
-        })
-        .collect();
-    let mut names: HashMap<Oid, String> = HashMap::new();
-    for (name, val) in &session.globals {
-        if let SVal::Ref(o) = val {
-            names.entry(*o).or_insert_with(|| name.clone());
-        }
-    }
     let mut report = RelinkReport::default();
-    for (oid, ptml_oid, recorded) in targets {
-        let Some(ptml_oid) = ptml_oid else {
-            // Persisted from a run-time closure: no PTML to relink from.
+    let mut failed = Vec::new();
+    let store = session.store.base();
+    for (oid, obj) in store.iter() {
+        let Object::Closure(c) = obj else {
+            continue;
+        };
+        let Some(ptml) = c.ptml else {
             tml_trace::count("reflect.relink.no_ptml", 1);
             continue;
         };
-        let bytes = ptml_blob(session.store.base(), ptml_oid).map(<[u8]>::to_vec);
-        let linked = bytes.and_then(|b| link_ptml(session, &b, recorded_or_global(&recorded)));
-        let linked = match linked {
-            Ok(l) => l,
-            Err(err) => {
-                if matches!(err, ReflectError::UnknownPrim(_)) {
-                    tml_trace::count("reflect.relink.unknown_prim", 1);
-                }
-                record_skip(names.get(&oid).map(String::as_str), oid, &err);
-                let _ = session.store.set_attr(oid, "degraded", 1);
-                report.skipped += 1;
-                continue;
+        let checked =
+            ptml_blob(store, ptml).and_then(|b| check_header(&session.ctx, b).map_err(decode_err));
+        match checked {
+            Ok(()) => report.relinked += 1,
+            Err(err) => failed.push((oid, err)),
+        }
+    }
+    let mut names: HashMap<Oid, &str> = HashMap::new();
+    if !failed.is_empty() {
+        for (name, val) in &session.globals {
+            if let SVal::Ref(o) = val {
+                names.entry(*o).or_insert(name);
             }
-        };
-        let calls = session.store.attr(oid, "tier.calls").unwrap_or(0).max(0);
-        session
-            .vm
-            .code
-            .link_counted(oid, linked.block, linked.env(), calls as u64);
-        report.relinked += 1;
+        }
+    }
+    for (oid, err) in failed {
+        if matches!(err, ReflectError::UnknownPrim(_)) {
+            tml_trace::count("reflect.relink.unknown_prim", 1);
+        }
+        record_skip(names.get(&oid).copied(), oid, &err);
+        let _ = session.store.set_attr(oid, "degraded", 1);
+        report.skipped += 1;
     }
     if tml_trace::enabled() {
         tml_trace::count("reflect.relinked", report.relinked as u64);

@@ -51,17 +51,20 @@
 //! (promotion, deopt) keeps it. Hotness survives restarts:
 //! [`persist_counters`] writes each closure's lifetime call count to the
 //! `tier.calls` attribute (saved in the TYCAT2 catalog's attr section at
-//! checkpoint), and [`crate::relink_image_code`] seeds each fresh link
-//! from that attribute on image load.
+//! checkpoint). A reopened image links each closure at its first call,
+//! and that link's count starts from the attribute. A closure not called
+//! since the reopen has no link: it is no promotion candidate yet, and
+//! [`persist_counters`] leaves its attribute as it is.
 
 use std::collections::HashMap;
 
 use tml_core::Oid;
 use tml_lang::Session;
 use tml_store::{Object, SVal, Store, StoreAccess, StoreError};
-use tml_vm::CodeTable;
+use tml_vm::link::{persisted_calls, CALLS_ATTR};
+use tml_vm::{link_ptml, recorded_or_global, CodeTable};
 
-use crate::{link_ptml, ptml_blob, rebuild, recorded_or_global, KeyInputs};
+use crate::{ptml_blob, rebuild, KeyInputs};
 use crate::{ReflectError, ReflectOptions};
 
 /// Value of the `tier` attribute of a closure on the baseline tier.
@@ -189,6 +192,8 @@ pub struct Promotion {
     pub observed: Vec<(Oid, u64)>,
     /// Call sites inlined by the escalated optimization.
     pub inlined: u64,
+    /// Persisted call count, the link's count if it is not linked yet.
+    calls: u64,
 }
 
 /// Re-optimize `oid` under the escalated hot-tier configuration. Pure
@@ -244,6 +249,7 @@ pub fn prepare_promotion<S: StoreAccess>(
         prev_bindings,
         observed,
         inlined: rebuilt.stats.inlined,
+        calls: persisted_calls(session.store.base(), oid),
     })
 }
 
@@ -252,7 +258,8 @@ impl Promotion {
     /// once [`apply_promotion`] has taken effect (returned `Ok`, and its
     /// transaction committed if it ran in one).
     pub fn link(&self, code: &CodeTable) {
-        code.link(self.oid, self.block, self.bindings.iter().map(|(_, v)| v));
+        let env = self.bindings.iter().map(|(_, v)| v);
+        code.link_counted(self.oid, self.block, env, self.calls);
     }
 }
 
@@ -310,6 +317,8 @@ pub struct Deopt {
     bindings: Vec<(String, SVal)>,
     /// The pre-optimization PTML blob the closure is restored to.
     pub prev_ptml: Oid,
+    /// Persisted call count, the link's count if it is not linked yet.
+    calls: u64,
 }
 
 /// Provenance record of a promoted closure, as parsed from its
@@ -369,13 +378,20 @@ pub fn prepare_deopt<S: StoreAccess>(
     let _s = tml_trace::span!("tier.deopt");
     let prov = load_provenance(session.store.base(), oid)
         .ok_or_else(|| ReflectError::Store(format!("no tier provenance recorded for {oid}")))?;
-    let bytes = ptml_blob(session.store.base(), prov.prev_ptml)?.to_vec();
-    let linked = link_ptml(session, &bytes, recorded_or_global(&prov.prev_bindings))?;
+    let store = session.store.base();
+    let bytes = ptml_blob(store, prov.prev_ptml)?;
+    let linked = link_ptml(
+        &mut session.ctx,
+        &session.vm.code,
+        bytes,
+        recorded_or_global(&prov.prev_bindings, &session.globals),
+    )?;
     Ok(Deopt {
         oid,
         block: linked.block,
         bindings: linked.captures,
         prev_ptml: prov.prev_ptml,
+        calls: persisted_calls(store, oid),
     })
 }
 
@@ -383,7 +399,8 @@ impl Deopt {
     /// Link the demoted closure to its baseline block in `code`, once
     /// [`apply_deopt`] has taken effect.
     pub fn link(&self, code: &CodeTable) {
-        code.link(self.oid, self.block, self.bindings.iter().map(|(_, v)| v));
+        let env = self.bindings.iter().map(|(_, v)| v);
+        code.link_counted(self.oid, self.block, env, self.calls);
     }
 }
 
@@ -427,7 +444,8 @@ impl TierEngine {
     }
 
     /// Baseline closures whose lifetime call count crossed the
-    /// threshold, hottest first, capped at `max_per_tick`.
+    /// threshold, hottest first, capped at `max_per_tick`. Only closures
+    /// called in this session are linked, so only they are candidates.
     pub fn sample<S: StoreAccess>(&self, session: &Session<S>) -> Vec<(Oid, u64)> {
         let store = &session.store;
         let mut v: Vec<(Oid, u64)> = session
@@ -557,9 +575,9 @@ pub fn persist_counters<S: StoreAccess>(session: &mut Session<S>) -> Result<usiz
         let v = calls.min(i64::MAX as u64) as i64;
         if v > 0
             && has_ptml(session.store.base(), oid)
-            && session.store.attr(oid, "tier.calls") != Some(v)
+            && session.store.attr(oid, CALLS_ATTR) != Some(v)
         {
-            session.store.set_attr(oid, "tier.calls", v)?;
+            session.store.set_attr(oid, CALLS_ATTR, v)?;
             written += 1;
         }
     }

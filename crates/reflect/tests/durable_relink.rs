@@ -1,15 +1,15 @@
 //! Relinking a durable image: a closure record holds only PTML and
 //! bindings, and its code lives in the session's code table, so
-//! `relink_image_code` reads the store and writes nothing to it. After
-//! open and relink nothing is dirty or logged, a checkpoint right after
-//! writes no record, and a crash at any point loses nothing, because
-//! every open relinks again.
+//! `relink_image_code` checks the store and writes nothing to it, and a
+//! closure is linked at its first call. After open and check nothing is
+//! dirty or logged, a checkpoint right after writes no record, and a
+//! crash at any point loses nothing, because every session links again.
 
-use tml_core::Registry;
+use tml_core::{Oid, Registry};
 use tml_lang::{Session, SessionConfig};
 use tml_reflect::{relink_image_code, session_from_access_with};
 use tml_store::durable::{DurableOptions, DurableStore};
-use tml_store::snapshot;
+use tml_store::{snapshot, SVal};
 use tml_vm::RVal;
 
 const SRC: &str = "
@@ -89,6 +89,68 @@ fn a_crash_before_the_checkpoint_is_healed_by_the_next_relink() {
     let (mut s, relinked) = relinked(&path);
     assert!(relinked > 0);
     check_abs(&mut s);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The closures `names` are bound to, in OID order.
+fn oids_of(s: &Session<DurableStore>, names: &[&str]) -> Vec<Oid> {
+    let mut oids: Vec<Oid> = names
+        .iter()
+        .map(|n| match s.global(n) {
+            Some(SVal::Ref(o)) => *o,
+            other => panic!("{n}: {other:?}"),
+        })
+        .collect();
+    oids.sort_unstable_by_key(|o| o.0);
+    oids
+}
+
+fn linked(s: &Session<DurableStore>) -> Vec<Oid> {
+    s.vm.code
+        .link_counts()
+        .into_iter()
+        .map(|(o, _)| o)
+        .collect()
+}
+
+#[test]
+fn open_links_nothing_and_a_call_links_what_it_reaches() {
+    let (dir, path) = image("lazy");
+    let (mut s, relinked) = relinked(&path);
+    assert!(relinked > 10, "{relinked}");
+    assert_eq!(s.vm.code.len(), 2, "only the native sentinels");
+    assert!(s.vm.code.link_counts().is_empty());
+
+    let c = s
+        .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
+        .unwrap();
+    assert_eq!(c.stats.linked, 1);
+    assert_eq!(linked(&s), oids_of(&s, &["complex.new"]));
+    let dirty = s.store.dirty_records(); // the tuple `complex.new` made
+
+    // `geom.abs` reaches the accessors and the library real arithmetic.
+    let reached = [
+        "complex.new",
+        "geom.abs",
+        "complex.x",
+        "complex.y",
+        "real.mul",
+        "real.add",
+        "real.sqrt",
+    ];
+    let r = s.call("geom.abs", vec![c.result.clone()]).unwrap();
+    assert_eq!(r.result, RVal::Real(5.0));
+    assert_eq!(r.stats.linked, 6);
+    assert_eq!(linked(&s), oids_of(&s, &reached));
+    let blocks = s.vm.code.len();
+
+    let again = s.call("geom.abs", vec![c.result]).unwrap();
+    assert_eq!(again.result, RVal::Real(5.0));
+    assert_eq!(again.stats.linked, 0, "a second call links nothing");
+    assert_eq!(s.vm.code.len(), blocks);
+    assert_eq!(linked(&s), oids_of(&s, &reached));
+    assert_eq!(s.store.dirty_records(), dirty, "linking writes nothing");
+    drop(s);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,8 +6,9 @@
 //!    from the provenance record — promotion never touches the old
 //!    blob, it only re-anchors it under a `tier.prev.<oid>` root.
 //! 2. Hotness survives checkpoint/reopen: `persist_counters` writes
-//!    lifetime call counts into the TYCAT2 attr section and
-//!    `relink_image_code` starts each fresh link's count from them.
+//!    lifetime call counts into the TYCAT2 attr section, and the link a
+//!    reopened session makes at a closure's first call starts its count
+//!    from them.
 //! 3. A session mid-call keeps executing the code object it pinned at
 //!    entry (the machine takes the closure's code-table link on
 //!    invocation), while the next call through the OID picks up the new
@@ -262,17 +263,17 @@ fn counters_and_tier_survive_checkpoint_and_reopen() {
     assert!(persisted >= 7, "lifetime count persisted, got {persisted}");
     drop(dsess);
 
-    // Reopen: the attr section rides the TYCAT2 catalog, and relink seeds
-    // the fresh code table from it.
+    // Reopen: the attr section rides the TYCAT2 catalog, and the link
+    // made at the closure's first call starts from it.
     let (ds2, report) = DurableStore::open(&path, DurableOptions::default()).unwrap();
     assert!(!report.stale_log);
     let mut reopened =
         tml_reflect::session_from_access_with(ds2, SessionConfig::default(), Registry::standard());
     tml_reflect::relink_image_code(&mut reopened).unwrap();
     assert_eq!(
-        reopened.vm.code.link_calls(oid) as i64,
-        persisted,
-        "reopened link seeded from tier.calls"
+        reopened.vm.code.link_calls(oid),
+        0,
+        "not linked before a call"
     );
     assert_eq!(
         reopened.store.attr(oid, "tier"),
@@ -286,6 +287,57 @@ fn counters_and_tier_survive_checkpoint_and_reopen() {
         .result;
     let r = reopened.call("geom.abs", vec![c3]).unwrap();
     assert_eq!(r.result, RVal::Real(5.0));
+    assert_eq!(
+        reopened.vm.code.link_calls(oid) as i64,
+        persisted + 1,
+        "first-call link seeded from tier.calls"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn persisting_counters_leaves_closures_not_called_since_reopen_alone() {
+    let dir = std::env::temp_dir().join(format!(
+        "tml_tier_unlinked_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.tys");
+
+    let mut s = session();
+    let c = s
+        .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
+        .unwrap()
+        .result;
+    for _ in 0..3 {
+        s.call("geom.abs", vec![c.clone()]).unwrap();
+    }
+    tier::persist_counters(&mut s).unwrap();
+    let (abs, new) = (closure_oid(&s, "geom.abs"), closure_oid(&s, "complex.new"));
+    assert_eq!(s.store.attr(abs, "tier.calls"), Some(3));
+    assert_eq!(s.store.attr(new, "tier.calls"), Some(1));
+    DurableStore::from_store(s.store, &path, DurableOptions::default())
+        .unwrap()
+        .close()
+        .unwrap();
+
+    let (ds, _) = DurableStore::open(&path, DurableOptions::default()).unwrap();
+    let mut s =
+        tml_reflect::session_from_access_with(ds, SessionConfig::default(), Registry::standard());
+    tml_reflect::relink_image_code(&mut s).unwrap();
+    s.call("complex.new", vec![RVal::Real(1.0), RVal::Real(2.0)])
+        .unwrap();
+    assert_eq!(tier::persist_counters(&mut s).unwrap(), 1);
+    assert_eq!(s.store.attr(new, "tier.calls"), Some(2), "count carried on");
+    assert_eq!(s.vm.code.link_calls(abs), 0, "geom.abs was not called");
+    assert_eq!(
+        s.store.attr(abs, "tier.calls"),
+        Some(3),
+        "attribute untouched"
+    );
+    drop(s);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -136,20 +136,7 @@ fn decode_abs_inner(
     bytes: &[u8],
 ) -> Result<(Abs, Vec<(String, VarId)>), DecodeError> {
     let mut r = Reader::new(bytes);
-    if r.bytes(MAGIC.len())? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    // Prim table.
-    let nprims = r.len()?;
-    let mut prims = Vec::with_capacity(nprims);
-    for _ in 0..nprims {
-        let name = r.str()?.to_string();
-        let id = ctx
-            .prims
-            .lookup(&name)
-            .ok_or(DecodeError::UnknownPrim(name))?;
-        prims.push(id);
-    }
+    let prims = read_header(&mut r, ctx)?;
     // Var table: create fresh identifiers.
     let nvars = r.len()?;
     let mut vars = Vec::with_capacity(nvars);
@@ -186,6 +173,32 @@ fn decode_abs_inner(
         Value::Abs(a) => Ok((Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()), free)),
         _ => Err(DecodeError::BadTag(TAG_ABS)),
     }
+}
+
+/// Read the magic and the prim table, resolving each primitive name in
+/// `ctx`'s registry.
+fn read_header(r: &mut Reader<'_>, ctx: &Ctx) -> Result<Vec<PrimId>, DecodeError> {
+    if r.bytes(MAGIC.len())? != MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let nprims = r.len()?;
+    let mut prims = Vec::with_capacity(nprims);
+    for _ in 0..nprims {
+        let name = r.str()?;
+        let id = ctx
+            .prims
+            .lookup(name)
+            .ok_or_else(|| DecodeError::UnknownPrim(name.to_string()))?;
+        prims.push(id);
+    }
+    Ok(prims)
+}
+
+/// Check the header of a PTML blob without decoding its body: the magic
+/// is there and `ctx`'s registry knows every primitive the blob names.
+/// A blob that passes may still fail [`decode_abs`] on its body.
+pub fn check_header(ctx: &Ctx, bytes: &[u8]) -> Result<(), DecodeError> {
+    read_header(&mut Reader::new(bytes), ctx).map(drop)
 }
 
 /// Decode a whole program encoded by [`encode_app`].

@@ -112,16 +112,21 @@ pub enum Event {
         /// `hit`, `miss` or `bypass` (caching disabled).
         outcome: &'static str,
     },
-    /// A whole-world optimization pass relinked rebuilt closures.
+    /// A whole-world optimization pass relinked rebuilt closures
+    /// (`rebuilt > 0`), or an image open checked its closures' PTML
+    /// (`rebuilt = 0`). The check decodes, compiles and links nothing:
+    /// each closure links on its first call.
     Relink {
-        /// Closures rebuilt by the pass.
+        /// Closures rebuilt by the pass; zero for an image check.
         rebuilt: u64,
-        /// Global/module bindings repointed to the rebuilt closures.
+        /// Global/module bindings repointed to the rebuilt closures, or
+        /// the closures whose PTML passed the image check.
         relinked: u64,
     },
     /// One target of a whole-world pass was skipped in degraded mode: its
     /// optimization panicked, diverged past its fuel budget, or its PTML
-    /// blob failed to decode. The unoptimized term is kept.
+    /// blob failed to decode (or, on image open, to pass the header
+    /// check). The unoptimized term is kept.
     DegradedSkip {
         /// Qualified function name of the skipped target.
         function: String,

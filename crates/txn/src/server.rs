@@ -41,9 +41,9 @@ use std::time::Duration;
 
 use tml_lang::Session;
 use tml_reflect::tier::{self, TierEngine, TierOptions};
-use tml_reflect::{link_ptml, optimize_value, recorded_or_global, ReflectError, ReflectOptions};
+use tml_reflect::{optimize_value, ReflectOptions};
 use tml_store::{ClosureObj, DurableStore, Object, SVal, StoreAccess, StoreError};
-use tml_vm::{Machine, RVal, VmError};
+use tml_vm::{link_ptml, recorded_or_global, LinkError, Machine, RVal, VmError};
 
 use crate::lock::LockOptions;
 use crate::txn::{Txn, TxnManager, TxnOptions, TxnView};
@@ -818,7 +818,8 @@ fn call(
     let rargs: Vec<RVal> = args.iter().map(value_to_rval).collect();
     let txn = state.txn.as_mut().expect("with_txn ensured");
     let mut view = TxnView::new(&mut sess.store, txn, mgr.locks());
-    let mut machine = Machine::new(&sess.vm.code, &sess.vm.externs, &mut view, sess.config.fuel);
+    let mut machine = Machine::new(&sess.vm.code, &sess.vm.externs, &mut view, sess.config.fuel)
+        .linking(&mut sess.ctx, &sess.globals);
     match machine.call_value_checked(RVal::from_sval(&target), rargs) {
         Ok(Ok(v)) => Ok(Response::Val(rval_to_value(&v))),
         Ok(Err(exc)) => Err(Fail::Report {
@@ -843,11 +844,12 @@ fn ship(
     name: &str,
     ptml: &[u8],
 ) -> Result<Response, Fail> {
-    let linked = link_ptml(sess, ptml, recorded_or_global(&[])).map_err(|e| {
+    let resolve = recorded_or_global(&[], &sess.globals);
+    let linked = link_ptml(&mut sess.ctx, &sess.vm.code, ptml, resolve).map_err(|e| {
         let code = match e {
-            ReflectError::BadPtml(_) | ReflectError::UnknownPrim(_) => ErrCode::Proto,
-            ReflectError::Unresolved(_) => ErrCode::Unresolved,
-            _ => ErrCode::Server,
+            LinkError::Decode(_) => ErrCode::Proto,
+            LinkError::Unresolved(_) => ErrCode::Unresolved,
+            LinkError::Compile(_) => ErrCode::Server,
         };
         let msg = format!("cannot install {name}: {e}");
         Fail::Report { code, msg }

@@ -175,11 +175,21 @@ impl TestServer {
 
 /// Bind, then build the (non-`Send`) session inside the server thread.
 pub fn start_server(image: &Path, opts: ServerOptions) -> TestServer {
+    start_server_with(image, opts, |_| {})
+}
+
+/// [`start_server`], with `prepare` run on the session before serving.
+pub fn start_server_with(
+    image: &Path,
+    opts: ServerOptions,
+    prepare: impl FnOnce(&mut Session<DurableStore>) + Send + 'static,
+) -> TestServer {
     let server = Server::bind(opts).expect("bind");
     let addr = server.local_addr();
     let image = image.to_path_buf();
     let handle = std::thread::spawn(move || {
-        let sess = server_session(&image);
+        let mut sess = server_session(&image);
+        prepare(&mut sess);
         server.run(sess)
     });
     // Wait for the accept loop.

@@ -4,7 +4,9 @@
 
 mod common;
 
-use common::{author_bump_ptml, read_slots, start_server, TempDir};
+use common::{author_bump_ptml, read_slots, start_server, start_server_with, TempDir};
+use tml_store::{ClosureObj, Object, SVal};
+use tml_txn::client::ClientError;
 use tml_txn::wire::{ErrCode, Value};
 use tml_txn::{Client, ServerOptions};
 
@@ -83,6 +85,53 @@ fn ship_call_commit_abort_and_shutdown() {
     assert_eq!(slots[0], 7);
     assert_eq!(slots[1], 3);
     assert!(slots[2..].iter().all(|&v| v == 0));
+}
+
+#[test]
+fn a_call_of_a_closure_that_cannot_link_is_an_error_response() {
+    // A stored closure whose PTML body is cut short behind a sound header
+    // links at its first call, which fails: the call gets an error
+    // response naming the closure, and the connection carries on.
+    let dir = TempDir::new("nolink");
+    let mut broken = author_bump_ptml();
+    broken.truncate(broken.len() - 1);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let server = start_server_with(&dir.image(), opts(), move |sess| {
+        let ptml = sess.store.alloc(Object::Ptml(broken)).expect("blob");
+        let clo = sess
+            .store
+            .alloc(Object::Closure(ClosureObj {
+                bindings: Vec::new(),
+                ptml: Some(ptml),
+            }))
+            .expect("closure");
+        sess.store.commit().expect("commit");
+        sess.globals.insert("work.broken".into(), SVal::Ref(clo));
+        tx.send(clo).expect("report the closure");
+    });
+    let clo = rx.recv().expect("closure installed");
+
+    let mut c = Client::connect(server.addr).expect("connect");
+    c.ship("work.bump", &author_bump_ptml()).expect("ship");
+    for bumped in 1..=2 {
+        match c.call("work.broken", &[Value::Int(0), Value::Int(1)]) {
+            Err(ClientError::Server {
+                code: ErrCode::Server,
+                msg,
+            }) => {
+                assert!(msg.contains(&clo.to_string()), "{msg}");
+                assert!(msg.contains("its PTML did not relink"), "{msg}");
+            }
+            other => panic!("{other:?}"),
+        }
+        let v = c
+            .call("work.bump", &[Value::Int(0), Value::Int(1)])
+            .expect("the next request succeeds");
+        assert_eq!(v, Value::Int(bumped));
+    }
+    c.shutdown().expect("shutdown");
+    server.join().expect("clean exit");
+    assert_eq!(read_slots(&dir.image())[0], 2);
 }
 
 #[test]

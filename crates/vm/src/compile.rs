@@ -125,10 +125,17 @@ enum Loc {
     Cell(u16),
 }
 
+/// Compile the procedure `abs` into `code` (see
+/// [`Compiler::compile_proc`]), timed as the `vm.compile` span.
+pub fn compile_proc(ctx: &Ctx, code: &CodeTable, abs: &Abs) -> Result<CompiledProc, CompileError> {
+    let _s = tml_trace::span!("vm.compile");
+    Compiler::new(ctx, code).compile_proc(abs)
+}
+
 /// The TML-to-bytecode compiler.
 pub struct Compiler<'a> {
     ctx: &'a Ctx,
-    code: &'a mut CodeTable,
+    code: &'a CodeTable,
     /// Recycled continuation-handle buffer for [`Emitter`]: codegen hooks
     /// run once per primitive application, and reusing one allocation
     /// across them keeps the hook path as cheap as the old hard-wired
@@ -145,7 +152,7 @@ pub struct Compiler<'a> {
 
 impl<'a> Compiler<'a> {
     /// Create a compiler appending to `code`.
-    pub fn new(ctx: &'a Ctx, code: &'a mut CodeTable) -> Self {
+    pub fn new(ctx: &'a Ctx, code: &'a CodeTable) -> Self {
         Compiler {
             ctx,
             code,
@@ -1442,9 +1449,9 @@ mod tests {
     fn compile(src: &str) -> Result<(CodeTable, u32), CompileError> {
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
-        let mut code = CodeTable::new();
+        let code = CodeTable::new();
         let abs = Abs::new(vec![], parsed.app);
-        let block = Compiler::new(&ctx, &mut code).compile_proc(&abs)?.block;
+        let block = Compiler::new(&ctx, &code).compile_proc(&abs)?.block;
         Ok((code, block))
     }
 
@@ -1452,7 +1459,7 @@ mod tests {
     fn run(src: &str) -> (crate::RVal, crate::ExecStats) {
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
-        let mut vm = crate::Vm::new();
+        let vm = crate::Vm::new();
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let mut store = tml_store::Store::new();
         let out = vm.run_program(&mut store, block, 100_000).unwrap();
@@ -1516,7 +1523,7 @@ mod tests {
         assert_eq!(count(&code, block, |i| matches!(i, Instr::Alloc { .. })), 1);
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
-        let mut vm = crate::Vm::new();
+        let vm = crate::Vm::new();
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let out = vm
             .run_program(&mut tml_store::Store::new(), block, 1000)
@@ -1575,8 +1582,8 @@ mod tests {
         let try_compile = |blob: &[u8]| {
             let mut ctx2 = Ctx::new();
             if let Ok((a, _)) = decode_abs(&mut ctx2, blob) {
-                let mut code = CodeTable::new();
-                let _ = Compiler::new(&ctx2, &mut code).compile_proc(&a);
+                let code = CodeTable::new();
+                let _ = Compiler::new(&ctx2, &code).compile_proc(&a);
             }
         };
         for cut in 0..bytes.len() {
@@ -1687,9 +1694,9 @@ mod tests {
         // compile_proc treats free variables as closure captures.
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, "(halt outer)").unwrap();
-        let mut code = CodeTable::new();
+        let code = CodeTable::new();
         let abs = Abs::new(vec![], parsed.app);
-        let compiled = Compiler::new(&ctx, &mut code).compile_proc(&abs).unwrap();
+        let compiled = Compiler::new(&ctx, &code).compile_proc(&abs).unwrap();
         assert_eq!(compiled.captures.len(), 1);
         assert_eq!(ctx.names.display(compiled.captures[0]), "outer_0");
     }
@@ -1698,7 +1705,7 @@ mod tests {
     fn open_programs_rejected() {
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, "(halt nosuch)").unwrap();
-        let mut vm = crate::Vm::new();
+        let vm = crate::Vm::new();
         let err = vm.compile_program(&ctx, &parsed.app).unwrap_err();
         assert!(matches!(err, CompileError::OpenProgram(v) if v.starts_with("nosuch")));
     }

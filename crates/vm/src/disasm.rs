@@ -283,7 +283,7 @@ mod tests {
     fn compile(src_text: &str) -> CodeTable {
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src_text).unwrap();
-        let mut vm = crate::Vm::new();
+        let vm = crate::Vm::new();
         vm.compile_program(&ctx, &parsed.app).unwrap();
         vm.code
     }

@@ -5,7 +5,7 @@
 //! is tail transfer: `Call`, `Halt`, `Raise` and the branch instructions
 //! never return.
 
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
@@ -552,15 +552,41 @@ impl CodeBlock {
 /// code in this session is its entry in the link table: the block it was
 /// compiled to and the environment derived from its bindings. Every site
 /// that compiles a stored closure links its OID ([`CodeTable::link`]);
-/// a call of an unlinked OID is a typed trap.
+/// a machine made with [`crate::Machine::linking`] links a stored
+/// closure on its first call, and a call of an OID it cannot link is a
+/// typed trap.
+///
+/// Blocks are appended through `&self`, so a running machine can link
+/// code into the table it executes from: each block is boxed in a
+/// write-once slot of a chunk that never moves once allocated (chunk `k`
+/// holds `CHUNK << k` slots). Boxing keeps an unfilled slot at one
+/// pointer, so a half-used chunk costs little memory.
 #[derive(Debug, Clone)]
 pub struct CodeTable {
-    blocks: Vec<CodeBlock>,
+    chunks: [OnceCell<Chunk>; CHUNKS],
+    len: Cell<u32>,
     /// Stored closures' code, by OID, with each closure's lifetime call
     /// count (the tier engine's hotness). A `RefCell` because the machine
     /// counts calls and links the closures it persists through its shared
     /// `&CodeTable`; sessions are single-threaded (`!Send`).
     links: RefCell<IdMap<Oid, (Rc<TransientClosure>, u64)>>,
+}
+
+/// A run of write-once block slots of a [`CodeTable`].
+type Chunk = Box<[OnceCell<Box<CodeBlock>>]>;
+
+/// Blocks in the first chunk of a [`CodeTable`]; each further chunk is
+/// twice the size of the one before.
+const CHUNK: u64 = 64;
+/// Chunks a [`CodeTable`] can allocate: enough for every `u32` index.
+const CHUNKS: usize = 27;
+
+/// The chunk of block `ix` and its offset there.
+#[inline]
+fn chunk_of(ix: u32) -> (usize, usize) {
+    let n = u64::from(ix) + CHUNK;
+    let k = (63 - n.leading_zeros() - CHUNK.trailing_zeros()) as usize;
+    (k, (n - (CHUNK << k)) as usize)
 }
 
 /// Maps keyed by dense ids ([`Oid`]s, `VarId`s): one multiplication per
@@ -608,8 +634,9 @@ impl Default for CodeTable {
 impl CodeTable {
     /// Create a table holding only the two native-return sentinel blocks.
     pub fn new() -> CodeTable {
-        let mut t = CodeTable {
-            blocks: Vec::new(),
+        let t = CodeTable {
+            chunks: Default::default(),
+            len: Cell::new(0),
             links: RefCell::default(),
         };
         t.push(CodeBlock {
@@ -629,10 +656,17 @@ impl CodeTable {
         t
     }
 
-    /// Add a block; returns its index.
-    pub fn push(&mut self, block: CodeBlock) -> u32 {
-        self.blocks.push(block);
-        self.blocks.len() as u32 - 1
+    /// Add a block; returns its index. Blocks already handed out stay
+    /// where they are.
+    pub fn push(&self, block: CodeBlock) -> u32 {
+        let ix = self.len.get();
+        let (k, off) = chunk_of(ix);
+        let chunk =
+            self.chunks[k].get_or_init(|| (0..CHUNK << k).map(|_| OnceCell::new()).collect());
+        let fresh = chunk[off].set(Box::new(block)).is_ok();
+        debug_assert!(fresh, "block slot {ix} written twice");
+        self.len.set(ix + 1);
+        ix
     }
 
     /// Link the stored closure `oid` to `block`, with its environment:
@@ -640,19 +674,20 @@ impl CodeTable {
     /// of the same OID but keeps its call count; a machine already
     /// running the old code finishes on it.
     pub fn link<'v>(&self, oid: Oid, block: u32, env: impl IntoIterator<Item = &'v SVal>) {
-        self.link_counted(oid, block, env, 0);
+        self.link_at(oid, block, env, 0, None);
     }
 
     /// [`CodeTable::link`], starting the call count of an OID not linked
-    /// yet at `calls` (a count an earlier session persisted).
+    /// yet at `calls` (a count an earlier session persisted). Returns the
+    /// new link's closure.
     pub fn link_counted<'v>(
         &self,
         oid: Oid,
         block: u32,
         env: impl IntoIterator<Item = &'v SVal>,
         calls: u64,
-    ) {
-        self.link_at(oid, block, env, calls, None);
+    ) -> Rc<TransientClosure> {
+        self.link_at(oid, block, env, calls, None)
     }
 
     /// [`CodeTable::link`] of a closure persisted in this session, which
@@ -675,7 +710,7 @@ impl CodeTable {
         env: impl IntoIterator<Item = &'v SVal>,
         calls: u64,
         frame: Option<u32>,
-    ) {
+    ) -> Rc<TransientClosure> {
         let env = env.into_iter().map(RVal::from_sval).collect();
         let clo = Rc::new(TransientClosure {
             code: block,
@@ -685,7 +720,8 @@ impl CodeTable {
         });
         let mut links = self.links.borrow_mut();
         let link = links.entry(oid).or_insert_with(|| (Rc::clone(&clo), calls));
-        link.0 = clo;
+        link.0 = Rc::clone(&clo);
+        clo
     }
 
     /// The code `oid` is linked to, counting one call of it. Saturating
@@ -720,29 +756,37 @@ impl CodeTable {
         self.links.borrow().get(&oid).map(|l| l.0.code)
     }
 
-    /// Fetch a block.
+    /// The block at `ix`, or `None` when no block has that index.
+    #[inline]
+    pub fn get(&self, ix: u32) -> Option<&CodeBlock> {
+        let (k, off) = chunk_of(ix);
+        self.chunks.get(k)?.get()?.get(off)?.get().map(|b| &**b)
+    }
+
+    /// Fetch a block; panics when no block has index `ix`.
     pub fn block(&self, ix: u32) -> &CodeBlock {
-        &self.blocks[ix as usize]
+        self.get(ix)
+            .unwrap_or_else(|| panic!("no code block {ix} in a table of {}", self.len()))
     }
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.len.get() as usize
     }
 
     /// `true` when no block was compiled yet.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
     /// Total approximate encoded size of all blocks.
     pub fn byte_size(&self) -> usize {
-        self.blocks.iter().map(CodeBlock::byte_size).sum()
+        self.iter().map(|(_, b)| b.byte_size()).sum()
     }
 
     /// Iterate over `(index, block)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &CodeBlock)> {
-        self.blocks.iter().enumerate().map(|(i, b)| (i as u32, b))
+        (0..self.len.get()).map(|i| (i, self.block(i)))
     }
 }
 
@@ -752,7 +796,7 @@ mod tests {
 
     #[test]
     fn code_table_push_and_fetch() {
-        let mut t = CodeTable::new();
+        let t = CodeTable::new();
         let base = t.len();
         let a = t.push(CodeBlock {
             name: "a".into(),
@@ -765,6 +809,31 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(t.block(b).name, "b");
         assert_eq!(t.len(), base + 2);
+    }
+
+    #[test]
+    fn blocks_stay_put_while_the_table_grows() {
+        let t = CodeTable::new();
+        let first = t.block(NATIVE_OK_BLOCK);
+        for i in 2..1_000u32 {
+            let ix = t.push(CodeBlock {
+                name: format!("b{i}"),
+                ..Default::default()
+            });
+            assert_eq!(ix, i);
+        }
+        assert_eq!(first.name, "<native-ok>");
+        assert_eq!(t.len(), 1_000);
+        for (ix, b) in t.iter().skip(2) {
+            assert_eq!(b.name, format!("b{ix}"));
+        }
+        assert!(t.get(1_000).is_none() && t.get(u32::MAX).is_none());
+        assert_eq!(chunk_of(0), (0, 0));
+        assert_eq!(chunk_of(63), (0, 63));
+        assert_eq!(chunk_of(64), (1, 0));
+        assert_eq!(chunk_of(191), (1, 127));
+        assert_eq!(chunk_of(192), (2, 0));
+        assert_eq!(chunk_of(u32::MAX).0, CHUNKS - 1);
     }
 
     #[test]

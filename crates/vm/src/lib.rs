@@ -33,9 +33,11 @@
 //!
 //! Bytecode is transient: a [`CodeTable`] lives and dies with its session
 //! and is never serialized. The persistent form of code is PTML (paper
-//! §2.2); `tml-reflect` links it into a session's table on image open,
-//! on optimization-cache hits and on deopt, and keeps the cache products
-//! it already linked in [`Vm::linked`].
+//! §2.2); [`link_ptml`] links it into a session's table. A machine made
+//! with [`Machine::linking`] does so for a stored closure on its first
+//! call, so opening an image compiles nothing; `tml-reflect` links optimization
+//! products, cache hits and deopts, and keeps the cache products it
+//! already linked in [`Vm::linked`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +47,7 @@ pub mod compile;
 pub mod disasm;
 pub mod host;
 pub mod instr;
+pub mod link;
 pub mod machine;
 pub mod rval;
 mod stack;
@@ -52,6 +55,7 @@ mod stack;
 pub use compile::{CompileError, CompiledProc, Compiler};
 pub use host::{ExternFn, ExternTable};
 pub use instr::{CodeBlock, CodeTable, Instr};
+pub use link::{link_ptml, recorded_or_global, LinkError, Linked};
 pub use machine::{ExecStats, Machine, Outcome, VmError, VmProfile};
 pub use rval::{RVal, TransientRow};
 
@@ -91,10 +95,9 @@ impl Vm {
     }
 
     /// Compile a closed program (top-level application) to a code block.
-    pub fn compile_program(&mut self, ctx: &Ctx, app: &App) -> Result<u32, CompileError> {
-        let _s = tml_trace::span!("vm.compile");
+    pub fn compile_program(&self, ctx: &Ctx, app: &App) -> Result<u32, CompileError> {
         let abs = Abs::new(Vec::new(), app.clone());
-        let compiled = Compiler::new(ctx, &mut self.code).compile_proc(&abs)?;
+        let compiled = self.compile_proc(ctx, &abs)?;
         if let Some(free) = compiled.captures.first() {
             return Err(CompileError::OpenProgram(ctx.names.display(*free)));
         }
@@ -103,9 +106,8 @@ impl Vm {
 
     /// Compile a procedure; its free variables become the closure captures
     /// (in the returned order).
-    pub fn compile_proc(&mut self, ctx: &Ctx, abs: &Abs) -> Result<CompiledProc, CompileError> {
-        let _s = tml_trace::span!("vm.compile");
-        Compiler::new(ctx, &mut self.code).compile_proc(abs)
+    pub fn compile_proc(&self, ctx: &Ctx, abs: &Abs) -> Result<CompiledProc, CompileError> {
+        compile::compile_proc(ctx, &self.code, abs)
     }
 
     /// Run a compiled program to completion. Generic over the

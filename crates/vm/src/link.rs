@@ -1,0 +1,124 @@
+//! The PTML linker: persistent code into a session's code table.
+//!
+//! PTML is the only persistent form of code (paper §2.2): "at runtime,
+//! it is possible to map PTML back into TML, re-invoke the optimizer and
+//! code-generator, link the newly-generated code into the running
+//! program, and execute it." [`link_ptml`] is that mapping, and every
+//! persisted procedure reaches the machine through it: a stored closure
+//! on its first call ([`crate::Machine::linking`]), optimization products
+//! and cache hits, tier promotion and deopt, and shipped code.
+
+use std::collections::HashMap;
+
+use tml_core::{Ctx, Oid, VarId};
+use tml_store::ptml::decode_abs;
+use tml_store::varint::DecodeError;
+use tml_store::{SVal, Store};
+
+use crate::compile::{compile_proc, CompileError};
+use crate::instr::CodeTable;
+
+/// Why PTML did not link.
+#[derive(Debug, Clone)]
+pub enum LinkError {
+    /// The blob does not decode (corrupt, or it names a primitive the
+    /// session's registry does not provide:
+    /// [`DecodeError::UnknownPrim`]).
+    Decode(DecodeError),
+    /// The decoded procedure does not compile.
+    Compile(CompileError),
+    /// A capture has neither a recorded binding nor a global of its name.
+    Unresolved(String),
+}
+
+impl std::fmt::Display for LinkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LinkError::Decode(e) => write!(f, "PTML does not decode: {e}"),
+            LinkError::Compile(e) => write!(f, "recompilation failed: {e}"),
+            LinkError::Unresolved(n) => write!(f, "unresolved binding {n}"),
+        }
+    }
+}
+
+impl std::error::Error for LinkError {}
+
+/// Code linked from PTML by [`link_ptml`].
+#[derive(Debug)]
+pub struct Linked<T> {
+    /// The compiled entry block in the session's code table.
+    pub block: u32,
+    /// One resolved capture per environment slot, in slot order, under
+    /// its free-variable name. With `T = SVal` these are the closure's
+    /// R-value bindings, and their values are its environment.
+    pub captures: Vec<(String, T)>,
+}
+
+impl Linked<SVal> {
+    /// The closure environment: the capture values in slot order.
+    pub fn env(&self) -> impl Iterator<Item = &SVal> {
+        self.captures.iter().map(|(_, v)| v)
+    }
+}
+
+/// The one PTML linker: decode `bytes`, resolve each free variable by
+/// its name through `resolve`, and compile the procedure into `code`,
+/// its captures in environment order. A capture that does not resolve
+/// fails the link before anything is compiled.
+pub fn link_ptml<T>(
+    ctx: &mut Ctx,
+    code: &CodeTable,
+    bytes: &[u8],
+    mut resolve: impl FnMut(&str) -> Result<T, LinkError>,
+) -> Result<Linked<T>, LinkError> {
+    let (abs, frees) = decode_abs(ctx, bytes).map_err(LinkError::Decode)?;
+    let mut resolved: HashMap<VarId, (String, T)> = HashMap::with_capacity(frees.len());
+    for (name, v) in frees {
+        let value = resolve(&name)?;
+        resolved.insert(v, (name, value));
+    }
+    let compiled = compile_proc(ctx, code, &abs).map_err(LinkError::Compile)?;
+    let captures = compiled
+        .captures
+        .iter()
+        .map(|v| {
+            resolved.remove(v).ok_or_else(|| {
+                LinkError::Compile(CompileError::Unbound(format!(
+                    "capture {} is not a recorded binding",
+                    ctx.names.display(*v)
+                )))
+            })
+        })
+        .collect::<Result<_, LinkError>>()?;
+    Ok(Linked {
+        block: compiled.block,
+        captures,
+    })
+}
+
+/// The store attribute holding a closure's lifetime call count, as an
+/// earlier session persisted it.
+pub const CALLS_ATTR: &str = "tier.calls";
+
+/// The call count an earlier session persisted for the closure `oid`:
+/// where a link made in this session starts counting.
+pub fn persisted_calls(store: &Store, oid: Oid) -> u64 {
+    store.attr(oid, CALLS_ATTR).unwrap_or(0).max(0) as u64
+}
+
+/// The capture resolver for persisted closures: a capture keeps its
+/// recorded binding, or else takes the current global of its name.
+pub fn recorded_or_global<'r>(
+    recorded: &'r [(String, SVal)],
+    globals: &'r HashMap<String, SVal>,
+) -> impl FnMut(&str) -> Result<SVal, LinkError> + 'r {
+    move |name| {
+        recorded
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v)
+            .or_else(|| globals.get(name))
+            .cloned()
+            .ok_or_else(|| LinkError::Unresolved(name.to_string()))
+    }
+}

@@ -18,15 +18,16 @@ use crate::instr::{
     AllocKind, ArithOp, BitOp, CmpOp, CodeBlock, CodeTable, ContRef, ConvOp, GroupCap, Instr, Src,
     NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK,
 };
+use crate::link::{link_ptml, persisted_calls, recorded_or_global};
 use crate::rval::{Capture, ClosureGroup, RVal, StackCont, TransientClosure};
 use crate::stack::{Stack, NO_EXIT};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::Instant;
 use tml_core::prims_std::{
     ERR_BOUNDS, ERR_NO_CCALL, ERR_NO_PRIM, ERR_OVERFLOW, ERR_TYPE, ERR_ZERO_DIVIDE,
 };
-use tml_core::Oid;
+use tml_core::{Ctx, Oid};
 use tml_store::{Object, SVal, Store, StoreAccess, StoreError, MAX_OBJECT_LEN};
 
 /// Deterministic execution counters.
@@ -42,6 +43,8 @@ pub struct ExecStats {
     pub frames: u64,
     /// Exceptions raised (explicitly or by failing primitives).
     pub exceptions: u64,
+    /// Stored closures linked from their PTML on their first call.
+    pub linked: u64,
 }
 
 /// Per-run profile collected when the trace recorder is enabled at
@@ -153,6 +156,10 @@ pub struct Machine<'a, S: StoreAccess = Store> {
     code: &'a CodeTable,
     externs: &'a ExternTable,
     store: &'a mut S,
+    /// The session context and globals a stored closure is linked
+    /// against on its first call; without them, calling an unlinked
+    /// closure traps.
+    linker: Option<(&'a mut Ctx, &'a HashMap<String, SVal>)>,
     frame: Vec<RVal>,
     /// The next transfer's arguments; swapped in as its frame.
     next: Vec<RVal>,
@@ -188,6 +195,7 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             code,
             externs,
             store,
+            linker: None,
             frame: Vec::new(),
             next: Vec::new(),
             env_clo: None,
@@ -211,6 +219,15 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
             output: Vec::new(),
             profile: tml_trace::enabled().then(|| Box::new(VmProfile::new())),
         }
+    }
+
+    /// Link each stored closure this machine calls without code in `code`
+    /// from its PTML, decoded into `ctx`: the session's context, with the
+    /// session's `globals` for captures without a recorded binding. Its
+    /// call count starts at its persisted `tier.calls` attribute.
+    pub fn linking(mut self, ctx: &'a mut Ctx, globals: &'a HashMap<String, SVal>) -> Self {
+        self.linker = Some((ctx, globals));
+        self
     }
 
     /// Publish the collected profile (if any) to the global trace
@@ -360,12 +377,11 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     /// frame; the old frame becomes the next transfer's buffer.
     #[inline]
     fn enter(&mut self, block: u32) -> Result<(), VmError> {
-        if block as usize >= self.code.len() {
+        let Some(blk) = self.code.get(block) else {
             return Err(VmError::Trap(format!(
                 "call of closure with dangling code index {block}"
             )));
-        }
-        let blk = self.code.block(block);
+        };
         if self.next.len() != blk.nparams as usize {
             return Err(VmError::Trap(format!(
                 "block {} expects {} argument(s), got {}",
@@ -437,12 +453,10 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                     Object::Closure(_) => Some(()),
                     _ => None,
                 })?;
-                let c = self.code.linked_call(oid).ok_or_else(|| {
-                    VmError::Trap(format!(
-                        "call of closure {oid} with no code in this session: it was \
-                         persisted without PTML, or its PTML did not relink"
-                    ))
-                })?;
+                let c = match self.code.linked_call(oid) {
+                    Some(c) => c,
+                    None => self.link(oid)?,
+                };
                 if let Some(d) = c.frame {
                     self.stack.unwind(d as usize);
                 }
@@ -457,10 +471,58 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 )))
             }
         };
+        self.enter(code)?;
         if let Some(p) = self.profile.as_deref_mut() {
             *p.block_calls.entry(code).or_insert(0) += 1;
         }
-        self.enter(code)
+        Ok(())
+    }
+
+    /// Link the stored closure `oid`, which has no code in this session,
+    /// and count its call: decode its PTML, compile it into the code
+    /// table and bind its recorded captures. Any failure is a trap that
+    /// names the closure.
+    #[cold]
+    #[inline(never)]
+    fn link(&mut self, oid: Oid) -> Result<Rc<TransientClosure>, VmError> {
+        let no_code = |why: &dyn std::fmt::Display| {
+            VmError::Trap(format!(
+                "call of closure {oid} with no code in this session: {why}"
+            ))
+        };
+        let Some((ctx, globals)) = self.linker.as_mut() else {
+            return Err(no_code(
+                &"it was persisted without PTML, or its PTML did not relink",
+            ));
+        };
+        let _s = tml_trace::span!("vm.link");
+        let store = self.store.base();
+        let Ok(Object::Closure(c)) = store.get(oid) else {
+            return Err(no_code(&"it is not a stored closure"));
+        };
+        let Some(ptml) = c.ptml else {
+            return Err(no_code(&"it was persisted without PTML"));
+        };
+        let Ok(Object::Ptml(bytes)) = store.get(ptml) else {
+            return Err(no_code(&format_args!(
+                "its PTML did not relink: blob {ptml} is gone"
+            )));
+        };
+        let linked = link_ptml(
+            ctx,
+            self.code,
+            bytes,
+            recorded_or_global(&c.bindings, globals),
+        )
+        .map_err(|e| no_code(&format_args!("its PTML did not relink: {e}")))?;
+        // This call is the first of this session: count it with the
+        // persisted ones.
+        let calls = persisted_calls(store, oid);
+        self.stats.linked += 1;
+        tml_trace::count("vm.link.lazy", 1);
+        Ok(self
+            .code
+            .link_counted(oid, linked.block, linked.env(), calls.saturating_add(1)))
     }
 
     /// `v` fit to outlive the control stack: a stack continuation, or a
@@ -1229,7 +1291,7 @@ mod tests {
     fn run(src: &str) -> Result<Outcome, VmError> {
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
-        let mut vm = Vm::new();
+        let vm = Vm::new();
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let mut store = Store::new();
         vm.run_program(&mut store, block, 1_000_000)
@@ -1252,7 +1314,7 @@ mod tests {
                 cont() (cc i))))))";
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
-        let mut vm = Vm::new();
+        let vm = Vm::new();
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let mut store = Store::new();
         let mut m = Machine::new(&vm.code, &vm.externs, &mut store, 100_000);
@@ -1430,7 +1492,7 @@ mod tests {
         let src = "(Y proc(^c0 ^f ^c) (c cont() (f 0) cont(i) (f i)))";
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
-        let mut vm = Vm::new();
+        let vm = Vm::new();
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let mut store = Store::new();
         match vm.run_program(&mut store, block, 10_000) {
@@ -1702,7 +1764,7 @@ mod tests {
             codegen: None,
         });
         let parsed = parse_app(&mut ctx, "(host.nope cont(e)(halt e) cont(t)(halt 0))").unwrap();
-        let mut vm = Vm::new();
+        let vm = Vm::new();
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let mut store = Store::new();
         let out = vm.run_program(&mut store, block, 100_000).unwrap();
@@ -1740,7 +1802,7 @@ mod tests {
                cont() (+ i 1 cont(e)(halt -1) for))))";
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
-        let mut vm = Vm::new();
+        let vm = Vm::new();
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let mut store = Store::new();
         let out = vm.run_program(&mut store, block, 10_000_000).unwrap();
@@ -1768,7 +1830,7 @@ mod tests {
     fn run_in(store: &mut Store, src: &str) -> (Vm, Outcome) {
         let mut ctx = Ctx::new();
         let parsed = parse_app(&mut ctx, src).unwrap();
-        let mut vm = Vm::new();
+        let vm = Vm::new();
         let block = vm.compile_program(&ctx, &parsed.app).unwrap();
         let out = vm.run_program(store, block, 1_000_000).unwrap();
         (vm, out)
@@ -1904,7 +1966,7 @@ mod tests {
         use tml_core::gen::{gen_program, GenConfig};
         for seed in 0..30 {
             let (ctx, app) = gen_program(seed, GenConfig::default());
-            let mut vm = Vm::new();
+            let vm = Vm::new();
             let block = vm.compile_program(&ctx, &app).unwrap();
             let mut store = Store::new();
             let out = vm.run_program(&mut store, block, 1_000_000);
@@ -1920,13 +1982,13 @@ mod tests {
         use tml_opt::{optimize, OptOptions};
         for seed in 0..60 {
             let (mut ctx, app) = gen_program(seed, GenConfig::default());
-            let mut vm = Vm::new();
+            let vm = Vm::new();
             let block = vm.compile_program(&ctx, &app).unwrap();
             let mut store = Store::new();
             let before = vm.run_program(&mut store, block, 2_000_000).unwrap();
 
             let (opt_app, _) = optimize(&mut ctx, app, &OptOptions::default());
-            let mut vm2 = Vm::new();
+            let vm2 = Vm::new();
             let block2 = vm2.compile_program(&ctx, &opt_app).unwrap();
             let mut store2 = Store::new();
             let after = vm2.run_program(&mut store2, block2, 2_000_000).unwrap();

@@ -10,7 +10,7 @@
 //! runs on a `DurableStore`: installing the shipped function is
 //! write-ahead-logged through the store-access seam, so after a commit,
 //! a checkpoint and a full server restart the shipped code is still
-//! there, relinked from its persistent PTML.
+//! there, linked from its persistent PTML at its first call.
 //!
 //! ```sh
 //! cargo run --example code_shipping
@@ -160,8 +160,8 @@ fn main() {
         .call_value(RVal::Ref(shipped), vec![RVal::Int(42)])
         .expect("shipped code runs after restart");
     println!(
-        "server (restarted): relinked {} closure(s); shipped.rate(42) = {:?}",
-        relink.relinked, r.result
+        "server (restarted): checked {} closure(s), linked {}; shipped.rate(42) = {:?}",
+        relink.relinked, r.stats.linked, r.result
     );
     assert_eq!(r.result, check);
 

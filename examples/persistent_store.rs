@@ -1,7 +1,8 @@
 //! Persistence round trip (figure 3), on the durable mutation path:
 //! compile → mutate through the store-access seam (every change
-//! write-ahead-logged) → commit → reopen in a new process image → relink
-//! (recompile from PTML) → execute → checkpoint into paged storage.
+//! write-ahead-logged) → commit → reopen in a new process image → execute
+//! (each function recompiled from PTML and linked at its first call) →
+//! checkpoint into paged storage.
 //!
 //! The executable code table is transient; the *persistent* representation
 //! of code is PTML plus the recorded R-value bindings, exactly as in the
@@ -69,18 +70,18 @@ end",
     );
     drop(s1); // crash: no checkpoint, no close
 
-    // --- Session 2: recover from the log, relink from PTML, compute. ------
+    // --- Session 2: recover from the log, link from PTML, compute. -------
     let (store, report) = DurableStore::open(&path, DurableOptions::default()).expect("open");
     println!(
         "\nsession 2: recovered {} logged record(s) across {} commit(s)",
         report.redo_records, report.redo_commits
     );
     let mut s2 = session_from_access_with(store, SessionConfig::default(), Registry::standard());
-    // The image holds no code; rebuild every function from its
-    // persistent TML representation and link it into this session.
+    // The image holds no code: check every function's persistent TML
+    // representation; each is rebuilt and linked at its first call.
     let relink = relink_image_code(&mut s2).expect("relink");
     println!(
-        "session 2: relinked {} closure(s) from PTML ({} skipped)",
+        "session 2: checked the PTML of {} closure(s) ({} skipped)",
         relink.relinked, relink.skipped
     );
     let account = s2.store.store().root("the-account").expect("root survives");
@@ -90,6 +91,10 @@ end",
         .expect("deposit runs after recovery");
     println!("session 2: deposit(8) -> {:?} (expected 150)", r.result);
     assert_eq!(r.result, RVal::Int(150));
+    println!(
+        "session 2: the deposit linked {} closure(s) from PTML",
+        r.stats.linked
+    );
 
     // Consolidate: commit the new deposit, checkpoint the dirty records
     // into paged storage, truncating the log.

@@ -59,7 +59,7 @@ fn main() {
     // 4. Compile both versions to abstract machine code and run them.
     let mut store = Store::new();
     for (label, app) in [("unoptimized", &program), ("optimized", &optimized)] {
-        let mut vm = Vm::new();
+        let vm = Vm::new();
         let block = vm.compile_program(&ctx, app).expect("closed program");
         let out = vm
             .run_program(&mut store, block, 1_000_000)

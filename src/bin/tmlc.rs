@@ -21,8 +21,11 @@
 //! `fsck --repair` and by `--durable` sessions. `profile`, `explain`,
 //! `opt`, `stats` and `run` accept either a TL source file or an image
 //! (recognised by content, opened through full recovery — catalog, page
-//! file and write-ahead-log redo — with every PTML closure relinked). A
-//! damaged primary catalog falls back to its `.bak`, then its `.tmp`.
+//! file and write-ahead-log redo). Opening an image compiles nothing:
+//! each closure's PTML header is checked, and a closure is decoded,
+//! compiled and linked when a call first reaches it (`--stats` reports
+//! these as `linked=`). A damaged primary catalog falls back to its
+//! `.bak`, then its `.tmp`.
 //! `fsck` checks the catalog's magic/CRC and every page record, walks
 //! every OID reference and decodes every closure's PTML, printing a JSON
 //! report; with `--repair` it writes the recovered store to `-o` as a
@@ -252,8 +255,8 @@ fn report_open(path: &str, report: &tycoon::store::OpenReport) {
 }
 
 /// Build a runnable session around a recovered image: install the query
-/// externs, recompile and relink every closure from its PTML, and run the
-/// optional whole-world optimization pass.
+/// externs, check every closure's PTML header (each closure links on its
+/// first call), and run the optional whole-world optimization pass.
 fn image_session(o: &Options, path: &str, store: tycoon::store::Store) -> Result<Session, String> {
     let mut s = session_from_store_with(store, SessionConfig::default(), driver_registry());
     tycoon::query::exec::install_externs(&mut s.vm.externs);
@@ -272,9 +275,10 @@ fn image_session(o: &Options, path: &str, store: tycoon::store::Store) -> Result
 
 /// Load either a TL source file or a persisted store image into a
 /// runnable session. Images carry no executable code (the persistent
-/// representation of code is PTML), so every closure is recompiled and
-/// relinked in place; the session is built over the driver registry so
-/// decoding resolves the query primitives. Images are recognised by
+/// representation of code is PTML), so each closure is recompiled from
+/// its PTML and linked when a call first reaches it; the session is
+/// built over the driver registry so decoding resolves the query
+/// primitives. Images are recognised by
 /// content and opened through full recovery (catalog + write-ahead-log
 /// redo), then dropped to a plain in-memory session for these read-only
 /// commands — pass `--durable` to keep writing to them.
@@ -337,7 +341,7 @@ fn durable_session(o: &Options, path: &str) -> Result<Session<DurableStore>, Str
         match s.load_str(&src) {
             Ok(()) => {}
             // Re-running a program against its own image: the modules are
-            // already persistent, the relinked closures are current.
+            // already persistent, and their closures link on first call.
             Err(tycoon::lang::LangError::DuplicateModule(_)) => {}
             Err(e) => return Err(e.to_string()),
         }
@@ -420,12 +424,13 @@ fn run_entry<S: StoreAccess>(s: &mut Session<S>, o: &Options) -> Result<(), Stri
     println!("{:?}", out.result);
     if o.stats {
         eprintln!(
-            "instructions={} calls={} closures={} frames={} exceptions={}",
+            "instructions={} calls={} closures={} frames={} exceptions={} linked={}",
             out.stats.instrs,
             out.stats.calls,
             out.stats.closures,
             out.stats.frames,
-            out.stats.exceptions
+            out.stats.exceptions,
+            out.stats.linked
         );
     }
     Ok(())
@@ -491,7 +496,7 @@ fn cmd_eval(o: &Options) -> Result<(), String> {
             tycoon::opt::optimize(&mut ctx, app, &tycoon::opt::OptOptions::default());
         app = optimized;
     }
-    let mut vm = tycoon::vm::Vm::new();
+    let vm = tycoon::vm::Vm::new();
     let block = vm.compile_program(&ctx, &app).map_err(|e| e.to_string())?;
     let mut store = tycoon::store::Store::new();
     let out = vm
@@ -503,8 +508,12 @@ fn cmd_eval(o: &Options) -> Result<(), String> {
     println!("{:?}", out.result);
     if o.stats {
         eprintln!(
-            "instructions={} calls={} closures={} frames={}",
-            out.stats.instrs, out.stats.calls, out.stats.closures, out.stats.frames
+            "instructions={} calls={} closures={} frames={} linked={}",
+            out.stats.instrs,
+            out.stats.calls,
+            out.stats.closures,
+            out.stats.frames,
+            out.stats.linked
         );
     }
     Ok(())

@@ -85,7 +85,7 @@ fn capturing_chain(depth: i64) -> (Option<i64>, u64) {
     );
     let mut ctx = Ctx::new();
     let parsed = parse_app(&mut ctx, &src).unwrap();
-    let mut vm = Vm::new();
+    let vm = Vm::new();
     let block = vm.compile_program(&ctx, &parsed.app).unwrap();
     let out = vm
         .run_program(&mut Store::new(), block, 100_000_000)
@@ -200,7 +200,7 @@ fn procedures_closing_over_continuation_closures_get_heap_copies() {
 fn run(src: &str) -> Result<RVal, VmError> {
     let mut ctx = Ctx::new();
     let parsed = parse_app(&mut ctx, src).unwrap();
-    let mut vm = Vm::new();
+    let vm = Vm::new();
     let block = vm.compile_program(&ctx, &parsed.app).unwrap();
     let out = vm.run_program(&mut Store::new(), block, 100_000);
     out.map(|o| o.result)

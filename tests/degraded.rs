@@ -1,7 +1,8 @@
 //! Degraded-mode whole-world optimization: a panicking, diverging or
 //! corrupt target is skipped — recorded on the trace — while the rest of
 //! the world commits as if the failed target had not been selected.
-//! Image relink likewise survives corrupt PTML.
+//! An image open likewise survives corrupt PTML, and a closure whose PTML
+//! fails to link is a typed trap at its call.
 //!
 //! Several tests arm a process-wide `Panic` failpoint, so every test in
 //! this binary holds the `ScopedFailpoints` lock (armed or not): none can
@@ -13,9 +14,10 @@ use tycoon::reflect::{
     ReflectOptions,
 };
 use tycoon::store::failpoint::{Action, FailSpec, ScopedFailpoints};
-use tycoon::store::{snapshot, DurableStore, Object, SVal, StoreAccess};
+use tycoon::store::{snapshot, DurableStore, Object, Oid, SVal, StoreAccess};
 use tycoon::trace::Event;
-use tycoon::vm::RVal;
+use tycoon::vm::machine::VmError;
+use tycoon::vm::{Machine, RVal};
 
 const SRC: &str = "
 module complex export new, x, y
@@ -228,6 +230,92 @@ fn relink_skips_closures_with_corrupt_ptml_and_marks_them_degraded() {
     assert_eq!(
         s2.call("m.fib", vec![RVal::Int(10)]).unwrap().result,
         RVal::Int(55)
+    );
+}
+
+/// Call `oid` through a machine that links stored closures on their
+/// first call, keeping machine errors typed.
+fn call_linking(s: &mut Session, oid: Oid, args: Vec<RVal>) -> Result<RVal, VmError> {
+    let mut m = Machine::new(&s.vm.code, &s.vm.externs, &mut s.store, 1_000_000)
+        .linking(&mut s.ctx, &s.globals);
+    match m.call_value_checked(RVal::Ref(oid), args)? {
+        Ok(v) => Ok(v),
+        Err(exc) => panic!("unexpected exception {exc:?}"),
+    }
+}
+
+#[test]
+fn a_closure_that_fails_to_link_traps_at_its_call() {
+    // Two damages the open-time check cannot see, because it reads only
+    // the PTML header: a body cut short behind a sound header, and a
+    // capture with neither a recorded binding nor a global. Each is a
+    // typed trap naming the closure at its first call; nothing panics,
+    // and the rest of the session keeps running.
+    let _fp = ScopedFailpoints::new(&[]);
+    let s = session();
+    let bytes = snapshot::to_bytes(&s.store);
+    drop(s);
+    let mut s2 = session_from_store(
+        snapshot::from_bytes(&bytes).unwrap(),
+        SessionConfig::default(),
+    );
+    let closure_of = |s: &Session, name: &str| match s.globals.get(name) {
+        Some(SVal::Ref(o)) => *o,
+        other => panic!("{name}: {other:?}"),
+    };
+    let (fib, abs) = (closure_of(&s2, "m.fib"), closure_of(&s2, "geom.abs"));
+    let fib_ptml = match s2.store.get(fib) {
+        Ok(Object::Closure(c)) => c.ptml.unwrap(),
+        other => panic!("{other:?}"),
+    };
+    match s2.store.get_mut(fib_ptml) {
+        Ok(Object::Ptml(b)) => b.truncate(b.len() - 1),
+        other => panic!("{other:?}"),
+    }
+    match s2.store.get_mut(abs) {
+        Ok(Object::Closure(c)) => c.bindings.retain(|(n, _)| n != "complex.x"),
+        other => panic!("{other:?}"),
+    }
+    s2.globals.remove("complex.x");
+
+    let report = relink_image_code(&mut s2).unwrap();
+    assert_eq!(report.skipped, 0, "both headers are sound: {report:?}");
+    let blocks = s2.vm.code.len();
+    for (oid, arg, why) in [
+        (fib, RVal::Int(10), "PTML does not decode"),
+        (abs, RVal::Unit, "unresolved binding complex.x"),
+    ] {
+        for _ in 0..2 {
+            match call_linking(&mut s2, oid, vec![arg.clone()]) {
+                Err(VmError::Trap(msg)) => {
+                    assert!(msg.contains(&oid.to_string()), "{msg}");
+                    assert!(msg.contains(why), "{msg}");
+                }
+                other => panic!("{oid}: {other:?}"),
+            }
+        }
+        assert_eq!(s2.vm.code.link_calls(oid), 0, "{oid} stays unlinked");
+    }
+    assert_eq!(s2.vm.code.len(), blocks, "a failed link compiles nothing");
+    let err = s2
+        .call("m.fib", vec![RVal::Int(10)])
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("its PTML did not relink"), "{err}");
+    // Everything else links and runs.
+    let c = s2
+        .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
+        .unwrap()
+        .result;
+    assert_eq!(
+        s2.call("complex.y", vec![c]).unwrap().result,
+        RVal::Real(4.0)
+    );
+    assert_eq!(
+        s2.call("int.max", vec![RVal::Int(2), RVal::Int(9)])
+            .unwrap()
+            .result,
+        RVal::Int(9)
     );
 }
 

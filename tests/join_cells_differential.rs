@@ -14,7 +14,7 @@ use tycoon::vm::{Instr, RVal, Vm, VmError};
 
 /// The result, or the kind of trap.
 fn run(ctx: &Ctx, app: &App) -> (Result<RVal, String>, Census) {
-    let mut vm = Vm::new();
+    let vm = Vm::new();
     let block = vm.compile_program(ctx, app).expect("compiles");
     let census = Census::of(&vm);
     let mut store = Store::new();

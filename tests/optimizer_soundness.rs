@@ -12,7 +12,7 @@ use tycoon::store::Store;
 use tycoon::vm::{RVal, Vm};
 
 fn run(ctx: &tycoon::core::Ctx, app: &tycoon::core::App) -> RVal {
-    let mut vm = Vm::new();
+    let vm = Vm::new();
     let block = vm.compile_program(ctx, app).expect("closed program");
     let mut store = Store::new();
     vm.run_program(&mut store, block, 10_000_000)
@@ -36,13 +36,13 @@ proptest! {
     #[test]
     fn optimization_never_slows_programs(seed in 0u64..10_000) {
         let (mut ctx, app) = gen_program(seed, GenConfig::default());
-        let mut vm = Vm::new();
+        let vm = Vm::new();
         let block = vm.compile_program(&ctx, &app).unwrap();
         let mut store = Store::new();
         let base = vm.run_program(&mut store, block, 10_000_000).unwrap();
 
         let (optimized, _) = optimize(&mut ctx, app, &OptOptions::default());
-        let mut vm2 = Vm::new();
+        let vm2 = Vm::new();
         let block2 = vm2.compile_program(&ctx, &optimized).unwrap();
         let mut store2 = Store::new();
         let opt = vm2.run_program(&mut store2, block2, 10_000_000).unwrap();

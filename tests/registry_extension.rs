@@ -15,7 +15,8 @@ use tycoon::lang::{Session, SessionConfig};
 use tycoon::reflect::{relink_image_code, session_from_store_with};
 use tycoon::store::ptml::encode_abs;
 use tycoon::store::{snapshot, ClosureObj, Object, SVal};
-use tycoon::vm::RVal;
+use tycoon::vm::machine::VmError;
+use tycoon::vm::{Machine, RVal};
 
 /// Codegen hook for `ext.dec`: `(ext.dec x ce cc)` lowers to one inline
 /// subtraction, exactly as a built-in arithmetic primitive would.
@@ -257,4 +258,52 @@ fn image_with_unknown_prims_degrades_to_typed_skips() {
             Ok(RVal::Int(3))
         );
     }
+}
+
+#[test]
+fn a_closure_too_large_to_compile_traps_at_its_first_call() {
+    // `proc(x0 … x69999 ce cc) (ext.dec x0 ce cc)`: its PTML header is
+    // sound under the extension registry, so the image opens clean, but
+    // its frame needs more slots than an operand can address. Its first
+    // call is a typed trap naming it, and the rest of the world runs.
+    let mut s = ext_session();
+    let abs = build_run(&mut s);
+    let run = install_fn(&mut s, "ext.run", &abs);
+    let dec = Value::Prim(s.ctx.prims.lookup("ext.dec").unwrap());
+    let mut params: Vec<_> = (0..70_000).map(|_| s.ctx.names.fresh("x")).collect();
+    let (ce, cc) = (s.ctx.names.fresh_cont("ce"), s.ctx.names.fresh_cont("cc"));
+    let body = App::new(
+        dec,
+        vec![Value::Var(params[0]), Value::Var(ce), Value::Var(cc)],
+    );
+    params.extend([ce, cc]);
+    let ptml = s
+        .store
+        .alloc(Object::Ptml(encode_abs(&s.ctx, &Abs::new(params, body))));
+    let big = s.store.alloc(Object::Closure(ClosureObj {
+        bindings: Vec::new(),
+        ptml: Some(ptml),
+    }));
+    s.store.set_root("ext.big".to_string(), big);
+    let bytes = snapshot::to_bytes(&s.store);
+    drop(s);
+
+    let store = snapshot::from_bytes(&bytes).unwrap();
+    let mut s2 = session_from_store_with(store, SessionConfig::default(), ext_registry());
+    install_gcd_extern(&mut s2);
+    let report = relink_image_code(&mut s2).unwrap();
+    assert_eq!(report.skipped, 0, "{report:?}");
+    let mut m = Machine::new(&s2.vm.code, &s2.vm.externs, &mut s2.store, 1_000)
+        .linking(&mut s2.ctx, &s2.globals);
+    match m.call_value_checked(RVal::Ref(big), vec![RVal::Int(1)]) {
+        Err(VmError::Trap(msg)) => {
+            assert!(msg.contains(&big.to_string()), "{msg}");
+            assert!(msg.contains("exceeds 65,535 slots"), "{msg}");
+        }
+        other => panic!("{other:?}"),
+    }
+    drop(m);
+    let err = call_oid(&mut s2, big, vec![RVal::Int(1)]).unwrap_err();
+    assert!(err.contains("its PTML did not relink"), "{err}");
+    assert_eq!(call_oid(&mut s2, run, vec![RVal::Int(9)]), Ok(RVal::Int(4)));
 }
