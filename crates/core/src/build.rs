@@ -82,11 +82,6 @@ impl<'a> Builder<'a> {
         self.primapp("halt", vec![v])
     }
 
-    /// `(raise v)` — raise an exception.
-    pub fn raise(&self, v: Value) -> App {
-        self.primapp("raise", vec![v])
-    }
-
     /// An exception continuation that halts with the exception value —
     /// handy as a top-level `ce`.
     pub fn halt_on_error(&mut self) -> Value {

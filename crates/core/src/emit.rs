@@ -289,23 +289,6 @@ pub enum MachOp {
         /// Normal continuation.
         on_ok: ContId,
     },
-    /// Install a new exception handler.
-    PushHandler {
-        /// The handler continuation (materialized as a closure).
-        handler: Operand,
-        /// Continuation.
-        on_ok: ContId,
-    },
-    /// Remove the topmost handler.
-    PopHandler {
-        /// Continuation.
-        on_ok: ContId,
-    },
-    /// Raise an exception through the handler stack (no continuation).
-    Raise {
-        /// The exception value.
-        value: Operand,
-    },
     /// Stop the machine with a result (no continuation).
     Halt {
         /// The result value.

@@ -189,7 +189,7 @@ impl fmt::Debug for PrimCost {
 #[derive(Clone)]
 pub struct PrimDef {
     /// The primitive's name as it appears in printed TML (`+`, `[]`,
-    /// `pushHandler`, `select`, ...). Names are unique within a table and
+    /// `ccall`, `select`, ...). Names are unique within a table and
     /// are the stable identity used by the PTML persistent encoding.
     pub name: String,
     /// Calling convention.

@@ -1269,12 +1269,6 @@ impl EmitCtx for Emitter<'_, '_> {
                 on_err: k(on_err),
                 on_ok: k(on_ok),
             },
-            MachOp::PushHandler { handler, on_ok } => Instr::PushHandler {
-                handler: src(handler),
-                on_ok: k(on_ok),
-            },
-            MachOp::PopHandler { on_ok } => Instr::PopHandler { on_ok: k(on_ok) },
-            MachOp::Raise { value } => Instr::Raise { src: src(value) },
             MachOp::Halt { value } => Instr::Halt { src: src(value) },
             MachOp::Print { dst, value, on_ok } => Instr::Print {
                 dst,
@@ -1725,8 +1719,8 @@ mod tests {
 
     #[test]
     fn unknown_prim_without_convention_rejected() {
-        // `raise` misused with two args hits the arity check.
-        let err = compile("(raise 1 2)").unwrap_err();
+        // `halt` misused with two args hits the arity check.
+        let err = compile("(halt 1 2)").unwrap_err();
         assert!(matches!(err, CompileError::BadShape(_)));
     }
 

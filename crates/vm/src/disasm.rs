@@ -210,11 +210,6 @@ pub fn instr(i: &Instr) -> String {
             cont(on_ok),
             cont(on_err)
         ),
-        Instr::PushHandler { handler, on_ok } => {
-            format!("pushh    {}  ok:{}", src(*handler), cont(on_ok))
-        }
-        Instr::PopHandler { on_ok } => format!("poph     ok:{}", cont(on_ok)),
-        Instr::Raise { src: s } => format!("raise    {}", src(*s)),
         Instr::Call { target, args } => format!("call     {} [{}]", src(*target), srcs(args)),
         Instr::Jump { target } => format!("jump     @{target}"),
         Instr::Halt { src: s } => format!("halt     {}", src(*s)),
@@ -295,7 +290,7 @@ mod tests {
                (f 1 cont(e)(halt e) cont(t) \
                  (array t 2 cont(a) \
                    ([:=] a 0 9 cont(e2)(halt e2) cont(u) \
-                     (== t 1 2 cont()(halt 1) cont()(halt 2) cont()(raise t))))) \
+                     (== t 1 2 cont()(halt 1) cont()(halt 2) cont()(halt t))))) \
                proc(x ce cc) (+ x 1 ce cc))",
         );
         let text = table(&code);
@@ -306,7 +301,6 @@ mod tests {
             "alloc.array",
             "st ",
             "switch",
-            "raise",
             "halt",
             "add",
         ] {

@@ -2,7 +2,7 @@
 //!
 //! Blocks are straight-line instruction vectors with intra-block jump
 //! targets (inline continuations compile to labels). All control transfer
-//! is tail transfer: `Call`, `Halt`, `Raise` and the branch instructions
+//! is tail transfer: `Call`, `Halt` and the branch instructions
 //! never return.
 
 use std::cell::{Cell, OnceCell, RefCell};
@@ -270,23 +270,6 @@ pub enum Instr {
         /// Normal continuation.
         on_ok: ContRef,
     },
-    /// Install a new exception handler, continue with `on_ok`.
-    PushHandler {
-        /// The handler continuation (materialized as a closure).
-        handler: Src,
-        /// Continuation.
-        on_ok: ContRef,
-    },
-    /// Remove the topmost handler, continue with `on_ok`.
-    PopHandler {
-        /// Continuation.
-        on_ok: ContRef,
-    },
-    /// Raise an exception through the handler stack.
-    Raise {
-        /// The exception value.
-        src: Src,
-    },
     /// Invoke a closure (tail transfer).
     Call {
         /// The closure.
@@ -340,8 +323,6 @@ impl Instr {
             | Instr::Conv { on_ok, .. }
             | Instr::Alloc { on_ok, .. }
             | Instr::Size { on_ok, .. }
-            | Instr::PushHandler { on_ok, .. }
-            | Instr::PopHandler { on_ok }
             | Instr::Print { on_ok, .. } => (e == 0).then_some(on_ok),
             Instr::Switch {
                 targets, default, ..
@@ -422,9 +403,6 @@ impl Instr {
             Instr::MoveBlk { .. } => "move-blk",
             Instr::Extern { .. } => "extern",
             Instr::CallPrim { .. } => "call-prim",
-            Instr::PushHandler { .. } => "push-handler",
-            Instr::PopHandler { .. } => "pop-handler",
-            Instr::Raise { .. } => "raise",
             Instr::Call { .. } => "call",
             Instr::Jump { .. } => "jump",
             Instr::Halt { .. } => "halt",
@@ -485,9 +463,6 @@ impl Instr {
                 on_ok,
                 ..
             } => 4 + 3 * args.len() + cont(on_err) + cont(on_ok),
-            Instr::PushHandler { on_ok, .. } => 3 + cont(on_ok),
-            Instr::PopHandler { on_ok } => cont(on_ok),
-            Instr::Raise { .. } => 3,
             Instr::Call { args, .. } => 3 + 3 * args.len(),
             Instr::Jump { .. } => 4,
             Instr::Halt { .. } => 3,
@@ -554,7 +529,9 @@ impl CodeBlock {
 /// that compiles a stored closure links its OID ([`CodeTable::link`]);
 /// a machine made with [`crate::Machine::linking`] links a stored
 /// closure on its first call, and a call of an OID it cannot link is a
-/// typed trap.
+/// typed trap. A link that can never succeed (its PTML does not decode or
+/// does not compile) is remembered, so later calls trap with the same
+/// message and decode and compile nothing.
 ///
 /// Blocks are appended through `&self`, so a running machine can link
 /// code into the table it executes from: each block is boxed in a
@@ -565,12 +542,16 @@ impl CodeBlock {
 pub struct CodeTable {
     chunks: [OnceCell<Chunk>; CHUNKS],
     len: Cell<u32>,
-    /// Stored closures' code, by OID, with each closure's lifetime call
-    /// count (the tier engine's hotness). A `RefCell` because the machine
+    /// Stored closures' code, by OID. A `RefCell` because the machine
     /// counts calls and links the closures it persists through its shared
     /// `&CodeTable`; sessions are single-threaded (`!Send`).
-    links: RefCell<IdMap<Oid, (Rc<TransientClosure>, u64)>>,
+    links: RefCell<IdMap<Oid, Link>>,
 }
+
+/// A stored closure's code and environment in a session, or the trap
+/// message of a link that failed for good, with the closure's lifetime
+/// call count (the tier engine's hotness).
+type Link = (Result<Rc<TransientClosure>, Rc<str>>, u64);
 
 /// A run of write-once block slots of a [`CodeTable`].
 type Chunk = Box<[OnceCell<Box<CodeBlock>>]>;
@@ -719,16 +700,34 @@ impl CodeTable {
             holds_frames: false,
         });
         let mut links = self.links.borrow_mut();
-        let link = links.entry(oid).or_insert_with(|| (Rc::clone(&clo), calls));
-        link.0 = Rc::clone(&clo);
+        let link = links
+            .entry(oid)
+            .or_insert_with(|| (Ok(Rc::clone(&clo)), calls));
+        link.0 = Ok(Rc::clone(&clo));
         clo
+    }
+
+    /// Remember that `oid` can never link, with the trap message its calls
+    /// fail with.
+    pub(crate) fn link_failed(&self, oid: Oid, why: &str) {
+        self.links.borrow_mut().insert(oid, (Err(why.into()), 0));
+    }
+
+    /// The trap message of a link of `oid` that failed for good.
+    pub(crate) fn link_failure(&self, oid: Oid) -> Option<Rc<str>> {
+        match self.links.borrow().get(&oid) {
+            Some((Err(why), _)) => Some(Rc::clone(why)),
+            _ => None,
+        }
     }
 
     /// The code `oid` is linked to, counting one call of it. Saturating
     /// so a pathological loop cannot wrap back to cold.
     pub(crate) fn linked_call(&self, oid: Oid) -> Option<Rc<TransientClosure>> {
         let mut links = self.links.borrow_mut();
-        let (clo, calls) = links.get_mut(&oid)?;
+        let Some((Ok(clo), calls)) = links.get_mut(&oid) else {
+            return None;
+        };
         *calls = calls.saturating_add(1);
         Some(Rc::clone(clo))
     }
@@ -741,19 +740,27 @@ impl CodeTable {
 
     /// Every linked OID with its lifetime call count, in OID order.
     pub fn link_counts(&self) -> Vec<(Oid, u64)> {
-        let mut v: Vec<(Oid, u64)> = self.links.borrow().iter().map(|(o, l)| (*o, l.1)).collect();
+        let mut v: Vec<(Oid, u64)> = self
+            .links
+            .borrow()
+            .iter()
+            .filter(|(_, l)| l.0.is_ok())
+            .map(|(o, l)| (*o, l.1))
+            .collect();
         v.sort_unstable_by_key(|(o, _)| o.0);
         v
     }
 
     /// The code and environment `oid` is linked to in this session.
     pub fn linked(&self, oid: Oid) -> Option<Rc<TransientClosure>> {
-        self.links.borrow().get(&oid).map(|l| Rc::clone(&l.0))
+        let links = self.links.borrow();
+        links.get(&oid)?.0.as_ref().ok().map(Rc::clone)
     }
 
     /// The block `oid` is linked to in this session.
     pub fn linked_block(&self, oid: Oid) -> Option<u32> {
-        self.links.borrow().get(&oid).map(|l| l.0.code)
+        let links = self.links.borrow();
+        links.get(&oid)?.0.as_ref().ok().map(|c| c.code)
     }
 
     /// The block at `ix`, or `None` when no block has that index.

@@ -18,10 +18,12 @@
 //! * abstractions used as values become heap closures; calls through
 //!   variables become closure transfers ([`instr::Instr::Call`]);
 //! * since TML is CPS, every transfer is a tail transfer, and the
-//!   machine state is a single frame, an environment, and the
-//!   exception-handler stack — plus a control stack: a non-tail call's
-//!   return continuation, which TML never lets escape, is a frame pushed
-//!   by [`instr::Instr::Push`] rather than a heap closure.
+//!   machine state is a single frame and an environment — plus a
+//!   control stack: a non-tail call's return continuation, which TML
+//!   never lets escape, is a frame pushed by [`instr::Instr::Push`]
+//!   rather than a heap closure. An exception is `(cₑ v)`, a transfer to
+//!   the exception continuation every procedure takes; there is no
+//!   separate handler stack.
 //!
 //! The machine counts instructions, calls, closure allocations and
 //! frames deterministically ([`machine::ExecStats`]) — the metric the benchmark

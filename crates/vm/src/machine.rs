@@ -1,14 +1,15 @@
 //! The CPS abstract machine.
 //!
 //! Machine state is the current activation (registers + environment), a
-//! control stack of return frames (`stack.rs`), the exception-handler
-//! stack and the store. All control transfer is tail transfer, and a
-//! transfer allocates nothing: registers and environments are recycled
-//! buffers, and a non-tail call's return continuation is a frame, not a
-//! heap closure. Where a stack continuation, or a continuation closure
-//! holding one, must outlive the stack (a procedure or closure group
-//! captures it, the store or an extern receives it, a run returns it),
-//! `Machine::capture` copies it to the heap.
+//! control stack of return frames (`stack.rs`) and the store. A TML
+//! exception is a transfer to an exception continuation `cₑ` like any
+//! other. All control transfer is tail transfer, and a transfer allocates
+//! nothing: registers and environments are recycled buffers, and a
+//! non-tail call's return continuation is a frame, not a heap closure.
+//! Where a stack continuation, or a continuation closure holding one,
+//! must outlive the stack (a procedure or closure group captures it, the
+//! store or an extern receives it, a run returns it), `Machine::capture`
+//! copies it to the heap.
 //! Execution statistics (instructions, calls, heap closures, frames,
 //! exceptions) are deterministic and serve as the primary benchmark
 //! metric alongside wall-clock time.
@@ -18,7 +19,7 @@ use crate::instr::{
     AllocKind, ArithOp, BitOp, CmpOp, CodeBlock, CodeTable, ContRef, ConvOp, GroupCap, Instr, Src,
     NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK,
 };
-use crate::link::{link_ptml, persisted_calls, recorded_or_global};
+use crate::link::{link_ptml, persisted_calls, recorded_or_global, LinkError};
 use crate::rval::{Capture, ClosureGroup, RVal, StackCont, TransientClosure};
 use crate::stack::{Stack, NO_EXIT};
 use std::collections::{BTreeMap, HashMap};
@@ -87,11 +88,9 @@ pub struct Outcome {
 }
 
 /// Machine errors (distinct from TML-level exceptions, which flow through
-/// exception continuations and handlers).
+/// exception continuations).
 #[derive(Debug, Clone)]
 pub enum VmError {
-    /// `raise` with an empty handler stack.
-    Unhandled(RVal),
     /// A dynamic type error or malformed transfer (ill-typed input).
     Trap(String),
     /// The fuel budget was exhausted.
@@ -109,7 +108,6 @@ pub enum VmError {
 impl std::fmt::Display for VmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            VmError::Unhandled(v) => write!(f, "unhandled exception: {v:?}"),
             VmError::Trap(m) => write!(f, "machine trap: {m}"),
             VmError::OutOfFuel => write!(f, "fuel exhausted"),
             VmError::Store(e) => write!(f, "store error: {e}"),
@@ -128,11 +126,6 @@ impl From<StoreError> for VmError {
         }
     }
 }
-
-/// Exception handlers the machine will hold at once. A program that pushes
-/// handlers in an unbounded loop would otherwise grow `handlers` without
-/// limit; well-nested programs stay orders of magnitude below this.
-const MAX_HANDLER_DEPTH: usize = 100_000;
 
 /// Nesting limit for native re-entry ([`Machine::call_value`]): each level
 /// is a Rust stack frame through an extension primitive, so unbounded
@@ -173,7 +166,6 @@ pub struct Machine<'a, S: StoreAccess = Store> {
     /// The exception and normal return continuations of native re-entry.
     native_conts: [RVal; 2],
     stack: Stack,
-    handlers: Vec<RVal>,
     /// The current block.
     blk: &'a CodeBlock,
     pc: u32,
@@ -210,7 +202,6 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 }))
             }),
             stack: Stack::default(),
-            handlers: Vec::new(),
             blk: code.block(NATIVE_OK_BLOCK),
             pc: 0,
             fuel,
@@ -481,40 +472,52 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     /// Link the stored closure `oid`, which has no code in this session,
     /// and count its call: decode its PTML, compile it into the code
     /// table and bind its recorded captures. Any failure is a trap that
-    /// names the closure.
+    /// names the closure. A body that does not decode or compile fails
+    /// the same way on every call, so the code table remembers it, and a
+    /// later call traps without decoding or compiling again; an
+    /// unresolved capture may resolve once its global is defined.
     #[cold]
     #[inline(never)]
     fn link(&mut self, oid: Oid) -> Result<Rc<TransientClosure>, VmError> {
+        if let Some(why) = self.code.link_failure(oid) {
+            return Err(VmError::Trap(why.to_string()));
+        }
         let no_code = |why: &dyn std::fmt::Display| {
-            VmError::Trap(format!(
-                "call of closure {oid} with no code in this session: {why}"
-            ))
+            format!("call of closure {oid} with no code in this session: {why}")
         };
         let Some((ctx, globals)) = self.linker.as_mut() else {
-            return Err(no_code(
+            return Err(VmError::Trap(no_code(
                 &"it was persisted without PTML, or its PTML did not relink",
-            ));
+            )));
         };
         let _s = tml_trace::span!("vm.link");
         let store = self.store.base();
         let Ok(Object::Closure(c)) = store.get(oid) else {
-            return Err(no_code(&"it is not a stored closure"));
+            return Err(VmError::Trap(no_code(&"it is not a stored closure")));
         };
         let Some(ptml) = c.ptml else {
-            return Err(no_code(&"it was persisted without PTML"));
+            return Err(VmError::Trap(no_code(&"it was persisted without PTML")));
         };
         let Ok(Object::Ptml(bytes)) = store.get(ptml) else {
-            return Err(no_code(&format_args!(
+            return Err(VmError::Trap(no_code(&format_args!(
                 "its PTML did not relink: blob {ptml} is gone"
-            )));
+            ))));
         };
-        let linked = link_ptml(
+        let linked = match link_ptml(
             ctx,
             self.code,
             bytes,
             recorded_or_global(&c.bindings, globals),
-        )
-        .map_err(|e| no_code(&format_args!("its PTML did not relink: {e}")))?;
+        ) {
+            Ok(linked) => linked,
+            Err(e) => {
+                let why = no_code(&format_args!("its PTML did not relink: {e}"));
+                if !matches!(e, LinkError::Unresolved(_)) {
+                    self.code.link_failed(oid, &why);
+                }
+                return Err(VmError::Trap(why));
+            }
+        };
         // This call is the first of this session: count it with the
         // persisted ones.
         let calls = persisted_calls(store, oid);
@@ -981,34 +984,6 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
                 let pname = &blk.prim_names[*prim as usize];
                 self.host_call(pname, ERR_NO_PRIM, *dst, args, on_err, on_ok)
             }
-            Instr::PushHandler { handler, on_ok } => {
-                if self.handlers.len() >= MAX_HANDLER_DEPTH {
-                    return Err(VmError::Trap(format!(
-                        "handler stack exceeds {MAX_HANDLER_DEPTH} entries"
-                    )));
-                }
-                let h = self.resolve(*handler);
-                self.handlers.push(h);
-                self.continue_branch(on_ok)
-            }
-            Instr::PopHandler { on_ok } => {
-                if self.handlers.pop().is_none() {
-                    return Err(VmError::Trap("popHandler on empty handler stack".into()));
-                }
-                self.continue_branch(on_ok)
-            }
-            Instr::Raise { src } => {
-                let v = self.resolve(*src);
-                self.stats.exceptions += 1;
-                match self.handlers.pop() {
-                    Some(h) => {
-                        self.next.push(v);
-                        self.invoke(h)?;
-                        Ok(Flow::Next)
-                    }
-                    None => Err(VmError::Unhandled(v)),
-                }
-            }
             Instr::Call { target, args } => {
                 let t = self.resolve(*target);
                 for src in args.iter() {
@@ -1450,28 +1425,6 @@ mod tests {
     }
 
     #[test]
-    fn handler_stack() {
-        let src = "(pushHandler cont(e) (halt e) cont() (raise 77))";
-        assert_eq!(run_int(src), 77);
-    }
-
-    #[test]
-    fn unhandled_raise_errors() {
-        match run("(raise 5)") {
-            Err(VmError::Unhandled(RVal::Int(5))) => {}
-            other => panic!("expected unhandled, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pop_handler_restores_outer() {
-        let src = "(pushHandler cont(e) (halt 1) cont() \
-                     (pushHandler cont(e2) (halt 2) cont() \
-                       (popHandler cont() (raise 0))))";
-        assert_eq!(run_int(src), 1);
-    }
-
-    #[test]
     fn real_arithmetic_and_sqrt() {
         let src = "(f* 3.0 4.0 cont(e)(halt -1) cont(a) \
                      (f+ a 13.0 cont(e2)(halt -2) cont(b) \
@@ -1512,20 +1465,6 @@ mod tests {
                cont() (halt 77) \
                cont() (- i 1 cont(e)(halt -1) cont(m) (f m)))))";
         assert_eq!(run_int(src), 77);
-    }
-
-    #[test]
-    fn handler_flood_traps_with_typed_error() {
-        // A loop that pushes a handler per iteration without ever popping:
-        // the machine must trap (typed) at the handler-depth guard rail
-        // rather than grow the handler stack until memory runs out.
-        let src = "(Y proc(^c0 ^loop ^c) (c \
-            cont() (loop 0) \
-            cont(i) (pushHandler cont(e)(halt e) cont() (loop i))))";
-        match run(src) {
-            Err(VmError::Trap(m)) => assert!(m.contains("handler stack exceeds"), "{m}"),
-            other => panic!("expected handler-depth trap, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1591,17 +1530,6 @@ mod tests {
                 (g 20 cont(e2)(halt -2) cont(t) (halt t)))) \
             proc(x ce cc) (* x 2 ce cc))";
         assert_eq!(run_int(src), 40);
-    }
-
-    #[test]
-    fn handler_survives_across_procedure_calls() {
-        // pushHandler installs a machine-level handler; a raise inside a
-        // callee unwinds to it even though the callee never saw it.
-        let src = "(cont(f) \
-            (pushHandler cont(e) (halt e) cont() \
-              (f 1 cont(e2)(halt -1) cont(t)(halt t))) \
-            proc(x ce cc) (raise 55))";
-        assert_eq!(run_int(src), 55);
     }
 
     #[test]
@@ -1950,12 +1878,12 @@ mod tests {
             proc(g x ce cc) (g x ce cc))";
         let out = run(divide).unwrap();
         assert_eq!(out.result, RVal::Str(ERR_ZERO_DIVIDE.into()));
-        // A raise at the bottom unwinds to the handler pushed before the
-        // group was entered.
+        // A raise at the bottom is `(ce 41)`: it reaches the handler
+        // bound as the `ce` of the call that entered the group.
         let raise = "(cont(apply) (Y proc(^c0 ^f ^c) (c \
-              cont() (pushHandler cont(x) (+ x 1 cont(e)(halt -1) cont(t)(halt t)) \
-                cont() (apply f 3 cont(e)(halt -2) cont(r)(halt -3))) \
-              proc(n ce cc) (= n 0 cont() (raise 41) \
+              cont() (apply f 3 cont(x) (+ x 1 cont(e)(halt -1) cont(t)(halt t)) \
+                cont(r)(halt -3)) \
+              proc(n ce cc) (= n 0 cont() (ce 41) \
                  cont() (- n 1 ce cont(m) (f m ce cont(t) (cc t)))))) \
             proc(g x ce cc) (g x ce cc))";
         assert_eq!(run_int(raise), 42);

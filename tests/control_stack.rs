@@ -12,18 +12,20 @@
 //!   stored and called after the frames it names have returned.
 //! * The stack relies on TML's rule 3 (continuations never escape): the
 //!   front end's and the optimizer's output obey it, and a program that
-//!   breaks it gets a typed trap, never a panic. Rule 3 is a syntactic
-//!   check, necessary but not sufficient: a well-formed handler installed
-//!   with `pushHandler` can outlive the frame its continuation names. The
-//!   front end lowers `try` to a fresh `cₑ` and emits no `pushHandler`,
-//!   and the optimizer introduces none, which the test checks as well.
+//!   breaks it gets a typed trap, never a panic. There is one exception
+//!   mechanism: the front end lowers each `try` to exactly one fresh `cₑ`
+//!   binder and a raise to `(cₑ v)`, so every continuation the machine
+//!   holds is a frame exit, a heap copy or a continuation closure.
 
 use tycoon::core::gen::{gen_state_program, GenConfig};
 use tycoon::core::parse::parse_app;
-use tycoon::core::term::{App, Value};
+use tycoon::core::term::{AbsKind, App, Value};
 use tycoon::core::wellformed::{check_abs, check_app};
-use tycoon::core::Ctx;
+use tycoon::core::{Ctx, VarId};
+use tycoon::lang::ast::Expr;
+use tycoon::lang::parser::parse_program;
 use tycoon::lang::stanford::suite;
+use tycoon::lang::stdlib::STDLIB_SRC;
 use tycoon::lang::{Session, SessionConfig};
 use tycoon::opt::{optimize, OptOptions};
 use tycoon::reflect::{optimize_all, ReflectOptions};
@@ -104,23 +106,98 @@ fn continuations_captured_at_every_level_keep_the_heap_path() {
     assert_eq!(result, Some(200_000));
 }
 
-/// Assert that `app` is well-formed and installs no handler of its own.
-fn second_class(ctx: &Ctx, app: &App) {
-    check_app(ctx, app).unwrap();
+/// Nested `try`s, a `try` in a handler and one in a loop body.
+const TRIES: &str = "
+module tries export nested, looped
+let nested(n: Int): Int =
+  try (try (if n < 0 then raise 1 else n end) handle e -> raise 2 end) handle f -> f end
+let looped(n: Int): Int =
+  var s := 0 in
+  (for i = 1 upto n do
+     s := s + (try (if i == 3 then raise i else i end) handle e -> 0 end)
+   end;
+   s)
+end";
+
+/// The `try` expressions in `e`.
+fn tries(e: &Expr) -> usize {
+    let sub: Vec<&Expr> = match e {
+        Expr::Try(body, _, handler, _) => return 1 + tries(body) + tries(handler),
+        Expr::Int(_)
+        | Expr::Real(_)
+        | Expr::Char(_)
+        | Expr::Str(_)
+        | Expr::Bool(_)
+        | Expr::Nil
+        | Expr::Var(..) => vec![],
+        Expr::Neg(a, _)
+        | Expr::Not(a, _)
+        | Expr::Assign(_, a, _)
+        | Expr::Proj(a, _, _)
+        | Expr::Raise(a, _) => vec![a],
+        Expr::Bin(_, a, b, _)
+        | Expr::While(a, b, _)
+        | Expr::Let(_, a, b, _)
+        | Expr::VarDecl(_, a, b, _)
+        | Expr::Seq(a, b)
+        | Expr::Exists {
+            range: a, pred: b, ..
+        } => vec![a, b],
+        Expr::If(a, b, c, _) | Expr::For(_, a, b, c, _) => vec![a, b, c],
+        Expr::Call(f, es, _) => std::iter::once(&**f).chain(es).collect(),
+        Expr::Tuple(es, _) | Expr::Prim(_, es, _) => es.iter().collect(),
+        Expr::Select {
+            target,
+            range,
+            pred,
+            ..
+        } => [&**target, &**range]
+            .into_iter()
+            .chain(pred.as_deref())
+            .collect(),
+    };
+    sub.into_iter().map(tries).sum()
+}
+
+/// The handler binders `cps.rs` makes for `try` in `app`, each asserted
+/// to be the only parameter of a direct application to its handler, a
+/// continuation abstraction.
+fn handler_binders(ctx: &Ctx, app: &App) -> usize {
+    let is_h = |v: &VarId| ctx.names.is_cont(*v) && ctx.names.info(*v).base == "h";
+    let mut bound = 0;
     app.walk(&mut |a| {
-        if let Value::Prim(p) = a.func {
-            let name = ctx.prims.name(p);
-            assert!(!name.ends_with("Handler"), "{name} in generated code");
+        if let Value::Abs(f) = &a.func {
+            if f.params.iter().any(is_h) {
+                assert_eq!(f.params.len(), 1);
+                assert!(
+                    matches!(&a.args[..], [Value::Abs(h)] if h.kind(&ctx.names) == AbsKind::Cont)
+                );
+                bound += 1;
+            }
         }
     });
+    let all = app.binders().into_iter().filter(is_h).count();
+    assert_eq!(all, bound, "a handler binder outside a `try`");
+    bound
 }
 
 #[test]
 fn front_end_and_optimizer_output_keeps_continuations_second_class() {
+    let mut sources = vec![STDLIB_SRC, DEEP, TRIES];
+    sources.extend(suite().iter().map(|p| p.src));
     let mut s = Session::new(SessionConfig::default()).unwrap();
-    for p in suite() {
-        s.load_str(p.src).unwrap();
+    for src in &sources[1..] {
+        s.load_str(src).unwrap();
     }
+    let source_tries: usize = sources
+        .iter()
+        .flat_map(|src| parse_program(src).unwrap())
+        .flat_map(|m| m.funs)
+        .map(|f| tries(&f.body))
+        .sum();
+    assert_eq!(source_tries, 4);
+    // Every blob well-formed: continuations occur only in functional or
+    // continuation-argument position. Returns the handler binders.
     let check_all = |s: &mut Session| {
         let blobs: Vec<Vec<u8>> = s
             .store
@@ -131,24 +208,32 @@ fn front_end_and_optimizer_output_keeps_continuations_second_class() {
             })
             .collect();
         assert!(blobs.len() > 10);
+        let mut handlers = 0;
         for b in &blobs {
             let (abs, _) = decode_abs(&mut s.ctx, b).unwrap();
             check_abs(&s.ctx, &abs).unwrap();
-            second_class(&s.ctx, &abs.body);
+            handlers += handler_binders(&s.ctx, &abs.body);
         }
+        handlers
     };
-    // The standard library and the Stanford suite as the front end
-    // emits them, then every `optimize_all` product beside them.
-    check_all(&mut s);
+    // The standard library, the Stanford suite and the `try` modules as
+    // the front end emits them: one fresh `cₑ` binder per source `try`.
+    // Then every `optimize_all` product beside them.
+    assert_eq!(check_all(&mut s), source_tries);
     optimize_all(&mut s, &ReflectOptions::default()).unwrap();
     check_all(&mut s);
+    for (n, want) in [(-1, 2), (5, 5)] {
+        let got = s.call("tries.nested", vec![RVal::Int(n)]).unwrap().result;
+        assert_eq!(got, RVal::Int(want));
+    }
+    let got = s.call("tries.looped", vec![RVal::Int(4)]).unwrap().result;
+    assert_eq!(got, RVal::Int(7));
     for seed in 0..40 {
         for twin in [false, true] {
             let (mut ctx, app) = gen_state_program(seed, GenConfig::default(), twin);
-            second_class(&ctx, &app);
+            check_app(&ctx, &app).unwrap();
             let (opt, _) = optimize(&mut ctx, app, &OptOptions::default());
             check_app(&ctx, &opt).unwrap_or_else(|e| panic!("seed {seed}/{twin}: {e}"));
-            second_class(&ctx, &opt);
         }
     }
 }
@@ -219,12 +304,6 @@ fn escaping_continuations_trap_typed() {
     let parsed = parse_app(&mut ctx, returned).unwrap();
     assert!(check_app(&ctx, &parsed.app).is_err());
     stale(run(returned));
-    // A continuation captured by a handler and invoked after its frame
-    // returned: well-formed text, a trap at run time.
-    stale(run(
-        "(cont(f) (f 1 cont(e) (halt -1) cont(r) (raise 9)) \
-                proc(x ^ce ^cc) (pushHandler cont(e) (cc e) cont() (cc x)))",
-    ));
     // A stack continuation forged by the embedder names no frame.
     let mut store = Store::new();
     let vm = Vm::new();

@@ -262,20 +262,29 @@ fn image_with_unknown_prims_degrades_to_typed_skips() {
 
 #[test]
 fn a_closure_too_large_to_compile_traps_at_its_first_call() {
-    // `proc(x0 … x69999 ce cc) (ext.dec x0 ce cc)`: its PTML header is
-    // sound under the extension registry, so the image opens clean, but
-    // its frame needs more slots than an operand can address. Its first
-    // call is a typed trap naming it, and the rest of the world runs.
+    // `proc(x0 … x65532 ce cc) (cc proc(y ce2 cc2) (ext.dec x0 ce2 cc2))`:
+    // its PTML header is sound under the extension registry, so the image
+    // opens clean, but its frame needs one slot more than an operand can
+    // address: the closure of the nested procedure, which compiles into
+    // the code table before the outer block fails. Every call is a typed trap naming the
+    // closure, only the first one decodes and compiles, and the rest of
+    // the world runs.
     let mut s = ext_session();
     let abs = build_run(&mut s);
     let run = install_fn(&mut s, "ext.run", &abs);
     let dec = Value::Prim(s.ctx.prims.lookup("ext.dec").unwrap());
-    let mut params: Vec<_> = (0..70_000).map(|_| s.ctx.names.fresh("x")).collect();
+    let mut params: Vec<_> = (0..65_533).map(|_| s.ctx.names.fresh("x")).collect();
     let (ce, cc) = (s.ctx.names.fresh_cont("ce"), s.ctx.names.fresh_cont("cc"));
-    let body = App::new(
-        dec,
-        vec![Value::Var(params[0]), Value::Var(ce), Value::Var(cc)],
+    let y = s.ctx.names.fresh("y");
+    let (ce2, cc2) = (s.ctx.names.fresh_cont("ce"), s.ctx.names.fresh_cont("cc"));
+    let nested = Abs::new(
+        vec![y, ce2, cc2],
+        App::new(
+            dec,
+            vec![Value::Var(params[0]), Value::Var(ce2), Value::Var(cc2)],
+        ),
     );
+    let body = App::new(Value::Var(cc), vec![Value::from(nested)]);
     params.extend([ce, cc]);
     let ptml = s
         .store
@@ -295,13 +304,20 @@ fn a_closure_too_large_to_compile_traps_at_its_first_call() {
     assert_eq!(report.skipped, 0, "{report:?}");
     let mut m = Machine::new(&s2.vm.code, &s2.vm.externs, &mut s2.store, 1_000)
         .linking(&mut s2.ctx, &s2.globals);
-    match m.call_value_checked(RVal::Ref(big), vec![RVal::Int(1)]) {
-        Err(VmError::Trap(msg)) => {
-            assert!(msg.contains(&big.to_string()), "{msg}");
-            assert!(msg.contains("exceeds 65,535 slots"), "{msg}");
+    let mut first = None;
+    for call in 0..100 {
+        match m.call_value_checked(RVal::Ref(big), vec![RVal::Int(1)]) {
+            Err(VmError::Trap(msg)) => {
+                assert!(msg.contains(&big.to_string()), "{msg}");
+                assert!(msg.contains("exceeds 65,535 slots"), "{msg}");
+                let (blocks, msg0) = first.get_or_insert_with(|| (s2.vm.code.len(), msg.clone()));
+                assert_eq!(s2.vm.code.len(), *blocks, "call {call} compiled again");
+                assert_eq!(&msg, msg0, "call {call}");
+            }
+            other => panic!("{other:?}"),
         }
-        other => panic!("{other:?}"),
     }
+    assert_eq!(m.stats.linked, 0);
     drop(m);
     let err = call_oid(&mut s2, big, vec![RVal::Int(1)]).unwrap_err();
     assert!(err.contains("its PTML did not relink"), "{err}");
