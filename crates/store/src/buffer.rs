@@ -42,6 +42,11 @@ pub struct BufferPool {
     cap: usize,
     tick: u64,
     stats: BufferStats,
+    /// The frame the last successful pin returned. Records are read and
+    /// written in page order, so most pins repeat it and skip the hash
+    /// lookup. Invalidated (set past the frames) whenever a miss starts
+    /// to reassign a frame.
+    last: usize,
 }
 
 impl BufferPool {
@@ -54,6 +59,7 @@ impl BufferPool {
             cap,
             tick: 0,
             stats: BufferStats::default(),
+            last: usize::MAX,
         }
     }
 
@@ -76,13 +82,19 @@ impl BufferPool {
     /// index for [`BufferPool::page`] / [`BufferPool::page_mut`]. Fails
     /// with `WouldBlock` when every frame is pinned.
     pub fn pin(&mut self, file: &mut PageFile, id: PageId) -> std::io::Result<usize> {
-        if let Some(&ix) = self.map.get(&id) {
+        let hit = match self.frames.get(self.last) {
+            Some(f) if f.id == id => Some(self.last),
+            _ => self.map.get(&id).copied(),
+        };
+        if let Some(ix) = hit {
             self.stats.hits += 1;
             self.frames[ix].pins += 1;
             self.touch(ix);
+            self.last = ix;
             return Ok(ix);
         }
         self.stats.misses += 1;
+        self.last = usize::MAX;
         let ix = if self.frames.len() < self.cap {
             self.frames.push(Frame {
                 id,
@@ -115,6 +127,7 @@ impl BufferPool {
         self.frames[ix].dirty = false;
         self.map.insert(id, ix);
         self.touch(ix);
+        self.last = ix;
         Ok(ix)
     }
 

@@ -177,7 +177,7 @@ fn apply(store: &mut Store, rec: &WalRecord) -> Result<(), StoreError> {
             Ok(())
         }
         WalRecord::SetAttr { oid, key, value } => {
-            store.set_attr(*oid, key.clone(), *value);
+            store.set_attr(*oid, key, *value);
             Ok(())
         }
         WalRecord::RemoveAttr { oid, key } => {
@@ -579,7 +579,7 @@ impl DurableStore {
 
     fn do_set_attr(&mut self, oid: Oid, key: &str, value: i64) -> Result<(), StoreError> {
         self.guard_s()?;
-        self.store.set_attr(oid, key.to_string(), value);
+        self.store.set_attr(oid, key, value);
         self.log_s(WalRecord::SetAttr {
             oid,
             key: key.to_string(),

@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod access;
+mod attr;
 pub mod buffer;
 pub mod cache;
 pub mod crc;

@@ -200,6 +200,11 @@ impl PageFile {
         self.file.write_all(&bytes[..bytes.len().min(PAGE_SIZE)])
     }
 
+    /// Pages the file holds, a torn tail page counted whole.
+    pub fn pages(&self) -> std::io::Result<u64> {
+        Ok(self.file.metadata()?.len().div_ceil(PAGE_SIZE as u64))
+    }
+
     /// Truncate the file to `len` bytes.
     pub fn set_len(&mut self, len: u64) -> std::io::Result<()> {
         self.file.set_len(len)

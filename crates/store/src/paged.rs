@@ -53,15 +53,16 @@
 //! into `<image>.p<gen+1>` and the old generation file is deleted after
 //! the new catalog lands.
 
+use crate::attr::AttrTable;
 use crate::buffer::{BufferPool, BufferStats};
 use crate::cache::OptCache;
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::failpoint;
 use crate::object::Object;
 use crate::page::{PageFile, PageId, PAGE_SIZE};
 use crate::snapshot;
 use crate::store::Store;
-use crate::varint::{put_i64, put_str, put_u64, DecodeError, Reader};
+use crate::varint::{put_u64, DecodeError, Reader};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -325,18 +326,27 @@ fn read_image(path: &Path) -> std::io::Result<Vec<u8>> {
 
 /// A decoded catalog, before the page file is consulted.
 struct Catalog {
+    identity: ImageIdentity,
     gen: u64,
     next_page: u64,
-    slots: u64,
-    dir: BTreeMap<Oid, Location>,
+    /// Live records in ascending OID order.
+    dir: Vec<(Oid, Location)>,
     live_bytes: u64,
     dead_bytes: u64,
-    roots: Vec<(String, Oid)>,
-    attrs: BTreeMap<Oid, BTreeMap<String, i64>>,
+    roots: BTreeMap<String, Oid>,
+    attrs: AttrTable,
+    /// One per slot: the slot count, checked and bounded by the bytes.
     versions: Vec<u64>,
     cache: OptCache,
 }
 
+/// Decode a catalog in one pass over its bytes. The CRC pass over the
+/// body continues over the trailer into the file's [`ImageIdentity`].
+/// The directory must list OIDs in `1..=slots` in strictly ascending
+/// order, as the encoder writes it, and is kept as that sorted run; an
+/// OID out of range is [`DecodeError::BadIndex`], a repeat or an
+/// inversion [`DecodeError::Order`], and a slot count other than the
+/// version count [`DecodeError::Frame`].
 fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DecodeError> {
     let magic = bytes.get(..MAGIC.len()).ok_or(DecodeError::Truncated)?;
     let version = catalog_version(magic).ok_or(DecodeError::BadMagic)?;
@@ -344,61 +354,70 @@ fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DecodeError> {
     if body_len < MAGIC.len() {
         return Err(DecodeError::Truncated);
     }
-    let stored = u32::from_le_bytes(
-        bytes[body_len..]
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?,
-    );
-    let computed = crc32(&bytes[..body_len]);
+    let (body, trailer) = bytes.split_at(body_len);
+    let stored = u32::from_le_bytes(trailer.try_into().map_err(|_| DecodeError::Truncated)?);
+    let mut crc = Crc32::new();
+    crc.update(body);
+    let computed = crc.finish();
     if stored != computed {
         return Err(DecodeError::BadCrc { stored, computed });
     }
-    let mut r = Reader::new(&bytes[..body_len]);
+    crc.update(trailer);
+    let identity = ImageIdentity {
+        len: bytes.len() as u64,
+        crc: crc.finish(),
+    };
+    let mut r = Reader::new(body);
     r.bytes(MAGIC.len())?;
     let gen = r.u64()?;
     let next_page = r.u64()?;
     let slots = r.u64()?;
     let ndir = r.len()?;
-    let mut dir = BTreeMap::new();
+    // Each entry takes at least four bytes.
+    let mut dir = Vec::with_capacity(ndir.min(r.remaining() / 4));
     for _ in 0..ndir {
-        let oid = Oid(r.u64()?);
-        let loc = match r.byte()? {
-            0 => Location::Inline {
-                page: r.u64()?,
-                slot: r.u64()? as u16,
-                len: r.u64()? as u32,
-            },
-            1 => Location::Chain {
-                first: r.u64()?,
-                len: r.u64()?,
-            },
+        let oid = r.u64()?;
+        if oid == 0 || oid > slots {
+            return Err(DecodeError::BadIndex(oid));
+        }
+        if dir.last().is_some_and(|&(Oid(prev), _)| oid <= prev) {
+            return Err(DecodeError::Order(oid));
+        }
+        let (loc, end) = match r.byte()? {
+            0 => {
+                let page = r.u64()?;
+                let slot = narrow(r.u64()?)?;
+                let len = narrow(r.u64()?)?;
+                (Location::Inline { page, slot, len }, page.checked_add(1))
+            }
+            1 => {
+                let first = r.u64()?;
+                let len = r.u64()?;
+                let npages = len.div_ceil(CHAIN_PAYLOAD as u64);
+                (Location::Chain { first, len }, first.checked_add(npages))
+            }
             t => return Err(DecodeError::BadTag(t)),
         };
-        dir.insert(oid, loc);
+        // Every page a record names lies below the watermark, which
+        // `rebuild` checks against the page file's length.
+        if end.is_none_or(|end| end > next_page) {
+            return Err(DecodeError::BadIndex(oid));
+        }
+        dir.push((Oid(oid), loc));
     }
     let live_bytes = r.u64()?;
     let dead_bytes = r.u64()?;
-    let nroots = r.len()?;
-    let mut roots = Vec::with_capacity(nroots.min(4096));
-    for _ in 0..nroots {
-        let name = r.str()?.to_string();
-        let oid = Oid(r.u64()?);
-        roots.push((name, oid));
-    }
-    let nattrs = r.len()?;
-    let mut attrs: BTreeMap<Oid, BTreeMap<String, i64>> = BTreeMap::new();
-    for _ in 0..nattrs {
-        let oid = Oid(r.u64()?);
-        let nkv = r.len()?;
-        let mut kv = BTreeMap::new();
-        for _ in 0..nkv {
-            let k = r.str()?.to_string();
-            let v = r.i64()?;
-            kv.insert(k, v);
-        }
-        attrs.insert(oid, kv);
-    }
+    let roots = snapshot::get_roots(&mut r)?;
+    let attrs = AttrTable::decode(&mut r)?;
+    let at = r.position();
     let versions = snapshot::get_versions(&mut r)?;
+    if versions.len() as u64 != slots {
+        return Err(DecodeError::Frame {
+            offset: at,
+            declared: usize::try_from(slots).unwrap_or(usize::MAX),
+            used: versions.len(),
+        });
+    }
     // TYCAT1's cache section, the last one, also holds compiled code:
     // open with an empty cache instead.
     let cache = if version == 1 {
@@ -410,9 +429,9 @@ fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DecodeError> {
         return Err(DecodeError::Truncated);
     }
     Ok(Catalog {
+        identity,
         gen,
         next_page,
-        slots,
         dir,
         live_bytes,
         dead_bytes,
@@ -421,6 +440,11 @@ fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DecodeError> {
         versions,
         cache,
     })
+}
+
+/// A catalog field read as a narrower integer, out of range an error.
+fn narrow<T: TryFrom<u64>>(n: u64) -> Result<T, DecodeError> {
+    T::try_from(n).map_err(|_| DecodeError::BadIndex(n))
 }
 
 /// A catalog-addressed store reconstructed from disk.
@@ -460,6 +484,7 @@ pub fn open_catalog(path: &Path) -> std::io::Result<Option<OpenedCatalog>> {
         let Ok(cat) = decode_catalog(&bytes) else {
             continue;
         };
+        let identity = cat.identity;
         // Damaged pages under this catalog: try the next source.
         let Ok((heap, store)) = rebuild(path, cat) else {
             continue;
@@ -475,59 +500,125 @@ pub fn open_catalog(path: &Path) -> std::io::Result<Option<OpenedCatalog>> {
         return Ok(Some(OpenedCatalog {
             heap,
             store,
-            identity: identity_of(&bytes),
+            identity,
             source,
         }));
     }
     Ok(None)
 }
 
-/// Materialize a store from a decoded catalog plus its generation file.
+/// Materialize a store from a decoded catalog plus its generation file:
+/// one walk of the directory in OID order, each record decoded where it
+/// lies, tombstones for the OIDs between.
 fn rebuild(path: &Path, cat: Catalog) -> std::io::Result<(PagedHeap, Store)> {
-    let file = PageFile::open(gen_path(path, cat.gen))?;
-    let mut heap = PagedHeap {
+    let mut file = PageFile::open(gen_path(path, cat.gen))?;
+    // Bounds every record length in the directory by the file's bytes.
+    if cat.next_page > file.pages()? {
+        return Err(bad_data(format!(
+            "catalog watermark {} is past the page file",
+            cat.next_page
+        )));
+    }
+    let mut pool = BufferPool::new(POOL_CAP);
+    let slots = cat.versions.len();
+    let mut store = Store::new();
+    store.reserve_slots(slots);
+    for &(oid, loc) in &cat.dir {
+        while (store.len() as u64) + 1 < oid.0 {
+            store.push_slot(None);
+        }
+        let obj = read_record(&mut pool, &mut file, oid, loc, |rec| {
+            decode_record(oid, rec)
+        })??;
+        store.push_slot(Some(obj));
+    }
+    while store.len() < slots {
+        store.push_slot(None);
+    }
+    store.set_root_table(cat.roots);
+    store.set_attr_table(cat.attrs);
+    store.set_versions(cat.versions);
+    *store.cache_mut() = cat.cache;
+    let heap = PagedHeap {
         path: path.to_path_buf(),
         key: path_key(path),
         file,
-        pool: BufferPool::new(POOL_CAP),
+        pool,
         prior_pool_stats: BufferStats::default(),
-        dir: cat.dir,
+        // Bulk-built from the sorted run.
+        dir: cat.dir.into_iter().collect(),
         gen: cat.gen,
         next_page: cat.next_page,
         fill: None,
         live_bytes: cat.live_bytes,
         dead_bytes: cat.dead_bytes,
     };
-    let mut store = Store::new();
-    for ix in 0..cat.slots {
-        let oid = Oid(ix + 1);
-        match heap.read_record(oid)? {
-            Some(rec) => {
-                let mut r = Reader::new(&rec);
-                let obj = snapshot::get_object(&mut r).map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bad record for {oid}: {e}"),
-                    )
-                })?;
-                if !r.is_at_end() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("trailing bytes in record for {oid}"),
-                    ));
+    Ok((heap, store))
+}
+
+fn bad_data(what: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, what)
+}
+
+/// Decode one record, which must be exactly one object.
+fn decode_record(oid: Oid, rec: &[u8]) -> std::io::Result<Object> {
+    let mut r = Reader::new(rec);
+    let obj =
+        snapshot::get_object(&mut r).map_err(|e| bad_data(format!("bad record for {oid}: {e}")))?;
+    if !r.is_at_end() {
+        return Err(bad_data(format!("trailing bytes in record for {oid}")));
+    }
+    Ok(obj)
+}
+
+/// Hand the bytes of `oid`'s record at `loc` to `f`: an inline record as
+/// the slice of its pinned page, an overflow chain assembled into one
+/// buffer first.
+fn read_record<T>(
+    pool: &mut BufferPool,
+    file: &mut PageFile,
+    oid: Oid,
+    loc: Location,
+    f: impl FnOnce(&[u8]) -> T,
+) -> std::io::Result<T> {
+    match loc {
+        Location::Inline { page, slot, len } => {
+            let ix = pool.pin(file, PageId(page))?;
+            let out = match pool.page(ix).record(slot) {
+                Some(r) if r.len() == len as usize => Ok(f(r)),
+                Some(r) => Err(bad_data(format!(
+                    "record for {oid} is {} bytes, catalog says {len}",
+                    r.len()
+                ))),
+                None => Err(bad_data(format!("missing slotted record for {oid}"))),
+            };
+            pool.unpin(ix);
+            out
+        }
+        Location::Chain { first, len } => {
+            let mut out = Vec::with_capacity(len as usize);
+            let mut id = first;
+            let mut remaining = len as usize;
+            let mut hops = (len as usize).div_ceil(CHAIN_PAYLOAD) + 1;
+            while remaining > 0 {
+                hops = hops
+                    .checked_sub(1)
+                    .ok_or_else(|| bad_data(format!("overflow chain for {oid} cycles")))?;
+                if id == u64::MAX {
+                    return Err(bad_data(format!("overflow chain for {oid} ends early")));
                 }
-                store.push_slot(Some(obj));
+                let ix = pool.pin(file, PageId(id))?;
+                let bytes = pool.page(ix).bytes();
+                let next = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+                let take = remaining.min(CHAIN_PAYLOAD);
+                out.extend_from_slice(&bytes[8..8 + take]);
+                pool.unpin(ix);
+                remaining -= take;
+                id = next;
             }
-            None => store.push_slot(None),
+            Ok(f(&out))
         }
     }
-    for (name, oid) in cat.roots {
-        store.set_root(name, oid);
-    }
-    store.set_attr_table(cat.attrs);
-    store.set_versions(cat.versions);
-    *store.cache_mut() = cat.cache;
-    Ok((heap, store))
 }
 
 impl PagedHeap {
@@ -697,53 +788,6 @@ impl PagedHeap {
         Ok(first)
     }
 
-    /// Read back `oid`'s record bytes (`None` when the catalog holds no
-    /// record — a tombstoned or never-written slot).
-    pub fn read_record(&mut self, oid: Oid) -> std::io::Result<Option<Vec<u8>>> {
-        let Some(loc) = self.dir.get(&oid).copied() else {
-            return Ok(None);
-        };
-        let bad = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-        match loc {
-            Location::Inline { page, slot, len } => {
-                let ix = self.pool.pin(&mut self.file, PageId(page))?;
-                let rec = self.pool.page(ix).record(slot).map(<[u8]>::to_vec);
-                self.pool.unpin(ix);
-                match rec {
-                    Some(r) if r.len() == len as usize => Ok(Some(r)),
-                    Some(r) => Err(bad(format!(
-                        "record for {oid} is {} bytes, catalog says {len}",
-                        r.len()
-                    ))),
-                    None => Err(bad(format!("missing slotted record for {oid}"))),
-                }
-            }
-            Location::Chain { first, len } => {
-                let mut out = Vec::with_capacity(len as usize);
-                let mut id = first;
-                let mut remaining = len as usize;
-                let mut hops = (len as usize).div_ceil(CHAIN_PAYLOAD) + 1;
-                while remaining > 0 {
-                    hops = hops
-                        .checked_sub(1)
-                        .ok_or_else(|| bad(format!("overflow chain for {oid} cycles")))?;
-                    if id == u64::MAX {
-                        return Err(bad(format!("overflow chain for {oid} ends early")));
-                    }
-                    let ix = self.pool.pin(&mut self.file, PageId(id))?;
-                    let bytes = self.pool.page(ix).bytes();
-                    let next = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-                    let take = remaining.min(CHAIN_PAYLOAD);
-                    out.extend_from_slice(&bytes[8..8 + take]);
-                    self.pool.unpin(ix);
-                    remaining -= take;
-                    id = next;
-                }
-                Ok(Some(out))
-            }
-        }
-    }
-
     /// Write every dirty frame back and fsync the generation file. Resets
     /// the fill page: once the catalog references a page, it is never
     /// appended to again.
@@ -790,22 +834,8 @@ impl PagedHeap {
         }
         put_u64(&mut out, self.live_bytes);
         put_u64(&mut out, self.dead_bytes);
-        let roots: Vec<(&str, Oid)> = store.roots().collect();
-        put_u64(&mut out, roots.len() as u64);
-        for (name, oid) in roots {
-            put_str(&mut out, name);
-            put_u64(&mut out, oid.0);
-        }
-        let attrs = store.attr_table();
-        put_u64(&mut out, attrs.len() as u64);
-        for (oid, kv) in attrs {
-            put_u64(&mut out, oid.0);
-            put_u64(&mut out, kv.len() as u64);
-            for (k, v) in kv {
-                put_str(&mut out, k);
-                put_i64(&mut out, *v);
-            }
-        }
+        snapshot::put_roots(&mut out, store);
+        store.attr_table().encode(&mut out);
         snapshot::put_versions(&mut out, store.versions());
         snapshot::put_cache(&mut out, store.cache());
         let crc = crc32(&out);
@@ -825,6 +855,7 @@ impl PagedHeap {
 mod tests {
     use super::*;
     use crate::sval::SVal;
+    use crate::varint::put_str;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("tml_store_paged_test");
@@ -1026,6 +1057,160 @@ mod tests {
             snapshot::to_bytes(&opened.store),
             snapshot::to_bytes(&store)
         );
+    }
+
+    #[test]
+    fn reopened_catalog_saves_byte_identical() {
+        let path = tmp("identical.tyc");
+        let mut store = store_with(&[
+            Object::Array(vec![SVal::Int(1)]),
+            Object::ByteArray(vec![0x5a; INLINE_MAX + 100]), // chained
+            Object::Array(vec![SVal::Str("dead".into())]),
+            Object::Ptml(vec![1, 2, 3]),
+            Object::Array(vec![SVal::Ref(Oid(2))]),
+        ]);
+        store.free(Oid(3));
+        store.set_root("main", Oid(1));
+        store.set_root("blob", Oid(2));
+        for (oid, key, v) in [
+            (1, "tier.calls", 7),
+            (1, "optimized", 1),
+            (1, "size_before", 40),
+            (4, "degraded", 1),
+            (5, "size_after", 3),
+            (5, "inlined", 2),
+        ] {
+            store.set_attr(Oid(oid), key, v);
+        }
+        let mut heap = PagedHeap::create(&path).unwrap();
+        checkpoint_all(&mut heap, &store);
+        assert_eq!(heap.stats().chains, 1);
+        let on_disk = std::fs::read(&path).unwrap();
+
+        let mut opened = open_catalog(&path).unwrap().unwrap();
+        assert_eq!(opened.identity, identity_of(&on_disk));
+        assert_eq!(opened.store.live(), 4);
+        opened.heap.save_catalog(&opened.store).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            on_disk,
+            "no mutation, same bytes"
+        );
+
+        let keys: Vec<&str> = opened.store.attrs_of(Oid(1)).map(|(k, _)| k).collect();
+        assert_eq!(keys, ["optimized", "size_before", "tier.calls"]);
+        // Removing an OID's last key drops its row: the catalog encodes
+        // as if the attribute had never been set.
+        assert_eq!(opened.store.remove_attr(Oid(4), "degraded"), Some(1));
+        assert_eq!(opened.store.attrs_of(Oid(4)).count(), 0);
+        store.remove_attr(Oid(4), "degraded");
+        let mut fresh = store.clone();
+        fresh.set_attr_table(Default::default());
+        for (oid, key, v) in [
+            (1, "optimized", 1),
+            (1, "size_before", 40),
+            (1, "tier.calls", 7),
+        ]
+        .into_iter()
+        .chain([(5, "inlined", 2), (5, "size_after", 3)])
+        {
+            fresh.set_attr(Oid(oid), key, v);
+        }
+        assert_eq!(
+            opened.heap.catalog_bytes(&opened.store),
+            opened.heap.catalog_bytes(&fresh)
+        );
+    }
+
+    /// A catalog written by hand over `heap`'s page file, with its own
+    /// slot count, directory and version count, and a valid CRC.
+    fn forged_catalog(heap: &PagedHeap, slots: u64, dir: &[(u64, Location)], nver: u64) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        put_u64(&mut out, heap.gen);
+        put_u64(&mut out, heap.next_page);
+        put_u64(&mut out, slots);
+        put_u64(&mut out, dir.len() as u64);
+        for (oid, loc) in dir {
+            put_u64(&mut out, *oid);
+            match *loc {
+                Location::Inline { page, slot, len } => {
+                    out.push(0);
+                    put_u64(&mut out, page);
+                    put_u64(&mut out, slot as u64);
+                    put_u64(&mut out, len as u64);
+                }
+                Location::Chain { first, len } => {
+                    out.push(1);
+                    put_u64(&mut out, first);
+                    put_u64(&mut out, len);
+                }
+            }
+        }
+        put_u64(&mut out, heap.live_bytes);
+        put_u64(&mut out, heap.dead_bytes);
+        put_u64(&mut out, 0); // roots
+        put_u64(&mut out, 0); // attributes
+        snapshot::put_versions(&mut out, &vec![0; nver as usize]);
+        snapshot::put_cache(&mut out, &OptCache::default());
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn forged_directories_fall_back_to_the_backup() {
+        let path = tmp("forged.tyc");
+        let store = store_with(&[
+            Object::Array(vec![SVal::Int(1)]),
+            Object::Array(vec![SVal::Int(2)]),
+        ]);
+        let mut heap = PagedHeap::create(&path).unwrap();
+        checkpoint_all(&mut heap, &store);
+        checkpoint_all(&mut heap, &store); // the first catalog is now `.bak`
+        let (one, two) = (heap.dir[&Oid(1)], heap.dir[&Oid(2)]);
+        let huge_chain = Location::Chain {
+            first: 0,
+            len: u64::MAX / 2,
+        };
+        let cases = [
+            ("oid 0", 2, vec![(0, one), (1, one), (2, two)], 2),
+            (
+                "oid past the slots",
+                2,
+                vec![(1, one), (2, two), (3, two)],
+                2,
+            ),
+            ("repeated oid", 2, vec![(1, one), (2, two), (2, one)], 2),
+            ("descending oids", 2, vec![(2, two), (1, one)], 2),
+            (
+                "slots past the versions",
+                1_000_002,
+                vec![(1, one), (2, two)],
+                2,
+            ),
+            (
+                "chain past the page file",
+                2,
+                vec![(1, one), (2, huge_chain)],
+                2,
+            ),
+        ];
+        let good = forged_catalog(&heap, 2, &[(1, one), (2, two)], 2);
+        assert!(
+            decode_catalog(&good).is_ok(),
+            "the forger writes valid catalogs"
+        );
+        for (what, slots, dir, nver) in cases {
+            let bytes = forged_catalog(&heap, slots, &dir, nver);
+            assert!(decode_catalog(&bytes).is_err(), "{what}");
+            std::fs::write(&path, &bytes).unwrap();
+            let opened = open_catalog(&path).unwrap().expect("backup decodes");
+            assert_eq!(opened.source, RecoverySource::Backup, "{what}");
+            assert_eq!(
+                snapshot::to_bytes(&opened.store),
+                snapshot::to_bytes(&store)
+            );
+        }
     }
 
     #[test]

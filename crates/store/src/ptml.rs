@@ -139,7 +139,8 @@ fn decode_abs_inner(
     let prims = read_header(&mut r, ctx)?;
     // Var table: create fresh identifiers.
     let nvars = r.len()?;
-    let mut vars = Vec::with_capacity(nvars);
+    // Each var-table entry takes at least two bytes.
+    let mut vars = Vec::with_capacity(nvars.min(r.remaining() / 2));
     for _ in 0..nvars {
         let base = r.str()?.to_string();
         let is_cont = r.byte()? != 0;
@@ -152,7 +153,7 @@ fn decode_abs_inner(
     }
     // Free list.
     let nfree = r.len()?;
-    let mut free = Vec::with_capacity(nfree);
+    let mut free = Vec::with_capacity(nfree.min(r.remaining()));
     for _ in 0..nfree {
         let i = r.len()?;
         let (base, v) = vars.get(i).ok_or(DecodeError::BadIndex(i as u64))?;
@@ -182,7 +183,7 @@ fn read_header(r: &mut Reader<'_>, ctx: &Ctx) -> Result<Vec<PrimId>, DecodeError
         return Err(DecodeError::BadMagic);
     }
     let nprims = r.len()?;
-    let mut prims = Vec::with_capacity(nprims);
+    let mut prims = Vec::with_capacity(nprims.min(r.remaining()));
     for _ in 0..nprims {
         let name = r.str()?;
         let id = ctx
@@ -199,6 +200,29 @@ fn read_header(r: &mut Reader<'_>, ctx: &Ctx) -> Result<Vec<PrimId>, DecodeError
 /// A blob that passes may still fail [`decode_abs`] on its body.
 pub fn check_header(ctx: &Ctx, bytes: &[u8]) -> Result<(), DecodeError> {
     read_header(&mut Reader::new(bytes), ctx).map(drop)
+}
+
+/// The free-variable names of a PTML blob in R-value binding order — the
+/// names [`decode_abs`] returns — read from the header, var table and
+/// free list alone: no body decode, no variables created in `ctx`. Like
+/// `decode_abs`, fails on an unknown primitive first.
+pub fn free_names<'b>(ctx: &Ctx, bytes: &'b [u8]) -> Result<Vec<&'b str>, DecodeError> {
+    let mut r = Reader::new(bytes);
+    read_header(&mut r, ctx)?;
+    let nvars = r.len()?;
+    // Each var-table entry takes at least two bytes.
+    let mut names = Vec::with_capacity(nvars.min(r.remaining() / 2));
+    for _ in 0..nvars {
+        names.push(r.str()?);
+        r.byte()?;
+    }
+    let nfree = r.len()?;
+    (0..nfree)
+        .map(|_| {
+            let i = r.len()?;
+            names.get(i).copied().ok_or(DecodeError::BadIndex(i as u64))
+        })
+        .collect()
 }
 
 /// Decode a whole program encoded by [`encode_app`].
@@ -665,6 +689,38 @@ mod tests {
             decode_app(&mut plain, &bytes),
             Err(DecodeError::UnknownPrim("mystery".into()))
         );
+    }
+
+    #[test]
+    fn table_counts_past_the_blob_fail_typed_without_allocating() {
+        let mut ctx = Ctx::new();
+        let parsed = parse_app(&mut ctx, "(halt 1)").unwrap();
+        let good = encode_app(&ctx, &parsed.app);
+        // Forge each table count in turn (prims, vars, free list) to a
+        // length no allocation can hold.
+        let mut at = MAGIC.len();
+        for table in 0..3 {
+            let mut r = Reader::new(&good[at..]);
+            let n = r.len().unwrap();
+            let mut forged = good[..at].to_vec();
+            put_u64(&mut forged, u64::MAX >> 1);
+            forged.extend_from_slice(&good[at + r.position()..]);
+            assert!(decode_app(&mut ctx, &forged).is_err(), "table {table}");
+            assert!(free_names(&ctx, &forged).is_err(), "table {table}");
+            if table == 2 {
+                break;
+            }
+            // Skip this table to reach the next count.
+            let mut r = Reader::new(&good[at..]);
+            r.len().unwrap();
+            for _ in 0..n {
+                r.str().unwrap();
+                if table == 1 {
+                    r.byte().unwrap();
+                }
+            }
+            at += r.position();
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! crc32    : IEEE CRC-32 of everything above      4 bytes LE
 //! ```
 
+use crate::attr::AttrTable;
 use crate::cache::{CacheEntry, CacheKey, CacheStats, OptCache};
 use crate::crc::crc32;
 use crate::object::{ClosureObj, IndexKey, IndexObj, ModuleObj, Object, Relation};
@@ -84,22 +85,8 @@ pub fn to_bytes(store: &Store) -> Vec<u8> {
             None => out.push(0),
         }
     }
-    let roots: Vec<(&str, Oid)> = store.roots().collect();
-    put_u64(&mut out, roots.len() as u64);
-    for (name, oid) in roots {
-        put_str(&mut out, name);
-        put_u64(&mut out, oid.0);
-    }
-    let attrs = store.attr_table();
-    put_u64(&mut out, attrs.len() as u64);
-    for (oid, kv) in attrs {
-        put_u64(&mut out, oid.0);
-        put_u64(&mut out, kv.len() as u64);
-        for (k, v) in kv {
-            put_str(&mut out, k);
-            put_i64(&mut out, *v);
-        }
-    }
+    put_roots(&mut out, store);
+    store.attr_table().encode(&mut out);
     put_versions(&mut out, store.versions());
     put_cache(&mut out, store.cache());
     let crc = crc32(&out);
@@ -156,32 +143,35 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Store, DecodeError> {
             t => return Err(DecodeError::BadTag(t)),
         }
     }
-    let nroots = r.len()?;
-    for _ in 0..nroots {
-        let name = r.str()?.to_string();
-        let oid = Oid(r.u64()?);
-        store.set_root(name, oid);
-    }
-    let nattrs = r.len()?;
-    let mut attrs: BTreeMap<Oid, BTreeMap<String, i64>> = BTreeMap::new();
-    for _ in 0..nattrs {
-        let oid = Oid(r.u64()?);
-        let nkv = r.len()?;
-        let mut kv = BTreeMap::new();
-        for _ in 0..nkv {
-            let k = r.str()?.to_string();
-            let v = r.i64()?;
-            kv.insert(k, v);
-        }
-        attrs.insert(oid, kv);
-    }
-    store.set_attr_table(attrs);
+    store.set_root_table(get_roots(&mut r)?);
+    store.set_attr_table(AttrTable::decode(&mut r)?);
     store.set_versions(get_versions(&mut r)?);
     *store.cache_mut() = get_cache(&mut r)?;
     if !r.is_at_end() {
         return Err(DecodeError::Truncated);
     }
     Ok(store)
+}
+
+pub(crate) fn put_roots(out: &mut Vec<u8>, store: &Store) {
+    put_u64(out, store.roots().len() as u64);
+    for (name, oid) in store.roots() {
+        put_str(out, name);
+        put_u64(out, oid.0);
+    }
+}
+
+/// Read the roots section. It is written in name order, so the map is
+/// bulk-built from the sorted run (a repeated name keeps its last OID).
+pub(crate) fn get_roots(r: &mut Reader<'_>) -> Result<BTreeMap<String, Oid>, DecodeError> {
+    let n = r.len()?;
+    // Each root takes at least two bytes.
+    let mut roots = Vec::with_capacity(n.min(r.remaining() / 2));
+    for _ in 0..n {
+        let name = r.str()?.to_string();
+        roots.push((name, Oid(r.u64()?)));
+    }
+    Ok(roots.into_iter().collect())
 }
 
 pub(crate) fn put_versions(out: &mut Vec<u8>, versions: &[u64]) {

@@ -1,6 +1,7 @@
 //! The OID-addressed object heap with named roots and the derived-attribute
 //! cache.
 
+use crate::attr::AttrTable;
 use crate::cache::{CacheEntry, CacheKey, CacheStats, OptCache};
 use crate::object::Object;
 use crate::sval::SVal;
@@ -134,7 +135,7 @@ pub struct Store {
     /// makes a tombstone cost a pointer instead of an object's width.
     objects: Vec<Option<Box<Object>>>,
     roots: BTreeMap<String, Oid>,
-    attrs: BTreeMap<Oid, BTreeMap<String, i64>>,
+    attrs: AttrTable,
     /// Per-slot content version, parallel to `objects`. Bumped on every
     /// mutable access and on collection, so derived state (the
     /// optimization cache) can detect that an object changed behind a
@@ -238,7 +239,14 @@ impl Store {
                 self.versions[ix] += 1;
             }
         }
-        self.attrs.remove(&oid);
+        self.attrs.remove_oid(oid);
+    }
+
+    /// Internal: room for `n` more slots (image decoding, from a slot
+    /// count the caller has bounded).
+    pub(crate) fn reserve_slots(&mut self, n: usize) {
+        self.objects.reserve(n);
+        self.versions.reserve(n);
     }
 
     /// Internal: restore a possibly-dead slot (snapshot decoding).
@@ -299,50 +307,47 @@ impl Store {
         self.roots.remove(name)
     }
 
+    /// Internal: restore the root table (image decoding).
+    pub(crate) fn set_root_table(&mut self, roots: BTreeMap<String, Oid>) {
+        self.roots = roots;
+    }
+
     /// All roots, sorted by name.
-    pub fn roots(&self) -> impl Iterator<Item = (&str, Oid)> {
+    pub fn roots(&self) -> impl ExactSizeIterator<Item = (&str, Oid)> {
         self.roots.iter().map(|(n, o)| (n.as_str(), *o))
     }
 
     // -- Derived attributes --------------------------------------------------
 
     /// Attach a derived attribute (cost, savings, …) to a code object.
-    pub fn set_attr(&mut self, oid: Oid, key: impl Into<String>, value: i64) {
-        self.attrs.entry(oid).or_default().insert(key.into(), value);
+    pub fn set_attr(&mut self, oid: Oid, key: &str, value: i64) {
+        self.attrs.set(oid, key, value);
     }
 
     /// Read a derived attribute.
     pub fn attr(&self, oid: Oid, key: &str) -> Option<i64> {
-        self.attrs.get(&oid).and_then(|m| m.get(key)).copied()
+        self.attrs.get(oid, key)
     }
 
     /// Remove a derived attribute, returning the previous value. Empty
     /// per-object tables are dropped so the attr table keeps the same
     /// canonical shape `set_attr` produces (snapshot byte-determinism).
     pub fn remove_attr(&mut self, oid: Oid, key: &str) -> Option<i64> {
-        let m = self.attrs.get_mut(&oid)?;
-        let prev = m.remove(key);
-        if m.is_empty() {
-            self.attrs.remove(&oid);
-        }
-        prev
+        self.attrs.remove(oid, key)
     }
 
-    /// All attributes of an object.
+    /// All attributes of an object, in key order.
     pub fn attrs_of(&self, oid: Oid) -> impl Iterator<Item = (&str, i64)> {
-        self.attrs
-            .get(&oid)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(k, v)| (k.as_str(), *v)))
+        self.attrs.of(oid)
     }
 
-    /// Internal: the whole attribute table (snapshot encoding).
-    pub(crate) fn attr_table(&self) -> &BTreeMap<Oid, BTreeMap<String, i64>> {
+    /// Internal: the whole attribute table (image encoding).
+    pub(crate) fn attr_table(&self) -> &AttrTable {
         &self.attrs
     }
 
-    /// Internal: restore the attribute table (snapshot decoding).
-    pub(crate) fn set_attr_table(&mut self, attrs: BTreeMap<Oid, BTreeMap<String, i64>>) {
+    /// Internal: restore the attribute table (image decoding).
+    pub(crate) fn set_attr_table(&mut self, attrs: AttrTable) {
         self.attrs = attrs;
     }
 

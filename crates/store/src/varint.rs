@@ -84,6 +84,10 @@ pub enum DecodeError {
     /// context's registry does not know. Carries the name so the loader
     /// can degrade the affected term instead of failing the whole image.
     UnknownPrim(String),
+    /// A sorted section holds an entry that does not follow its
+    /// predecessor (repeated or out of order); carries the entry's key or
+    /// position.
+    Order(u64),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -114,6 +118,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::UnknownPrim(name) => {
                 write!(f, "unknown primitive {name:?}")
             }
+            DecodeError::Order(k) => write!(f, "entry {k} repeated or out of order"),
         }
     }
 }
@@ -136,6 +141,12 @@ impl<'a> Reader<'a> {
     /// Current offset.
     pub fn position(&self) -> usize {
         self.pos
+    }
+
+    /// Bytes not yet consumed: a bound on how many encoded items can
+    /// follow, for sizing a buffer from a count read off the input.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// `true` if all input has been consumed.

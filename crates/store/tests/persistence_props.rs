@@ -88,7 +88,7 @@ proptest! {
             store.set_root(name, Oid(oid));
         }
         for (oid, key, value) in attrs {
-            store.set_attr(Oid(oid), key, value);
+            store.set_attr(Oid(oid), &key, value);
         }
         // Tombstone a few slots through the GC entry point: collect with
         // every slot rooted except the victims is fiddly, so tombstone by

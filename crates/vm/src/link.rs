@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use tml_core::{Ctx, Oid, VarId};
-use tml_store::ptml::decode_abs;
+use tml_store::ptml::{decode_abs, free_names};
 use tml_store::varint::DecodeError;
 use tml_store::{SVal, Store};
 
@@ -61,22 +61,36 @@ impl Linked<SVal> {
     }
 }
 
-/// The one PTML linker: decode `bytes`, resolve each free variable by
-/// its name through `resolve`, and compile the procedure into `code`,
-/// its captures in environment order. A capture that does not resolve
-/// fails the link before anything is compiled.
+/// The one PTML linker: resolve each free variable of `bytes` by its
+/// name through `resolve`, then decode the blob and compile the procedure
+/// into `code`, its captures in environment order. A capture that does
+/// not resolve fails the link before the body is decoded, so a failed
+/// link adds no names to `ctx` and compiles nothing.
 pub fn link_ptml<T>(
     ctx: &mut Ctx,
     code: &CodeTable,
     bytes: &[u8],
-    mut resolve: impl FnMut(&str) -> Result<T, LinkError>,
+    resolve: impl FnMut(&str) -> Result<T, LinkError>,
 ) -> Result<Linked<T>, LinkError> {
+    let names = free_names(ctx, bytes).map_err(LinkError::Decode)?;
+    let values: Vec<T> = names
+        .iter()
+        .copied()
+        .map(resolve)
+        .collect::<Result<_, _>>()?;
     let (abs, frees) = decode_abs(ctx, bytes).map_err(LinkError::Decode)?;
-    let mut resolved: HashMap<VarId, (String, T)> = HashMap::with_capacity(frees.len());
-    for (name, v) in frees {
-        let value = resolve(&name)?;
-        resolved.insert(v, (name, value));
+    // The decoder reads the same free list, unless a fault injected into
+    // its input changed it.
+    if let Some(i) = (0..frees.len().max(names.len()))
+        .find(|&i| frees.get(i).map(|(n, _)| n.as_str()) != names.get(i).copied())
+    {
+        return Err(LinkError::Decode(DecodeError::BadIndex(i as u64)));
     }
+    let mut resolved: HashMap<VarId, (String, T)> = frees
+        .into_iter()
+        .zip(values)
+        .map(|((name, v), value)| (v, (name, value)))
+        .collect();
     let compiled = compile_proc(ctx, code, &abs).map_err(LinkError::Compile)?;
     let captures = compiled
         .captures

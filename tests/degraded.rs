@@ -362,6 +362,41 @@ fn a_closure_that_fails_to_link_traps_at_its_call() {
 }
 
 #[test]
+fn an_unresolved_capture_adds_no_names_however_often_it_is_called() {
+    // `geom.abs` loses its recorded `complex.x` binding and the global is
+    // gone: every call fails to link. The link resolves the captures from
+    // the PTML var table before decoding the body, so a failed call
+    // creates no variables in the session's name table.
+    let _fp = ScopedFailpoints::new(&[]);
+    let s = session();
+    let bytes = snapshot::to_bytes(&s.store);
+    drop(s);
+    let mut s2 = session_from_store(
+        snapshot::from_bytes(&bytes).unwrap(),
+        SessionConfig::default(),
+    );
+    let abs = Oid(oid_of(&s2, "geom.abs"));
+    match s2.store.get_mut(abs) {
+        Ok(Object::Closure(c)) => c.bindings.retain(|(n, _)| n != "complex.x"),
+        other => panic!("{other:?}"),
+    }
+    s2.globals.remove("complex.x");
+    let mut after_first = None;
+    for call in 0..100 {
+        match call_linking(&mut s2, abs, vec![RVal::Unit]) {
+            Err(VmError::Trap(msg)) => {
+                assert!(msg.contains(&abs.to_string()), "{msg}");
+                assert!(msg.contains("unresolved binding complex.x"), "{msg}");
+            }
+            other => panic!("call {call}: {other:?}"),
+        }
+        let names = s2.ctx.names.len();
+        assert_eq!(*after_first.get_or_insert(names), names, "call {call}");
+    }
+    assert_eq!(s2.vm.code.link_calls(abs), 0);
+}
+
+#[test]
 fn degraded_image_boots_after_its_ptml_blob_is_freed() {
     // End-to-end: a closure's PTML blob is gone from a reopened image, the
     // closure relinks as degraded, and the rest of the image runs.
