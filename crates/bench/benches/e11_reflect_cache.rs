@@ -4,9 +4,10 @@
 //! repeated optimizations of (shared) functions" (§4.1). This benchmark
 //! measures that speedup on the §4.1 `geom.abs` example: a *cold*
 //! `reflect.optimize` runs the full PTML decode → rebuild → optimize →
-//! codegen → link pipeline; a *warm* one finds the memoized product in the
-//! store cache and, since the session already linked that product's PTML,
-//! links a fresh copy of its entry block.
+//! encode pipeline; a *warm* one finds the memoized product in the store
+//! cache, checks its PTML's free list and body structure, and allocates
+//! the new closure. Neither compiles: each closure is linked from its
+//! PTML on its first call.
 
 use std::time::Instant;
 use tml_bench::ms;
@@ -61,7 +62,7 @@ fn main() {
     // Cold: the full reflective pipeline, every time.
     let cold = time(&mut s, &cold_opts);
 
-    // Warm: prime the cache once, then link the memoized product.
+    // Warm: prime the cache once, then reuse the memoized product.
     let cached = optimize_named(&mut s, "geom.abs", &warm_opts).expect("prime");
     let warm = time(&mut s, &warm_opts);
     let stats = s.store.cache_stats();

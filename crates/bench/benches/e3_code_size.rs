@@ -7,24 +7,18 @@
 //!
 //! We measure, per Stanford program and for the whole session (standard
 //! library included), the approximate encoded size of the executable
-//! bytecode versus bytecode + PTML.
+//! bytecode versus bytecode + PTML. Both come from one session, once
+//! every closure is linked through the shared linker, as its first call
+//! would link it.
 
 use tml_lang::stanford::suite;
-use tml_lang::{Session, SessionConfig};
+use tml_lang::Session;
 
 fn sizes(src: &str) -> (usize, usize) {
-    // With PTML (the paper's default configuration).
-    let mut with = Session::new(SessionConfig::default()).expect("session");
-    with.load_str(src).expect("loads");
-    let with_total = with.code_bytes() + with.ptml_bytes();
-    // Without PTML.
-    let mut without = Session::new(SessionConfig {
-        attach_ptml: false,
-        ..Default::default()
-    })
-    .expect("session");
-    without.load_str(src).expect("loads");
-    (without.code_bytes(), with_total)
+    let mut s = Session::default_session().expect("session");
+    s.load_str(src).expect("loads");
+    s.link_all().expect("every closure links");
+    (s.code_bytes(), s.code_bytes() + s.ptml_bytes())
 }
 
 fn main() {

@@ -1,15 +1,19 @@
 //! The session: compilation, linking, the persistent store and execution
 //! tied together (the paper's figure 3 architecture).
 //!
-//! Loading a module runs the full pipeline per function:
+//! Loading a module runs the front end per function:
 //!
 //! ```text
 //! parse → check/lower → CPS convert → (optional local optimization)
 //!       → PTML encode (attached to the function, paper §4)
-//!       → bytecode compile
-//!       → persistent closure with R-value bindings, linked two-phase
+//!       → persistent closure with R-value bindings, allocated two-phase
 //!         (so intra-module recursion resolves)
 //! ```
+//!
+//! Loading compiles nothing. A closure is compiled from its PTML and
+//! linked into the session's code table on its first call
+//! ([`Session::call_value`]), so a function whose code cannot be
+//! generated loads and traps at its first call.
 //!
 //! The session owns the *global binding environment* mapping fully
 //! qualified names (`int.add`, `complex.x`) to store values; those are
@@ -27,7 +31,7 @@ use tml_opt::{optimize_abs, OptOptions};
 use tml_store::ptml::encode_abs;
 use tml_store::{ClosureObj, ModuleObj, Object, SVal, Store, StoreAccess};
 use tml_vm::machine::ExecStats;
-use tml_vm::{Machine, RVal, Vm};
+use tml_vm::{link_stored, Machine, RVal, Vm};
 
 /// Static optimization applied at module load time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +53,6 @@ pub struct SessionConfig {
     pub opt: OptMode,
     /// Optimizer options for both static and reflective optimization.
     pub opt_options: OptOptions,
-    /// Attach PTML to compiled functions (the paper's default; switching it
-    /// off halves the persistent code size — experiment E3).
-    pub attach_ptml: bool,
     /// Instruction budget per [`Session::call`].
     pub fuel: u64,
 }
@@ -62,7 +63,6 @@ impl Default for SessionConfig {
             lower: LowerMode::Library,
             opt: OptMode::None,
             opt_options: OptOptions::default(),
-            attach_ptml: true,
             fuel: 2_000_000_000,
         }
     }
@@ -165,12 +165,12 @@ impl<S: StoreAccess> Session<S> {
         }
         let (lowered, export_types) = check_module(&self.types, module, self.config.lower)?;
 
-        // Compile every function.
+        // Encode every function's PTML and name its captures: the
+        // globals its free variables stand for.
         struct Pending {
             full_name: String,
-            block: u32,
             captures: Vec<String>,
-            ptml: Option<Oid>,
+            ptml: Oid,
         }
         let mut pending = Vec::with_capacity(lowered.funs.len());
         for fun in &lowered.funs {
@@ -180,20 +180,13 @@ impl<S: StoreAccess> Session<S> {
                 let (optimized, _) = optimize_abs(&mut self.ctx, abs, &self.config.opt_options);
                 abs = optimized;
             }
-            let ptml = if self.config.attach_ptml {
-                let bytes = encode_abs(&self.ctx, &abs);
-                Some(self.store.alloc(Object::Ptml(bytes))?)
-            } else {
-                None
-            };
-            let compiled = self
-                .vm
-                .compile_proc(&self.ctx, &abs)
-                .map_err(|e| LangError::Compile(e.to_string()))?;
+            let ptml = self
+                .store
+                .alloc(Object::Ptml(encode_abs(&self.ctx, &abs)))?;
             let by_var: HashMap<VarId, &str> =
                 cps.globals.iter().map(|(n, v)| (*v, n.as_str())).collect();
-            let captures = compiled
-                .captures
+            let captures = abs
+                .free_vars()
                 .iter()
                 .map(|v| {
                     by_var.get(v).map(|n| n.to_string()).ok_or_else(|| {
@@ -206,7 +199,6 @@ impl<S: StoreAccess> Session<S> {
                 .collect::<Result<Vec<_>, _>>()?;
             pending.push(Pending {
                 full_name: format!("{}.{}", module.name, fun.name),
-                block: compiled.block,
                 captures,
                 ptml,
             });
@@ -218,13 +210,13 @@ impl<S: StoreAccess> Session<S> {
         for p in &pending {
             let oid = self.store.alloc(Object::Closure(ClosureObj {
                 bindings: Vec::new(),
-                ptml: p.ptml,
+                ptml: Some(p.ptml),
             }))?;
             local.insert(p.full_name.clone(), SVal::Ref(oid));
             oids.push(oid);
         }
-        // Phase 2: resolve R-value bindings, record them and link each
-        // closure to its block with the environment they give.
+        // Phase 2: resolve and record the R-value bindings. Each closure
+        // is linked from its PTML on its first call.
         for (p, &oid) in pending.iter().zip(&oids) {
             let mut bindings = Vec::with_capacity(p.captures.len());
             for name in &p.captures {
@@ -242,9 +234,6 @@ impl<S: StoreAccess> Session<S> {
                 }
                 Ok(())
             })?;
-            self.vm
-                .code
-                .link(oid, p.block, bindings.iter().map(|(_, v)| v));
         }
 
         // Module record and global registration (exports only).
@@ -286,8 +275,8 @@ impl<S: StoreAccess> Session<S> {
     }
 
     /// Call an arbitrary procedure value. A stored closure the call
-    /// reaches with no code in this session yet (one of a reopened image)
-    /// is linked from its PTML then.
+    /// reaches with no code in this session yet is linked from its PTML
+    /// then ([`tml_vm::link_stored`]).
     pub fn call_value(&mut self, target: RVal, args: Vec<RVal>) -> Result<CallResult, LangError> {
         let mut machine = Machine::new(
             &self.vm.code,
@@ -315,6 +304,26 @@ impl<S: StoreAccess> Session<S> {
                 RVal::Str(format!("vm:{e}").into())
             ))),
         }
+    }
+
+    /// Link every stored closure that carries PTML and has no code in
+    /// this session yet, as its first call would
+    /// ([`tml_vm::link_stored`]). Fails with the trap message of the
+    /// first that does not link.
+    pub fn link_all(&mut self) -> Result<(), String> {
+        let store = self.store.base();
+        let oids: Vec<Oid> = store
+            .iter()
+            .filter_map(|(oid, obj)| match obj {
+                Object::Closure(c) if c.ptml.is_some() && self.vm.code.linked(oid).is_none() => {
+                    Some(oid)
+                }
+                _ => None,
+            })
+            .collect();
+        oids.into_iter().try_for_each(|oid| {
+            link_stored(&mut self.ctx, &self.vm.code, store, &self.globals, oid)
+        })
     }
 
     /// Collect store garbage, rooting the session's global bindings in
@@ -480,14 +489,29 @@ mod tests {
     }
 
     #[test]
-    fn ptml_can_be_disabled() {
-        let s = Session::new(SessionConfig {
-            attach_ptml: false,
-            ..Default::default()
-        })
-        .unwrap();
-        assert_eq!(s.ptml_bytes(), 0);
-        assert!(s.code_bytes() > 0);
+    fn a_function_too_large_to_compile_loads_and_traps_at_its_first_call() {
+        // More parameters than a frame-slot operand can address.
+        let params: Vec<String> = (0..65_600).map(|i| format!("a{i}: Int")).collect();
+        let src = format!(
+            "module big export f, g\nlet f({}): Int = a0\nlet g(x: Int): Int = x + 1\nend",
+            params.join(", ")
+        );
+        let mut s = Session::default_session().unwrap();
+        s.load_str(&src).unwrap();
+        let r = s.call("big.g", vec![RVal::Int(41)]).unwrap();
+        assert_eq!(r.result, RVal::Int(42));
+        let Some(SVal::Ref(f)) = s.global("big.f").cloned() else {
+            panic!("big.f is not a closure");
+        };
+        for _ in 0..2 {
+            match s.call("big.f", vec![]) {
+                Err(LangError::Exception(msg)) => {
+                    assert!(msg.contains(&f.to_string()), "{msg}");
+                    assert!(msg.contains("exceeds 65,535 slots"), "{msg}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -38,10 +38,10 @@ use tml_lang::types::TypeEnv;
 use tml_lang::{Session, SessionConfig};
 use tml_opt::{optimize_abs_traced, OptOptions, OptStats};
 use tml_store::cache::{binding_signature, hash_bytes, SigHasher};
-use tml_store::ptml::{check_header, decode_abs, encode_abs};
+use tml_store::ptml::{check_header, decode_abs, encode_abs, free_names, scan_oids};
 use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess};
 use tml_trace::Sink;
-use tml_vm::{link_ptml, CodeTable, LinkError, Linked, LinkedProduct, Vm};
+use tml_vm::{LinkError, Vm};
 
 /// What [`optimize_all`] does when optimizing a *single* target fails —
 /// its PTML fails to decode, the optimizer panics, or the fuel budget runs
@@ -73,9 +73,9 @@ pub struct ReflectOptions {
     pub opt: OptOptions,
     /// Consult (and populate) the store's persistent reflective-optimization
     /// cache: repeated optimizations of the same PTML against unchanged
-    /// bindings link the memoized optimized PTML instead of re-running the
-    /// rebuild and the optimizer. A session links each product once and
-    /// gives every later hit a fresh copy of that entry block.
+    /// bindings reuse the memoized optimized PTML instead of re-running the
+    /// rebuild and the optimizer. Like every closure, the one made from a
+    /// hit is linked from its PTML on its first call.
     pub use_cache: bool,
     /// Upper bound on optimizer work per target, measured in rewrite steps
     /// (rule firings, query rewrites included, + inlinings), checked when
@@ -363,7 +363,6 @@ fn trace_consult(name: Option<&str>, oid: Oid, outcome: &'static str) {
 struct Rebuilt {
     name: Option<String>,
     old_oid: Oid,
-    block: u32,
     /// Residual captures: name plus the binding value observed in the
     /// source closure (the fallback if no better resolution exists).
     captures: Vec<(String, Option<SVal>)>,
@@ -533,24 +532,13 @@ fn derive_key(
     ))
 }
 
-/// Remember a cache product linked into the session's code table, so
-/// that later hits reuse its entry block instead of linking again.
-fn memoize<T>(vm: &mut Vm, key: CacheKey, ptml: &[u8], linked: &Linked<T>) {
-    let product = LinkedProduct {
-        ptml_hash: hash_bytes(ptml),
-        block: linked.block,
-        captures: linked.captures.iter().map(|(n, _)| n.clone()).collect(),
-    };
-    vm.linked.insert(key, product);
-}
-
 /// Try to satisfy a rebuild from the persistent cache: no term rebuild,
-/// no optimizer. A product this session already linked serves the hit
-/// with its entry block (call counts live in each closure's link, not on
-/// blocks); otherwise — the first hit after a reopen, or an entry
-/// replaced since — its PTML goes through [`link_ptml`]. An entry that does not link
-/// (corrupt image) returns `None` so the caller recomputes; the
-/// subsequent insert overwrites the entry.
+/// no optimizer, no decode and no compile. The entry is served only if
+/// its PTML names registered primitives, its free list names the
+/// entry's recorded captures and its body scans whole; an entry that
+/// fails (corrupt image) returns `None` so the caller recomputes, and
+/// the subsequent insert overwrites it. Neither check creates variables
+/// in the session's context.
 fn try_cached<S: StoreAccess>(
     session: &mut Session<S>,
     oid: Oid,
@@ -558,28 +546,12 @@ fn try_cached<S: StoreAccess>(
     key: CacheKey,
 ) -> Option<Rebuilt> {
     let entry = session.store.cache_lookup(key)?;
-    let fallback = |n: &str| {
-        let found = entry.captures.iter().find(|(c, _)| c == n);
-        found
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| LinkError::Unresolved(n.to_string()))
-    };
-    let linked = match session.vm.linked.get(&key) {
-        Some(p) if p.ptml_hash == hash_bytes(&entry.ptml) => {
-            let captures = p.captures.iter().map(|n| Ok((n.clone(), fallback(n)?)));
-            let captures = captures.collect::<Result<_, LinkError>>().ok()?;
-            Linked {
-                block: p.block,
-                captures,
-            }
-        }
-        _ => {
-            let linked =
-                link_ptml(&mut session.ctx, &session.vm.code, &entry.ptml, fallback).ok()?;
-            memoize(&mut session.vm, key, &entry.ptml, &linked);
-            linked
-        }
-    };
+    let captures = free_names(&session.ctx, &entry.ptml)
+        .ok()?
+        .into_iter()
+        .map(|n| entry.captures.iter().find(|(c, _)| c == n).cloned())
+        .collect::<Option<Vec<_>>>()?;
+    scan_oids(&entry.ptml).ok()?;
     trace_consult(name.as_deref(), oid, "hit");
     let ptml = session.store.alloc(Object::Ptml(entry.ptml)).ok()?;
     let stats = OptStats {
@@ -591,8 +563,7 @@ fn try_cached<S: StoreAccess>(
     Some(Rebuilt {
         name: name.clone(),
         old_oid: oid,
-        block: linked.block,
-        captures: linked.captures,
+        captures,
         ptml,
         stats,
         observed: entry.observed,
@@ -600,7 +571,8 @@ fn try_cached<S: StoreAccess>(
 }
 
 /// Rebuild one target: serve it from the cache, or build its
-/// bindings-wrapped term, optimize it, encode the product and link it.
+/// bindings-wrapped term, optimize it and encode the product. Nothing is
+/// compiled: the product's closure links on its first call.
 fn rebuild<S: StoreAccess>(
     session: &mut Session<S>,
     oid: Oid,
@@ -619,8 +591,8 @@ fn rebuild<S: StoreAccess>(
         oid,
         if options.use_cache { "miss" } else { "bypass" },
     );
-    // Everything below is the cache-miss cost: re-derive, re-optimize and
-    // re-link the procedure. Its histogram is the price of invalidation.
+    // Everything below is the cache-miss cost: re-derive and re-optimize
+    // the procedure. Its histogram is the price of invalidation.
     let _s = tml_trace::span!("reflect.cache.miss_fill");
     // Deterministic fault injection for the degraded-mode tests: arming
     // `reflect.prepare` keyed by a target's OID makes exactly that target
@@ -653,16 +625,22 @@ fn rebuild<S: StoreAccess>(
         return Err(ReflectError::Fuel { spent, budget });
     }
     let bytes = encode_abs(&session.ctx, &optimized);
+    // The product captures its free variables, each a residual.
+    let captures = free_names(&session.ctx, &bytes)
+        .map_err(decode_err)?
+        .into_iter()
+        .map(|n| {
+            if residuals.iter().any(|(r, _)| r == n) {
+                Ok((n.to_string(), residual_values.get(n).cloned()))
+            } else {
+                Err(ReflectError::Unresolved(n.to_string()))
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let ptml = session
         .store
         .alloc(Object::Ptml(bytes.clone()))
         .map_err(|e| ReflectError::Store(e.to_string()))?;
-    let linked = link_ptml(&mut session.ctx, &session.vm.code, &bytes, |n| {
-        if !residuals.iter().any(|(r, _)| r == n) {
-            return Err(LinkError::Unresolved(n.to_string()));
-        }
-        Ok(residual_values.get(n).cloned())
-    })?;
     // The observed versions are read *after* the build so any concurrent
     // mutation would already be reflected.
     let observed: Vec<(Oid, u64)> = deps
@@ -670,8 +648,7 @@ fn rebuild<S: StoreAccess>(
         .map(|&d| (d, session.store.version(d)))
         .collect();
     if options.use_cache {
-        memoize(&mut session.vm, key, &bytes, &linked);
-        let entry = CacheEntry::new(observed.clone(), bytes, linked.captures.clone()).with_attrs(
+        let entry = CacheEntry::new(observed.clone(), bytes, captures.clone()).with_attrs(
             stats.size_before as u64,
             stats.size_after as u64,
             stats.inlined,
@@ -681,8 +658,7 @@ fn rebuild<S: StoreAccess>(
     Ok(Rebuilt {
         name,
         old_oid: oid,
-        block: linked.block,
-        captures: linked.captures,
+        captures,
         ptml,
         stats,
         observed,
@@ -718,10 +694,9 @@ fn rebuild_or_skip<S: StoreAccess>(
 }
 
 /// Store a rebuilt procedure as a new closure, resolving its residual
-/// captures through `resolve`, and link it into `code`.
+/// captures through `resolve`.
 fn finish_closure<S: StoreAccess>(
     store: &mut S,
-    code: &CodeTable,
     rebuilt: &Rebuilt,
     resolve: impl Fn(&str, Option<&SVal>) -> Option<SVal>,
 ) -> Result<Oid, ReflectError> {
@@ -734,7 +709,7 @@ fn finish_closure<S: StoreAccess>(
     }
     let oid = store
         .alloc(Object::Closure(ClosureObj {
-            bindings: bindings.clone(),
+            bindings,
             ptml: Some(rebuilt.ptml),
         }))
         .map_err(store_err)?;
@@ -750,7 +725,6 @@ fn finish_closure<S: StoreAccess>(
     store
         .set_attr(oid, "inlined", rebuilt.stats.inlined as i64)
         .map_err(store_err)?;
-    code.link(oid, rebuilt.block, bindings.iter().map(|(_, v)| v));
     Ok(oid)
 }
 
@@ -767,15 +741,11 @@ pub fn optimize_value<S: StoreAccess>(
     };
     let inputs = KeyInputs::of(&session.ctx, session.store.base(), options);
     let rebuilt = rebuild(session, *oid, None, options, &inputs)?;
-    let globals = std::mem::take(&mut session.globals);
-    let out = finish_closure(
-        &mut session.store,
-        &session.vm.code,
-        &rebuilt,
-        |name, fallback| globals.get(name).cloned().or_else(|| fallback.cloned()),
-    );
-    session.globals = globals;
-    Ok(SVal::Ref(out?))
+    let globals = &session.globals;
+    let oid = finish_closure(&mut session.store, &rebuilt, |name, fallback| {
+        globals.get(name).cloned().or_else(|| fallback.cloned())
+    })?;
+    Ok(SVal::Ref(oid))
 }
 
 /// Optimize a function known under a qualified global name; returns the
@@ -868,8 +838,8 @@ pub fn optimize_all<S: StoreAccess>(
     }
     // Phase 2: resolve residual bindings: a binding pointing at a closure
     // we also optimized is relinked to the optimized version; otherwise the
-    // originally observed value is kept. Each closure is linked to its
-    // block once its bindings are recorded.
+    // originally observed value is kept. Each closure is linked from its
+    // PTML on its first call.
     let relink = |val: &SVal| -> SVal {
         match val {
             SVal::Ref(o) => match optimized_by_oid.get(o) {
@@ -902,10 +872,6 @@ pub fn optimize_all<S: StoreAccess>(
                 Ok(())
             })
             .map_err(store_err)?;
-        session
-            .vm
-            .code
-            .link(oid, r.block, bindings.iter().map(|(_, v)| v));
         session
             .store
             .set_attr(oid, "optimized", 1)
@@ -1181,12 +1147,13 @@ end";
 
     #[test]
     fn ptml_less_closures_are_rejected() {
-        let mut s = Session::new(SessionConfig {
-            attach_ptml: false,
-            ..Default::default()
-        })
-        .unwrap();
-        let v = s.globals.get("int.add").cloned().unwrap();
+        // A run-time closure persisted by `RVal::persist` carries no PTML.
+        let mut s = session();
+        let parsed =
+            tml_core::parse::parse_app(&mut s.ctx, "(halt proc(x ce cc) (+ x 1 ce cc))").unwrap();
+        let block = s.vm.compile_program(&s.ctx, &parsed.app).unwrap();
+        let lam = s.vm.run_program(&mut s.store, block, 1_000).unwrap().result;
+        let v = lam.persist(&mut s.store, &s.vm.code).unwrap();
         let err = optimize_value(&mut s, &v, &ReflectOptions::default());
         assert!(matches!(err, Err(ReflectError::NoPtml(_))));
     }
@@ -1337,11 +1304,6 @@ end";
         assert_eq!(r.result, RVal::Real(5.0));
     }
 
-    fn closure_code(s: &Session, v: &SVal) -> u32 {
-        let SVal::Ref(o) = v else { panic!("not a ref") };
-        s.vm.code.linked_block(*o).expect("linked closure")
-    }
-
     fn abs_of_3_4(s: &mut Session, f: &SVal) -> RVal {
         let c = s
             .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
@@ -1386,8 +1348,6 @@ end";
             .map(|_| optimize_named(&mut s, "geom.abs", &opts).unwrap())
             .collect();
         assert_eq!(s.store.cache_stats().hits, 2);
-        let blocks: Vec<u32> = products.iter().map(|p| closure_code(&s, p)).collect();
-        assert_eq!(blocks, vec![blocks[0]; 3], "one shared entry block");
         for _ in 0..3 {
             abs_of_3_4(&mut s, &products[1]);
         }
@@ -1413,17 +1373,22 @@ end";
             .map(|(k, e)| (*k, e.clone()))
             .next()
             .unwrap();
-        let bad = CacheEntry::new(entry.observed.clone(), vec![0xff; 8], entry.captures);
-        s.store.cache_insert(key, bad);
-        let before = s.store.cache_stats();
-        let again = optimize_named(&mut s, "geom.abs", &opts).unwrap();
-        let after = s.store.cache_stats();
-        assert_eq!(after.inserts, before.inserts + 1, "recomputed: {after:?}");
-        assert_eq!(abs_of_3_4(&mut s, &again), RVal::Real(5.0));
-        assert_eq!(closure_ptml(&s, &again), closure_ptml(&s, &good));
-        assert_eq!(s.store.cache().iter().next().unwrap().1.ptml, entry.ptml);
-        let _ = optimize_named(&mut s, "geom.abs", &opts).unwrap();
-        assert_eq!(s.store.cache_stats().hits, after.hits + 1, "hits again");
+        // No PTML magic; and a body truncated behind a sound header,
+        // var table and free list.
+        let truncated = entry.ptml[..entry.ptml.len() - 1].to_vec();
+        for bad in [vec![0xff; 8], truncated] {
+            let bad = CacheEntry::new(entry.observed.clone(), bad, entry.captures.clone());
+            s.store.cache_insert(key, bad);
+            let before = s.store.cache_stats();
+            let again = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+            let after = s.store.cache_stats();
+            assert_eq!(after.inserts, before.inserts + 1, "recomputed: {after:?}");
+            assert_eq!(abs_of_3_4(&mut s, &again), RVal::Real(5.0));
+            assert_eq!(closure_ptml(&s, &again), closure_ptml(&s, &good));
+            assert_eq!(s.store.cache().iter().next().unwrap().1.ptml, entry.ptml);
+            let _ = optimize_named(&mut s, "geom.abs", &opts).unwrap();
+            assert_eq!(s.store.cache_stats().hits, after.hits + 1, "hits again");
+        }
     }
 
     #[test]

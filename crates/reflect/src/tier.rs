@@ -21,9 +21,10 @@
 //! [`StoreAccess`]/transaction seam:
 //!
 //! 1. [`prepare_promotion`] — optimizer + code generation. Reads the
-//!    store, compiles into the session's code table, and allocates the
-//!    new PTML blob (garbage until published; a crash here loses
-//!    nothing).
+//!    store, allocates the new PTML blob (garbage until published; a
+//!    crash here loses nothing) and links it into the session's code
+//!    table at once, so a product that does not link fails before the
+//!    swap.
 //! 2. [`apply_promotion`] — store mutations only, over any
 //!    `StoreAccess`: the closure's new bindings and PTML. The server
 //!    wraps this in a transaction over a `TxnView`, so the swap takes
@@ -51,9 +52,9 @@
 //! (promotion, deopt) keeps it. Hotness survives restarts:
 //! [`persist_counters`] writes each closure's lifetime call count to the
 //! `tier.calls` attribute (saved in the TYCAT2 catalog's attr section at
-//! checkpoint). A reopened image links each closure at its first call,
-//! and that link's count starts from the attribute. A closure not called
-//! since the reopen has no link: it is no promotion candidate yet, and
+//! checkpoint). A session links each closure at its first call, and that
+//! link's count starts from the attribute. A closure not called in this
+//! session has no link: it is no promotion candidate yet, and
 //! [`persist_counters`] leaves its attribute as it is.
 
 use std::collections::HashMap;
@@ -62,7 +63,7 @@ use tml_core::Oid;
 use tml_lang::Session;
 use tml_store::{Object, SVal, Store, StoreAccess, StoreError};
 use tml_vm::link::{persisted_calls, CALLS_ATTR};
-use tml_vm::{link_ptml, recorded_or_global, CodeTable};
+use tml_vm::{link_ptml, recorded_or_global, CodeTable, LinkError};
 
 use crate::{ptml_blob, rebuild, KeyInputs};
 use crate::{ReflectError, ReflectOptions};
@@ -220,16 +221,22 @@ pub fn prepare_promotion<S: StoreAccess>(
     let esc = escalated(&opts.base);
     let inputs = KeyInputs::of(&session.ctx, session.store.base(), &esc);
     let rebuilt = rebuild(session, oid, name.clone(), &esc, &inputs)?;
-    let mut bindings = Vec::with_capacity(rebuilt.captures.len());
-    for (cname, fallback) in &rebuilt.captures {
-        let val = session
-            .globals
-            .get(cname)
-            .cloned()
-            .or_else(|| fallback.clone())
-            .ok_or_else(|| ReflectError::Unresolved(cname.clone()))?;
-        bindings.push((cname.clone(), val));
-    }
+    // Link the hot product now, so a product that does not link fails the
+    // promotion before the swap commits.
+    let linked = link_ptml(
+        &mut session.ctx,
+        &session.vm.code,
+        ptml_blob(session.store.base(), rebuilt.ptml)?,
+        |cname| {
+            let fallback = rebuilt.captures.iter().find(|(n, _)| n == cname);
+            session
+                .globals
+                .get(cname)
+                .or_else(|| fallback?.1.as_ref())
+                .cloned()
+                .ok_or_else(|| LinkError::Unresolved(cname.to_string()))
+        },
+    )?;
     // The target's own version bumps when the swap mutates it — keep it
     // out of the assumption set or every promotion would immediately
     // deopt itself.
@@ -242,8 +249,8 @@ pub fn prepare_promotion<S: StoreAccess>(
     Ok(Promotion {
         oid,
         name,
-        block: rebuilt.block,
-        bindings,
+        block: linked.block,
+        bindings: linked.captures,
         ptml: rebuilt.ptml,
         prev_ptml,
         prev_bindings,

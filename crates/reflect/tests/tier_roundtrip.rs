@@ -187,15 +187,14 @@ fn promotion_then_deopt_restores_ptml_byte_identically() {
 fn pinned_midcall_code_survives_a_hot_swap() {
     let mut s = session();
     let oid = closure_oid(&s, "geom.abs");
-    // A session mid-call holds exactly this: the code block + environment
-    // the closure was linked to at invocation time.
-    let pinned = RVal::Clo(s.vm.code.linked(oid).expect("linked"));
-
     let c = s
         .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
         .unwrap()
         .result;
     let baseline = s.call("geom.abs", vec![c.clone()]).unwrap();
+    // A session mid-call holds exactly this: the code block + environment
+    // the closure was linked to at invocation time.
+    let pinned = RVal::Clo(s.vm.code.linked(oid).expect("linked"));
 
     let mut engine = TierEngine::new(opts(1));
     let report = tier::tick(&mut engine, &mut s).unwrap();
@@ -444,13 +443,13 @@ fn a_failed_swap_leaves_the_closure_on_its_baseline_block_and_ptml() {
     let mut s = Session::on_store(store, SessionConfig::default(), Registry::standard()).unwrap();
     only_abs_is_a_candidate(&mut s);
     let oid = closure_oid(&s, "geom.abs");
-    let block = s.vm.code.linked_block(oid).expect("linked");
     let ptml = closure(&s, oid).ptml;
     let c = s
         .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
         .unwrap()
         .result;
     let baseline = s.call("geom.abs", vec![c.clone()]).unwrap();
+    let block = s.vm.code.linked_block(oid).expect("linked");
 
     // The swap's closure write fails: the tick reports it, and the
     // closure keeps its block, its PTML and its answer.

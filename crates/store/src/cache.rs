@@ -9,11 +9,11 @@
 //! so that repeating an optimization against unchanged bindings skips the
 //! rebuild and the optimizer. A product is its optimized PTML, its
 //! captures and its size attributes; like every other piece of persistent
-//! code it holds no bytecode, and `tml-reflect` links its PTML into the
-//! session's code table (once per session, then by copying the linked
-//! entry block). The cache is serialized into every checkpoint catalog
-//! ([`crate::paged`]) and therefore survives a checkpoint/reopen cycle: a
-//! warm restart links optimized code without ever invoking the optimizer.
+//! code it holds no bytecode: the closure `tml-reflect` makes from a hit
+//! is linked from that PTML on its first call. The cache is serialized
+//! into every checkpoint catalog ([`crate::paged`]) and therefore
+//! survives a checkpoint/reopen cycle: a warm restart gets optimized code
+//! without ever invoking the optimizer.
 //!
 //! ## Key derivation
 //!

@@ -9,8 +9,8 @@
 //! checked to be byte-identical and how tests compare stores.
 //!
 //! A closure record holds its R-value bindings and its PTML reference and
-//! nothing else: no code-table index, no environment. `tml-reflect`
-//! recompiles its code from PTML after loading and links it into the
+//! nothing else: no code-table index, no environment. A session
+//! compiles its code from PTML at its first call and links it into the
 //! session's code table — exactly the paper's architecture, where the
 //! persistent encoding of the code is the TML tree, not the machine code.
 //! Records an older writer wrote under tag 4 (with an index and

@@ -155,12 +155,12 @@ fn a_swap_blocked_by_a_client_lock_leaves_the_baseline_code() {
         Ok(Object::Closure(c)) => c.ptml,
         other => panic!("{other:?}"),
     };
-    let (block, ptml) = (sess.vm.code.linked_block(oid), ptml_of(&sess));
     let c = sess
         .call("complex.new", vec![RVal::Real(3.0), RVal::Real(4.0)])
         .unwrap()
         .result;
     let baseline = sess.call("geom.abs", vec![c.clone()]).unwrap();
+    let (block, ptml) = (sess.vm.code.linked_block(oid), ptml_of(&sess));
 
     let mgr = TxnManager::new(TxnOptions::default());
     let p = tier::prepare_promotion(&mut sess, oid, &TierOptions::default()).unwrap();

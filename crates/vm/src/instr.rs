@@ -525,13 +525,14 @@ impl CodeBlock {
 ///
 /// A stored closure record holds only PTML and R-value bindings; its
 /// code in this session is its entry in the link table: the block it was
-/// compiled to and the environment derived from its bindings. Every site
-/// that compiles a stored closure links its OID ([`CodeTable::link`]);
-/// a machine made with [`crate::Machine::linking`] links a stored
-/// closure on its first call, and a call of an OID it cannot link is a
-/// typed trap. A link that can never succeed (its PTML does not decode or
-/// does not compile) is remembered, so later calls trap with the same
-/// message and decode and compile nothing.
+/// compiled to and the environment derived from its bindings. A machine
+/// made with [`crate::Machine::linking`] links a stored closure on its
+/// first call ([`crate::link_stored`]), and a call of an OID it cannot
+/// link is a typed trap; only tier swaps, shipped code and persisted
+/// run-time closures link an OID at once ([`CodeTable::link`]). A link
+/// that can never succeed (its PTML does not decode or does not compile)
+/// is remembered, so later calls trap with the same message and decode
+/// and compile nothing.
 ///
 /// Blocks are appended through `&self`, so a running machine can link
 /// code into the table it executes from: each block is boxed in a
@@ -659,16 +660,15 @@ impl CodeTable {
     }
 
     /// [`CodeTable::link`], starting the call count of an OID not linked
-    /// yet at `calls` (a count an earlier session persisted). Returns the
-    /// new link's closure.
+    /// yet at `calls` (a count an earlier session persisted).
     pub fn link_counted<'v>(
         &self,
         oid: Oid,
         block: u32,
         env: impl IntoIterator<Item = &'v SVal>,
         calls: u64,
-    ) -> Rc<TransientClosure> {
-        self.link_at(oid, block, env, calls, None)
+    ) {
+        self.link_at(oid, block, env, calls, None);
     }
 
     /// [`CodeTable::link`] of a closure persisted in this session, which
@@ -691,7 +691,7 @@ impl CodeTable {
         env: impl IntoIterator<Item = &'v SVal>,
         calls: u64,
         frame: Option<u32>,
-    ) -> Rc<TransientClosure> {
+    ) {
         let env = env.into_iter().map(RVal::from_sval).collect();
         let clo = Rc::new(TransientClosure {
             code: block,
@@ -703,8 +703,7 @@ impl CodeTable {
         let link = links
             .entry(oid)
             .or_insert_with(|| (Ok(Rc::clone(&clo)), calls));
-        link.0 = Ok(Rc::clone(&clo));
-        clo
+        link.0 = Ok(clo);
     }
 
     /// Remember that `oid` can never link, with the trap message its calls

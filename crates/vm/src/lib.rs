@@ -35,11 +35,11 @@
 //!
 //! Bytecode is transient: a [`CodeTable`] lives and dies with its session
 //! and is never serialized. The persistent form of code is PTML (paper
-//! §2.2); [`link_ptml`] links it into a session's table. A machine made
-//! with [`Machine::linking`] does so for a stored closure on its first
-//! call, so opening an image compiles nothing; `tml-reflect` links optimization
-//! products, cache hits and deopts, and keeps the cache products it
-//! already linked in [`Vm::linked`].
+//! §2.2); [`link_ptml`] links it into a session's table. A stored closure
+//! gets its code one way: a machine made with [`Machine::linking`] links
+//! it through [`link_stored`] on its first call. So loading a module,
+//! optimizing it and opening an image compile nothing; only tier
+//! promotion and deopt, and shipped code, link before they commit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,14 +57,13 @@ mod stack;
 pub use compile::{CompileError, CompiledProc, Compiler};
 pub use host::{ExternFn, ExternTable};
 pub use instr::{CodeBlock, CodeTable, Instr};
-pub use link::{link_ptml, recorded_or_global, LinkError, Linked};
+pub use link::{link_ptml, link_stored, recorded_or_global, LinkError, Linked};
 pub use machine::{ExecStats, Machine, Outcome, VmError, VmProfile};
 pub use rval::{RVal, TransientRow};
 
-use std::collections::HashMap;
 use tml_core::term::{Abs, App};
 use tml_core::Ctx;
-use tml_store::{CacheKey, StoreAccess};
+use tml_store::StoreAccess;
 
 /// A convenience façade bundling a code table and extern registry.
 #[derive(Default)]
@@ -73,21 +72,6 @@ pub struct Vm {
     pub code: CodeTable,
     /// Extension primitives.
     pub externs: ExternTable,
-    /// Optimization-cache products already linked into [`Vm::code`], by
-    /// cache key. Transient like the table itself: never persisted.
-    pub linked: HashMap<CacheKey, LinkedProduct>,
-}
-
-/// One optimization-cache product linked into a session's code table.
-#[derive(Debug, Clone)]
-pub struct LinkedProduct {
-    /// Hash of the optimized PTML the block was compiled from; a cache
-    /// entry with other PTML is not served by this block.
-    pub ptml_hash: u64,
-    /// The entry block, which every further hit links as is.
-    pub block: u32,
-    /// The capture names, in environment order.
-    pub captures: Vec<String>,
 }
 
 impl Vm {

@@ -4,16 +4,19 @@
 //! it is possible to map PTML back into TML, re-invoke the optimizer and
 //! code-generator, link the newly-generated code into the running
 //! program, and execute it." [`link_ptml`] is that mapping, and every
-//! persisted procedure reaches the machine through it: a stored closure
-//! on its first call ([`crate::Machine::linking`]), optimization products
-//! and cache hits, tier promotion and deopt, and shipped code.
+//! persisted procedure reaches the machine through it. A stored closure
+//! (loaded from source, made by the optimizer or a cache hit, or read
+//! from an image) gets its code one way, [`link_stored`], on its first
+//! call ([`crate::Machine::linking`]). Only the sites that must check a
+//! link before they commit call [`link_ptml`] themselves: tier promotion
+//! and deopt, and code shipped to a server.
 
 use std::collections::HashMap;
 
 use tml_core::{Ctx, Oid, VarId};
 use tml_store::ptml::{decode_abs, free_names};
 use tml_store::varint::DecodeError;
-use tml_store::{SVal, Store};
+use tml_store::{Object, SVal, Store};
 
 use crate::compile::{compile_proc, CompileError};
 use crate::instr::CodeTable;
@@ -45,16 +48,16 @@ impl std::error::Error for LinkError {}
 
 /// Code linked from PTML by [`link_ptml`].
 #[derive(Debug)]
-pub struct Linked<T> {
+pub struct Linked {
     /// The compiled entry block in the session's code table.
     pub block: u32,
     /// One resolved capture per environment slot, in slot order, under
-    /// its free-variable name. With `T = SVal` these are the closure's
-    /// R-value bindings, and their values are its environment.
-    pub captures: Vec<(String, T)>,
+    /// its free-variable name: the closure's R-value bindings, whose
+    /// values are its environment.
+    pub captures: Vec<(String, SVal)>,
 }
 
-impl Linked<SVal> {
+impl Linked {
     /// The closure environment: the capture values in slot order.
     pub fn env(&self) -> impl Iterator<Item = &SVal> {
         self.captures.iter().map(|(_, v)| v)
@@ -66,14 +69,14 @@ impl Linked<SVal> {
 /// into `code`, its captures in environment order. A capture that does
 /// not resolve fails the link before the body is decoded, so a failed
 /// link adds no names to `ctx` and compiles nothing.
-pub fn link_ptml<T>(
+pub fn link_ptml(
     ctx: &mut Ctx,
     code: &CodeTable,
     bytes: &[u8],
-    resolve: impl FnMut(&str) -> Result<T, LinkError>,
-) -> Result<Linked<T>, LinkError> {
+    resolve: impl FnMut(&str) -> Result<SVal, LinkError>,
+) -> Result<Linked, LinkError> {
     let names = free_names(ctx, bytes).map_err(LinkError::Decode)?;
-    let values: Vec<T> = names
+    let values: Vec<SVal> = names
         .iter()
         .copied()
         .map(resolve)
@@ -86,7 +89,7 @@ pub fn link_ptml<T>(
     {
         return Err(LinkError::Decode(DecodeError::BadIndex(i as u64)));
     }
-    let mut resolved: HashMap<VarId, (String, T)> = frees
+    let mut resolved: HashMap<VarId, (String, SVal)> = frees
         .into_iter()
         .zip(values)
         .map(|((name, v), value)| (v, (name, value)))
@@ -108,6 +111,55 @@ pub fn link_ptml<T>(
         block: compiled.block,
         captures,
     })
+}
+
+/// Link the stored closure `oid` into `code` from its PTML, decoded into
+/// `ctx`: a capture keeps its recorded binding, or else takes the global
+/// of its name in `globals`, and the link's call count starts at the
+/// closure's persisted `tier.calls` attribute. On failure, returns the
+/// trap message of a call of `oid`. A body that does not decode or
+/// compile fails the same way every time, so `code` remembers it and a
+/// later link decodes and compiles nothing; an unresolved capture may
+/// resolve once its global is defined.
+pub fn link_stored(
+    ctx: &mut Ctx,
+    code: &CodeTable,
+    store: &Store,
+    globals: &HashMap<String, SVal>,
+    oid: Oid,
+) -> Result<(), String> {
+    if let Some(why) = code.link_failure(oid) {
+        return Err(why.to_string());
+    }
+    let no_code = |why: &dyn std::fmt::Display| {
+        format!("call of closure {oid} with no code in this session: {why}")
+    };
+    let _s = tml_trace::span!("vm.link");
+    let Ok(Object::Closure(c)) = store.get(oid) else {
+        return Err(no_code(&"it is not a stored closure"));
+    };
+    let Some(ptml) = c.ptml else {
+        return Err(no_code(&"it was persisted without PTML"));
+    };
+    let Ok(Object::Ptml(bytes)) = store.get(ptml) else {
+        return Err(no_code(&format_args!(
+            "its PTML did not relink: blob {ptml} is gone"
+        )));
+    };
+    match link_ptml(ctx, code, bytes, recorded_or_global(&c.bindings, globals)) {
+        Ok(linked) => {
+            let calls = persisted_calls(store, oid);
+            code.link_counted(oid, linked.block, linked.env(), calls);
+            Ok(())
+        }
+        Err(e) => {
+            let why = no_code(&format_args!("its PTML did not relink: {e}"));
+            if !matches!(e, LinkError::Unresolved(_)) {
+                code.link_failed(oid, &why);
+            }
+            Err(why)
+        }
+    }
 }
 
 /// The store attribute holding a closure's lifetime call count, as an

@@ -19,7 +19,7 @@ use crate::instr::{
     AllocKind, ArithOp, BitOp, CmpOp, CodeBlock, CodeTable, ContRef, ConvOp, GroupCap, Instr, Src,
     NATIVE_ERR_BLOCK, NATIVE_OK_BLOCK,
 };
-use crate::link::{link_ptml, persisted_calls, recorded_or_global, LinkError};
+use crate::link::link_stored;
 use crate::rval::{Capture, ClosureGroup, RVal, StackCont, TransientClosure};
 use crate::stack::{Stack, NO_EXIT};
 use std::collections::{BTreeMap, HashMap};
@@ -470,62 +470,28 @@ impl<'a, S: StoreAccess> Machine<'a, S> {
     }
 
     /// Link the stored closure `oid`, which has no code in this session,
-    /// and count its call: decode its PTML, compile it into the code
-    /// table and bind its recorded captures. Any failure is a trap that
-    /// names the closure. A body that does not decode or compile fails
-    /// the same way on every call, so the code table remembers it, and a
-    /// later call traps without decoding or compiling again; an
-    /// unresolved capture may resolve once its global is defined.
+    /// through [`link_stored`], and count its call. Any failure is a trap
+    /// that names the closure.
     #[cold]
     #[inline(never)]
     fn link(&mut self, oid: Oid) -> Result<Rc<TransientClosure>, VmError> {
-        if let Some(why) = self.code.link_failure(oid) {
-            return Err(VmError::Trap(why.to_string()));
-        }
-        let no_code = |why: &dyn std::fmt::Display| {
-            format!("call of closure {oid} with no code in this session: {why}")
-        };
         let Some((ctx, globals)) = self.linker.as_mut() else {
-            return Err(VmError::Trap(no_code(
-                &"it was persisted without PTML, or its PTML did not relink",
+            return Err(VmError::Trap(self.code.link_failure(oid).map_or_else(
+                || {
+                    format!(
+                        "call of closure {oid} with no code in this session: \
+                         it was persisted without PTML, or its PTML did not relink"
+                    )
+                },
+                |why| why.to_string(),
             )));
         };
-        let _s = tml_trace::span!("vm.link");
-        let store = self.store.base();
-        let Ok(Object::Closure(c)) = store.get(oid) else {
-            return Err(VmError::Trap(no_code(&"it is not a stored closure")));
-        };
-        let Some(ptml) = c.ptml else {
-            return Err(VmError::Trap(no_code(&"it was persisted without PTML")));
-        };
-        let Ok(Object::Ptml(bytes)) = store.get(ptml) else {
-            return Err(VmError::Trap(no_code(&format_args!(
-                "its PTML did not relink: blob {ptml} is gone"
-            ))));
-        };
-        let linked = match link_ptml(
-            ctx,
-            self.code,
-            bytes,
-            recorded_or_global(&c.bindings, globals),
-        ) {
-            Ok(linked) => linked,
-            Err(e) => {
-                let why = no_code(&format_args!("its PTML did not relink: {e}"));
-                if !matches!(e, LinkError::Unresolved(_)) {
-                    self.code.link_failed(oid, &why);
-                }
-                return Err(VmError::Trap(why));
-            }
-        };
-        // This call is the first of this session: count it with the
-        // persisted ones.
-        let calls = persisted_calls(store, oid);
+        link_stored(ctx, self.code, self.store.base(), globals, oid).map_err(VmError::Trap)?;
         self.stats.linked += 1;
         tml_trace::count("vm.link.lazy", 1);
-        Ok(self
-            .code
-            .link_counted(oid, linked.block, linked.env(), calls.saturating_add(1)))
+        // This call is the first of this session: count it with the
+        // persisted ones.
+        Ok(self.code.linked_call(oid).expect("just linked"))
     }
 
     /// `v` fit to outlive the control stack: a stack continuation, or a

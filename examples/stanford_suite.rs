@@ -107,30 +107,23 @@ fn main() {
         dynamic_speedup
     );
 
-    // E3: persistent code size with and without PTML attachments.
-    let mut with_ptml = 0usize;
-    let mut without_ptml = 0usize;
-    let mut ptml_total = 0usize;
+    // E3: persistent code size with and without PTML attachments, from
+    // one session once every closure is linked.
+    let (mut code, mut ptml) = (0usize, 0usize);
     for p in suite() {
         let mut s = Session::new(SessionConfig::default()).expect("session");
         s.load_str(p.src).expect("loads");
-        with_ptml += s.code_bytes() + s.ptml_bytes();
-        ptml_total += s.ptml_bytes();
-        let mut s2 = Session::new(SessionConfig {
-            attach_ptml: false,
-            ..Default::default()
-        })
-        .expect("session");
-        s2.load_str(p.src).expect("loads");
-        without_ptml += s2.code_bytes();
+        s.link_all().expect("every closure links");
+        code += s.code_bytes();
+        ptml += s.ptml_bytes();
     }
     println!(
         "\npersistent code size across the suite: {} bytes without PTML, {} with \
          ({} bytes of PTML) — ratio {:.2}x (paper: 'the code size doubles', 1.2MB vs 600kB)",
-        without_ptml,
-        with_ptml,
-        ptml_total,
-        with_ptml as f64 / without_ptml as f64
+        code,
+        code + ptml,
+        ptml,
+        (code + ptml) as f64 / code as f64
     );
 
     let _ = rows.iter().map(|r| r.checksum).sum::<i64>();

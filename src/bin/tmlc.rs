@@ -481,7 +481,9 @@ fn is_stdlib(name: &str) -> bool {
 
 fn cmd_code(o: &Options) -> Result<(), String> {
     let src = read_source(o)?;
-    let s = build_session(o, &src)?;
+    let mut s = build_session(o, &src)?;
+    // Loading compiles nothing: link every closure, as its first call would.
+    s.link_all()?;
     print!("{}", tycoon::vm::disasm::table(&s.vm.code));
     Ok(())
 }

@@ -86,7 +86,8 @@ fn call_stored<S: StoreAccess>(
     oid: Oid,
     args: Vec<RVal>,
 ) -> Result<RVal, VmError> {
-    let mut m = Machine::new(&s.vm.code, &s.vm.externs, &mut s.store, 1_000_000);
+    let mut m = Machine::new(&s.vm.code, &s.vm.externs, &mut s.store, 1_000_000)
+        .linking(&mut s.ctx, &s.globals);
     match m.call_value_checked(RVal::Ref(oid), args)? {
         Ok(v) => Ok(v),
         Err(exc) => panic!("unexpected exception {exc:?}"),

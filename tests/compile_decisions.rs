@@ -1,12 +1,14 @@
 //! The bytecode compiler explains its decisions: how many join points
 //! became labels, control-stack frames or closures, and how many `var`
 //! cells moved into frame slots or stayed store arrays. Pinned for two Stanford programs
-//! compiled after `optimize_all`. (One test per binary: the trace
+//! whose optimized closures are linked after `optimize_all`. (One test per binary: the trace
 //! recorder is process-global.)
 
 use tycoon::lang::stanford::suite;
 use tycoon::lang::{Session, SessionConfig};
 use tycoon::reflect::{optimize_all, ReflectOptions};
+use tycoon::store::Oid;
+use tycoon::vm::link_stored;
 
 const COUNTERS: [&str; 5] = [
     "vm.compile.join_points",
@@ -30,6 +32,17 @@ fn compile_decisions_are_pinned() {
         rec.clear();
         rec.set_enabled(true);
         optimize_all(&mut s, &ReflectOptions::default()).unwrap();
+        // Optimizing compiles nothing: link each optimized closure, as
+        // its first call would.
+        let optimized: Vec<Oid> = s
+            .store
+            .iter()
+            .map(|(oid, _)| oid)
+            .filter(|&oid| s.store.attr(oid, "optimized") == Some(1))
+            .collect();
+        for oid in optimized {
+            link_stored(&mut s.ctx, &s.vm.code, &s.store, &s.globals, oid).unwrap();
+        }
         rec.set_enabled(false);
         let got: Vec<u64> = COUNTERS.iter().map(|c| rec.counter(c).get()).collect();
         assert_eq!(got, want, "{name}: {COUNTERS:?}");

@@ -61,7 +61,8 @@ fn deep_calls() -> (String, String) {
     optimize_all(&mut s, &ReflectOptions::default()).unwrap();
     let guarded = s.call("deep.guarded", vec![RVal::Int(1_000_000)]).unwrap();
     let sum = RVal::from_sval(&s.globals["deep.sum"]);
-    let mut m = Machine::new(&s.vm.code, &s.vm.externs, &mut s.store, 1_000_000);
+    let mut m = Machine::new(&s.vm.code, &s.vm.externs, &mut s.store, 1_000_000)
+        .linking(&mut s.ctx, &s.globals);
     let starved = m.call_value_checked(sum, vec![RVal::Int(1_000_000)]);
     (format!("{:?}", guarded.result), format!("{starved:?}"))
 }

@@ -4,7 +4,8 @@
 use tycoon::lang::stanford::suite;
 use tycoon::lang::types::LowerMode;
 use tycoon::lang::{OptMode, Session, SessionConfig};
-use tycoon::reflect::{optimize_all, ReflectOptions};
+use tycoon::reflect::{optimize_all, optimize_named, ReflectOptions};
+use tycoon::store::Object;
 use tycoon::vm::RVal;
 
 fn run(
@@ -52,6 +53,39 @@ fn all_configurations_compute_identical_checksums() {
             }
         }
     }
+}
+
+#[test]
+fn loading_and_optimizing_compile_nothing() {
+    // A stored closure gets its code one way: linked from its PTML on its
+    // first call. Loading, whole-world and single-value optimization and
+    // cache hits compile nothing.
+    let p = suite().into_iter().find(|p| p.name == "quick").unwrap();
+    let mut s = Session::new(SessionConfig::default()).unwrap();
+    s.load_str(p.src).unwrap();
+    let opts = ReflectOptions::default();
+    optimize_all(&mut s, &opts).unwrap();
+    for _ in 0..2 {
+        optimize_named(&mut s, p.entry, &opts).unwrap();
+    }
+    assert!(s.store.cache_stats().hits > 0, "a second optimize hits");
+    assert_eq!(s.vm.code.len(), 2, "only the native-return blocks");
+    assert!(s.vm.code.link_counts().is_empty());
+
+    let closures = s
+        .store
+        .iter()
+        .filter(|(_, o)| matches!(o, Object::Closure(_)))
+        .count();
+    let first = s.call(p.entry, vec![RVal::Int(p.test_n)]).unwrap();
+    let linked = s.vm.code.link_counts().len();
+    assert_eq!(first.stats.linked, linked as u64);
+    assert!(linked > 0 && linked < closures, "{linked} of {closures}");
+    let blocks = s.vm.code.len();
+    let second = s.call(p.entry, vec![RVal::Int(p.test_n)]).unwrap();
+    assert_eq!(second.stats.linked, 0);
+    assert_eq!(s.vm.code.len(), blocks);
+    assert_eq!(first.result, second.result);
 }
 
 #[test]
