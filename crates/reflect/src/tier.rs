@@ -502,7 +502,7 @@ impl TierEngine {
             let assumed = &self.assumptions[&oid];
             if assumed
                 .iter()
-                .any(|&(d, ver)| session.store.base().version(d) != ver)
+                .any(|&(d, ver)| session.store.live_version(d) != Some(ver))
             {
                 out.push(oid);
             }

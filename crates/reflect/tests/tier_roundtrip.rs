@@ -26,6 +26,7 @@ use tml_reflect::tier::{
 };
 use tml_store::durable::{DurableOptions, DurableStore};
 use tml_store::gc::GcStats;
+use tml_store::store::CHUNK_SLOTS;
 use tml_store::{CacheEntry, CacheKey, ClosureObj, Object, SVal, Store, StoreAccess, StoreError};
 use tml_vm::RVal;
 
@@ -473,4 +474,48 @@ fn a_failed_swap_leaves_the_closure_on_its_baseline_block_and_ptml() {
     let hot = s.call("geom.abs", vec![c]).unwrap();
     assert_eq!(hot.result, baseline.result);
     assert!(hot.stats.instrs < baseline.stats.instrs);
+}
+
+#[test]
+fn an_assumption_on_an_object_whose_chunk_dropped_is_violated() {
+    // Two hot closures with hand-made provenance records: `geom.abs`
+    // assumes a data object that is then collected along with its whole
+    // chunk of the slot table, `complex.x` one that stays live. A dead
+    // slot reads version 0, the version the dead object was observed at,
+    // so only the liveness-aware check reports the violation.
+    let mut s = session();
+    let (abs, x) = (closure_oid(&s, "geom.abs"), closure_oid(&s, "complex.x"));
+    while !s.store.len().is_multiple_of(CHUNK_SLOTS) {
+        s.store.alloc(Object::Array(vec![]));
+    }
+    let dep = s.store.alloc(Object::Array(vec![SVal::Int(1)]));
+    for _ in 1..CHUNK_SLOTS {
+        s.store.alloc(Object::Array(vec![]));
+    }
+    let hot = |s: &mut Session, oid: Oid, dep: Oid, ver: u64| {
+        let prev = closure(s, oid).ptml.expect("ptml");
+        let prov = s.store.alloc(Object::Tuple(vec![
+            SVal::Ref(prev),
+            SVal::Int(0),
+            SVal::Int(1),
+            SVal::Int(dep.0 as i64),
+            SVal::Int(ver as i64),
+        ]));
+        s.store.set_root(tier::prev_root(oid), prov);
+        s.store.set_attr(oid, "tier", i64::from(TIER_HOT));
+    };
+    hot(&mut s, abs, dep, 0);
+    let ver = s.store.version(abs);
+    hot(&mut s, x, abs, ver);
+    assert!(s.store.get(dep).is_ok());
+    let resident = s.store.resident_chunks();
+    s.collect_garbage().unwrap();
+    assert_eq!(s.store.get(dep), Err(StoreError::Dangling(dep)));
+    assert_eq!(
+        s.store.resident_chunks(),
+        resident - 1,
+        "the dep's chunk dropped"
+    );
+    assert_eq!(s.store.version(dep), 0);
+    assert_eq!(TierEngine::new(opts(1)).violations(&s), vec![abs]);
 }

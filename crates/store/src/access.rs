@@ -193,7 +193,7 @@ pub trait StoreAccess {
         self.base().live_version(oid)
     }
 
-    /// Number of object slots ever allocated (including tombstones).
+    /// Number of object slots ever allocated (including dead ones).
     fn len(&self) -> usize {
         self.base().len()
     }

@@ -8,12 +8,19 @@
 //! terms "may contain … object identifiers which denote arbitrarily
 //! complex objects in the persistent Tycoon object store").
 //!
-//! Unreachable slots are tombstoned, never reused or compacted, so OIDs
-//! held outside the store stay valid.
+//! Unreachable slots die and their OIDs are never handed out again, so an
+//! OID held outside the store stays valid: it denotes its object while the
+//! object is reachable, and reads as dangling after. A chunk of the slot
+//! table whose objects are all dead is dropped (see [`Store`]).
+//!
+//! The mark phase sets bits in per-chunk bitmaps, allocated only for the
+//! chunks that hold a marked object, and the sweep visits only resident
+//! chunks, so a collection's memory and time follow the live set, not the
+//! number of OIDs the store ever allocated.
 
 use crate::object::Object;
 use crate::ptml::scan_oids;
-use crate::store::Store;
+use crate::store::{locate, Store, CHUNK_SLOTS};
 use crate::sval::SVal;
 use tml_core::Oid;
 
@@ -24,13 +31,57 @@ pub struct GcStats {
     pub before: usize,
     /// Live objects after the collection.
     pub after: usize,
-    /// Objects tombstoned.
+    /// Objects freed.
     pub freed: usize,
     /// Approximate bytes reclaimed.
     pub bytes_freed: usize,
     /// Optimization-cache entries dropped because an object they observed
     /// was collected.
     pub cache_dropped: usize,
+    /// Mark bitmaps allocated, one per chunk holding a marked object: the
+    /// mark phase's memory, beyond one pointer per chunk index below the
+    /// highest marked chunk.
+    pub mark_chunks: usize,
+}
+
+/// One mark bit per slot of a chunk.
+type Bitmap = [u64; CHUNK_SLOTS / 64];
+
+/// Mark bits by chunk index, a bitmap only where something is marked.
+#[derive(Default)]
+struct Marks {
+    chunks: Vec<Option<Box<Bitmap>>>,
+    bitmaps: usize,
+    marked: usize,
+}
+
+impl Marks {
+    /// Set `oid`'s bit; `false` if it was already set.
+    fn mark(&mut self, oid: Oid) -> bool {
+        let (c, off) = locate(oid);
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let bits = self.chunks[c].get_or_insert_with(|| {
+            self.bitmaps += 1;
+            Box::new([0; CHUNK_SLOTS / 64])
+        });
+        let (word, bit) = (off / 64, 1u64 << (off % 64));
+        if bits[word] & bit != 0 {
+            return false;
+        }
+        bits[word] |= bit;
+        self.marked += 1;
+        true
+    }
+
+    fn is_marked(&self, oid: Oid) -> bool {
+        let (c, off) = locate(oid);
+        self.chunks
+            .get(c)
+            .and_then(Option::as_deref)
+            .is_some_and(|bits| bits[off / 64] & (1 << (off % 64)) != 0)
+    }
 }
 
 fn mark_sval(v: &SVal, pending: &mut Vec<Oid>) {
@@ -93,20 +144,17 @@ pub fn collect(store: &mut Store, extra_roots: &[Oid]) -> GcStats {
     let _s = tml_trace::span!("store.gc.collect");
     let tracing = tml_trace::enabled();
     let before = store.live();
-    let nslots = store.len();
-    let mut marked = vec![false; nslots + 1]; // index by oid (1-based)
+    let mut marks = Marks::default();
     let mut pending: Vec<Oid> = store.roots().map(|(_, o)| o).collect();
     pending.extend_from_slice(extra_roots);
 
     let t_mark = std::time::Instant::now();
     while let Some(oid) = pending.pop() {
-        let ix = oid.0 as usize;
-        if oid.is_null() || ix > nslots || marked[ix] {
-            continue;
-        }
-        marked[ix] = true;
+        // Only live objects are marked: a dangling reference has no slot.
         if let Ok(obj) = store.get(oid) {
-            mark_object(obj, &mut pending);
+            if marks.mark(oid) {
+                mark_object(obj, &mut pending);
+            }
         }
     }
     if tracing {
@@ -115,25 +163,22 @@ pub fn collect(store: &mut Store, extra_roots: &[Oid]) -> GcStats {
         tml_trace::record(tml_trace::Event::GcPhase {
             phase: "mark",
             micros: us,
-            count: marked.iter().filter(|&&m| m).count() as u64,
+            count: marks.marked as u64,
             bytes: 0,
         });
     }
 
     let t_sweep = std::time::Instant::now();
-    let mut freed = 0;
+    let dead: Vec<(Oid, usize)> = store
+        .iter()
+        .filter(|(oid, _)| !marks.is_marked(*oid))
+        .map(|(oid, obj)| (oid, obj.byte_size()))
+        .collect();
+    let freed = dead.len();
     let mut bytes_freed = 0;
-    #[allow(clippy::needless_range_loop)] // oid-indexed, not slice iteration
-    for ix in 1..=nslots {
-        if marked[ix] {
-            continue;
-        }
-        let oid = Oid(ix as u64);
-        if let Ok(obj) = store.get(oid) {
-            bytes_freed += obj.byte_size();
-            freed += 1;
-            store.free(oid);
-        }
+    for (oid, bytes) in dead {
+        bytes_freed += bytes;
+        store.free(oid);
     }
     if tracing {
         let us = t_sweep.elapsed().as_micros() as u64;
@@ -168,6 +213,7 @@ pub fn collect(store: &mut Store, extra_roots: &[Oid]) -> GcStats {
         freed,
         bytes_freed,
         cache_dropped,
+        mark_chunks: marks.bitmaps,
     }
 }
 
@@ -279,7 +325,7 @@ mod tests {
         let loaded = crate::snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(loaded.root("m"), Some(live));
         assert!(loaded.get(live).is_ok());
-        assert!(loaded.get(Oid(1)).is_err(), "tombstone persists");
+        assert!(loaded.get(Oid(1)).is_err(), "the dead slot persists");
         assert_eq!(loaded.live(), 1);
         assert_eq!(loaded.len(), 2);
     }

@@ -20,7 +20,9 @@
 //!   measures its size against the executable code size);
 //! * [`snapshot`] — the canonical whole-store byte encoding and the
 //!   object/value codec every persistent record shares;
-//! * [`gc`] — mark-and-sweep collection with stable OIDs (tombstones);
+//! * [`gc`] — mark-and-sweep collection with stable OIDs: dead slots
+//!   persist, and a chunk of the slot table whose slots are all dead is
+//!   dropped;
 //! * [`wal`] / [`page`] / [`buffer`] / [`durable`] — a write-ahead log
 //!   over fixed-size pages with a pinned buffer pool, and the
 //!   [`DurableStore`] wrapper that combines log-first mutation with

@@ -509,7 +509,7 @@ pub fn open_catalog(path: &Path) -> std::io::Result<Option<OpenedCatalog>> {
 
 /// Materialize a store from a decoded catalog plus its generation file:
 /// one walk of the directory in OID order, each record decoded where it
-/// lies, tombstones for the OIDs between.
+/// lies, dead slots for the OIDs between.
 fn rebuild(path: &Path, cat: Catalog) -> std::io::Result<(PagedHeap, Store)> {
     let mut file = PageFile::open(gen_path(path, cat.gen))?;
     // Bounds every record length in the directory by the file's bytes.
@@ -520,24 +520,18 @@ fn rebuild(path: &Path, cat: Catalog) -> std::io::Result<(PagedHeap, Store)> {
         )));
     }
     let mut pool = BufferPool::new(POOL_CAP);
-    let slots = cat.versions.len();
     let mut store = Store::new();
-    store.reserve_slots(slots);
     for &(oid, loc) in &cat.dir {
-        while (store.len() as u64) + 1 < oid.0 {
-            store.push_slot(None);
-        }
+        store.push_dead(oid.0 as usize - 1 - store.len());
         let obj = read_record(&mut pool, &mut file, oid, loc, |rec| {
             decode_record(oid, rec)
         })??;
-        store.push_slot(Some(obj));
+        store.alloc(obj);
     }
-    while store.len() < slots {
-        store.push_slot(None);
-    }
+    store.push_dead(cat.versions.len() - store.len());
     store.set_root_table(cat.roots);
     store.set_attr_table(cat.attrs);
-    store.set_versions(cat.versions);
+    store.set_versions(&cat.versions);
     *store.cache_mut() = cat.cache;
     let heap = PagedHeap {
         path: path.to_path_buf(),
@@ -836,7 +830,7 @@ impl PagedHeap {
         put_u64(&mut out, self.dead_bytes);
         snapshot::put_roots(&mut out, store);
         store.attr_table().encode(&mut out);
-        snapshot::put_versions(&mut out, store.versions());
+        snapshot::put_versions(&mut out, store.len(), store.versions());
         snapshot::put_cache(&mut out, store.cache());
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -1150,7 +1144,7 @@ mod tests {
         put_u64(&mut out, heap.dead_bytes);
         put_u64(&mut out, 0); // roots
         put_u64(&mut out, 0); // attributes
-        snapshot::put_versions(&mut out, &vec![0; nver as usize]);
+        snapshot::put_versions(&mut out, nver as usize, vec![0; nver as usize]);
         snapshot::put_cache(&mut out, &OptCache::default());
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());

@@ -19,11 +19,11 @@
 //! ```text
 //! magic "TYSTO3"                                  6 bytes
 //! slot count                                      varint
-//! per slot: 0            (tombstone)              1 byte
+//! per slot: 0            (dead slot)              1 byte
 //!        or 1, frame-len, object bytes            framed record
 //! roots    : count, (name, oid)*
 //! attrs    : count, (oid, count, (key, i64)*)*
-//! versions : count, u64*
+//! versions : count, u64*                          0 for a dead slot
 //! cache    : cap, stats, count, entry*
 //! crc32    : IEEE CRC-32 of everything above      4 bytes LE
 //! ```
@@ -87,7 +87,7 @@ pub fn to_bytes(store: &Store) -> Vec<u8> {
     }
     put_roots(&mut out, store);
     store.attr_table().encode(&mut out);
-    put_versions(&mut out, store.versions());
+    put_versions(&mut out, store.len(), store.versions());
     put_cache(&mut out, store.cache());
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -125,7 +125,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Store, DecodeError> {
     let nobjs = r.len()?;
     for _ in 0..nobjs {
         match r.byte()? {
-            0 => store.push_slot(None),
+            0 => store.push_dead(1),
             1 => {
                 let declared = r.len()?;
                 let offset = r.position();
@@ -138,14 +138,14 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Store, DecodeError> {
                         used,
                     });
                 }
-                store.push_slot(Some(obj));
+                store.alloc(obj);
             }
             t => return Err(DecodeError::BadTag(t)),
         }
     }
     store.set_root_table(get_roots(&mut r)?);
     store.set_attr_table(AttrTable::decode(&mut r)?);
-    store.set_versions(get_versions(&mut r)?);
+    store.set_versions(&get_versions(&mut r)?);
     *store.cache_mut() = get_cache(&mut r)?;
     if !r.is_at_end() {
         return Err(DecodeError::Truncated);
@@ -174,9 +174,9 @@ pub(crate) fn get_roots(r: &mut Reader<'_>) -> Result<BTreeMap<String, Oid>, Dec
     Ok(roots.into_iter().collect())
 }
 
-pub(crate) fn put_versions(out: &mut Vec<u8>, versions: &[u64]) {
-    put_u64(out, versions.len() as u64);
-    for &v in versions {
+pub(crate) fn put_versions(out: &mut Vec<u8>, n: usize, versions: impl IntoIterator<Item = u64>) {
+    put_u64(out, n as u64);
+    for v in versions {
         put_u64(out, v);
     }
 }
@@ -720,6 +720,37 @@ mod tests {
         for cut in [bytes.len() - 1, bytes.len() / 2, 7] {
             assert!(from_bytes(&bytes[..cut]).is_err(), "cut {cut} accepted");
         }
+    }
+
+    #[test]
+    fn an_old_image_with_a_dead_slots_version_decodes() {
+        // An older writer kept the version a collection bumped a dead
+        // slot to. Such an image decodes, and re-encodes with 0 there.
+        let mut s = Store::new();
+        s.alloc(Object::Array(vec![]));
+        let live = s.alloc(Object::Array(vec![SVal::Int(1)]));
+        s.get_mut(live).unwrap();
+        s.free(Oid(1));
+        let mut old = Vec::new();
+        old.extend_from_slice(MAGIC);
+        put_u64(&mut old, 2);
+        old.extend_from_slice(&[0, 1]);
+        let mut frame = Vec::new();
+        put_object(&mut frame, s.get(live).unwrap());
+        put_u64(&mut old, frame.len() as u64);
+        old.extend_from_slice(&frame);
+        put_roots(&mut old, &s);
+        s.attr_table().encode(&mut old);
+        put_versions(&mut old, 2, [7, 1]);
+        put_cache(&mut old, s.cache());
+        let crc = crc32(&old);
+        old.extend_from_slice(&crc.to_le_bytes());
+        let loaded = from_bytes(&old).unwrap();
+        assert_eq!(loaded.live_version(Oid(1)), None);
+        assert_eq!(loaded.live_version(live), Some(1));
+        let new = to_bytes(&loaded);
+        assert_ne!(new, old);
+        assert_eq!(new, to_bytes(&s));
     }
 
     #[test]

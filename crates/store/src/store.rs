@@ -121,26 +121,65 @@ pub struct StoreStats {
     pub closures: usize,
 }
 
+/// OIDs per chunk of the slot table. A power of two, so an OID splits
+/// into a chunk index and an offset with a shift and a mask.
+pub const CHUNK_SLOTS: usize = 1024;
+
+/// A live slot: the object and its content version, in one allocation. A
+/// dead slot is `None` and has no version.
+#[derive(Debug, Clone)]
+struct Cell {
+    obj: Object,
+    version: u64,
+}
+
+/// [`CHUNK_SLOTS`] consecutive slots and how many of them are live.
+#[derive(Debug, Clone)]
+struct Chunk {
+    slots: Box<[Option<Box<Cell>>; CHUNK_SLOTS]>,
+    live: usize,
+}
+
+impl Chunk {
+    fn new() -> Chunk {
+        Chunk {
+            slots: Box::new([const { None }; CHUNK_SLOTS]),
+            live: 0,
+        }
+    }
+}
+
+/// Split a non-null OID into its chunk index and offset.
+pub(crate) fn locate(oid: Oid) -> (usize, usize) {
+    let ix = oid.0 as usize - 1;
+    (ix / CHUNK_SLOTS, ix % CHUNK_SLOTS)
+}
+
 /// The persistent object store.
 ///
 /// Objects live in stable slots: an OID, once allocated, never moves and
-/// is never reused — the garbage collector ([`crate::gc`]) tombstones
+/// is never reused — the garbage collector ([`crate::gc`]) kills
 /// unreachable slots instead of compacting, so references held outside
-/// the store (session globals, decoded TML terms) stay valid.
+/// the store (session globals, decoded TML terms) stay valid, and a
+/// reference to a collected object stays [`StoreError::Dangling`].
+///
+/// The slot table is a directory of chunks of [`CHUNK_SLOTS`] OIDs. A
+/// chunk is allocated when an object first lands in it and dropped once
+/// every OID in it has been handed out and every one of its objects is
+/// dead, so a session that frees objects at a steady rate (a query result
+/// per request) holds memory for its live set plus one directory entry
+/// per chunk of OIDs, not a slot per OID it ever allocated.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    /// Slots indexed by OID − 1; `None` is a tombstone. OIDs are never
-    /// reused, so a session that frees objects at a steady rate (a query
-    /// result per request) keeps every slot it ever allocated: boxing
-    /// makes a tombstone cost a pointer instead of an object's width.
-    objects: Vec<Option<Box<Object>>>,
+    /// Chunk `c` holds OIDs `c * CHUNK_SLOTS + 1 ..= (c + 1) * CHUNK_SLOTS`;
+    /// `None` (or past the end) holds only dead slots.
+    chunks: Vec<Option<Chunk>>,
+    /// OIDs handed out so far: the next allocation gets `len + 1`.
+    len: usize,
+    /// Live objects, across all chunks.
+    live: usize,
     roots: BTreeMap<String, Oid>,
     attrs: AttrTable,
-    /// Per-slot content version, parallel to `objects`. Bumped on every
-    /// mutable access and on collection, so derived state (the
-    /// optimization cache) can detect that an object changed behind a
-    /// stable OID.
-    versions: Vec<u64>,
     /// The persistent reflective-optimization cache.
     cache: OptCache,
 }
@@ -154,34 +193,59 @@ impl Store {
     /// Allocate an object; returns its OID. OIDs start at 1 (0 is the
     /// reserved null OID).
     pub fn alloc(&mut self, obj: Object) -> Oid {
-        self.objects.push(Some(Box::new(obj)));
-        self.versions.push(0);
-        Oid(self.objects.len() as u64)
+        let oid = Oid(self.len as u64 + 1);
+        self.len += 1;
+        let (c, off) = locate(oid);
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let chunk = self.chunks[c].get_or_insert_with(Chunk::new);
+        chunk.slots[off] = Some(Box::new(Cell { obj, version: 0 }));
+        chunk.live += 1;
+        self.live += 1;
+        oid
     }
 
-    /// Number of object slots ever allocated (including tombstones).
+    /// Number of object slots ever allocated (including dead ones).
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.len
     }
 
     /// Number of live (non-collected) objects.
     pub fn live(&self) -> usize {
-        self.objects.iter().filter(|o| o.is_some()).count()
+        self.live
     }
 
     /// `true` if the store holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.len == 0
+    }
+
+    /// Number of chunks of the slot table held in memory.
+    pub fn resident_chunks(&self) -> usize {
+        self.chunks.iter().flatten().count()
+    }
+
+    fn cell(&self, oid: Oid) -> Option<&Cell> {
+        if oid.is_null() {
+            return None;
+        }
+        let (c, off) = locate(oid);
+        self.chunks.get(c)?.as_ref()?.slots[off].as_deref()
+    }
+
+    fn cell_mut(&mut self, oid: Oid) -> Option<&mut Cell> {
+        if oid.is_null() {
+            return None;
+        }
+        let (c, off) = locate(oid);
+        self.chunks.get_mut(c)?.as_mut()?.slots[off].as_deref_mut()
     }
 
     /// Fetch an object.
     pub fn get(&self, oid: Oid) -> Result<&Object, StoreError> {
-        if oid.is_null() {
-            return Err(StoreError::Dangling(oid));
-        }
-        self.objects
-            .get(oid.0 as usize - 1)
-            .and_then(Option::as_deref)
+        self.cell(oid)
+            .map(|c| &c.obj)
             .ok_or(StoreError::Dangling(oid))
     }
 
@@ -190,74 +254,78 @@ impl Store {
     /// mismatch is a sound (if over-approximate) staleness witness for
     /// derived state.
     pub fn get_mut(&mut self, oid: Oid) -> Result<&mut Object, StoreError> {
-        if oid.is_null() {
-            return Err(StoreError::Dangling(oid));
-        }
-        let ix = oid.0 as usize - 1;
-        let slot = self
-            .objects
-            .get_mut(ix)
-            .and_then(Option::as_deref_mut)
-            .ok_or(StoreError::Dangling(oid))?;
-        self.versions[ix] += 1;
-        Ok(slot)
+        let cell = self.cell_mut(oid).ok_or(StoreError::Dangling(oid))?;
+        cell.version += 1;
+        Ok(&mut cell.obj)
     }
 
-    /// The content version of an object's slot: 0 at allocation, bumped on
-    /// every mutable access and on collection. Returns 0 for OIDs the
-    /// store never allocated.
+    /// The content version of a live object: 0 at allocation, bumped on
+    /// every mutable access. A dead slot has no version and reads 0, as
+    /// does an OID the store never allocated, so a staleness check must
+    /// use [`Store::live_version`].
     pub fn version(&self, oid: Oid) -> u64 {
-        if oid.is_null() {
-            return 0;
-        }
-        self.versions.get(oid.0 as usize - 1).copied().unwrap_or(0)
+        self.live_version(oid).unwrap_or(0)
     }
 
     /// `Some(version)` when the OID denotes a live object, `None` when it
-    /// is null, dangling or tombstoned.
+    /// is null, dangling or dead.
     pub fn live_version(&self, oid: Oid) -> Option<u64> {
-        if oid.is_null() {
-            return None;
-        }
-        let ix = oid.0 as usize - 1;
-        match self.objects.get(ix) {
-            Some(Some(_)) => Some(self.versions[ix]),
-            _ => None,
-        }
+        self.cell(oid).map(|c| c.version)
     }
 
-    /// Tombstone a slot (garbage collection). The OID is never reused;
+    /// Kill a slot (garbage collection). The OID is never reused;
     /// subsequent access reports a dangling reference. Attributes of the
-    /// object are dropped.
+    /// object are dropped, and so is its chunk once every OID in it has
+    /// been handed out and none of its objects is live. That is a function
+    /// of liveness alone, so a store rebuilt from an image or a log holds
+    /// the same chunks.
     pub(crate) fn free(&mut self, oid: Oid) {
         if !oid.is_null() {
-            let ix = oid.0 as usize - 1;
-            if let Some(slot) = self.objects.get_mut(ix) {
-                *slot = None;
-                // Collection is a content change: cached results derived
-                // from this object must stop matching.
-                self.versions[ix] += 1;
+            let (c, off) = locate(oid);
+            let full = (c + 1) * CHUNK_SLOTS <= self.len;
+            if let Some(Some(chunk)) = self.chunks.get_mut(c) {
+                if chunk.slots[off].take().is_some() {
+                    chunk.live -= 1;
+                    self.live -= 1;
+                    if full && chunk.live == 0 {
+                        self.chunks[c] = None;
+                    }
+                }
             }
         }
         self.attrs.remove_oid(oid);
     }
 
-    /// Internal: room for `n` more slots (image decoding, from a slot
-    /// count the caller has bounded).
-    pub(crate) fn reserve_slots(&mut self, n: usize) {
-        self.objects.reserve(n);
-        self.versions.reserve(n);
+    /// Internal: hand out `n` OIDs as dead slots (image decoding). Decoding
+    /// frees nothing, so no chunk is made for them and none can be dead.
+    pub(crate) fn push_dead(&mut self, n: usize) {
+        self.len += n;
     }
 
-    /// Internal: restore a possibly-dead slot (snapshot decoding).
-    pub(crate) fn push_slot(&mut self, obj: Option<Object>) {
-        self.objects.push(obj.map(Box::new));
-        self.versions.push(0);
-    }
-
-    /// Internal: raw slot access including tombstones (snapshot encoding).
+    /// Internal: every slot in OID order, dead ones as `None` (image
+    /// encoding).
     pub(crate) fn slots(&self) -> impl Iterator<Item = Option<&Object>> {
-        self.objects.iter().map(Option::as_deref)
+        (1..=self.len as u64).map(|o| self.cell(Oid(o)).map(|c| &c.obj))
+    }
+
+    /// Internal: every slot's version in OID order, 0 for a dead slot
+    /// (image encoding). A fixed value keeps image bytes independent of
+    /// when a slot died and whether its chunk is still resident.
+    pub(crate) fn versions(&self) -> impl Iterator<Item = u64> + '_ {
+        (1..=self.len as u64).map(|o| self.version(Oid(o)))
+    }
+
+    /// Internal: restore the versions of the live slots (image decoding).
+    /// A dead slot's entry is ignored, and a missing one reads 0.
+    pub(crate) fn set_versions(&mut self, versions: &[u64]) {
+        for (c, chunk) in self.chunks.iter_mut().enumerate() {
+            let Some(chunk) = chunk else { continue };
+            for (off, slot) in chunk.slots.iter_mut().enumerate() {
+                if let Some(cell) = slot {
+                    cell.version = versions.get(c * CHUNK_SLOTS + off).copied().unwrap_or(0);
+                }
+            }
+        }
     }
 
     /// Replace an object wholesale.
@@ -282,12 +350,18 @@ impl Store {
         })
     }
 
-    /// Iterate over all live `(oid, object)` pairs.
+    /// Iterate over all live `(oid, object)` pairs, in OID order.
     pub fn iter(&self) -> impl Iterator<Item = (Oid, &Object)> {
-        self.objects
+        self.chunks
             .iter()
             .enumerate()
-            .filter_map(|(i, o)| o.as_deref().map(|o| (Oid(i as u64 + 1), o)))
+            .filter_map(|(c, chunk)| chunk.as_ref().map(|ch| (c * CHUNK_SLOTS, ch)))
+            .flat_map(|(base, ch)| {
+                ch.slots.iter().enumerate().filter_map(move |(off, slot)| {
+                    slot.as_deref()
+                        .map(|cell| (Oid((base + off) as u64 + 1), &cell.obj))
+                })
+            })
     }
 
     // -- Named roots --------------------------------------------------------
@@ -349,18 +423,6 @@ impl Store {
     /// Internal: restore the attribute table (image decoding).
     pub(crate) fn set_attr_table(&mut self, attrs: AttrTable) {
         self.attrs = attrs;
-    }
-
-    /// Internal: the version vector (snapshot encoding).
-    pub(crate) fn versions(&self) -> &[u64] {
-        &self.versions
-    }
-
-    /// Internal: restore the version vector (snapshot decoding); padded or
-    /// truncated to the slot count so legacy images load cleanly.
-    pub(crate) fn set_versions(&mut self, mut versions: Vec<u64>) {
-        versions.resize(self.objects.len(), 0);
-        self.versions = versions;
     }
 
     // -- Reflective-optimization cache ---------------------------------------
@@ -462,6 +524,8 @@ impl Store {
         let st = self.stats();
         g.counter("store.objects").set(st.objects as u64);
         g.counter("store.slots").set(self.len() as u64);
+        g.counter("store.slots.resident")
+            .set(self.resident_chunks() as u64);
         g.counter("store.bytes").set(st.bytes as u64);
         g.counter("store.ptml_bytes").set(st.ptml_bytes as u64);
         g.counter("store.closures").set(st.closures as u64);
@@ -725,8 +789,8 @@ mod tests {
         assert_eq!(s.version(a), 2);
         assert_eq!(s.live_version(a), Some(2));
         s.free(a);
-        assert!(s.version(a) > 2, "collection bumps the version");
-        assert_eq!(s.live_version(a), None);
+        assert_eq!(s.live_version(a), None, "a dead slot has no version");
+        assert_eq!(s.version(a), 0);
         assert_eq!(s.version(Oid::NULL), 0);
         assert_eq!(s.version(Oid(999)), 0);
     }

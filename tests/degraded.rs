@@ -321,6 +321,7 @@ fn a_closure_that_fails_to_link_traps_at_its_call() {
     let report = relink_image_code(&mut s2).unwrap();
     assert_eq!(report.skipped, 1, "only the old blob's header: {report:?}");
     assert_eq!(s2.store.attr(old, "degraded"), Some(1));
+    assert_eq!(s2.store.attr(fib, "degraded"), None);
     let blocks = s2.vm.code.len();
     for (oid, arg, why) in [
         (fib, RVal::Int(10), "PTML does not decode"),
